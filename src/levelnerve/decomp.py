@@ -42,10 +42,12 @@ forms depend only on the stored vertex and edge order.
 
 import itertools
 import math
+from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .symplectic import SympSpace, SympSubgroup, hnf, mod_row_kernel
+from .symplectic import (SympSpace, SympSubgroup, hnf, mod_row_kernel,
+                         snf_diagonal)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .words import winv, wmul
@@ -121,19 +123,14 @@ def _quotient_profile(inner: SympSubgroup, outer: SympSubgroup):
             return (False, False, None)
         coords.append(list(c))
     if space.m:
-        divs = _snf_divisors(coords)
+        divs = snf_diagonal(coords)
         nonunit = sorted(d for d in divs if d != 1)
         free = all(d == space.m for d in nonunit)
         return (True, free, len(nonunit) if free else None)
-    divs = [d for d in _snf_divisors(coords) if d]
+    divs = [d for d in snf_diagonal(coords) if d]
     free = all(d == 1 for d in divs)
     rank = len(outer.lattice) - len(divs) if free else None
     return (True, free, rank)
-
-
-def _snf_divisors(mat):
-    from .symplectic import snf_diagonal
-    return list(snf_diagonal([list(r) for r in mat]))
 
 
 def _sign_normal(space, vec):
@@ -142,16 +139,20 @@ def _sign_normal(space, vec):
     return min(v, w)
 
 
-def _symplectic_inverse(space, F):
-    """Inverse of a symplectic matrix: F^-1 = -J F^T J in row convention."""
-    n = space.dim
-    FT = [[F[j][i] for j in range(n)] for i in range(n)]
-    J = space.J
-    JFT = [[sum(J[i][k] * FT[k][j] for k in range(n)) for j in range(n)]
-           for i in range(n)]
-    inv = space.reduce_matrix(
-        [[-sum(JFT[i][k] * J[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)])
+@lru_cache(maxsize=128)
+def _checked_inverse(g, m, F):
+    """Inverse of the reduced matrix F (a tuple of row tuples) over
+    (Z/m)^2g, or None when F is not symplectic.
+
+    Memoized on the value (g, m, F): the deck matrices of a cover are
+    checked and inverted once, not once per lift or transported value,
+    and the self-check of the inverse runs once per distinct matrix.  The
+    fixed size bounds what it holds; the 16 deck matrices of the level-2
+    genus-2 homology cover fit many times over."""
+    space = SympSpace(g, m)
+    if not space.is_symplectic(F):
+        return None
+    inv = space.symplectic_inverse(F)
     _check(space.mat_mul(F, inv) == space.identity_matrix(),
            "symplectic inverse")
     return inv
@@ -515,7 +516,7 @@ def _unit_pair(space, sub: SympSubgroup):
                 if p == -1:
                     return (y, x)
             gram = [[space.pairing(x, y) for y in gens] for x in gens]
-            divs = [d for d in _snf_divisors(gram) if d]
+            divs = [d for d in snf_diagonal(gram) if d]
             if not divs or divs[0] != 1:
                 return None
             if trial == 0:
@@ -715,9 +716,9 @@ def _action_natural(d: EquivariantDecomposition):
     space = d.space
     E = len(d.edges)
     for M, vp, ep in zip(d.matrices, d.vperms, d.eperms):
-        if not space.is_symplectic(M):
+        Minv = _checked_inverse(space.g, space.m, M)
+        if Minv is None:
             return False
-        Minv = _symplectic_inverse(space, M)
         for e in range(E):
             u, v = d.edges[e]
             if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:
@@ -920,12 +921,12 @@ def sp_action(F, d):
     """Transport a decomposition through a symplectic matrix."""
     space = d.space
     F = space.reduce_matrix(F)
-    if not space.is_symplectic(F):
+    inv = _checked_inverse(space.g, space.m, F)
+    if inv is None:
         raise InvalidInputError("matrix is not symplectic over the ambient")
     vgroups = [vg.apply(F) for vg in d.vertex_groups]
     egroups = [eg.apply(F) for eg in d.edge_groups]
     if isinstance(d, EquivariantDecomposition):
-        inv = _symplectic_inverse(space, F)
         mats = [space.mat_mul(space.mat_mul(inv, M), F) for M in d.matrices]
         return EquivariantDecomposition(
             space, vgroups, egroups, d.edges,

@@ -30,14 +30,18 @@ def mat_identity(n):
 def mat_mul(A, B):
     if not A or not B:
         return []
-    n, k, c = len(A), len(B), len(B[0])
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c)]
-            for i in range(n)]
+    return [list(vec_mat(row, B)) for row in A]
 
 
 def vec_mat(x, F):
-    n = len(F)
-    return tuple(sum(x[i] * F[i][j] for i in range(n)) for j in range(len(F[0])))
+    """x * F; only the rows of F whose coefficient in x is nonzero are
+    summed, so sparse vectors cost what their support costs."""
+    out = [0] * len(F[0])
+    for i in range(len(F)):
+        c = x[i]
+        if c:
+            out = [a + c * b for a, b in zip(out, F[i])]
+    return tuple(out)
 
 
 def hnf(rows):
@@ -264,6 +268,8 @@ class SympSpace:
             J[2 * i][2 * i + 1] = 1
             J[2 * i + 1][2 * i] = -1
         self.J = J
+        # J[k][k ^ 1] = _sign[k]: +1 on a_i, -1 on b_i; all else is zero
+        self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
 
     # -- vectors
 
@@ -312,19 +318,31 @@ class SympSpace:
         return self.reduce(vec_mat(x, F))
 
     def mat_mul(self, F, G):
-        return self.reduce_matrix(mat_mul([list(r) for r in F],
-                                          [list(r) for r in G]))
+        return self.reduce_matrix(mat_mul(F, G))
 
     def is_symplectic(self, F) -> bool:
-        n = self.dim
-        FT = [[F[j][i] for j in range(n)] for i in range(n)]
-        P = mat_mul(mat_mul([list(r) for r in F], self.J), FT)
+        """F J F^T = J, checked as the row pairings <F_i, F_j> = J_ij for
+        i <= j (both sides are antisymmetric)."""
+        n, m, J, sign = self.dim, self.m, self.J, self._sign
         for i in range(n):
-            for j in range(n):
-                d = P[i][j] - self.J[i][j]
-                if (d % self.m if self.m else d) != 0:
+            x = F[i]
+            # the nonzero entries of x J: (x J)_k = -sign[k] * x[k ^ 1]
+            xJ = [(k, -sign[k] * x[k ^ 1]) for k in range(n) if x[k ^ 1]]
+            for j in range(i, n):
+                y = F[j]
+                d = sum(c * y[k] for k, c in xJ) - J[i][j]
+                if (d % m if m else d) != 0:
                     return False
         return True
+
+    def symplectic_inverse(self, F):
+        """F^-1 = -J F^T J for a symplectic F (not checked here), read off
+        F by index and sign: entry (i, j) is sign[i] sign[j] F[j ^ 1][i ^ 1].
+        """
+        n, sign = self.dim, self._sign
+        return self.reduce_matrix(
+            [[sign[i] * sign[j] * F[j ^ 1][i ^ 1] for j in range(n)]
+             for i in range(n)])
 
     def transvection(self, v):
         """Matrix of x -> x + <x, v> v."""
@@ -439,6 +457,9 @@ class SympSubgroup:
             self.rank = len(self.lattice)
             self.invariants = (0,) * self.rank
             self.order = 1 if self.rank == 0 else None
+        # filled on first use by canonical_gens() and contains()
+        self._gens = None
+        self._pivots = None
 
     def key(self):
         return tuple(tuple(r) for r in self.lattice)
@@ -454,17 +475,27 @@ class SympSubgroup:
 
     def canonical_gens(self):
         """Generators read off the lattice Hermite form (lattice rows that
-        survive reduction mod m)."""
-        out = []
-        for row in self.lattice:
-            v = self.space.reduce(row)
-            if any(v):
-                out.append(v)
-        return out
+        survive reduction mod m), as a fresh list."""
+        if self._gens is None:
+            self._gens = tuple(v for v in map(self.space.reduce, self.lattice)
+                               if any(v))
+        return list(self._gens)
 
     def contains(self, vec) -> bool:
-        v = self.space.reduce(vec)
-        return not any(lattice_reduce(self.lattice, v))
+        """Reduction against the Hermite rows, as lattice_reduce does.  A
+        pivot entry that its row cannot clear stays nonzero, because later
+        rows vanish in that column, so the answer is known at once."""
+        if self._pivots is None:
+            self._pivots = tuple(next(j for j, a in enumerate(row) if a)
+                                 for row in self.lattice)
+        v = list(self.space.reduce(vec))
+        for col, row in zip(self._pivots, self.lattice):
+            q, r = divmod(v[col], row[col])
+            if r:
+                return False
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+        return not any(v)
 
     def is_trivial(self) -> bool:
         return self.rank == 0

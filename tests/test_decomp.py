@@ -572,6 +572,32 @@ def test_tampered_action_is_reported():
     assert validate(wrong_vperm) == ["action"]
 
 
+def test_inverse_memo_keeps_every_verdict():
+    spec = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
+    d = induced_from_lift(spec, by_key(2, 0, NONSEP_KEY), 2)
+    assert validate(d) == []
+    bad = [list(r) for r in d.matrices[1]]
+    bad[0][2] = (bad[0][2] + 1) % 2
+    assert not d.space.is_symplectic(bad)
+    tampered = EquivariantDecomposition(
+        d.space, d.vertex_groups, d.edge_groups, d.edges, d.frames,
+        d.marks, d.n, d.group, [d.matrices[0], bad], d.vperms, d.eperms)
+    assert validate(tampered) == ["action"]
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            sp_action(bad, d)
+    assert validate(d) == []
+
+
+def test_inverse_memo_is_keyed_on_the_modulus():
+    # symplectic mod 2 (det 3 = 1) but not mod 4
+    F = ((1, 0), (0, 3))
+    for order in ((2, 4), (4, 2)):
+        decomp._checked_inverse.cache_clear()
+        got = {m: decomp._checked_inverse(1, m, F) for m in order}
+        assert got == {2: ((1, 0), (0, 1)), 4: None}
+
+
 def test_sp_action_transports_equivariant():
     spec = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
     d = induced_from_lift(spec, by_key(2, 0, NONSEP_KEY), 2)

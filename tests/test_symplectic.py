@@ -3,6 +3,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from levelnerve.errors import InvalidInputError
 from levelnerve.symplectic import (
@@ -595,3 +597,143 @@ def test_orbit_enumerate_deterministic():
     r2 = orbit_enumerate(sp.basis_a(1), gens,
                          lambda F, v: sp.mat_apply(v, F))
     assert r1 == r2
+
+
+# --------------------------------------------------------------------------
+# the Z/m matrix kernel against dense and sympy references
+
+# fixed example sets, so that a failure reproduces on every run
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+entries = st.one_of(st.just(0), st.integers(-7, 7))
+moduli = st.sampled_from([0, 2, 3, 4, 6])
+
+
+def dense_mat_mul(A, B):
+    return [[sum(A[i][t] * B[t][j] for t in range(len(B)))
+             for j in range(len(B[0]))] for i in range(len(A))]
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(A, B) with A r x k and B k x c, zero rows likely."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    row = lambda w: st.one_of(st.just([0] * w),
+                              st.lists(entries, min_size=w, max_size=w))
+    A = draw(st.lists(row(k), min_size=r, max_size=r))
+    B = draw(st.lists(row(c), min_size=k, max_size=k))
+    return A, B
+
+
+@PROPERTY
+@given(matrix_pairs())
+@example(([[0, 0]], [[1, -2, 3], [-4, 5, 0]]))
+@example(([[0, 3], [0, 0]], [[0, 0], [-1, 2]]))
+def test_vec_mat_and_mat_mul_match_dense(pair):
+    A, B = pair
+    want = dense_mat_mul(A, B)
+    assert mat_mul(A, B) == want
+    for x, row in zip(A, want):
+        assert vec_mat(x, B) == tuple(row)
+
+
+@PROPERTY
+@given(st.integers(1, 3), moduli, st.data())
+def test_space_matrix_products_match_dense(g, m, data):
+    sp = SympSpace(g, m)
+    n = sp.dim
+    mats = st.lists(st.lists(entries, min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    F, G = data.draw(mats), data.draw(mats)
+    x = data.draw(st.one_of(st.just([0] * n),
+                            st.lists(entries, min_size=n, max_size=n)))
+    red = (lambda a: a % m) if m else (lambda a: a)
+    assert sp.mat_mul(F, G) == tuple(tuple(red(a) for a in row)
+                                     for row in dense_mat_mul(F, G))
+    assert sp.mat_apply(x, F) == tuple(red(a)
+                                       for a in dense_mat_mul([x], F)[0])
+
+
+def sympy_is_symplectic(sp, F):
+    J = sympy.Matrix(sp.J)
+    P = sympy.Matrix(F) * J * sympy.Matrix(F).T - J
+    return all((a % sp.m if sp.m else a) == 0 for a in P)
+
+
+@st.composite
+def transvection_products(draw):
+    """(space, F) with F a product of transvections, so symplectic."""
+    g, m = draw(st.integers(1, 3)), draw(moduli)
+    sp = SympSpace(g, m)
+    F = sp.identity_matrix()
+    for _ in range(draw(st.integers(0, 6))):
+        v = draw(st.lists(st.integers(-3, 3), min_size=sp.dim,
+                          max_size=sp.dim))
+        T = (sp.transvection(v) if draw(st.booleans())
+             else sp.inverse_transvection(v))
+        F = sp.mat_mul(F, T)
+    return sp, F
+
+
+@PROPERTY
+@given(st.integers(1, 3), moduli, st.data())
+def test_is_symplectic_matches_sympy_on_random(g, m, data):
+    sp = SympSpace(g, m)
+    n = sp.dim
+    F = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assert sp.is_symplectic(F) == sympy_is_symplectic(sp, F)
+
+
+@PROPERTY
+@given(transvection_products(), st.data())
+def test_is_symplectic_matches_sympy_on_transvection_products(case, data):
+    sp, F = case
+    assert sp.is_symplectic(F) and sympy_is_symplectic(sp, F)
+    # one changed entry usually breaks it; both sides must agree either way
+    i, j = (data.draw(st.integers(0, sp.dim - 1)) for _ in range(2))
+    G = [list(r) for r in F]
+    G[i][j] += data.draw(st.integers(1, 5))
+    assert sp.is_symplectic(G) == sympy_is_symplectic(sp, G)
+
+
+@PROPERTY
+@given(transvection_products())
+def test_symplectic_inverse_is_inverse(case):
+    sp, F = case
+    inv = sp.symplectic_inverse(F)
+    assert sp.mat_mul(F, inv) == sp.identity_matrix()
+    assert sp.mat_mul(inv, F) == sp.identity_matrix()
+
+
+@PROPERTY
+@given(st.integers(1, 2), moduli, st.data())
+def test_contains_matches_lattice_reduce(g, m, data):
+    sp = SympSpace(g, m)
+    vec = st.lists(st.integers(-5, 5), min_size=sp.dim, max_size=sp.dim)
+    sub = sp.subgroup(data.draw(st.lists(vec, max_size=3)))
+    gens = sub.canonical_gens()
+    picks = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                               max_size=len(gens)))
+    inside = [sum(c * v[k] for c, v in zip(picks, gens))
+              for k in range(sp.dim)]
+    for x in (inside, data.draw(vec)):
+        want = not any(lattice_reduce(sub.lattice, sp.reduce(x)))
+        assert sub.contains(x) == want
+    assert sub.contains(inside)
+
+
+def test_canonical_gens_copy_does_not_leak_into_cache():
+    sp = SympSpace(2, 4)
+    sub = sp.subgroup([(2, 0, 0, 0), (1, 1, 0, 3)])
+    twin = sp.subgroup([(2, 0, 0, 0), (1, 1, 0, 3)])
+    gens = sub.canonical_gens()
+    key, h = sub.key(), hash(sub)
+    assert sub.contains((1, 1, 0, 3))
+    gens.clear()
+    gens.append((1, 0, 0, 0))
+    assert sub.canonical_gens() == twin.canonical_gens() != gens
+    assert sub.key() == key and hash(sub) == h and sub == twin
+    assert sub.contains((1, 1, 0, 3)) and sub.contains((2, 0, 0, 0))
+    assert not sub.contains((1, 0, 0, 0))
