@@ -34,7 +34,7 @@ from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
 from .stablegraph import StableGraph
 from .surface import presentation, twist_automorphisms
 from .symplectic import (SympSpace, orbit_enumerate, smith_normal_form,
-                         sp_group)
+                         snf_diagonal, sp_group)
 from .words import FoldedGraph, winv, wmul
 
 
@@ -797,14 +797,7 @@ def _boundary_matrix(X, k):
 
 
 def _nonzero_divisors(M):
-    if not M or not M[0]:
-        return []
-    _, D, _ = smith_normal_form(M)
-    out = []
-    for i in range(min(len(D), len(D[0]))):
-        if D[i][i] != 0:
-            out.append(abs(D[i][i]))
-    return out
+    return [d for d in snf_diagonal(M) if d]
 
 
 def homology(X, q):

@@ -36,7 +36,7 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import SympSpace
+from .symplectic import SympSpace, vec_mat
 from .stablegraph import StableGraph
 
 DEFAULT_MAX_DEGREE = 4096
@@ -595,8 +595,7 @@ class _ChainData:
                     if rec[k]:
                         v[k] += c * rec[k]
         sv = [v[sid] for sid in self.survivors]
-        return [sum(sv[k] * self.Uinv[k][i] for k in range(len(sv)))
-                for i in range(len(sv))]
+        return list(vec_mat(sv, self.Uinv)) if sv else []
 
     def class_int(self, word):
         """Coordinates of a subgroup word in the symplectic frame of the

@@ -172,8 +172,62 @@ def snf(mat):
 
 
 def snf_diagonal(mat):
-    D, _, _ = snf(mat)
-    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)))
+    """The Smith diagonal of mat (as snf gives it), without transforms.
+
+    Rows are eliminated on a copy.  The pivot is the first unit entry in
+    row order, else the smallest nonzero entry.  Once row operations have
+    cleared its column, column operations touch only the pivot row: they
+    reduce it modulo the pivot, which splits the pivot off as a divisor
+    when nothing remains.  The split divisors are brought into chain form
+    by diag(a, b) ~ diag(gcd, lcm) and padded with zeros to min(r, c)."""
+    size = min(len(mat), len(mat[0]) if mat else 0)
+    rows = [list(r) for r in mat if any(r)]
+    divs = []
+    while rows:
+        least = None
+        for i, prow in enumerate(rows):
+            if 1 in prow or -1 in prow:
+                p = 1
+                break
+            a = min(map(abs, filter(None, prow)))
+            if least is None or a < least:
+                least, k = a, i
+        else:
+            p, i = least, k
+            prow = rows[i]
+        support = [t for t, a in enumerate(prow) if a]
+        j = next(t for t in support if abs(prow[t]) == p)
+        p = prow[j]
+        clear = True
+        zero = []
+        for k, r in enumerate(rows):
+            if r[j] and k != i:
+                q = r[j] // p
+                for t in support:
+                    r[t] -= q * prow[t]
+                if r[j]:
+                    clear = False
+                elif not any(r):
+                    zero.append(k)
+        if clear:
+            # column operations now change only the pivot row; remainders
+            # smaller than the pivot keep the loop going
+            p = abs(p)
+            prow[:] = [a % p for a in prow]
+            if any(prow):
+                prow[j] = p
+            else:
+                divs.append(p)
+                zero.append(i)
+        for k in sorted(zero, reverse=True):
+            del rows[k]
+    chain = [d for d in divs if d > 1]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = math.gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] // g * chain[b]
+    return ((1,) * (len(divs) - len(chain)) + tuple(chain)
+            + (0,) * (size - len(divs)))
 
 
 def int_row_kernel(mat):

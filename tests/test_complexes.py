@@ -1,0 +1,86 @@
+"""Integral homology of small simplicial sets: spheres, a torus and the
+projective plane, with every boundary matrix checked against sympy."""
+
+from itertools import combinations
+
+import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from levelnerve.complexes import FinSimpSet, _boundary_matrix, homology
+from levelnerve.errors import InvalidInputError
+from levelnerve.symplectic import snf_diagonal
+
+
+def complex_from_facets(facets):
+    """The simplicial closure of `facets` (vertex tuples) as a FinSimpSet:
+    a simplex is encoded by its sorted vertices as bytes, each rank is
+    ordered by encoding, and the l-th face omits the l-th vertex."""
+    top = max(len(f) for f in facets) - 1
+    simplices = [set() for _ in range(top + 1)]
+    for f in facets:
+        f = tuple(sorted(f))
+        for k in range(len(f)):
+            simplices[k].update(combinations(f, k + 1))
+    blocks = [sorted(s) for s in simplices]
+    index = [{s: i for i, s in enumerate(b)} for b in blocks]
+    faces = [[()] * len(blocks[0])]
+    for k in range(1, top + 1):
+        faces.append([tuple(index[k - 1][s[:l] + s[l + 1:]]
+                            for l in range(k + 1)) for s in blocks[k]])
+    return FinSimpSet([[bytes(s) for s in b] for b in blocks], faces)
+
+
+TETRAHEDRON_BOUNDARY = list(combinations(range(4), 3))
+SOLID_TETRAHEDRON = [tuple(range(4))]
+TWO_CIRCLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+# Moebius' 7-vertex torus and the 6-vertex (hemi-icosahedral) RP^2
+TORUS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + \
+        [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+       (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+CASES = [
+    (TETRAHEDRON_BOUNDARY, [(0,), (), (0,)]),
+    (SOLID_TETRAHEDRON, [(0,), (), (), ()]),
+    (TWO_CIRCLES, [(0, 0), (0, 0)]),
+    (TORUS, [(0,), (0, 0), (0,)]),
+    (RP2, [(0,), (2,), ()]),
+]
+NAMES = ["sphere", "simplex", "two-circles", "torus", "rp2"]
+
+
+def sympy_diagonal(M):
+    r, c = len(M), len(M[0]) if M else 0
+    S = sympy_snf(sympy.Matrix(r, c, [x for row in M for x in row]),
+                  domain=sympy.ZZ)
+    return tuple(abs(S[i, i]) for i in range(min(r, c)))
+
+
+@pytest.mark.parametrize("facets, want", CASES, ids=NAMES)
+def test_homology_of_known_complexes(facets, want):
+    X = complex_from_facets(facets)
+    assert [homology(X, q) for q in range(X.top_rank + 1)] == want
+
+
+@pytest.mark.parametrize("facets", [f for f, _ in CASES], ids=NAMES)
+def test_boundary_divisors_match_sympy(facets):
+    X = complex_from_facets(facets)
+    for k in range(1, X.top_rank + 1):
+        M = _boundary_matrix(X, k)
+        assert snf_diagonal(M) == sympy_diagonal(M)
+
+
+@pytest.mark.parametrize("facets", [f for f, _ in CASES], ids=NAMES)
+def test_euler_characteristic(facets):
+    X = complex_from_facets(facets)
+    betti = [homology(X, q).count(0) for q in range(X.top_rank + 1)]
+    assert sum((-1) ** q * b for q, b in enumerate(betti)) == \
+        sum((-1) ** k * X.size(k) for k in range(X.top_rank + 1))
+
+
+def test_homology_degree_out_of_range():
+    X = complex_from_facets(TETRAHEDRON_BOUNDARY)
+    for q in (-1, 3):
+        with pytest.raises(InvalidInputError):
+            homology(X, q)

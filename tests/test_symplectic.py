@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from levelnerve.errors import InvalidInputError
 from levelnerve.symplectic import (
@@ -737,3 +738,64 @@ def test_canonical_gens_copy_does_not_leak_into_cache():
     assert sub.key() == key and hash(sub) == h and sub == twin
     assert sub.contains((1, 1, 0, 3)) and sub.contains((2, 0, 0, 0))
     assert not sub.contains((1, 0, 0, 0))
+
+
+# --------------------------------------------------------------------------
+# transform-free Smith divisors against snf and sympy
+
+
+def snf_reference(M):
+    D, _, _ = snf(M)
+    return tuple(D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)))
+
+
+def sympy_smith_diagonal(M):
+    r, c = len(M), len(M[0]) if M else 0
+    S = sympy_smith(sympy.Matrix(r, c, [x for row in M for x in row]),
+                    domain=sympy.ZZ)
+    return tuple(abs(S[i, i]) for i in range(min(r, c)))
+
+
+@st.composite
+def smith_inputs(draw):
+    """r x c integer matrices with 0 <= r, c <= 5: small or large entries,
+    a zero row and a zero column likely, and after scaling by 2, 3 or 6
+    no unit entry at all."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = draw(st.sampled_from([entries, st.integers(-10**12, 10**12)]))
+    M = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    if r and draw(st.booleans()):
+        M[draw(st.integers(0, r - 1))] = [0] * c
+    if c and draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in M:
+            row[j] = 0
+    scale = draw(st.sampled_from([1, 2, 3, 6]))
+    return [[scale * a for a in row] for row in M]
+
+
+@PROPERTY
+@given(smith_inputs())
+@example([])
+@example([[], []])
+@example([[0, 0, 0]])
+@example([[2, 0], [0, 3]])
+@example([[4, 0], [0, 6]])
+@example([[2, 3]])
+@example([[6, 10, 15]])
+@example([[4, 6], [6, 9], [10, 14]])
+def test_snf_diagonal_matches_snf_and_sympy(M):
+    assert snf_diagonal(M) == snf_reference(M) == sympy_smith_diagonal(M)
+
+
+def test_snf_diagonal_pinned():
+    assert snf_diagonal([[2, 0], [0, 3]]) == (1, 6)
+    assert snf_diagonal([[4, 0], [0, 6]]) == (2, 12)
+    # the pivot 2 leaves the remainder 1 in its row
+    assert snf_diagonal([[2, 3]]) == (1,)
+    assert snf_diagonal([[0, 0], [0, 0], [0, 0]]) == (0, 0)
+    assert snf_diagonal([[0], [5], [-10]]) == (5,)
+    M = [(2, 4), (6, 9)]
+    assert snf_diagonal(M) == (1, 6)
+    assert M == [(2, 4), (6, 9)]
