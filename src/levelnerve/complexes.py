@@ -35,7 +35,7 @@ from .stablegraph import StableGraph
 from .surface import presentation, twist_automorphisms
 from .symplectic import (SympSpace, orbit_enumerate, smith_normal_form,
                          snf_diagonal, sp_group)
-from .words import FoldedGraph, winv, wmul
+from .words import FoldedGraph, cyclic_reduce, winv, wmul
 
 
 def _check(cond, msg):
@@ -557,23 +557,6 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
 # fundamental group of the 2-skeleton
 
 
-def _free_reduce(word):
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
-def _cyclic_reduce(word):
-    w = _free_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
-
 def _tietze(ngen, rels, budget=200_000):
     """Bounded generator elimination.
 
@@ -582,7 +565,7 @@ def _tietze(ngen, rels, budget=200_000):
     substituted everywhere, smallest relation first, until nothing fires
     or the substitution budget is spent.  Returns (alive generators,
     reduced relations, exhausted flag)."""
-    rels = [_cyclic_reduce(r) for r in rels]
+    rels = [cyclic_reduce(r)[0] for r in rels]
     rels = [r for r in rels if r]
     alive = set(range(1, ngen + 1))
     spent = 0
@@ -620,7 +603,7 @@ def _tietze(ngen, rels, budget=200_000):
                 else:
                     out.append(x)
             spent += len(out)
-            out = _cyclic_reduce(out)
+            out = cyclic_reduce(out)[0]
             if out:
                 new.append(out)
         rels = new
@@ -629,37 +612,23 @@ def _tietze(ngen, rels, budget=200_000):
     return sorted(alive), rels, False
 
 
-def _perms(n):
-    return [p for p in itertools.permutations(range(n))]
-
-
-def _perm_mul(p, q):
-    return tuple(q[x] for x in p)
-
-
-def _perm_inv(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
 def _finite_quotient(gens, rels, degree):
     """Exhaustive search for a nontrivial permutation quotient."""
-    sym = _perms(degree)
-    iden = tuple(range(degree))
-    for images in itertools.product(sym, repeat=len(gens)):
+    ops = covers.PermOps(degree)
+    iden = ops.identity
+    for images in itertools.product(itertools.permutations(range(degree)),
+                                    repeat=len(gens)):
         if all(p == iden for p in images):
             continue
         table = {}
         for g, p in zip(gens, images):
             table[g] = p
-            table[-g] = _perm_inv(p)
+            table[-g] = ops.inv(p)
         ok = True
         for r in rels:
             acc = iden
             for x in r:
-                acc = _perm_mul(acc, table[x])
+                acc = ops.mul(acc, table[x])
             if acc != iden:
                 ok = False
                 break

@@ -30,13 +30,12 @@ deterministic, so every output is reproducible.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import SympSpace, vec_mat
+from .symplectic import SympSpace, mat_mul, snf, vec_mat
 from .stablegraph import StableGraph
 
 DEFAULT_MAX_DEGREE = 4096
@@ -604,24 +603,12 @@ class _ChainData:
 
 
 def _unimodular_inverse(P):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(P)
-    A = [[Fraction(P[i][j]) for j in range(n)]
-         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if A[r][c]), None)
-        _check(piv is not None, "chord form is nondegenerate")
-        A[c], A[piv] = A[piv], A[c]
-        inv = 1 / A[c][c]
-        A[c] = [x * inv for x in A[c]]
-        for r in range(n):
-            if r != c and A[r][c]:
-                f = A[r][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    out = [[x for x in row[n:]] for row in A]
-    _check(all(x.denominator == 1 for row in out for x in row),
+    """Exact inverse of a unimodular integer matrix: U*P*V = I gives
+    P^-1 = V*U."""
+    D, U, V = snf(P)
+    _check(all(D[i][i] == 1 for i in range(len(P))),
            "chord form is unimodular")
-    return [[int(x) for x in row] for row in out]
+    return mat_mul(V, U)
 
 
 def _symplectic_rows(P):

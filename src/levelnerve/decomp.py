@@ -42,6 +42,7 @@ forms depend only on the stored vertex and edge order.
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
@@ -50,6 +51,7 @@ from .symplectic import (SympSpace, SympSubgroup, hnf, mod_row_kernel,
                          snf_diagonal)
 from .surface import presentation
 from .catalog import multicurve_catalog
+from .stablegraph import relabelings
 from .words import winv, wmul
 from . import covers
 
@@ -755,20 +757,6 @@ def _action_natural(d: EquivariantDecomposition):
 # equivalence and canonical forms
 
 
-def _payload_classes(d):
-    """Vertices grouped by their invariant class, each class sorted."""
-    inv = []
-    for v in range(d.V):
-        around = sorted((d._edge_payload(e),
-                         d.edges[e][0] == d.edges[e][1])
-                        for e in d.incident(v))
-        inv.append((d._vertex_payload(v), tuple(around)))
-    classes = {}
-    for v, key in enumerate(inv):
-        classes.setdefault(key, []).append(v)
-    return [vs for _, vs in sorted(classes.items())]
-
-
 def _serial(d, order):
     """Serialized form under the vertex relabeling order[v] = new label."""
     vert = sorted((order[v],) + d._vertex_payload(v) for v in range(d.V))
@@ -787,24 +775,16 @@ def canonical_form(d) -> bytes:
     its framed part, the action itself is not part of the invariant."""
     if isinstance(d, EquivariantDecomposition):
         d = d.framed()
-    classes = _payload_classes(d)
-    count = 1
-    for c in classes:
-        count *= math.factorial(len(c))
+    inv = []
+    for v in range(d.V):
+        around = sorted((d._edge_payload(e),
+                         d.edges[e][0] == d.edges[e][1])
+                        for e in d.incident(v))
+        inv.append((d._vertex_payload(v), tuple(around)))
+    count = math.prod(map(math.factorial, Counter(inv).values()))
     if count > MAX_CANONICAL_PERMS:
         raise ResourceLimitError("canonical form permutation cap")
-    best = None
-    for perms in itertools.product(*[itertools.permutations(c)
-                                     for c in classes]):
-        order = [0] * d.V
-        label = 0
-        for cls, perm in zip(classes, perms):
-            for v in perm:
-                order[v] = label
-                label += 1
-        s = _serial(d, order)
-        if best is None or s < best:
-            best = s
+    best = min(_serial(d, order) for order in relabelings(inv))
     return repr(best).encode()
 
 

@@ -5,18 +5,34 @@ unordered vertex pair (loops allowed) and corresponds to one curve of the
 multicurve.  Stability is the usual hyperbolicity condition on every piece,
 2*g_v - 2 + deg(v) + #marks(v) > 0, with deg counting loops twice.
 
-Canonical forms are computed by minimizing the encoding over vertex
-relabelings, which is plenty at desk scale; equality of canonical keys is
-graph isomorphism (mark labels are preserved, not permuted).
+Canonical forms are computed by minimizing the encoding over the vertex
+relabelings that respect an invariant class (see relabelings), which is
+plenty at desk scale; equality of canonical keys is graph isomorphism (mark
+labels are preserved, not permuted).  All stable graphs of a signature are
+generated from the smooth graph by single degenerations.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from functools import lru_cache
+from itertools import chain, combinations, permutations, product
 
 from .errors import InvalidInputError
 
-from functools import lru_cache
+
+def relabelings(inv):
+    """Every vertex relabeling order[v] = new label that numbers the
+    vertices class by class, the classes of equal inv[v] in ascending inv.
+    The first relabeling takes each class in ascending vertex order; then
+    every permutation within the classes follows."""
+    classes = {}
+    for v, key in enumerate(inv):
+        classes.setdefault(key, []).append(v)
+    for perms in product(*(permutations(classes[k]) for k in sorted(classes))):
+        order = [0] * len(inv)
+        for label, v in enumerate(chain.from_iterable(perms)):
+            order[v] = label
+        yield order
 
 
 class StableGraph:
@@ -55,10 +71,6 @@ class StableGraph:
             if b == v:
                 d += 1
         return d
-
-    def star_size(self, v):
-        """Number of edge ends at v (loops contribute two)."""
-        return self.degree(v)
 
     def is_connected(self):
         V = len(self.vertices)
@@ -113,25 +125,8 @@ class StableGraph:
         return (tuple(verts), tuple(edges))
 
     def canonical_key(self):
-        V = len(self.vertices)
-        # refine by invariant class to cut the permutation set down
-        inv = [(self.vertices[i], self.degree(i)) for i in range(V)]
-        order = sorted(range(V), key=lambda i: (inv[i], i))
-        classes = []
-        for i in order:
-            if classes and inv[classes[-1][-1]] == inv[i]:
-                classes[-1].append(i)
-            else:
-                classes.append([i])
-        best = None
-        for arrangement in _class_products(classes):
-            perm = [0] * V
-            for newname, old in enumerate(arrangement):
-                perm[old] = newname
-            enc = self._encode(perm)
-            if best is None or enc < best:
-                best = enc
-        return best
+        inv = [(vert, self.degree(v)) for v, vert in enumerate(self.vertices)]
+        return min(map(self._encode, relabelings(inv)))
 
     def canonical(self):
         verts, edges = self.canonical_key()
@@ -223,66 +218,57 @@ class StableGraph:
         return out
 
 
-def _class_products(classes):
-    """All concatenations of per-class permutations."""
-    if not classes:
-        yield []
-        return
-    head, tail = classes[0], classes[1:]
-    for p in permutations(head):
-        for rest in _class_products(tail):
-            yield list(p) + rest
+def _subsets(items):
+    return chain.from_iterable(combinations(items, r)
+                               for r in range(len(items) + 1))
 
 
-def _mark_distributions(n, V):
-    """All ways to assign labeled marks 1..n to V vertices."""
-    out = [[tuple() for _ in range(V)]]
-    for mark in range(1, n + 1):
-        nxt = []
-        for asg in out:
-            for v in range(V):
-                asg2 = [list(x) for x in asg]
-                asg2[v].append(mark)
-                nxt.append([tuple(x) for x in asg2])
-        out = nxt
-    return out
-
-
-def _genus_splits(total, V):
-    if V == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _genus_splits(total - first, V - 1):
-            yield (first,) + rest
+def _degenerations(t):
+    """Every graph that contracts back onto t along one new edge: a loop at
+    a vertex of positive genus, or a vertex v split into v and a new last
+    vertex joined by the new edge, sharing out the genus, the marks and the
+    half-edges of v (a loop at v counts as two half-edges)."""
+    V = len(t.vertices)
+    for v, (g, mk) in enumerate(t.vertices):
+        if g > 0:
+            verts = list(t.vertices)
+            verts[v] = (g - 1, mk)
+            yield StableGraph(verts, t.edges + [(v, v)])
+        ends = [(i, j) for i, e in enumerate(t.edges) for j in (0, 1)
+                if e[j] == v]
+        for gw in range(g + 1):
+            for mw in _subsets(mk):
+                rest = tuple(x for x in mk if x not in mw)
+                for moved in _subsets(ends):
+                    edges = [list(e) for e in t.edges]
+                    for (i, j) in moved:
+                        edges[i][j] = V
+                    verts = list(t.vertices) + [(gw, mw)]
+                    verts[v] = (g - gw, rest)
+                    yield StableGraph(verts, edges + [(v, V)])
 
 
 @lru_cache(maxsize=None)
 def _all_stable_graphs(g, n):
+    """Breadth-first search by single degenerations from the smooth graph.
+    It is complete: contracting an edge keeps 2g-2+deg+#marks positive at
+    every vertex, so each stable graph with an edge degenerates from a
+    stable graph with one edge fewer."""
     if g < 0 or n < 0:
         raise InvalidInputError("bad signature")
     found = {}
-    max_v = max(2 * g - 2 + n, 1)
-    for V in range(1, max_v + 1):
-        slots = list(combinations_with_replacement(range(V), 2)) \
-            + [(v, v) for v in range(V)]
-        slots = sorted(set(slots))
-        for gsum in range(g + 1):
-            for genera in _genus_splits(gsum, V):
-                E = g - gsum + V - 1
-                if E < 1 or E > 3 * g - 3 + n + 3:
+    layer = [StableGraph([(g, range(1, n + 1))], [])]
+    while layer:
+        nxt = []
+        for t in layer:
+            for sg in _degenerations(t):
+                if not sg.is_stable():
                     continue
-                for marks in _mark_distributions(n, V):
-                    verts = list(zip(genera, marks))
-                    for combo in combinations_with_replacement(slots, E):
-                        sg = StableGraph(verts, list(combo))
-                        if not sg.is_stable():
-                            continue
-                        if sg.genus() != g:
-                            continue
-                        key = sg.canonical_key()
-                        if key not in found:
-                            found[key] = sg.canonical()
+                key = sg.canonical_key()
+                if key not in found:
+                    found[key] = sg.canonical()
+                    nxt.append(sg)
+        layer = nxt
     return tuple(found[k] for k in sorted(found))
 
 

@@ -196,10 +196,6 @@ class BranchedModel:
         self.std = std
         self._inv_expr = invert_basis(std, self.N)
 
-    def to_pword(self, std_word):
-        """Standard letters -> upstairs letters."""
-        return wsub(std_word, self.std)
-
     def to_std(self, pword):
         """Upstairs letters -> standard letters."""
         return wsub(pword, self._inv_expr)
@@ -232,10 +228,6 @@ class Twist:
         self.curve_word = curve_word
         self.curve_class = curve_class
         self.hom_matrix = hom_matrix
-
-    @property
-    def display_images(self):
-        return self.images
 
     def apply(self, word):
         return wsub(word, self.images)
@@ -452,10 +444,6 @@ class SurfacePresentation:
 @lru_cache(maxsize=None)
 def presentation(g: int, n: int) -> SurfacePresentation:
     return SurfacePresentation(g, n)
-
-
-def standard_presentation(g: int, n: int) -> SurfacePresentation:
-    return presentation(g, n)
 
 
 def twist_automorphisms(g: int, n: int):

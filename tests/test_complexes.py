@@ -1,5 +1,6 @@
-"""Integral homology of small simplicial sets: spheres, a torus and the
-projective plane, with every boundary matrix checked against sympy."""
+"""Integral homology and the edge-path group of small simplicial sets:
+spheres, a torus and the projective plane, with every boundary matrix
+checked against sympy."""
 
 from itertools import combinations
 
@@ -7,7 +8,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from levelnerve.complexes import FinSimpSet, _boundary_matrix, homology
+from levelnerve.complexes import (FinSimpSet, _boundary_matrix,
+                                  _finite_quotient, homology, pi1_report)
 from levelnerve.errors import InvalidInputError
 from levelnerve.symplectic import snf_diagonal
 
@@ -84,3 +86,35 @@ def test_homology_degree_out_of_range():
     for q in (-1, 3):
         with pytest.raises(InvalidInputError):
             homology(X, q)
+
+
+@pytest.mark.parametrize("facets", [SOLID_TETRAHEDRON, TETRAHEDRON_BOUNDARY],
+                         ids=["simplex", "sphere"])
+def test_pi1_simply_connected(facets):
+    assert pi1_report(complex_from_facets(facets)).verdict == "trivial"
+
+
+@pytest.mark.parametrize("facets, ab", [(TORUS, (0, 0)), (RP2, (2,))],
+                         ids=["torus", "rp2"])
+def test_pi1_abelianization(facets, ab):
+    rep = pi1_report(complex_from_facets(facets))
+    assert rep.verdict == "nontrivial"
+    assert rep.witness == ("abelianization", ab)
+    assert rep.abelian_divisors == ab
+
+
+def test_pi1_per_component():
+    rep = pi1_report(complex_from_facets(TWO_CIRCLES))
+    assert rep.verdict == "nontrivial"
+    assert len(rep.components) == 2
+    for sub in rep.components:
+        assert sub.witness == ("abelianization", (0,))
+
+
+def test_finite_quotient():
+    # <x, y | x^2, y^2, (xy)^3> is S_3; its first quotient in S_3 pins
+    # the search order
+    assert _finite_quotient([1, 2], [[1, 1], [2, 2], [1, 2, 1, 2, 1, 2]],
+                            3) == ((0, 2, 1), (0, 2, 1))
+    assert _finite_quotient([1], [[1]], 4) is None
+    assert _finite_quotient([1], [[1] * 5], 5) == ((1, 2, 3, 4, 0),)

@@ -1,7 +1,10 @@
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from levelnerve.errors import (InvalidInputError, InvalidCoverError,
-                               ResourceLimitError, ValidationError)
+                               LevelNerveError, ResourceLimitError,
+                               ValidationError)
 from levelnerve.surface import presentation
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import (
@@ -21,6 +24,7 @@ from levelnerve.covers import (
     cover_spec_from_data,
     shortlex_transversal,
     schreier_generators,
+    _unimodular_inverse,
 )
 
 SWAP = (1, 0)
@@ -430,3 +434,42 @@ def test_data_missing_letters():
     bad["group"]["kind"] = "matrix"
     with pytest.raises(InvalidInputError):
         cover_spec_from_data(bad)
+
+
+# --------------------------------------------------------------------------
+# the inverse of the chord form
+
+
+def test_unimodular_inverse_pins():
+    assert _unimodular_inverse([[0, 1], [-1, 0]]) == [[0, -1], [1, 0]]
+    assert _unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    for P in ([[2, 0], [0, 1]], [[0, 0], [0, 1]]):
+        with pytest.raises(LevelNerveError):
+            _unimodular_inverse(P)
+
+
+@st.composite
+def unimodular(draw):
+    """A product of elementary integer matrices: row additions, swaps and
+    sign changes applied to the identity."""
+    n = draw(st.integers(1, 5))
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            q = draw(st.integers(-4, 4))
+            P[i] = [a + q * b for a, b in zip(P[i], P[j])]
+        elif op == "swap":
+            P[i], P[j] = P[j], P[i]
+        elif op == "negate":
+            P[i] = [-a for a in P[i]]
+    return P
+
+
+# fixed example set, so that a failure reproduces on every run
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(unimodular())
+def test_unimodular_inverse_matches_sympy(P):
+    want = sympy.Matrix(P).inv().tolist()
+    assert _unimodular_inverse(P) == [[int(x) for x in row] for row in want]

@@ -320,6 +320,15 @@ def test_equivalent_distinguishes_edge_groups():
     assert canonical_form(da) != canonical_form(db)
 
 
+def test_canonical_form_permutation_cap():
+    # ten interchangeable vertices: 10! relabelings exceed the cap
+    sp = SympSpace(2, 2)
+    ring = GraphDecomposition(sp, [[]] * 10, [[]] * 10,
+                              [(i, (i + 1) % 10) for i in range(10)])
+    with pytest.raises(ResourceLimitError):
+        canonical_form(ring)
+
+
 def test_kind_mismatch_is_inequivalent():
     sp = SympSpace(2, 2)
     plain = GraphDecomposition(sp, [[A1, B1, A2]], [[A2]], [(0, 0)])

@@ -1,7 +1,13 @@
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levelnerve.errors import InvalidInputError
 from levelnerve.stablegraph import StableGraph, enumerate_stable_graphs
+
+COUNTS = {(0, 4): 3, (0, 5): 25, (0, 6): 235, (1, 1): 1, (1, 2): 4,
+          (1, 3): 22, (1, 4): 162, (2, 0): 6, (2, 1): 15, (2, 2): 74,
+          (3, 0): 41, (3, 1): 180}
 
 
 def find_type(graphs, n_vertices, n_edges, n_loops, genera):
@@ -106,9 +112,9 @@ def test_cut_classification():
     assert set(line.bridges()) == {0, 1}
 
 
-def test_star_size_counts_loops_twice():
+def test_degree_counts_loops_twice():
     sg = StableGraph([(0, (1,))], [(0, 0)])
-    assert sg.star_size(0) == 2
+    assert sg.degree(0) == 2
     assert sg.is_stable()
 
 
@@ -120,3 +126,61 @@ def test_bad_inputs():
     with pytest.raises(InvalidInputError):
         StableGraph([(2, ())], []).check_signature(2, 1)
     StableGraph([(2, ())], []).check_signature(2, 0)
+
+
+@pytest.mark.parametrize("sig", sorted(COUNTS), ids=str)
+def test_counts(sig):
+    graphs = enumerate_stable_graphs(*sig)
+    assert len(graphs) == COUNTS[sig]
+    for sg in graphs:
+        sg.check_signature(*sig)
+
+
+def as_networkx(sg):
+    G = nx.MultiGraph()
+    for v, (g, mk) in enumerate(sg.vertices):
+        G.add_node(v, label=(g, mk))
+    G.add_edges_from(sg.edges)
+    return G
+
+
+@pytest.mark.parametrize("sig", [(2, 2), (0, 6)], ids=str)
+def test_types_pairwise_nonisomorphic(sig):
+    graphs = [as_networkx(sg) for sg in enumerate_stable_graphs(*sig)]
+    same = lambda a, b: a["label"] == b["label"]
+    for i, a in enumerate(graphs):
+        for b in graphs[i + 1:]:
+            assert not nx.is_isomorphic(a, b, node_match=same)
+
+
+@pytest.mark.parametrize("sig", sorted(COUNTS), ids=str)
+def test_contractions_stay_in_the_list(sig):
+    keys = {sg.canonical_key() for sg in enumerate_stable_graphs(*sig)}
+    smooth = StableGraph([(sig[0], range(1, sig[1] + 1))], [])
+    keys.add(smooth.canonical_key())
+    for sg in enumerate_stable_graphs(*sig):
+        for i in range(sg.n_edges()):
+            assert sg.contract_edge(i).canonical_key() in keys
+
+
+@st.composite
+def relabeled(draw):
+    """A listed graph, and the same graph with its vertices renamed and its
+    edges shuffled."""
+    sig = draw(st.sampled_from([(0, 6), (1, 3), (2, 2), (3, 0)]))
+    sg = draw(st.sampled_from(enumerate_stable_graphs(*sig)))
+    perm = draw(st.permutations(range(sg.n_vertices())))
+    verts = [None] * sg.n_vertices()
+    for v, vert in enumerate(sg.vertices):
+        verts[perm[v]] = vert
+    edges = draw(st.permutations([(perm[v], perm[u])
+                                  for (u, v) in sg.edges]))
+    return sg, StableGraph(verts, edges)
+
+
+# fixed example set, so that a failure reproduces on every run
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(relabeled())
+def test_canonical_key_is_relabeling_invariant(pair):
+    sg, other = pair
+    assert other.canonical_key() == sg.canonical_key()

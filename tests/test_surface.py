@@ -6,7 +6,6 @@ from levelnerve.errors import InvalidInputError
 from levelnerve.surface import (
     homology_class,
     presentation,
-    standard_presentation,
     twist_automorphisms,
 )
 from levelnerve.symplectic import SympSpace
@@ -31,7 +30,7 @@ def sp_card(g, p):
 def test_signature_validation():
     for g, n in [(0, 0), (0, 1), (0, 2), (1, 0)]:
         with pytest.raises(InvalidInputError):
-            standard_presentation(g, n)
+            presentation(g, n)
     presentation(1, 1)
     presentation(0, 3)
     presentation(2, 0)
@@ -153,7 +152,7 @@ def test_closed_twist_display_respects_relator():
         p = presentation(g, 0)
         rel = wmul(*[commutator((i,), (g + i,)) for i in range(1, g + 1)])
         for t in p.twists():
-            image = wsub(rel, list(t.display_images) + [()])
+            image = wsub(rel, list(t.images) + [()])
             assert conjugate_in_free(image, rel)
 
 
@@ -173,7 +172,7 @@ def test_chain_classes():
 def test_torus_twist_pin():
     p = presentation(1, 1)
     t2 = p.twists()[1]
-    assert [p.format(w) for w in t2.display_images] == ["a1", "b1a1"]
+    assert [p.format(w) for w in t2.images] == ["a1", "b1a1"]
     assert t2.curve_class == (-1, 0)
     assert t2.hom_matrix == ((1, 0), (1, 1))
 
@@ -182,7 +181,7 @@ def test_sphere_twist_pin():
     # on S_{0,3} every twist is inner; the first conjugates by u3^{-1}
     p = presentation(0, 3)
     t1 = p.twists()[0]
-    assert t1.display_images == [(-2, 1, 2), (2,)]
+    assert t1.images == [(-2, 1, 2), (2,)]
 
 
 def test_twist_family_generates_sp_mod_m():
