@@ -392,8 +392,7 @@ def _assemble(space, per_type, meta, materialize):
     top = max(td.k for td, _ in per_type)
     records = [[] for _ in range(top + 1)]
     for td, res in per_type:
-        for el in res.elements:
-            enc = canonical_form(el[0])
+        for enc, el in zip(res.keys, res.elements):
             records[td.k].append((enc, td, el))
     for k in range(top + 1):
         _check(records[k], f"no types populate rank {k}")
@@ -542,7 +541,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
     if space.g <= 2 and m == 2:
         try:
             order = len(space.sp_closure(gens, cap=10_000))
-        except LevelNerveError:
+        except ResourceLimitError:
             order = None
     meta = {"builder": "image_complex", "g": spec.g, "n": spec.n, "m": m,
             "degree": spec.degree, "deck_order": len(spec.group.elements),
@@ -829,40 +828,22 @@ def _validate_with_cap(d):
 
 
 def _subgroup_elements(space, sub):
-    out = {tuple(space.reduce([0] * 2 * space.g))}
-    frontier = [next(iter(out))]
-    gens = [tuple(v) for v in sub.canonical_gens()]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v in gens:
-                for s in (1, -1):
-                    y = tuple(space.reduce([a + s * b
-                                            for a, b in zip(x, v)]))
-                    if y not in out:
-                        out.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return sorted(out)
+    steps = [[s * b for b in v] for v in sub.canonical_gens()
+             for s in (1, -1)]
+    res = orbit_enumerate(space.zero(), steps,
+                          lambda v, x: space.reduce([a + b for a, b
+                                                     in zip(x, v)]))
+    return list(res.elements)
 
 
 def _subgroups_between(space, lower, upper):
     """All subgroups H with lower <= H <= upper, by saturation walk."""
-    pool = _subgroup_elements(space, upper)
-    found = {lower.key(): lower}
-    frontier = [lower]
-    while frontier:
-        nxt = []
-        for H in frontier:
-            for v in pool:
-                if H.contains(list(v)):
-                    continue
-                H2 = H.add(space.subgroup([list(v)]))
-                if H2.key() not in found:
-                    found[H2.key()] = H2
-                    nxt.append(H2)
-        frontier = nxt
-    return [found[k] for k in sorted(found)]
+    def add(v, H):
+        return H if H.contains(v) else H.add(space.subgroup([v]))
+
+    res = orbit_enumerate(lower, _subgroup_elements(space, upper), add,
+                          key=lambda H: H.key())
+    return list(res.elements)
 
 
 def _brute_type_sets(g, n, m):

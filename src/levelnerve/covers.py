@@ -35,7 +35,7 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import SympSpace, mat_mul, snf, vec_mat
+from .symplectic import SympSpace, mat_mul, orbit_enumerate, snf, vec_mat
 from .stablegraph import StableGraph
 
 DEFAULT_MAX_DEGREE = 4096
@@ -108,22 +108,14 @@ class DeckGroup:
 
     def __init__(self, ops, gens, max_size):
         self.ops = ops
-        self.elements = [ops.identity]
-        self.index = {ops.identity: 0}
-        queue = [ops.identity]
-        while queue:
-            nxt = []
-            for e in queue:
-                for s in gens:
-                    f = ops.mul(e, s)
-                    if f not in self.index:
-                        if len(self.elements) >= max_size:
-                            raise ResourceLimitError(
-                                f"deck group exceeds {max_size} elements")
-                        self.index[f] = len(self.elements)
-                        self.elements.append(f)
-                        nxt.append(f)
-            queue = nxt
+        res = orbit_enumerate(ops.identity, gens,
+                              lambda s, e: ops.mul(e, s), cap=max_size)
+        # breadth-first discovery order is the shortlex order of the
+        # breadth-first tree words
+        order = sorted(range(len(res.words)),
+                       key=lambda i: (len(res.words[i]), res.words[i]))
+        self.elements = [res.elements[i] for i in order]
+        self.index = {e: i for i, e in enumerate(self.elements)}
         self.d = len(self.elements)
 
     def mul(self, a, b):
@@ -301,24 +293,16 @@ class _Table:
                 back[t] = i
             self.bwd.append(back)
         # shortlex BFS over the signed alphabet x1 < x1^-1 < x2 < ...
-        self.twords = [None] * d
-        self.twords[0] = ()
+        letters = [s for j in range(1, N + 1) for s in (j, -j)]
+        res = orbit_enumerate(0, letters, lambda s, g: self.step(g, s),
+                              cap=d)
+        _check(len(res.elements) == d, "coset graph is connected")
+        # the orbit is range(d) in order, so words are indexed by coset
+        self.twords = [tuple(letters[i] for i in w) for w in res.words]
         self.tree = set()
-        queue = [0]
-        seen = {0}
-        while queue:
-            nxt = []
-            for gidx in queue:
-                for j in range(1, N + 1):
-                    for s in (j, -j):
-                        t = self.step(gidx, s)
-                        if t not in seen:
-                            seen.add(t)
-                            self.twords[t] = self.twords[gidx] + (s,)
-                            self.tree.add((gidx, j) if s > 0 else (t, j))
-                            nxt.append(t)
-            queue = nxt
-        _check(len(seen) == d, "coset graph is connected")
+        for t, w in enumerate(self.twords[1:], 1):
+            s = w[-1]
+            self.tree.add((self.step(t, -s), s) if s > 0 else (t, -s))
         self.loops = {}
         self.loop_edges = []
         for gidx in range(d):

@@ -48,7 +48,7 @@ from functools import lru_cache
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, hnf, mod_row_kernel,
-                         snf_diagonal)
+                         orbit_enumerate, snf_diagonal)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import relabelings
@@ -955,18 +955,11 @@ def _schreier_vertex_group(space, hom, table, piece, orbit):
     """Image of the homology of one piece copy: classes of the Schreier
     generators of the sheet stabilizer, conjugated to the base sheet."""
     root = orbit[0]
-    trans = {root: ()}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gw in piece.gens:
-                for w in (gw, winv(gw)):
-                    h2 = table.trace(h, w)
-                    if h2 not in trans:
-                        trans[h2] = wmul(trans[h], w)
-                        nxt.append(h2)
-        frontier = nxt
+    letters = [w for gw in piece.gens for w in (gw, winv(gw))]
+    res = orbit_enumerate(root, letters, lambda w, h: table.trace(h, w),
+                          cap=table.d)
+    trans = {h: wmul(*(letters[i] for i in word))
+             for h, word in zip(res.elements, res.words)}
     _check(set(trans) == set(orbit), "piece copy orbit transversal")
     tw = table.twords[root]
     gens = []

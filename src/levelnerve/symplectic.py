@@ -433,48 +433,18 @@ class SympSpace:
         return vs
 
     def sp_closure(self, gens, cap=4_000_000):
-        """All products of the given matrices (BFS closure).  Only sensible
-        for m > 0 and desk-scale groups."""
+        """All products of the given matrices: the orbit of the identity
+        under right multiplication.  Only sensible for m > 0 and
+        desk-scale groups."""
         if self.m == 0:
             raise InvalidInputError("cannot enumerate a group over Z")
         gens = [self.reduce_matrix(F) for F in gens]
         for F in gens:
             if not self.is_symplectic(F):
                 raise InvalidInputError("generator is not symplectic")
-        start = self.identity_matrix()
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for M in frontier:
-                for G in gens:
-                    P = self.mat_mul(M, G)
-                    if P not in seen:
-                        seen.add(P)
-                        if len(seen) > cap:
-                            raise LevelNerveError("group closure exceeded cap")
-                        new.append(P)
-            frontier = new
-        return frozenset(seen)
-
-    def orbit(self, vec, gens, cap=4_000_000):
-        """Orbit of a vector under the group generated by the matrices."""
-        gens = [self.reduce_matrix(F) for F in gens]
-        v0 = self.reduce(vec)
-        seen = {v0}
-        frontier = [v0]
-        while frontier:
-            new = []
-            for v in frontier:
-                for G in gens:
-                    w = self.mat_apply(v, G)
-                    if w not in seen:
-                        seen.add(w)
-                        if len(seen) > cap:
-                            raise LevelNerveError("orbit exceeded cap")
-                        new.append(w)
-            frontier = new
-        return frozenset(seen)
+        res = orbit_enumerate(self.identity_matrix(), gens,
+                              lambda G, M: self.mat_mul(M, G), cap=cap)
+        return frozenset(res.elements)
 
     def subgroup(self, gens):
         return SympSubgroup(self, gens)
@@ -708,20 +678,18 @@ def sp_group(space: SympSpace) -> SpGroup:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    """Orbit sorted by canonical key, the transversal word that reaches
-    each element from the seed, and Schreier generators of the stabilizer.
+    """Orbit sorted by canonical key, the sorted keys, the transversal word
+    that reaches each element from the seed, and Schreier generators of the
+    stabilizer.
 
     Words are tuples of generator indices; a negative entry ~i denotes the
     inverse of generator i (inverses only ever appear in stabilizer words,
     reachability uses the given generators alone)."""
 
     elements: tuple
+    keys: tuple
     words: tuple
     stabilizer_words: tuple
-
-
-def _word_inverse(word):
-    return tuple(~j for j in reversed(word))
 
 
 def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
@@ -730,41 +698,39 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
     `key` maps an element to its hashable, orderable canonical encoding
     (default: the element itself).  Output is independent of traversal
     schedule: elements are sorted by key, transversal words come from the
-    deterministic breadth-first tree, and stabilizer words are the
-    deduplicated Schreier generators t_x * g * t_{g.x}^-1 in first-visit
-    order.  Exceeding `cap` raises ResourceLimitError with the partial
-    count."""
+    deterministic breadth-first tree, and stabilizer words are the Schreier
+    generators t_x * g * t_{g.x}^-1 of the non-tree edges in first-visit
+    order.  They are pairwise distinct and nonempty, since the nonnegative
+    prefix of the word of edge (x, g) is t_x * g.  Exceeding `cap` raises
+    ResourceLimitError with the partial count."""
     generators = list(generators)
-    if key is None:
-        key = lambda x: x
-    k0 = key(seed)
-    reached = {k0: (seed, ())}
+    k0 = seed if key is None else key(seed)
+    # element, transversal word and its inverse, by key
+    reached = {k0: (seed, (), ())}
     frontier = [k0]
     stab = []
-    stab_seen = set()
     while frontier:
         nxt = []
         for kx in frontier:
-            x, wx = reached[kx]
+            x, wx, ix = reached[kx]
             for i, g in enumerate(generators):
                 y = action(g, x)
-                ky = key(y)
+                ky = y if key is None else key(y)
+                w = wx + (i,)
                 if ky not in reached:
                     if len(reached) >= cap:
                         raise ResourceLimitError(
                             f"orbit exceeded cap {cap} "
                             f"(partial count {len(reached)})")
-                    reached[ky] = (y, wx + (i,))
+                    reached[ky] = (y, w, (~i,) + ix)
                     nxt.append(ky)
                 else:
-                    word = wx + (i,) + _word_inverse(reached[ky][1])
-                    if word and word not in stab_seen:
-                        stab_seen.add(word)
-                        stab.append(word)
+                    stab.append(w + reached[ky][2])
         frontier = nxt
     order = sorted(reached)
     return OrbitResult(
         elements=tuple(reached[k][0] for k in order),
+        keys=tuple(order),
         words=tuple(reached[k][1] for k in order),
         stabilizer_words=tuple(stab),
     )

@@ -1,6 +1,6 @@
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from levelnerve.errors import (InvalidInputError, InvalidCoverError,
                                LevelNerveError, ResourceLimitError,
@@ -8,6 +8,7 @@ from levelnerve.errors import (InvalidInputError, InvalidCoverError,
 from levelnerve.surface import presentation
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import (
+    AbelianOps,
     CoverSpec,
     analyze_cover,
     cover_homology,
@@ -406,6 +407,69 @@ def test_shortlex_transversal(cover11):
     assert schreier_generators(cover11) == ((2,), (1, 1), (1, 2, -1))
 
 
+def naive_closure(ops, gens):
+    """Deck group elements in breadth-first discovery order."""
+    elements = [ops.identity]
+    seen = {ops.identity}
+    frontier = [ops.identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for s in gens:
+                f = ops.mul(e, s)
+                if f not in seen:
+                    seen.add(f)
+                    elements.append(f)
+                    nxt.append(f)
+        frontier = nxt
+    return elements
+
+
+@pytest.mark.parametrize("make", [
+    lambda: homology_cover(2, 0, 2),
+    lambda: homology_cover(1, 1, 3),
+    lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    lambda: derived_cover(identity_cover(1, 1), 2),
+], ids=["h202", "h113", "perm4", "derived11"])
+def test_deck_group_in_discovery_order(make):
+    spec = make()
+    group = spec.group
+    want = naive_closure(group.ops, spec.images)
+    assert list(group.elements) == want
+    assert group.index == {e: i for i, e in enumerate(want)}
+    assert group.d == len(want)
+
+
+def test_shortlex_transversal_against_bfs(h2):
+    """Breadth-first over the letters x1 < x1^-1 < x2 < ... on the deck
+    group, words indexed like the group elements."""
+    group = h2.group
+    words = {group.identity: ()}
+    frontier = [group.identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for j, (x, xi) in enumerate(zip(h2.images, h2.inv_images), 1):
+                for s, y in ((j, x), (-j, xi)):
+                    f = group.mul(e, y)
+                    if f not in words:
+                        words[f] = words[e] + (s,)
+                        nxt.append(f)
+        frontier = nxt
+    assert shortlex_transversal(h2) == tuple(words[e]
+                                             for e in group.elements)
+
+
+def test_deck_group_cap():
+    pres = presentation(2, 0)
+    images = [pres.homology_class((j,), 2)
+              for j in range(1, pres.cover_rank() + 1)]
+    with pytest.raises(ResourceLimitError):
+        CoverSpec(2, 0, images, AbelianOps((2,) * 4), max_degree=15)
+    spec = CoverSpec(2, 0, images, AbelianOps((2,) * 4), max_degree=16)
+    assert spec.group.d == 16
+
+
 def test_data_round_trip(h2, cover11):
     for spec in [h2, cover11, identity_cover(2, 1)]:
         data = cover_spec_to_data(spec)
@@ -467,8 +531,6 @@ def unimodular(draw):
     return P
 
 
-# fixed example set, so that a failure reproduces on every run
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(unimodular())
 def test_unimodular_inverse_matches_sympy(P):
     want = sympy.Matrix(P).inv().tolist()

@@ -4,10 +4,10 @@ from itertools import combinations, product
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
-from levelnerve.errors import InvalidInputError
+from levelnerve.errors import InvalidInputError, ResourceLimitError
 from levelnerve.symplectic import (
     SympSpace,
     hnf,
@@ -311,14 +311,16 @@ def test_sp_closure_g2_m3_against_order_formula():
     assert sp_order_formula(2, 3) == 51840
 
 
-def test_orbits_of_nonzero_vectors():
-    sp = SympSpace(2, 2)
-    gens = [sp.transvection(v) for v in sp.chain_vectors()]
-    orb = sp.orbit(sp.basis_a(1), gens)
-    assert len(orb) == 15
+def test_sp_closure_cap_and_generator_check():
     sp = SympSpace(1, 3)
     gens = [sp.transvection(v) for v in sp.chain_vectors()]
-    assert len(sp.orbit(sp.basis_a(1), gens)) == 8
+    assert len(sp.sp_closure(gens, cap=24)) == 24
+    with pytest.raises(ResourceLimitError, match="partial count 23"):
+        sp.sp_closure(gens, cap=23)
+    with pytest.raises(InvalidInputError, match="not symplectic"):
+        sp.sp_closure([[[1, 1], [0, 2]]])
+    with pytest.raises(InvalidInputError):
+        SympSpace(1, 0).sp_closure(gens)
 
 
 def test_module_map_report():
@@ -382,7 +384,6 @@ def test_apply_matrix():
 # reporting and enumeration front ends
 
 
-from levelnerve.errors import ResourceLimitError
 from levelnerve.symplectic import (
     OrbitResult,
     orbit_enumerate,
@@ -527,24 +528,26 @@ def test_sp_group_closure_720_and_brute_force():
 
 
 def test_orbit_enumerate_vectors_all_nonzero():
-    sp = SympSpace(2, 2)
-    gens = sp_group(sp).generators
-    res = orbit_enumerate(sp.basis_a(1), gens,
-                          lambda F, v: sp.mat_apply(v, F))
-    assert len(res.elements) == 15
-    assert set(res.elements) == {v for v in sp.all_vectors() if any(v)}
-    assert list(res.elements) == sorted(res.elements)
-    # action-closed
-    members = set(res.elements)
-    for v in res.elements:
-        for F in gens:
-            assert sp.mat_apply(v, F) in members
-    # transversal words reproduce their elements
-    for v, w in zip(res.elements, res.words):
-        x = sp.basis_a(1)
-        for i in w:
-            x = sp.mat_apply(x, gens[i])
-        assert x == v
+    for g, m, size in ((2, 2, 15), (1, 3, 8)):
+        sp = SympSpace(g, m)
+        gens = sp_group(sp).generators
+        res = orbit_enumerate(sp.basis_a(1), gens,
+                              lambda F, v: sp.mat_apply(v, F))
+        assert len(res.elements) == size
+        assert set(res.elements) == {v for v in sp.all_vectors() if any(v)}
+        assert list(res.elements) == sorted(res.elements)
+        assert res.keys == res.elements
+        # action-closed
+        members = set(res.elements)
+        for v in res.elements:
+            for F in gens:
+                assert sp.mat_apply(v, F) in members
+        # transversal words reproduce their elements
+        for v, w in zip(res.elements, res.words):
+            x = sp.basis_a(1)
+            for i in w:
+                x = sp.mat_apply(x, gens[i])
+            assert x == v
 
 
 def test_orbit_enumerate_identity_generator():
@@ -562,6 +565,8 @@ def test_orbit_enumerate_hyperbolic_planes():
     res = orbit_enumerate(seed, gens, lambda F, s: s.apply(F),
                           key=lambda s: s.key())
     assert len(res.elements) == 20
+    assert res.keys == tuple(s.key() for s in res.elements)
+    assert list(res.keys) == sorted(res.keys)
 
 
 def test_orbit_enumerate_stabilizer_order():
@@ -603,10 +608,6 @@ def test_orbit_enumerate_deterministic():
 # --------------------------------------------------------------------------
 # the Z/m matrix kernel against dense and sympy references
 
-# fixed example sets, so that a failure reproduces on every run
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
-
 entries = st.one_of(st.just(0), st.integers(-7, 7))
 moduli = st.sampled_from([0, 2, 3, 4, 6])
 
@@ -627,7 +628,6 @@ def matrix_pairs(draw):
     return A, B
 
 
-@PROPERTY
 @given(matrix_pairs())
 @example(([[0, 0]], [[1, -2, 3], [-4, 5, 0]]))
 @example(([[0, 3], [0, 0]], [[0, 0], [-1, 2]]))
@@ -639,7 +639,6 @@ def test_vec_mat_and_mat_mul_match_dense(pair):
         assert vec_mat(x, B) == tuple(row)
 
 
-@PROPERTY
 @given(st.integers(1, 3), moduli, st.data())
 def test_space_matrix_products_match_dense(g, m, data):
     sp = SympSpace(g, m)
@@ -677,7 +676,6 @@ def transvection_products(draw):
     return sp, F
 
 
-@PROPERTY
 @given(st.integers(1, 3), moduli, st.data())
 def test_is_symplectic_matches_sympy_on_random(g, m, data):
     sp = SympSpace(g, m)
@@ -687,7 +685,6 @@ def test_is_symplectic_matches_sympy_on_random(g, m, data):
     assert sp.is_symplectic(F) == sympy_is_symplectic(sp, F)
 
 
-@PROPERTY
 @given(transvection_products(), st.data())
 def test_is_symplectic_matches_sympy_on_transvection_products(case, data):
     sp, F = case
@@ -699,7 +696,6 @@ def test_is_symplectic_matches_sympy_on_transvection_products(case, data):
     assert sp.is_symplectic(G) == sympy_is_symplectic(sp, G)
 
 
-@PROPERTY
 @given(transvection_products())
 def test_symplectic_inverse_is_inverse(case):
     sp, F = case
@@ -708,7 +704,6 @@ def test_symplectic_inverse_is_inverse(case):
     assert sp.mat_mul(inv, F) == sp.identity_matrix()
 
 
-@PROPERTY
 @given(st.integers(1, 2), moduli, st.data())
 def test_contains_matches_lattice_reduce(g, m, data):
     sp = SympSpace(g, m)
@@ -775,7 +770,6 @@ def smith_inputs(draw):
     return [[scale * a for a in row] for row in M]
 
 
-@PROPERTY
 @given(smith_inputs())
 @example([])
 @example([[], []])
