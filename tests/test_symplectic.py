@@ -311,6 +311,17 @@ def test_sp_closure_g2_m3_against_order_formula():
     assert sp_order_formula(2, 3) == 51840
 
 
+def test_orbits_of_nonzero_vectors():
+    # the transvections along the chain curves move basis_a(1) onto
+    # every nonzero vector of (Z/m)^{2g}
+    for g, m, size in ((2, 2, 15), (1, 3, 8)):
+        sp = SympSpace(g, m)
+        gens = [sp.transvection(v) for v in sp.chain_vectors()]
+        res = orbit_enumerate(sp.basis_a(1), gens,
+                              lambda F, v: sp.mat_apply(v, F))
+        assert len(res.elements) == size
+
+
 def test_sp_closure_cap_and_generator_check():
     sp = SympSpace(1, 3)
     gens = [sp.transvection(v) for v in sp.chain_vectors()]
