@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInputError, LevelNerveError, UnsupportedError
+from .errors import LevelNerveError, UnsupportedError
 from .stablegraph import StableGraph, enumerate_stable_graphs
 from .surface import presentation
 from .words import FoldedGraph, solve_conjugator, winv, wmul
@@ -81,10 +81,6 @@ class MulticurveRep:
 
     def rank(self):
         return len(self.words) - 1
-
-    def word_texts(self):
-        p = presentation(self.g, self.n)
-        return [p.format(w) for w in self.words]
 
     def __repr__(self):
         return (f"MulticurveRep(({self.g},{self.n}), "
@@ -444,10 +440,6 @@ class _Realizer:
             _check(all(c == 0 for c in plus) or all(c == 0 for c in minus),
                    "cut pair homology relation")
 
-    def empty_rep(self):
-        """The empty multicurve: a single piece, the whole surface."""
-        return self.realize(())
-
 
 @lru_cache(maxsize=None)
 def _catalog(g, n):
@@ -475,20 +467,6 @@ def multicurve_catalog(g, n):
     """All realized representatives for (g, n), canonical order by type."""
     cat = _catalog(g, n)
     return tuple(cat[k] for k in sorted(cat))
-
-
-def standard_multicurve(t: StableGraph) -> MulticurveRep:
-    """The catalog representative whose dual graph is isomorphic to t."""
-    g = t.genus()
-    marks = t.marks()
-    n = len(marks)
-    if marks != tuple(range(1, n + 1)):
-        raise InvalidInputError("marking labels must be 1..n")
-    cat = _catalog(g, n)
-    key = t.canonical_key()
-    if key not in cat:
-        raise UnsupportedError("type outside catalog")
-    return cat[key]
 
 
 def catalog_coverage(g, n):

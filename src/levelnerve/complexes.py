@@ -25,13 +25,13 @@ from __future__ import annotations
 import itertools
 
 from . import covers
-from .catalog import MulticurveRep, Piece, Side, multicurve_catalog
-from .decomp import (FramedDecomposition, GraphDecomposition, canonical_form,
-                     induced_from_lift, induced_from_multicurve, sp_action,
-                     validate)
+from .catalog import (MulticurveRep, Piece, Side, catalog_coverage,
+                      multicurve_catalog)
+from .decomp import (FramedDecomposition, canonical_form, induced_from_lift,
+                     induced_from_multicurve, sp_action, validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
-                     ValidationError)
-from .stablegraph import StableGraph
+                     UnsupportedError, ValidationError)
+from .stablegraph import StableGraph, components
 from .surface import presentation, twist_automorphisms
 from .symplectic import (SympSpace, orbit_enumerate, smith_normal_form,
                          snf_diagonal, sp_group)
@@ -268,8 +268,6 @@ class FinSimpSet:
         bound = self.meta.get("dim_bound")
         if bound is not None and self.top_rank > bound:
             raise InvalidInputError("complex exceeds its dimension bound")
-        self._index = tuple({e: i for i, e in enumerate(block)}
-                            for block in encodings)
 
     @property
     def top_rank(self):
@@ -280,29 +278,10 @@ class FinSimpSet:
             return 0
         return len(self.encodings[k])
 
-    def index_of(self, k, encoding):
-        return self._index[k].get(encoding)
-
     def components(self):
         """Vertex sets of the connected components, each sorted."""
-        V = self.size(0)
-        parent = list(range(V))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        if self.top_rank >= 1:
-            for row in self.faces[1]:
-                a, b = find(row[0]), find(row[1])
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        comps = {}
-        for v in range(V):
-            comps.setdefault(find(v), []).append(v)
-        return tuple(tuple(sorted(c)) for _, c in sorted(comps.items()))
+        return components(self.size(0),
+                          self.faces[1] if self.top_rank >= 1 else ())
 
     def to_data(self):
         ranks = []
@@ -340,15 +319,6 @@ class FinSimpSet:
         return cls(encodings, faces,
                    provenance=tuple(provenance) if has_prov else None,
                    meta=data.get("meta"))
-
-
-def isomorphic(X, Y) -> bool:
-    """Table equality: same encodings and same face rows rank by rank.
-
-    Encodings are canonical names, so two complexes built over the same
-    ambient agree as simplicial sets exactly when their tables agree;
-    provenance and meta do not participate."""
-    return X.encodings == Y.encodings and X.faces == Y.faces
 
 
 # --------------------------------------------------------------------------
@@ -456,6 +426,17 @@ def _assemble(space, per_type, meta, materialize):
 # builders
 
 
+def _require_full_catalog(g, n):
+    """Refuse a signature whose catalog misses stable-graph types, naming
+    them: a missing type of top rank is no face of another type, so it
+    would be absent from the complex without any lookup failing."""
+    _, missing = catalog_coverage(g, n)
+    if missing:
+        raise UnsupportedError(
+            f"catalog at ({g}, {n}) misses {len(missing)} types: "
+            + ", ".join(repr(t.canonical_key()) for t in missing))
+
+
 def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     """The base complex at modulus m, built type by type.
 
@@ -465,6 +446,7 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     the same orbit matrices."""
     if m < 2:
         raise InvalidInputError("modulus must be at least 2")
+    _require_full_catalog(g, n)
     space = SympSpace(g, m)
     types = []
     for mc in multicurve_catalog(g, n):
@@ -484,7 +466,7 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
                     g, n, m, delete_curves(mc, set(range(E)) - {j}))
                 for j in range(E))
         types.append(_TypeData(mc, seed, seed, face_shadows, vert_shadows))
-    gens = sp_group(space).generators
+    gens = sp_group(space)
     meta = {"builder": "abelian_nerve", "g": g, "n": n, "m": m,
             "dim_bound": 3 * g - 3 + n - 1}
     per_type = _orbit_types(space, types, gens, cap)
@@ -505,6 +487,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
     is small enough to enumerate."""
     if m < 2:
         raise InvalidInputError("modulus must be at least 2")
+    _require_full_catalog(spec.g, spec.n)
     twists = twist_automorphisms(spec.g, spec.n)
     if not covers.invariance_check(spec, twists):
         raise ValidationError(

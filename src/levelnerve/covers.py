@@ -36,7 +36,7 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
 from .symplectic import SympSpace, mat_mul, orbit_enumerate, snf, vec_mat
-from .stablegraph import StableGraph
+from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
 # cap on degree * letters for the homology cell complex
@@ -186,9 +186,6 @@ class CoverSpec:
             e = self.group.mul(e, self.images[a - 1] if x > 0
                                else self.inv_images[a - 1])
         return e
-
-    def phi_index(self, word):
-        return _table(self).trace(0, word)
 
     def order_of(self, word):
         """Order of the image of `word` in the deck group."""
@@ -793,46 +790,11 @@ class CutGraph:
     sigma: StableGraph
 
 
-def _word_cycles(table, word):
-    """Orbits of right translation by the image of `word`, as sorted
-    tuples of sheet indices, ordered by smallest element."""
-    nxt = [table.trace(g, word) for g in range(table.d)]
-    seen = [False] * table.d
-    out = []
-    for g0 in range(table.d):
-        if seen[g0]:
-            continue
-        cyc = []
-        g = g0
-        while not seen[g]:
-            seen[g] = True
-            cyc.append(g)
-            g = nxt[g]
-        out.append(tuple(cyc))
-    return out
-
-
 def _subgroup_orbits(table, words):
-    """Orbits of right translation by the subgroup the words generate."""
-    d = table.d
-    nxts = [[table.trace(g, w) for g in range(d)] for w in words]
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for nxt in nxts:
-        for g in range(d):
-            a, b = find(g), find(nxt[g])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups = {}
-    for g in range(d):
-        groups.setdefault(find(g), []).append(g)
-    return [tuple(sorted(v)) for _, v in sorted(groups.items())]
+    """Orbits of right translation by the subgroup the words generate, as
+    sorted tuples of sheet indices ordered by least sheet."""
+    return components(table.d, [(g, table.trace(g, w))
+                                for w in words for g in range(table.d)])
 
 
 def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
@@ -857,7 +819,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     edge_class = []
     for e, w in enumerate(mc.words):
         c = spec.order_of(w)
-        cycles = _word_cycles(t, w)
+        cycles = _subgroup_orbits(t, [w])
         _check(all(len(cy) == c for cy in cycles), "free orbits of a lift")
         _check(len(cycles) * c == d, "component count times length is degree")
         of = [0] * d
@@ -895,7 +857,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     for e, w in enumerate(mc.words):
         for side in mc.sides[e]:
             loop = wmul(side.conj, wpow(w, side.sign), winv(side.conj))
-            for cy in _word_cycles(t, loop):
+            for cy in _subgroup_orbits(t, [loop]):
                 g = cy[0]
                 v = vert_of[(side.piece, g)]
                 ec = edge_copy_index[(e, edge_copy_of[e][t.trace(g, side.conj)])]
@@ -907,9 +869,8 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     mark_records = []
     for pi, piece in enumerate(mc.pieces):
         for (j, loop) in piece.marks:
-            for cy in _word_cycles(t, loop):
-                reps = [g for g in cy]
-                mark_records.append((j, min(reps), vert_of[(pi, cy[0])]))
+            for cy in _subgroup_orbits(t, [loop]):
+                mark_records.append((j, cy[0], vert_of[(pi, cy[0])]))
     mark_records.sort()
     _check(len(mark_records) == ana.n_K, "lift accounts for every puncture")
     vert_marks = [[] for _ in vert_order]

@@ -10,7 +10,8 @@ conjunction of six independently reported conditions:
        with free cokernel of rank b_1(Y);
   ii.  the markings partition {1..n};
   iii. the span E of all edge groups pairs to zero with every vertex group
-       (so E is isotropic);
+       (so E is isotropic), and distinct vertex groups pair to zero with
+       each other (cycles on disjoint pieces do not meet);
   iv.  edge groups are cyclic; every edge set whose removal keeps Y
        connected spans a primitive subgroup of matching rank, and every
        minimal disconnecting edge set admits generators summing to zero;
@@ -51,7 +52,7 @@ from .symplectic import (SympSpace, SympSubgroup, hnf, mod_row_kernel,
                          orbit_enumerate, snf_diagonal)
 from .surface import presentation
 from .catalog import multicurve_catalog
-from .stablegraph import relabelings
+from .stablegraph import components, relabelings
 from .words import winv, wmul
 from . import covers
 
@@ -206,16 +207,7 @@ class GraphDecomposition:
         if len(mk) != self.V:
             raise InvalidInputError("marking count mismatch")
         self.marks = tuple(mk)
-        seen = {0}
-        frontier = [0]
-        adj = [[] for _ in range(self.V)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while frontier:
-            frontier = [w for x in frontier for w in adj[x] if not
-                        (w in seen or seen.add(w))]
-        if len(seen) != self.V:
+        if len(components(self.V, self.edges)) != 1:
             raise InvalidInputError("decomposition graph is not connected")
 
     def _coerce(self, g):
@@ -310,23 +302,8 @@ class EquivariantDecomposition(FramedDecomposition):
                                    self.marks, self.n)
 
     def edge_orbits(self):
-        parent = list(range(len(self.edges)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p in self.eperms:
-            for e, f in enumerate(p):
-                a, b = find(e), find(f)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        orbits = {}
-        for e in range(len(self.edges)):
-            orbits.setdefault(find(e), []).append(e)
-        return tuple(tuple(v) for _, v in sorted(orbits.items()))
+        return components(len(self.edges), [(e, f) for p in self.eperms
+                                            for e, f in enumerate(p)])
 
     def rank(self):
         return len(self.edge_orbits())
@@ -392,22 +369,6 @@ def _all_spanning_trees(edges, V, cap=MAX_TREES):
     need = V - 1
     out = []
 
-    def connected_using(allowed):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for e in allowed:
-                u, v = edges[e]
-                for a, b in ((u, v), (v, u)):
-                    if a in seen and b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            if not nxt:
-                break
-            frontier = nxt
-        return len(seen) == V
-
     def grow(chosen, start, comp):
         if len(out) > cap:
             raise ResourceLimitError("spanning tree enumeration cap")
@@ -419,8 +380,8 @@ def _all_spanning_trees(edges, V, cap=MAX_TREES):
             if comp[u] == comp[v]:
                 continue
             rest = chosen + [e]
-            remaining = rest + list(range(e + 1, E))
-            if not connected_using(remaining):
+            remaining = [edges[i] for i in rest + list(range(e + 1, E))]
+            if len(components(V, remaining)) != 1:
                 continue
             nc = list(comp)
             old, new = max(nc[u], nc[v]), min(nc[u], nc[v])
@@ -436,42 +397,18 @@ def _all_spanning_trees(edges, V, cap=MAX_TREES):
 
 
 def _bonds(edges, V):
-    """Minimal disconnecting edge sets: crossing sets of bipartitions into
-    two connected halves."""
-    if V == 1:
-        return []
-    adj = [[] for _ in range(V)]
-    for e, (u, v) in enumerate(edges):
-        if u != v:
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-
-    def connected(verts):
-        verts = set(verts)
-        if not verts:
-            return False
-        start = next(iter(verts))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            frontier = [w for x in frontier for (w, _) in adj[x]
-                        if w in verts and not (w in seen or seen.add(w))]
-        return seen == verts
-
-    out = []
-    others = list(range(1, V))
+    """Minimal disconnecting edge sets: the nonempty crossing sets of the
+    bipartitions whose other edges leave two components, i.e. two
+    connected halves."""
+    out = set()
     for bits in range(2 ** (V - 1)):
-        side = {0} | {others[i] for i in range(V - 1) if bits >> i & 1}
-        rest = set(range(V)) - side
-        if not rest:
-            continue
-        if not (connected(side) and connected(rest)):
-            continue
-        cut = tuple(e for e, (u, v) in enumerate(edges)
-                    if (u in side) != (v in side))
-        if cut:
-            out.append(cut)
-    return sorted(set(out))
+        side = {0} | {v for v in range(1, V) if bits >> (v - 1) & 1}
+        crossing = [(u in side) != (v in side) for (u, v) in edges]
+        cut = tuple(e for e, c in enumerate(crossing) if c)
+        inner = [uv for uv, c in zip(edges, crossing) if not c]
+        if cut and len(components(V, inner)) == 2:
+            out.add(cut)
+    return sorted(out)
 
 
 def _generator_choices(sub: SympSubgroup):
@@ -626,11 +563,12 @@ def validate(d, conditions=None):
                             for v in eg.canonical_gens()])
         ok = E.is_isotropic()
         egens = E.canonical_gens()
-        for vg in d.vertex_groups:
+        vgens = [vg.canonical_gens() for vg in d.vertex_groups]
+        for v, gens in enumerate(vgens):
             if not ok:
                 break
-            ok = all(space.pairing(x, y) == 0
-                     for x in egens for y in vg.canonical_gens())
+            others = egens + [y for later in vgens[v + 1:] for y in later]
+            ok = all(space.pairing(x, y) == 0 for x in gens for y in others)
         if not ok:
             bad.append("iii")
 
@@ -834,27 +772,18 @@ def equivalent(d1, d2) -> bool:
 
 
 def _connected_subgraphs(d):
-    """(vertex tuple, edge tuple) pairs forming connected subgraphs."""
+    """(vertex tuple, edge tuple) pairs forming connected subgraphs: the
+    edges lie among the vertices and join them into one component, so the
+    whole graph falls into V - len(vertices) + 1 components."""
     out = []
-    verts = range(d.V)
     for r in range(1, d.V + 1):
-        for vs in itertools.combinations(verts, r):
-            inside = set(vs)
+        for vs in itertools.combinations(range(d.V), r):
             pool = [e for e, (u, v) in enumerate(d.edges)
-                    if u in inside and v in inside]
+                    if u in vs and v in vs]
             for k in range(len(pool) + 1):
                 for es in itertools.combinations(pool, k):
-                    seen = {vs[0]}
-                    grew = True
-                    while grew:
-                        grew = False
-                        for e in es:
-                            u, v = d.edges[e]
-                            for a, b in ((u, v), (v, u)):
-                                if a in seen and b not in seen:
-                                    seen.add(b)
-                                    grew = True
-                    if seen == inside:
+                    parts = components(d.V, [d.edges[e] for e in es])
+                    if len(parts) == d.V - r + 1:
                         out.append((vs, es))
     return out
 

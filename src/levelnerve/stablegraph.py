@@ -10,6 +10,11 @@ relabelings that respect an invariant class (see relabelings), which is
 plenty at desk scale; equality of canonical keys is graph isomorphism (mark
 labels are preserved, not permuted).  All stable graphs of a signature are
 generated from the smooth graph by single degenerations.
+
+components(n, edges) is the package's one connectivity routine: stable
+graphs, decomposition graphs, bonds and connected subgraphs, edge orbits,
+sheet orbits of deck translations and the components of a complex all read
+their connected pieces from it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,29 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 from .errors import InvalidInputError
+
+
+def components(n, edges):
+    """Connected components of the graph on vertices 0..n-1 with the given
+    edges (vertex pairs; loops and repeats allowed), as sorted vertex
+    tuples ordered by least vertex.  A union-find whose root is always the
+    least vertex of its component."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for (u, v) in edges:
+        a, b = find(u), find(v)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    comps = {}
+    for x in range(n):
+        comps.setdefault(find(x), []).append(x)
+    return tuple(map(tuple, comps.values()))
 
 
 def relabelings(inv):
@@ -74,21 +102,7 @@ class StableGraph:
 
     def is_connected(self):
         V = len(self.vertices)
-        if V == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        adj = [[] for _ in range(V)]
-        for (u, v) in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == V
+        return V > 0 and len(components(V, self.edges)) == 1
 
     def b1(self):
         return len(self.edges) - len(self.vertices) + 1
@@ -103,14 +117,6 @@ class StableGraph:
             if 2 * g - 2 + self.degree(v) + len(mk) <= 0:
                 return False
         return True
-
-    def check_signature(self, g, n):
-        if not self.is_stable():
-            raise InvalidInputError("graph is not stable")
-        if self.genus() != g:
-            raise InvalidInputError(f"graph genus {self.genus()} != {g}")
-        if self.marks() != tuple(range(1, n + 1)):
-            raise InvalidInputError("marks do not match the signature")
 
     # -- canonical form
 
@@ -148,49 +154,11 @@ class StableGraph:
                 out.append(perm)
         return out
 
-    # -- surgery
-
-    def contract_edge(self, idx):
-        """Undo the curve at edge idx: a loop adds genus to its vertex, a
-        plain edge merges its endpoints."""
-        if not (0 <= idx < len(self.edges)):
-            raise InvalidInputError("no such edge")
-        u, v = self.edges[idx]
-        rest = [e for i, e in enumerate(self.edges) if i != idx]
-        verts = list(self.vertices)
-        if u == v:
-            g, mk = verts[u]
-            verts[u] = (g + 1, mk)
-            return StableGraph(verts, rest)
-        gu, mku = verts[u]
-        gv, mkv = verts[v]
-        verts[u] = (gu + gv, tuple(sorted(mku + mkv)))
-        del verts[v]
-
-        def ren(x):
-            return u if x == v else (x - 1 if x > v else x)
-
-        return StableGraph(verts, [(ren(a), ren(b)) for (a, b) in rest])
-
     # -- cuts
 
     def _connected_without(self, removed):
-        V = len(self.vertices)
-        adj = [[] for _ in range(V)]
-        for i, (u, v) in enumerate(self.edges):
-            if i in removed:
-                continue
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == V
+        kept = [e for i, e in enumerate(self.edges) if i not in removed]
+        return len(components(len(self.vertices), kept)) == 1
 
     def is_bridge(self, idx):
         u, v = self.edges[idx]
@@ -298,11 +266,3 @@ def enumerate_stable_graphs(g, n, k=None, include_empty=False):
         if sg.is_stable():
             out = (sg,) + out
     return out
-
-
-def edge_cut_classification(t: StableGraph):
-    """Per-edge bridge / non-bridge labels plus the minimal 2-edge cuts."""
-    bridges = set(t.bridges())
-    labels = ["bridge" if i in bridges else "non-bridge"
-              for i in range(len(t.edges))]
-    return labels, t.minimal_two_cuts()

@@ -297,14 +297,6 @@ class SurfacePresentation:
             return self.u1_word()
         return (self.u_letter(j),)
 
-    def relator_text(self):
-        parts = []
-        for i in range(1, self.g + 1):
-            parts.append(f"[a{i},b{i}]")
-        for j in range(self.n, 0, -1):
-            parts.append(f"u{j}")
-        return " ".join(parts)
-
     def parse(self, text):
         if self.n >= 1:
             full = [f"a{i}" for i in range(1, self.g + 1)] \

@@ -14,7 +14,7 @@ and direct-summand (primitivity) tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
 
@@ -274,34 +274,6 @@ def mod_row_kernel(mat, m):
     return [row[:r] for row in ker]
 
 
-def module_map_report(rows, n, m):
-    """The Z/m-module map (Z/m)^k -> (Z/m)^n sending e_i to rows[i]:
-    report injectivity and whether the cokernel is free, with its rank."""
-    k = len(rows)
-    mat = [list(map(int, r)) for r in rows]
-    for r in mat:
-        if len(r) != n:
-            raise InvalidInputError("row length mismatch")
-    ker = mod_row_kernel(mat, m)
-    if m == 0:
-        injective = not ker
-    else:
-        injective = hnf(ker) == [[m if j == i else 0 for j in range(k)]
-                                 for i in range(k)] if ker else k == 0
-    if m == 0:
-        divs = [d for d in snf_diagonal(mat) if d]
-        coker_free = all(d == 1 for d in divs)
-        coker_rank = n - len(divs) if coker_free else None
-    else:
-        stacked = mat + [[m if j == i else 0 for j in range(n)]
-                         for i in range(n)]
-        divs = list(snf_diagonal(stacked))
-        coker_free = all(d == m or d == 1 for d in divs)
-        coker_rank = sum(1 for d in divs if d == m) if coker_free else None
-    return {"injective": injective, "coker_free": coker_free,
-            "coker_rank": coker_rank}
-
-
 # ---------------------------------------------------------------------------
 # symplectic spaces
 
@@ -351,14 +323,6 @@ class SympSpace:
         n = self.dim
         s = sum(x[i] * self.J[i][j] * y[j] for i in range(n) for j in range(n))
         return s % self.m if self.m else s
-
-    def all_vectors(self):
-        if self.m == 0:
-            raise InvalidInputError("cannot enumerate vectors over Z")
-        out = [()]
-        for _ in range(self.dim):
-            out = [v + (c,) for v in out for c in range(self.m)]
-        return out
 
     # -- matrices
 
@@ -521,9 +485,6 @@ class SympSubgroup:
                 v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0
-
     def is_cyclic(self) -> bool:
         return self.rank <= 1
 
@@ -584,7 +545,7 @@ class SympSubgroup:
 
 
 # ---------------------------------------------------------------------------
-# reporting and enumeration front ends
+# Smith form, Sp generators and orbit enumeration
 
 
 def smith_normal_form(M):
@@ -603,77 +564,10 @@ def smith_normal_form(M):
     return U, D, V
 
 
-@dataclass(frozen=True)
-class SubgroupReport:
-    """Canonical description of a subgroup of (Z/m)^2g.
-
-    `generators` is the unique canonical generating set, so two reports
-    agree exactly when the subgroups do.  `elementary_divisors` are the
-    Smith divisors of the preimage lattice span(lifts) + m*Z^2g (for m = 0
-    the nonzero divisors of the generator matrix itself); the subgroup is
-    a direct summand iff every divisor is 1 over Z, respectively a unit
-    divisor d of m (gcd(d, m/d) = 1) over Z/m."""
-
-    ambient: object
-    generators: tuple
-    rank: int
-    elementary_divisors: tuple
-    is_primitive: bool
-    is_isotropic: bool
-    invariants: tuple = field(default=())
-
-    def subgroup(self):
-        return self.ambient.subgroup(list(self.generators))
-
-
-def subgroup_report(gens, space: SympSpace) -> SubgroupReport:
-    """Generating-set-independent report for the span of `gens`."""
-    sub = space.subgroup(gens)
-    return SubgroupReport(
-        ambient=space,
-        generators=tuple(tuple(v) for v in sub.canonical_gens()),
-        rank=sub.rank,
-        elementary_divisors=tuple(sub.lattice_divisors),
-        is_primitive=sub.is_primitive(),
-        is_isotropic=sub.is_isotropic(),
-        invariants=tuple(sub.invariants),
-    )
-
-
-@dataclass(frozen=True)
-class SpGroup:
-    """Transvection generators of Sp_2g together with the two predicates
-    that matter downstream: symplecticity and congruence level."""
-
-    space: object
-    generators: tuple
-
-    def is_member(self, F) -> bool:
-        """F^t J F = J over the ambient ring."""
-        try:
-            return self.space.is_symplectic(self.space.reduce_matrix(F))
-        except (InvalidInputError, IndexError, TypeError):
-            return False
-
-    def in_congruence(self, F, level: int) -> bool:
-        """F = identity entrywise mod `level`."""
-        if level < 1:
-            raise InvalidInputError("congruence level must be positive")
-        m = self.space.m
-        if m and level > 1 and m % level != 0:
-            raise InvalidInputError(
-                f"level {level} does not refine the ambient modulus {m}")
-        F = self.space.reduce_matrix(F)
-        n = self.space.dim
-        return all((F[i][j] - (1 if i == j else 0)) % level == 0
-                   for i in range(n) for j in range(n))
-
-
-def sp_group(space: SympSpace) -> SpGroup:
+def sp_group(space: SympSpace) -> tuple:
     """Generators x -> x + <x,v>v over the chain vectors; they generate the
     full symplectic group over Z/m for every m >= 2 (and Sp_2g(Z) over Z)."""
-    gens = tuple(space.transvection(v) for v in space.chain_vectors())
-    return SpGroup(space=space, generators=gens)
+    return tuple(space.transvection(v) for v in space.chain_vectors())
 
 
 @dataclass(frozen=True)

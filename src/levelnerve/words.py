@@ -49,11 +49,6 @@ def wpow(word, k: int) -> Word:
     return wmul(*([wreduce(word)] * k)) if k else ()
 
 
-def wconj(word, h) -> Word:
-    """h * word * h^-1."""
-    return wmul(h, word, winv(h))
-
-
 def wsub(word, images) -> Word:
     """Evaluate word by substituting images[k-1] for generator k."""
     parts = []

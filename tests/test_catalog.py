@@ -6,12 +6,12 @@ from levelnerve.catalog import (
     MulticurveRep,
     catalog_coverage,
     multicurve_catalog,
-    standard_multicurve,
 )
 from levelnerve.errors import UnsupportedError
-from levelnerve.stablegraph import StableGraph, edge_cut_classification
+from levelnerve.stablegraph import StableGraph
 from levelnerve.surface import presentation
 from levelnerve.words import FoldedGraph, conjugate_in_free, winv, wmul
+from oracles import standard_multicurve
 
 
 def test_small_signatures_fully_covered():
@@ -59,8 +59,8 @@ def test_empty_rep():
 
 def test_nonseparating_loop_word_pinned():
     rep = standard_multicurve(StableGraph([(1, ())], [(0, 0)]))
-    assert rep.word_texts() == ["B1a2b2A2B2"]
     p = presentation(2, 0)
+    assert [p.format(w) for w in rep.words] == ["B1a2b2A2B2"]
     assert any(c % 2 for c in p.homology_class(rep.words[0]))
     assert rep.rank() == 0
 
@@ -84,9 +84,8 @@ def test_theta_pieces():
     assert all(piece.genus == 0 for piece in rep.pieces)
     assert len(rep.words) == 3
     # non-bridge curves; no pair disconnects the theta graph
-    labels, cuts = edge_cut_classification(rep.graph)
-    assert labels == ["non-bridge"] * 3
-    assert cuts == []
+    assert rep.graph.bridges() == []
+    assert rep.graph.minimal_two_cuts() == []
     # oriented boundary of each piece: some signed sum of all three vanishes
     p = presentation(2, 0)
     classes = [p.homology_class(w) for w in rep.words]
@@ -103,11 +102,11 @@ def test_homology_reproduces_edge_classification():
     for (g, n) in [(2, 0), (1, 1), (2, 1)]:
         p = presentation(g, n)
         for rep in multicurve_catalog(g, n):
-            labels, cuts = edge_cut_classification(rep.graph)
+            bridges = rep.graph.bridges()
             classes = [p.homology_class(w) for w in rep.words]
             for i, cls in enumerate(classes):
-                assert (labels[i] == "bridge") == all(c == 0 for c in cls)
-            for (i, j) in cuts:
+                assert (i in bridges) == all(c == 0 for c in cls)
+            for (i, j) in rep.graph.minimal_two_cuts():
                 su = [a + b for a, b in zip(classes[i], classes[j])]
                 di = [a - b for a, b in zip(classes[i], classes[j])]
                 assert all(c == 0 for c in su) or all(c == 0 for c in di)
@@ -137,9 +136,8 @@ def test_marks_carry_puncture_loops():
 def test_genus_three_cut_pair_realized():
     rep = standard_multicurve(StableGraph([(1, ()), (1, ())],
                                           [(0, 1), (0, 1)]))
-    labels, cuts = edge_cut_classification(rep.graph)
-    assert labels == ["non-bridge", "non-bridge"]
-    assert cuts == [(0, 1)]
+    assert rep.graph.bridges() == []
+    assert rep.graph.minimal_two_cuts() == [(0, 1)]
     p = presentation(3, 0)
     c0, c1 = [p.homology_class(w) for w in rep.words]
     assert any(c != 0 for c in c0)

@@ -14,7 +14,7 @@ import pytest
 
 from levelnerve.errors import (InvalidInputError, ResourceLimitError,
                                UnsupportedError)
-from levelnerve.symplectic import SympSpace, module_map_report
+from levelnerve.symplectic import SympSpace
 from levelnerve.covers import abelian_cover, homology_cover, identity_cover
 from levelnerve.catalog import multicurve_catalog
 from levelnerve import decomp
@@ -24,6 +24,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                equivalent, induced_from_lift,
                                induced_from_multicurve, leq, sp_action,
                                validate)
+from oracles import module_map_report
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -165,6 +166,18 @@ def test_separating_decomposition_valid():
         rep = module_map_report(rows, 4, m)
         assert rep["injective"] and rep["coker_free"]
         assert rep["coker_rank"] == d.b1() == 0
+
+
+def test_vertex_groups_must_be_orthogonal():
+    # two nondegenerate planes that meet in 0 but pair nontrivially:
+    # <a1, a1 + a2> = 0, <b1, a1 + a2> = -1
+    sp = SympSpace(2, 2)
+    d = FramedDecomposition(sp, [[A1, B1], [(1, 0, 1, 0), B2]], [[]],
+                            [(0, 1)], [sp.zero()])
+    assert validate(d) == ["iii"]
+    ok = FramedDecomposition(sp, [[A1, B1], [A2, B2]], [[]], [(0, 1)],
+                             [sp.zero()])
+    assert validate(ok) == []
 
 
 def test_marks_must_partition():
@@ -399,7 +412,7 @@ def test_induced_separating():
     plane2 = sp.subgroup([A2, B2])
     assert {vg.key() for vg in d.vertex_groups} == \
         {plane1.key(), plane2.key()}
-    assert d.edge_groups[0].is_trivial()
+    assert d.edge_groups[0].rank == 0
     assert d.frames == (sp.zero(),)
 
 

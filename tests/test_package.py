@@ -1,7 +1,10 @@
 """The runtime uses the standard library only: every absolute import in the
-package names a stdlib module, and pyproject.toml declares no dependency."""
+package names a stdlib module, and pyproject.toml declares no dependency.
+Every public name of the package is referenced by the package or the
+benchmark, apart from a short list of entry points that only tests call."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -32,3 +35,44 @@ def test_no_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+# public entry points that only the tests call
+TEST_ONLY = {"FinSimpSet.from_data", "identity_cover", "cover_spec_to_data",
+             "cover_spec_from_data", "shortlex_transversal",
+             "schreier_generators", "decomposition_from_data"}
+
+
+def public_definitions(path):
+    """(qualified name, first line, last line) of every public top-level
+    def or class and every public method."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and \
+                        not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno
+
+
+def test_public_names_are_referenced():
+    """A name counts as referenced when it occurs as a word in some line of
+    src/ or perfbench/ outside its own definition."""
+    texts = {path: path.read_text().splitlines()
+             for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
+    unreferenced = []
+    for path in SOURCES:
+        for name, first, last in public_definitions(path):
+            word = re.compile(r"\b%s\b" % name.rsplit(".", 1)[-1])
+            if not any(word.search(line)
+                       for other, lines in texts.items()
+                       for i, line in enumerate(lines, 1)
+                       if other != path or not first <= i <= last):
+                unreferenced.append(name)
+    extra = sorted(set(unreferenced) - TEST_ONLY)
+    assert not extra, f"public names nothing references: {extra}"
+    stale = sorted(TEST_ONLY - set(unreferenced))
+    assert not stale, f"referenced now, drop from TEST_ONLY: {stale}"

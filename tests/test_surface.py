@@ -36,13 +36,6 @@ def test_signature_validation():
     presentation(2, 0)
 
 
-def test_relator_text():
-    assert presentation(2, 0).relator_text() == "[a1,b1] [a2,b2]"
-    assert presentation(1, 1).relator_text() == "[a1,b1] u1"
-    assert presentation(0, 3).relator_text() == "u3 u2 u1"
-    assert presentation(2, 2).relator_text() == "[a1,b1] [a2,b2] u2 u1"
-
-
 def test_rank_and_names():
     p = presentation(2, 2)
     assert p.N == 5

@@ -13,7 +13,6 @@ from levelnerve.words import (
     invert_basis,
     parse_word,
     solve_conjugator,
-    wconj,
     winv,
     wmul,
     wpow,
@@ -38,7 +37,6 @@ def test_reduce_and_mul():
     assert winv((1, -2, 3)) == (-3, 2, -1)
     assert wpow((1, 2), 2) == (1, 2, 1, 2)
     assert wpow((1,), -3) == (-1, -1, -1)
-    assert wconj((2,), (1,)) == (1, 2, -1)
     assert commutator((1,), (2,)) == (1, 2, -1, -2)
     with pytest.raises(InvalidInputError):
         wreduce([0])
@@ -65,10 +63,10 @@ def test_solve_conjugator_random():
     for _ in range(200):
         u = rand_word(rng, 3, rng.randint(0, 6))
         h = rand_word(rng, 3, rng.randint(0, 6))
-        v = wconj(u, h)
+        v = wmul(h, u, winv(h))
         h2 = solve_conjugator(u, v)
         assert h2 is not None
-        assert wconj(u, h2) == v
+        assert wmul(h2, u, winv(h2)) == v
     assert solve_conjugator((1,), (2,)) is None
 
 
