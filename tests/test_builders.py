@@ -70,24 +70,21 @@ def test_rank0_counts_match_closed_forms(sig):
 
 
 ROUND_TRIPS = [
-    pytest.param(lambda sig=sig: nerve(*sig), id=f"nerve{sig}")
-    for sig in ((1, 1, 2), (1, 2, 3), (2, 0, 2))
+    pytest.param(lambda sig=sig: nerve(*sig), sizes, id=f"nerve{sig}")
+    for sig, sizes in (((1, 1, 2), [3]), ((1, 2, 3), [5, 8]),
+                       ((2, 0, 2), [25, 105, 60]))
 ] + [pytest.param(lambda: build_image_complex(identity_cover(1, 2), 2),
-                  id="image-identity-cover-1-2")]
+                  [4, 6], id="image-identity-cover-1-2")]
 
 
-@pytest.mark.parametrize("build", ROUND_TRIPS)
-def test_serialization_round_trip_is_byte_equal(build):
+@pytest.mark.parametrize("build, sizes", ROUND_TRIPS)
+def test_serialization_round_trip_is_byte_equal(build, sizes):
     X = build()
+    assert [X.size(k) for k in range(X.top_rank + 1)] == sizes
     text = json.dumps(X.to_data())
     Y = FinSimpSet.from_data(json.loads(text))
     assert json.dumps(Y.to_data()) == text
     assert (Y.encodings, Y.faces) == (X.encodings, X.faces)
-
-
-def test_image_complex_of_identity_cover_counts():
-    X = build_image_complex(identity_cover(1, 2), 2)
-    assert [X.size(k) for k in range(X.top_rank + 1)] == [4, 6]
 
 
 def test_incomplete_catalog_refused_up_front():

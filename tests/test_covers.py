@@ -101,6 +101,8 @@ def test_alphabet_errors():
     spec = identity_cover(2, 0)
     with pytest.raises(InvalidInputError):
         spec.phi((5,))
+    with pytest.raises(InvalidInputError):
+        spec.order_of((-5,))
 
 
 def test_abelian_moduli_validated():
