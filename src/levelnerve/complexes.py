@@ -697,9 +697,7 @@ def _component_pi1(X, verts):
     for i, r in enumerate(rels):
         for x in r:
             rows[i][abs(x) - 1] += 1 if x > 0 else -1
-    _, D, _ = smith_normal_form(rows)
-    divisors = [D[i][i] for i in range(min(len(D), len(alive)))
-                if i < len(D) and D[i][i] != 0] if D else []
+    divisors = [d for d in smith_normal_form(rows) if d]
     free = len(alive) - len(divisors)
     ab = tuple(sorted(d for d in divisors if d != 1)) + (0,) * free
     if ab:

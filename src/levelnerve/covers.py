@@ -35,7 +35,8 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import SympSpace, mat_mul, orbit_enumerate, snf, vec_mat
+from .symplectic import (SympSpace, hnf_transform, mat_identity, mat_mul,
+                         orbit_enumerate, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -566,7 +567,10 @@ class _ChainData:
             v[abs(s)] += 1 if s > 0 else -1
         return v
 
-    def reduce_vector(self, v):
+    def survivor_coords(self, word):
+        """Coordinates of a subgroup word over the surviving polygon
+        letters: each merged letter is eliminated through its record."""
+        v = self.loop_vector(word)
         for x, rec in self.records:
             c = v[x]
             if c:
@@ -574,30 +578,30 @@ class _ChainData:
                 for k in range(1, self.L + 1):
                     if rec[k]:
                         v[k] += c * rec[k]
-        sv = [v[sid] for sid in self.survivors]
-        return list(vec_mat(sv, self.Uinv)) if sv else []
+        return [v[sid] for sid in self.survivors]
 
     def class_int(self, word):
         """Coordinates of a subgroup word in the symplectic frame of the
         closed cover surface, over Z."""
-        return self.reduce_vector(self.loop_vector(word))
+        sv = self.survivor_coords(word)
+        return list(vec_mat(sv, self.Uinv)) if sv else []
 
 
 def _unimodular_inverse(P):
-    """Exact inverse of a unimodular integer matrix: U*P*V = I gives
-    P^-1 = V*U."""
-    D, U, V = snf(P)
-    _check(all(D[i][i] == 1 for i in range(len(P))),
+    """Exact inverse of a unimodular integer matrix: the Hermite form of P
+    is the identity, and its transform is P^-1."""
+    pairs = hnf_transform(P)
+    _check([h for h, _ in pairs] == mat_identity(len(P)),
            "chord form is unimodular")
-    return mat_mul(V, U)
+    return [t for _, t in pairs]
 
 
 def _symplectic_rows(P):
     """Integer basis change U (with inverse) taking the alternating
     unimodular Gram matrix P to the interleaved standard form."""
     S = len(P)
-    U = [[1 if i == j else 0 for j in range(S)] for i in range(S)]
-    V = [[1 if i == j else 0 for j in range(S)] for i in range(S)]
+    U = mat_identity(S)
+    V = mat_identity(S)
     Q = [row[:] for row in P]
 
     def rowadd(i, j, q):
@@ -674,10 +678,7 @@ def _symplectic_rows(P):
                 rowadd(r, block + 1, beta)
     J = SympSpace(S // 2, 0).J if S else []
     _check(Q == [list(r) for r in J], "reduced form is standard")
-    iden = [[1 if i == j else 0 for j in range(S)] for i in range(S)]
-    UV = [[sum(U[i][k] * V[k][j] for k in range(S)) for j in range(S)]
-          for i in range(S)]
-    _check(UV == iden, "tracked inverse is exact")
+    _check(mat_mul(U, V) == mat_identity(S), "tracked inverse is exact")
     return U, V
 
 
@@ -1019,18 +1020,9 @@ def derived_cover(spec: CoverSpec, ell: int,
     else:
         chain = _chain(spec)
         rank = 2 * chain.g_K
-        survivors = chain.survivors
 
         def cls(word):
-            v = chain.loop_vector(word)
-            for x, rec in chain.records:
-                c = v[x]
-                if c:
-                    v[x] = 0
-                    for k in range(1, chain.L + 1):
-                        if rec[k]:
-                            v[k] += c * rec[k]
-            return tuple(v[sid] % ell for sid in survivors)
+            return tuple(x % ell for x in chain.survivor_coords(word))
 
     cap = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
     degree = spec.degree * ell ** rank

@@ -48,8 +48,8 @@ from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, hnf, mod_row_kernel,
-                         orbit_enumerate, snf_diagonal)
+from .symplectic import (SympSpace, SympSubgroup, hnf, hnf_transform,
+                         mod_row_kernel, orbit_enumerate, snf_diagonal)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -73,55 +73,35 @@ def _check(cond, msg):
 # integer linear algebra helpers
 
 
-def _int_coords(rows, vec):
-    """Integer coordinates of vec over the row lattice, or None.
+def _int_coords(pairs, vec):
+    """Integer coordinates of vec over a row lattice, or None.
 
-    Echelonizes the rows augmented with an identity block, then reduces
-    vec greedily; the collected coefficients express vec as an integer
-    combination of the original rows whenever the residual vanishes."""
-    k = len(rows)
-    if k == 0:
-        return () if not any(vec) else None
-    n = len(rows[0])
-    aug = hnf([list(r) + [1 if j == i else 0 for j in range(k)]
-               for i, r in enumerate(rows)])
+    pairs is hnf_transform of the rows.  vec is reduced greedily against
+    the Hermite rows; the transform rows collected on the way express vec
+    as an integer combination of the original rows whenever the residual
+    vanishes."""
     v = list(vec)
-    coeff = [0] * k
-    for row in aug:
-        head = row[:n]
-        piv = next((j for j in range(n) if head[j]), None)
+    coeff = [0] * len(pairs)
+    for h, t in pairs:
+        piv = next((j for j, a in enumerate(h) if a), None)
         if piv is None:
             continue
-        q = v[piv] // head[piv]
+        q = v[piv] // h[piv]
         if q:
-            for j in range(n):
-                v[j] -= q * head[j]
-            for j in range(k):
-                coeff[j] += q * row[n + j]
+            v = [a - q * b for a, b in zip(v, h)]
+            coeff = [a + q * b for a, b in zip(coeff, t)]
     if any(v):
         return None
     return tuple(coeff)
 
 
-def _express(space, gens, vec):
-    """Coefficients x with sum x_i * gens_i = vec in the module, or None."""
-    m = space.m
-    rows = [list(g) for g in gens]
-    if m:
-        rows = rows + [[m if j == i else 0 for j in range(space.dim)]
-                       for i in range(space.dim)]
-    sol = _int_coords(rows, list(vec))
-    if sol is None:
-        return None
-    return sol[:len(gens)]
-
-
 def _quotient_profile(inner: SympSubgroup, outer: SympSubgroup):
     """(contained, quotient is free, free rank) for inner <= outer."""
     space = inner.space
+    pairs = hnf_transform(outer.lattice)
     coords = []
     for row in inner.lattice:
-        c = _int_coords(outer.lattice, row)
+        c = _int_coords(pairs, row)
         if c is None:
             return (False, False, None)
         coords.append(list(c))
@@ -331,18 +311,24 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
         offs.append(offs[-1] + len(gg))
     total = offs[-1]
     amb = [list(v) for gg in gens for v in gg]
+    m, n = space.m, space.dim
+    mod = ([[m if j == i else 0 for j in range(n)] for i in range(n)]
+           if m else [])
+    # one transform per vertex block, over its generators and m*Z^n: its
+    # kernel rows are the block's internal relations, and it expresses
+    # the edge generators in the block
+    pairs = [hnf_transform([list(x) for x in gg] + mod) for gg in gens]
     rel = []
     for v, gg in enumerate(gens):
-        if not gg:
-            continue
-        for row in mod_row_kernel([list(x) for x in gg], space.m):
-            r = [0] * total
-            r[offs[v]:offs[v] + len(gg)] = row
-            rel.append(r)
+        for h, t in pairs[v]:
+            if not any(h):
+                r = [0] * total
+                r[offs[v]:offs[v] + len(gg)] = t[:len(gg)]
+                rel.append(r)
     for e, (u, v) in enumerate(edges):
         for x in egroups[e].canonical_gens():
-            cu = _express(space, gens[u], x)
-            cv = _express(space, gens[v], x)
+            cu = _int_coords(pairs[u], x)
+            cv = _int_coords(pairs[v], x)
             if cu is None or cv is None:
                 if strict:
                     return (False, False, None)
@@ -350,10 +336,10 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             if u == v:
                 continue
             r = [0] * total
-            for j, c in enumerate(cu):
-                r[offs[u] + j] += c
-            for j, c in enumerate(cv):
-                r[offs[v] + j] -= c
+            for j in range(len(gens[u])):
+                r[offs[u] + j] += cu[j]
+            for j in range(len(gens[v])):
+                r[offs[v] + j] -= cv[j]
             rel.append(r)
     if total == 0:
         return (True, True, space.subgroup([]))

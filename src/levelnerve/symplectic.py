@@ -9,6 +9,12 @@ Subgroups of (Z/m)^n are handled through their preimage lattices
 L = span(lifts) + m*Z^n inside Z^n; the Hermite normal form of L is the
 canonical representation, and Smith divisors of L drive the order, rank,
 and direct-summand (primitivity) tests.
+
+There is one echelon and one Smith routine.  hnf is the echelon;
+hnf_transform runs it with the transform, and kernels, coordinates and
+inverses are read off its (h, t) pairs.  snf_diagonal gives the Smith
+divisors without transforms, and smith_normal_form is its checked entry
+point.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -77,102 +83,22 @@ def hnf(rows):
     return [r for r in M if any(r)]
 
 
-def snf(mat):
-    """Smith normal form with transforms: returns (D, U, V) where
-    U * mat * V = D, U and V unimodular, D diagonal (as a full matrix) with
-    each diagonal entry nonnegative and dividing the next."""
-    A = [list(map(int, r)) for r in mat]
-    r = len(A)
-    c = len(A[0]) if A else 0
-    U = mat_identity(r)
-    V = mat_identity(c)
-
-    def row_op(i, j, q):
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, q):
-        for row_ in A:
-            row_[i] -= q * row_[j]
-        for row_ in V:
-            row_[i] -= q * row_[j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row_ in A:
-            row_[i], row_[j] = row_[j], row_[i]
-        for row_ in V:
-            row_[i], row_[j] = row_[j], row_[i]
-
-    def clean(t):
-        while True:
-            piv = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    if A[i][j]:
-                        if piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]]):
-                            piv = (i, j)
-            if piv is None:
-                return False
-            if piv != (t, t):
-                if piv[0] != t:
-                    row_swap(t, piv[0])
-                if piv[1] != t:
-                    col_swap(t, piv[1])
-            dirty = False
-            for i in range(t + 1, r):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t]:
-                        dirty = True
-            for j in range(t + 1, c):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j]:
-                        dirty = True
-            if not dirty and all(A[i][t] == 0 for i in range(t + 1, r)) \
-                    and all(A[t][j] == 0 for j in range(t + 1, c)):
-                if A[t][t] < 0:
-                    A[t] = [-a for a in A[t]]
-                    U[t] = [-a for a in U[t]]
-                return True
-        # unreachable
-
-    t = 0
-    while t < min(r, c):
-        if not clean(t):
-            break
-        t += 1
-
-    # enforce divisibility d_i | d_{i+1}: fold the offending entry into the
-    # earlier pivot's row and rediagonalize the lower-right block
-    mins = min(r, c)
-    for _ in range(10000):
-        viol = None
-        for i in range(mins - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b and (a == 0 or b % a != 0):
-                viol = i
-                break
-        if viol is None:
-            break
-        A[viol] = [x + y for x, y in zip(A[viol], A[viol + 1])]
-        U[viol] = [x + y for x, y in zip(U[viol], U[viol + 1])]
-        for t2 in range(viol, mins):
-            if not clean(t2):
-                break
-    else:
-        raise LevelNerveError("Smith form divisibility pass did not settle")
-    return A, U, V
+def hnf_transform(rows):
+    """Hermite form with its transform: one (h, t) pair per input row,
+    with t * rows = h.  The h rows are hnf(rows) followed by zero rows and
+    the t rows form a unimodular matrix.  The rows are echelonized with an
+    identity block appended, so no augmented row is zero and none is
+    dropped."""
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = hnf([list(r) + [1 if j == i else 0 for j in range(k)]
+               for i, r in enumerate(rows)])
+    return [(row[:n], row[n:]) for row in aug]
 
 
 def snf_diagonal(mat):
-    """The Smith diagonal of mat (as snf gives it), without transforms.
+    """The Smith diagonal of mat: min(r, c) nonnegative entries, each
+    dividing the next.
 
     Rows are eliminated on a copy.  The pivot is the first unit entry in
     row order, else the smallest nonzero entry.  Once row operations have
@@ -231,33 +157,9 @@ def snf_diagonal(mat):
 
 
 def int_row_kernel(mat):
-    """Basis (list of rows) of {x in Z^r : x * mat = 0}."""
-    r = len(mat)
-    c = len(mat[0]) if mat else 0
-    if r == 0:
-        return []
-    if c == 0:
-        return mat_identity(r)
-    D, U, V = snf(mat)
-    out = []
-    for i in range(r):
-        d = D[i][i] if i < min(r, c) else 0
-        if d == 0:
-            out.append(list(U[i]))
-    return out
-
-
-def lattice_reduce(lattice_hnf, vec):
-    """Reduce an integer vector modulo a lattice given by HNF rows;
-    the result is zero iff the vector lies in the lattice."""
-    v = list(map(int, vec))
-    for row in lattice_hnf:
-        col = next(j for j, a in enumerate(row) if a)
-        if v[col] % row[col] == 0:
-            q = v[col] // row[col]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-    return tuple(v)
+    """Basis (list of rows) of {x in Z^r : x * mat = 0}: the transform
+    rows whose Hermite row is zero."""
+    return [t for h, t in hnf_transform(mat) if not any(h)]
 
 
 def mod_row_kernel(mat, m):
@@ -470,9 +372,9 @@ class SympSubgroup:
         return list(self._gens)
 
     def contains(self, vec) -> bool:
-        """Reduction against the Hermite rows, as lattice_reduce does.  A
-        pivot entry that its row cannot clear stays nonzero, because later
-        rows vanish in that column, so the answer is known at once."""
+        """Reduction against the Hermite rows, pivot by pivot.  A pivot
+        entry that its row cannot clear stays nonzero, because later rows
+        vanish in that column, so the answer is known at once."""
         if self._pivots is None:
             self._pivots = tuple(next(j for j, a in enumerate(row) if a)
                                  for row in self.lattice)
@@ -549,9 +451,9 @@ class SympSubgroup:
 
 
 def smith_normal_form(M):
-    """(U, D, V) with U*M*V = D, U and V unimodular, D diagonal with each
-    entry nonnegative and dividing the next.  Deterministic; an empty
-    matrix yields empty factors."""
+    """The Smith divisors of an integer matrix, as snf_diagonal gives
+    them, after checking that M is a rectangular matrix of ints.  An empty
+    matrix yields ()."""
     rows = [list(r) for r in M]
     width = len(rows[0]) if rows else 0
     for r in rows:
@@ -560,8 +462,7 @@ def smith_normal_form(M):
         for x in r:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise InvalidInputError("matrix entries must be integers")
-    D, U, V = snf(rows)
-    return U, D, V
+    return snf_diagonal(rows)
 
 
 def sp_group(space: SympSpace) -> tuple:

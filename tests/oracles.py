@@ -2,13 +2,16 @@
 
 Each checks a package result by a separate route: contracting an edge
 undoes a degeneration, the module-map report reads the gluing condition
-off a plain Smith form, and the catalog lookup finds a representative by
-its dual graph."""
+off a plain Smith form, the catalog lookup finds a representative by its
+dual graph, snf computes the Smith form with both transforms, and
+lattice_reduce tests lattice membership against Hermite rows."""
 
 from levelnerve.catalog import multicurve_catalog
-from levelnerve.errors import InvalidInputError, UnsupportedError
+from levelnerve.errors import (InvalidInputError, LevelNerveError,
+                               UnsupportedError)
 from levelnerve.stablegraph import StableGraph
-from levelnerve.symplectic import hnf, mod_row_kernel, snf_diagonal
+from levelnerve.symplectic import (hnf, mat_identity, mod_row_kernel,
+                                   snf_diagonal)
 
 
 def contract_edge(sg, idx):
@@ -73,3 +76,110 @@ def standard_multicurve(t):
         if rep.key == key:
             return rep
     raise UnsupportedError("type outside catalog")
+
+
+def snf(mat):
+    """Smith normal form with transforms: returns (D, U, V) where
+    U * mat * V = D, U and V unimodular, D diagonal (as a full matrix) with
+    each diagonal entry nonnegative and dividing the next."""
+    A = [list(map(int, r)) for r in mat]
+    r = len(A)
+    c = len(A[0]) if A else 0
+    U = mat_identity(r)
+    V = mat_identity(c)
+
+    def row_op(i, j, q):
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):
+        for row_ in A:
+            row_[i] -= q * row_[j]
+        for row_ in V:
+            row_[i] -= q * row_[j]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def col_swap(i, j):
+        for row_ in A:
+            row_[i], row_[j] = row_[j], row_[i]
+        for row_ in V:
+            row_[i], row_[j] = row_[j], row_[i]
+
+    def clean(t):
+        while True:
+            piv = None
+            for i in range(t, r):
+                for j in range(t, c):
+                    if A[i][j]:
+                        if piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]]):
+                            piv = (i, j)
+            if piv is None:
+                return False
+            if piv != (t, t):
+                if piv[0] != t:
+                    row_swap(t, piv[0])
+                if piv[1] != t:
+                    col_swap(t, piv[1])
+            dirty = False
+            for i in range(t + 1, r):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    row_op(i, t, q)
+                    if A[i][t]:
+                        dirty = True
+            for j in range(t + 1, c):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    col_op(j, t, q)
+                    if A[t][j]:
+                        dirty = True
+            if not dirty and all(A[i][t] == 0 for i in range(t + 1, r)) \
+                    and all(A[t][j] == 0 for j in range(t + 1, c)):
+                if A[t][t] < 0:
+                    A[t] = [-a for a in A[t]]
+                    U[t] = [-a for a in U[t]]
+                return True
+        # unreachable
+
+    t = 0
+    while t < min(r, c):
+        if not clean(t):
+            break
+        t += 1
+
+    # enforce divisibility d_i | d_{i+1}: fold the offending entry into the
+    # earlier pivot's row and rediagonalize the lower-right block
+    mins = min(r, c)
+    for _ in range(10000):
+        viol = None
+        for i in range(mins - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if b and (a == 0 or b % a != 0):
+                viol = i
+                break
+        if viol is None:
+            break
+        A[viol] = [x + y for x, y in zip(A[viol], A[viol + 1])]
+        U[viol] = [x + y for x, y in zip(U[viol], U[viol + 1])]
+        for t2 in range(viol, mins):
+            if not clean(t2):
+                break
+    else:
+        raise LevelNerveError("Smith form divisibility pass did not settle")
+    return A, U, V
+
+
+def lattice_reduce(lattice_hnf, vec):
+    """Reduce an integer vector modulo a lattice given by HNF rows;
+    the result is zero iff the vector lies in the lattice."""
+    v = list(map(int, vec))
+    for row in lattice_hnf:
+        col = next(j for j, a in enumerate(row) if a)
+        if v[col] % row[col] == 0:
+            q = v[col] // row[col]
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)

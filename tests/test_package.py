@@ -42,8 +42,7 @@ TEST_ONLY = {"FinSimpSet.from_data", "identity_cover", "cover_spec_to_data",
              "cover_spec_from_data", "shortlex_transversal",
              "schreier_generators", "decomposition_from_data",
              "build_image_complex", "derived_cover", "DeckHomology.matrix_of",
-             "StableGraph.automorphisms", "equivalent", "leq",
-             "lattice_reduce"}
+             "StableGraph.automorphisms", "equivalent", "leq"}
 
 
 def public_definitions(path):

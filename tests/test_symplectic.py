@@ -12,14 +12,12 @@ from levelnerve.symplectic import (
     SympSpace,
     hnf,
     int_row_kernel,
-    lattice_reduce,
     mat_identity,
     mat_mul,
     mod_row_kernel,
-    snf,
     snf_diagonal,
 )
-from oracles import module_map_report
+from oracles import lattice_reduce, module_map_report, snf
 
 
 def det(M):
@@ -417,29 +415,21 @@ def mat_inverse_mod(F, m):
 
 
 def test_smith_normal_form_examples():
-    U, D, V = smith_normal_form([[3, 0], [0, 5]])
-    assert D == [[1, 0], [0, 15]]
-    assert mat_mul(mat_mul(U, [[3, 0], [0, 5]]), V) == D
-    U, D, V = smith_normal_form([[2, 4], [6, 8]])
-    assert D == [[2, 0], [0, 4]]
-    assert mat_mul(mat_mul(U, [[2, 4], [6, 8]]), V) == D
-    assert abs(det(U)) == 1 and abs(det(V)) == 1
+    assert smith_normal_form([[3, 0], [0, 5]]) == (1, 15)
+    assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
 
 
 def test_smith_normal_form_identity_empty_and_idempotent():
-    I3 = mat_identity(3)
-    U, D, V = smith_normal_form(I3)
-    assert D == I3
-    assert smith_normal_form([]) == ([], [], [])
-    # divisibility chain and stability under rerun
+    assert smith_normal_form(mat_identity(3)) == (1, 1, 1)
+    assert smith_normal_form([]) == ()
+    # divisibility chain, and stable under a rerun and on its own diagonal
     M = [[6, 10, 15], [4, 8, 2], [0, 9, 27]]
-    U, D, V = smith_normal_form(M)
-    diag = [D[i][i] for i in range(3)]
-    for a, b in zip(diag, diag[1:]):
+    divs = smith_normal_form(M)
+    for a, b in zip(divs, divs[1:]):
         assert b % max(a, 1) == 0 or b == 0
-    U2, D2, V2 = smith_normal_form(D)
-    assert D2 == D
-    assert smith_normal_form(M) == (U, D, V)
+    D = [[divs[i] if i == j else 0 for j in range(3)] for i in range(3)]
+    assert smith_normal_form(D) == divs
+    assert smith_normal_form(M) == divs
 
 
 def test_smith_normal_form_rejects_bad_entries():
@@ -799,3 +789,19 @@ def test_snf_diagonal_pinned():
     M = [(2, 4), (6, 9)]
     assert snf_diagonal(M) == (1, 6)
     assert M == [(2, 4), (6, 9)]
+
+
+@given(smith_inputs())
+@example([])
+@example([[], []])
+@example([[0, 0, 0]])
+@example([[4, 6], [6, 9], [10, 14]])
+def test_int_row_kernel_annihilates_and_matches_snf(M):
+    r, c = len(M), len(M[0]) if M else 0
+    ker = int_row_kernel(M)
+    for x in ker:
+        assert all(sum(x[i] * M[i][j] for i in range(r)) == 0
+                   for j in range(c))
+    D, U, _ = snf(M)
+    want = [U[i] for i in range(r) if i >= min(r, c) or D[i][i] == 0]
+    assert hnf(ker) == hnf(want)
