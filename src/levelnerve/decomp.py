@@ -49,7 +49,8 @@ from functools import lru_cache
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, hnf, hnf_transform,
-                         mod_row_kernel, orbit_enumerate, snf_diagonal)
+                         mod_row_kernel, orbit_enumerate, snf_diagonal,
+                         vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -629,13 +630,13 @@ def validate(d, conditions=None):
 
 def _maps_onto(space, A: SympSubgroup, M, Minv, B: SympSubgroup) -> bool:
     """Whether A * M = B, decided by memberships instead of a fresh
-    Hermite form per pair."""
-    if not all(B.contains(space.mat_apply(x, M)) for x in A.canonical_gens()):
+    Hermite form per pair.  contains reduces its input, so the images
+    are left unreduced."""
+    if not all(B.contains(vec_mat(x, M)) for x in A.canonical_gens()):
         return False
     if space.m:
         return A.order == B.order
-    return all(A.contains(space.mat_apply(y, Minv))
-               for y in B.canonical_gens())
+    return all(A.contains(vec_mat(y, Minv)) for y in B.canonical_gens())
 
 
 def _action_natural(d: EquivariantDecomposition):

@@ -7,14 +7,17 @@ symplectic basis is interleaved: a_1, b_1, a_2, b_2, ..., with <a_i, b_i> = 1.
 
 Subgroups of (Z/m)^n are handled through their preimage lattices
 L = span(lifts) + m*Z^n inside Z^n; the Hermite normal form of L is the
-canonical representation, and Smith divisors of L drive the order, rank,
-and direct-summand (primitivity) tests.
+canonical representation, and the Smith divisors of L give the order, the
+rank and the direct-summand (primitivity) test.  For prime m both are read
+off the reduced row echelon form over F_m (see SympSubgroup); composite m
+and m = 0 run hnf and snf_diagonal.
 
-There is one echelon and one Smith routine.  hnf is the echelon;
+There is one integer echelon and one Smith routine.  hnf is the echelon;
 hnf_transform runs it with the transform, and kernels, coordinates and
-inverses are read off its (h, t) pairs.  snf_diagonal gives the Smith
-divisors without transforms, and smith_normal_form is its checked entry
-point.
+inverses are read off its (h, t) pairs.  _rref_mod_p, the echelon over
+F_p, serves only the canonical form of prime moduli.  snf_diagonal gives
+the Smith divisors without transforms, and smith_normal_form is its
+checked entry point.
 """
 
 from __future__ import annotations
@@ -176,6 +179,35 @@ def mod_row_kernel(mat, m):
     return [row[:r] for row in ker]
 
 
+def _rref_mod_p(rows, p, n):
+    """Reduced row echelon form over F_p of integer rows of length n, as
+    {pivot column: row}: entries in [0, p), 1 at the row's own pivot and 0
+    at every other pivot.  Each new row is cleared at the known pivots in
+    one pass, since a basis row is zero at the other pivots; a surviving
+    row is scaled to a unit pivot and cleared out of the basis rows."""
+    basis = {}
+    for r in rows:
+        v = [a % p for a in r]
+        for j, b in basis.items():
+            c = v[j]
+            if c:
+                v = [(a - c * x) % p for a, x in zip(v, b)]
+        j = next((t for t, a in enumerate(v) if a), None)
+        if j is None:
+            continue
+        if v[j] != 1:
+            s = pow(v[j], -1, p)
+            v = [a * s % p for a in v]
+        for i, b in basis.items():
+            c = b[j]
+            if c:
+                basis[i] = [(a - c * x) % p for a, x in zip(b, v)]
+        basis[j] = v
+        if len(basis) == n:
+            break
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # symplectic spaces
 
@@ -191,6 +223,11 @@ class SympSpace:
         self.g = g
         self.m = m
         self.dim = 2 * g
+        # prime moduli canonicalize subgroups by echelon form over F_m
+        self.prime = m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
+        # the rows m*e_j that every preimage lattice contains (none over Z)
+        self._m_rows = tuple(tuple(m if t == j else 0 for t in range(self.dim))
+                             for j in range(self.dim)) if m else ()
         J = [[0] * self.dim for _ in range(self.dim)]
         for i in range(g):
             J[2 * i][2 * i + 1] = 1
@@ -318,7 +355,15 @@ class SympSpace:
 
 class SympSubgroup:
     """Subgroup of (Z/m)^n given by generators, canonicalized through the
-    Hermite form of its preimage lattice in Z^n."""
+    Hermite form of its preimage lattice in Z^n.  The lattice is a tuple of
+    row tuples and is also the key.
+
+    For prime m the generators go through _rref_mod_p instead: row j of
+    the lattice is the echelon row with pivot j, entries in [0, m), or
+    m*e_j where no row has pivot j.  That is the same Hermite form: the
+    rows are upper triangular with pivots 1 or m, the entries above a pivot
+    1 are 0 and those above a pivot m lie in [0, m).  So keys and
+    encodings do not depend on the path taken."""
 
     def __init__(self, space: SympSpace, gens):
         self.space = space
@@ -328,10 +373,24 @@ class SympSubgroup:
         for r in rows:
             if len(r) != n:
                 raise InvalidInputError("generator has wrong length")
-        if m:
-            rows = rows + [[m if j == i else 0 for j in range(n)]
-                           for i in range(n)]
-        self.lattice = hnf(rows)
+        # filled on first use by canonical_gens() and contains(); the prime
+        # path knows the generators at once
+        self._gens = None
+        self._pivots = None
+        if space.prime:
+            basis = _rref_mod_p(rows, m, n)
+            lattice = list(space._m_rows)
+            for j, v in basis.items():
+                lattice[j] = tuple(v)
+            self.lattice = tuple(lattice)
+            rank = len(basis)
+            self.lattice_divisors = (1,) * rank + (m,) * (n - rank)
+            self.invariants = (m,) * rank
+            self.rank = rank
+            self.order = m ** rank
+            self._gens = tuple(lattice[j] for j in sorted(basis))
+            return
+        self.lattice = tuple(map(tuple, hnf(rows + list(space._m_rows))))
         if m:
             divs = snf_diagonal(self.lattice)
             self.lattice_divisors = tuple(divs)
@@ -347,12 +406,9 @@ class SympSubgroup:
             self.rank = len(self.lattice)
             self.invariants = (0,) * self.rank
             self.order = 1 if self.rank == 0 else None
-        # filled on first use by canonical_gens() and contains()
-        self._gens = None
-        self._pivots = None
 
     def key(self):
-        return tuple(tuple(r) for r in self.lattice)
+        return self.lattice
 
     def __eq__(self, other):
         return (isinstance(other, SympSubgroup)

@@ -732,6 +732,91 @@ def test_canonical_gens_copy_does_not_leak_into_cache():
 
 
 # --------------------------------------------------------------------------
+# the F_p canonical form of prime moduli against the integer Hermite form
+
+
+def integer_reference(rows, p, n):
+    """lattice, lattice divisors, invariants, rank, order and canonical
+    generators of the subgroup through hnf(rows + p*I) and snf_diagonal."""
+    lattice = hnf([list(r) for r in rows]
+                  + [[p if t == j else 0 for t in range(n)] for j in range(n)])
+    divs = snf_diagonal(lattice)
+    inv = tuple(reversed([p // d for d in divs if p // d > 1]))
+    gens = [v for v in (tuple(a % p for a in r) for r in lattice) if any(v)]
+    return (tuple(map(tuple, lattice)), divs, inv, len(inv),
+            math.prod(inv), gens)
+
+
+@st.composite
+def prime_generators(draw):
+    """(p, g, rows): up to 2g + 3 rows of length 2g <= 34, zero rows and
+    entries outside [0, p) likely."""
+    p, g = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, 17))
+    n = 2 * g
+    entry = st.one_of(st.just(0), st.integers(-3 * p, 3 * p))
+    row = st.one_of(st.just([0] * n),
+                    st.lists(entry, min_size=n, max_size=n))
+    return p, g, draw(st.lists(row, max_size=n + 3))
+
+
+@given(prime_generators())
+@example((2, 2, []))
+@example((3, 2, [[0, 0, 0, 0], [0, 0, 0, 0]]))
+@example((5, 2, [[-1, 7, 5, -10], [12, -3, 0, 4]]))
+@example((7, 1, [[1, 0], [8, 1], [0, -6], [3, 3]]))
+@example((2, 17, [[1] * 34, [0, 1] * 17, [3] * 34]))
+def test_prime_path_matches_integer_hermite_form(case):
+    p, g, rows = case
+    sub = SympSpace(g, p).subgroup(rows)
+    assert sub.space.prime
+    got = (sub.lattice, sub.lattice_divisors, sub.invariants, sub.rank,
+           sub.order, sub.canonical_gens())
+    assert got == integer_reference(rows, p, 2 * g)
+
+
+def test_prime_moduli_skip_integer_hnf_and_snf(monkeypatch):
+    import levelnerve.symplectic as symplectic
+
+    def refuse(*args):
+        raise AssertionError("integer Hermite or Smith form called")
+
+    monkeypatch.setattr(symplectic, "hnf", refuse)
+    monkeypatch.setattr(symplectic, "snf_diagonal", refuse)
+    pinned_prime = {
+        2: (((1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)),
+            (1, 2, 2, 2), (2,), 1, 2),
+        3: (((1, 0, 2, 0), (0, 1, 2, 2), (0, 0, 3, 0), (0, 0, 0, 3)),
+            (1, 1, 3, 3), (3, 3), 2, 9),
+        7: (((1, 0, 6, 0), (0, 1, 2, 2), (0, 0, 7, 0), (0, 0, 0, 7)),
+            (1, 1, 7, 7), (7, 7), 2, 49),
+    }
+    for p, want in pinned_prime.items():
+        sub = SympSpace(2, p).subgroup([(1, 2, 3, 4), (p + 1, 0, -1, 0)])
+        assert (sub.key(), sub.lattice_divisors, sub.invariants, sub.rank,
+                sub.order) == want
+    # composite moduli and Z take the integer path
+    for m in (4, 6, 0):
+        assert not SympSpace(2, m).prime
+        with pytest.raises(AssertionError, match="integer"):
+            SympSpace(2, m).subgroup([(2, 0, 0, 0)])
+    monkeypatch.undo()
+    pinned_integer = {
+        4: ([(2, 0, 0, 0), (1, 1, 0, 3)],
+            ((1, 1, 0, 3), (0, 2, 0, 2), (0, 0, 4, 0), (0, 0, 0, 4)),
+            (1, 2, 4, 4), (2, 4), 2, 8),
+        6: ([(1, 2, 3, 0), (0, 2, 0, 4)],
+            ((1, 0, 3, 2), (0, 2, 0, 4), (0, 0, 6, 0), (0, 0, 0, 6)),
+            (1, 2, 6, 6), (3, 6), 2, 18),
+        0: ([(2, 0, 0, 0), (1, 1, 0, 3)],
+            ((1, 1, 0, 3), (0, 2, 0, 6)), (1, 2), (0, 0), 2, None),
+    }
+    for m, (gens, *want) in pinned_integer.items():
+        sub = SympSpace(2, m).subgroup(gens)
+        assert [sub.key(), sub.lattice_divisors, sub.invariants, sub.rank,
+                sub.order] == want
+
+
+# --------------------------------------------------------------------------
 # transform-free Smith divisors against snf and sympy
 
 
