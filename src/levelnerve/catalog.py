@@ -13,7 +13,8 @@ rewriting of prefix-conjugated lasso loops.  Every entry checks its own
 bookkeeping: Euler characteristics assemble to 2-2g-n, folded subgroup ranks
 match the piece genera, boundary and mark loops fold into their piece
 subgroups, and the homology classes of the curve words reproduce the
-bridge/cut classification of the dual graph.
+bridge/cut classification of the dual graph.  The same audit runs on the
+sub-multicurves that complexes.delete_curves synthesizes.
 
 The shipped range is 1 <= g <= 3, 0 <= n <= 2 (so the model never carries
 interior marked points; the surface's punctures are the one or two boundary
@@ -397,48 +398,54 @@ class _Realizer:
             sides.append(tuple(pair))
 
         rep = MulticurveRep(self.g, n, graph, edge_words, pieces, sides)
-        self._verify(rep)
+        _audit(rep)
         return rep
 
-    def _verify(self, rep):
-        pres = self.pres
-        N = pres.cover_rank()
-        folded = [FoldedGraph(p.gens, N) for p in rep.pieces]
-        # the u_1 boundary slot always sits on the first root piece; for a
-        # closed surface it is filled but still punctures the public model
-        u1_holder = None
-        if self.n == 0:
-            u1_holder = 0
-            down_all = tuple(range(1, self.B + 1))
-            u1_loop = self._std(winv(down_all))
-            _check(folded[0].contains(u1_loop), "u_1 slot on the root piece")
-        ends = [0] * len(rep.pieces)
-        for u, v in rep.graph.edges:
-            ends[u] += 1
-            ends[v] += 1
-        for pid, piece in enumerate(rep.pieces):
-            r_pub = len(piece.marks) + (1 if pid == u1_holder else 0)
-            want = 2 * piece.genus + ends[pid] + r_pub - 1
-            _check(folded[pid].rank() == want, "piece subgroup rank")
-            for _, loop in piece.marks:
-                _check(folded[pid].contains(loop), "mark loop in piece")
-        for word, sds in zip(rep.words, rep.sides):
-            for s in sds:
-                loop = wmul(s.conj, word if s.sign > 0 else winv(word),
-                            winv(s.conj))
-                _check(folded[s.piece].contains(loop),
-                       "boundary loop in piece")
-        # homology classification must reproduce the graph classification
-        bridges = set(rep.graph.bridges())
-        classes = [pres.homology_class(w) for w in rep.words]
-        for i, cls in enumerate(classes):
-            zero = all(c == 0 for c in cls)
-            _check(zero == (i in bridges), "bridge homology classification")
-        for i, j in rep.graph.minimal_two_cuts():
-            plus = tuple(a + b for a, b in zip(classes[i], classes[j]))
-            minus = tuple(a - b for a, b in zip(classes[i], classes[j]))
-            _check(all(c == 0 for c in plus) or all(c == 0 for c in minus),
-                   "cut pair homology relation")
+
+def _audit(rep):
+    """Folded-subgroup and homology audit of a representative, realized or
+    synthesized by curve deletion: piece subgroups have the free rank of
+    the subsurface they name, mark and side loops fold into their pieces,
+    and the curve classes reproduce the bridge/cut classification."""
+    pres = presentation(rep.g, rep.n)
+    N = pres.cover_rank()
+    folded = [FoldedGraph(p.gens, N) for p in rep.pieces]
+    # the u_1 boundary slot always sits on the first root piece; for a
+    # closed surface it is filled but still punctures the public model
+    u1_holder = None
+    if rep.n == 0:
+        u1_holder = 0
+        model = pres.model
+        down_all = tuple(range(1, model.B + 1))
+        u1_loop = pres._kill_phantom(model.to_std(model.rewrite(
+            winv(down_all))))
+        _check(folded[0].contains(u1_loop), "u_1 slot on the root piece")
+    ends = [0] * len(rep.pieces)
+    for u, v in rep.graph.edges:
+        ends[u] += 1
+        ends[v] += 1
+    for pid, piece in enumerate(rep.pieces):
+        r_pub = len(piece.marks) + (1 if pid == u1_holder else 0)
+        want = 2 * piece.genus + ends[pid] + r_pub - 1
+        _check(folded[pid].rank() == want, "piece subgroup rank")
+        for _, loop in piece.marks:
+            _check(folded[pid].contains(loop), "mark loop in piece")
+    for word, sds in zip(rep.words, rep.sides):
+        for s in sds:
+            loop = wmul(s.conj, word if s.sign > 0 else winv(word),
+                        winv(s.conj))
+            _check(folded[s.piece].contains(loop), "boundary loop in piece")
+    # homology classification must reproduce the graph classification
+    bridges = set(rep.graph.bridges())
+    classes = [pres.homology_class(w) for w in rep.words]
+    for i, cls in enumerate(classes):
+        zero = all(c == 0 for c in cls)
+        _check(zero == (i in bridges), "bridge homology classification")
+    for i, j in rep.graph.minimal_two_cuts():
+        plus = tuple(a + b for a, b in zip(classes[i], classes[j]))
+        minus = tuple(a - b for a, b in zip(classes[i], classes[j]))
+        _check(all(c == 0 for c in plus) or all(c == 0 for c in minus),
+               "cut pair homology relation")
 
 
 @lru_cache(maxsize=None)

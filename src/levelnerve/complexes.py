@@ -11,9 +11,9 @@ one simplex dimension per base curve.
 Faces delete one curve surface-side.  The sub-multicurve representative is
 synthesized directly: pieces on either side of a removed curve merge, the
 merged subgroup is generated by the constituent piece subgroups together
-with one crossing loop per removed curve, and the result is pushed through
-the same induction that built the seeds, so every face is validated by the
-same battery as every simplex.
+with one crossing loop per removed curve, the result passes the catalog's
+own audit, and it is pushed through the same induction that built the
+seeds, so every face is validated by the same battery as every simplex.
 
 pi1_report and homology read the edge-path group and the integral homology
 off the face tables alone; cross_validate re-derives the complex by
@@ -25,17 +25,18 @@ from __future__ import annotations
 import itertools
 
 from . import covers
-from .catalog import (MulticurveRep, Piece, Side, catalog_coverage,
+from .catalog import (MulticurveRep, Piece, Side, _audit, catalog_coverage,
                       multicurve_catalog)
-from .decomp import (FramedDecomposition, canonical_form, induced_from_lift,
-                     induced_from_multicurve, sp_action, validate)
+from .decomp import (_CONDITIONS, FramedDecomposition, canonical_form,
+                     induced_from_lift, induced_from_multicurve, sp_action,
+                     validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .stablegraph import StableGraph, components
-from .surface import presentation, twist_automorphisms
+from .surface import twist_automorphisms
 from .symplectic import (SympSpace, orbit_enumerate, smith_normal_form,
                          snf_diagonal, sp_group)
-from .words import FoldedGraph, cyclic_reduce, winv, wmul
+from .words import cyclic_reduce, winv, wmul
 
 
 def _check(cond, msg):
@@ -45,34 +46,6 @@ def _check(cond, msg):
 
 # --------------------------------------------------------------------------
 # curve deletion on multicurve representatives
-
-
-def _audit_rep(rep):
-    """Folded-subgroup audit of a synthesized representative.
-
-    Each piece subgroup must have the free rank of the subsurface it
-    names (the root piece carries the public puncture slot when n = 0),
-    and the mark and side loops must fold into their pieces."""
-    pres = presentation(rep.g, rep.n)
-    N = pres.cover_rank()
-    ends = [0] * len(rep.pieces)
-    for (u, v) in rep.graph.edges:
-        ends[u] += 1
-        ends[v] += 1
-    folded = []
-    for i, piece in enumerate(rep.pieces):
-        f = FoldedGraph(piece.gens, N)
-        folded.append(f)
-        extra = 1 if (rep.n == 0 and i == 0) else 0
-        want = 2 * piece.genus + ends[i] + len(piece.marks) + extra - 1
-        _check(f.rank() == want, "merged piece subgroup rank")
-        for _, loop in piece.marks:
-            _check(f.contains(loop), "mark loop in its piece")
-    for word, pair in zip(rep.words, rep.sides):
-        for s in pair:
-            loop = wmul(s.conj, word if s.sign > 0 else winv(word),
-                        winv(s.conj))
-            _check(folded[s.piece].contains(loop), "side loop in its piece")
 
 
 def delete_curves(mc, drop):
@@ -173,7 +146,7 @@ def delete_curves(mc, drop):
     graph = StableGraph(verts, edges)
     _check(graph.genus() == mc.g and graph.is_stable(), "merged dual graph")
     sub = MulticurveRep(mc.g, mc.n, graph, words, pieces, tuple(sides))
-    _audit_rep(sub)
+    _audit(sub)
     return sub
 
 
@@ -437,6 +410,30 @@ def _require_full_catalog(g, n):
             + ", ".join(repr(t.canonical_key()) for t in missing))
 
 
+def _types(g, n, induce, shadow):
+    """One _TypeData per nonempty catalog multicurve: induce(mc) is its
+    seed decomposition and shadow(d) the part the orbit acts on.  Face j
+    deletes curve j; vertex j keeps curve j alone."""
+    types = []
+    for mc in multicurve_catalog(g, n):
+        E = len(mc.words)
+        if E == 0:
+            continue
+        seed = induce(mc)
+        base = shadow(seed)
+        if E == 1:
+            face_shadows = (None,)
+            vert_shadows = (base,)
+        else:
+            face_shadows = tuple(shadow(induce(delete_curves(mc, {j})))
+                                 for j in range(E))
+            vert_shadows = tuple(
+                shadow(induce(delete_curves(mc, set(range(E)) - {j})))
+                for j in range(E))
+        types.append(_TypeData(mc, seed, base, face_shadows, vert_shadows))
+    return types
+
+
 def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     """The base complex at modulus m, built type by type.
 
@@ -448,24 +445,8 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
         raise InvalidInputError("modulus must be at least 2")
     _require_full_catalog(g, n)
     space = SympSpace(g, m)
-    types = []
-    for mc in multicurve_catalog(g, n):
-        E = len(mc.words)
-        if E == 0:
-            continue
-        seed = induced_from_multicurve(g, n, m, mc)
-        if E == 1:
-            face_shadows = (None,)
-            vert_shadows = (seed,)
-        else:
-            face_shadows = tuple(
-                induced_from_multicurve(g, n, m, delete_curves(mc, {j}))
-                for j in range(E))
-            vert_shadows = tuple(
-                induced_from_multicurve(
-                    g, n, m, delete_curves(mc, set(range(E)) - {j}))
-                for j in range(E))
-        types.append(_TypeData(mc, seed, seed, face_shadows, vert_shadows))
+    types = _types(g, n, lambda mc: induced_from_multicurve(g, n, m, mc),
+                   lambda d: d)
     gens = sp_group(space)
     meta = {"builder": "abelian_nerve", "g": g, "n": n, "m": m,
             "dim_bound": 3 * g - 3 + n - 1}
@@ -501,25 +482,8 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
         if M not in seen:
             seen.add(M)
             gens.append(M)
-    types = []
-    for mc in multicurve_catalog(spec.g, spec.n):
-        E = len(mc.words)
-        if E == 0:
-            continue
-        seed = induced_from_lift(spec, mc, m)
-        if E == 1:
-            face_shadows = (None,)
-            vert_shadows = (seed.framed(),)
-        else:
-            face_shadows = tuple(
-                induced_from_lift(spec, delete_curves(mc, {j}), m).framed()
-                for j in range(E))
-            vert_shadows = tuple(
-                induced_from_lift(
-                    spec, delete_curves(mc, set(range(E)) - {j}), m).framed()
-                for j in range(E))
-        types.append(_TypeData(mc, seed, seed.framed(),
-                               face_shadows, vert_shadows))
+    types = _types(spec.g, spec.n, lambda mc: induced_from_lift(spec, mc, m),
+                   lambda d: d.framed())
     order = None
     if space.g <= 2 and m == 2:
         try:
@@ -761,11 +725,11 @@ def homology(X, q):
     if q == 0:
         rank_down = 0
     else:
-        rank_down = len(_nonzero_divisors(_boundary_matrix(X, q)))
+        down = _boundary_matrix(X, q)
+        rank_down = len(_nonzero_divisors(down))
     if q + 1 <= X.top_rank:
         up = _boundary_matrix(X, q + 1)
         if q >= 1:
-            down = _boundary_matrix(X, q)
             for row in up:
                 img = [0] * X.size(q - 1)
                 for j, c in enumerate(row):
@@ -793,12 +757,10 @@ def _validate_with_cap(d):
         return validate(d), ()
     except ResourceLimitError:
         pass
-    labels = ("i", "ii", "iii", "iv", "v", "vi")
-    if d.kind == "equivariant":
-        labels = labels + ("frame", "action")
     viol = []
     skipped = []
-    for lab in labels:
+    # validate() checks only the conditions the decomposition's kind has
+    for lab in _CONDITIONS:
         try:
             viol.extend(validate(d, (lab,)))
         except ResourceLimitError:

@@ -297,17 +297,14 @@ class _Table:
         _check(len(res.elements) == d, "coset graph is connected")
         # the orbit is range(d) in order, so words are indexed by coset
         self.twords = [tuple(letters[i] for i in w) for w in res.words]
-        self.tree = set()
+        tree = set()
         for t, w in enumerate(self.twords[1:], 1):
             s = w[-1]
-            self.tree.add((self.step(t, -s), s) if s > 0 else (t, -s))
-        self.loops = {}
-        self.loop_edges = []
-        for gidx in range(d):
-            for j in range(1, N + 1):
-                if (gidx, j) not in self.tree:
-                    self.loops[(gidx, j)] = len(self.loop_edges)
-                    self.loop_edges.append((gidx, j))
+            tree.add((self.step(t, -s), s) if s > 0 else (t, -s))
+        self.loop_edges = [(gidx, j) for gidx in range(d)
+                           for j in range(1, N + 1) if (gidx, j) not in tree]
+        # 1-based loop ids; tree edges have none
+        self.loops = {e: i for i, e in enumerate(self.loop_edges, 1)}
         self.L = len(self.loop_edges)
         _check(self.L == d * (N - 1) + 1, "Schreier rank")
         self.loop_words = []
@@ -328,24 +325,34 @@ class _Table:
             g = self.step(g, x)
         return g
 
+    def loop_id(self, g, s):
+        """Signed 1-based id of the loop edge that the step from coset g
+        along the signed letter s crosses, or 0 on a tree edge."""
+        if s > 0:
+            return self.loops.get((g, s), 0)
+        return -self.loops.get((self.step(g, s), -s), 0)
+
     def rewrite(self, start, word):
         """Trace `word`, emitting signed loop-edge ids; tree edges are
         silent.  Returns (end coset, tuple of signed ids, 1-based)."""
         g = start
         out = []
         for x in wreduce(word):
-            a = abs(x)
-            if x > 0:
-                edge = (g, a)
-                g = self.step(g, x)
-                if edge not in self.tree:
-                    out.append(self.loops[edge] + 1)
-            else:
-                g = self.step(g, x)
-                edge = (g, a)
-                if edge not in self.tree:
-                    out.append(-(self.loops[edge] + 1))
+            lid = self.loop_id(g, x)
+            if lid:
+                out.append(lid)
+            g = self.step(g, x)
         return g, tuple(out)
+
+    def loop_vector(self, word):
+        """Exponent sums of the loop ids of a subgroup word, indexed by id
+        (entry 0 unused)."""
+        end, rw = self.rewrite(0, word)
+        _check(end == 0, "word must lie in the cover subgroup")
+        v = [0] * (self.L + 1)
+        for s in rw:
+            v[abs(s)] += 1 if s > 0 else -1
+        return v
 
 
 def _table(spec: CoverSpec) -> _Table:
@@ -452,17 +459,8 @@ class _ChainData:
                     darts.append((g, s))
                     g, s = t.step(g, s), rho[s]
                 _check((g, s) == (g0, s0), "dart successor closes up")
-                word = []
-                for (gg, ss) in darts:
-                    if ss > 0:
-                        edge = (gg, ss)
-                        if edge not in t.tree:
-                            word.append(t.loops[edge] + 1)
-                    else:
-                        edge = (t.step(gg, ss), -ss)
-                        if edge not in t.tree:
-                            word.append(-(t.loops[edge] + 1))
-                faces.append(word)
+                faces.append([lid for lid in (t.loop_id(gg, ss)
+                                              for gg, ss in darts) if lid])
                 fidx = owner[s0]
                 blen = len(base_words[fidx])
                 _check(len(darts) % blen == 0, "face length is a multiple")
@@ -559,18 +557,10 @@ class _ChainData:
 
     # -- coordinates
 
-    def loop_vector(self, word, start=0):
-        end, rw = self.t.rewrite(start, word)
-        _check(end == start, "word must lie in the cover subgroup")
-        v = [0] * (self.L + 1)
-        for s in rw:
-            v[abs(s)] += 1 if s > 0 else -1
-        return v
-
     def survivor_coords(self, word):
         """Coordinates of a subgroup word over the surviving polygon
         letters: each merged letter is eliminated through its record."""
-        v = self.loop_vector(word)
+        v = self.t.loop_vector(word)
         for x, rec in self.records:
             c = v[x]
             if c:
@@ -971,20 +961,10 @@ class _ExtensionOps:
             raise InvalidInputError("malformed extension element")
         return (gidx, v)
 
-    def _apply(self, gidx, v):
-        rows = self.act[gidx]
-        out = [0] * self.rank
-        for k, c in enumerate(v):
-            if c:
-                row = rows[k]
-                for i in range(self.rank):
-                    out[i] += c * row[i]
-        return out
-
     def mul(self, a, b):
         g1, v1 = a
         g2, v2 = b
-        av2 = self._apply(g1, v2)
+        av2 = vec_mat(v2, self.act[g1])
         kap = self.kappa(g1, g2)
         vec = tuple((x + y + z) % self.ell
                     for x, y, z in zip(v1, av2, kap))
@@ -995,7 +975,7 @@ class _ExtensionOps:
         gi = self.inv_idx[g]
         kap = self.kappa(g, gi)
         merged = [x + y for x, y in zip(v, kap)]
-        out = self._apply(gi, merged)
+        out = vec_mat(merged, self.act[gi])
         return (gi, tuple((-x) % self.ell for x in out))
 
 
@@ -1011,12 +991,7 @@ def derived_cover(spec: CoverSpec, ell: int,
         rank = t.L
 
         def cls(word):
-            end, rw = t.rewrite(0, word)
-            _check(end == 0, "abelianizing a non-subgroup word")
-            v = [0] * rank
-            for s in rw:
-                v[abs(s) - 1] += 1 if s > 0 else -1
-            return tuple(x % ell for x in v)
+            return tuple(x % ell for x in t.loop_vector(word)[1:])
     else:
         chain = _chain(spec)
         rank = 2 * chain.g_K
@@ -1071,26 +1046,22 @@ def _apply_sequence(seq, word):
     return word
 
 
+def _preserves(table, seq):
+    """Whether the twist sequence maps every Schreier generator of the
+    cover subgroup back into the subgroup."""
+    return all(table.trace(0, _apply_sequence(seq, s)) == 0
+               for s in table.loop_words)
+
+
 def invariance_check(spec: CoverSpec, twists) -> bool:
-    """True iff each twist maps every Schreier generator of the cover
-    subgroup back into the subgroup."""
+    """True iff each twist preserves the cover subgroup."""
     t = _table(spec)
-    for item in twists:
-        seq = _twist_sequence(item)
-        for s in t.loop_words:
-            if t.trace(0, _apply_sequence(seq, s)) != 0:
-                return False
-    return True
+    return all(_preserves(t, _twist_sequence(item)) for item in twists)
 
 
 def deck_coset_representative(hom: DeckHomology, M):
     """Lexicographically least matrix in the deck-image coset of M."""
-    best = None
-    for D in hom.matrices:
-        cand = hom.space.mat_mul(D, M)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(hom.space.mat_mul(D, M) for D in hom.matrices)
 
 
 def mcg_action_on_cover(spec: CoverSpec, t, m: int):
@@ -1100,11 +1071,9 @@ def mcg_action_on_cover(spec: CoverSpec, t, m: int):
     if m < 2:
         raise InvalidInputError("modulus must be at least 2")
     seq = _twist_sequence(t)
-    table = _table(spec)
-    for s in table.loop_words:
-        if table.trace(0, _apply_sequence(seq, s)) != 0:
-            raise ValidationError("invariance",
-                                  "twist does not preserve the cover subgroup")
+    if not _preserves(_table(spec), seq):
+        raise ValidationError("invariance",
+                              "twist does not preserve the cover subgroup")
     hom = cover_homology(spec, m)
     chain = hom._chain
     rows = [hom.space.reduce(chain.class_int(_apply_sequence(seq, rep)))

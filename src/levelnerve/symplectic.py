@@ -259,8 +259,8 @@ class SympSpace:
         return tuple(v)
 
     def pairing(self, x, y):
-        n = self.dim
-        s = sum(x[i] * self.J[i][j] * y[j] for i in range(n) for j in range(n))
+        sign = self._sign
+        s = sum(sign[k] * x[k] * y[k ^ 1] for k in range(self.dim))
         return s % self.m if self.m else s
 
     # -- matrices
@@ -304,8 +304,8 @@ class SympSpace:
     def transvection(self, v):
         """Matrix of x -> x + <x, v> v."""
         v = self.reduce(v)
-        n = self.dim
-        Jv = [sum(self.J[i][k] * v[k] for k in range(n)) for i in range(n)]
+        n, sign = self.dim, self._sign
+        Jv = [sign[i] * v[i ^ 1] for i in range(n)]
         F = [[(1 if i == j else 0) + Jv[i] * v[j] for j in range(n)]
              for i in range(n)]
         return self.reduce_matrix(F)
@@ -313,12 +313,7 @@ class SympSpace:
     def inverse_transvection(self, v):
         """Matrix of x -> x - <x, v> v; this is what a twist along a curve
         of class v induces under the conventions used by the surface layer."""
-        v = self.reduce(v)
-        n = self.dim
-        Jv = [sum(self.J[i][k] * v[k] for k in range(n)) for i in range(n)]
-        F = [[(1 if i == j else 0) - Jv[i] * v[j] for j in range(n)]
-             for i in range(n)]
-        return self.reduce_matrix(F)
+        return self.symplectic_inverse(self.transvection(v))
 
     def chain_vectors(self):
         """2g+1 vectors (2 when g = 1) whose transvections generate the full
@@ -464,9 +459,8 @@ class SympSubgroup:
         if not gens:
             return sp.subgroup([sp.basis_a(i + 1) for i in range(sp.g)]
                                + [sp.basis_b(i + 1) for i in range(sp.g)])
-        n = sp.dim
-        cols = [[sum(sp.J[i][k] * g[k] for k in range(n)) for g in gens]
-                for i in range(n)]
+        sign = sp._sign
+        cols = [[sign[i] * g[i ^ 1] for g in gens] for i in range(sp.dim)]
         ker = mod_row_kernel(cols, sp.m)
         return sp.subgroup([row for row in ker])
 
@@ -497,9 +491,10 @@ class SympSubgroup:
         return self.intersection(self.perp())
 
     def apply(self, F):
-        """Image subgroup under x -> x*F."""
+        """Image subgroup under x -> x*F; the images go in unreduced,
+        since construction reduces them."""
         return self.space.subgroup(
-            [self.space.mat_apply(v, F) for v in self.canonical_gens()])
+            [vec_mat(v, F) for v in self.canonical_gens()])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Integral homology and the edge-path group of small simplicial sets:
 spheres, a torus and the projective plane, with every boundary matrix
-checked against sympy."""
+checked against sympy.  Also curve deletion on catalog representatives and
+the capped validity retry of cross_validate."""
 
 from itertools import combinations
 
@@ -8,10 +9,13 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from levelnerve.catalog import _audit, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _boundary_matrix,
-                                  _finite_quotient, homology, pi1_report)
+                                  _finite_quotient, _validate_with_cap,
+                                  delete_curves, homology, pi1_report)
+from levelnerve.decomp import MAX_TREES, FramedDecomposition, validate
 from levelnerve.errors import InvalidInputError
-from levelnerve.symplectic import snf_diagonal
+from levelnerve.symplectic import SympSpace, snf_diagonal
 
 
 def complex_from_facets(facets):
@@ -118,3 +122,41 @@ def test_finite_quotient():
                             3) == ((0, 2, 1), (0, 2, 1))
     assert _finite_quotient([1], [[1]], 4) is None
     assert _finite_quotient([1], [[1] * 5], 5) == ((1, 2, 3, 4, 0),)
+
+
+# -- curve deletion and capped validation
+
+
+def proper_deletions(g, n):
+    for mc in multicurve_catalog(g, n):
+        E = len(mc.words)
+        for r in range(1, E):
+            for drop in combinations(range(E), r):
+                yield mc, drop
+
+
+def test_every_proper_deletion_passes_the_catalog_audit():
+    count = 0
+    for g, n in ((1, 2), (2, 0), (2, 1)):
+        for mc, drop in proper_deletions(g, n):
+            sub = delete_curves(mc, set(drop))
+            kept = [w for e, w in enumerate(mc.words) if e not in drop]
+            assert list(sub.words) == kept
+            assert (sub.g, sub.n) == (mc.g, mc.n)
+            assert sub.graph.genus() == mc.graph.genus() == g
+            assert sub.graph.marks() == mc.graph.marks()
+            _audit(sub)
+            count += 1
+    assert count == 102
+
+
+def test_validate_with_cap_keeps_frame_past_the_tree_cap():
+    # 40 parallel edges on each side of a triangle: 3 * 40**2 spanning
+    # trees, beyond the cap, so the full battery gives up at condition iv
+    sp = SympSpace(2, 2)
+    edges = [e for e in ((0, 1), (1, 2), (0, 2)) for _ in range(40)]
+    assert 3 * 40 ** 2 > MAX_TREES
+    d = FramedDecomposition(sp, [[]] * 3, [[]] * 120, edges,
+                            [sp.basis_a(1)] * 120)
+    assert validate(d, ("frame",)) == ["frame"]
+    assert _validate_with_cap(d) == (["i", "frame"], ("iv",))

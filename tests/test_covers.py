@@ -25,6 +25,7 @@ from levelnerve.covers import (
     cover_spec_from_data,
     shortlex_transversal,
     schreier_generators,
+    _table,
     _unimodular_inverse,
 )
 
@@ -429,12 +430,15 @@ def naive_closure(ops, gens):
     return elements
 
 
-@pytest.mark.parametrize("make", [
+SMALL_COVERS = pytest.mark.parametrize("make", [
     lambda: homology_cover(2, 0, 2),
     lambda: homology_cover(1, 1, 3),
     lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
     lambda: derived_cover(identity_cover(1, 1), 2),
 ], ids=["h202", "h113", "perm4", "derived11"])
+
+
+@SMALL_COVERS
 def test_deck_group_in_discovery_order(make):
     spec = make()
     group = spec.group
@@ -442,6 +446,16 @@ def test_deck_group_in_discovery_order(make):
     assert list(group.elements) == want
     assert group.index == {e: i for i, e in enumerate(want)}
     assert group.d == len(want)
+
+
+@SMALL_COVERS
+def test_schreier_generators_rewrite_to_their_own_loop(make):
+    """The i-th Schreier generator crosses the i-th loop edge once, and
+    otherwise only tree edges, so it rewrites to the one letter i+1."""
+    spec = make()
+    t = _table(spec)
+    for i, w in enumerate(schreier_generators(spec)):
+        assert t.rewrite(0, w) == (0, (i + 1,))
 
 
 def test_shortlex_transversal_against_bfs(h2):

@@ -649,6 +649,14 @@ def test_space_matrix_products_match_dense(g, m, data):
                                      for row in dense_mat_mul(F, G))
     assert sp.mat_apply(x, F) == tuple(red(a)
                                        for a in dense_mat_mul([x], F)[0])
+    # the pairing and the transvections against the dense form x J y^T,
+    # over Z and composite moduli too
+    y = data.draw(st.lists(entries, min_size=n, max_size=n))
+    Jy = [a for (a,) in dense_mat_mul(sp.J, [[b] for b in y])]
+    assert sp.pairing(x, y) == red(sum(a * b for a, b in zip(x, Jy)))
+    for T, s in ((sp.transvection(y), 1), (sp.inverse_transvection(y), -1)):
+        assert T == tuple(tuple(red((i == j) + s * Jy[i] * y[j])
+                                for j in range(n)) for i in range(n))
 
 
 def sympy_is_symplectic(sp, F):
