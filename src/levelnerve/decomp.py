@@ -23,7 +23,14 @@ conjunction of six independently reported conditions:
 Condition iv is decided exactly on the complements of spanning trees: the
 family of connected-complement edge sets is downward closed, a subset of a
 primitive basis spans primitively, so the tree complements are the only
-maximal cases.  Framed decompositions add a generator per edge group,
+maximal cases.  Condition vi is decided in closed form: a vertex group
+splits as required exactly when its radical is the span of its incident
+edge groups and every Smith divisor d of the Gram matrix of its
+generators has gcd(d, m) in {1, m}.  Over Z/m the divisors say that the
+quotient by the radical is free, and the form is then perfect on it,
+since it embeds the quotient into its own dual, which has no more
+elements; over Z they say that the form on the quotient is unimodular.
+Framed decompositions add a generator per edge group,
 stored modulo sign (lexicographically smallest of the pair).  Equivariant
 decompositions add a finite group acting on the graph together with its
 matrices on H; naturality of groups, marks and frames is checked per
@@ -418,92 +425,13 @@ def _generator_choices(sub: SympSubgroup):
     return out
 
 
-def _unit_pair(space, sub: SympSubgroup):
-    """A pair (x, y) in the subgroup with unit pairing, or None.
-
-    Over Z/m a per-prime search among generator pairs is exact (a combined
-    pair is assembled by CRT); over Z the generator pairs are enriched with
-    sums and differences before giving up, and an uncertifiable state
-    raises instead of guessing."""
-    gens = list(sub.canonical_gens())
-    if len(gens) < 2:
-        return None
+def _splits_off_radical(space, vg: SympSubgroup, ev: SympSubgroup):
+    """Condition vi at one vertex: ev is the radical of vg, and the form
+    is perfect on vg/ev, read off the Gram divisors as the module
+    docstring explains (over Z, gcd(d, 0) = d)."""
     m = space.m
-
-    def pairs(candidates):
-        for x, y in itertools.combinations(candidates, 2):
-            yield x, y, space.pairing(x, y)
-
-    if m == 0:
-        for trial in range(3):
-            for x, y, p in pairs(gens):
-                if p == 1:
-                    return (x, y)
-                if p == -1:
-                    return (y, x)
-            gram = [[space.pairing(x, y) for y in gens] for x in gens]
-            divs = [d for d in snf_diagonal(gram) if d]
-            if not divs or divs[0] != 1:
-                return None
-            if trial == 0:
-                gens += [tuple(a + b for a, b in zip(x, y))
-                         for x, y in itertools.combinations(gens, 2)]
-            elif trial == 1:
-                gens += [tuple(a - b for a, b in zip(x, y))
-                         for x, y in itertools.combinations(gens, 2)]
-        raise LevelNerveError(
-            "cannot certify a unit intersection pair over Z")
-    primes = sorted(set(_prime_factors(m)))
-    found = {}
-    for x, y, p in pairs(gens):
-        if math.gcd(p, m) == 1:
-            return (x, y)
-        for q in primes:
-            if q not in found and p % q:
-                found[q] = (x, y)
-    if len(found) < len(primes):
-        return None
-    x = space.zero()
-    y = space.zero()
-    for q in primes:
-        qk = q
-        while m % (qk * q) == 0:
-            qk *= q
-        rest = m // qk
-        inv = pow(rest, -1, qk)
-        coeff = rest * inv
-        xq, yq = found[q]
-        x = space.reduce([a + coeff * b for a, b in zip(x, xq)])
-        y = space.reduce([a + coeff * b for a, b in zip(y, yq)])
-    _check(math.gcd(space.pairing(x, y), m) == 1, "assembled unit pair")
-    return (x, y)
-
-
-def _prime_factors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _hyperbolic_residual(space, sub: SympSubgroup):
-    """Split off unit-pairing planes until none remain; the residual is the
-    orthogonal rest of the subgroup."""
-    current = sub
-    for _ in range(space.g + 1):
-        pair = _unit_pair(space, current)
-        if pair is None:
-            return current
-        x, y = pair
-        plane = space.subgroup([x, y])
-        current = current.intersection(plane.perp())
-    raise LevelNerveError("hyperbolic splitting did not terminate")
+    return vg.radical() == ev and all(
+        math.gcd(d, m) in (1, m) for d in snf_diagonal(vg.gram()))
 
 
 def validate(d, conditions=None):
@@ -532,9 +460,7 @@ def validate(d, conditions=None):
             space, d.vertex_groups, d.edges, d.edge_groups)
         ok = defined and injective
         if ok:
-            amb = space.subgroup([space.basis_a(i + 1) for i in range(space.g)]
-                                 + [space.basis_b(i + 1)
-                                    for i in range(space.g)])
+            amb = space.subgroup(space.identity_matrix())
             contained, free, rank = _quotient_profile(image, amb)
             ok = contained and free and rank == d.b1()
         if not ok:
@@ -596,23 +522,11 @@ def validate(d, conditions=None):
             bad.append("v")
 
     if "vi" in wanted:
-        ok = True
-        for v in range(d.V):
-            vg = d.vertex_groups[v]
-            ev = space.subgroup([x for e in d.incident(v)
-                                 for x in d.edge_groups[e].canonical_gens()])
-            if not all(vg.contains(x) for x in ev.canonical_gens()):
-                ok = False
-                break
-            if not all(space.pairing(x, y) == 0
-                       for x in ev.canonical_gens()
-                       for y in vg.canonical_gens()):
-                ok = False
-                break
-            if _hyperbolic_residual(space, vg) != ev:
-                ok = False
-                break
-        if not ok:
+        if not all(_splits_off_radical(
+                space, d.vertex_groups[v],
+                space.subgroup([x for e in d.incident(v)
+                                for x in d.edge_groups[e].canonical_gens()]))
+                for v in range(d.V)):
             bad.append("vi")
 
     if "frame" in wanted:

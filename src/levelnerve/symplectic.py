@@ -10,7 +10,9 @@ L = span(lifts) + m*Z^n inside Z^n; the Hermite normal form of L is the
 canonical representation, and the Smith divisors of L give the order, the
 rank and the direct-summand (primitivity) test.  For prime m both are read
 off the reduced row echelon form over F_m (see SympSubgroup); composite m
-and m = 0 run hnf and snf_diagonal.
+and m = 0 run hnf and snf_diagonal.  The radical of a subgroup is the
+kernel of the Gram matrix of its canonical generators mod m, mapped back
+into the subgroup.
 
 There is one integer echelon and one Smith routine.  hnf is the echelon;
 hnf_transform runs it with the transform, and kernels, coordinates and
@@ -448,17 +450,19 @@ class SympSubgroup:
             return all(d == 1 for d in self.lattice_divisors)
         return all(math.gcd(d, m // d) == 1 for d in self.lattice_divisors)
 
-    def is_isotropic(self) -> bool:
+    def gram(self):
+        """The pairings <x, y> of the canonical generators, as rows."""
         gens = self.canonical_gens()
-        return all(self.space.pairing(x, y) == 0 for x in gens for y in gens)
+        pairing = self.space.pairing
+        return [[pairing(x, y) for y in gens] for x in gens]
+
+    def is_isotropic(self) -> bool:
+        return not any(map(any, self.gram()))
 
     def perp(self):
         """{x : <x, s> = 0 for all s in the subgroup}."""
         sp = self.space
         gens = self.canonical_gens()
-        if not gens:
-            return sp.subgroup([sp.basis_a(i + 1) for i in range(sp.g)]
-                               + [sp.basis_b(i + 1) for i in range(sp.g)])
         sign = sp._sign
         cols = [[sign[i] * g[i ^ 1] for g in gens] for i in range(sp.dim)]
         ker = mod_row_kernel(cols, sp.m)
@@ -487,8 +491,12 @@ class SympSubgroup:
                                    + other.canonical_gens())
 
     def radical(self):
-        """Subgroup pairing trivially with everything in the subgroup."""
-        return self.intersection(self.perp())
+        """Subgroup pairing trivially with everything in the subgroup: the
+        combinations x * gens of the canonical generators with x in the
+        kernel of the Gram matrix mod m."""
+        gens = self.canonical_gens()
+        ker = mod_row_kernel(self.gram(), self.space.m)
+        return self.space.subgroup([vec_mat(x, gens) for x in ker])
 
     def apply(self, F):
         """Image subgroup under x -> x*F; the images go in unreduced,

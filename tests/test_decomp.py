@@ -2,8 +2,10 @@
 
 The independent oracles live at the top: a brute-force reading of the
 edge-set condition over every subset (no spanning-tree shortcut), the
-low-level module-map route for the gluing condition, and the perp
-description of a nonseparating complement.  Expected values frozen below
+low-level module-map route for the gluing condition, the perp
+description of a nonseparating complement, and the literal definition of
+the vertex splitting (a free nondegenerate complement found by search
+among subgroups).  Expected values frozen below
 were produced by those oracles."""
 
 import itertools
@@ -24,6 +26,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                equivalent, induced_from_lift,
                                induced_from_multicurve, leq, sp_action,
                                validate)
+from levelnerve.complexes import _subgroup_elements, _subgroups_between
 from oracles import module_map_report
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -108,6 +111,31 @@ def brute_edge_condition(d):
     return True
 
 
+def free_nondegenerate(subgroups):
+    """The free subgroups W on which no nonzero element pairs to zero with
+    all of W, by enumerating W's elements."""
+    out = []
+    for W in subgroups:
+        sp = W.space
+        elems = _subgroup_elements(sp, W)
+        if W.order == sp.m ** W.rank and not any(
+                any(x) and not any(sp.pairing(x, y) for y in elems)
+                for x in elems):
+            out.append(W)
+    return out
+
+
+def splits_by_definition(vg, ev, complements):
+    """Condition vi read literally: ev pairs to zero with vg, and one of
+    the free nondegenerate subgroups W of vg is a complement of ev."""
+    sp = vg.space
+    if any(sp.pairing(x, y) for x in ev.canonical_gens()
+           for y in vg.canonical_gens()):
+        return False
+    return any(W.intersection(ev).order == 1 and W.add(ev) == vg
+               for W in complements)
+
+
 # --------------------------------------------------------------------------
 # construction and validity
 
@@ -178,6 +206,37 @@ def test_vertex_groups_must_be_orthogonal():
     ok = FramedDecomposition(sp, [[A1, B1], [A2, B2]], [[]], [(0, 1)],
                              [sp.zero()])
     assert validate(ok) == []
+
+
+def test_vertex_splitting_decided_over_Z():
+    sp = SympSpace(2, 0)
+    # <3a1+2a2, 3b1, b2> = <6b1-9b2> + <3a1+2a2, 3b1-4b2>, pairing 1
+    good = GraphDecomposition(
+        sp, [[(3, 0, 2, 0), (0, 3, 0, 0), B2]], [[(0, 6, 0, -9)]], [(0, 0)])
+    assert validate(good, ("vi",)) == []
+    # <a1, 2b1, 3a2, 3b2> is nondegenerate but its Gram determinant is 324
+    bad = GraphDecomposition(
+        sp, [[A1, (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]], [[]], [(0, 0)])
+    assert validate(bad, ("vi",)) == ["vi"]
+
+
+def test_vertex_splitting_against_definition():
+    spaces = [SympSpace(1, m) for m in range(2, 13)]
+    spaces += [SympSpace(2, 2), SympSpace(2, 3)]
+    pairs = 0
+    for sp in spaces:
+        subs = _subgroups_between(sp, sp.subgroup([]),
+                                  sp.subgroup(sp.identity_matrix()))
+        for vg in subs:
+            below = [ev for ev in subs
+                     if all(map(vg.contains, ev.canonical_gens()))]
+            complements = free_nondegenerate(below)
+            for ev in below:
+                d = GraphDecomposition(sp, [vg], [ev], [(0, 0)])
+                want = splits_by_definition(vg, ev, complements)
+                assert validate(d, ("vi",)) == ([] if want else ["vi"])
+                pairs += 1
+    assert pairs == 4756
 
 
 def test_marks_must_partition():

@@ -19,6 +19,8 @@ from levelnerve.symplectic import (
 )
 from oracles import lattice_reduce, module_map_report, snf
 
+moduli = st.sampled_from([0, 2, 3, 4, 6])
+
 
 def det(M):
     M = [list(r) for r in M]
@@ -365,6 +367,22 @@ def test_perp_and_radical():
     assert iso.is_isotropic()
     assert iso.radical() == iso
 
+    for m in (0, 2, 4):
+        trivial = SympSpace(2, m).subgroup([])
+        assert trivial.perp() == trivial.space.subgroup(
+            trivial.space.identity_matrix())
+        assert trivial.radical() == trivial
+
+
+@given(st.integers(1, 3), moduli, st.data())
+def test_radical_is_intersection_with_perp(g, m, data):
+    sp = SympSpace(g, m)
+    vec = st.lists(st.integers(-5, 5), min_size=sp.dim, max_size=sp.dim)
+    sub = sp.subgroup(data.draw(st.lists(vec, max_size=sp.dim + 1)))
+    rad = sub.radical()
+    assert rad == sub.intersection(sub.perp())
+    assert sub.is_isotropic() == (rad == sub)
+
 
 def test_intersection_and_sum():
     sp = SympSpace(2, 2)
@@ -605,7 +623,6 @@ def test_orbit_enumerate_deterministic():
 # the Z/m matrix kernel against dense and sympy references
 
 entries = st.one_of(st.just(0), st.integers(-7, 7))
-moduli = st.sampled_from([0, 2, 3, 4, 6])
 
 
 def dense_mat_mul(A, B):
