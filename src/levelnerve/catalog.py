@@ -162,11 +162,17 @@ class _Realizer:
         self.pres = presentation(g, n)
         self.model = self.pres.model
         self.B = self.model.B
+        self._public = {}
 
     def _std(self, down_word):
-        """Downstairs word -> public letters."""
-        w = self.model.to_std(self.model.rewrite(down_word))
-        return self.pres._kill_phantom(w)
+        """Downstairs word -> public letters, memoized: the families of
+        one signature meet a few hundred words over and over."""
+        w = self._public.get(down_word)
+        if w is None:
+            w = self.pres._kill_phantom(
+                self.model.to_std(self.model.rewrite(down_word)))
+            self._public[down_word] = w
+        return w
 
     def realize(self, family):
         """Build the MulticurveRep of a laminar family, or None when some
@@ -402,6 +408,15 @@ class _Realizer:
         return rep
 
 
+@lru_cache(maxsize=None)
+def _closed_u1_loop(g):
+    """The u_1 boundary loop of the closed genus-g model, public letters."""
+    pres = presentation(g, 0)
+    down_all = tuple(range(1, pres.model.B + 1))
+    return pres._kill_phantom(
+        pres.model.to_std(pres.model.rewrite(winv(down_all))))
+
+
 def _audit(rep):
     """Folded-subgroup and homology audit of a representative, realized or
     synthesized by curve deletion: piece subgroups have the free rank of
@@ -415,11 +430,8 @@ def _audit(rep):
     u1_holder = None
     if rep.n == 0:
         u1_holder = 0
-        model = pres.model
-        down_all = tuple(range(1, model.B + 1))
-        u1_loop = pres._kill_phantom(model.to_std(model.rewrite(
-            winv(down_all))))
-        _check(folded[0].contains(u1_loop), "u_1 slot on the root piece")
+        _check(folded[0].contains(_closed_u1_loop(rep.g)),
+               "u_1 slot on the root piece")
     ends = [0] * len(rep.pieces)
     for u, v in rep.graph.edges:
         ends[u] += 1

@@ -870,7 +870,7 @@ def cross_validate(X) -> dict:
             if viol:
                 offenders.append({"rank": k, "index": i,
                                   "check": "validity",
-                                  "detail": [v[0] for v in viol]})
+                                  "detail": list(viol)})
             if skip:
                 skipped.append({"rank": k, "index": i,
                                 "conditions": list(skip)})

@@ -53,6 +53,8 @@ def wsub(word, images) -> Word:
     """Evaluate word by substituting images[k-1] for generator k."""
     parts = []
     for x in word:
+        if not 0 < abs(x) <= len(images):
+            raise InvalidInputError(f"letter {x!r} outside 1..{len(images)}")
         im = images[abs(x) - 1]
         parts.append(im if x > 0 else winv(im))
     return wmul(*parts)
@@ -145,27 +147,34 @@ def format_word(word, names) -> str:
 
 class FoldedGraph:
     """Stallings folding of the subgroup of a free group generated by the
-    given words (loops at a base vertex of the bouquet cover)."""
+    given words (loops at a base vertex of the bouquet cover).
+
+    The loops are folded with a worklist: a union-find over vertices keeps
+    one letter -> neighbour dict per class, and a merge moves the smaller
+    dict into the larger, queueing each label clash as a further merge.
+    A merge removes a vertex and moves at most 2 * rank entries, so total
+    generator length L costs O(L * rank).  Vertex ids are internal."""
 
     def __init__(self, gens, rank: int):
         self.ambient_rank = rank
-        edges = []
-        nverts = 1
+        parent = [0]
+        adj = [{}]
+        pending = []
         for g in gens:
             w = wreduce(g)
             if max_letter(w) > rank:
                 raise InvalidInputError("generator uses a letter beyond the rank")
             prev = 0
             for i, x in enumerate(w):
-                nxt = 0 if i == len(w) - 1 else nverts + i
-                if x > 0:
-                    edges.append((prev, x, nxt))
-                else:
-                    edges.append((nxt, -x, prev))
+                nxt = 0 if i == len(w) - 1 else len(parent)
+                if nxt:
+                    parent.append(nxt)
+                    adj.append({})
+                for a, y, b in ((prev, x, nxt), (nxt, -x, prev)):
+                    t = adj[a].setdefault(y, b)
+                    if t != b:
+                        pending.append((t, b))
                 prev = nxt
-            nverts += max(len(w) - 1, 0)
-
-        parent = list(range(nverts))
 
         def find(v):
             while parent[v] != v:
@@ -173,38 +182,25 @@ class FoldedGraph:
                 v = parent[v]
             return v
 
-        # repeatedly identify targets of equally labeled edges at a vertex
-        while True:
-            seen = {}
-            clash = None
-            for (u, x, v) in edges:
-                u, v = find(u), find(v)
-                for key, tgt in (((u, x), v), ((v, -x), u)):
-                    if key in seen and seen[key] != tgt:
-                        clash = (seen[key], tgt)
-                        break
-                    seen[key] = tgt
-                if clash:
-                    break
-            if not clash:
-                break
-            a, b = find(clash[0]), find(clash[1])
-            parent[a] = b
+        while pending:
+            a, b = map(find, pending.pop())
+            if a == b:
+                continue
+            if len(adj[a]) < len(adj[b]):
+                a, b = b, a
+            parent[b] = a
+            for y, t in adj[b].items():
+                s = adj[a].setdefault(y, t)
+                if s != t:
+                    pending.append((s, t))
+            adj[b] = None
 
-        self._out = {}
-        vset = set()
-        eset = set()
-        for (u, x, v) in edges:
-            u, v = find(u), find(v)
-            vset.update((u, v))
-            eset.add((u, x, v))
-            self._out[(u, x)] = v
-            self._out[(v, -x)] = u
-        vset.add(find(0))
+        roots = [v for v in range(len(parent)) if parent[v] == v]
+        self._out = {(v, y): find(t) for v in roots for y, t in adj[v].items()}
         self.base = find(0)
-        self.n_vertices = len(vset)
-        self.n_edges = len(eset)
-        self._vertices = vset
+        self.n_vertices = len(roots)
+        # a folded edge u -x-> v is stored once as (u, x) and once as (v, -x)
+        self.n_edges = len(self._out) // 2
 
     def rank(self) -> int:
         return self.n_edges - self.n_vertices + 1
@@ -222,12 +218,11 @@ class FoldedGraph:
         return self.trace(word) == self.base
 
     def index(self):
-        """Index in the ambient free group if finite, else None."""
-        for v in self._vertices:
-            for x in range(1, self.ambient_rank + 1):
-                if (v, x) not in self._out or (v, -x) not in self._out:
-                    return None
-        return self.n_vertices
+        """Index in the ambient free group if finite, else None: finite
+        exactly when every vertex has an edge out with every letter."""
+        if len(self._out) == 2 * self.ambient_rank * self.n_vertices:
+            return self.n_vertices
+        return None
 
     def generates_ambient(self) -> bool:
         return self.index() == 1

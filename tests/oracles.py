@@ -3,8 +3,10 @@
 Each checks a package result by a separate route: contracting an edge
 undoes a degeneration, the module-map report reads the gluing condition
 off a plain Smith form, the catalog lookup finds a representative by its
-dual graph, snf computes the Smith form with both transforms, and
-lattice_reduce tests lattice membership against Hermite rows."""
+dual graph, snf computes the Smith form with both transforms,
+lattice_reduce tests lattice membership against Hermite rows, and
+RestartFoldedGraph folds a Stallings graph by rescanning every edge after
+each single merge."""
 
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
@@ -12,6 +14,7 @@ from levelnerve.errors import (InvalidInputError, LevelNerveError,
 from levelnerve.stablegraph import StableGraph
 from levelnerve.symplectic import (hnf, mat_identity, mod_row_kernel,
                                    snf_diagonal)
+from levelnerve.words import max_letter, wreduce
 
 
 def contract_edge(sg, idx):
@@ -183,3 +186,86 @@ def lattice_reduce(lattice_hnf, vec):
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
     return tuple(v)
+
+
+class RestartFoldedGraph:
+    """Stallings folding of the subgroup generated by the given words, by
+    repeatedly scanning all edges for the first two equally labelled
+    edges at one vertex, identifying their targets, and starting over."""
+
+    def __init__(self, gens, rank: int):
+        self.ambient_rank = rank
+        edges = []
+        nverts = 1
+        for g in gens:
+            w = wreduce(g)
+            if max_letter(w) > rank:
+                raise InvalidInputError("generator uses a letter beyond the rank")
+            prev = 0
+            for i, x in enumerate(w):
+                nxt = 0 if i == len(w) - 1 else nverts + i
+                if x > 0:
+                    edges.append((prev, x, nxt))
+                else:
+                    edges.append((nxt, -x, prev))
+                prev = nxt
+            nverts += max(len(w) - 1, 0)
+
+        parent = list(range(nverts))
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        while True:
+            seen = {}
+            clash = None
+            for (u, x, v) in edges:
+                u, v = find(u), find(v)
+                for key, tgt in (((u, x), v), ((v, -x), u)):
+                    if key in seen and seen[key] != tgt:
+                        clash = (seen[key], tgt)
+                        break
+                    seen[key] = tgt
+                if clash:
+                    break
+            if not clash:
+                break
+            a, b = find(clash[0]), find(clash[1])
+            parent[a] = b
+
+        self._out = {}
+        vset = set()
+        eset = set()
+        for (u, x, v) in edges:
+            u, v = find(u), find(v)
+            vset.update((u, v))
+            eset.add((u, x, v))
+            self._out[(u, x)] = v
+            self._out[(v, -x)] = u
+        vset.add(find(0))
+        self.base = find(0)
+        self.n_vertices = len(vset)
+        self.n_edges = len(eset)
+        self._vertices = vset
+
+    def rank(self) -> int:
+        return self.n_edges - self.n_vertices + 1
+
+    def contains(self, word) -> bool:
+        v = self.base
+        for x in wreduce(word):
+            v = self._out.get((v, x))
+            if v is None:
+                return False
+        return v == self.base
+
+    def index(self):
+        """Index in the ambient free group if finite, else None."""
+        for v in self._vertices:
+            for x in range(1, self.ambient_rank + 1):
+                if (v, x) not in self._out or (v, -x) not in self._out:
+                    return None
+        return self.n_vertices

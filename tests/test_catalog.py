@@ -1,5 +1,7 @@
 """Catalog of multicurve representatives: coverage, words, piece data."""
 
+import hashlib
+
 import pytest
 
 from levelnerve.catalog import (
@@ -150,3 +152,22 @@ def test_piece_counts_by_type():
         assert len(rep.pieces) == rep.graph.n_vertices()
         assert len(rep.words) == rep.graph.n_edges()
         assert rep.graph.genus() == 2 and rep.graph.is_stable()
+
+
+CATALOG_SHA256 = {
+    (1, 1): "91072ac0642718bf8df9f9606ce174b31c9e64be3256cf01f49c8a8085e9b560",
+    (1, 2): "ab7da2fc35c9c68d684c758d0f006efa6b3e41c9272abf62f6da385493fde71a",
+    (2, 0): "b34b9233162549a588dbd3ace7bbc654df0a303febad6b734a0168c2827d10aa",
+    (2, 1): "58bf9b0106dd0aeac25280e925cc3b70ed11815924fa8f5593c1330d6b668723",
+    (2, 2): "59fd2449ab773acbae4554e1d8b1e8434cd5a4ea67a304ed18fcb38074fa999f",
+}
+
+
+@pytest.mark.parametrize("g, n", sorted(CATALOG_SHA256))
+def test_catalog_representatives_pinned(g, n):
+    # the realized words, pieces and sides, not only the types, are what
+    # covers and nerves transport, so every byte of them is pinned
+    h = hashlib.sha256()
+    for rep in multicurve_catalog(g, n):
+        h.update(repr((rep.key, rep.words, rep.pieces, rep.sides)).encode())
+    assert h.hexdigest() == CATALOG_SHA256[(g, n)]

@@ -1,7 +1,8 @@
 """Integral homology and the edge-path group of small simplicial sets:
 spheres, a torus and the projective plane, with every boundary matrix
 checked against sympy.  Also curve deletion on catalog representatives and
-the capped validity retry of cross_validate."""
+the capped validity retry of cross_validate and the offender labels it
+reports."""
 
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from levelnerve.catalog import _audit, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _boundary_matrix,
                                   _finite_quotient, _validate_with_cap,
+                                  build_abelian_nerve, cross_validate,
                                   delete_curves, homology, pi1_report)
 from levelnerve.decomp import MAX_TREES, FramedDecomposition, validate
 from levelnerve.errors import InvalidInputError
@@ -160,3 +162,17 @@ def test_validate_with_cap_keeps_frame_past_the_tree_cap():
                             [sp.basis_a(1)] * 120)
     assert validate(d, ("frame",)) == ["frame"]
     assert _validate_with_cap(d) == (["i", "frame"], ("iv",))
+
+
+def test_cross_validate_names_violated_conditions():
+    # a loop decomposition whose vertex group <b> pairs with its edge
+    # group <a> and has no radical: conditions iii and vi both fail
+    X = build_abelian_nerve(1, 1, 2)
+    sp = X.decomps[0][0].space
+    bad = FramedDecomposition(sp, [[sp.basis_b(1)]], [[sp.basis_a(1)]],
+                              [(0, 0)], [sp.basis_a(1)], marks=[(1,)], n=1)
+    X.decomps = ((bad,) + X.decomps[0][1:],) + X.decomps[1:]
+    report = cross_validate(X)
+    assert not report["ok"]
+    assert [o["detail"] for o in report["offenders"]
+            if o["check"] == "validity"] == [["iii", "vi"]]

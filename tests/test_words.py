@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from levelnerve.errors import InvalidInputError
 from levelnerve.words import (
@@ -19,6 +20,7 @@ from levelnerve.words import (
     wreduce,
     wsub,
 )
+from oracles import RestartFoldedGraph
 
 
 def rand_word(rng, rank, length):
@@ -46,6 +48,9 @@ def test_substitute():
     # x -> xy, y -> y evaluated on the word x y^-1
     assert wsub((1, -2), [(1, 2), (2,)]) == (1,)
     assert wsub((), [(1,)]) == ()
+    for bad in ((0,), (3,), (1, -3)):
+        with pytest.raises(InvalidInputError):
+            wsub(bad, [(1,), (2,)])
 
 
 def test_cyclic_forms():
@@ -112,6 +117,62 @@ def test_folding_whole_group():
     assert fg.generates_ambient()
     assert fg.index() == 1
     assert fg.rank() == 2
+
+
+def schreier_generators(perms):
+    """Generators of the stabilizer of point 0 when letter k acts by
+    perms[k-1], one per orbit point and letter, and the orbit size."""
+    tree = {0: ()}
+    queue = [0]
+    for p in queue:
+        for k, perm in enumerate(perms, 1):
+            for x, q in ((k, perm[p]), (-k, perm.index(p))):
+                if q not in tree:
+                    tree[q] = tree[p] + (x,)
+                    queue.append(q)
+    gens = [wmul(tree[p], (k,), winv(tree[perm[p]]))
+            for p in tree for k, perm in enumerate(perms, 1)]
+    return gens, len(tree)
+
+
+@st.composite
+def fold_cases(draw):
+    """(rank, generators, probe words, known index or None): arbitrary
+    unreduced words (the empty list and trivial words included), proper
+    powers, or Schreier generators of a point stabilizer."""
+    rank = draw(st.integers(1, 4))
+    word = st.lists(st.integers(-rank, rank).filter(bool), max_size=8)
+    kind = draw(st.sampled_from(("words", "powers", "finite index")))
+    index = None
+    if kind == "words":
+        gens = draw(st.lists(word, max_size=5))
+    elif kind == "powers":
+        gens = [wpow(w, k) for w, k in
+                draw(st.lists(st.tuples(word, st.integers(2, 4)),
+                              min_size=1, max_size=3))]
+    else:
+        d = draw(st.integers(1, 5))
+        gens, index = schreier_generators(
+            [draw(st.permutations(range(d))) for _ in range(rank)])
+    return rank, gens, draw(st.lists(word, max_size=6)), index
+
+
+@given(fold_cases())
+@example((2, [], [[1], []], None))
+@example((2, [[], [1, -1], [2, 1, -1]], [[2], [1]], None))
+@example((3, [[1, 2, 1, 2, 1, 2], [3, 3]], [[1, 2], [3], [3, 3, 3, 3]],
+          None))
+@example((2, [[1, 1], [2], [1, 2, -1]], [[1], [1, 2, 2, -1]], 2))
+def test_worklist_fold_matches_restart_fold(case):
+    rank, gens, probes, index = case
+    new, old = FoldedGraph(gens, rank), RestartFoldedGraph(gens, rank)
+    assert (new.rank(), new.n_vertices, new.n_edges, new.index()) == \
+        (old.rank(), old.n_vertices, old.n_edges, old.index())
+    if index is not None:
+        assert new.index() == index
+    for w in [*gens, *probes, *(wpow(g, 2) for g in gens)]:
+        assert new.contains(w) == old.contains(w)
+    assert all(new.contains(g) for g in gens)
 
 
 def test_invert_basis_known():
