@@ -55,9 +55,9 @@ from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, hnf, hnf_transform,
-                         mod_row_kernel, orbit_enumerate, snf_diagonal,
-                         vec_mat)
+from .symplectic import (SympSpace, SympSubgroup, f2_image, hnf,
+                         hnf_transform, mod_row_kernel, orbit_enumerate,
+                         pack_f2, snf_diagonal, vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -131,22 +131,23 @@ def _sign_normal(space, vec):
 
 
 @lru_cache(maxsize=128)
-def _checked_inverse(g, m, F):
-    """Inverse of the reduced matrix F (a tuple of row tuples) over
-    (Z/m)^2g, or None when F is not symplectic.
+def _checked_matrix(g, m, F):
+    """(inverse, packed rows) of the reduced matrix F (a tuple of row
+    tuples) over (Z/m)^2g, or None when F is not symplectic.  The packed
+    rows are pack_f2 of each row of F at m = 2, and None otherwise.
 
     Memoized on the value (g, m, F): the deck matrices of a cover are
-    checked and inverted once, not once per lift or transported value,
-    and the self-check of the inverse runs once per distinct matrix.  The
-    fixed size bounds what it holds; the 16 deck matrices of the level-2
-    genus-2 homology cover fit many times over."""
+    checked, inverted and packed once, not once per lift or transported
+    value, and the self-check of the inverse runs once per distinct
+    matrix.  The fixed size bounds what it holds; the 16 deck matrices of
+    the level-2 genus-2 homology cover fit many times over."""
     space = SympSpace(g, m)
     if not space.is_symplectic(F):
         return None
     inv = space.symplectic_inverse(F)
     _check(space.mat_mul(F, inv) == space.identity_matrix(),
            "symplectic inverse")
-    return inv
+    return inv, (tuple(map(pack_f2, F)) if m == 2 else None)
 
 
 # --------------------------------------------------------------------------
@@ -542,10 +543,18 @@ def validate(d, conditions=None):
     return bad
 
 
-def _maps_onto(space, A: SympSubgroup, M, Minv, B: SympSubgroup) -> bool:
+def _maps_onto(space, A: SympSubgroup, M, Minv, B: SympSubgroup,
+               bits=None) -> bool:
     """Whether A * M = B, decided by memberships instead of a fresh
-    Hermite form per pair.  contains reduces its input, so the images
-    are left unreduced."""
+    Hermite form per pair.  With the packed rows bits of M (m = 2), each
+    image of A's packed echelon rows is an XOR of rows of M, and B clears
+    it by its own packed rows.  Otherwise the images are dense vec_mat
+    rows, left unreduced since contains reduces its input.  Over Z/m an
+    invertible M maps A onto a group of A's order, so A * M <= B and equal
+    orders settle it; over Z the images of B under Minv are checked too."""
+    if bits is not None:
+        return A.order == B.order and all(
+            B.contains_f2(f2_image(x, bits)) for _, x in A.f2_rows())
     if not all(B.contains(vec_mat(x, M)) for x in A.canonical_gens()):
         return False
     if space.m:
@@ -556,23 +565,30 @@ def _maps_onto(space, A: SympSubgroup, M, Minv, B: SympSubgroup) -> bool:
 def _action_natural(d: EquivariantDecomposition):
     space = d.space
     E = len(d.edges)
+    # at m = 2 frames are compared packed; _sign_normal is the identity
+    packed_frames = ([pack_f2(f) for f in d.frames] if space.m == 2
+                     else None)
     for M, vp, ep in zip(d.matrices, d.vperms, d.eperms):
-        Minv = _checked_inverse(space.g, space.m, M)
-        if Minv is None:
+        checked = _checked_matrix(space.g, space.m, M)
+        if checked is None:
             return False
+        Minv, bits = checked
         for e in range(E):
             u, v = d.edges[e]
             if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:
                 return False
             if not _maps_onto(space, d.edge_groups[e], M, Minv,
-                              d.edge_groups[ep[e]]):
+                              d.edge_groups[ep[e]], bits):
                 return False
-            if d.frames[ep[e]] != _sign_normal(
+            if bits is not None:
+                if packed_frames[ep[e]] != f2_image(packed_frames[e], bits):
+                    return False
+            elif d.frames[ep[e]] != _sign_normal(
                     space, space.mat_apply(d.frames[e], M)):
                 return False
         for v in range(d.V):
             if not _maps_onto(space, d.vertex_groups[v], M, Minv,
-                              d.vertex_groups[vp[v]]):
+                              d.vertex_groups[vp[v]], bits):
                 return False
             if len(d.marks[vp[v]]) != len(d.marks[v]):
                 return False
@@ -731,9 +747,10 @@ def sp_action(F, d):
     """Transport a decomposition through a symplectic matrix."""
     space = d.space
     F = space.reduce_matrix(F)
-    inv = _checked_inverse(space.g, space.m, F)
-    if inv is None:
+    checked = _checked_matrix(space.g, space.m, F)
+    if checked is None:
         raise InvalidInputError("matrix is not symplectic over the ambient")
+    inv = checked[0]
     vgroups = [vg.apply(F) for vg in d.vertex_groups]
     egroups = [eg.apply(F) for eg in d.edge_groups]
     if isinstance(d, EquivariantDecomposition):

@@ -20,6 +20,14 @@ inverses are read off its (h, t) pairs.  _rref_mod_p, the echelon over
 F_p, serves only the canonical form of prime moduli.  snf_diagonal gives
 the Smith divisors without transforms, and smith_normal_form is its
 checked entry point.
+
+At m = 2 a vector can also be packed into one int, bit k holding
+coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
+XOR of the packed rows of F at the set bits of x (f2_image).  A subgroup
+keeps its echelon rows packed as well (SympSubgroup.f2_rows), so that
+membership is a few XORs (SympSubgroup.contains_f2).  Only membership of
+images uses the packed rows; apply, perp, radical and vec_mat stay on
+row tuples, and odd primes stay on integer entries.
 """
 
 from __future__ import annotations
@@ -53,6 +61,22 @@ def vec_mat(x, F):
         if c:
             out = [a + c * b for a, b in zip(out, F[i])]
     return tuple(out)
+
+
+def pack_f2(vec):
+    """The int whose bit k is coordinate k of vec mod 2."""
+    return sum(1 << k for k, a in enumerate(vec) if a & 1)
+
+
+def f2_image(x, rows):
+    """x*F over F_2 for a packed x and the packed rows of F: the XOR of
+    the rows at the set bits of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= rows[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def hnf(rows):
@@ -360,7 +384,11 @@ class SympSubgroup:
     m*e_j where no row has pivot j.  That is the same Hermite form: the
     rows are upper triangular with pivots 1 or m, the entries above a pivot
     1 are 0 and those above a pivot m lie in [0, m).  So keys and
-    encodings do not depend on the path taken."""
+    encodings do not depend on the path taken.
+
+    At m = 2 the echelon rows are also kept packed, on first use, as
+    (pivot bit, row mask) pairs with bit k for coordinate k: f2_rows and
+    contains_f2 decide membership with one XOR per pivot."""
 
     def __init__(self, space: SympSpace, gens):
         self.space = space
@@ -370,10 +398,11 @@ class SympSubgroup:
         for r in rows:
             if len(r) != n:
                 raise InvalidInputError("generator has wrong length")
-        # filled on first use by canonical_gens() and contains(); the prime
-        # path knows the generators at once
+        # filled on first use by canonical_gens(), contains() and
+        # f2_rows(); the prime path knows the generators at once
         self._gens = None
         self._pivots = None
+        self._f2 = None
         if space.prime:
             basis = _rref_mod_p(rows, m, n)
             lattice = list(space._m_rows)
@@ -440,6 +469,24 @@ class SympSubgroup:
                 v = [a - q * b for a, b in zip(v, row)]
         return not any(v)
 
+    def f2_rows(self):
+        """The echelon rows packed by pack_f2, as (pivot bit, row mask)
+        pairs; m = 2 only.  Each row is 1 at its own pivot and 0 at every
+        other pivot."""
+        if self._f2 is None:
+            if self.space.m != 2:
+                raise InvalidInputError("packed rows need modulus 2")
+            self._f2 = tuple((x & -x, x) for x in map(pack_f2, self._gens))
+        return self._f2
+
+    def contains_f2(self, x) -> bool:
+        """Membership of a packed vector, m = 2 only: clear every pivot bit
+        of x with its row; x lies in the subgroup iff nothing is left."""
+        for p, r in self.f2_rows():
+            if x & p:
+                x ^= r
+        return not x
+
     def is_cyclic(self) -> bool:
         return self.rank <= 1
 
@@ -468,10 +515,13 @@ class SympSubgroup:
         ker = mod_row_kernel(cols, sp.m)
         return sp.subgroup([row for row in ker])
 
-    def intersection(self, other: "SympSubgroup"):
+    def _same_space(self, other):
         if self.space is not other.space and \
                 (self.space.g, self.space.m) != (other.space.g, other.space.m):
             raise InvalidInputError("subgroups live in different spaces")
+
+    def intersection(self, other: "SympSubgroup"):
+        self._same_space(other)
         A = self.lattice
         B = other.lattice
         if not A or not B:
@@ -487,6 +537,7 @@ class SympSubgroup:
         return self.space.subgroup(gens)
 
     def add(self, other: "SympSubgroup"):
+        self._same_space(other)
         return self.space.subgroup(self.canonical_gens()
                                    + other.canonical_gens())
 

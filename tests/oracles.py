@@ -4,16 +4,17 @@ Each checks a package result by a separate route: contracting an edge
 undoes a degeneration, the module-map report reads the gluing condition
 off a plain Smith form, the catalog lookup finds a representative by its
 dual graph, snf computes the Smith form with both transforms,
-lattice_reduce tests lattice membership against Hermite rows, and
+lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
-each single merge."""
+each single merge, and maps_onto compares a subgroup's image with another
+subgroup through dense images and Hermite-row membership."""
 
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
 from levelnerve.symplectic import (hnf, mat_identity, mod_row_kernel,
-                                   snf_diagonal)
+                                   snf_diagonal, vec_mat)
 from levelnerve.words import max_letter, wreduce
 
 
@@ -186,6 +187,18 @@ def lattice_reduce(lattice_hnf, vec):
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
     return tuple(v)
+
+
+def maps_onto(space, A, M, Minv, B):
+    """Whether A * M = B for an invertible M with inverse Minv: every
+    dense image of A's canonical generators lies in B, and then equal
+    orders settle it over Z/m, while over Z the images of B's generators
+    under Minv must lie in A."""
+    if not all(B.contains(vec_mat(x, M)) for x in A.canonical_gens()):
+        return False
+    if space.m:
+        return A.order == B.order
+    return all(A.contains(vec_mat(y, Minv)) for y in B.canonical_gens())
 
 
 class RestartFoldedGraph:

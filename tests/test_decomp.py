@@ -13,10 +13,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from levelnerve.errors import (InvalidInputError, ResourceLimitError,
                                UnsupportedError)
-from levelnerve.symplectic import SympSpace
+from levelnerve.symplectic import SympSpace, SympSubgroup
 from levelnerve.covers import abelian_cover, homology_cover, identity_cover
 from levelnerve.catalog import multicurve_catalog
 from levelnerve import decomp
@@ -27,7 +28,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                induced_from_multicurve, leq, sp_action,
                                validate)
 from levelnerve.complexes import _subgroup_elements, _subgroups_between
-from oracles import module_map_report
+from oracles import maps_onto, module_map_report
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -653,6 +654,102 @@ def test_tampered_action_is_reported():
     assert validate(wrong_vperm) == ["action"]
 
 
+def test_tampered_vertex_group_alone_is_reported():
+    # only the subgroup map breaks: matrices, perms, frames and marks stay
+    h2 = homology_cover(2, 0, 2)
+    d = induced_from_lift(h2, by_key(2, 0, SEP_KEY), 2)
+    assert validate(d, ("action",)) == []
+    sp = d.space
+    G = d.vertex_groups[0]
+    T = next(T for T in map(sp.transvection, sp.identity_matrix())
+             if G.apply(T) != G)
+    vgroups = (G.apply(T),) + d.vertex_groups[1:]
+    assert vgroups[0].order == G.order
+    tampered = EquivariantDecomposition(
+        sp, vgroups, d.edge_groups, d.edges, d.frames, d.marks, d.n,
+        d.group, d.matrices, d.vperms, d.eperms)
+    assert validate(tampered, ("frame", "action")) == ["action"]
+    assert "action" in validate(tampered)
+
+
+def test_tampered_frame_is_reported_by_the_action():
+    h2 = homology_cover(2, 0, 2)
+    d = induced_from_lift(h2, by_key(2, 0, NONSEP_KEY), 2)
+    assert len(set(d.frames)) == len(d.frames)
+    frames = (d.frames[1],) + d.frames[1:]
+    tampered = EquivariantDecomposition(
+        d.space, d.vertex_groups, d.edge_groups, d.edges, frames, d.marks,
+        d.n, d.group, d.matrices, d.vperms, d.eperms)
+    assert validate(tampered, ("action",)) == ["action"]
+
+
+def test_level_two_action_check_stays_packed(monkeypatch):
+    h2 = homology_cover(2, 0, 2)
+    d2 = induced_from_lift(h2, by_key(2, 0, NONSEP_KEY), 2)
+    loop = by_key(1, 1, (((0, (1,)),), ((0, 0),)))
+    d3 = induced_from_lift(homology_cover(1, 1, 3), loop, 3)
+
+    def refuse(*args):
+        raise AssertionError("dense image or membership called")
+
+    monkeypatch.setattr(decomp, "vec_mat", refuse)
+    monkeypatch.setattr(SympSubgroup, "contains", refuse)
+    assert validate(d2, ("action",)) == []
+    # m = 3 keeps the dense route
+    with pytest.raises(AssertionError, match="dense"):
+        validate(d3, ("action",))
+    monkeypatch.undo()
+    assert validate(d3, ("action",)) == []
+
+
+@st.composite
+def level_two_maps(draw):
+    """(g, rows of A, transvection vectors of M, how B is made, extra) at
+    m = 2, with vectors drawn as bitmasks."""
+    g = draw(st.integers(1, 17))
+    n = 2 * g
+    vec = st.integers(0, 2 ** n - 1).map(
+        lambda x: tuple(x >> k & 1 for k in range(n)))
+    rows = draw(st.lists(vec, max_size=g + 2))
+    tvecs = draw(st.lists(vec, max_size=5))
+    how = draw(st.sampled_from(["image", "perturbed", "unrelated"]))
+    extra = draw(st.lists(vec, min_size=1, max_size=g + 2))
+    return g, rows, tvecs, how, extra
+
+
+def _identity_rows(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+@given(level_two_maps())
+@example((2, [], [(1, 0, 1, 1)], "image", [(0, 0, 0, 0)]))
+@example((2, [], [(1, 0, 1, 1)], "unrelated", [(0, 1, 0, 0)]))
+@example((3, _identity_rows(6), [(1, 1, 0, 0, 1, 0)], "image",
+          [(0,) * 6]))
+@example((3, _identity_rows(6), [(1, 1, 0, 0, 1, 0)], "unrelated",
+          [(1, 0, 0, 0, 0, 0)]))
+@example((3, [(1, 0, 0, 0, 0, 0)], [(0, 1, 0, 0, 0, 0)], "perturbed",
+          [(0, 1, 0, 0, 0, 0)]))
+def test_packed_maps_onto_matches_dense_oracle(case):
+    g, rows, tvecs, how, extra = case
+    sp = SympSpace(g, 2)
+    M = sp.identity_matrix()
+    for v in tvecs:
+        M = sp.mat_mul(M, sp.transvection(v))
+    Minv, bits = decomp._checked_matrix(g, 2, M)
+    A = sp.subgroup(rows)
+    if how == "image":
+        B = A.apply(M)
+    elif how == "perturbed":
+        B = A.apply(M).apply(sp.transvection(extra[0]))
+        assert B.order == A.order
+    else:
+        B = sp.subgroup(extra)
+    want = maps_onto(sp, A, M, Minv, B)
+    assert decomp._maps_onto(sp, A, M, Minv, B, bits) == want
+    assert want == (A.apply(M) == B)
+
+
 def test_inverse_memo_keeps_every_verdict():
     spec = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
     d = induced_from_lift(spec, by_key(2, 0, NONSEP_KEY), 2)
@@ -674,9 +771,9 @@ def test_inverse_memo_is_keyed_on_the_modulus():
     # symplectic mod 2 (det 3 = 1) but not mod 4
     F = ((1, 0), (0, 3))
     for order in ((2, 4), (4, 2)):
-        decomp._checked_inverse.cache_clear()
-        got = {m: decomp._checked_inverse(1, m, F) for m in order}
-        assert got == {2: ((1, 0), (0, 1)), 4: None}
+        decomp._checked_matrix.cache_clear()
+        got = {m: decomp._checked_matrix(1, m, F) for m in order}
+        assert got == {2: (((1, 0), (0, 1)), (0b01, 0b10)), 4: None}
 
 
 def test_sp_action_transports_equivariant():

@@ -15,6 +15,7 @@ from levelnerve.symplectic import (
     mat_identity,
     mat_mul,
     mod_row_kernel,
+    pack_f2,
     snf_diagonal,
 )
 from oracles import lattice_reduce, module_map_report, snf
@@ -392,6 +393,33 @@ def test_intersection_and_sum():
     assert inter == sp.subgroup([sp.basis_a(1)])
     tot = s1.add(s2)
     assert tot.rank == 3
+
+
+def test_intersection_and_sum_refuse_other_spaces():
+    # (Z/2)^2 against (Z/3)^2: the sum used to return all of (Z/2)^2
+    s = SympSpace(1, 2).subgroup([(1, 0)])
+    t = SympSpace(1, 3).subgroup([(0, 1)])
+    for op in (s.add, s.intersection):
+        with pytest.raises(InvalidInputError, match="different spaces"):
+            op(t)
+    # an equal space built separately is the same space
+    assert s.add(SympSpace(1, 2).subgroup([(0, 1)])).order == 4
+
+
+def test_packed_membership_matches_dense():
+    sp = SympSpace(2, 2)
+    vecs = list(product((0, 1), repeat=4))
+    for gens in ([], [(1, 1, 0, 1)], [(1, 0, 1, 0), (0, 1, 1, 1)], vecs):
+        sub = sp.subgroup(gens)
+        assert [p for p, _ in sub.f2_rows()] == [
+            1 << next(j for j, a in enumerate(r) if a)
+            for r in sub.canonical_gens()]
+        for v in vecs:
+            # pack_f2 reads unreduced entries mod 2
+            w = tuple(a + 2 * k for k, a in enumerate(v))
+            assert sub.contains_f2(pack_f2(w)) == sub.contains(v)
+    with pytest.raises(InvalidInputError, match="modulus 2"):
+        SympSpace(2, 3).subgroup([(1, 0, 0, 0)]).f2_rows()
 
 
 def test_apply_matrix():
