@@ -20,10 +20,18 @@ conjunction of six independently reported conditions:
   vi.  each vertex group splits as the span of its incident edge groups
        plus a nondegenerate symplectic complement.
 
-Condition iv is decided exactly on the complements of spanning trees: the
-family of connected-complement edge sets is downward closed, a subset of a
-primitive basis spans primitively, so the tree complements are the only
-maximal cases.  Condition vi is decided in closed form: a vertex group
+Condition iv is decided in closed form.  The connected-complement edge
+sets are downward closed and a subset of a primitive basis spans
+primitively, so the cotrees (complements of spanning trees) are the only
+maximal ones.  Once the bond clause holds, each tree edge lies in its
+fundamental cut, a bond whose other edges are cotree edges, so its
+generator is a unit combination of cotree generators and every cotree
+spans the span S of all edge groups.  So iv holds exactly when the edge
+groups are cyclic, S is primitive of rank b_1(Y) and the bond clause
+holds; if S fails, so does one clause or the other, hence S is checked
+before the bond scan.
+
+Condition vi is decided in closed form: a vertex group
 splits as required exactly when its radical is the span of its incident
 edge groups and every Smith divisor d of the Gram matrix of its
 generators has gcd(d, m) in {1, m}.  Over Z/m the divisors say that the
@@ -44,7 +52,7 @@ two constructors induced_from_multicurve / induced_from_lift realize
 decompositions from catalog multicurves, directly on the base surface or
 through a finite cover with its deck action.
 
-All outputs are deterministic: trees, subgraph enumerations and canonical
+All outputs are deterministic: bonds, subgraph enumerations and canonical
 forms depend only on the stored vertex and edge order.
 """
 
@@ -65,7 +73,6 @@ from .words import winv, wmul
 from . import covers
 
 # caps for the exhaustive parts of validate
-MAX_TREES = 4096
 MAX_SUM_CHOICES = 65536
 MAX_CANONICAL_PERMS = 362880
 
@@ -148,6 +155,14 @@ def _checked_matrix(g, m, F):
     _check(space.mat_mul(F, inv) == space.identity_matrix(),
            "symplectic inverse")
     return inv, (tuple(map(pack_f2, F)) if m == 2 else None)
+
+
+@lru_cache(maxsize=128)
+def _reduced_matrix(g, m, M):
+    """The rows of M (a tuple of row tuples) reduced over (Z/m)^2g,
+    memoized on the value like _checked_matrix, so that the deck matrices
+    shared by the lifts of one cover are reduced once."""
+    return SympSpace(g, m).reduce_matrix(M)
 
 
 # --------------------------------------------------------------------------
@@ -271,7 +286,8 @@ class EquivariantDecomposition(FramedDecomposition):
         super().__init__(space, vertex_groups, edge_groups, edges, frames,
                          marks, n)
         self.group = group
-        self.matrices = tuple(tuple(self.space.reduce(r) for r in M)
+        self.matrices = tuple(_reduced_matrix(space.g, space.m,
+                                              tuple(map(tuple, M)))
                               for M in matrices)
         self.vperms = tuple(tuple(int(x) for x in p) for p in vperms)
         self.eperms = tuple(tuple(int(x) for x in p) for p in eperms)
@@ -358,43 +374,9 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
     return (True, injective, image)
 
 
-def _all_spanning_trees(edges, V, cap=MAX_TREES):
-    """All spanning trees as sorted edge-index tuples, capped."""
-    E = len(edges)
-    need = V - 1
-    out = []
-
-    def grow(chosen, start, comp):
-        if len(out) > cap:
-            raise ResourceLimitError("spanning tree enumeration cap")
-        if len(chosen) == need:
-            out.append(tuple(chosen))
-            return
-        for e in range(start, E):
-            u, v = edges[e]
-            if comp[u] == comp[v]:
-                continue
-            rest = chosen + [e]
-            remaining = [edges[i] for i in rest + list(range(e + 1, E))]
-            if len(components(V, remaining)) != 1:
-                continue
-            nc = list(comp)
-            old, new = max(nc[u], nc[v]), min(nc[u], nc[v])
-            for i in range(V):
-                if nc[i] == old:
-                    nc[i] = new
-            grow(rest, e + 1, nc)
-
-    if V == 1:
-        return [()]
-    grow([], 0, list(range(V)))
-    return out
-
-
 def _bonds(edges, V):
-    """Minimal disconnecting edge sets: the nonempty crossing sets of the
-    bipartitions whose other edges leave two components, i.e. two
-    connected halves."""
+    """Minimal disconnecting edge sets (bonds): a cut is minimal exactly
+    when both of its sides are connected."""
     out = set()
     for bits in range(2 ** (V - 1)):
         side = {0} | {v for v in range(1, V) if bits >> (v - 1) & 1}
@@ -438,8 +420,9 @@ def _splits_off_radical(space, vg: SympSubgroup, ev: SympSubgroup):
 def validate(d, conditions=None):
     """Violated condition labels, in the fixed order i..vi, frame, action.
 
-    `conditions` restricts the checked subset (labels as strings); the
-    default checks everything the kind of decomposition carries."""
+    `conditions` restricts the checked labels; the default checks all
+    that the kind of decomposition carries.  Raises ResourceLimitError
+    when a bond has more than MAX_SUM_CHOICES generator choices."""
     if not isinstance(d, GraphDecomposition):
         raise InvalidInputError("not a decomposition")
     space = d.space
@@ -487,16 +470,10 @@ def validate(d, conditions=None):
             bad.append("iii")
 
     if "iv" in wanted:
-        ok = all(eg.is_cyclic() for eg in d.edge_groups)
-        if ok:
-            full = set(range(len(d.edges)))
-            for tree in _all_spanning_trees(d.edges, d.V):
-                co = sorted(full - set(tree))
-                span = space.subgroup([v for e in co for v in
-                                       d.edge_groups[e].canonical_gens()])
-                if not (span.rank == len(co) and span.is_primitive()):
-                    ok = False
-                    break
+        S = space.subgroup([v for eg in d.edge_groups
+                            for v in eg.canonical_gens()])
+        ok = (all(eg.is_cyclic() for eg in d.edge_groups)
+              and S.rank == d.b1() and S.is_primitive())
         if ok:
             for bond in _bonds(d.edges, d.V):
                 choice_lists = [_generator_choices(d.edge_groups[e])

@@ -15,7 +15,7 @@ from levelnerve.complexes import (FinSimpSet, _boundary_matrix,
                                   _finite_quotient, _validate_with_cap,
                                   build_abelian_nerve, cross_validate,
                                   delete_curves, homology, pi1_report)
-from levelnerve.decomp import MAX_TREES, FramedDecomposition, validate
+from levelnerve.decomp import MAX_SUM_CHOICES, FramedDecomposition, validate
 from levelnerve.errors import InvalidInputError
 from levelnerve.symplectic import SympSpace, snf_diagonal
 
@@ -152,16 +152,18 @@ def test_every_proper_deletion_passes_the_catalog_audit():
     assert count == 102
 
 
-def test_validate_with_cap_keeps_frame_past_the_tree_cap():
-    # 40 parallel edges on each side of a triangle: 3 * 40**2 spanning
-    # trees, beyond the cap, so the full battery gives up at condition iv
-    sp = SympSpace(2, 2)
-    edges = [e for e in ((0, 1), (1, 2), (0, 2)) for _ in range(40)]
-    assert 3 * 40 ** 2 > MAX_TREES
-    d = FramedDecomposition(sp, [[]] * 3, [[]] * 120, edges,
-                            [sp.basis_a(1)] * 120)
+def test_validate_with_cap_keeps_frame_past_the_bond_cap():
+    # three parallel edges <a1>, <a2>, <a1 + a2> over Z/47 form one bond
+    # with 46**3 generator choices, beyond the cap, so the full battery
+    # gives up at condition iv
+    sp = SympSpace(2, 47)
+    a1, a2 = sp.basis_a(1), sp.basis_a(2)
+    a12 = sp.reduce([x + y for x, y in zip(a1, a2)])
+    assert 46 ** 3 > MAX_SUM_CHOICES
+    d = FramedDecomposition(sp, [[a1, a2]] * 2, [[a1], [a2], [a12]],
+                            [(0, 1)] * 3, [sp.basis_b(1)] * 3)
     assert validate(d, ("frame",)) == ["frame"]
-    assert _validate_with_cap(d) == (["i", "frame"], ("iv",))
+    assert _validate_with_cap(d) == (["frame"], ("iv",))
 
 
 def test_cross_validate_names_violated_conditions():

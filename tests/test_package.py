@@ -1,7 +1,8 @@
 """The runtime uses the standard library only: every absolute import in the
 package names a stdlib module, and pyproject.toml declares no dependency.
-Every public name of the package is referenced by the package or the
-benchmark, apart from a short list of entry points that only tests call."""
+Every name the package defines, private or public, is referenced by the
+package or the benchmark, apart from a short list of entry points that
+only tests call."""
 
 import ast
 import sys
@@ -45,18 +46,25 @@ TEST_ONLY = {"FinSimpSet.from_data", "identity_cover", "cover_spec_to_data",
              "StableGraph.automorphisms", "equivalent", "leq"}
 
 
-def public_definitions(path):
-    """(qualified name, first line, last line) of every public top-level
-    def or class and every public method."""
+def definitions(path):
+    """(qualified name, first line, last line) of every top-level def or
+    class, every method and every module-level constant, dunders
+    excepted."""
+    def named(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+
     for node in ast.parse(path.read_text(), str(path)).body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        if not node.name.startswith("_"):
-            yield node.name, node.lineno, node.end_lineno
+        for name in named(node):
+            if not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and \
-                        not sub.name.startswith("_"):
+                        not sub.name.startswith("__"):
                     yield f"{node.name}.{sub.name}", sub.lineno, sub.end_lineno
 
 
@@ -76,16 +84,18 @@ def references(path):
             yield node.lineno, node.value.rsplit(".", 1)[-1]
 
 
-def test_public_names_are_referenced():
+def test_definitions_are_referenced():
     """A name counts as referenced when code in src/ or perfbench/ uses it
     outside its own definition; docstrings and comments do not count.  A
     method is matched by its attribute name alone, whatever the receiver,
-    so a method sharing its name with any other used attribute passes."""
+    so a method sharing its name with any other used attribute passes.
+    Private names count too, so a dead helper or a leftover constant
+    fails."""
     refs = {path: list(references(path))
             for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
     unreferenced = []
     for path in SOURCES:
-        for name, first, last in public_definitions(path):
+        for name, first, last in definitions(path):
             short = name.rsplit(".", 1)[-1]
             if not any(ref == short
                        and (other != path or not first <= line <= last)
@@ -93,6 +103,6 @@ def test_public_names_are_referenced():
                        for line, ref in found):
                 unreferenced.append(name)
     extra = sorted(set(unreferenced) - TEST_ONLY)
-    assert not extra, f"public names nothing references: {extra}"
+    assert not extra, f"names nothing references: {extra}"
     stale = sorted(TEST_ONLY - set(unreferenced))
     assert not stale, f"referenced now, drop from TEST_ONLY: {stale}"
