@@ -27,7 +27,7 @@ import itertools
 from . import covers
 from .catalog import (MulticurveRep, Piece, Side, _audit, catalog_coverage,
                       multicurve_catalog)
-from .decomp import (_CONDITIONS, FramedDecomposition, canonical_form,
+from .decomp import (FramedDecomposition, canonical_form,
                      induced_from_lift, induced_from_multicurve, sp_action,
                      validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
@@ -751,25 +751,6 @@ def homology(X, q):
 # cross validation
 
 
-def _validate_with_cap(d):
-    """validate(), retrying condition by condition under resource caps."""
-    try:
-        return validate(d), ()
-    except ResourceLimitError:
-        pass
-    viol = []
-    skipped = []
-    # validate() checks only the conditions the decomposition's kind has
-    for lab in _CONDITIONS:
-        try:
-            viol.extend(validate(d, (lab,)))
-        except ResourceLimitError:
-            skipped.append(lab)
-        except InvalidInputError:
-            pass
-    return viol, tuple(skipped)
-
-
 def _subgroup_elements(space, sub):
     steps = [[s * b for b in v] for v in sub.canonical_gens()
              for s in (1, -1)]
@@ -837,12 +818,10 @@ def cross_validate(X) -> dict:
     """Re-derive the complex by independent means and compare.
 
     Checks: every stored simplex's canonical form matches its table
-    entry; every stored decomposition passes the validity battery
-    (conditions that exceed resource caps are recorded as skipped, not
-    failed); for the base complex of the closed genus 2 surface at
-    modulus 2, an exhaustive enumeration of valid framed decompositions
-    per type must reproduce each orbit exactly.  Mismatches are reported,
-    not raised."""
+    entry; every stored decomposition passes the validity battery; for
+    the base complex of the closed genus 2 surface at modulus 2, an
+    exhaustive enumeration of valid framed decompositions per type must
+    reproduce each orbit exactly.  Mismatches are reported, not raised."""
     if X.decomps is None or X.provenance is None:
         raise InvalidInputError(
             "cross validation needs the built decompositions")
@@ -862,22 +841,17 @@ def cross_validate(X) -> dict:
                    "count": n_align})
 
     n_valid = 0
-    skipped = []
     for k in range(X.top_rank + 1):
         for i, d in enumerate(X.decomps[k]):
             n_valid += 1
-            viol, skip = _validate_with_cap(d)
+            viol = validate(d)
             if viol:
                 offenders.append({"rank": k, "index": i,
-                                  "check": "validity",
-                                  "detail": list(viol)})
-            if skip:
-                skipped.append({"rank": k, "index": i,
-                                "conditions": list(skip)})
+                                  "check": "validity", "detail": viol})
     checks.append({"name": "stored decompositions valid",
                    "ok": not any(o["check"] == "validity"
                                  for o in offenders),
-                   "count": n_valid, "skipped": skipped})
+                   "count": n_valid})
 
     meta = X.meta
     brute_applicable = (

@@ -13,23 +13,31 @@ conjunction of six independently reported conditions:
        (so E is isotropic), and distinct vertex groups pair to zero with
        each other (cycles on disjoint pieces do not meet);
   iv.  edge groups are cyclic; every edge set whose removal keeps Y
-       connected spans a primitive subgroup of matching rank, and every
-       minimal disconnecting edge set admits generators summing to zero;
+       connected spans a free primitive subgroup of rank its size, and
+       every minimal disconnecting edge set admits generators summing to zero;
   v.   a vertex with at most two ends-plus-marks carries a group of rank
        at least two (a loop contributes two ends to its vertex);
   vi.  each vertex group splits as the span of its incident edge groups
        plus a nondegenerate symplectic complement.
 
-Condition iv is decided in closed form.  The connected-complement edge
-sets are downward closed and a subset of a primitive basis spans
-primitively, so the cotrees (complements of spanning trees) are the only
-maximal ones.  Once the bond clause holds, each tree edge lies in its
-fundamental cut, a bond whose other edges are cotree edges, so its
-generator is a unit combination of cotree generators and every cotree
-spans the span S of all edge groups.  So iv holds exactly when the edge
-groups are cyclic, S is primitive of rank b_1(Y) and the bond clause
-holds; if S fails, so does one clause or the other, hence S is checked
-before the bond scan.
+Condition iv is decided in closed form.  Connected-complement edge sets
+are downward closed, so only the cotrees (complements of spanning trees)
+matter, and under the bond clause every cotree spans the span S of all
+edge groups: each tree generator is a unit combination of the cotree
+generators on its fundamental cut.  So iv holds exactly when the edge
+groups are cyclic, S is primitive and free of rank b_1(Y), and the bond
+clause holds.  ("Free" matters only when m has two or more prime factors:
+<(3, 0)> in (Z/6)^2 is primitive but is Z/2.)  The bond clause is decided
+on one spanning tree T.  Write each tree generator as c_t = sum a_{t,f} c_f
+over the cotree generators; the clause holds exactly when a_{t,f} is a
+unit for f on the fundamental cut of t and 0 off it, and the gains
+-a_{t,f} s_t(f), with s_t the +-1 sign across that cut and s_t(t) = 1,
+equal u_f / u_t for unit potentials u.  If so, the u_e c_e sum to zero
+across every fundamental cut, hence across every cut.  Conversely, every
+cotree is then a basis of S and the fundamental cuts give the support and
+the units; for tree edges t_i at a vertex x linked through cotree edges,
+with X_0 the part of T - {t_i} holding x, the bond delta(X_0) makes their
+ratios agree, and a cycle in the line graph of a tree stays at one vertex.
 
 Condition vi is decided in closed form: a vertex group
 splits as required exactly when its radical is the span of its incident
@@ -52,8 +60,9 @@ two constructors induced_from_multicurve / induced_from_lift realize
 decompositions from catalog multicurves, directly on the base surface or
 through a finite cover with its deck action.
 
-All outputs are deterministic: bonds, subgraph enumerations and canonical
-forms depend only on the stored vertex and edge order.
+All outputs are deterministic: the spanning tree of the bond clause,
+subgraph enumerations and canonical forms depend only on the stored
+vertex and edge order.
 """
 
 import itertools
@@ -72,8 +81,7 @@ from .stablegraph import components, relabelings
 from .words import winv, wmul
 from . import covers
 
-# caps for the exhaustive parts of validate
-MAX_SUM_CHOICES = 65536
+# cap for the exhaustive search of canonical_form
 MAX_CANONICAL_PERMS = 362880
 
 _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
@@ -336,9 +344,7 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
         offs.append(offs[-1] + len(gg))
     total = offs[-1]
     amb = [list(v) for gg in gens for v in gg]
-    m, n = space.m, space.dim
-    mod = ([[m if j == i else 0 for j in range(n)] for i in range(n)]
-           if m else [])
+    mod = [list(r) for r in space._m_rows]
     # one transform per vertex block, over its generators and m*Z^n: its
     # kernel rows are the block's internal relations, and it expresses
     # the edge generators in the block
@@ -374,38 +380,70 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
     return (True, injective, image)
 
 
-def _bonds(edges, V):
-    """Minimal disconnecting edge sets (bonds): a cut is minimal exactly
-    when both of its sides are connected."""
-    out = set()
-    for bits in range(2 ** (V - 1)):
-        side = {0} | {v for v in range(1, V) if bits >> (v - 1) & 1}
-        crossing = [(u in side) != (v in side) for (u, v) in edges]
-        cut = tuple(e for e, c in enumerate(crossing) if c)
-        inner = [uv for uv, c in zip(edges, crossing) if not c]
-        if cut and len(components(V, inner)) == 2:
-            out.add(cut)
-    return sorted(out)
-
-
-def _generator_choices(sub: SympSubgroup):
-    """All module elements generating a cyclic subgroup."""
+def _generator(sub: SympSubgroup):
+    """An element generating the cyclic group sub (zero if trivial).  The
+    canonical generators of <(3, 2)> mod 6 are (3, 0) and (0, 2), so they
+    are merged: x + j*g generates <x, g> for some j."""
     space = sub.space
-    gens = sub.canonical_gens()
-    if not gens:
-        return [space.zero()]
-    if sub.rank != 1:
-        raise InvalidInputError("generator choices of a non-cyclic subgroup")
-    c = gens[0]
-    if space.m == 0:
-        return [c, tuple(-x for x in c)]
-    order = sub.order
-    out = []
-    for k in range(1, order + 1):
-        v = space.reduce([k * x for x in c])
-        if math.gcd(k, order) == 1:
-            out.append(v)
-    return out
+    x, *rest = sub.canonical_gens() or [space.zero()]
+    for g in rest:
+        want = space.subgroup([x, g])
+        x = next(y for y in (space.reduce([a + j * b for a, b in zip(x, g)])
+                             for j in range(space.m))
+                 if space.subgroup([y]) == want)
+    return x
+
+
+def _bond_clause(d):
+    """The bond clause of iv, for cyclic edge groups, on the spanning tree
+    of the edges that join two components in stored order."""
+    space = d.space
+    m = space.m
+    gens = [_generator(eg) for eg in d.edge_groups]
+    tree = []
+    for e in range(len(d.edges)):
+        if len(components(d.V, [d.edges[x] for x in tree + [e]])) \
+                < d.V - len(tree):
+            tree.append(e)
+    cotree = [e for e in range(len(d.edges)) if e not in tree]
+    pairs = hnf_transform([list(gens[f]) for f in cotree]
+                          + [list(r) for r in space._m_rows])
+    # links[e] holds (e2, g): the potential of e2 is g times that of e.
+    # Over Z every gain is +-1, and these stay apart modulo q = 3.
+    q = m or 3
+    links = {e: [] for e in range(len(d.edges))}
+    for t in tree:
+        # the side of the fundamental cut of t that holds its first end
+        side = next(p for p in components(d.V, [d.edges[x] for x in tree
+                                                if x != t])
+                    if d.edges[t][0] in p)
+        sign = [(a in side) - (b in side) for a, b in d.edges]
+        coords = _int_coords(pairs, gens[t])
+        if coords is None:
+            return False
+        for f, c in zip(cotree, coords):
+            c = c % m if m else c
+            # a unit on the cut of t, zero off it
+            if (math.gcd(c, m) != 1) if sign[f] else c:
+                return False
+            if sign[f]:
+                g = -c * sign[f] % q
+                links[t].append((f, g))
+                links[f].append((t, pow(g, -1, q)))
+    pot = {}
+    for root in links:
+        if root in pot:
+            continue
+        pot[root] = 1
+        queue = [root]
+        for x in queue:
+            for y, g in links[x]:
+                if y not in pot:
+                    pot[y] = pot[x] * g % q
+                    queue.append(y)
+                elif pot[y] != pot[x] * g % q:
+                    return False
+    return True
 
 
 def _splits_off_radical(space, vg: SympSubgroup, ev: SympSubgroup):
@@ -421,8 +459,7 @@ def validate(d, conditions=None):
     """Violated condition labels, in the fixed order i..vi, frame, action.
 
     `conditions` restricts the checked labels; the default checks all
-    that the kind of decomposition carries.  Raises ResourceLimitError
-    when a bond has more than MAX_SUM_CHOICES generator choices."""
+    that the kind of decomposition carries."""
     if not isinstance(d, GraphDecomposition):
         raise InvalidInputError("not a decomposition")
     space = d.space
@@ -473,22 +510,8 @@ def validate(d, conditions=None):
         S = space.subgroup([v for eg in d.edge_groups
                             for v in eg.canonical_gens()])
         ok = (all(eg.is_cyclic() for eg in d.edge_groups)
-              and S.rank == d.b1() and S.is_primitive())
-        if ok:
-            for bond in _bonds(d.edges, d.V):
-                choice_lists = [_generator_choices(d.edge_groups[e])
-                                for e in bond]
-                count = 1
-                for ch in choice_lists:
-                    count *= len(ch)
-                if count > MAX_SUM_CHOICES:
-                    raise ResourceLimitError("bond generator choice cap")
-                if not any(
-                        not any(space.reduce(
-                            [sum(t) for t in zip(*pick)]))
-                        for pick in itertools.product(*choice_lists)):
-                    ok = False
-                    break
+              and S.invariants == (space.m,) * d.b1() and S.is_primitive()
+              and _bond_clause(d))
         if not ok:
             bad.append("iv")
 

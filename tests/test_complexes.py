@@ -1,8 +1,8 @@
 """Integral homology and the edge-path group of small simplicial sets:
 spheres, a torus and the projective plane, with every boundary matrix
-checked against sympy.  Also curve deletion on catalog representatives and
-the capped validity retry of cross_validate and the offender labels it
-reports."""
+checked against sympy.  Also curve deletion on catalog representatives,
+a bond that validate decides without enumerating generator choices, and
+the offender labels cross_validate reports."""
 
 from itertools import combinations
 
@@ -12,10 +12,10 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from levelnerve.catalog import _audit, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _boundary_matrix,
-                                  _finite_quotient, _validate_with_cap,
-                                  build_abelian_nerve, cross_validate,
-                                  delete_curves, homology, pi1_report)
-from levelnerve.decomp import MAX_SUM_CHOICES, FramedDecomposition, validate
+                                  _finite_quotient, build_abelian_nerve,
+                                  cross_validate, delete_curves, homology,
+                                  pi1_report)
+from levelnerve.decomp import FramedDecomposition, validate
 from levelnerve.errors import InvalidInputError
 from levelnerve.symplectic import SympSpace, snf_diagonal
 
@@ -152,18 +152,16 @@ def test_every_proper_deletion_passes_the_catalog_audit():
     assert count == 102
 
 
-def test_validate_with_cap_keeps_frame_past_the_bond_cap():
+def test_validate_decides_a_bond_with_many_generator_choices():
     # three parallel edges <a1>, <a2>, <a1 + a2> over Z/47 form one bond
-    # with 46**3 generator choices, beyond the cap, so the full battery
-    # gives up at condition iv
+    # with 46**3 generator choices; validate decides it without a cap and
+    # finds only the frames wrong
     sp = SympSpace(2, 47)
     a1, a2 = sp.basis_a(1), sp.basis_a(2)
     a12 = sp.reduce([x + y for x, y in zip(a1, a2)])
-    assert 46 ** 3 > MAX_SUM_CHOICES
     d = FramedDecomposition(sp, [[a1, a2]] * 2, [[a1], [a2], [a12]],
                             [(0, 1)] * 3, [sp.basis_b(1)] * 3)
-    assert validate(d, ("frame",)) == ["frame"]
-    assert _validate_with_cap(d) == (["frame"], ("iv",))
+    assert validate(d) == ["frame"]
 
 
 def test_cross_validate_names_violated_conditions():

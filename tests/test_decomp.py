@@ -55,18 +55,17 @@ def by_key(g, n, key):
 
 def unit_multiples(sub):
     """Every generator of a cyclic subgroup, zero vector for the trivial
-    one; written directly from the order, independent of the module under
-    test."""
+    one: over Z/m the elements whose cyclic span is the subgroup, found
+    among all its elements, independent of the module under test."""
     sp = sub.space
     gens = sub.canonical_gens()
     if not gens:
         return [(0,) * sp.dim]
-    c = gens[0]
     if sp.m == 0:
+        c = gens[0]
         return [c, tuple(-x for x in c)]
-    return [sp.reduce([k * x for x in c])
-            for k in range(1, sub.order + 1)
-            if math.gcd(k, sub.order) == 1]
+    return [x for x in _subgroup_elements(sp, sub)
+            if sp.subgroup([x]) == sub]
 
 
 def brute_edge_condition(d):
@@ -98,7 +97,8 @@ def brute_edge_condition(d):
                 continue
             span = sp.subgroup([x for e in sub
                                 for x in d.edge_groups[e].canonical_gens()])
-            if not (span.rank == len(sub) and span.is_primitive()):
+            if not (span.invariants == (sp.m,) * len(sub)
+                    and span.is_primitive()):
                 return False
     for r in range(1, E + 1):
         for sub in itertools.combinations(range(E), r):
@@ -280,23 +280,52 @@ def test_bond_sum_violation():
     assert not brute_edge_condition(d)
 
 
+def test_bond_without_unit_coordinates_is_rejected():
+    # three parallel edges <a1>, <a1>, <a2> over Z/47: S = <a1, a2> is free
+    # of rank b1 = 2, but the bond, with its 46**3 generator choices, has
+    # no zero sum, since a1 has no a2 coordinate
+    sp = SympSpace(2, 47)
+    a1, a2 = sp.basis_a(1), sp.basis_a(2)
+    d = GraphDecomposition(sp, [[a1, a2]] * 2, [[a1], [a1], [a2]],
+                           [(0, 1)] * 3)
+    assert validate(d) == ["iv"]
+
+
 @st.composite
 def edge_condition_cases(draw):
     """A connected graph with loops and parallel edges and cyclic edge
-    groups, over m in {0, 2, 3, 4, 6}.  About half the draws make the bond
-    clause hold: each tree edge's generator is minus the signed sum of the
-    cotree generators across its fundamental cut.  Sometimes one generator
-    is then scaled by 2 or 3."""
-    m = draw(st.sampled_from((0, 2, 3, 4, 6)))
+    groups, over m in {0, 2, 3, 4, 5, 6, 8}.  Two draws in three have at
+    most 2g cotree edges, whose generators are rows of a unitriangular
+    matrix and so span a free direct summand, and put each tree edge's
+    generator on the cotree generators across its fundamental cut, with
+    the support the bond clause needs: in "balanced" mode it is minus
+    their signed sum, so the clause holds; in "units" mode every cotree
+    generator gets its own random unit and the sum a random unit scale, so
+    the clause holds exactly when these units balance.  Otherwise one
+    generator is sometimes scaled by 2 or 3."""
+    m = draw(st.sampled_from((0, 2, 3, 4, 5, 6, 8)))
     sp = SympSpace(draw(st.integers(1, 2)), m)
-    V = draw(st.integers(1, 4))
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, V)]
+    mode = draw(st.sampled_from(("random", "balanced", "units")))
+    # validate takes the drawn tree, which comes first; units can fail to
+    # balance only where cotree edges link tree edges in a cycle, so the
+    # tree is then the star at vertex 0 and cotree edges join two leaves
+    units = mode == "units"
+    V = draw(st.integers(3 if units else 1, 4))
+    tree = [(0 if units else draw(st.integers(0, v - 1)), v)
+            for v in range(1, V)]
     vertex = st.integers(0, V - 1)
-    edges = tree + draw(st.lists(st.tuples(vertex, vertex),
-                                 max_size=6 - len(tree)))
+    pair = (st.sampled_from([(a, b) for b in range(V) for a in range(1, b)])
+            if units else st.tuples(vertex, vertex))
+    cotree = 6 - len(tree) if mode == "random" else min(6 - len(tree), sp.dim)
+    edges = tree + draw(st.lists(pair, min_size=2 if units else 0,
+                                 max_size=cotree))
     entry = st.integers(-2, 2) if m == 0 else st.integers(0, m - 1)
     gens = [list(draw(st.tuples(*[entry] * sp.dim))) for _ in edges]
-    if draw(st.booleans()):
+    unit = st.sampled_from([k for k in range(-1, max(m, 2))
+                            if math.gcd(k, m) == 1])
+    if mode != "random":
+        for j in range(len(edges) - len(tree)):
+            gens[len(tree) + j][:j + 1] = [0] * j + [1]
         for t, (_, child) in enumerate(tree):
             below = {child}
             for u, v in tree[child:]:
@@ -304,11 +333,13 @@ def edge_condition_cases(draw):
                     below.add(v)
             # the sign of an edge across the cut, from its first end
             sign = [(a in below) - (b in below) for a, b in edges]
-            total = [sum(sign[e] * gens[e][k]
-                         for e in range(len(tree), len(edges)))
-                     for k in range(sp.dim)]
-            gens[t] = [-sign[t] * x for x in total]
-    if edges:
+            coef = [sign[e] * (draw(unit) if units and sign[e] else 1)
+                    for e in range(len(edges))]
+            scale = -sign[t] * (draw(unit) if units else 1)
+            gens[t] = [scale * sum(coef[e] * gens[e][k]
+                                   for e in range(len(tree), len(edges)))
+                       for k in range(sp.dim)]
+    if edges and not units:
         e = draw(st.integers(0, len(edges) - 1))
         scale = draw(st.sampled_from((1, 1, 2, 3)))
         gens[e] = [scale * x for x in gens[e]]
@@ -322,6 +353,14 @@ def edge_condition_cases(draw):
                             [[B1], [B1]], [(0, 1), (0, 1)]))
 @example(GraphDecomposition(SympSpace(2, 3), [[A1, A2], [A1, A2]],
                             [[A1], [A2]], [(0, 1), (0, 1)]))
+# <(3, 2, 0, 0)> has canonical generators (3, 0, 0, 0), (0, 2, 0, 0), and
+# iv holds; S = <(1, 5), (2, 0)> is primitive but not free, so iv fails
+@example(GraphDecomposition(SympSpace(2, 6), [[]] * 2,
+                            [[(3, 2, 0, 0)], [(1, 0, 1, 0)], [(2, 4, 5, 0)]],
+                            [(0, 1)] * 3))
+@example(GraphDecomposition(SympSpace(1, 6), [[]] * 3,
+                            [[], [(1, 5)], [(1, 5)], [(2, 0)]],
+                            [(0, 1), (0, 2), (0, 2), (2, 2)]))
 def test_edge_condition_against_bruteforce(d):
     assert brute_edge_condition(d) == ("iv" not in validate(d, ("iv",)))
 
@@ -658,7 +697,7 @@ def test_lift_homology_cover_pants():
 def test_every_level_two_lift_is_valid():
     # the lifts of the level-2 genus-2 image complex's seed stage: each
     # catalog type of (2, 0) with curves, its one-curve deletions and its
-    # all-but-one deletions; the 16-vertex lift is the slowest bond scan
+    # all-but-one deletions, the largest with 16 vertices and 32 edges
     h2 = homology_cover(2, 0, 2)
     count = 0
     for mc in multicurve_catalog(2, 0):
