@@ -310,33 +310,38 @@ class _TypeData:
 
 
 def _orbit_types(space, types, gens, cap):
+    """Per type, its orbit under gens and the transport of each element:
+    the product of the generators along its breadth-first tree word."""
     per_type = []
     built = []
     for td in types:
-        def act(F, el):
-            return (sp_action(F, el[0]), space.mat_mul(el[1], F))
-
         try:
-            res = orbit_enumerate((td.shadow, space.identity_matrix()),
-                                  gens, act,
-                                  key=lambda el: canonical_form(el[0]),
-                                  cap=cap)
+            res = orbit_enumerate(td.shadow, gens, sp_action,
+                                  key=canonical_form, cap=cap)
         except ResourceLimitError as exc:
             done = ", ".join(f"{k}={c}" for k, c in built) or "none"
             raise ResourceLimitError(
                 f"orbit cap while generating type {td.key}: {exc}; "
                 f"completed orbits: {done}")
-        per_type.append((td, res))
+        transport = {(): space.identity_matrix()}
+        for w in sorted(res.words, key=len):
+            if w:
+                transport[w] = space.mat_mul(transport[w[:-1]], gens[w[-1]])
+        per_type.append((td, res, [transport[w] for w in res.words]))
         built.append((td.key, len(res.elements)))
     return per_type
 
 
 def _assemble(space, per_type, meta, materialize):
-    top = max(td.k for td, _ in per_type)
+    """The complex of the orbits in per_type.  Each simplex's vertices and
+    faces are found by replaying its word, through the Schreier graph of
+    rank 0 and of the rank below, from where its type's own vertex and face
+    shadows sit; the vertex order sorts the vertices by encoding."""
+    top = max(td.k for td, _, _ in per_type)
     records = [[] for _ in range(top + 1)]
-    for td, res in per_type:
-        for enc, el in zip(res.keys, res.elements):
-            records[td.k].append((enc, td, el))
+    for td, res, transports in per_type:
+        for i, enc in enumerate(res.keys):
+            records[td.k].append((enc, td, res, i, transports[i]))
     for k in range(top + 1):
         _check(records[k], f"no types populate rank {k}")
         records[k].sort(key=lambda r: r[0])
@@ -344,8 +349,25 @@ def _assemble(space, per_type, meta, materialize):
             _check(records[k][i][0] != records[k][i + 1][0],
                    "distinct orbits share a canonical form")
 
-    index = [{enc: i for i, (enc, _, _) in enumerate(block)}
-             for block in records]
+    index = [{r[0]: i for i, r in enumerate(block)} for block in records]
+    # the Schreier graph of each rank below the top, in rank-wide indices
+    moves = [[tuple(index[k][res.keys[t]] for t in res.moves[i])
+              for (_, _, res, i, _) in block]
+             for k, block in enumerate(records[:top])]
+
+    def replay(s, graph, word):
+        for j in word:
+            s = graph[s][j]
+        return s
+
+    # where each type's vertex and face shadows sit; a face missing from
+    # the rank below keeps its key as its name, since the action permutes
+    # classes and so keeps it apart from every other face
+    starts = {td.key: ([index[0].get(canonical_form(v))
+                        for v in td.vert_shadows],
+                       [index[td.k - 1].get(f, f) for f in
+                        map(canonical_form, td.face_shadows)])
+              for td, _, _ in per_type if td.k}
     encodings = []
     faces = []
     provenance = []
@@ -355,32 +377,34 @@ def _assemble(space, per_type, meta, materialize):
         face_rows = []
         prov_row = []
         dec_row = []
-        for (enc, td, el) in records[k]:
-            F = el[1]
+        for (enc, td, res, i, F) in records[k]:
             enc_row.append(enc)
             prov_row.append((td.key, F))
-            dec_row.append(materialize(td, el))
+            dec_row.append(materialize(td, res.elements[i], F))
             if k == 0:
                 face_rows.append(())
                 continue
-            vert_encs = [canonical_form(sp_action(F, td.vert_shadows[j]))
-                         for j in range(k + 1)]
-            face_encs = [canonical_form(sp_action(F, td.face_shadows[j]))
-                         for j in range(k + 1)]
-            order = sorted(range(k + 1), key=lambda j: vert_encs[j])
+            vert_starts, face_starts = starts[td.key]
+            _check(None not in vert_starts,
+                   f"vertex of a type {td.key} simplex is missing "
+                   "from rank 0")
+            word = res.words[i]
+            verts = [replay(s, moves[0], word) for s in vert_starts]
+            face_ids = [s if isinstance(s, bytes)
+                        else replay(s, moves[k - 1], word)
+                        for s in face_starts]
+            order = sorted(range(k + 1), key=lambda j: verts[j])
             for a, b in zip(order, order[1:]):
-                if vert_encs[a] == vert_encs[b] and \
-                        face_encs[a] != face_encs[b]:
+                if verts[a] == verts[b] and face_ids[a] != face_ids[b]:
                     raise LevelNerveError(
                         "ambiguous vertex order: equal vertices with "
                         f"unequal opposite faces in type {td.key}")
             row = []
             for j in order:
-                fi = index[k - 1].get(face_encs[j])
-                _check(fi is not None,
+                _check(not isinstance(face_ids[j], bytes),
                        f"face of a type {td.key} simplex is missing "
                        f"from rank {k - 1}")
-                row.append(fi)
+                row.append(face_ids[j])
             face_rows.append(tuple(row))
         encodings.append(tuple(enc_row))
         faces.append(tuple(face_rows))
@@ -390,7 +414,7 @@ def _assemble(space, per_type, meta, materialize):
     meta = dict(meta)
     meta["counts"] = [len(b) for b in encodings]
     meta["types"] = {repr(td.key): {"rank": td.k, "count": len(res.elements)}
-                     for td, res in per_type}
+                     for td, res, _ in per_type}
     return FinSimpSet(encodings, faces, provenance=provenance, meta=meta,
                       decomps=decomps)
 
@@ -438,9 +462,10 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     """The base complex at modulus m, built type by type.
 
     Every catalog multicurve induces a seed decomposition; its transvection
-    orbit fills the rank equal to the number of curves minus one, and the
-    faces are looked up by transporting the one-curve-deleted seeds with
-    the same orbit matrices."""
+    orbit fills the rank equal to the number of curves minus one.  The
+    one-curve-deleted seeds are located once in the rank below, and each
+    simplex finds its faces by replaying its orbit word from them through
+    that rank's Schreier graph."""
     if m < 2:
         raise InvalidInputError("modulus must be at least 2")
     _require_full_catalog(g, n)
@@ -451,8 +476,7 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     meta = {"builder": "abelian_nerve", "g": g, "n": n, "m": m,
             "dim_bound": 3 * g - 3 + n - 1}
     per_type = _orbit_types(space, types, gens, cap)
-    return _assemble(space, per_type, meta,
-                     lambda td, el: el[0])
+    return _assemble(space, per_type, meta, lambda td, x, F: x)
 
 
 def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
@@ -496,7 +520,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
             "dim_bound": 3 * spec.g - 3 + spec.n - 1}
     per_type = _orbit_types(space, types, gens, cap)
     return _assemble(space, per_type, meta,
-                     lambda td, el: sp_action(el[1], td.seed))
+                     lambda td, x, F: sp_action(F, td.seed))
 
 
 # --------------------------------------------------------------------------

@@ -397,14 +397,17 @@ def _generator(sub: SympSubgroup):
 def _bond_clause(d):
     """The bond clause of iv, for cyclic edge groups, on the spanning tree
     of the edges that join two components in stored order."""
-    space = d.space
-    m = space.m
-    gens = [_generator(eg) for eg in d.edge_groups]
     tree = []
     for e in range(len(d.edges)):
         if len(components(d.V, [d.edges[x] for x in tree + [e]])) \
                 < d.V - len(tree):
             tree.append(e)
+    if not tree:
+        # one vertex: no bonds, and no coordinates to read
+        return True
+    space = d.space
+    m = space.m
+    gens = [_generator(eg) for eg in d.edge_groups]
     cotree = [e for e in range(len(d.edges)) if e not in tree]
     pairs = hnf_transform([list(gens[f]) for f in cotree]
                           + [list(r) for r in space._m_rows])

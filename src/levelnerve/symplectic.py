@@ -584,17 +584,20 @@ def sp_group(space: SympSpace) -> tuple:
 @dataclass(frozen=True)
 class OrbitResult:
     """Orbit sorted by canonical key, the sorted keys, the transversal word
-    that reaches each element from the seed, and Schreier generators of the
-    stabilizer.
+    that reaches each element from the seed, Schreier generators of the
+    stabilizer, and the Schreier graph of the orbit.
 
     Words are tuples of generator indices; a negative entry ~i denotes the
     inverse of generator i (inverses only ever appear in stabilizer words,
-    reachability uses the given generators alone)."""
+    reachability uses the given generators alone).  moves[i][j] is the
+    index of generators[j] applied to elements[i], so a word is replayed
+    from any element by following moves, with no further action or key."""
 
     elements: tuple
     keys: tuple
     words: tuple
     stabilizer_words: tuple
+    moves: tuple
 
 
 def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
@@ -606,12 +609,19 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
     deterministic breadth-first tree, and stabilizer words are the Schreier
     generators t_x * g * t_{g.x}^-1 of the non-tree edges in first-visit
     order.  They are pairwise distinct and nonempty, since the nonnegative
-    prefix of the word of edge (x, g) is t_x * g.  Exceeding `cap` raises
-    ResourceLimitError with the partial count."""
+    prefix of the word of edge (x, g) is t_x * g.  Every edge is recorded
+    in moves as the int target of x under each generator, numbered in
+    first-visit order while walking and by sorted position on return.
+    Exceeding `cap` raises ResourceLimitError with the partial count."""
     generators = list(generators)
     k0 = seed if key is None else key(seed)
     # element, transversal word and its inverse, by key
     reached = {k0: (seed, (), ())}
+    # first-visit number, by key
+    num = {k0: 0}
+    # targets of every edge, row by row in first-visit order: elements are
+    # expanded in the order they are first visited
+    targets = []
     frontier = [k0]
     stab = []
     while frontier:
@@ -622,20 +632,31 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
                 y = action(g, x)
                 ky = y if key is None else key(y)
                 w = wx + (i,)
-                if ky not in reached:
+                hit = num.get(ky)
+                if hit is None:
                     if len(reached) >= cap:
                         raise ResourceLimitError(
                             f"orbit exceeded cap {cap} "
                             f"(partial count {len(reached)})")
+                    targets.append(len(num))
+                    num[ky] = len(num)
                     reached[ky] = (y, w, (~i,) + ix)
                     nxt.append(ky)
                 else:
+                    targets.append(hit)
                     stab.append(w + reached[ky][2])
         frontier = nxt
     order = sorted(reached)
+    first = [num[k] for k in order]
+    place = [0] * len(order)
+    for i, f in enumerate(first):
+        place[f] = i
+    n = len(generators)
     return OrbitResult(
         elements=tuple(reached[k][0] for k in order),
         keys=tuple(order),
         words=tuple(reached[k][1] for k in order),
         stabilizer_words=tuple(stab),
+        moves=tuple(tuple(place[t] for t in targets[f * n:(f + 1) * n])
+                    for f in first),
     )

@@ -6,10 +6,13 @@ off a plain Smith form, the catalog lookup finds a representative by its
 dual graph, snf computes the Smith form with both transforms,
 lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
-each single merge, and maps_onto compares a subgroup's image with another
-subgroup through dense images and Hermite-row membership."""
+each single merge, maps_onto compares a subgroup's image with another
+subgroup through dense images and Hermite-row membership, and
+transported_faces rebuilds a complex's face tables by transporting every
+vertex and face shadow with the simplex's stored matrix."""
 
 from levelnerve.catalog import multicurve_catalog
+from levelnerve.decomp import canonical_form, sp_action
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
@@ -282,3 +285,29 @@ class RestartFoldedGraph:
                 if (v, x) not in self._out or (v, -x) not in self._out:
                     return None
         return self.n_vertices
+
+
+def transported_faces(X, types):
+    """The face tables of X, found per simplex from its provenance (type
+    key, transport F): each vertex and face shadow of the type (types as
+    complexes._types builds them) is moved by F and canonicalized; the
+    faces are listed in the order of the sorted vertex encodings and
+    looked up by encoding one rank down."""
+    by_key = {td.key: td for td in types}
+    out = []
+    for k, block in enumerate(X.provenance):
+        if k == 0:
+            out.append(tuple(() for _ in block))
+            continue
+        index = {enc: i for i, enc in enumerate(X.encodings[k - 1])}
+        rows = []
+        for key, F in block:
+            td = by_key[key]
+            verts = [canonical_form(sp_action(F, v))
+                     for v in td.vert_shadows]
+            faces = [canonical_form(sp_action(F, f))
+                     for f in td.face_shadows]
+            order = sorted(range(k + 1), key=lambda j: verts[j])
+            rows.append(tuple(index[faces[j]] for j in order))
+        out.append(tuple(rows))
+    return tuple(out)

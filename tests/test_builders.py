@@ -1,6 +1,8 @@
 """The complex builders: vertex counts against closed forms, a byte-equal
-serialization round trip, and an early refusal of incomplete catalogs."""
+serialization round trip, face tables against a transport oracle with
+pinned serializations, and an early refusal of incomplete catalogs."""
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -9,10 +11,12 @@ from functools import lru_cache
 import pytest
 
 from levelnerve.catalog import catalog_coverage
-from levelnerve.complexes import (FinSimpSet, build_abelian_nerve,
-                                  build_image_complex)
-from levelnerve.covers import identity_cover
-from levelnerve.errors import UnsupportedError
+from levelnerve.complexes import (FinSimpSet, _types, build_abelian_nerve,
+                                  build_image_complex, cross_validate)
+from levelnerve.covers import homology_cover, identity_cover
+from levelnerve.decomp import induced_from_lift, induced_from_multicurve
+from levelnerve.errors import InvalidInputError, UnsupportedError
+from oracles import transported_faces
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +89,79 @@ def test_serialization_round_trip_is_byte_equal(build, sizes):
     Y = FinSimpSet.from_data(json.loads(text))
     assert json.dumps(Y.to_data()) == text
     assert (Y.encodings, Y.faces) == (X.encodings, X.faces)
+
+
+def nerve_types(g, n, m):
+    return _types(g, n, lambda mc: induced_from_multicurve(g, n, m, mc),
+                  lambda d: d)
+
+
+def image_types(spec, m):
+    return _types(spec.g, spec.n, lambda mc: induced_from_lift(spec, mc, m),
+                  lambda d: d.framed())
+
+
+# sha256 of json.dumps(X.to_data()), as serialized when faces were still
+# found by transporting every face shadow with the simplex's matrix
+PINNED = [
+    pytest.param(lambda sig=sig: nerve(*sig),
+                 lambda sig=sig: nerve_types(*sig), digest, id=f"nerve{sig}")
+    for sig, digest in (
+        ((1, 1, 2), "2f9cb08428076566a0e6105aacd6434f"
+                    "63ce94517c92c03a355518347ecbb4f2"),
+        ((1, 1, 3), "99eac008913adbf9c450b2e62cb9a26e"
+                    "ab4e1fdf2ccb6fa46b3e591a71bf2a5f"),
+        ((1, 1, 4), "be2938c4a8dfe4909dc02fd8aab368f1"
+                    "f86a166799ced3c9427b0fa0def803a4"),
+        ((1, 1, 5), "ffb0d28d5ba25a112769ce9a06f55a0e"
+                    "d1b0229f8526308dcd7569b55381d499"),
+        ((1, 2, 2), "b32e812a25f8949cb93a8098e624cf24"
+                    "9e093641c481c6bdcca5f9fe0b31ebfd"),
+        ((1, 2, 3), "c0359a6366ecfb2e7ce1680f128a3f30"
+                    "463147f16808a4ee32c7f30b61a47ad0"),
+        ((2, 0, 2), "08ad850e95ff5d418a3711a5d8957897"
+                    "ba6882d35931ed2bdde0ca8606e16011"),
+        ((2, 0, 3), "6310fc89786628bc1cff88b01aa48806"
+                    "7341f9ba568e3f3cd375698a15d07f95"))
+] + [
+    pytest.param(lambda spec=spec, m=m: build_image_complex(spec(), m),
+                 lambda spec=spec, m=m: image_types(spec(), m),
+                 digest, id=name)
+    for name, spec, m, digest in (
+        ("image-identity-cover-1-2", lambda: identity_cover(1, 2), 2,
+         "1eacba73037130c46f8ffa726116c76a"
+         "c0f43807cedb069a7f086909233bec3a"),
+        ("image-identity-cover-1-1", lambda: identity_cover(1, 1), 2,
+         "1aaa89d08cb22191fcf86cb001510f76"
+         "e60b2b4064c51e7e4c03cd70e765c5cd"),
+        ("image-homology-cover-1-1-2", lambda: homology_cover(1, 1, 2), 2,
+         "b032b663353b0564f93b9cc764701a38"
+         "7f5a7cafc24383cca7aec32ce2f6a8ce"),
+        ("image-homology-cover-1-1-3", lambda: homology_cover(1, 1, 3), 3,
+         "8bae40d454b2998dd9c133221d22328f"
+         "bc5d53a7a3297033b8cf9c7c6cf85b55"))
+]
+
+
+@pytest.mark.parametrize("build, types, digest", PINNED)
+def test_faces_match_transport_oracle(build, types, digest):
+    X = build()
+    assert transported_faces(X, types()) == X.faces
+    text = json.dumps(X.to_data())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.xfail(strict=True, raises=InvalidInputError,
+                   reason="ROADMAP 1b: no consistent vertex order by "
+                          "encoding once a simplex repeats a vertex")
+def test_nerve_2_1_2_cross_validates():
+    try:
+        X = build_abelian_nerve(2, 1, 2)
+    except InvalidInputError as exc:
+        assert str(exc) == ("simplicial identity fails at rank 3, "
+                            "simplex 16, pair (0,1)")
+        raise
+    assert cross_validate(X)["ok"]
 
 
 def test_incomplete_catalog_refused_up_front():

@@ -1,8 +1,9 @@
 """Integral homology and the edge-path group of small simplicial sets:
 spheres, a torus and the projective plane, with every boundary matrix
 checked against sympy.  Also curve deletion on catalog representatives,
-a bond that validate decides without enumerating generator choices, and
-the offender labels cross_validate reports."""
+a bond that validate decides without enumerating generator choices, the
+offender labels cross_validate reports, and the error assembly raises for
+a face missing from the rank below."""
 
 from itertools import combinations
 
@@ -11,13 +12,14 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from levelnerve.catalog import _audit, multicurve_catalog
-from levelnerve.complexes import (FinSimpSet, _boundary_matrix,
-                                  _finite_quotient, build_abelian_nerve,
-                                  cross_validate, delete_curves, homology,
-                                  pi1_report)
-from levelnerve.decomp import FramedDecomposition, validate
-from levelnerve.errors import InvalidInputError
-from levelnerve.symplectic import SympSpace, snf_diagonal
+from levelnerve.complexes import (FinSimpSet, _assemble, _boundary_matrix,
+                                  _finite_quotient, _orbit_types, _types,
+                                  build_abelian_nerve, cross_validate,
+                                  delete_curves, homology, pi1_report)
+from levelnerve.decomp import (FramedDecomposition, induced_from_multicurve,
+                               validate)
+from levelnerve.errors import InvalidInputError, LevelNerveError
+from levelnerve.symplectic import SympSpace, snf_diagonal, sp_group
 
 
 def complex_from_facets(facets):
@@ -176,3 +178,17 @@ def test_cross_validate_names_violated_conditions():
     assert not report["ok"]
     assert [o["detail"] for o in report["offenders"]
             if o["check"] == "validity"] == [["iii", "vi"]]
+
+
+def test_assembly_names_a_face_missing_from_the_rank_below():
+    # without one rank-1 orbit of the (2,0,2) nerve, some rank-2 type has
+    # a face with nowhere to start its word from
+    sp = SympSpace(2, 2)
+    types = _types(2, 0, lambda mc: induced_from_multicurve(2, 0, 2, mc),
+                   lambda d: d)
+    per_type = _orbit_types(sp, types, sp_group(sp), 200_000)
+    drop = next(p for p in per_type if p[0].k == 1)
+    with pytest.raises(LevelNerveError,
+                       match=r"face of a type .* is missing from rank 1"):
+        _assemble(sp, [p for p in per_type if p is not drop], {},
+                  lambda td, x, F: x)

@@ -443,6 +443,9 @@ from levelnerve.symplectic import (
     sp_group,
     vec_mat,
 )
+from levelnerve.catalog import multicurve_catalog
+from levelnerve.decomp import (canonical_form, induced_from_multicurve,
+                               sp_action)
 
 
 def mat_inverse_mod(F, m):
@@ -598,6 +601,62 @@ def test_orbit_enumerate_identity_generator():
                           lambda F, v: sp.mat_apply(v, F))
     assert res.elements == ((1, 0, 0, 0),)
     assert res.words == ((),)
+    assert res.moves == ((0,),)
+
+
+def assert_moves_follow_edges(res, gens, action, key=lambda x: x):
+    """moves[i][j] is the sorted index of gens[j] applied to elements[i]."""
+    assert len(res.moves) == len(res.elements)
+    for i, x in enumerate(res.elements):
+        assert len(res.moves[i]) == len(gens)
+        for j, g in enumerate(gens):
+            assert res.keys[res.moves[i][j]] == key(action(g, x))
+
+
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3, 4, 6]), st.data())
+def test_orbit_moves_are_the_schreier_graph(g, m, data):
+    sp = SympSpace(g, m)
+    gens = sp_group(sp)
+    seed = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=2 * g,
+                                    max_size=2 * g)))
+
+    def act(F, v):
+        return sp.mat_apply(v, F)
+
+    res = orbit_enumerate(seed, gens, act)
+    assert_moves_follow_edges(res, gens, act)
+    # replaying a transversal word through moves lands on its element
+    start = res.keys.index(seed)
+    for i, w in enumerate(res.words):
+        s = start
+        for j in w:
+            s = res.moves[s][j]
+        assert s == i
+
+
+def test_orbit_moves_of_a_keyed_decomposition_orbit():
+    sp = SympSpace(1, 3)
+    gens = sp_group(sp)
+    mc = next(mc for mc in multicurve_catalog(1, 2) if len(mc.words) == 2)
+    seed = induced_from_multicurve(1, 2, 3, mc)
+    res = orbit_enumerate(seed, gens, sp_action, key=canonical_form)
+    assert len(res.elements) > 1
+    assert_moves_follow_edges(res, gens, sp_action, key=canonical_form)
+
+
+def test_orbit_moves_with_repeated_generators():
+    sp = SympSpace(1, 3)
+    T, U = sp_group(sp)
+    gens = [T, U, T, sp.identity_matrix(), U]
+
+    def act(F, v):
+        return sp.mat_apply(v, F)
+
+    res = orbit_enumerate(sp.basis_a(1), gens, act)
+    assert len(res.elements) == 8
+    assert_moves_follow_edges(res, gens, act)
+    for i, row in enumerate(res.moves):
+        assert row[0] == row[2] and row[1] == row[4] and row[3] == i
 
 
 def test_orbit_enumerate_hyperbolic_planes():
