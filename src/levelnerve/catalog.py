@@ -127,11 +127,12 @@ def _compatible(a, b):
     return a_in_b or b_in_a
 
 
-def _curve_count(obj, B):
+def _curve_count(obj):
     if obj[0] == "arc":
         return 1
     branch = obj[2] - obj[1] + 1
     return 1 if branch % 2 == 1 else 2
+
 
 def _families(B, max_curves):
     """Laminar families with at most max_curves lifted curves, DFS order."""
@@ -140,7 +141,7 @@ def _families(B, max_curves):
     def extend(start, chosen, curves):
         for idx in range(start, len(objs)):
             o = objs[idx]
-            c = curves + _curve_count(o, B)
+            c = curves + _curve_count(o)
             if c > max_curves:
                 continue
             if all(_compatible(o, p) for p in chosen):

@@ -332,7 +332,7 @@ def _orbit_types(space, types, gens, cap):
     return per_type
 
 
-def _assemble(space, per_type, meta, materialize):
+def _assemble(per_type, meta, materialize):
     """The complex of the orbits in per_type.  Each simplex's vertices and
     faces are found by replaying its word, through the Schreier graph of
     rank 0 and of the rank below, from where its type's own vertex and face
@@ -476,7 +476,7 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     meta = {"builder": "abelian_nerve", "g": g, "n": n, "m": m,
             "dim_bound": 3 * g - 3 + n - 1}
     per_type = _orbit_types(space, types, gens, cap)
-    return _assemble(space, per_type, meta, lambda td, x, F: x)
+    return _assemble(per_type, meta, lambda td, x, F: x)
 
 
 def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
@@ -519,7 +519,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
             "generators": len(gens), "matrix_group_order": order,
             "dim_bound": 3 * spec.g - 3 + spec.n - 1}
     per_type = _orbit_types(space, types, gens, cap)
-    return _assemble(space, per_type, meta,
+    return _assemble(per_type, meta,
                      lambda td, x, F: sp_action(F, td.seed))
 
 

@@ -74,7 +74,7 @@ from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, f2_image, hnf,
                          hnf_transform, mod_row_kernel, orbit_enumerate,
-                         pack_f2, snf_diagonal, vec_mat)
+                         pack_f2, snf_diagonal, stabilizer_words, vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -803,20 +803,19 @@ def induced_from_multicurve(g, n, m, mc) -> FramedDecomposition:
 
 def _schreier_vertex_group(space, hom, table, piece, orbit):
     """Image of the homology of one piece copy: classes of the Schreier
-    generators of the sheet stabilizer, conjugated to the base sheet."""
+    generators of the sheet stabilizer, conjugated to the base sheet.  The
+    piece generators permute finitely many sheets, so they reach the whole
+    orbit without their inverses."""
     root = orbit[0]
-    letters = [w for gw in piece.gens for w in (gw, winv(gw))]
-    res = orbit_enumerate(root, letters, lambda w, h: table.trace(h, w),
+    res = orbit_enumerate(root, piece.gens, lambda w, h: table.trace(h, w),
                           cap=table.d)
-    trans = {h: wmul(*(letters[i] for i in word))
-             for h, word in zip(res.elements, res.words)}
-    _check(set(trans) == set(orbit), "piece copy orbit transversal")
+    _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
     tw = table.twords[root]
+    inverses = [winv(gw) for gw in piece.gens]
     gens = []
-    for h in orbit:
-        for gw in piece.gens:
-            u = wmul(trans[h], gw, winv(trans[table.trace(h, gw)]))
-            gens.append(hom.class_of(wmul(tw, u, winv(tw))))
+    for word in stabilizer_words(res):
+        u = wmul(*(piece.gens[i] if i >= 0 else inverses[~i] for i in word))
+        gens.append(hom.class_of(wmul(tw, u, winv(tw))))
     return space.subgroup(gens)
 
 

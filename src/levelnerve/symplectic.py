@@ -584,19 +584,17 @@ def sp_group(space: SympSpace) -> tuple:
 @dataclass(frozen=True)
 class OrbitResult:
     """Orbit sorted by canonical key, the sorted keys, the transversal word
-    that reaches each element from the seed, Schreier generators of the
-    stabilizer, and the Schreier graph of the orbit.
+    that reaches each element from the seed, and the Schreier graph of the
+    orbit.
 
-    Words are tuples of generator indices; a negative entry ~i denotes the
-    inverse of generator i (inverses only ever appear in stabilizer words,
-    reachability uses the given generators alone).  moves[i][j] is the
-    index of generators[j] applied to elements[i], so a word is replayed
-    from any element by following moves, with no further action or key."""
+    A word is a tuple of generator indices.  moves[i][j] is the index of
+    generators[j] applied to elements[i], so a word is replayed from any
+    element by following moves, with no further action or key; the
+    stabilizer generators are read off the same graph (stabilizer_words)."""
 
     elements: tuple
     keys: tuple
     words: tuple
-    stabilizer_words: tuple
     moves: tuple
 
 
@@ -605,33 +603,29 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
 
     `key` maps an element to its hashable, orderable canonical encoding
     (default: the element itself).  Output is independent of traversal
-    schedule: elements are sorted by key, transversal words come from the
-    deterministic breadth-first tree, and stabilizer words are the Schreier
-    generators t_x * g * t_{g.x}^-1 of the non-tree edges in first-visit
-    order.  They are pairwise distinct and nonempty, since the nonnegative
-    prefix of the word of edge (x, g) is t_x * g.  Every edge is recorded
+    schedule: elements are sorted by key and transversal words come from
+    the deterministic breadth-first tree, which reaches the elements in
+    the shortlex order (len(w), w) of their words.  Every edge is recorded
     in moves as the int target of x under each generator, numbered in
     first-visit order while walking and by sorted position on return.
     Exceeding `cap` raises ResourceLimitError with the partial count."""
     generators = list(generators)
     k0 = seed if key is None else key(seed)
-    # element, transversal word and its inverse, by key
-    reached = {k0: (seed, (), ())}
+    # element and transversal word, by key
+    reached = {k0: (seed, ())}
     # first-visit number, by key
     num = {k0: 0}
     # targets of every edge, row by row in first-visit order: elements are
     # expanded in the order they are first visited
     targets = []
     frontier = [k0]
-    stab = []
     while frontier:
         nxt = []
         for kx in frontier:
-            x, wx, ix = reached[kx]
+            x, wx = reached[kx]
             for i, g in enumerate(generators):
                 y = action(g, x)
                 ky = y if key is None else key(y)
-                w = wx + (i,)
                 hit = num.get(ky)
                 if hit is None:
                     if len(reached) >= cap:
@@ -640,11 +634,10 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
                             f"(partial count {len(reached)})")
                     targets.append(len(num))
                     num[ky] = len(num)
-                    reached[ky] = (y, w, (~i,) + ix)
+                    reached[ky] = (y, wx + (i,))
                     nxt.append(ky)
                 else:
                     targets.append(hit)
-                    stab.append(w + reached[ky][2])
         frontier = nxt
     order = sorted(reached)
     first = [num[k] for k in order]
@@ -656,7 +649,21 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
         elements=tuple(reached[k][0] for k in order),
         keys=tuple(order),
         words=tuple(reached[k][1] for k in order),
-        stabilizer_words=tuple(stab),
         moves=tuple(tuple(place[t] for t in targets[f * n:(f + 1) * n])
                     for f in first),
     )
+
+
+def stabilizer_words(res: OrbitResult):
+    """Schreier generators t_x * g * t_{g.x}^-1 of the seed's stabilizer,
+    one per non-tree edge (x, g) of the orbit, in first-visit order of x
+    and then generator order.  In a word, a negative entry ~i denotes the
+    inverse of generator i.  The words are pairwise distinct and nonempty,
+    since the nonnegative prefix of the word of edge (x, g) is t_x * g."""
+    words, moves = res.words, res.moves
+    for i in sorted(range(len(words)),
+                    key=lambda i: (len(words[i]), words[i])):
+        for j, t in enumerate(moves[i]):
+            w = words[i] + (j,)
+            if words[t] != w:
+                yield w + tuple(~a for a in reversed(words[t]))

@@ -7,9 +7,12 @@ dual graph, snf computes the Smith form with both transforms,
 lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
 each single merge, maps_onto compares a subgroup's image with another
-subgroup through dense images and Hermite-row membership, and
+subgroup through dense images and Hermite-row membership,
 transported_faces rebuilds a complex's face tables by transporting every
-vertex and face shadow with the simplex's stored matrix."""
+vertex and face shadow with the simplex's stored matrix, and
+signed_schreier_vertex_group spans a sheet stabilizer's image from a
+transversal over the piece generators and their inverses, one Schreier
+generator per sheet and generator."""
 
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.decomp import canonical_form, sp_action
@@ -17,8 +20,8 @@ from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
 from levelnerve.symplectic import (hnf, mat_identity, mod_row_kernel,
-                                   snf_diagonal, vec_mat)
-from levelnerve.words import max_letter, wreduce
+                                   orbit_enumerate, snf_diagonal, vec_mat)
+from levelnerve.words import max_letter, winv, wmul, wreduce
 
 
 def contract_edge(sg, idx):
@@ -311,3 +314,24 @@ def transported_faces(X, types):
             rows.append(tuple(index[faces[j]] for j in order))
         out.append(tuple(rows))
     return tuple(out)
+
+
+def signed_schreier_vertex_group(space, hom, table, piece, orbit):
+    """Image of the homology of one piece copy, as decomp computes it, by
+    another route: the transversal runs over the signed letters (each
+    piece generator and its inverse), and every (sheet, generator) pair
+    gives a Schreier generator, tree edges included."""
+    root = orbit[0]
+    letters = [w for gw in piece.gens for w in (gw, winv(gw))]
+    res = orbit_enumerate(root, letters, lambda w, h: table.trace(h, w),
+                          cap=table.d)
+    trans = {h: wmul(*(letters[i] for i in word))
+             for h, word in zip(res.elements, res.words)}
+    assert set(trans) == set(orbit), "piece copy orbit transversal"
+    tw = table.twords[root]
+    gens = []
+    for h in orbit:
+        for gw in piece.gens:
+            u = wmul(trans[h], gw, winv(trans[table.trace(h, gw)]))
+            gens.append(hom.class_of(wmul(tw, u, winv(tw))))
+    return space.subgroup(gens)

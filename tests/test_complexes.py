@@ -190,5 +190,5 @@ def test_assembly_names_a_face_missing_from_the_rank_below():
     drop = next(p for p in per_type if p[0].k == 1)
     with pytest.raises(LevelNerveError,
                        match=r"face of a type .* is missing from rank 1"):
-        _assemble(sp, [p for p in per_type if p is not drop], {},
+        _assemble([p for p in per_type if p is not drop], {},
                   lambda td, x, F: x)

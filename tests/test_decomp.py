@@ -18,9 +18,10 @@ from hypothesis import example, given, strategies as st
 from levelnerve.errors import (InvalidInputError, ResourceLimitError,
                                UnsupportedError)
 from levelnerve.symplectic import SympSpace, SympSubgroup
-from levelnerve.covers import abelian_cover, homology_cover, identity_cover
+from levelnerve.covers import (abelian_cover, homology_cover, identity_cover,
+                               perm_cover)
 from levelnerve.catalog import multicurve_catalog
-from levelnerve import decomp
+from levelnerve import covers, decomp
 from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                GraphDecomposition, canonical_form,
                                decomposition_from_data, decomposition_to_data,
@@ -29,7 +30,8 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                validate)
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   delete_curves)
-from oracles import maps_onto, module_map_report
+from oracles import (maps_onto, module_map_report,
+                     signed_schreier_vertex_group)
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -713,6 +715,28 @@ def test_every_level_two_lift_is_valid():
             assert validate(induced_from_lift(h2, sub, 2)) == []
             count += 1
     assert count == 26
+
+
+@pytest.mark.parametrize("make, m", [
+    (lambda: homology_cover(2, 0, 2), 2),
+    (lambda: homology_cover(1, 1, 2), 2),
+    (lambda: homology_cover(1, 1, 3), 3),
+    (lambda: identity_cover(1, 2), 3),
+    (lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]), 2),
+], ids=["h202", "h112", "h113", "id12", "perm4"])
+def test_sheet_stabilizers_match_signed_oracle(make, m):
+    # every piece copy of every catalog type: the stabilizer words of the
+    # orbit under the piece generators alone span the same vertex group
+    # as the signed-letter transversal with one generator per edge
+    spec = make()
+    hom = covers.cover_homology(spec, m)
+    table = covers._table(spec)
+    for mc in multicurve_catalog(spec.g, spec.n):
+        cg = covers.lift_cut_graph(spec, mc, m)
+        for pi, orb in zip(cg.vert_piece, cg.vert_orbit):
+            args = (hom.space, hom, table, mc.pieces[pi], orb)
+            got = decomp._schreier_vertex_group(*args)
+            assert got.key() == signed_schreier_vertex_group(*args).key()
 
 
 def test_lift_punctured_cover():

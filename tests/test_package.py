@@ -2,7 +2,7 @@
 package names a stdlib module, and pyproject.toml declares no dependency.
 Every name the package defines, private or public, is referenced by the
 package or the benchmark, apart from a short list of entry points that
-only tests call."""
+only tests call, and every parameter of a def is read by its body."""
 
 import ast
 import sys
@@ -106,3 +106,25 @@ def test_definitions_are_referenced():
     assert not extra, f"names nothing references: {extra}"
     stale = sorted(TEST_ONLY - set(unreferenced))
     assert not stale, f"referenced now, drop from TEST_ONLY: {stale}"
+
+
+def unread_parameters(path):
+    """`function.parameter` for every parameter of every def in `path`
+    that its body never reads; self and cls are exempt.  A read in a
+    nested def or lambda counts."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+        params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p not in read and p not in ("self", "cls"):
+                yield f"{node.name}.{p}"
+
+
+def test_parameters_are_read():
+    unread = [name for path in SOURCES for name in unread_parameters(path)]
+    assert not unread, f"parameters no body reads: {unread}"

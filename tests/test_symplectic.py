@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import random
 from itertools import combinations, product
 
 import pytest
 import sympy
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from levelnerve.errors import InvalidInputError, ResourceLimitError
@@ -441,6 +442,7 @@ from levelnerve.symplectic import (
     orbit_enumerate,
     smith_normal_form,
     sp_group,
+    stabilizer_words,
     vec_mat,
 )
 from levelnerve.catalog import multicurve_catalog
@@ -613,6 +615,27 @@ def assert_moves_follow_edges(res, gens, action, key=lambda x: x):
             assert res.keys[res.moves[i][j]] == key(action(g, x))
 
 
+def word_matrices(sp, gens, words):
+    """The product of gens along each word, ~i standing for the inverse
+    of gens[i]."""
+    inverses = [mat_inverse_mod(G, sp.m) for G in gens]
+    for word in words:
+        F = sp.identity_matrix()
+        for j in word:
+            F = sp.mat_mul(F, gens[j] if j >= 0 else inverses[~j])
+        yield F
+
+
+def assert_stabilizer_words(res, sp, gens, fixes):
+    """One nonempty word per edge off the breadth-first tree, pairwise
+    distinct, each fixing the seed as a matrix product."""
+    words = list(stabilizer_words(res))
+    n = len(res.elements)
+    assert len(words) == len(gens) * n - (n - 1)
+    assert all(words) and len(set(words)) == len(words)
+    assert all(map(fixes, word_matrices(sp, gens, words)))
+
+
 @given(st.sampled_from([1, 2]), st.sampled_from([2, 3, 4, 6]), st.data())
 def test_orbit_moves_are_the_schreier_graph(g, m, data):
     sp = SympSpace(g, m)
@@ -634,6 +657,20 @@ def test_orbit_moves_are_the_schreier_graph(g, m, data):
         assert s == i
 
 
+# fewer examples than the profile: every word is multiplied out as a
+# matrix, 4 801 words for an orbit of 1 200 vectors at (g, m) = (2, 6)
+@settings(max_examples=30)
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3, 4, 6]), st.data())
+def test_stabilizer_words_fix_the_seed(g, m, data):
+    sp = SympSpace(g, m)
+    gens = sp_group(sp)
+    seed = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=2 * g,
+                                    max_size=2 * g)))
+    res = orbit_enumerate(seed, gens, lambda F, v: sp.mat_apply(v, F))
+    assert_stabilizer_words(res, sp, gens,
+                            lambda F: sp.mat_apply(seed, F) == seed)
+
+
 def test_orbit_moves_of_a_keyed_decomposition_orbit():
     sp = SympSpace(1, 3)
     gens = sp_group(sp)
@@ -642,6 +679,9 @@ def test_orbit_moves_of_a_keyed_decomposition_orbit():
     res = orbit_enumerate(seed, gens, sp_action, key=canonical_form)
     assert len(res.elements) > 1
     assert_moves_follow_edges(res, gens, sp_action, key=canonical_form)
+    assert_stabilizer_words(
+        res, sp, gens,
+        lambda F: canonical_form(sp_action(F, seed)) == canonical_form(seed))
 
 
 def test_orbit_moves_with_repeated_generators():
@@ -655,6 +695,8 @@ def test_orbit_moves_with_repeated_generators():
     res = orbit_enumerate(sp.basis_a(1), gens, act)
     assert len(res.elements) == 8
     assert_moves_follow_edges(res, gens, act)
+    assert_stabilizer_words(
+        res, sp, gens, lambda F: act(F, sp.basis_a(1)) == sp.basis_a(1))
     for i, row in enumerate(res.moves):
         assert row[0] == row[2] and row[1] == row[4] and row[3] == i
 
@@ -675,17 +717,31 @@ def test_orbit_enumerate_stabilizer_order():
     gens = sp_group(sp)
     res = orbit_enumerate(sp.basis_a(1), gens,
                           lambda F, v: sp.mat_apply(v, F))
-    mats = []
-    for word in res.stabilizer_words:
-        F = sp.identity_matrix()
-        for j in word:
-            step = gens[j] if j >= 0 else mat_inverse_mod(gens[~j], 2)
-            F = sp.mat_mul(F, step)
-        mats.append(F)
+    mats = list(word_matrices(sp, gens, stabilizer_words(res)))
     for F in mats:
         assert sp.mat_apply(sp.basis_a(1), F) == sp.basis_a(1)
     stab = sp.sp_closure(mats)
     assert len(res.elements) * len(stab) == 720
+
+
+def test_stabilizer_words_pinned():
+    # the words of the orbit of a_1 in (Z/3)^2, in first-visit order of
+    # their edges' sources; -1 = ~0 and -2 = ~1 are the inverses of the
+    # two transvections
+    sp = SympSpace(1, 3)
+    res = orbit_enumerate(sp.basis_a(1), sp_group(sp),
+                          lambda F, v: sp.mat_apply(v, F))
+    assert len(res.elements) == 8
+    assert tuple(stabilizer_words(res)) == (
+        (0,), (1, 0, 1, -1, -2), (1, 1, 1), (1, 0, 0, 0, -2),
+        (1, 1, 0, 1, -1, -1, -2), (1, 0, 0, 1, 0, -2, -1, -1, -2),
+        (1, 0, 0, 1, 1, -1, -2, -2), (1, 1, 0, 0, 0, -2, -2),
+        (1, 1, 0, 0, 1, -1, -1, -2, -2))
+
+
+def test_orbit_result_fields():
+    assert [f.name for f in dataclasses.fields(OrbitResult)] == [
+        "elements", "keys", "words", "moves"]
 
 
 def test_orbit_enumerate_cap():
