@@ -238,6 +238,9 @@ class FinSimpSet:
         self.provenance = provenance
         self.decomps = decomps
         self.meta = dict(meta) if meta else {}
+        # nonzero Smith divisors of the boundary into each rank, filled by
+        # homology on first use; kept per instance, never keyed by value
+        self._divisors = {}
         bound = self.meta.get("dim_bound")
         if bound is not None and self.top_rank > bound:
             raise InvalidInputError("complex exceeds its dimension bound")
@@ -733,8 +736,14 @@ def _boundary_matrix(X, k):
     return rows
 
 
-def _nonzero_divisors(M):
-    return [d for d in snf_diagonal(M) if d]
+def _nonzero_divisors(X, k):
+    """The nonzero Smith divisors of the boundary from rank k of X,
+    computed once per complex: homology in degrees k - 1 and k both read
+    them."""
+    if k not in X._divisors:
+        X._divisors[k] = tuple(d for d in snf_diagonal(_boundary_matrix(X, k))
+                               if d)
+    return X._divisors[k]
 
 
 def homology(X, q):
@@ -749,19 +758,18 @@ def homology(X, q):
     if q == 0:
         rank_down = 0
     else:
-        down = _boundary_matrix(X, q)
-        rank_down = len(_nonzero_divisors(down))
+        rank_down = len(_nonzero_divisors(X, q))
     if q + 1 <= X.top_rank:
-        up = _boundary_matrix(X, q + 1)
         if q >= 1:
-            for row in up:
+            down = _boundary_matrix(X, q)
+            for row in _boundary_matrix(X, q + 1):
                 img = [0] * X.size(q - 1)
                 for j, c in enumerate(row):
                     if c:
                         for t, v in enumerate(down[j]):
                             img[t] += c * v
                 _check(all(v == 0 for v in img), "boundary squares to zero")
-        divisors = _nonzero_divisors(up)
+        divisors = _nonzero_divisors(X, q + 1)
     else:
         divisors = []
     cycles = n_q - rank_down

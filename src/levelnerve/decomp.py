@@ -46,11 +46,18 @@ generators has gcd(d, m) in {1, m}.  Over Z/m the divisors say that the
 quotient by the radical is free, and the form is then perfect on it,
 since it embeds the quotient into its own dual, which has no more
 elements; over Z they say that the form on the quotient is unimodular.
-Framed decompositions add a generator per edge group,
-stored modulo sign (lexicographically smallest of the pair).  Equivariant
-decompositions add a finite group acting on the graph together with its
-matrices on H; naturality of groups, marks and frames is checked per
-element.
+At prime m the divisor test is vacuous, since gcd(d, p) is 1 or p for
+every d, so only the radical is compared.
+
+At prime m every lattice question of validate and leq is answered over
+F_p: kernels, coordinates and ranks are read off echelon forms
+(rref_transform, _rref_mod_p), and no integer Hermite or Smith form is
+computed.  Composite m and m = 0 keep the integer routines.
+
+Framed decompositions add a generator per edge group, stored modulo sign
+(lexicographically smallest of the pair).  Equivariant decompositions add
+a finite group acting on the graph together with its matrices on H;
+naturality of groups, marks and frames is checked per element.
 
 Equivalence is attribute-preserving graph isomorphism; canonical_form
 returns a byte string that is equal exactly for equivalent plain or framed
@@ -72,9 +79,10 @@ from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, f2_image, hnf,
-                         hnf_transform, mod_row_kernel, orbit_enumerate,
-                         pack_f2, snf_diagonal, stabilizer_words, vec_mat)
+from .symplectic import (SympSpace, SympSubgroup, _rref_mod_p, f2_image,
+                         hnf, hnf_transform, mod_row_kernel, orbit_enumerate,
+                         pack_f2, rref_transform, snf_diagonal,
+                         stabilizer_words, vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -119,8 +127,14 @@ def _int_coords(pairs, vec):
 
 
 def _quotient_profile(inner: SympSubgroup, outer: SympSubgroup):
-    """(contained, quotient is free, free rank) for inner <= outer."""
+    """(contained, quotient is free, free rank) for inner <= outer.  Over
+    F_p (prime m) every quotient is free of rank outer.rank - inner.rank,
+    so only the containment is left to decide."""
     space = inner.space
+    if space.prime:
+        if not all(map(outer.contains, inner.canonical_gens())):
+            return (False, False, None)
+        return (True, True, outer.rank - inner.rank)
     pairs = hnf_transform(outer.lattice)
     coords = []
     for row in inner.lattice:
@@ -337,29 +351,47 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
     not contained in an endpoint's group breaks the graph-of-groups
     structure: with strict=True that is reported as undefined, otherwise
     the edge is skipped and the containment failure is left to the local
-    conditions.  Returns (defined, injective, image subgroup)."""
+    conditions.  Returns (defined, injective, image subgroup).
+
+    Over F_p (prime m) the canonical generators of a vertex group are
+    echelon rows, 1 at their own pivot and 0 at the others.  So a block has
+    no internal relations, and the coordinates of a member are its entries
+    at the pivots.  The relations always lie in the kernel of the map to
+    H, so the map is injective exactly when their rank is that kernel's
+    dimension, sum rank V_v - rank(sum V_v)."""
     gens = [vg.canonical_gens() for vg in vgroups]
     offs = [0]
     for gg in gens:
         offs.append(offs[-1] + len(gg))
     total = offs[-1]
     amb = [list(v) for gg in gens for v in gg]
-    mod = [list(r) for r in space._m_rows]
-    # one transform per vertex block, over its generators and m*Z^n: its
-    # kernel rows are the block's internal relations, and it expresses
-    # the edge generators in the block
-    pairs = [hnf_transform([list(x) for x in gg] + mod) for gg in gens]
     rel = []
-    for v, gg in enumerate(gens):
-        for h, t in pairs[v]:
-            if not any(h):
-                r = [0] * total
-                r[offs[v]:offs[v] + len(gg)] = t[:len(gg)]
-                rel.append(r)
+    if space.prime:
+        pivots = [[next(j for j, a in enumerate(x) if a) for x in gg]
+                  for gg in gens]
+
+        def coords(v, x):
+            return ([x[j] for j in pivots[v]] if vgroups[v].contains(x)
+                    else None)
+    else:
+        mod = [list(r) for r in space._m_rows]
+        # one transform per vertex block, over its generators and m*Z^n:
+        # its kernel rows are the block's internal relations, and it
+        # expresses the edge generators in the block
+        pairs = [hnf_transform([list(x) for x in gg] + mod) for gg in gens]
+        for v, gg in enumerate(gens):
+            for h, t in pairs[v]:
+                if not any(h):
+                    r = [0] * total
+                    r[offs[v]:offs[v] + len(gg)] = t[:len(gg)]
+                    rel.append(r)
+
+        def coords(v, x):
+            return _int_coords(pairs[v], x)
     for e, (u, v) in enumerate(edges):
         for x in egroups[e].canonical_gens():
-            cu = _int_coords(pairs[u], x)
-            cv = _int_coords(pairs[v], x)
+            cu = coords(u, x)
+            cv = coords(v, x)
             if cu is None or cv is None:
                 if strict:
                     return (False, False, None)
@@ -374,9 +406,13 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             rel.append(r)
     if total == 0:
         return (True, True, space.subgroup([]))
-    ker = mod_row_kernel(amb, space.m)
-    injective = hnf([list(r) for r in ker]) == hnf([list(r) for r in rel])
     image = space.subgroup([space.reduce(row) for row in amb])
+    if space.prime:
+        injective = len(_rref_mod_p(rel, space.m, total)) \
+            == total - image.rank
+    else:
+        ker = mod_row_kernel(amb, space.m)
+        injective = hnf([list(r) for r in ker]) == hnf([list(r) for r in rel])
     return (True, injective, image)
 
 
@@ -409,8 +445,31 @@ def _bond_clause(d):
     m = space.m
     gens = [_generator(eg) for eg in d.edge_groups]
     cotree = [e for e in range(len(d.edges)) if e not in tree]
-    pairs = hnf_transform([list(gens[f]) for f in cotree]
-                          + [list(r) for r in space._m_rows])
+    if space.prime:
+        # the nonzero echelon rows h are 1 at their own pivot and 0 at the
+        # others, so a member x of their span is the sum of x[j] h over the
+        # pivots j, and its cotree coordinates are the sum of x[j] t.  When
+        # the cotree generators are dependent, S (of rank b_1) holds a tree
+        # generator outside their span, as on the integer path.
+        basis = [(next(j for j, a in enumerate(h) if a), h, t)
+                 for h, t in rref_transform([gens[f] for f in cotree], m)
+                 if any(h)]
+
+        def coords(x):
+            rest = list(x)
+            c = [0] * len(cotree)
+            for j, h, t in basis:
+                q = rest[j]
+                if q:
+                    rest = [(a - q * b) % m for a, b in zip(rest, h)]
+                    c = [(a + q * b) % m for a, b in zip(c, t)]
+            return None if any(rest) else c
+    else:
+        pairs = hnf_transform([list(gens[f]) for f in cotree]
+                              + [list(r) for r in space._m_rows])
+
+        def coords(x):
+            return _int_coords(pairs, x)
     # links[e] holds (e2, g): the potential of e2 is g times that of e.
     # Over Z every gain is +-1, and these stay apart modulo q = 3.
     q = m or 3
@@ -421,10 +480,10 @@ def _bond_clause(d):
                                                 if x != t])
                     if d.edges[t][0] in p)
         sign = [(a in side) - (b in side) for a, b in d.edges]
-        coords = _int_coords(pairs, gens[t])
-        if coords is None:
+        ct = coords(gens[t])
+        if ct is None:
             return False
-        for f, c in zip(cotree, coords):
+        for f, c in zip(cotree, ct):
             c = c % m if m else c
             # a unit on the cut of t, zero off it
             if (math.gcd(c, m) != 1) if sign[f] else c:
@@ -452,10 +511,11 @@ def _bond_clause(d):
 def _splits_off_radical(space, vg: SympSubgroup, ev: SympSubgroup):
     """Condition vi at one vertex: ev is the radical of vg, and the form
     is perfect on vg/ev, read off the Gram divisors as the module
-    docstring explains (over Z, gcd(d, 0) = d)."""
+    docstring explains (over Z, gcd(d, 0) = d; at prime m the divisor
+    test always holds)."""
     m = space.m
-    return vg.radical() == ev and all(
-        math.gcd(d, m) in (1, m) for d in snf_diagonal(vg.gram()))
+    return vg.radical() == ev and (space.prime or all(
+        math.gcd(d, m) in (1, m) for d in snf_diagonal(vg.gram())))
 
 
 def validate(d, conditions=None):
@@ -495,9 +555,12 @@ def validate(d, conditions=None):
         if sorted(labels) != list(range(1, d.n + 1)):
             bad.append("ii")
 
-    if "iii" in wanted:
+    if "iii" in wanted or "iv" in wanted:
+        # the span of all edge groups: E for iii, S for iv
         E = space.subgroup([v for eg in d.edge_groups
                             for v in eg.canonical_gens()])
+
+    if "iii" in wanted:
         ok = E.is_isotropic()
         egens = E.canonical_gens()
         vgens = [vg.canonical_gens() for vg in d.vertex_groups]
@@ -510,10 +573,8 @@ def validate(d, conditions=None):
             bad.append("iii")
 
     if "iv" in wanted:
-        S = space.subgroup([v for eg in d.edge_groups
-                            for v in eg.canonical_gens()])
         ok = (all(eg.is_cyclic() for eg in d.edge_groups)
-              and S.invariants == (space.m,) * d.b1() and S.is_primitive()
+              and E.invariants == (space.m,) * d.b1() and E.is_primitive()
               and _bond_clause(d))
         if not ok:
             bad.append("iv")

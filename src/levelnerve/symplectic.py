@@ -16,10 +16,13 @@ into the subgroup.
 
 There is one integer echelon and one Smith routine.  hnf is the echelon;
 hnf_transform runs it with the transform, and kernels, coordinates and
-inverses are read off its (h, t) pairs.  _rref_mod_p, the echelon over
-F_p, serves only the canonical form of prime moduli.  snf_diagonal gives
-the Smith divisors without transforms, and smith_normal_form is its
-checked entry point.
+inverses are read off its (h, t) pairs.  snf_diagonal gives the Smith
+divisors without transforms, and smith_normal_form is its checked entry
+point.  For prime m the echelon over F_p takes their place: _rref_mod_p
+gives the canonical form, and rref_transform, its run with the transform,
+gives kernels (SympSpace.row_kernel, for perp and radical) and
+coordinates in the same (h, t) pairs.  Over a field every quotient is
+free, so no Smith form is needed there.
 
 At m = 2 a vector can also be packed into one int, bit k holding
 coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
@@ -234,6 +237,18 @@ def _rref_mod_p(rows, p, n):
     return basis
 
 
+def rref_transform(rows, p):
+    """_rref_mod_p of the rows with an identity block appended, as (h, t)
+    pairs in pivot order with t * rows = h mod p; the counterpart of
+    hnf_transform over F_p.  The nonzero h are the reduced echelon rows of
+    the span, and the t of the zero h are a basis of the left kernel."""
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    basis = _rref_mod_p([list(r) + [1 if j == i else 0 for j in range(k)]
+                         for i, r in enumerate(rows)], p, n + k)
+    return [(basis[j][:n], basis[j][n:]) for j in sorted(basis)]
+
+
 # ---------------------------------------------------------------------------
 # symplectic spaces
 
@@ -372,6 +387,14 @@ class SympSpace:
 
     def subgroup(self, gens):
         return SympSubgroup(self, gens)
+
+    def row_kernel(self, mat):
+        """Generators of {x : x * mat = 0 mod m} for a matrix with r rows:
+        a basis over F_m for prime m, else the lattice of mod_row_kernel.
+        Either way they generate the same subgroup of (Z/m)^r."""
+        if self.prime:
+            return [t for h, t in rref_transform(mat, self.m) if not any(h)]
+        return mod_row_kernel(mat, self.m)
 
 
 class SympSubgroup:
@@ -512,8 +535,7 @@ class SympSubgroup:
         gens = self.canonical_gens()
         sign = sp._sign
         cols = [[sign[i] * g[i ^ 1] for g in gens] for i in range(sp.dim)]
-        ker = mod_row_kernel(cols, sp.m)
-        return sp.subgroup([row for row in ker])
+        return sp.subgroup(sp.row_kernel(cols))
 
     def _same_space(self, other):
         if self.space is not other.space and \
@@ -546,7 +568,7 @@ class SympSubgroup:
         combinations x * gens of the canonical generators with x in the
         kernel of the Gram matrix mod m."""
         gens = self.canonical_gens()
-        ker = mod_row_kernel(self.gram(), self.space.m)
+        ker = self.space.row_kernel(self.gram())
         return self.space.subgroup([vec_mat(x, gens) for x in ker])
 
     def apply(self, F):

@@ -1,9 +1,10 @@
 """Integral homology and the edge-path group of small simplicial sets:
 spheres, a torus and the projective plane, with every boundary matrix
-checked against sympy.  Also curve deletion on catalog representatives,
-a bond that validate decides without enumerating generator choices, the
-offender labels cross_validate reports, and the error assembly raises for
-a face missing from the rank below."""
+checked against sympy and its Smith divisors computed once per complex.
+Also curve deletion on catalog representatives, a bond that validate
+decides without enumerating generator choices, the offender labels
+cross_validate reports, and the error assembly raises for a face missing
+from the rank below."""
 
 from itertools import combinations
 
@@ -87,6 +88,26 @@ def test_euler_characteristic(facets):
     betti = [homology(X, q).count(0) for q in range(X.top_rank + 1)]
     assert sum((-1) ** q * b for q, b in enumerate(betti)) == \
         sum((-1) ** k * X.size(k) for k in range(X.top_rank + 1))
+
+
+def test_boundary_divisors_computed_once_per_complex(monkeypatch):
+    import levelnerve.complexes as complexes
+    calls = []
+
+    def counted(M):
+        calls.append(len(M))
+        return snf_diagonal(M)
+
+    monkeypatch.setattr(complexes, "snf_diagonal", counted)
+    want = CASES[NAMES.index("torus")][1]
+    for _ in range(2):
+        # an equal complex built afresh shares nothing with the last one
+        X = complex_from_facets(TORUS)
+        calls.clear()
+        assert [homology(X, q) for q in range(X.top_rank + 1)] == want
+        assert calls == [X.size(1), X.size(2)]
+        assert [homology(X, q) for q in range(X.top_rank + 1)] == want
+        assert len(calls) == 2
 
 
 def test_homology_degree_out_of_range():

@@ -21,7 +21,7 @@ from levelnerve.symplectic import SympSpace, SympSubgroup
 from levelnerve.covers import (abelian_cover, homology_cover, identity_cover,
                                perm_cover)
 from levelnerve.catalog import multicurve_catalog
-from levelnerve import covers, decomp
+from levelnerve import covers, decomp, symplectic
 from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                GraphDecomposition, canonical_form,
                                decomposition_from_data, decomposition_to_data,
@@ -29,7 +29,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                induced_from_multicurve, leq, sp_action,
                                validate)
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
-                                  delete_curves)
+                                  build_abelian_nerve, delete_curves)
 from oracles import (maps_onto, module_map_report,
                      signed_schreier_vertex_group)
 
@@ -898,6 +898,132 @@ def test_sp_action_transports_equivariant():
     assert isinstance(dF, EquivariantDecomposition)
     assert dF.vperms == d.vperms and dF.eperms == d.eperms
     assert validate(dF) == []
+
+
+# --------------------------------------------------------------------------
+# prime moduli: the F_p path against the integer path
+
+
+def integer_twin(sp, d):
+    """d rebuilt in sp from its canonical generators, keeping its kind."""
+    groups = ([vg.canonical_gens() for vg in d.vertex_groups],
+              [eg.canonical_gens() for eg in d.edge_groups], d.edges)
+    if isinstance(d, FramedDecomposition):
+        return FramedDecomposition(sp, *groups, d.frames, d.marks, d.n)
+    return GraphDecomposition(sp, *groups, d.marks, d.n)
+
+
+@st.composite
+def prime_cases(draw):
+    """(valid, second) decompositions over Z/p, p in {2, 3, 5, 7}: a
+    catalog decomposition at (1,1), (1,2) or (2,0) moved by a product of
+    transvections, and either another catalog decomposition moved alike
+    ("other") or a copy with one group changed.  A vertex group is
+    replaced by its image under a transvection (same rank, often a
+    different group), by a random subgroup, or enlarged by a vector; an
+    edge group is replaced by a random cyclic group.  "none" keeps the
+    copy valid."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    g, n = draw(st.sampled_from(((1, 1), (1, 2), (2, 0))))
+    cat = st.sampled_from(multicurve_catalog(g, n))
+    d, other = (induced_from_multicurve(g, n, p, draw(cat))
+                for _ in range(2))
+    sp = d.space
+    vec = st.tuples(*[st.integers(0, p - 1)] * sp.dim)
+    for v in draw(st.lists(vec, max_size=3)):
+        d = sp_action(sp.transvection(v), d)
+        other = sp_action(sp.transvection(v), other)
+    vgroups = [vg.canonical_gens() for vg in d.vertex_groups]
+    egroups = [eg.canonical_gens() for eg in d.edge_groups]
+    how = draw(st.sampled_from(("none", "other", "move", "random",
+                                "enlarge", "edge")))
+    if how == "other":
+        return d, other
+    if how == "edge" and egroups:
+        egroups[draw(st.integers(0, len(egroups) - 1))] = [draw(vec)]
+    elif how != "none":
+        v = draw(st.integers(0, d.V - 1))
+        x = draw(vec)
+        if how == "move":
+            vgroups[v] = sp.subgroup(vgroups[v]).apply(sp.transvection(x))
+        elif how == "random":
+            vgroups[v] = draw(st.lists(vec, max_size=3))
+        else:
+            vgroups[v] = vgroups[v] + [x]
+    return d, GraphDecomposition(sp, vgroups, egroups, d.edges, d.marks,
+                                 d.n)
+
+
+def _with_edge_group(d, e, gens):
+    egroups = list(d.edge_groups)
+    egroups[e] = gens
+    return GraphDecomposition(d.space, d.vertex_groups, egroups, d.edges,
+                              d.marks, d.n)
+
+
+_CUT_PAIR_12 = induced_from_multicurve(
+    1, 2, 5, by_key(1, 2, (((0, (1,)), (0, (2,))), ((0, 1), (0, 1)))))
+
+
+@given(prime_cases())
+# the two relations of the cut pair are dependent; with one edge group
+# trivial, or below the glued pants, the relations left are independent
+@example((_CUT_PAIR_12, _with_edge_group(_CUT_PAIR_12, 1, [])))
+@example((induced_from_multicurve(2, 0, 3, by_key(2, 0, NONSEP_KEY)),
+          induced_from_multicurve(2, 0, 3, by_key(2, 0, PANTS_KEY))))
+def test_prime_path_agrees_with_integer_path(case):
+    # a copy of the space with the prime flag off takes the integer path;
+    # the keys agree because both paths give the same Hermite form
+    sp = case[0].space
+    twin_space = SympSpace(sp.g, sp.m)
+    twin_space.prime = False
+    twins = [integer_twin(twin_space, d) for d in case]
+    for d, t in zip(case, twins):
+        assert [vg.key() for vg in d.vertex_groups] \
+            == [vg.key() for vg in t.vertex_groups]
+        assert validate(d) == validate(t)
+        for sub, tsub in zip(d.vertex_groups + d.edge_groups,
+                             t.vertex_groups + t.edge_groups):
+            assert sub.perp().key() == tsub.perp().key()
+            assert sub.radical().key() == tsub.radical().key()
+    assert validate(case[0]) == []
+    for a, b in ((0, 1), (1, 0)):
+        assert leq(case[a], case[b]) == leq(twins[a], twins[b])
+
+
+def test_prime_validate_skips_integer_hnf_and_snf(monkeypatch):
+    X = build_abelian_nerve(1, 1, 3)
+    stored = [d for block in X.decomps for d in block]
+    pants = [induced_from_multicurve(2, 0, 3, mc)
+             for mc in multicurve_catalog(2, 0)]
+    loop = by_key(1, 1, (((0, (1,)),), ((0, 0),)))
+    # the loop decomposition over Z/4 and Z/6, intact and with one group
+    # changed: the vertex group at m = 4, the edge group at m = 6
+    composite = []
+    for m, vgroup, egroup in ((4, [(2, 0), (0, 1)], None),
+                              (6, None, [(2, 0)])):
+        d = induced_from_multicurve(1, 1, m, loop)
+        composite += [d, GraphDecomposition(
+            d.space, [vgroup or d.vertex_groups[0]],
+            [egroup or d.edge_groups[0]], d.edges, d.marks, d.n)]
+
+    def refuse(*args):
+        raise AssertionError("integer Hermite or Smith form called")
+
+    for name in ("hnf_transform", "mod_row_kernel", "_int_coords",
+                 "snf_diagonal"):
+        monkeypatch.setattr(decomp, name, refuse)
+    for name in ("hnf_transform", "mod_row_kernel", "snf_diagonal"):
+        monkeypatch.setattr(symplectic, name, refuse)
+    assert len(stored) == 4
+    assert all(validate(d) == [] for d in stored + pants)
+    assert all(leq(pants[-1], d) for d in pants)
+    for d in composite:
+        with pytest.raises(AssertionError, match="integer"):
+            validate(d)
+    monkeypatch.undo()
+    assert [validate(d) for d in composite] \
+        == [[], ["i", "iii", "vi"], [], ["iii", "iv", "vi"]]
 
 
 # --------------------------------------------------------------------------
