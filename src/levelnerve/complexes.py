@@ -761,14 +761,15 @@ def homology(X, q):
         rank_down = len(_nonzero_divisors(X, q))
     if q + 1 <= X.top_rank:
         if q >= 1:
-            down = _boundary_matrix(X, q)
-            for row in _boundary_matrix(X, q + 1):
-                img = [0] * X.size(q - 1)
-                for j, c in enumerate(row):
-                    if c:
-                        for t, v in enumerate(down[j]):
-                            img[t] += c * v
-                _check(all(v == 0 for v in img), "boundary squares to zero")
+            # on the face rows: the faces of the faces of each simplex
+            # cancel in pairs
+            down = X.faces[q]
+            for row in X.faces[q + 1]:
+                img = {}
+                for l, f in enumerate(row):
+                    for t, ff in enumerate(down[f]):
+                        img[ff] = img.get(ff, 0) + (-1) ** (l + t)
+                _check(not any(img.values()), "boundary squares to zero")
         divisors = _nonzero_divisors(X, q + 1)
     else:
         divisors = []

@@ -46,13 +46,10 @@ generators has gcd(d, m) in {1, m}.  Over Z/m the divisors say that the
 quotient by the radical is free, and the form is then perfect on it,
 since it embeds the quotient into its own dual, which has no more
 elements; over Z they say that the form on the quotient is unimodular.
-At prime m the divisor test is vacuous, since gcd(d, p) is 1 or p for
-every d, so only the radical is compared.
 
-At prime m every lattice question of validate and leq is answered over
-F_p: kernels, coordinates and ranks are read off echelon forms
-(rref_transform, _rref_mod_p), and no integer Hermite or Smith form is
-computed.  Composite m and m = 0 keep the integer routines.
+Every lattice question of validate and leq (kernels, coordinates, free
+quotients, the divisor test) is asked of SympSpace and SympSubgroup, and
+the symplectic module alone chooses how to answer it.
 
 Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
@@ -79,10 +76,8 @@ from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, _rref_mod_p, f2_image,
-                         hnf, hnf_transform, mod_row_kernel, orbit_enumerate,
-                         pack_f2, rref_transform, snf_diagonal,
-                         stabilizer_words, vec_mat)
+from .symplectic import (SympSpace, SympSubgroup, f2_image, orbit_enumerate,
+                         pack_f2, stabilizer_words, vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -98,59 +93,6 @@ _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
 def _check(cond, msg):
     if not cond:
         raise LevelNerveError(f"decomposition self-check failed: {msg}")
-
-
-# --------------------------------------------------------------------------
-# integer linear algebra helpers
-
-
-def _int_coords(pairs, vec):
-    """Integer coordinates of vec over a row lattice, or None.
-
-    pairs is hnf_transform of the rows.  vec is reduced greedily against
-    the Hermite rows; the transform rows collected on the way express vec
-    as an integer combination of the original rows whenever the residual
-    vanishes."""
-    v = list(vec)
-    coeff = [0] * len(pairs)
-    for h, t in pairs:
-        piv = next((j for j, a in enumerate(h) if a), None)
-        if piv is None:
-            continue
-        q = v[piv] // h[piv]
-        if q:
-            v = [a - q * b for a, b in zip(v, h)]
-            coeff = [a + q * b for a, b in zip(coeff, t)]
-    if any(v):
-        return None
-    return tuple(coeff)
-
-
-def _quotient_profile(inner: SympSubgroup, outer: SympSubgroup):
-    """(contained, quotient is free, free rank) for inner <= outer.  Over
-    F_p (prime m) every quotient is free of rank outer.rank - inner.rank,
-    so only the containment is left to decide."""
-    space = inner.space
-    if space.prime:
-        if not all(map(outer.contains, inner.canonical_gens())):
-            return (False, False, None)
-        return (True, True, outer.rank - inner.rank)
-    pairs = hnf_transform(outer.lattice)
-    coords = []
-    for row in inner.lattice:
-        c = _int_coords(pairs, row)
-        if c is None:
-            return (False, False, None)
-        coords.append(list(c))
-    if space.m:
-        divs = snf_diagonal(coords)
-        nonunit = sorted(d for d in divs if d != 1)
-        free = all(d == space.m for d in nonunit)
-        return (True, free, len(nonunit) if free else None)
-    divs = [d for d in snf_diagonal(coords) if d]
-    free = all(d == 1 for d in divs)
-    rank = len(outer.lattice) - len(divs) if free else None
-    return (True, free, rank)
 
 
 def _sign_normal(space, vec):
@@ -353,12 +295,9 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
     the edge is skipped and the containment failure is left to the local
     conditions.  Returns (defined, injective, image subgroup).
 
-    Over F_p (prime m) the canonical generators of a vertex group are
-    echelon rows, 1 at their own pivot and 0 at the others.  So a block has
-    no internal relations, and the coordinates of a member are its entries
-    at the pivots.  The relations always lie in the kernel of the map to
-    H, so the map is injective exactly when their rank is that kernel's
-    dimension, sum rank V_v - rank(sum V_v)."""
+    The relations always lie in the kernel of the map to H, so the map is
+    injective exactly when every generator of that kernel lies in the
+    span of the relations."""
     gens = [vg.canonical_gens() for vg in vgroups]
     offs = [0]
     for gg in gens:
@@ -366,32 +305,16 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
     total = offs[-1]
     amb = [list(v) for gg in gens for v in gg]
     rel = []
-    if space.prime:
-        pivots = [[next(j for j, a in enumerate(x) if a) for x in gg]
-                  for gg in gens]
-
-        def coords(v, x):
-            return ([x[j] for j in pivots[v]] if vgroups[v].contains(x)
-                    else None)
-    else:
-        mod = [list(r) for r in space._m_rows]
-        # one transform per vertex block, over its generators and m*Z^n:
-        # its kernel rows are the block's internal relations, and it
-        # expresses the edge generators in the block
-        pairs = [hnf_transform([list(x) for x in gg] + mod) for gg in gens]
-        for v, gg in enumerate(gens):
-            for h, t in pairs[v]:
-                if not any(h):
-                    r = [0] * total
-                    r[offs[v]:offs[v] + len(gg)] = t[:len(gg)]
-                    rel.append(r)
-
-        def coords(v, x):
-            return _int_coords(pairs[v], x)
+    for v, vg in enumerate(vgroups):
+        for t in vg.relations():
+            r = [0] * total
+            r[offs[v]:offs[v + 1]] = t
+            rel.append(r)
+    coords = [space.solver(gg, space.dim) for gg in gens]
     for e, (u, v) in enumerate(edges):
         for x in egroups[e].canonical_gens():
-            cu = coords(u, x)
-            cv = coords(v, x)
+            cu = coords[u](x)
+            cv = coords[v](x)
             if cu is None or cv is None:
                 if strict:
                     return (False, False, None)
@@ -399,20 +322,14 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             if u == v:
                 continue
             r = [0] * total
-            for j in range(len(gens[u])):
-                r[offs[u] + j] += cu[j]
-            for j in range(len(gens[v])):
-                r[offs[v] + j] -= cv[j]
+            r[offs[u]:offs[u + 1]] = cu
+            r[offs[v]:offs[v + 1]] = [-a for a in cv]
             rel.append(r)
     if total == 0:
         return (True, True, space.subgroup([]))
     image = space.subgroup([space.reduce(row) for row in amb])
-    if space.prime:
-        injective = len(_rref_mod_p(rel, space.m, total)) \
-            == total - image.rank
-    else:
-        ker = mod_row_kernel(amb, space.m)
-        injective = hnf([list(r) for r in ker]) == hnf([list(r) for r in rel])
+    in_rel = space.solver(rel, total)
+    injective = all(in_rel(x) is not None for x in space.row_kernel(amb))
     return (True, injective, image)
 
 
@@ -445,31 +362,9 @@ def _bond_clause(d):
     m = space.m
     gens = [_generator(eg) for eg in d.edge_groups]
     cotree = [e for e in range(len(d.edges)) if e not in tree]
-    if space.prime:
-        # the nonzero echelon rows h are 1 at their own pivot and 0 at the
-        # others, so a member x of their span is the sum of x[j] h over the
-        # pivots j, and its cotree coordinates are the sum of x[j] t.  When
-        # the cotree generators are dependent, S (of rank b_1) holds a tree
-        # generator outside their span, as on the integer path.
-        basis = [(next(j for j, a in enumerate(h) if a), h, t)
-                 for h, t in rref_transform([gens[f] for f in cotree], m)
-                 if any(h)]
-
-        def coords(x):
-            rest = list(x)
-            c = [0] * len(cotree)
-            for j, h, t in basis:
-                q = rest[j]
-                if q:
-                    rest = [(a - q * b) % m for a, b in zip(rest, h)]
-                    c = [(a + q * b) % m for a, b in zip(c, t)]
-            return None if any(rest) else c
-    else:
-        pairs = hnf_transform([list(gens[f]) for f in cotree]
-                              + [list(r) for r in space._m_rows])
-
-        def coords(x):
-            return _int_coords(pairs, x)
+    # when the cotree generators are dependent, S (of rank b_1) holds a
+    # tree generator outside their span, whose coordinates are then None
+    coords = space.solver([gens[f] for f in cotree], space.dim)
     # links[e] holds (e2, g): the potential of e2 is g times that of e.
     # Over Z every gain is +-1, and these stay apart modulo q = 3.
     q = m or 3
@@ -508,16 +403,6 @@ def _bond_clause(d):
     return True
 
 
-def _splits_off_radical(space, vg: SympSubgroup, ev: SympSubgroup):
-    """Condition vi at one vertex: ev is the radical of vg, and the form
-    is perfect on vg/ev, read off the Gram divisors as the module
-    docstring explains (over Z, gcd(d, 0) = d; at prime m the divisor
-    test always holds)."""
-    m = space.m
-    return vg.radical() == ev and (space.prime or all(
-        math.gcd(d, m) in (1, m) for d in snf_diagonal(vg.gram())))
-
-
 def validate(d, conditions=None):
     """Violated condition labels, in the fixed order i..vi, frame, action.
 
@@ -542,12 +427,7 @@ def validate(d, conditions=None):
     if "i" in wanted:
         defined, injective, image = _pushout_report(
             space, d.vertex_groups, d.edges, d.edge_groups)
-        ok = defined and injective
-        if ok:
-            amb = space.subgroup(space.identity_matrix())
-            contained, free, rank = _quotient_profile(image, amb)
-            ok = contained and free and rank == d.b1()
-        if not ok:
+        if not (defined and injective and image.corank() == d.b1()):
             bad.append("i")
 
     if "ii" in wanted:
@@ -587,11 +467,11 @@ def validate(d, conditions=None):
             bad.append("v")
 
     if "vi" in wanted:
-        if not all(_splits_off_radical(
-                space, d.vertex_groups[v],
-                space.subgroup([x for e in d.incident(v)
-                                for x in d.edge_groups[e].canonical_gens()]))
-                for v in range(d.V)):
+        if not all(vg.radical() == space.subgroup(
+                [x for e in d.incident(v)
+                 for x in d.edge_groups[e].canonical_gens()])
+                and vg.splits_off_radical()
+                for v, vg in enumerate(d.vertex_groups)):
             bad.append("vi")
 
     if "frame" in wanted:
@@ -794,8 +674,7 @@ def leq(d1, d2) -> bool:
                 [d2.edge_groups[e] for e in es], strict=True)
             if not (defined and injective):
                 continue
-            contained, free, rank = _quotient_profile(image, target)
-            if contained and free and rank == len(es) - len(vs) + 1:
+            if target.quotient_rank(image) == len(es) - len(vs) + 1:
                 found = True
                 break
         if not found:

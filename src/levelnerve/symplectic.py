@@ -24,6 +24,22 @@ gives kernels (SympSpace.row_kernel, for perp and radical) and
 coordinates in the same (h, t) pairs.  Over a field every quotient is
 free, so no Smith form is needed there.
 
+Only this module chooses between the two.  Other modules ask their
+lattice questions of SympSpace and SympSubgroup (row_kernel, solver,
+relations, quotient_rank, corank, splits_off_radical); at prime m these
+read kernels, coordinates and ranks off echelon forms over F_p and
+compute no integer Hermite or Smith form, and otherwise they run the
+integer routines.  SympSpace.solver is the one coordinate routine: it
+writes x as c * rows mod m, or reports that x is outside the span of the
+rows.  At prime m the nonzero echelon rows h of rref_transform are 1 at
+their own pivot and 0 at the others, so a member x of their span is the
+sum of x[j] h over the pivots j, with coordinates the sum of x[j] t.  The
+canonical generators of a subgroup are such rows, so they have no
+relations and a member's coordinates are its entries at the pivots.
+Otherwise x is reduced greedily over Z against hnf_transform of the rows
+and the m*e_j (_int_coords), never mod m on the way: with dependent rows
+the coordinates are not unique, and callers may read them.
+
 At m = 2 a vector can also be packed into one int, bit k holding
 coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
 XOR of the packed rows of F at the set bits of x (f2_image).  A subgroup
@@ -126,6 +142,35 @@ def hnf_transform(rows):
     aug = hnf([list(r) + [1 if j == i else 0 for j in range(k)]
                for i, r in enumerate(rows)])
     return [(row[:n], row[n:]) for row in aug]
+
+
+def _int_coords(pairs, vec):
+    """Integer coordinates of vec over a row lattice, or None.
+
+    pairs is hnf_transform of the rows.  vec is reduced greedily against
+    the Hermite rows; the transform rows collected on the way express vec
+    as an integer combination of the original rows whenever the residual
+    vanishes."""
+    v = list(vec)
+    coeff = [0] * len(pairs)
+    for h, t in pairs:
+        piv = next((j for j, a in enumerate(h) if a), None)
+        if piv is None:
+            continue
+        q = v[piv] // h[piv]
+        if q:
+            v = [a - q * b for a, b in zip(v, h)]
+            coeff = [a + q * b for a, b in zip(coeff, t)]
+    return None if any(v) else tuple(coeff)
+
+
+def _free_rank(divisors, m, n):
+    """The rank of Z^n / L as a free Z/m-module (Z at m = 0) for the
+    nonzero Smith divisors of L, or None: it is free exactly when every
+    divisor is 1 or m, of rank n less the number of 1s."""
+    if all(d in (1, m) for d in divisors):
+        return n - divisors.count(1)
+    return None
 
 
 def snf_diagonal(mat):
@@ -396,6 +441,34 @@ class SympSpace:
             return [t for h, t in rref_transform(mat, self.m) if not any(h)]
         return mod_row_kernel(mat, self.m)
 
+    def solver(self, rows, width):
+        """x -> a tuple c with c * rows = x mod m, or None when x is outside
+        the span, for vectors of length width and rows that may be none or
+        dependent; the module docstring gives the two paths."""
+        m, k = self.m, len(rows)
+        if self.prime:
+            basis = [(next(j for j, a in enumerate(h) if a), h, t)
+                     for h, t in rref_transform(rows, m) if any(h)]
+
+            def coords(x):
+                rest = [a % m for a in x]
+                c = [0] * k
+                for j, h, t in basis:
+                    q = rest[j]
+                    if q:
+                        rest = [(a - q * b) % m for a, b in zip(rest, h)]
+                        c = [(a + q * b) % m for a, b in zip(c, t)]
+                return None if any(rest) else tuple(c)
+            return coords
+        mod = [[m if t == j else 0 for t in range(width)]
+               for j in range(width)] if m else []
+        pairs = hnf_transform([list(r) for r in rows] + mod)
+
+        def coords(x):
+            c = _int_coords(pairs, x)
+            return None if c is None else c[:k]
+        return coords
+
 
 class SympSubgroup:
     """Subgroup of (Z/m)^n given by generators, canonicalized through the
@@ -520,6 +593,30 @@ class SympSubgroup:
             return all(d == 1 for d in self.lattice_divisors)
         return all(math.gcd(d, m // d) == 1 for d in self.lattice_divisors)
 
+    def corank(self):
+        """The rank of H / self when that quotient is free, else None, read
+        off the lattice divisors."""
+        return _free_rank(self.lattice_divisors, self.space.m, self.space.dim)
+
+    def quotient_rank(self, inner: "SympSubgroup"):
+        """The rank of self / inner when inner lies in self and the
+        quotient is free, else None.  Over F_p every quotient is free of
+        rank self.rank - inner.rank; otherwise it is read off the Smith
+        divisors of the coordinates of inner's Hermite rows over self's."""
+        if self.space.prime:
+            if not all(map(self.contains, inner.canonical_gens())):
+                return None
+            return self.rank - inner.rank
+        pairs = hnf_transform(self.lattice)
+        coords = []
+        for row in inner.lattice:
+            c = _int_coords(pairs, row)
+            if c is None:
+                return None
+            coords.append(c)
+        divs = [d for d in snf_diagonal(coords) if d]
+        return _free_rank(divs, self.space.m, len(self.lattice))
+
     def gram(self):
         """The pairings <x, y> of the canonical generators, as rows."""
         gens = self.canonical_gens()
@@ -570,6 +667,24 @@ class SympSubgroup:
         gens = self.canonical_gens()
         ker = self.space.row_kernel(self.gram())
         return self.space.subgroup([vec_mat(x, gens) for x in ker])
+
+    def relations(self):
+        """Generators of {c : c * canonical_gens() = 0 mod m}, the
+        row_kernel of the generators: none at prime m, where they are
+        echelon rows."""
+        if self.space.prime:
+            return []
+        return self.space.row_kernel(self.canonical_gens())
+
+    def splits_off_radical(self) -> bool:
+        """Whether the pairing is perfect on self / radical, so that self is
+        its radical plus a nondegenerate complement: every Smith divisor d
+        of the Gram matrix has gcd(d, m) in {1, m} (over Z, gcd(d, 0) = d,
+        so the form on the quotient is unimodular).  At prime m the test
+        always holds, since gcd(d, p) is 1 or p for every d."""
+        m = self.space.m
+        return self.space.prime or all(
+            math.gcd(d, m) in (1, m) for d in snf_diagonal(self.gram()))
 
     def apply(self, F):
         """Image subgroup under x -> x*F; the images go in unreduced,

@@ -6,8 +6,10 @@ off a plain Smith form, the catalog lookup finds a representative by its
 dual graph, snf computes the Smith form with both transforms,
 lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
-each single merge, maps_onto compares a subgroup's image with another
-subgroup through dense images and Hermite-row membership,
+each single merge, quotient_profile reads a quotient of subgroups off the
+integer coordinates of one Hermite lattice in another at every modulus,
+maps_onto compares a subgroup's image with another subgroup through
+dense images and Hermite-row membership,
 transported_faces rebuilds a complex's face tables by transporting every
 vertex and face shadow with the simplex's stored matrix, and
 signed_schreier_vertex_group spans a sheet stabilizer's image from a
@@ -19,7 +21,8 @@ from levelnerve.decomp import canonical_form, sp_action
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
-from levelnerve.symplectic import (hnf, mat_identity, mod_row_kernel,
+from levelnerve.symplectic import (_int_coords, hnf, hnf_transform,
+                                   mat_identity, mod_row_kernel,
                                    orbit_enumerate, snf_diagonal, vec_mat)
 from levelnerve.words import max_letter, winv, wmul, wreduce
 
@@ -205,6 +208,30 @@ def maps_onto(space, A, M, Minv, B):
     if space.m:
         return A.order == B.order
     return all(A.contains(vec_mat(y, Minv)) for y in B.canonical_gens())
+
+
+def quotient_profile(inner, outer):
+    """(contained, quotient is free, free rank) for inner <= outer, by the
+    integer route at every modulus, prime or not: the Hermite rows of
+    inner written over those of outer, and the Smith divisors of the
+    coordinates."""
+    m = outer.space.m
+    pairs = hnf_transform(outer.lattice)
+    coords = []
+    for row in inner.lattice:
+        c = _int_coords(pairs, row)
+        if c is None:
+            return (False, False, None)
+        coords.append(list(c))
+    if m:
+        divs = snf_diagonal(coords)
+        nonunit = sorted(d for d in divs if d != 1)
+        free = all(d == m for d in nonunit)
+        return (True, free, len(nonunit) if free else None)
+    divs = [d for d in snf_diagonal(coords) if d]
+    free = all(d == 1 for d in divs)
+    rank = len(outer.lattice) - len(divs) if free else None
+    return (True, free, rank)
 
 
 class RestartFoldedGraph:

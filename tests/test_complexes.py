@@ -110,6 +110,17 @@ def test_boundary_divisors_computed_once_per_complex(monkeypatch):
         assert len(calls) == 2
 
 
+def test_tampered_faces_fail_the_boundary_check():
+    # construction checked the simplicial identities; a triangle whose
+    # three faces are then set to one edge has boundary e - e + e = e,
+    # and its boundary in turn is nonzero
+    X = complex_from_facets(TORUS)
+    e = X.faces[2][0][0]
+    X.faces = X.faces[:2] + (((e, e, e),) + X.faces[2][1:],)
+    with pytest.raises(LevelNerveError, match="boundary squares to zero"):
+        homology(X, 1)
+
+
 def test_homology_degree_out_of_range():
     X = complex_from_facets(TETRAHEDRON_BOUNDARY)
     for q in (-1, 3):

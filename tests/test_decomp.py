@@ -11,6 +11,7 @@ were produced by those oracles."""
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -30,7 +31,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                validate)
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
-from oracles import (maps_onto, module_map_report,
+from oracles import (maps_onto, module_map_report, quotient_profile,
                      signed_schreier_vertex_group)
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -198,6 +199,22 @@ def test_separating_decomposition_valid():
         rep = module_map_report(rows, 4, m)
         assert rep["injective"] and rep["coker_free"]
         assert rep["coker_rank"] == d.b1() == 0
+
+
+@pytest.mark.parametrize("m", [0, 2, 3, 4, 6])
+def test_gluing_must_be_injective(m):
+    # the image is H in every case, so only the injectivity of the gluing
+    # decides condition i: a copy of a1 or b1 left unglued is a kernel
+    # element no relation gives; 2a1 is zero mod 2
+    sp = SympSpace(1, m)
+    a, b, a2 = (1, 0), (0, 1), (2, 0)
+    cases = [([[a, b], [a, b]], [[a]], ["i"]),
+             ([[a, b], [a]], [[a]], []),
+             ([[a, b], [a2]], [[a2]], []),
+             ([[a, b], [a2]], [[]], [] if m == 2 else ["i"])]
+    for vgroups, egroups, want in cases:
+        d = GraphDecomposition(sp, vgroups, egroups, [(0, 1)])
+        assert validate(d, ("i",)) == want
 
 
 def test_vertex_groups_must_be_orthogonal():
@@ -1010,10 +1027,8 @@ def test_prime_validate_skips_integer_hnf_and_snf(monkeypatch):
     def refuse(*args):
         raise AssertionError("integer Hermite or Smith form called")
 
-    for name in ("hnf_transform", "mod_row_kernel", "_int_coords",
-                 "snf_diagonal"):
-        monkeypatch.setattr(decomp, name, refuse)
-    for name in ("hnf_transform", "mod_row_kernel", "snf_diagonal"):
+    for name in ("hnf", "hnf_transform", "int_row_kernel", "mod_row_kernel",
+                 "_int_coords", "snf_diagonal"):
         monkeypatch.setattr(symplectic, name, refuse)
     assert len(stored) == 4
     assert all(validate(d) == [] for d in stored + pants)
@@ -1024,6 +1039,36 @@ def test_prime_validate_skips_integer_hnf_and_snf(monkeypatch):
     monkeypatch.undo()
     assert [validate(d) for d in composite] \
         == [[], ["i", "iii", "vi"], [], ["iii", "iv", "vi"]]
+
+
+@pytest.mark.parametrize("m", [0, 2, 3, 4, 6])
+def test_quotient_rank_and_corank_match_reference(m):
+    # every ordered pair among the vertex and edge groups of the catalog
+    # decompositions, their doubles (not free over Z/4, Z/6 or Z), the
+    # glued image of condition i, H and 0
+    seen = Counter()
+    for g, n in ((1, 1), (1, 2), (2, 0)):
+        for mc in multicurve_catalog(g, n):
+            d = induced_from_multicurve(g, n, m, mc)
+            sp = d.space
+            H = sp.subgroup(sp.identity_matrix())
+            subs = list(d.vertex_groups + d.edge_groups)
+            subs += [sp.subgroup([[2 * a for a in x]
+                                  for x in sub.canonical_gens()])
+                     for sub in subs]
+            subs += [decomp._pushout_report(sp, d.vertex_groups, d.edges,
+                                            d.edge_groups)[2],
+                     H, sp.subgroup([])]
+            for outer in subs:
+                for inner in subs:
+                    contained, free, rank = quotient_profile(inner, outer)
+                    want = rank if contained and free else None
+                    assert outer.quotient_rank(inner) == want
+                    seen[(contained, free)] += 1
+                    if outer is H:
+                        assert inner.corank() == want
+    assert seen[(True, True)] and seen[(False, False)]
+    assert bool(seen[(True, False)]) == (m in (0, 4, 6))
 
 
 # --------------------------------------------------------------------------

@@ -128,3 +128,18 @@ def unread_parameters(path):
 def test_parameters_are_read():
     unread = [name for path in SOURCES for name in unread_parameters(path)]
     assert not unread, f"parameters no body reads: {unread}"
+
+
+def test_decomp_asks_lattice_questions_through_symplectic():
+    """decomp reads neither the prime flag nor the rows m*e_j of a space
+    and imports no echelon, kernel or Smith routine: which of the F_p and
+    integer routines answers a Z/m lattice question is decided in
+    symplectic alone."""
+    tree = ast.parse((ROOT / "src" / "levelnerve" / "decomp.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not read & {"prime", "_m_rows"}
+    assert not imported & {"_rref_mod_p", "rref_transform", "hnf",
+                           "hnf_transform", "mod_row_kernel", "snf_diagonal"}

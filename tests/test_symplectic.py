@@ -900,6 +900,82 @@ def test_canonical_gens_copy_does_not_leak_into_cache():
 
 
 # --------------------------------------------------------------------------
+# the coordinate routine
+
+
+def combine(c, rows, width):
+    return [sum(a * r[k] for a, r in zip(c, rows)) for k in range(width)]
+
+
+@st.composite
+def solver_cases(draw):
+    """(m, width, rows, x): up to three rows of width 1 to 5 with entries
+    outside [0, m), then maybe a combination of them, and x a combination
+    of all the rows, maybe shifted by a random vector."""
+    m, width = draw(moduli), draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-7, 7), min_size=width, max_size=width)
+    rows = draw(st.lists(vec, max_size=3))
+    coef = st.lists(st.integers(-3, 3), min_size=len(rows),
+                    max_size=len(rows))
+    if rows and draw(st.booleans()):
+        rows.append(combine(draw(coef), rows, width))
+        coef = st.lists(st.integers(-3, 3), min_size=len(rows),
+                        max_size=len(rows))
+    x = combine(draw(coef), rows, width)
+    if draw(st.booleans()):
+        x = [a + b for a, b in zip(x, draw(vec))]
+    return m, width, rows, x
+
+
+def in_span(m, width, rows, x):
+    """Membership of x in the span of the rows mod m: SympSubgroup.contains
+    at even width (and at odd width over Z, padded by a zero column), else
+    every coefficient vector in [0, m)^k."""
+    if width % 2 and m:
+        return any(all((a - b) % m == 0
+                       for a, b in zip(combine(c, rows, width), x))
+                   for c in product(range(m), repeat=len(rows)))
+    if width % 2:
+        rows, x = [r + [0] for r in rows], x + [0]
+        width += 1
+    return SympSpace(width // 2, m).subgroup(rows).contains(x)
+
+
+@given(solver_cases())
+@example((4, 3, [], [0, 4, 0]))
+@example((0, 3, [], [0, 0, 1]))
+@example((2, 4, [[1, 1, 0, 0], [1, 1, 0, 0]], [3, 1, 0, 0]))
+@example((6, 1, [[2], [3]], [1]))
+@example((3, 2, [[0, 0]], [0, 0]))
+def test_solver_finds_coordinates_exactly_on_the_span(case):
+    m, width, rows, x = case
+    c = SympSpace(width // 2, m).solver(rows, width)(x)
+    assert (c is not None) == in_span(m, width, rows, x)
+    if c is not None:
+        assert len(c) == len(rows)
+        diff = [a - b for a, b in zip(combine(c, rows, width), x)]
+        assert not any(a % m if m else a for a in diff)
+
+
+def test_solver_keeps_integer_coordinates_at_composite_moduli():
+    # away from prime m the coordinates are those of the greedy reduction
+    # over Z, not reduced mod m, and dependent rows fix one choice of them
+    pinned = [
+        (4, [(2, 0, 1), (1, 0, 3), (3, 0, 4)], (1, 0, 3), (0, 9, 12)),
+        (4, [(2, 0, 1), (1, 0, 3), (3, 0, 4)], (3, 0, 0), (0, 0, 9)),
+        (4, [(2, 0, 0, 0), (1, 1, 0, 3)], (3, 1, 0, 3), (-1, 1)),
+        (4, [(2, 0, 0, 0), (1, 1, 0, 3)], (1, 0, 0, 0), None),
+        (6, [(3, 2), (2, 4), (1, 1)], (5, 1), (6, 1, 21)),
+        (6, [(3, 0), (0, 2), (3, 2)], (3, 4), (0, 0, 11)),
+        (0, [(2, 4, 0), (1, 2, 1), (3, 6, 1)], (5, 10, 1), (0, -1, 2)),
+        (0, [(2, 4, 0), (1, 2, 1), (3, 6, 1)], (4, 8, 1), None),
+        (4, [], (0, 4), ()),
+    ]
+    for m, rows, x, want in pinned:
+        assert SympSpace(1, m).solver(rows, len(x))(x) == want
+
+
+# --------------------------------------------------------------------------
 # the F_p canonical form of prime moduli against the integer Hermite form
 
 
