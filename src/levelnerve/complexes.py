@@ -568,6 +568,11 @@ def _tietze(ngen, rels, budget=200_000):
         alive.discard(gen)
         new = []
         for s in rels:
+            if gen not in s and -gen not in s:
+                # nothing to substitute; s is already cyclically reduced
+                spent += len(s)
+                new.append(s)
+                continue
             out = []
             for x in s:
                 if abs(x) == gen:

@@ -310,7 +310,7 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             r = [0] * total
             r[offs[v]:offs[v + 1]] = t
             rel.append(r)
-    coords = [space.solver(gg, space.dim) for gg in gens]
+    coords = [vg.solver() for vg in vgroups]
     for e, (u, v) in enumerate(edges):
         for x in egroups[e].canonical_gens():
             cu = coords[u](x)
@@ -689,7 +689,7 @@ def leq(d1, d2) -> bool:
 def sp_action(F, d):
     """Transport a decomposition through a symplectic matrix."""
     space = d.space
-    F = space.reduce_matrix(F)
+    F = _reduced_matrix(space.g, space.m, tuple(map(tuple, F)))
     checked = _checked_matrix(space.g, space.m, F)
     if checked is None:
         raise InvalidInputError("matrix is not symplectic over the ambient")

@@ -321,6 +321,8 @@ class SympSpace:
         self.J = J
         # J[k][k ^ 1] = _sign[k]: +1 on a_i, -1 on b_i; all else is zero
         self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
+        # SympSubgroup.apply images, by (matrix, lattice)
+        self._images = {}
 
     # -- vectors
 
@@ -484,7 +486,11 @@ class SympSubgroup:
 
     At m = 2 the echelon rows are also kept packed, on first use, as
     (pivot bit, row mask) pairs with bit k for coordinate k: f2_rows and
-    contains_f2 decide membership with one XOR per pivot."""
+    contains_f2 decide membership with one XOR per pivot.
+
+    apply returns instances shared through the space, so a subgroup is a
+    value: nothing may change it after construction except its lazy
+    caches (canonical generators, pivots, packed rows, radical, solver)."""
 
     def __init__(self, space: SympSpace, gens):
         self.space = space
@@ -494,11 +500,13 @@ class SympSubgroup:
         for r in rows:
             if len(r) != n:
                 raise InvalidInputError("generator has wrong length")
-        # filled on first use by canonical_gens(), contains() and
-        # f2_rows(); the prime path knows the generators at once
+        # filled on first use by canonical_gens(), contains(), f2_rows(),
+        # radical() and solver(); the prime path knows the generators at once
         self._gens = None
         self._pivots = None
         self._f2 = None
+        self._radical = None
+        self._solver = None
         if space.prime:
             basis = _rref_mod_p(rows, m, n)
             lattice = list(space._m_rows)
@@ -664,9 +672,20 @@ class SympSubgroup:
         """Subgroup pairing trivially with everything in the subgroup: the
         combinations x * gens of the canonical generators with x in the
         kernel of the Gram matrix mod m."""
-        gens = self.canonical_gens()
-        ker = self.space.row_kernel(self.gram())
-        return self.space.subgroup([vec_mat(x, gens) for x in ker])
+        if self._radical is None:
+            gens = self.canonical_gens()
+            ker = self.space.row_kernel(self.gram())
+            self._radical = self.space.subgroup([vec_mat(x, gens)
+                                                 for x in ker])
+        return self._radical
+
+    def solver(self):
+        """space.solver of the canonical generators: coordinates of a
+        member over them."""
+        if self._solver is None:
+            self._solver = self.space.solver(self.canonical_gens(),
+                                             self.space.dim)
+        return self._solver
 
     def relations(self):
         """Generators of {c : c * canonical_gens() = 0 mod m}, the
@@ -688,9 +707,18 @@ class SympSubgroup:
 
     def apply(self, F):
         """Image subgroup under x -> x*F; the images go in unreduced,
-        since construction reduces them."""
-        return self.space.subgroup(
-            [vec_mat(v, F) for v in self.canonical_gens()])
+        since construction reduces them.  The image is memoized on the
+        space by the values of F and the lattice, so equal subgroups moved
+        by equal matrices share one instance."""
+        key = (F, self.lattice)
+        try:
+            img = self.space._images.get(key)
+        except TypeError:  # F given with list rows
+            return self.apply(tuple(map(tuple, F)))
+        if img is None:
+            img = self.space._images[key] = self.space.subgroup(
+                [vec_mat(v, F) for v in self.canonical_gens()])
+        return img
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from levelnerve.complexes import (FinSimpSet, _types, build_abelian_nerve,
 from levelnerve.covers import homology_cover, identity_cover
 from levelnerve.decomp import induced_from_lift, induced_from_multicurve
 from levelnerve.errors import InvalidInputError, UnsupportedError
+from levelnerve.symplectic import SympSubgroup
 from oracles import transported_faces
 
 
@@ -149,6 +150,28 @@ def test_faces_match_transport_oracle(build, types, digest):
     assert transported_faces(X, types()) == X.faces
     text = json.dumps(X.to_data())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_nerve_transports_each_subgroup_value_once(monkeypatch):
+    made = Counter()
+    init = SympSubgroup.__init__
+
+    def counted(self, *args):
+        made["subgroups"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(SympSubgroup, "__init__", counted)
+    X = build_abelian_nerve(2, 0, 3)
+    # 22 108 when every apply built its image afresh
+    assert made["subgroups"] <= 4000
+    monkeypatch.undo()
+    assert cross_validate(X)["ok"]
+    # the shared subgroups are still the values their generators give
+    for block in X.decomps:
+        for d in block:
+            for sub in d.vertex_groups + d.edge_groups:
+                assert sub.key() == sub.space.subgroup(
+                    sub.canonical_gens()).key()
 
 
 @pytest.mark.xfail(strict=True, raises=InvalidInputError,

@@ -18,6 +18,8 @@ from levelnerve.symplectic import (
     mod_row_kernel,
     pack_f2,
     snf_diagonal,
+    sp_group,
+    vec_mat,
 )
 from oracles import lattice_reduce, module_map_report, snf
 
@@ -431,6 +433,58 @@ def test_apply_matrix():
     sub = sp.subgroup([sp.basis_b(1)])
     img = sub.apply(T)
     assert img.contains((4, 1))
+
+
+def drawn_subgroup(sp, data):
+    vec = st.lists(st.integers(-5, 5), min_size=sp.dim, max_size=sp.dim)
+    return sp.subgroup(data.draw(st.lists(vec, max_size=sp.dim + 1)))
+
+
+def drawn_sp_matrix(sp, data):
+    """A product of one to four sp_group matrices."""
+    gens = sp_group(sp)
+    F = sp.identity_matrix()
+    for j in data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=1,
+                                max_size=4)):
+        F = sp.mat_mul(F, gens[j])
+    return F
+
+
+@given(st.integers(1, 2), moduli, st.data())
+def test_apply_shares_images_equal_to_fresh_ones(g, m, data):
+    sp = SympSpace(g, m)
+    F = drawn_sp_matrix(sp, data)
+    for sub in [drawn_subgroup(sp, data) for _ in range(3)]:
+        img = sub.apply(F)
+        fresh = sp.subgroup([vec_mat(v, F) for v in sub.canonical_gens()])
+        assert img.key() == fresh.key()
+        assert sub.apply(F) is img
+        # an equal subgroup built apart, or F with list rows, reach the
+        # same instance
+        assert sp.subgroup(sub.canonical_gens()).apply(F) is img
+        assert sub.apply([list(row) for row in F]) is img
+
+
+@given(st.integers(1, 2), moduli, st.data())
+def test_cached_radical_and_solver_equal_fresh_ones(g, m, data):
+    sp = SympSpace(g, m)
+    sub = drawn_subgroup(sp, data)
+    F = drawn_sp_matrix(sp, data)
+    x = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=sp.dim,
+                                 max_size=sp.dim)))
+    for s in (sub, sub.apply(F)):
+        gens = s.canonical_gens()
+        rad = s.radical()
+        assert s.radical() is rad
+        assert rad.key() == sp.subgroup(
+            [vec_mat(k, gens) for k in sp.row_kernel(s.gram())]).key()
+        solve = s.solver()
+        assert s.solver() is solve
+        fresh = sp.solver(gens, sp.dim)
+        member = vec_mat(x[:len(gens)], gens) if gens else sp.zero()
+        for y in (x, member):
+            assert solve(y) == fresh(y)
+        assert solve(member) is not None
 
 
 # ---------------------------------------------------------------------------
