@@ -9,12 +9,20 @@ complementary pieces upstairs are read off region by region downstairs: a
 region's preimage is connected exactly when the region contains an odd loop
 (a free branch point or an odd hole), and its fundamental group is the
 even-parity part of the region group, computed by Reidemeister-Schreier
-rewriting of prefix-conjugated lasso loops.  Every entry checks its own
-bookkeeping: Euler characteristics assemble to 2-2g-n, folded subgroup ranks
-match the piece genera, boundary and mark loops fold into their piece
-subgroups, and the homology classes of the curve words reproduce the
-bridge/cut classification of the dual graph.  The same audit runs on the
-sub-multicurves that complexes.delete_curves synthesizes.
+rewriting of prefix-conjugated lasso loops.
+
+Realization has two stages.  The combinatorial stage runs on every laminar
+family: it reads the pieces and the dual graph off the diagram, checks that
+the piece genera are whole, that the Euler characteristics assemble to
+2-2g-n and that the dual graph has genus g, and drops the family when some
+piece is unstable.  The word stage runs only on the first family of each
+new type, in DFS order, which is the one the catalog keeps: it builds the
+piece generators and curve words, solves a conjugator for every side loop,
+and _audit checks that folded subgroup ranks match the piece genera, that
+boundary and mark loops fold into their piece subgroups, and that the
+homology classes of the curve words reproduce the bridge/cut classification
+of the dual graph.  The same audit runs on every sub-multicurve that
+complexes.delete_curves synthesizes.
 
 The shipped range is 1 <= g <= 3, 0 <= n <= 2 (so the model never carries
 interior marked points; the surface's punctures are the one or two boundary
@@ -156,6 +164,30 @@ def _families(B, max_curves):
 # -- realization
 
 
+def _span(o):
+    """The downstairs word of an object: its branch points in order."""
+    return tuple(range(o[1], o[2] + 1))
+
+
+def _odd(o):
+    return (o[2] - o[1] + 1) % 2
+
+
+class _Layout:
+    """The combinatorial stage of a family: items per region (regions
+    parents first), which regions lift connected, piece ids per (region,
+    sheet), one (object, outer region, sheet, ends) entry per lifted
+    curve, filled Euler characteristics of the pieces, dual graph."""
+
+    def __init__(self, items, connected, piece_ids, edges, chis, graph):
+        self.items = items
+        self.connected = connected
+        self.piece_ids = piece_ids
+        self.edges = edges
+        self.chis = chis
+        self.graph = graph
+
+
 class _Realizer:
     def __init__(self, g, n):
         self.g = g
@@ -175,9 +207,11 @@ class _Realizer:
             self._public[down_word] = w
         return w
 
-    def realize(self, family):
-        """Build the MulticurveRep of a laminar family, or None when some
-        piece is inessential or unstable (not a valid multicurve)."""
+    def layout(self, family):
+        """Combinatorial stage: the _Layout of a laminar family, or None
+        when some piece is inessential or unstable (not a valid
+        multicurve).  Builds no words; checks the piece bookkeeping, the
+        assembled dual graph and the Euler characteristic assembly."""
         B, n = self.B, self.n
         circles = [o for o in family if o[0] == "circ"]
         # region of an object/position: the innermost circle around it
@@ -208,48 +242,109 @@ class _Realizer:
         for r in regions:
             items[r].sort(key=lambda o: o[1])
 
-        def wword(o):
-            return tuple(range(o[1], o[2] + 1))
-
-        def parity(o):
-            return (o[2] - o[1] + 1) % 2
-
-        # access prefixes and connectivity, outside in
-        access = {None: ()}
-        connected = {}
-        prefix = {}
-        for r in regions:
-            A = access[r]
-            V = A
-            odd = False
-            for o in items[r]:
-                prefix[o] = V
-                V = V + wword(o)
-                if parity(o):
-                    odd = True
-                if o[0] == "circ":
-                    access[o] = prefix[o]
-            connected[r] = odd
+        # a region's preimage is connected exactly when it has an odd item
+        connected = {r: any(_odd(o) for o in its) for r, its in items.items()}
 
         # pieces per region
         piece_ids = {}
-        piece_region = []
+        n_pieces = 0
         for r in regions:
             if connected[r]:
-                piece_ids[(r, 0)] = piece_ids[(r, 1)] = len(piece_region)
-                piece_region.append((r, None))
+                piece_ids[(r, 0)] = piece_ids[(r, 1)] = n_pieces
+                n_pieces += 1
             else:
                 for eps in (0, 1):
-                    piece_ids[(r, eps)] = len(piece_region)
-                    piece_region.append((r, eps))
+                    piece_ids[(r, eps)] = n_pieces
+                    n_pieces += 1
+
+        # lifted curves: a slit's lift joins the two sheets of its region;
+        # an odd circle lifts to one curve with one collar on each side;
+        # an even one to two, the eps-sheet outside facing the eps-sheet
+        # inside
+        edges = []
+        for o in sorted(family, key=lambda o: (o[1], o[2], o[0])):
+            r_out = region_of(o[1], o[2])
+            if o[0] == "arc":
+                ends = (piece_ids[(r_out, 0)], piece_ids[(r_out, 1)])
+                edges.append((o, r_out, None, ends))
+                continue
+            for eps in ((0,) if _odd(o) else (0, 1)):
+                ends = (piece_ids[(r_out, eps)], piece_ids[(o, eps)])
+                edges.append((o, r_out, eps, ends))
+
+        # boundary marks: the two lifts of the disk boundary sit on the
+        # root pieces; u_1 is real for n >= 1, u_2 for n = 2
+        marks = [[] for _ in range(n_pieces)]
+        fills = [0] * n_pieces
+        for sigma in (0, 1):
+            pid = piece_ids[(None, sigma)]
+            if sigma < n:
+                marks[pid].append(sigma + 1)
+            else:
+                fills[pid] += 1
+
+        # Euler characteristics region by region
+        chi_open = [0] * n_pieces
+        for r in regions:
+            holes = sum(1 for o in items[r] if o[0] == "circ")
+            slits = sum(1 for o in items[r] if o[0] == "arc")
+            free = [o for o in items[r] if o[0] == "pos"]
+            chi_r = 1 - holes - slits - len(free)
+            if connected[r]:
+                pid = piece_ids[(r, 0)]
+                chi_open[pid] = 2 * chi_r + len(free)
+            else:
+                for eps in (0, 1):
+                    chi_open[piece_ids[(r, eps)]] = chi_r
+
+        boundary_count = [0] * n_pieces
+        for _, _, _, (u, v) in edges:
+            boundary_count[u] += 1
+            boundary_count[v] += 1
+
+        genera, chis = [], []
+        for pid in range(n_pieces):
+            chi_f = chi_open[pid] + fills[pid]
+            b = boundary_count[pid]
+            r_real = len(marks[pid])
+            h2 = 2 - chi_f - b - r_real
+            if h2 < 0 or h2 % 2:
+                raise LevelNerveError("piece bookkeeping is inconsistent")
+            h = h2 // 2
+            if 2 * h - 2 + b + r_real <= 0:
+                return None  # inessential or parallel curve; not a multicurve
+            genera.append(h)
+            chis.append(chi_f)
+
+        graph = StableGraph(list(zip(genera, marks)), [e[3] for e in edges])
+        _check(graph.genus() == self.g and graph.is_stable(),
+               "assembled dual graph")
+        _check(sum(chis) == 2 - 2 * self.g - n,
+               "Euler characteristic assembly")
+        return _Layout(items, connected, piece_ids, tuple(edges),
+                       tuple(chis), graph)
+
+    def realize(self, lay):
+        """Word stage: the MulticurveRep of a layout, with its piece
+        generators, curve words, mark loops and side conjugators, checked
+        by _audit."""
+        items, connected, piece_ids = lay.items, lay.connected, lay.piece_ids
+        # access prefixes, outside in: an item is reached past the items
+        # before it in its region, a region by its circle's own prefix
+        prefix = {}
+        for r, its in items.items():
+            V = prefix.get(r, ())
+            for o in its:
+                prefix[o] = V
+                V = V + _span(o)
 
         def based(o):
             pre = prefix[o]
-            return wmul(pre, wword(o), winv(pre))
+            return wmul(pre, _span(o), winv(pre))
 
         def based_sq(o):
             pre = prefix[o]
-            return wmul(pre, wword(o), wword(o), winv(pre))
+            return wmul(pre, _span(o), _span(o), winv(pre))
 
         # Sheet access devices.  A split region's two pieces are based via
         # the silent x_1 prefix (applied uniformly, so any curve crossings
@@ -257,9 +352,9 @@ class _Realizer:
         # region reaches its second sheet through the lasso T of its first
         # odd item, a path inside the region, hence inside the piece.
         T_of = {}
-        for r in regions:
+        for r, its in items.items():
             if connected[r]:
-                tstar = next(o for o in items[r] if parity(o))
+                tstar = next(o for o in its if _odd(o))
                 T_of[r] = (tstar, based(tstar))
 
         def side_loop(r, base, eps):
@@ -271,9 +366,8 @@ class _Realizer:
             return wmul((1,) * eps, base, (1,) * eps)
 
         # subgroup generators per piece
-        gens = [[] for _ in piece_region]
-        for r in regions:
-            its = items[r]
+        gens = [None] * len(lay.chis)
+        for r, its in items.items():
             if connected[r]:
                 pid = piece_ids[(r, 0)]
                 tstar, gstar = T_of[r]
@@ -282,7 +376,7 @@ class _Realizer:
                     if o is tstar:
                         continue
                     go = based(o)
-                    if parity(o):
+                    if _odd(o):
                         gs.append(wmul(go, winv(gstar)))
                         gs.append(wmul(gstar, go))
                     else:
@@ -296,105 +390,33 @@ class _Realizer:
                     gens[pid] = [self._std(side_loop(r, based(o), eps))
                                  for o in its]
 
-        # edges: curve word plus its two sides
-        edge_words = []
-        edge_sides = []
-        edge_ends = []
-        for o in sorted(family, key=lambda o: (o[1], o[2], o[0])):
-            r_out = region_of(o[1], o[2])
-            if o[0] == "arc":
-                word = self._std(wword(o))
-                sides = []
-                for eps in (0, 1):
-                    loop = self._std(side_loop(r_out, based(o), eps))
-                    sides.append((piece_ids[(r_out, eps)], loop))
-                edge_words.append(word)
-                edge_sides.append(tuple(sides))
-                edge_ends.append((sides[0][0], sides[1][0]))
-            elif parity(o):
-                # both regions around an odd circle are connected and the
-                # lifted curve has one collar on each side
-                word = self._std(wword(o) + wword(o))
-                loop = self._std(based_sq(o))
-                pid_out = piece_ids[(r_out, 0)]
-                pid_in = piece_ids[(o, 0)]
-                edge_words.append(word)
-                edge_sides.append(((pid_out, loop), (pid_in, loop)))
-                edge_ends.append((pid_out, pid_in))
-            else:
-                # two lifted curves; the eps-side of the outer region and
-                # the eps-side of the inner region face the same lift
-                base_par = sum(1 for x in prefix[o] if x <= self.B) % 2
-                for eps in (0, 1):
-                    delta = eps ^ base_par
-                    word = self._std(((1,) * delta) + wword(o)
-                                     + ((1,) * delta))
-                    out_loop = self._std(side_loop(r_out, based(o), eps))
-                    in_loop = self._std(side_loop(o, based(o), eps))
-                    pid_out = piece_ids[(r_out, eps)]
-                    pid_in = piece_ids[(o, eps)]
-                    edge_words.append(word)
-                    edge_sides.append(((pid_out, out_loop),
-                                       (pid_in, in_loop)))
-                    edge_ends.append((pid_out, pid_in))
-
-        # boundary marks: the two lifts of the disk boundary sit on the
-        # root pieces; u_1 is real for n >= 1, u_2 for n = 2
-        down_all = tuple(range(1, B + 1))
-        marks = [[] for _ in piece_region]
-        fills = [0] * len(piece_region)
-        for sigma in (0, 1):
-            pid = piece_ids[(None, sigma)]
+        # based loops around the real boundary marks
+        marks = [[] for _ in lay.chis]
+        down_all = tuple(range(1, self.B + 1))
+        for sigma in range(self.n):
             loop = self._std(winv(side_loop(None, down_all, sigma)))
-            if sigma + 1 <= n:
-                marks[pid].append((sigma + 1, loop))
+            marks[piece_ids[(None, sigma)]].append((sigma + 1, loop))
+        pieces = [Piece(h, tuple(mk), tuple(gs), chi) for (h, _), mk, gs, chi
+                  in zip(lay.graph.vertices, marks, gens, lay.chis)]
+
+        # curve words; each side loop conjugates the curve or its inverse
+        words, sides = [], []
+        for o, r_out, eps, ends in lay.edges:
+            if o[0] == "arc":
+                word = self._std(_span(o))
+                loops = [self._std(side_loop(r_out, based(o), e))
+                         for e in (0, 1)]
+            elif _odd(o):
+                word = self._std(_span(o) + _span(o))
+                loops = [self._std(based_sq(o))] * 2
             else:
-                fills[pid] += 1
-
-        # Euler characteristics region by region
-        chi_open = [0] * len(piece_region)
-        for r in regions:
-            holes = sum(1 for o in items[r] if o[0] == "circ")
-            slits = sum(1 for o in items[r] if o[0] == "arc")
-            free = [o for o in items[r] if o[0] == "pos"]
-            chi_r = 1 - holes - slits - len(free)
-            if connected[r]:
-                pid = piece_ids[(r, 0)]
-                chi_open[pid] = 2 * chi_r + len(free)
-            else:
-                for eps in (0, 1):
-                    chi_open[piece_ids[(r, eps)]] = chi_r
-
-        boundary_count = [0] * len(piece_region)
-        for u, v in edge_ends:
-            boundary_count[u] += 1
-            boundary_count[v] += 1
-
-        pieces = []
-        for pid in range(len(piece_region)):
-            chi_f = chi_open[pid] + fills[pid]
-            b = boundary_count[pid]
-            r_real = len(marks[pid])
-            h2 = 2 - chi_f - b - r_real
-            if h2 < 0 or h2 % 2:
-                raise LevelNerveError("piece bookkeeping is inconsistent")
-            h = h2 // 2
-            if 2 * h - 2 + b + r_real <= 0:
-                return None  # inessential or parallel curve; not a multicurve
-            pieces.append(Piece(h, tuple(sorted(marks[pid])),
-                                tuple(gens[pid]), chi_f))
-
-        verts = [(p.genus, tuple(m for m, _ in p.marks)) for p in pieces]
-        graph = StableGraph(verts, edge_ends)
-        _check(graph.genus() == self.g and graph.is_stable(),
-               "assembled dual graph")
-        _check(sum(p.chi_filled for p in pieces) == 2 - 2 * self.g - n,
-               "Euler characteristic assembly")
-
-        sides = []
-        for word, sds in zip(edge_words, edge_sides):
+                base_par = sum(1 for x in prefix[o] if x <= self.B) % 2
+                delta = eps ^ base_par
+                word = self._std(((1,) * delta) + _span(o) + ((1,) * delta))
+                loops = [self._std(side_loop(r, based(o), eps))
+                         for r in (r_out, o)]
             pair = []
-            for pid, loop in sds:
+            for pid, loop in zip(ends, loops):
                 sign = 1
                 c = solve_conjugator(word, loop)
                 if c is None:
@@ -402,9 +424,10 @@ class _Realizer:
                     sign = -1
                 _check(c is not None, "side loop is a curve conjugate")
                 pair.append(Side(pid, c, sign))
+            words.append(word)
             sides.append(tuple(pair))
 
-        rep = MulticurveRep(self.g, n, graph, edge_words, pieces, sides)
+        rep = MulticurveRep(self.g, self.n, lay.graph, words, pieces, sides)
         _audit(rep)
         return rep
 
@@ -474,10 +497,12 @@ def _catalog(g, n):
     found = {}
     max_curves = 3 * g - 3 + n
     for family in itertools.chain([()], _families(real.B, max_curves)):
-        rep = real.realize(family)
-        if rep is None or rep.key in found:
+        lay = real.layout(family)
+        if lay is None:
             continue
-        found[rep.key] = rep
+        key = lay.graph.canonical_key()
+        if key not in found:
+            found[key] = real.realize(lay)
         if want <= set(found):
             break
     return found

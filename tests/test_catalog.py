@@ -1,9 +1,11 @@
 """Catalog of multicurve representatives: coverage, words, piece data."""
 
 import hashlib
+import itertools
 
 import pytest
 
+from levelnerve import catalog
 from levelnerve.catalog import (
     MulticurveRep,
     catalog_coverage,
@@ -160,6 +162,8 @@ CATALOG_SHA256 = {
     (2, 0): "b34b9233162549a588dbd3ace7bbc654df0a303febad6b734a0168c2827d10aa",
     (2, 1): "58bf9b0106dd0aeac25280e925cc3b70ed11815924fa8f5593c1330d6b668723",
     (2, 2): "59fd2449ab773acbae4554e1d8b1e8434cd5a4ea67a304ed18fcb38074fa999f",
+    (3, 0): "529e5e437944dd2d9277336f73437cbc25dd971b46e4cbdb3093f44bd2ae813f",
+    (3, 1): "4bed8bbd64735abad4baea3ccc97af94e5036ce03c280cdbaed625c79510179d",
 }
 
 
@@ -171,3 +175,50 @@ def test_catalog_representatives_pinned(g, n):
     for rep in multicurve_catalog(g, n):
         h.update(repr((rep.key, rep.words, rep.pieces, rep.sides)).encode())
     assert h.hexdigest() == CATALOG_SHA256[(g, n)]
+
+
+def test_word_stage_runs_once_per_kept_type(monkeypatch):
+    # families of an already realized type stop after the combinatorial
+    # stage, so only the kept reps are built and audited
+    calls = []
+    audit = catalog._audit
+
+    def counting(rep):
+        calls.append(rep.key)
+        audit(rep)
+
+    monkeypatch.setattr(catalog, "_audit", counting)
+    found = catalog._catalog.__wrapped__(3, 0)
+    assert len(found) == 32
+    assert len(calls) == len(found)
+    assert sorted(calls) == sorted(found)
+
+
+# sha256 of repr(list of rejected families), DFS order, with the number of
+# accepted families, as recorded by the realization that built every
+# family's words before deciding stability
+STABILITY_REJECTS = {
+    (2, 0): (79, 43, "91788dda9222b1e91520837b61b9a669"
+                     "63c277b201e228cdcad4f5ea3e146310"),
+    (2, 1): (132, 85, "00621e2f8556f2f9c4ca148d8af8f326"
+                      "3d536c77f9043a31e69ece30c3eaf454"),
+    (2, 2): (110, 197, "cf796b37ae2218a9979da7377c690d8b"
+                       "923ee99185513d1104133925a92cfa9f"),
+}
+
+
+@pytest.mark.parametrize("g, n", sorted(STABILITY_REJECTS))
+def test_combinatorial_stage_agrees_with_word_stage(g, n):
+    real = catalog._Realizer(g, n)
+    rejected, accepted = [], 0
+    for family in itertools.chain(
+            [()], catalog._families(real.B, 3 * g - 3 + n)):
+        lay = real.layout(family)
+        if lay is None:
+            rejected.append(family)
+            continue
+        rep = real.realize(lay)  # audits the words against the graph
+        assert rep.key == lay.graph.canonical_key()
+        accepted += 1
+    digest = hashlib.sha256(repr(rejected).encode()).hexdigest()
+    assert (len(rejected), accepted, digest) == STABILITY_REJECTS[(g, n)]
