@@ -25,6 +25,16 @@ read off from how occurrence pairs interleave, and the intersection form
 of the letters themselves is minus the inverse of that crossing form.  An
 integer change of basis then produces the standard symplectic frame.
 
+A class is a linear function of the loop edges a word crosses: the
+Reidemeister-Schreier rewrite of a word read from a sheet lists the signed
+loop-edge ids it passes, and its class is the sum of one fixed row per
+loop, read off a table built once per cover (each loop's survivor
+coordinates after the face merges, times the inverse frame change).
+Conjugating a word by the transversal word t_h of sheet h costs nothing:
+t_h runs on tree edges only, which the rewrite leaves silent, and free
+cancellation removes backtracks, whose ids cancel in the signed sum.  So
+the class of t_h w t_h^-1 is that of w read from sheet h, over Z.
+
 Transversals, element orderings, merge order and basis extraction are all
 deterministic, so every output is reproducible.
 """
@@ -344,11 +354,11 @@ class _Table:
             g = self.step(g, x)
         return g, tuple(out)
 
-    def loop_vector(self, word):
-        """Exponent sums of the loop ids of a subgroup word, indexed by id
-        (entry 0 unused)."""
-        end, rw = self.rewrite(0, word)
-        _check(end == 0, "word must lie in the cover subgroup")
+    def loop_vector(self, start, word):
+        """Exponent sums of the loop ids of a word read from coset `start`
+        that closes up there, indexed by id (entry 0 unused)."""
+        end, rw = self.rewrite(start, word)
+        _check(end == start, "word must lie in the cover subgroup")
         v = [0] * (self.L + 1)
         for s in rw:
             v[abs(s)] += 1 if s > 0 else -1
@@ -477,7 +487,7 @@ class _ChainData:
 
         # merge all faces into a single polygon, recording how each
         # eliminated letter is expressed in the surviving ones
-        self.records = []
+        records = []
         while len(faces) > 1:
             where = {}
             for fi, w in enumerate(faces):
@@ -496,7 +506,7 @@ class _ChainData:
             rec = [0] * (L + 1)
             for s in A[1:]:
                 rec[abs(s)] -= 1 if s > 0 else -1
-            self.records.append((x, rec))
+            records.append((x, rec))
             merged = A[1:] + B[1:]
             faces = [w for fi, w in enumerate(faces) if fi not in (fa, fb)]
             faces.append(merged)
@@ -545,7 +555,17 @@ class _ChainData:
         U, V = _symplectic_rows(P)
         self.U, self.Uinv = U, V
         self.t = t
-        self.L = L
+        # survivor coordinates of every loop letter, by loop id (row 0 is
+        # the unused zero row): a merged letter is the combination its
+        # record gives of letters merged later or surviving, so the records
+        # are solved from the last one back
+        rows = [(0,) * S] + [None] * L
+        for i, sid in enumerate(self.survivors):
+            rows[sid] = tuple(int(i == j) for j in range(S))
+        for x, rec in reversed(records):
+            rows[x] = vec_mat(rec, rows)
+        self.survivor_rows = rows
+        self.class_rows = [vec_mat(row, V) if S else () for row in rows]
         # word representatives of the symplectic basis classes
         self.basis_words = []
         for row in U:
@@ -559,22 +579,15 @@ class _ChainData:
 
     def survivor_coords(self, word):
         """Coordinates of a subgroup word over the surviving polygon
-        letters: each merged letter is eliminated through its record."""
-        v = self.t.loop_vector(word)
-        for x, rec in self.records:
-            c = v[x]
-            if c:
-                v[x] = 0
-                for k in range(1, self.L + 1):
-                    if rec[k]:
-                        v[k] += c * rec[k]
-        return [v[sid] for sid in self.survivors]
+        letters: the signed sum of the survivor rows of its loops."""
+        return vec_mat(self.t.loop_vector(0, word), self.survivor_rows)
 
-    def class_int(self, word):
-        """Coordinates of a subgroup word in the symplectic frame of the
-        closed cover surface, over Z."""
-        sv = self.survivor_coords(word)
-        return list(vec_mat(sv, self.Uinv)) if sv else []
+    def class_at(self, sheet, word):
+        """Coordinates over Z, in the symplectic frame of the closed cover
+        surface, of a word read from `sheet` that closes up there: the
+        signed sum of the class rows of the loops it crosses.  This is the
+        class of t_h word t_h^-1 for h = sheet."""
+        return vec_mat(self.t.loop_vector(sheet, word), self.class_rows)
 
 
 def _unimodular_inverse(P):
@@ -698,17 +711,12 @@ class DeckHomology:
         self.space = SympSpace(chain.g_K, m)
         self.peripheral = tuple(chain.peripheral)
         self._chain = chain
-        t = chain.t
         group = spec.group
         mats = []
         for h in group.elements:
             hidx = group.index[group.inv(h)]
-            tw = t.twords[hidx]
-            rows = []
-            for rep in chain.basis_words:
-                rows.append(self.space.reduce(
-                    chain.class_int(wmul(tw, rep, winv(tw)))))
-            M = tuple(rows)
+            M = tuple(self.space.reduce(chain.class_at(hidx, rep))
+                      for rep in chain.basis_words)
             _check(self.space.is_symplectic(M), "deck matrix is symplectic")
             mats.append(M)
         self.matrices = tuple(mats)
@@ -719,7 +727,7 @@ class DeckHomology:
 
     def class_of(self, word):
         """Class of a subgroup word in H_1 of the filled cover."""
-        return self.space.reduce(self._chain.class_int(word))
+        return self.space.reduce(self._chain.class_at(0, word))
 
     def matrix_of(self, element):
         return self.matrices[self.spec.group.index[element]]
@@ -823,9 +831,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
             edge_ends.append([])
             edge_curve.append(e)
             edge_rep.append(rep)
-            tw = t.twords[rep]
-            cls = hom.space.reduce(
-                chain.class_int(wmul(tw, wpow(w, c), winv(tw))))
+            cls = hom.space.reduce(chain.class_at(rep, wpow(w, c)))
             classes.append(cls)
             edge_class.append(cls)
         edge_copy_of.append(tuple(of))
@@ -991,7 +997,7 @@ def derived_cover(spec: CoverSpec, ell: int,
         rank = t.L
 
         def cls(word):
-            return tuple(x % ell for x in t.loop_vector(word)[1:])
+            return tuple(x % ell for x in t.loop_vector(0, word)[1:])
     else:
         chain = _chain(spec)
         rank = 2 * chain.g_K
@@ -1060,8 +1066,18 @@ def invariance_check(spec: CoverSpec, twists) -> bool:
 
 
 def deck_coset_representative(hom: DeckHomology, M):
-    """Lexicographically least matrix in the deck-image coset of M."""
-    return min(hom.space.mat_mul(D, M) for D in hom.matrices)
+    """Lexicographically least matrix in the deck-image coset of M, found
+    row by row: keep the deck matrices D whose row i of D M is least, for
+    i = 0, 1, ... until one is left, then form that one product."""
+    space = hom.space
+    live = hom.matrices
+    for i in range(space.dim):
+        if len(live) == 1:
+            break
+        rows = [space.mat_apply(D[i], M) for D in live]
+        least = min(rows)
+        live = [D for D, r in zip(live, rows) if r == least]
+    return space.mat_mul(live[0], M)
 
 
 def mcg_action_on_cover(spec: CoverSpec, t, m: int):
@@ -1075,9 +1091,7 @@ def mcg_action_on_cover(spec: CoverSpec, t, m: int):
         raise ValidationError("invariance",
                               "twist does not preserve the cover subgroup")
     hom = cover_homology(spec, m)
-    chain = hom._chain
-    rows = [hom.space.reduce(chain.class_int(_apply_sequence(seq, rep)))
-            for rep in chain.basis_words]
-    M = tuple(rows)
+    M = tuple(hom.class_of(_apply_sequence(seq, rep))
+              for rep in hom._chain.basis_words)
     _check(hom.space.is_symplectic(M), "induced matrix is symplectic")
     return deck_coset_representative(hom, M)

@@ -743,19 +743,41 @@ def induced_from_multicurve(g, n, m, mc) -> FramedDecomposition:
 
 def _schreier_vertex_group(space, hom, table, piece, orbit):
     """Image of the homology of one piece copy: classes of the Schreier
-    generators of the sheet stabilizer, conjugated to the base sheet.  The
-    piece generators permute finitely many sheets, so they reach the whole
-    orbit without their inverses."""
+    generators of the stabilizer of its least sheet, read from that sheet.
+    The piece generators permute finitely many sheets, so they reach the
+    whole orbit without their inverses.
+
+    Each class is a sum of orbit-edge classes.  The orbit-edge class of
+    (x, j) is the class of piece.gens[j] read from sheet x, closed up by
+    the coset transversal words t_y^-1 t_x back to x, where y is the sheet
+    it reaches; those run on tree edges only, so they add nothing.  A
+    stabilizer word sums them along its path through the orbit's moves,
+    with a minus sign on an inverse letter."""
     root = orbit[0]
     res = orbit_enumerate(root, piece.gens, lambda w, h: table.trace(h, w),
                           cap=table.d)
     _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
-    tw = table.twords[root]
-    inverses = [winv(gw) for gw in piece.gens]
+    tw = table.twords
+    chain = hom._chain
+    edge = [[chain.class_at(h, wmul(gw, winv(tw[res.elements[y]]), tw[h]))
+             for gw, y in zip(piece.gens, moves)]
+            for h, moves in zip(res.elements, res.moves)]
+    back = {(y, j): x for x, moves in enumerate(res.moves)
+            for j, y in enumerate(moves)}
+    start = res.elements.index(root)
     gens = []
     for word in stabilizer_words(res):
-        u = wmul(*(piece.gens[i] if i >= 0 else inverses[~i] for i in word))
-        gens.append(hom.class_of(wmul(tw, u, winv(tw))))
+        x = start
+        cls = [0] * space.dim
+        for i in word:
+            if i >= 0:
+                cls = [a + b for a, b in zip(cls, edge[x][i])]
+                x = res.moves[x][i]
+            else:
+                x = back[x, ~i]
+                cls = [a - b for a, b in zip(cls, edge[x][~i])]
+        _check(x == start, "stabilizer word closes up in the orbit")
+        gens.append(cls)
     return space.subgroup(gens)
 
 

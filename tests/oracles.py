@@ -14,9 +14,13 @@ transported_faces rebuilds a complex's face tables by transporting every
 vertex and face shadow with the simplex's stored matrix, and
 signed_schreier_vertex_group spans a sheet stabilizer's image from a
 transversal over the piece generators and their inverses, one Schreier
-generator per sheet and generator."""
+generator per sheet and generator, and RecordElimination finds the
+coordinates of a subgroup word by eliminating the merged letters of its
+loop vector one record at a time, then changing to the symplectic
+frame."""
 
 from levelnerve.catalog import multicurve_catalog
+from levelnerve.covers import _base_rotation, _chain, _table
 from levelnerve.decomp import canonical_form, sp_action
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
@@ -362,3 +366,66 @@ def signed_schreier_vertex_group(space, hom, table, piece, orbit):
             u = wmul(trans[h], gw, winv(trans[table.trace(h, gw)]))
             gens.append(hom.class_of(wmul(tw, u, winv(tw))))
     return space.subgroup(gens)
+
+
+class RecordElimination:
+    """Coordinates of subgroup words of a cover, word by word: the face
+    merge of the polygon model is rebuilt, recording how each merged
+    letter is expressed in the letters left on the merged face, and a
+    word's loop vector is reduced through those records in merge order."""
+
+    def __init__(self, spec):
+        t = _table(spec)
+        N, L = t.N, t.L
+        rho = _base_rotation(spec.pres)[0]
+        signed = [s for j in range(1, N + 1) for s in (j, -j)]
+        seen = set()
+        faces = []
+        for g0 in range(t.d):
+            for s0 in signed:
+                g, s = g0, s0
+                darts = []
+                while (g, s) not in seen:
+                    seen.add((g, s))
+                    darts.append((g, s))
+                    g, s = t.step(g, s), rho[s]
+                if darts:
+                    faces.append([lid for lid in (t.loop_id(gg, ss)
+                                                  for gg, ss in darts)
+                                  if lid])
+        self.records = []
+        while len(faces) > 1:
+            where = {}
+            for fi, w in enumerate(faces):
+                for s in w:
+                    where.setdefault(abs(s), {})[1 if s > 0 else -1] = fi
+            x = next(i for i in sorted(where) if where[i][1] != where[i][-1])
+            fa, fb = where[x][1], where[x][-1]
+            A, B = faces[fa], faces[fb]
+            A = A[A.index(x):] + A[:A.index(x)]
+            B = B[B.index(-x):] + B[:B.index(-x)]
+            rec = [0] * (L + 1)
+            for s in A[1:]:
+                rec[abs(s)] -= 1 if s > 0 else -1
+            self.records.append((x, rec))
+            faces = [w for fi, w in enumerate(faces) if fi not in (fa, fb)]
+            faces.append(A[1:] + B[1:])
+        self.survivors = sorted({abs(s) for s in faces[0]} if faces else ())
+        self.table = t
+        self.L = L
+        self.Uinv = _chain(spec).Uinv
+
+    def survivor_coords(self, word):
+        v = self.table.loop_vector(0, word)
+        for x, rec in self.records:
+            c = v[x]
+            if c:
+                v[x] = 0
+                for k in range(1, self.L + 1):
+                    if rec[k]:
+                        v[k] += c * rec[k]
+        return [v[sid] for sid in self.survivors]
+
+    def class_int(self, word):
+        sv = self.survivor_coords(word)
+        return list(vec_mat(sv, self.Uinv)) if sv else []

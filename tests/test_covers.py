@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 import sympy
 from hypothesis import given, strategies as st
@@ -5,8 +7,9 @@ from hypothesis import given, strategies as st
 from levelnerve.errors import (InvalidInputError, InvalidCoverError,
                                LevelNerveError, ResourceLimitError,
                                ValidationError)
-from levelnerve.surface import presentation
+from levelnerve.surface import presentation, twist_automorphisms
 from levelnerve.catalog import multicurve_catalog
+from levelnerve.words import winv, wmul, wpow
 from levelnerve.covers import (
     AbelianOps,
     CoverSpec,
@@ -25,9 +28,11 @@ from levelnerve.covers import (
     cover_spec_from_data,
     shortlex_transversal,
     schreier_generators,
+    _chain,
     _table,
     _unimodular_inverse,
 )
+from oracles import RecordElimination
 
 SWAP = (1, 0)
 ID2 = (0, 1)
@@ -430,12 +435,14 @@ def naive_closure(ops, gens):
     return elements
 
 
-SMALL_COVERS = pytest.mark.parametrize("make", [
-    lambda: homology_cover(2, 0, 2),
-    lambda: homology_cover(1, 1, 3),
-    lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
-    lambda: derived_cover(identity_cover(1, 1), 2),
-], ids=["h202", "h113", "perm4", "derived11"])
+SMALL = {
+    "h202": lambda: homology_cover(2, 0, 2),
+    "h113": lambda: homology_cover(1, 1, 3),
+    "perm4": lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]),
+    "derived11": lambda: derived_cover(identity_cover(1, 1), 2),
+}
+SMALL_COVERS = pytest.mark.parametrize("make", list(SMALL.values()),
+                                       ids=list(SMALL))
 
 
 @SMALL_COVERS
@@ -456,6 +463,98 @@ def test_schreier_generators_rewrite_to_their_own_loop(make):
     t = _table(spec)
     for i, w in enumerate(schreier_generators(spec)):
         assert t.rewrite(0, w) == (0, (i + 1,))
+
+
+def _closed_at(t, sheet, word):
+    """`word` read from `sheet`, closed up by the transversal words back to
+    `sheet`; the appended letters cross tree edges only."""
+    end = t.trace(sheet, word)
+    return wmul(word, winv(t.twords[end]), t.twords[sheet])
+
+
+def _assert_class_table(spec, old, sheet, word):
+    """The class table at `sheet` against the record elimination of the
+    word conjugated by the sheet's transversal word, over Z; the survivor
+    lookup against the record elimination of that same subgroup word."""
+    t = _table(spec)
+    chain = _chain(spec)
+    tw = t.twords[sheet]
+    conj = wmul(tw, word, winv(tw))
+    assert list(chain.class_at(sheet, word)) == old.class_int(conj)
+    assert list(chain.survivor_coords(conj)) == old.survivor_coords(conj)
+
+
+@SMALL_COVERS
+def test_class_table_matches_record_elimination(make):
+    """Every Schreier loop word, and every piece generator of the catalog
+    read from every sheet, closed up by a power and by the transversal."""
+    spec = make()
+    t = _table(spec)
+    old = RecordElimination(spec)
+    assert old.survivors == _chain(spec).survivors
+    gens = [gw for mc in multicurve_catalog(spec.g, spec.n)
+            for piece in mc.pieces for gw in piece.gens]
+    for sheet in range(t.d):
+        for w in t.loop_words:
+            _assert_class_table(spec, old, sheet, w)
+        for gw in gens:
+            _assert_class_table(spec, old, sheet,
+                                wpow(gw, spec.order_of(gw)))
+            _assert_class_table(spec, old, sheet, _closed_at(t, sheet, gw))
+
+
+@functools.lru_cache(maxsize=None)
+def _class_cover(name):
+    spec = SMALL[name]()
+    return spec, RecordElimination(spec)
+
+
+@given(st.sampled_from(sorted(SMALL)),
+       st.integers(0, 15),
+       st.lists(st.integers(1, 4).flatmap(
+           lambda a: st.sampled_from([a, -a])), max_size=14))
+def test_class_table_on_drawn_words(name, sheet, letters):
+    """A drawn word read from a drawn sheet: closed up, its class matches
+    the record elimination; left open, class_at refuses it."""
+    spec, old = _class_cover(name)
+    t = _table(spec)
+    sheet %= t.d
+    word = tuple(x for x in letters if abs(x) <= t.N)
+    _assert_class_table(spec, old, sheet, _closed_at(t, sheet, word))
+    if t.trace(sheet, word) != sheet:
+        with pytest.raises(LevelNerveError, match="cover subgroup"):
+            _chain(spec).class_at(sheet, word)
+
+
+def test_class_at_refuses_a_word_that_does_not_close(h2):
+    chain = _chain(h2)
+    for sheet in range(h2.degree):
+        with pytest.raises(LevelNerveError, match="cover subgroup"):
+            chain.class_at(sheet, (1,))
+
+
+@pytest.mark.parametrize("make, m", [
+    (lambda: homology_cover(2, 0, 2), 2),
+    (lambda: homology_cover(1, 1, 3), 3),
+], ids=["h202", "h113"])
+def test_coset_representative_is_the_least_product(make, m):
+    """The row-by-row search finds the least of all deck products, on
+    every twist matrix and every product of two of them.  Each twist
+    matrix also enters with all but its first 2 or 8 rows zeroed: then many
+    deck matrices tie on the first rows of the product, so the search has
+    to narrow them down over several rows."""
+    spec = make()
+    hom = cover_homology(spec, m)
+    dim = hom.space.dim
+    mats = [mcg_action_on_cover(spec, tw, m)
+            for tw in twist_automorphisms(spec.g, spec.n)]
+    cases = mats + [hom.space.mat_mul(A, B) for A in mats for B in mats]
+    cases += [tuple(row if j < k else (0,) * dim
+                    for j, row in enumerate(T))
+              for T in mats for k in (2, 8)]
+    for M in cases:
+        want = min(hom.space.mat_mul(D, M) for D in hom.matrices)
+        assert deck_coset_representative(hom, M) == want
 
 
 def test_shortlex_transversal_against_bfs(h2):

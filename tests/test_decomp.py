@@ -740,11 +740,15 @@ def test_every_level_two_lift_is_valid():
     (lambda: homology_cover(1, 1, 3), 3),
     (lambda: identity_cover(1, 2), 3),
     (lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]), 2),
-], ids=["h202", "h112", "h113", "id12", "perm4"])
+    (lambda: homology_cover(2, 0, 2), 0),
+    (lambda: homology_cover(1, 1, 3), 0),
+    (lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]), 0),
+], ids=["h202", "h112", "h113", "id12", "perm4", "h202z", "h113z", "perm4z"])
 def test_sheet_stabilizers_match_signed_oracle(make, m):
     # every piece copy of every catalog type: the stabilizer words of the
     # orbit under the piece generators alone span the same vertex group
-    # as the signed-letter transversal with one generator per edge
+    # as the signed-letter transversal with one generator per edge; at
+    # m = 0 the spans are compared over Z, where a sign slip shows
     spec = make()
     hom = covers.cover_homology(spec, m)
     table = covers._table(spec)
