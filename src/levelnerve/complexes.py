@@ -473,7 +473,8 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
         raise InvalidInputError("modulus must be at least 2")
     _require_full_catalog(g, n)
     space = SympSpace(g, m)
-    types = _types(g, n, lambda mc: induced_from_multicurve(g, n, m, mc),
+    types = _types(g, n,
+                   lambda mc: induced_from_multicurve(g, n, m, mc, space),
                    lambda d: d)
     gens = sp_group(space)
     meta = {"builder": "abelian_nerve", "g": g, "n": n, "m": m,
@@ -819,7 +820,7 @@ def _brute_type_sets(g, n, m):
         E = len(mc.words)
         if E == 0:
             continue
-        seed = induced_from_multicurve(g, n, m, mc)
+        seed = induced_from_multicurve(g, n, m, mc, space)
         edges = seed.edges
         V = seed.V
         marks = seed.marks

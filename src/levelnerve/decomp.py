@@ -97,7 +97,8 @@ def _check(cond, msg):
 
 def _sign_normal(space, vec):
     v = space.reduce(vec)
-    w = space.reduce([-x for x in v])
+    m = space.m
+    w = tuple(-x % m for x in v) if m else tuple(-x for x in v)
     return min(v, w)
 
 
@@ -140,9 +141,18 @@ class GraphDecomposition:
     are allowed and keep their stored order.  Construction checks only
     well-formedness (shared ambient space, endpoints in range, marks within
     {1..n}, connectivity); the six validity conditions are the job of
-    validate()."""
+    validate().  It also stores, per vertex, its incident edges in stored
+    order, a loop once (incident).
+
+    sp_action and EquivariantDecomposition.framed() keep the graph of a
+    value that was already checked, so they copy it (_copy) with new
+    groups, frames or class instead of constructing and checking it
+    again."""
 
     kind = "plain"
+    # the attributes a value is made of; _copy carries them over
+    _fields = ("space", "n", "V", "edges", "marks", "_incident",
+               "vertex_groups", "edge_groups")
 
     def __init__(self, space, vertex_groups, edge_groups, edges, marks=None,
                  n=0):
@@ -177,6 +187,21 @@ class GraphDecomposition:
         self.marks = tuple(mk)
         if len(components(self.V, self.edges)) != 1:
             raise InvalidInputError("decomposition graph is not connected")
+        inc = [[] for _ in range(self.V)]
+        for e, (u, v) in enumerate(self.edges):
+            inc[u].append(e)
+            if v != u:
+                inc[v].append(e)
+        self._incident = tuple(map(tuple, inc))
+
+    def _copy(self, cls, **fields):
+        """A cls value on this value's graph: the attributes cls._fields
+        are taken from self, except those given in fields, and nothing is
+        coerced or checked again."""
+        new = object.__new__(cls)
+        new.__dict__.update({f: getattr(self, f) for f in cls._fields},
+                            **fields)
+        return new
 
     def _coerce(self, g):
         if isinstance(g, SympSubgroup):
@@ -202,8 +227,7 @@ class GraphDecomposition:
         return tuple(d)
 
     def incident(self, v):
-        return tuple(e for e, (a, b) in enumerate(self.edges)
-                     if a == v or b == v)
+        return self._incident[v]
 
     def _vertex_payload(self, v):
         return (self.vertex_groups[v].key(), self.marks[v])
@@ -221,6 +245,7 @@ class FramedDecomposition(GraphDecomposition):
     modulo sign."""
 
     kind = "framed"
+    _fields = GraphDecomposition._fields + ("frames",)
 
     def __init__(self, space, vertex_groups, edge_groups, edges, frames,
                  marks=None, n=0):
@@ -243,6 +268,8 @@ class EquivariantDecomposition(FramedDecomposition):
     D[vperm(v)] = D[v] * M.  rank() counts edge orbits."""
 
     kind = "equivariant"
+    _fields = FramedDecomposition._fields + ("group", "matrices", "vperms",
+                                             "eperms")
 
     def __init__(self, space, vertex_groups, edge_groups, edges, frames,
                  marks=None, n=0, group=None, matrices=(), vperms=(),
@@ -266,9 +293,7 @@ class EquivariantDecomposition(FramedDecomposition):
 
     def framed(self):
         """The underlying framed decomposition, action forgotten."""
-        return FramedDecomposition(self.space, self.vertex_groups,
-                                   self.edge_groups, self.edges, self.frames,
-                                   self.marks, self.n)
+        return self._copy(FramedDecomposition)
 
     def edge_orbits(self):
         return components(len(self.edges), [(e, f) for p in self.eperms
@@ -556,12 +581,14 @@ def _action_natural(d: EquivariantDecomposition):
 # equivalence and canonical forms
 
 
-def _serial(d, order):
-    """Serialized form under the vertex relabeling order[v] = new label."""
-    vert = sorted((order[v],) + d._vertex_payload(v) for v in range(d.V))
-    edg = sorted((min(order[u], order[v]), max(order[u], order[v]))
-                 + d._edge_payload(e)
-                 for e, (u, v) in enumerate(d.edges))
+def _serial(d, order, vpay, epay):
+    """Serialized form under the vertex relabeling order[v] = new label,
+    with the vertex and edge payloads vpay and epay of d."""
+    vert = [None] * d.V
+    for v, p in enumerate(vpay):
+        vert[order[v]] = (order[v],) + p
+    edg = sorted((min(order[u], order[v]), max(order[u], order[v])) + p
+                 for (u, v), p in zip(d.edges, epay))
     return (d.kind, d.space.g, d.space.m, d.n, tuple(vert), tuple(edg))
 
 
@@ -571,19 +598,19 @@ def canonical_form(d) -> bytes:
     Minimizes the serialized form over all vertex relabelings compatible
     with the payload classes.  Equivalence compares the graph with its
     subgroup and frame data; an equivariant value is canonicalized through
-    its framed part, the action itself is not part of the invariant."""
+    its framed part, the action itself is not part of the invariant.  The
+    payloads are read once and shared by every relabeling."""
     if isinstance(d, EquivariantDecomposition):
         d = d.framed()
-    inv = []
-    for v in range(d.V):
-        around = sorted((d._edge_payload(e),
-                         d.edges[e][0] == d.edges[e][1])
-                        for e in d.incident(v))
-        inv.append((d._vertex_payload(v), tuple(around)))
+    vpay = [d._vertex_payload(v) for v in range(d.V)]
+    epay = [d._edge_payload(e) for e in range(len(d.edges))]
+    loop = [u == v for u, v in d.edges]
+    inv = [(vpay[v], tuple(sorted((epay[e], loop[e]) for e in inc)))
+           for v, inc in enumerate(d._incident)]
     count = math.prod(map(math.factorial, Counter(inv).values()))
     if count > MAX_CANONICAL_PERMS:
         raise ResourceLimitError("canonical form permutation cap")
-    best = min(_serial(d, order) for order in relabelings(inv))
+    best = min(_serial(d, order, vpay, epay) for order in relabelings(inv))
     return repr(best).encode()
 
 
@@ -687,26 +714,28 @@ def leq(d1, d2) -> bool:
 
 
 def sp_action(F, d):
-    """Transport a decomposition through a symplectic matrix."""
+    """Transport a decomposition through a symplectic matrix.
+
+    The transported value keeps the graph, marks and action tables of d,
+    so it is a copy of d with the image groups, frames and conjugated
+    matrices."""
     space = d.space
     F = _reduced_matrix(space.g, space.m, tuple(map(tuple, F)))
     checked = _checked_matrix(space.g, space.m, F)
     if checked is None:
         raise InvalidInputError("matrix is not symplectic over the ambient")
-    inv = checked[0]
-    vgroups = [vg.apply(F) for vg in d.vertex_groups]
-    egroups = [eg.apply(F) for eg in d.edge_groups]
-    if isinstance(d, EquivariantDecomposition):
-        mats = [space.mat_mul(space.mat_mul(inv, M), F) for M in d.matrices]
-        return EquivariantDecomposition(
-            space, vgroups, egroups, d.edges,
-            [space.mat_apply(f, F) for f in d.frames],
-            d.marks, d.n, d.group, mats, d.vperms, d.eperms)
+    fields = {"vertex_groups": tuple(vg.apply(F) for vg in d.vertex_groups),
+              "edge_groups": tuple(eg.apply(F) for eg in d.edge_groups)}
     if isinstance(d, FramedDecomposition):
-        return FramedDecomposition(
-            space, vgroups, egroups, d.edges,
-            [space.mat_apply(f, F) for f in d.frames], d.marks, d.n)
-    return GraphDecomposition(space, vgroups, egroups, d.edges, d.marks, d.n)
+        fields["frames"] = tuple(_sign_normal(space, vec_mat(f, F))
+                                 for f in d.frames)
+    if isinstance(d, EquivariantDecomposition):
+        inv = checked[0]
+        fields["matrices"] = tuple(
+            _reduced_matrix(space.g, space.m,
+                            space.mat_mul(space.mat_mul(inv, M), F))
+            for M in d.matrices)
+    return d._copy(type(d), **fields)
 
 
 # --------------------------------------------------------------------------
@@ -719,13 +748,21 @@ def _require_catalog(g, n, mc):
         raise UnsupportedError("multicurve is not a catalog representative")
 
 
-def induced_from_multicurve(g, n, m, mc) -> FramedDecomposition:
+def induced_from_multicurve(g, n, m, mc, space=None) -> FramedDecomposition:
     """The framed decomposition a catalog multicurve cuts out of the base:
     vertex groups are the homology images of the complementary pieces,
     edge groups the cyclic spans of the curve classes, frames the classes
-    themselves, marks the punctures of each piece."""
+    themselves, marks the punctures of each piece.
+
+    The value lives in `space`, H_1(S_g, Z/m), when one is given, so that
+    the decompositions of one build share its subgroup images; a fresh
+    space otherwise."""
     _require_catalog(g, n, mc)
-    space = SympSpace(g, m)
+    if space is None:
+        space = SympSpace(g, m)
+    elif (space.g, space.m) != (g, m):
+        raise InvalidInputError("space is not H_1 of the given genus and "
+                                "modulus")
     pres = presentation(g, n)
     vgroups = [space.subgroup([pres.homology_class(w, m) for w in p.gens])
                for p in mc.pieces]

@@ -11,7 +11,9 @@ integer coordinates of one Hermite lattice in another at every modulus,
 maps_onto compares a subgroup's image with another subgroup through
 dense images and Hermite-row membership,
 transported_faces rebuilds a complex's face tables by transporting every
-vertex and face shadow with the simplex's stored matrix, and
+vertex and face shadow with the simplex's stored matrix,
+checked_transport builds sp_action's value through the checking
+constructors and transport_mismatches compares the two, and
 signed_schreier_vertex_group spans a sheet stabilizer's image from a
 transversal over the piece generators and their inverses, one Schreier
 generator per sheet and generator, and RecordElimination finds the
@@ -21,7 +23,9 @@ frame."""
 
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import _base_rotation, _chain, _table
-from levelnerve.decomp import canonical_form, sp_action
+from levelnerve.decomp import (EquivariantDecomposition,
+                               FramedDecomposition, canonical_form, sp_action,
+                               validate)
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
@@ -345,6 +349,38 @@ def transported_faces(X, types):
             rows.append(tuple(index[faces[j]] for j in order))
         out.append(tuple(rows))
     return tuple(out)
+
+
+def checked_transport(F, d):
+    """sp_action(F, d) for a framed or equivariant d, built through the
+    checking constructor from the moved groups and frames (and the
+    conjugated matrices) instead of as a copy of d."""
+    sp = d.space
+    F = sp.reduce_matrix(F)
+    parts = ([vg.apply(F) for vg in d.vertex_groups],
+             [eg.apply(F) for eg in d.edge_groups], d.edges,
+             [sp.mat_apply(f, F) for f in d.frames], d.marks, d.n)
+    if isinstance(d, EquivariantDecomposition):
+        inv = sp.symplectic_inverse(F)
+        return EquivariantDecomposition(
+            sp, *parts, d.group,
+            [sp.mat_mul(sp.mat_mul(inv, M), F) for M in d.matrices],
+            d.vperms, d.eperms)
+    return FramedDecomposition(sp, *parts)
+
+
+def transport_mismatches(F, d):
+    """What differs between sp_action(F, d) and checked_transport(F, d):
+    'class', each differing attribute, 'canonical_form' and 'validate'."""
+    got, want = sp_action(F, d), checked_transport(F, d)
+    bad = [] if type(got) is type(want) else ["class"]
+    bad += [f for f in sorted(set(vars(got)) | set(vars(want)))
+            if getattr(got, f, None) != getattr(want, f, None)]
+    if canonical_form(got) != canonical_form(want):
+        bad.append("canonical_form")
+    if validate(got) != validate(want):
+        bad.append("validate")
+    return bad
 
 
 def signed_schreier_vertex_group(space, hom, table, piece, orbit):

@@ -16,8 +16,9 @@ from levelnerve.complexes import (FinSimpSet, _types, build_abelian_nerve,
 from levelnerve.covers import homology_cover, identity_cover
 from levelnerve.decomp import induced_from_lift, induced_from_multicurve
 from levelnerve.errors import InvalidInputError, UnsupportedError
-from levelnerve.symplectic import SympSubgroup
-from oracles import transported_faces
+from levelnerve import complexes, decomp
+from levelnerve.symplectic import SympSubgroup, sp_group
+from oracles import transport_mismatches, transported_faces
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +173,44 @@ def test_nerve_transports_each_subgroup_value_once(monkeypatch):
             for sub in d.vertex_groups + d.edge_groups:
                 assert sub.key() == sub.space.subgroup(
                     sub.canonical_gens()).key()
+
+
+@pytest.mark.parametrize("sig", [(1, 2, 3), (2, 0, 2)], ids=str)
+def test_transport_matches_checking_constructor(sig):
+    X = nerve(*sig)
+    gens = sp_group(X.decomps[0][0].space)
+    for block in X.decomps:
+        for d in block:
+            for F in gens:
+                assert transport_mismatches(F, d) == []
+
+
+def test_nerve_constructs_a_decomposition_only_per_induction(monkeypatch):
+    calls = Counter()
+    init = decomp.GraphDecomposition.__init__
+    induce = complexes.induced_from_multicurve
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_induce(*args, **kwargs):
+        calls["induced"] += 1
+        return induce(*args, **kwargs)
+
+    monkeypatch.setattr(decomp.GraphDecomposition, "__init__", counted_init)
+    monkeypatch.setattr(complexes, "induced_from_multicurve", counted_induce)
+    build_abelian_nerve(2, 0, 3)
+    # 5 451 constructions when every transport ran the constructor
+    assert 0 < calls["init"] <= calls["induced"]
+
+
+@pytest.mark.parametrize("sig", [(1, 2, 3), (2, 0, 3)], ids=str)
+def test_nerve_decompositions_share_one_space(sig):
+    X = nerve(*sig)
+    spaces = {id(sub.space) for block in X.decomps for d in block
+              for sub in (d,) + d.vertex_groups + d.edge_groups}
+    assert len(spaces) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=InvalidInputError,

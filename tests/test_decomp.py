@@ -32,7 +32,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
 from oracles import (maps_onto, module_map_report, quotient_profile,
-                     signed_schreier_vertex_group)
+                     signed_schreier_vertex_group, transport_mismatches)
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -612,6 +612,15 @@ def test_induced_rejects_foreign_multicurve():
         induced_from_multicurve(2, 0, 2, mc11)
 
 
+def test_induced_refuses_a_space_of_another_signature():
+    mc = by_key(2, 0, SEP_KEY)
+    sp = SympSpace(2, 3)
+    assert induced_from_multicurve(2, 0, 3, mc, sp).space is sp
+    for other in (SympSpace(2, 2), SympSpace(1, 3)):
+        with pytest.raises(InvalidInputError):
+            induced_from_multicurve(2, 0, 3, mc, other)
+
+
 # --------------------------------------------------------------------------
 # symplectic transport
 
@@ -909,6 +918,21 @@ def test_inverse_memo_is_keyed_on_the_modulus():
         decomp._checked_matrix.cache_clear()
         got = {m: decomp._checked_matrix(1, m, F) for m in order}
         assert got == {2: (((1, 0), (0, 1)), (0b01, 0b10)), 4: None}
+
+
+@pytest.mark.parametrize("make, key, m", [
+    # every deck matrix is the identity on this genus-one cover
+    (lambda: homology_cover(1, 1, 3), (((0, (1,)),), ((0, 0),)), 3),
+    # the deck involution moves H_1, so conjugating the matrices matters
+    (lambda: abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)]),
+     NONSEP_KEY, 2),
+], ids=["h113", "double202"])
+def test_equivariant_transport_matches_checking_constructor(make, key, m):
+    spec = make()
+    d = induced_from_lift(spec, by_key(spec.g, spec.n, key), m)
+    assert d.matrices and d.vperms and d.eperms
+    for F in symplectic.sp_group(d.space):
+        assert transport_mismatches(F, d) == []
 
 
 def test_sp_action_transports_equivariant():
