@@ -495,15 +495,19 @@ def _catalog(g, n):
     want = {t.canonical_key() for t in
             enumerate_stable_graphs(g, n, include_empty=True)}
     found = {}
+    keys = {}
     max_curves = 3 * g - 3 + n
     for family in itertools.chain([()], _families(real.B, max_curves)):
         lay = real.layout(family)
         if lay is None:
             continue
-        key = lay.graph.canonical_key()
+        raw = (tuple(lay.graph.vertices), tuple(lay.graph.edges))
+        key = keys.get(raw)
+        if key is None:
+            key = keys[raw] = lay.graph.canonical_key()
         if key not in found:
             found[key] = real.realize(lay)
-        if want <= set(found):
+        if want <= found.keys():
             break
     return found
 

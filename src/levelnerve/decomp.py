@@ -71,11 +71,10 @@ vertex and edge order.
 
 import itertools
 import math
-from collections import Counter
 from functools import lru_cache
 
-from .errors import (LevelNerveError, InvalidInputError, ResourceLimitError,
-                     UnsupportedError, ValidationError)
+from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
+                     ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, f2_image, orbit_enumerate,
                          pack_f2, stabilizer_words, vec_mat)
 from .surface import presentation
@@ -83,9 +82,6 @@ from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
 from .words import winv, wmul
 from . import covers
-
-# cap for the exhaustive search of canonical_form
-MAX_CANONICAL_PERMS = 362880
 
 _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
 
@@ -599,7 +595,8 @@ def canonical_form(d) -> bytes:
     with the payload classes.  Equivalence compares the graph with its
     subgroup and frame data; an equivariant value is canonicalized through
     its framed part, the action itself is not part of the invariant.  The
-    payloads are read once and shared by every relabeling."""
+    payloads are read once and shared by every relabeling.  Raises
+    ResourceLimitError above stablegraph.MAX_CANONICAL_PERMS relabelings."""
     if isinstance(d, EquivariantDecomposition):
         d = d.framed()
     vpay = [d._vertex_payload(v) for v in range(d.V)]
@@ -607,9 +604,6 @@ def canonical_form(d) -> bytes:
     loop = [u == v for u, v in d.edges]
     inv = [(vpay[v], tuple(sorted((epay[e], loop[e]) for e in inc)))
            for v, inc in enumerate(d._incident)]
-    count = math.prod(map(math.factorial, Counter(inv).values()))
-    if count > MAX_CANONICAL_PERMS:
-        raise ResourceLimitError("canonical form permutation cap")
     best = min(_serial(d, order, vpay, epay) for order in relabelings(inv))
     return repr(best).encode()
 

@@ -9,7 +9,9 @@ Canonical forms are computed by minimizing the encoding over the vertex
 relabelings that respect an invariant class (see relabelings), which is
 plenty at desk scale; equality of canonical keys is graph isomorphism (mark
 labels are preserved, not permuted).  All stable graphs of a signature are
-generated from the smooth graph by single degenerations.
+generated from the smooth graph by single degenerations.  A degeneration
+changes only the vertex it acts on and the vertex it adds, so a candidate
+is stable exactly when those two are, and only stable candidates are built.
 
 components(n, edges) is the package's one connectivity routine: stable
 graphs, decomposition graphs, bonds and connected subgraphs, edge orbits,
@@ -19,10 +21,19 @@ their connected pieces from it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
+
+# cap for the exhaustive search of relabelings
+MAX_CANONICAL_PERMS = 362880
+
+
+def _check(cond, msg):
+    if not cond:
+        raise LevelNerveError(f"stable graph self-check failed: {msg}")
 
 
 def components(n, edges):
@@ -52,10 +63,14 @@ def relabelings(inv):
     """Every vertex relabeling order[v] = new label that numbers the
     vertices class by class, the classes of equal inv[v] in ascending inv.
     The first relabeling takes each class in ascending vertex order; then
-    every permutation within the classes follows."""
+    every permutation within the classes follows.  Raises
+    ResourceLimitError when there would be more than MAX_CANONICAL_PERMS."""
     classes = {}
     for v, key in enumerate(inv):
         classes.setdefault(key, []).append(v)
+    count = math.prod(math.factorial(len(c)) for c in classes.values())
+    if count > MAX_CANONICAL_PERMS:
+        raise ResourceLimitError("canonical form permutation cap")
     for perms in product(*(permutations(classes[k]) for k in sorted(classes))):
         order = [0] * len(inv)
         for label, v in enumerate(chain.from_iterable(perms)):
@@ -91,14 +106,13 @@ class StableGraph:
             out.extend(mk)
         return tuple(sorted(out))
 
-    def degree(self, v):
-        d = 0
-        for (a, b) in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+    def degrees(self):
+        """Degree of every vertex, a loop counted twice."""
+        deg = [0] * len(self.vertices)
+        for (u, v) in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return deg
 
     def is_connected(self):
         V = len(self.vertices)
@@ -113,10 +127,8 @@ class StableGraph:
     def is_stable(self):
         if not self.is_connected():
             return False
-        for v, (g, mk) in enumerate(self.vertices):
-            if 2 * g - 2 + self.degree(v) + len(mk) <= 0:
-                return False
-        return True
+        return all(2 * g - 2 + d + len(mk) > 0
+                   for (g, mk), d in zip(self.vertices, self.degrees()))
 
     # -- canonical form
 
@@ -131,28 +143,11 @@ class StableGraph:
         return (tuple(verts), tuple(edges))
 
     def canonical_key(self):
-        inv = [(vert, self.degree(v)) for v, vert in enumerate(self.vertices)]
+        inv = list(zip(self.vertices, self.degrees()))
         return min(map(self._encode, relabelings(inv)))
-
-    def canonical(self):
-        verts, edges = self.canonical_key()
-        return StableGraph(list(verts), list(edges))
 
     def is_isomorphic(self, other):
         return self.canonical_key() == other.canonical_key()
-
-    def automorphisms(self):
-        """All vertex permutations preserving decorations and the edge
-        multiset, as tuples perm with perm[i] = image of i."""
-        V = len(self.vertices)
-        key = self._encode(tuple(range(V)))
-        out = []
-        for perm in permutations(range(V)):
-            ok = all(self.vertices[i] == self.vertices[perm[i]]
-                     for i in range(V))
-            if ok and self._encode(perm) == key:
-                out.append(perm)
-        return out
 
     # -- cuts
 
@@ -192,22 +187,35 @@ def _subsets(items):
 
 
 def _degenerations(t):
-    """Every graph that contracts back onto t along one new edge: a loop at
-    a vertex of positive genus, or a vertex v split into v and a new last
-    vertex joined by the new edge, sharing out the genus, the marks and the
-    half-edges of v (a loop at v counts as two half-edges)."""
+    """Every stable graph that contracts back onto t along one new edge: a
+    loop at a vertex v of positive genus, or v split into v and a new last
+    vertex w joined by the new edge, sharing out the genus, the marks and
+    the half-edges of v (a loop at v counts as two half-edges).
+
+    Every other vertex keeps its genus, marks and degree, so a candidate of
+    a stable t is stable exactly when v and w are, and only those are
+    built.  With k half-edges moved to w and d = deg(v), w needs
+    2*gw - 1 + k + #mw > 0 and v needs 2*(g - gw) - 1 + d - k + #rest > 0;
+    the loop needs 2*g - 2 + d + #marks > 0, which fails only when t
+    itself is an unstable smooth graph.  Both branches add an edge at v
+    and keep every old edge, so connectivity needs no check."""
     V = len(t.vertices)
     for v, (g, mk) in enumerate(t.vertices):
-        if g > 0:
+        ends = [(i, j) for i, e in enumerate(t.edges) for j in (0, 1)
+                if e[j] == v]
+        d = len(ends)
+        if g > 0 and 2 * g - 2 + d + len(mk) > 0:
             verts = list(t.vertices)
             verts[v] = (g - 1, mk)
             yield StableGraph(verts, t.edges + [(v, v)])
-        ends = [(i, j) for i, e in enumerate(t.edges) for j in (0, 1)
-                if e[j] == v]
         for gw in range(g + 1):
             for mw in _subsets(mk):
                 rest = tuple(x for x in mk if x not in mw)
                 for moved in _subsets(ends):
+                    k = len(moved)
+                    if (2 * gw - 1 + k + len(mw) <= 0
+                            or 2 * (g - gw) - 1 + d - k + len(rest) <= 0):
+                        continue
                     edges = [list(e) for e in t.edges]
                     for (i, j) in moved:
                         edges[i][j] = V
@@ -221,7 +229,9 @@ def _all_stable_graphs(g, n):
     """Breadth-first search by single degenerations from the smooth graph.
     It is complete: contracting an edge keeps 2g-2+deg+#marks positive at
     every vertex, so each stable graph with an edge degenerates from a
-    stable graph with one edge fewer."""
+    stable graph with one edge fewer.  _degenerations builds only stable
+    candidates, so each is keyed as built, and only the representative of
+    a new type is checked for stability."""
     if g < 0 or n < 0:
         raise InvalidInputError("bad signature")
     found = {}
@@ -230,11 +240,11 @@ def _all_stable_graphs(g, n):
         nxt = []
         for t in layer:
             for sg in _degenerations(t):
-                if not sg.is_stable():
-                    continue
                 key = sg.canonical_key()
                 if key not in found:
-                    found[key] = sg.canonical()
+                    verts, edges = key
+                    rep = found[key] = StableGraph(list(verts), list(edges))
+                    _check(rep.is_stable(), "degeneration is stable")
                     nxt.append(sg)
         layer = nxt
     return tuple(found[k] for k in sorted(found))

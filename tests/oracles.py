@@ -1,9 +1,12 @@
 """Reference routines that only the tests use.
 
 Each checks a package result by a separate route: contracting an edge
-undoes a degeneration, the module-map report reads the gluing condition
-off a plain Smith form, the catalog lookup finds a representative by its
-dual graph, snf computes the Smith form with both transforms,
+undoes a degeneration, automorphisms tries every vertex permutation of a
+stable graph, stable_graphs_by_filter enumerates stable graphs by building
+every single degeneration and keeping the stable ones, the module-map
+report reads the gluing condition off a plain Smith form, the catalog
+lookup finds a representative by its dual graph, snf computes the Smith
+form with both transforms,
 lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
 each single merge, quotient_profile reads a quotient of subgroups off the
@@ -20,6 +23,8 @@ generator per sheet and generator, and RecordElimination finds the
 coordinates of a subgroup word by eliminating the merged letters of its
 loop vector one record at a time, then changing to the symplectic
 frame."""
+
+from itertools import chain, combinations, permutations
 
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import _base_rotation, _chain, _table
@@ -56,6 +61,63 @@ def contract_edge(sg, idx):
         return u if x == v else (x - 1 if x > v else x)
 
     return StableGraph(verts, [(ren(a), ren(b)) for (a, b) in rest])
+
+
+def automorphisms(sg):
+    """All vertex permutations of sg preserving decorations and the edge
+    multiset, as tuples perm with perm[i] = image of i."""
+    V = sg.n_vertices()
+    edges = sorted(sg.edges)
+    return [perm for perm in permutations(range(V))
+            if all(sg.vertices[i] == sg.vertices[perm[i]] for i in range(V))
+            and sorted(tuple(sorted((perm[u], perm[v])))
+                       for (u, v) in sg.edges) == edges]
+
+
+def _every_degeneration(t):
+    """Every graph that contracts back onto t along one new edge, stable
+    or not: a loop at a vertex of positive genus, or a vertex split in two
+    in every way."""
+    V = t.n_vertices()
+    for v, (g, mk) in enumerate(t.vertices):
+        if g > 0:
+            verts = list(t.vertices)
+            verts[v] = (g - 1, mk)
+            yield StableGraph(verts, t.edges + [(v, v)])
+        ends = [(i, j) for i, e in enumerate(t.edges) for j in (0, 1)
+                if e[j] == v]
+        for gw in range(g + 1):
+            for mw in chain.from_iterable(combinations(mk, r)
+                                          for r in range(len(mk) + 1)):
+                rest = tuple(x for x in mk if x not in mw)
+                for r in range(len(ends) + 1):
+                    for moved in combinations(ends, r):
+                        edges = [list(e) for e in t.edges]
+                        for (i, j) in moved:
+                            edges[i][j] = V
+                        verts = list(t.vertices) + [(gw, mw)]
+                        verts[v] = (g - gw, rest)
+                        yield StableGraph(verts, edges + [(v, V)])
+
+
+def stable_graphs_by_filter(g, n):
+    """Canonical representatives of the stable graphs of (g, n) with at
+    least one edge, sorted by key: breadth-first from the smooth graph,
+    building every degeneration and keeping those that pass is_stable."""
+    found = {}
+    layer = [StableGraph([(g, range(1, n + 1))], [])]
+    while layer:
+        nxt = []
+        for t in layer:
+            for sg in _every_degeneration(t):
+                if not sg.is_stable():
+                    continue
+                key = sg.canonical_key()
+                if key not in found:
+                    found[key] = StableGraph(*key)
+                    nxt.append(sg)
+        layer = nxt
+    return [found[k] for k in sorted(found)]
 
 
 def module_map_report(rows, n, m):

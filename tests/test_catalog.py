@@ -12,7 +12,7 @@ from levelnerve.catalog import (
     multicurve_catalog,
 )
 from levelnerve.errors import UnsupportedError
-from levelnerve.stablegraph import StableGraph
+from levelnerve.stablegraph import StableGraph, enumerate_stable_graphs
 from levelnerve.surface import presentation
 from levelnerve.words import FoldedGraph, conjugate_in_free, winv, wmul
 from oracles import standard_multicurve
@@ -192,6 +192,25 @@ def test_word_stage_runs_once_per_kept_type(monkeypatch):
     assert len(found) == 32
     assert len(calls) == len(found)
     assert sorted(calls) == sorted(found)
+
+
+def test_each_dual_graph_is_keyed_once(monkeypatch):
+    # families that assemble the same dual graph share one canonical key;
+    # the stable graphs are enumerated first so that only the catalog's
+    # own keys are counted
+    enumerate_stable_graphs(3, 0)
+    calls = []
+    key = StableGraph.canonical_key
+
+    def counting(self):
+        calls.append(1)
+        return key(self)
+
+    monkeypatch.setattr(StableGraph, "canonical_key", counting)
+    found = catalog._catalog.__wrapped__(3, 0)
+    assert len(found) == 32
+    # 290 distinct dual graphs, 42 wanted types and 32 realized reps
+    assert len(calls) <= 364
 
 
 # sha256 of repr(list of rejected families), DFS order, with the number of

@@ -43,7 +43,7 @@ TEST_ONLY = {"FinSimpSet.from_data", "identity_cover", "cover_spec_to_data",
              "cover_spec_from_data", "shortlex_transversal",
              "schreier_generators", "decomposition_from_data",
              "build_image_complex", "derived_cover", "DeckHomology.matrix_of",
-             "StableGraph.automorphisms", "equivalent", "leq"}
+             "equivalent", "leq"}
 
 
 def definitions(path):

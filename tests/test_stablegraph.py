@@ -2,9 +2,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
-from levelnerve.errors import InvalidInputError
-from levelnerve.stablegraph import StableGraph, enumerate_stable_graphs
-from oracles import contract_edge
+from levelnerve.errors import InvalidInputError, ResourceLimitError
+from levelnerve.stablegraph import (StableGraph, _all_stable_graphs,
+                                    enumerate_stable_graphs)
+from oracles import automorphisms, contract_edge, stable_graphs_by_filter
 
 COUNTS = {(0, 4): 3, (0, 5): 25, (0, 6): 235, (1, 1): 1, (1, 2): 4,
           (1, 3): 22, (1, 4): 162, (2, 0): 6, (2, 1): 15, (2, 2): 74,
@@ -76,7 +77,7 @@ def test_canonical_isomorphism():
 
 def test_theta_automorphisms():
     theta = StableGraph([(0, ()), (0, ())], [(0, 1), (0, 1), (0, 1)])
-    assert len(theta.automorphisms()) == 2
+    assert len(automorphisms(theta)) == 2
     assert theta.b1() == 2
     assert theta.genus() == 2
 
@@ -115,8 +116,45 @@ def test_cut_classification():
 
 def test_degree_counts_loops_twice():
     sg = StableGraph([(0, (1,))], [(0, 0)])
-    assert sg.degree(0) == 2
+    assert sg.degrees()[0] == 2
     assert sg.is_stable()
+
+
+def test_canonical_key_permutation_cap():
+    # ten interchangeable vertices: 10! relabelings exceed the cap
+    ring = StableGraph([(1, ())] * 10, [(i, (i + 1) % 10) for i in range(10)])
+    with pytest.raises(ResourceLimitError):
+        ring.canonical_key()
+
+
+# every signature of dimension 3g-3+n <= 5 but (0,8), whose 39 207 types
+# take the filtering oracle about a minute, and the genus-3 signatures the
+# catalog reads
+FILTER_SIGS = [(g, n) for g in range(3) for n in range(8)
+               if 3 * g - 3 + n <= 5] + [(3, 0), (3, 1)]
+
+
+@pytest.mark.parametrize("sig", FILTER_SIGS, ids=str)
+def test_enumeration_matches_filter_oracle(sig):
+    got = enumerate_stable_graphs(*sig)
+    want = stable_graphs_by_filter(*sig)
+    assert [(t.vertices, t.edges) for t in got] == \
+        [(t.vertices, t.edges) for t in want]
+
+
+def test_enumeration_builds_only_stable_candidates(monkeypatch):
+    built = []
+    init = StableGraph.__init__
+
+    def counted(self, vertices, edges):
+        built.append(1)
+        init(self, vertices, edges)
+
+    monkeypatch.setattr(StableGraph, "__init__", counted)
+    graphs = _all_stable_graphs.__wrapped__(3, 1)
+    assert len(graphs) == 180
+    # the smooth root, 1 879 stable candidates and 180 representatives
+    assert len(built) <= 2060
 
 
 def test_bad_inputs():
