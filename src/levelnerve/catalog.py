@@ -73,16 +73,17 @@ class Side:
 
 class MulticurveRep:
     """A realized multicurve: dual graph, one cyclic word per edge, and the
-    piece/side data needed to transport it through covers."""
+    piece/side data needed to transport it through covers.  key is the
+    canonical key of graph, which the caller has already computed."""
 
-    def __init__(self, g, n, graph, words, pieces, sides):
+    def __init__(self, g, n, graph, words, pieces, sides, key):
         self.g = g
         self.n = n
         self.graph = graph
         self.words = tuple(words)
         self.pieces = tuple(pieces)
         self.sides = tuple(sides)
-        self.key = graph.canonical_key()
+        self.key = key
 
     @property
     def type(self):
@@ -324,10 +325,10 @@ class _Realizer:
         return _Layout(items, connected, piece_ids, tuple(edges),
                        tuple(chis), graph)
 
-    def realize(self, lay):
-        """Word stage: the MulticurveRep of a layout, with its piece
-        generators, curve words, mark loops and side conjugators, checked
-        by _audit."""
+    def realize(self, lay, key):
+        """Word stage: the MulticurveRep of a layout whose graph has the
+        canonical key `key`, with its piece generators, curve words, mark
+        loops and side conjugators, checked by _audit."""
         items, connected, piece_ids = lay.items, lay.connected, lay.piece_ids
         # access prefixes, outside in: an item is reached past the items
         # before it in its region, a region by its circle's own prefix
@@ -427,7 +428,8 @@ class _Realizer:
             words.append(word)
             sides.append(tuple(pair))
 
-        rep = MulticurveRep(self.g, self.n, lay.graph, words, pieces, sides)
+        rep = MulticurveRep(self.g, self.n, lay.graph, words, pieces, sides,
+                            key)
         _audit(rep)
         return rep
 
@@ -484,6 +486,16 @@ def _audit(rep):
                "cut pair homology relation")
 
 
+def _types(g, n):
+    """Every stable-graph type of (g, n), the smooth one included.  The
+    representatives carry their keys (StableGraph.from_key), which are
+    read instead of computed again; one is checked against canonical_key
+    per call."""
+    types = enumerate_stable_graphs(g, n, include_empty=True)
+    _check(types[0].key == types[0].canonical_key(), "stored type key")
+    return types
+
+
 @lru_cache(maxsize=None)
 def _catalog(g, n):
     if not (1 <= g <= 3 and 0 <= n <= 2):
@@ -492,8 +504,7 @@ def _catalog(g, n):
     if 2 * g - 2 + n <= 0:
         raise UnsupportedError(f"({g}, {n}) admits no stable curves")
     real = _Realizer(g, n)
-    want = {t.canonical_key() for t in
-            enumerate_stable_graphs(g, n, include_empty=True)}
+    want = {t.key for t in _types(g, n)}
     found = {}
     keys = {}
     max_curves = 3 * g - 3 + n
@@ -506,7 +517,7 @@ def _catalog(g, n):
         if key is None:
             key = keys[raw] = lay.graph.canonical_key()
         if key not in found:
-            found[key] = real.realize(lay)
+            found[key] = real.realize(lay, key)
         if want <= found.keys():
             break
     return found
@@ -522,6 +533,6 @@ def catalog_coverage(g, n):
     """(realized, missing) stable-graph types for the signature."""
     cat = _catalog(g, n)
     realized, missing = [], []
-    for t in enumerate_stable_graphs(g, n, include_empty=True):
-        (realized if t.canonical_key() in cat else missing).append(t)
+    for t in _types(g, n):
+        (realized if t.key in cat else missing).append(t)
     return realized, missing

@@ -145,7 +145,8 @@ def delete_curves(mc, drop):
     verts = [(p.genus, tuple(j for j, _ in p.marks)) for p in pieces]
     graph = StableGraph(verts, edges)
     _check(graph.genus() == mc.g and graph.is_stable(), "merged dual graph")
-    sub = MulticurveRep(mc.g, mc.n, graph, words, pieces, tuple(sides))
+    sub = MulticurveRep(mc.g, mc.n, graph, words, pieces, tuple(sides),
+                        graph.canonical_key())
     _audit(sub)
     return sub
 

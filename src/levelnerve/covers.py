@@ -40,6 +40,7 @@ deterministic, so every output is reproducible.
 """
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
@@ -115,7 +116,10 @@ class AbelianOps:
 
 
 class DeckGroup:
-    """Closure of the generator images, elements ordered by discovery."""
+    """Closure of the generator images, elements ordered by discovery.
+
+    gens holds the distinct indices of the generator images, in the order
+    given; every element is a product of them, inverses not needed."""
 
     def __init__(self, ops, gens, max_size):
         self.ops = ops
@@ -128,12 +132,26 @@ class DeckGroup:
         self.elements = [res.elements[i] for i in order]
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.d = len(self.elements)
+        self.gens = tuple(dict.fromkeys(self.index[s] for s in gens))
+        self._tables = None
 
     def mul(self, a, b):
         return self.ops.mul(a, b)
 
     def inv(self, a):
         return self.ops.inv(a)
+
+    def tables(self):
+        """(mul, inv) by index: mul[a][b] is the index of elements[a] *
+        elements[b] and inv[a] that of the inverse of elements[a].  Built
+        on first use, since a group may have DEFAULT_MAX_DEGREE elements
+        and most are never multiplied by index."""
+        if self._tables is None:
+            idx, elems, mul = self.index, self.elements, self.ops.mul
+            self._tables = (
+                tuple(tuple(idx[mul(a, b)] for b in elems) for a in elems),
+                tuple(idx[self.ops.inv(a)] for a in elems))
+        return self._tables
 
     @property
     def identity(self):
@@ -348,6 +366,8 @@ class _Table:
         g = start
         out = []
         for x in wreduce(word):
+            if not (1 <= abs(x) <= self.N):
+                raise InvalidInputError(f"letter {x} outside cover alphabet")
             lid = self.loop_id(g, x)
             if lid:
                 out.append(lid)
@@ -369,16 +389,6 @@ def _table(spec: CoverSpec) -> _Table:
     if spec._table is None:
         spec._table = _Table(spec)
     return spec._table
-
-
-def shortlex_transversal(spec: CoverSpec):
-    """Schreier transversal words, indexed like the deck group elements."""
-    return tuple(_table(spec).twords)
-
-
-def schreier_generators(spec: CoverSpec):
-    """Free basis of the cover subgroup attached to the non-tree edges."""
-    return tuple(_table(spec).loop_words)
 
 
 # --------------------------------------------------------------------------
@@ -577,17 +587,32 @@ class _ChainData:
 
     # -- coordinates
 
+    def _closed_ids(self, sheet, word):
+        end, ids = self.t.rewrite(sheet, word)
+        _check(end == sheet, "word must lie in the cover subgroup")
+        return ids
+
     def survivor_coords(self, word):
         """Coordinates of a subgroup word over the surviving polygon
         letters: the signed sum of the survivor rows of its loops."""
-        return vec_mat(self.t.loop_vector(0, word), self.survivor_rows)
+        return _signed_sum(self.survivor_rows, self._closed_ids(0, word))
 
     def class_at(self, sheet, word):
         """Coordinates over Z, in the symplectic frame of the closed cover
         surface, of a word read from `sheet` that closes up there: the
         signed sum of the class rows of the loops it crosses.  This is the
         class of t_h word t_h^-1 for h = sheet."""
-        return vec_mat(self.t.loop_vector(sheet, word), self.class_rows)
+        return _signed_sum(self.class_rows, self._closed_ids(sheet, word))
+
+
+def _signed_sum(rows, ids):
+    """The sum of rows[i] over the signed ids i of a rewrite, with a
+    minus sign on a negative id; rows[0] is a zero row of the width."""
+    out = rows[0]
+    for i in ids:
+        out = (tuple(map(add, out, rows[i])) if i > 0
+               else tuple(map(sub, out, rows[-i])))
+    return out
 
 
 def _unimodular_inverse(P):
@@ -698,8 +723,11 @@ def _chain(spec: CoverSpec) -> _ChainData:
 class DeckHomology:
     """H_1 of the filled cover over Z/m with the deck group action.
 
-    Matrices act on row vectors and compose covariantly:
-    matrix_of(g) . matrix_of(h) == matrix_of(g * h).
+    matrices[k] is the matrix of the deck element with index k.  They act
+    on row vectors and compose covariantly: matrices[a] . matrices[b] is
+    the matrix of elements[a] * elements[b].  validate checks this on every
+    lift, through the action condition (decomp._action_natural), for each
+    element a and each generator b.
     """
 
     def __init__(self, spec, m):
@@ -728,9 +756,6 @@ class DeckHomology:
     def class_of(self, word):
         """Class of a subgroup word in H_1 of the filled cover."""
         return self.space.reduce(self._chain.class_at(0, word))
-
-    def matrix_of(self, element):
-        return self.matrices[self.spec.group.index[element]]
 
 
 def cover_homology(spec: CoverSpec, m: int) -> DeckHomology:
@@ -929,9 +954,7 @@ class _ExtensionOps:
         t = _table(spec)
         group = spec.group
         d = group.d
-        self.mul_idx = [[group.index[group.mul(a, b)] for b in group.elements]
-                        for a in group.elements]
-        self.inv_idx = [group.index[group.inv(a)] for a in group.elements]
+        self.mul_idx, self.inv_idx = group.tables()
         # conjugation action of transversal lifts on the abelianization
         self.act = []
         for gidx in range(d):

@@ -54,7 +54,9 @@ the symplectic module alone chooses how to answer it.
 Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
 a finite group acting on the graph together with its matrices on H;
-naturality of groups, marks and frames is checked per element.
+naturality of groups, marks and frames is checked on the group's
+generators, and the tables and matrices are checked to compose as the
+group does (per element when no group is recorded).
 
 Equivalence is attribute-preserving graph isomorphism; canonical_form
 returns a byte string that is equal exactly for equivalent plain or framed
@@ -71,16 +73,16 @@ vertex and edge order.
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, f2_image, orbit_enumerate,
-                         pack_f2, stabilizer_words, vec_mat)
+                         pack_f2, schreier_edges, vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
-from .words import winv, wmul
 from . import covers
 
 _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
@@ -527,17 +529,74 @@ def _maps_onto(space, A: SympSubgroup, M, Minv, B: SympSubgroup,
     return all(A.contains(vec_mat(y, Minv)) for y in B.canonical_gens())
 
 
+@lru_cache(maxsize=16)
+def _matrices_compose(g, m, matrices, gens, products):
+    """Whether matrices[a] . matrices[s] == matrices[products[a][k]] for
+    every index a and the k-th generator index s = gens[k].  The matrices
+    are reduced and pass _checked_matrix; at m = 2 the products are taken
+    on their packed rows.  Memoized on the value like _checked_matrix, so
+    the lifts of one cover, which share its deck matrices, pay once."""
+    if m == 2:
+        bits = [_checked_matrix(g, m, M)[1] for M in matrices]
+        return all(bits[c] == tuple(f2_image(x, bits[s]) for x in bits[a])
+                   for a, row in enumerate(products)
+                   for s, c in zip(gens, row))
+    space = SympSpace(g, m)
+    return all(matrices[c] == space.mat_mul(matrices[a], matrices[s])
+               for a, row in enumerate(products)
+               for s, c in zip(gens, row))
+
+
 def _action_natural(d: EquivariantDecomposition):
+    """Whether the action tables act naturally: every matrix is
+    symplectic, and each checked element k maps edge e to an edge on the
+    image ends, edge and vertex groups onto the groups of their images
+    (D[vperms[k][v]] = D[v] * M_k), frames to the sign-normal images of
+    frames, and marks onto as many marks.
+
+    Without a group every element is checked.  With a group, only its
+    generators are, together with composition: for every element a and
+    generator s, vperms[a*s] = vperms[s] o vperms[a], the same for eperms,
+    and M_a . M_s = M_{a*s}.  That implies the check of every element, by
+    induction on the length of a word in the generators.  The identity is
+    natural: taking a to be the identity forces its perms and its matrix
+    to be the identity, since each vperms[s], eperms[s] and M_s is
+    invertible.  If a and s are natural, so is a*s: D[v] * M_{a*s} =
+    D[vperms[a][v]] * M_s = D[vperms[a*s][v]], and the edges, frames (the
+    sign normal commutes with linear maps) and marks follow the same way.
+    Every element is such a word, since the generators of a finite group
+    reach it without inverses.  The check is therefore never weaker than
+    checking every element, and it is stricter where the matrices fail to
+    compose as the group."""
     space = d.space
     E = len(d.edges)
+    checked = [_checked_matrix(space.g, space.m, M) for M in d.matrices]
+    if None in checked:
+        return False
+    elements = range(len(d.matrices))
+    if d.group is not None:
+        if len(d.matrices) != d.group.d:
+            return False
+        gens = d.group.gens
+        mul = d.group.tables()[0]
+        products = tuple(tuple(row[s] for s in gens) for row in mul)
+        for a, row in enumerate(products):
+            va, ea = d.vperms[a], d.eperms[a]
+            for s, c in zip(gens, row):
+                vs, es = d.vperms[s], d.eperms[s]
+                if (d.vperms[c] != tuple(vs[v] for v in va)
+                        or d.eperms[c] != tuple(es[e] for e in ea)):
+                    return False
+        if not _matrices_compose(space.g, space.m, d.matrices, gens,
+                                 products):
+            return False
+        elements = gens
     # at m = 2 frames are compared packed; _sign_normal is the identity
     packed_frames = ([pack_f2(f) for f in d.frames] if space.m == 2
                      else None)
-    for M, vp, ep in zip(d.matrices, d.vperms, d.eperms):
-        checked = _checked_matrix(space.g, space.m, M)
-        if checked is None:
-            return False
-        Minv, bits = checked
+    for k in elements:
+        M, vp, ep = d.matrices[k], d.vperms[k], d.eperms[k]
+        Minv, bits = checked[k]
         for e in range(E):
             u, v = d.edges[e]
             if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:
@@ -557,19 +616,6 @@ def _action_natural(d: EquivariantDecomposition):
                 return False
             if len(d.marks[vp[v]]) != len(d.marks[v]):
                 return False
-    if d.group is not None:
-        elems = d.group.elements
-        idx = d.group.index
-        for a in range(len(elems)):
-            for b in range(len(elems)):
-                c = idx[d.group.mul(elems[a], elems[b])]
-                vab = tuple(d.vperms[b][d.vperms[a][v]]
-                            for v in range(d.V))
-                if vab != d.vperms[c]:
-                    return False
-                eab = tuple(d.eperms[b][d.eperms[a][e]] for e in range(E))
-                if eab != d.eperms[c]:
-                    return False
     return True
 
 
@@ -778,38 +824,39 @@ def _schreier_vertex_group(space, hom, table, piece, orbit):
     The piece generators permute finitely many sheets, so they reach the
     whole orbit without their inverses.
 
-    Each class is a sum of orbit-edge classes.  The orbit-edge class of
-    (x, j) is the class of piece.gens[j] read from sheet x, closed up by
-    the coset transversal words t_y^-1 t_x back to x, where y is the sheet
-    it reaches; those run on tree edges only, so they add nothing.  A
-    stabilizer word sums them along its path through the orbit's moves,
-    with a minus sign on an inverse letter."""
+    Classes are signed sums of class rows over loop ids.  Each orbit edge
+    (x, j) rewrites piece.gens[j] from sheet x once; its class, the sum
+    over those ids, is that of piece.gens[j] closed up by the transversal
+    words t_y^-1 t_x back to x, where y is the sheet it reaches, since
+    those run on tree edges only, and free cancellation removes +-id
+    pairs.  The potential of an orbit element is the sum of edge classes
+    along its breadth-first tree word, and the non-tree edge (x, j, y)
+    gives the Schreier generator of class pot[x] + edge(x, j) - pot[y]."""
     root = orbit[0]
-    res = orbit_enumerate(root, piece.gens, lambda w, h: table.trace(h, w),
-                          cap=table.d)
+    ids = {}
+
+    def act(j, h):
+        end, ids[h, j] = table.rewrite(h, piece.gens[j])
+        return end
+
+    res = orbit_enumerate(root, range(len(piece.gens)), act, cap=table.d)
     _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
-    tw = table.twords
-    chain = hom._chain
-    edge = [[chain.class_at(h, wmul(gw, winv(tw[res.elements[y]]), tw[h]))
-             for gw, y in zip(piece.gens, moves)]
-            for h, moves in zip(res.elements, res.moves)]
-    back = {(y, j): x for x, moves in enumerate(res.moves)
-            for j, y in enumerate(moves)}
+    rows = hom._chain.class_rows
+    edge = [[covers._signed_sum(rows, ids[h, j])
+             for j in range(len(piece.gens))] for h in res.elements]
     start = res.elements.index(root)
-    gens = []
-    for word in stabilizer_words(res):
-        x = start
-        cls = [0] * space.dim
-        for i in word:
-            if i >= 0:
-                cls = [a + b for a, b in zip(cls, edge[x][i])]
-                x = res.moves[x][i]
-            else:
-                x = back[x, ~i]
-                cls = [a - b for a, b in zip(cls, edge[x][~i])]
-        _check(x == start, "stabilizer word closes up in the orbit")
-        gens.append(cls)
-    return space.subgroup(gens)
+    pot = []
+    for x, word in enumerate(res.words):
+        y, cls = start, rows[0]
+        for j in word:
+            cls = tuple(map(operator.add, cls, edge[y][j]))
+            y = res.moves[y][j]
+        _check(y == x, "tree word walks from the root to its element")
+        pot.append(cls)
+    return space.subgroup([
+        tuple(map(operator.sub, map(operator.add, pot[x], edge[x][j]),
+                  pot[y]))
+        for x, j, y in schreier_edges(res)])
 
 
 def induced_from_lift(spec, mc, m) -> EquivariantDecomposition:
@@ -832,11 +879,11 @@ def induced_from_lift(spec, mc, m) -> EquivariantDecomposition:
     edge_index = {(cg.edge_curve[e], cg.edge_rep[e]): e
                   for e in range(len(cg.edge_ends))}
 
+    mul, inv = group.tables()
     vperms = []
     eperms = []
-    for h in group.elements:
-        hinv = group.inv(h)
-        sheet = [group.index[group.mul(hinv, x)] for x in group.elements]
+    for h in range(group.d):
+        sheet = mul[inv[h]]
         vp = [vert_index[(cg.vert_piece[v], sheet[cg.vert_orbit[v][0]])]
               for v in range(len(vgroups))]
         ep = [edge_index[(cg.edge_curve[e],

@@ -92,6 +92,16 @@ class StableGraph:
             if not (0 <= u < V and 0 <= v < V):
                 raise InvalidInputError("edge endpoint out of range")
 
+    @classmethod
+    def from_key(cls, key):
+        """The canonical representative of a type, built from its
+        canonical key (vertices, edges); it carries that key as `key`, so
+        readers of the representative need not compute it again."""
+        verts, edges = key
+        rep = cls(list(verts), list(edges))
+        rep.key = key
+        return rep
+
     # -- basic invariants
 
     def n_vertices(self):
@@ -242,8 +252,7 @@ def _all_stable_graphs(g, n):
             for sg in _degenerations(t):
                 key = sg.canonical_key()
                 if key not in found:
-                    verts, edges = key
-                    rep = found[key] = StableGraph(list(verts), list(edges))
+                    rep = found[key] = StableGraph.from_key(key)
                     _check(rep.is_stable(), "degeneration is stable")
                     nxt.append(sg)
         layer = nxt
@@ -257,7 +266,8 @@ def max_rank(g, n):
 
 def enumerate_stable_graphs(g, n, k=None, include_empty=False):
     """Isomorphism classes of stable graphs of signature (g, n), one
-    canonical representative each, in deterministic order.
+    canonical representative each, in deterministic order; each carries
+    its canonical key as `key` (StableGraph.from_key).
 
     With k given, only the types with exactly k+1 edges (empty above the
     dimension bound 3g-4+n, resp. n-4 for g = 0).  With k = None, all types
@@ -272,7 +282,7 @@ def enumerate_stable_graphs(g, n, k=None, include_empty=False):
                      if len(t.edges) == k + 1)
     out = _all_stable_graphs(g, n)
     if include_empty:
-        sg = StableGraph([(g, tuple(range(1, n + 1)))], [])
+        sg = StableGraph.from_key((((g, tuple(range(1, n + 1))),), ()))
         if sg.is_stable():
             out = (sg,) + out
     return out

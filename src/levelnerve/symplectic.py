@@ -755,7 +755,7 @@ class OrbitResult:
     A word is a tuple of generator indices.  moves[i][j] is the index of
     generators[j] applied to elements[i], so a word is replayed from any
     element by following moves, with no further action or key; the
-    stabilizer generators are read off the same graph (stabilizer_words)."""
+    stabilizer generators are read off the same graph (schreier_edges)."""
 
     elements: tuple
     keys: tuple
@@ -819,16 +819,25 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
     )
 
 
-def stabilizer_words(res: OrbitResult):
-    """Schreier generators t_x * g * t_{g.x}^-1 of the seed's stabilizer,
-    one per non-tree edge (x, g) of the orbit, in first-visit order of x
-    and then generator order.  In a word, a negative entry ~i denotes the
-    inverse of generator i.  The words are pairwise distinct and nonempty,
-    since the nonnegative prefix of the word of edge (x, g) is t_x * g."""
+def schreier_edges(res: OrbitResult):
+    """The non-tree edges (x, j, y) of the orbit's Schreier graph, y =
+    moves[x][j], in first-visit order of x and then generator order; an
+    edge is a tree edge when the word of y is the word of x followed by j.
+    Each gives the Schreier generator t_x * g_j * t_y^-1 of the seed's
+    stabilizer (Schreier's lemma), and together they generate it."""
     words, moves = res.words, res.moves
-    for i in sorted(range(len(words)),
+    for x in sorted(range(len(words)),
                     key=lambda i: (len(words[i]), words[i])):
-        for j, t in enumerate(moves[i]):
-            w = words[i] + (j,)
-            if words[t] != w:
-                yield w + tuple(~a for a in reversed(words[t]))
+        for j, y in enumerate(moves[x]):
+            if words[y] != words[x] + (j,):
+                yield x, j, y
+
+
+def stabilizer_words(res: OrbitResult):
+    """The Schreier generators of schreier_edges as words, in its order.
+    In a word, a negative entry ~i denotes the inverse of generator i.  The
+    words are pairwise distinct and nonempty, since the nonnegative prefix
+    of the word of edge (x, j, y) is t_x * g_j."""
+    words = res.words
+    for x, j, y in schreier_edges(res):
+        yield words[x] + (j,) + tuple(~a for a in reversed(words[y]))

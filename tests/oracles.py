@@ -16,7 +16,10 @@ dense images and Hermite-row membership,
 transported_faces rebuilds a complex's face tables by transporting every
 vertex and face shadow with the simplex's stored matrix,
 checked_transport builds sp_action's value through the checking
-constructors and transport_mismatches compares the two, and
+constructors and transport_mismatches compares the two,
+action_natural_every_element checks the deck action of an equivariant
+decomposition element by element, with the perms composed over every
+pair of elements, and
 signed_schreier_vertex_group spans a sheet stabilizer's image from a
 transversal over the piece generators and their inverses, one Schreier
 generator per sheet and generator, and RecordElimination finds the
@@ -29,13 +32,15 @@ from itertools import chain, combinations, permutations
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import _base_rotation, _chain, _table
 from levelnerve.decomp import (EquivariantDecomposition,
-                               FramedDecomposition, canonical_form, sp_action,
-                               validate)
+                               FramedDecomposition, _checked_matrix,
+                               _maps_onto, _sign_normal, canonical_form,
+                               sp_action, validate)
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
-from levelnerve.symplectic import (_int_coords, hnf, hnf_transform,
-                                   mat_identity, mod_row_kernel,
+from levelnerve.symplectic import (_int_coords, f2_image, hnf,
+                                   hnf_transform, mat_identity,
+                                   mod_row_kernel, pack_f2,
                                    orbit_enumerate, snf_diagonal, vec_mat)
 from levelnerve.words import max_letter, winv, wmul, wreduce
 
@@ -443,6 +448,57 @@ def transport_mismatches(F, d):
     if validate(got) != validate(want):
         bad.append("validate")
     return bad
+
+
+def action_natural_every_element(d):
+    """Whether the action of an equivariant decomposition is natural,
+    decided element by element: every matrix is symplectic and maps each
+    edge and vertex group onto that of its image, edges go to edges on the
+    image ends, frames to sign-normal images and marks onto as many marks;
+    with a group, vperms and eperms compose as the group for every pair of
+    elements.  The matrices are not checked to compose."""
+    space = d.space
+    E = len(d.edges)
+    packed_frames = ([pack_f2(f) for f in d.frames] if space.m == 2
+                     else None)
+    for M, vp, ep in zip(d.matrices, d.vperms, d.eperms):
+        checked = _checked_matrix(space.g, space.m, M)
+        if checked is None:
+            return False
+        Minv, bits = checked
+        for e in range(E):
+            u, v = d.edges[e]
+            if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:
+                return False
+            if not _maps_onto(space, d.edge_groups[e], M, Minv,
+                              d.edge_groups[ep[e]], bits):
+                return False
+            if bits is not None:
+                if packed_frames[ep[e]] != f2_image(packed_frames[e], bits):
+                    return False
+            elif d.frames[ep[e]] != _sign_normal(
+                    space, space.mat_apply(d.frames[e], M)):
+                return False
+        for v in range(d.V):
+            if not _maps_onto(space, d.vertex_groups[v], M, Minv,
+                              d.vertex_groups[vp[v]], bits):
+                return False
+            if len(d.marks[vp[v]]) != len(d.marks[v]):
+                return False
+    if d.group is not None:
+        elems = d.group.elements
+        idx = d.group.index
+        for a in range(len(elems)):
+            for b in range(len(elems)):
+                c = idx[d.group.mul(elems[a], elems[b])]
+                vab = tuple(d.vperms[b][d.vperms[a][v]]
+                            for v in range(d.V))
+                if vab != d.vperms[c]:
+                    return False
+                eab = tuple(d.eperms[b][d.eperms[a][e]] for e in range(E))
+                if eab != d.eperms[c]:
+                    return False
+    return True
 
 
 def signed_schreier_vertex_group(space, hom, table, piece, orbit):

@@ -26,8 +26,6 @@ from levelnerve.covers import (
     perm_cover,
     cover_spec_to_data,
     cover_spec_from_data,
-    shortlex_transversal,
-    schreier_generators,
     _chain,
     _table,
     _unimodular_inverse,
@@ -192,8 +190,8 @@ def test_deck_action_is_symplectic_homomorphism(h2):
     for a in els[:4] + els[7:9]:
         for b in els[5:11]:
             ab = h2.group.mul(a, b)
-            assert hom.space.mat_mul(hom.matrix_of(a),
-                                     hom.matrix_of(b)) == hom.matrix_of(ab)
+            M = {x: hom.matrices[h2.group.index[x]] for x in (a, b, ab)}
+            assert hom.space.mat_mul(M[a], M[b]) == M[ab]
 
 
 def test_integral_homology_of_punctured_cover(cover11):
@@ -289,15 +287,15 @@ def test_derived_cover_of_free_base():
     assert spec.kind == "perm"
     # same kernel as the mod-2 homology cover
     other = homology_cover(1, 1, 2)
-    assert all(in_kernel(spec, w) for w in schreier_generators(other))
-    assert all(in_kernel(other, w) for w in schreier_generators(spec))
+    assert all(in_kernel(spec, w) for w in _table(other).loop_words)
+    assert all(in_kernel(other, w) for w in _table(spec).loop_words)
 
 
 def test_derived_cover_of_closed_base(h2):
     spec = derived_cover(identity_cover(2, 0), 2)
     assert spec.degree == 16
-    assert all(in_kernel(spec, w) for w in schreier_generators(h2))
-    assert all(in_kernel(h2, w) for w in schreier_generators(spec))
+    assert all(in_kernel(spec, w) for w in _table(h2).loop_words)
+    assert all(in_kernel(h2, w) for w in _table(spec).loop_words)
     assert analyze_cover(spec).g_K == 17
 
 
@@ -410,11 +408,11 @@ def test_mcg_modulus_validated():
 
 
 def test_shortlex_transversal(cover11):
-    assert shortlex_transversal(identity_cover(1, 1)) == ((),)
-    assert shortlex_transversal(cover11) == ((), (1,))
-    assert schreier_generators(identity_cover(2, 0)) == \
+    assert tuple(_table(identity_cover(1, 1)).twords) == ((),)
+    assert tuple(_table(cover11).twords) == ((), (1,))
+    assert tuple(_table(identity_cover(2, 0)).loop_words) == \
         ((1,), (2,), (3,), (4,))
-    assert schreier_generators(cover11) == ((2,), (1, 1), (1, 2, -1))
+    assert tuple(_table(cover11).loop_words) == ((2,), (1, 1), (1, 2, -1))
 
 
 def naive_closure(ops, gens):
@@ -456,13 +454,35 @@ def test_deck_group_in_discovery_order(make):
 
 
 @SMALL_COVERS
+def test_deck_group_tables_agree_with_mul_and_inv(make):
+    group = make().group
+    assert group._tables is None  # built on first use only
+    mul, inv = group.tables()
+    assert group.tables() is group.tables()
+    els, idx = group.elements, group.index
+    for a, x in enumerate(els):
+        assert els[inv[a]] == group.inv(x)
+        assert [els[c] for c in mul[a]] == [group.mul(x, y) for y in els]
+    assert set(group.gens) == {idx[s] for s in make().images}
+    assert len(set(group.gens)) == len(group.gens)
+
+
+@SMALL_COVERS
 def test_schreier_generators_rewrite_to_their_own_loop(make):
     """The i-th Schreier generator crosses the i-th loop edge once, and
     otherwise only tree edges, so it rewrites to the one letter i+1."""
     spec = make()
     t = _table(spec)
-    for i, w in enumerate(schreier_generators(spec)):
+    for i, w in enumerate(t.loop_words):
         assert t.rewrite(0, w) == (0, (i + 1,))
+
+
+@pytest.mark.parametrize("word", [(5,), (1, -5)])
+def test_rewrite_refuses_letters_outside_the_alphabet(h2, word):
+    t = _table(h2)
+    for read in (t.trace, t.rewrite):
+        with pytest.raises(InvalidInputError, match="outside cover alphabet"):
+            read(0, word)
 
 
 def _closed_at(t, sheet, word):
@@ -573,8 +593,8 @@ def test_shortlex_transversal_against_bfs(h2):
                         words[f] = words[e] + (s,)
                         nxt.append(f)
         frontier = nxt
-    assert shortlex_transversal(h2) == tuple(words[e]
-                                             for e in group.elements)
+    assert tuple(_table(h2).twords) == tuple(words[e]
+                                            for e in group.elements)
 
 
 def test_deck_group_cap():

@@ -31,7 +31,8 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                validate)
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
-from oracles import (maps_onto, module_map_report, quotient_profile,
+from oracles import (action_natural_every_element, maps_onto,
+                     module_map_report, quotient_profile,
                      signed_schreier_vertex_group, transport_mismatches)
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -844,6 +845,87 @@ def test_level_two_action_check_stays_packed(monkeypatch):
         validate(d3, ("action",))
     monkeypatch.undo()
     assert validate(d3, ("action",)) == []
+
+
+def _compose(d):
+    """Whether the matrices of d compose as its group: M_a . M_b = M_ab
+    for every pair of elements."""
+    mul = d.group.tables()[0]
+    sp = d.space
+    return all(sp.mat_mul(d.matrices[a], d.matrices[b]) == d.matrices[c]
+               for a, row in enumerate(mul) for b, c in enumerate(row))
+
+
+def _tampered(d, field, c, x):
+    """d with the matrix, vperm or eperm of element c replaced by that of
+    element x."""
+    tables = {f: list(getattr(d, f)) for f in ("matrices", "vperms",
+                                              "eperms")}
+    tables[field][c] = tables[field][x]
+    return EquivariantDecomposition(
+        d.space, d.vertex_groups, d.edge_groups, d.edges, d.frames, d.marks,
+        d.n, d.group, tables["matrices"], tables["vperms"], tables["eperms"])
+
+
+@pytest.mark.parametrize("make, m, stricter", [
+    (lambda: homology_cover(2, 0, 2), 2, True),
+    (lambda: homology_cover(1, 1, 2), 2, False),
+    (lambda: homology_cover(1, 1, 3), 3, False),
+], ids=["h202", "h112", "h113"])
+def test_generator_check_matches_every_element_oracle(make, m, stricter):
+    # on every catalog lift both checks accept.  On a copy with the table
+    # entry of one non-generator element c replaced by another element's:
+    # an unchanged table passes both; changed perms fail both; a changed
+    # matrix fails the generator check, which sees that the matrices no
+    # longer compose, and at (2,0,2) some such copies pass the
+    # element-by-element check, which reads no matrix product.  (The deck
+    # matrices of the genus-1 covers are all the identity.)
+    spec = make()
+    gens = spec.group.gens
+    others = [c for c in range(spec.group.d) if c not in gens]
+    assert others
+    only_new_refuses = 0
+    for i, mc in enumerate(multicurve_catalog(spec.g, spec.n)):
+        d = induced_from_lift(spec, mc, m)
+        assert decomp._action_natural(d)
+        assert action_natural_every_element(d)
+        assert _compose(d)
+        c = others[i % len(others)]
+        for x in range(spec.group.d):
+            for field in ("matrices", "vperms", "eperms"):
+                bad = _tampered(d, field, c, x)
+                old = action_natural_every_element(bad)
+                new = decomp._action_natural(bad)
+                if getattr(bad, field) == getattr(d, field):
+                    assert old and new
+                elif field == "matrices":
+                    assert not new
+                    if old:
+                        assert not _compose(bad)
+                        only_new_refuses += 1
+                else:
+                    assert not old and not new
+    assert bool(only_new_refuses) == stricter
+
+
+def test_action_check_reads_generators_only(monkeypatch):
+    # the groups are mapped by the generators of the deck group alone
+    h2 = homology_cover(2, 0, 2)
+    gens = h2.group.gens
+    assert len(gens) == 4 < h2.group.d
+    calls = []
+    real = decomp._maps_onto
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(decomp, "_maps_onto", counting)
+    for mc in multicurve_catalog(2, 0):
+        d = induced_from_lift(h2, mc, 2)
+        calls.clear()
+        assert validate(d, ("action",)) == []
+        assert len(calls) <= len(gens) * (d.V + len(d.edges))
 
 
 @st.composite

@@ -142,6 +142,14 @@ def test_enumeration_matches_filter_oracle(sig):
         [(t.vertices, t.edges) for t in want]
 
 
+@pytest.mark.parametrize("sig", [(2, 0), (2, 2), (0, 6), (3, 0), (3, 1)],
+                         ids=str)
+def test_enumerated_types_carry_their_keys(sig):
+    # the catalog reads these stored keys instead of computing them
+    types = enumerate_stable_graphs(*sig, include_empty=True)
+    assert all(t.key == t.canonical_key() for t in types)
+
+
 def test_enumeration_builds_only_stable_candidates(monkeypatch):
     built = []
     init = StableGraph.__init__
