@@ -304,7 +304,6 @@ class FinSimpSet:
 
 class _TypeData:
     def __init__(self, mc, seed, shadow, face_shadows, vert_shadows):
-        self.mc = mc
         self.key = mc.key
         self.k = len(mc.words) - 1
         self.seed = seed
@@ -538,8 +537,10 @@ def _tietze(ngen, rels, budget=200_000):
     Letters are nonzero signed integers; generator i appears as +-(i+1).
     A generator occurring exactly once in some relation is solved for and
     substituted everywhere, smallest relation first, until nothing fires
-    or the substitution budget is spent.  Returns (alive generators,
-    reduced relations, exhausted flag)."""
+    or the substitution budget is spent; the budget is charged the length
+    of every rewritten relation, and nothing for a relation the
+    substitution leaves alone.  Returns (alive generators, reduced
+    relations, exhausted flag)."""
     rels = [cyclic_reduce(r)[0] for r in rels]
     rels = [r for r in rels if r]
     alive = set(range(1, ngen + 1))
@@ -572,7 +573,6 @@ def _tietze(ngen, rels, budget=200_000):
         for s in rels:
             if gen not in s and -gen not in s:
                 # nothing to substitute; s is already cyclically reduced
-                spent += len(s)
                 new.append(s)
                 continue
             out = []

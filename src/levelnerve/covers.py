@@ -46,8 +46,8 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import (SympSpace, hnf_transform, mat_identity, mat_mul,
-                         orbit_enumerate, vec_mat)
+from .symplectic import (SympSpace, checked_matrix, hnf_transform,
+                         mat_identity, mat_mul, orbit_enumerate, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -563,7 +563,7 @@ class _ChainData:
         # dual to x, so the edge-class form is minus the inverse
         P = [[-x for x in row] for row in _unimodular_inverse(chord)]
         U, V = _symplectic_rows(P)
-        self.U, self.Uinv = U, V
+        self.Uinv = V
         self.t = t
         # survivor coordinates of every loop letter, by loop id (row 0 is
         # the unused zero row): a merged letter is the combination its
@@ -745,7 +745,8 @@ class DeckHomology:
             hidx = group.index[group.inv(h)]
             M = tuple(self.space.reduce(chain.class_at(hidx, rep))
                       for rep in chain.basis_words)
-            _check(self.space.is_symplectic(M), "deck matrix is symplectic")
+            _check(checked_matrix(chain.g_K, m, M).inverse is not None,
+                   "deck matrix is symplectic")
             mats.append(M)
         self.matrices = tuple(mats)
         _check(self.matrices[0] == self.space.identity_matrix(),
@@ -803,7 +804,6 @@ class CutGraph:
     n_K: int
     vert_piece: tuple
     vert_orbit: tuple
-    vert_genus: tuple
     vert_marks: tuple
     edge_curve: tuple
     edge_rep: tuple
@@ -922,7 +922,6 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     return CutGraph(d, ana.g_K, ana.n_K,
                     tuple(pi for pi, _ in vert_order),
                     tuple(orb for _, orb in vert_order),
-                    tuple(h for h, _ in vertices),
                     tuple(mk for _, mk in vertices),
                     tuple(edge_curve), tuple(edge_rep),
                     tuple(edges), tuple(edge_class),
@@ -1116,5 +1115,6 @@ def mcg_action_on_cover(spec: CoverSpec, t, m: int):
     hom = cover_homology(spec, m)
     M = tuple(hom.class_of(_apply_sequence(seq, rep))
               for rep in hom._chain.basis_words)
-    _check(hom.space.is_symplectic(M), "induced matrix is symplectic")
+    _check(checked_matrix(hom.space.g, m, M).inverse is not None,
+           "induced matrix is symplectic")
     return deck_coset_representative(hom, M)

@@ -49,7 +49,11 @@ elements; over Z they say that the form on the quotient is unimodular.
 
 Every lattice question of validate and leq (kernels, coordinates, free
 quotients, the divisor test) is asked of SympSpace and SympSubgroup, and
-the symplectic module alone chooses how to answer it.
+the symplectic module alone chooses how to answer it.  Matrices are read
+through their symplectic.checked_matrix records: whether a matrix is
+symplectic, its inverse, its reduced rows, whether it maps a subgroup
+onto another and the key of a frame's image.  This module never packs a
+row and keeps no matrix memo of its own.
 
 Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
@@ -74,12 +78,12 @@ vertex and edge order.
 import itertools
 import math
 import operator
-from functools import lru_cache
 
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, f2_image, orbit_enumerate,
-                         pack_f2, schreier_edges, vec_mat)
+from .symplectic import (SympSpace, SympSubgroup, checked_matrix,
+                         matrices_compose, orbit_enumerate, schreier_edges,
+                         vec_mat)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -91,41 +95,6 @@ _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
 def _check(cond, msg):
     if not cond:
         raise LevelNerveError(f"decomposition self-check failed: {msg}")
-
-
-def _sign_normal(space, vec):
-    v = space.reduce(vec)
-    m = space.m
-    w = tuple(-x % m for x in v) if m else tuple(-x for x in v)
-    return min(v, w)
-
-
-@lru_cache(maxsize=128)
-def _checked_matrix(g, m, F):
-    """(inverse, packed rows) of the reduced matrix F (a tuple of row
-    tuples) over (Z/m)^2g, or None when F is not symplectic.  The packed
-    rows are pack_f2 of each row of F at m = 2, and None otherwise.
-
-    Memoized on the value (g, m, F): the deck matrices of a cover are
-    checked, inverted and packed once, not once per lift or transported
-    value, and the self-check of the inverse runs once per distinct
-    matrix.  The fixed size bounds what it holds; the 16 deck matrices of
-    the level-2 genus-2 homology cover fit many times over."""
-    space = SympSpace(g, m)
-    if not space.is_symplectic(F):
-        return None
-    inv = space.symplectic_inverse(F)
-    _check(space.mat_mul(F, inv) == space.identity_matrix(),
-           "symplectic inverse")
-    return inv, (tuple(map(pack_f2, F)) if m == 2 else None)
-
-
-@lru_cache(maxsize=128)
-def _reduced_matrix(g, m, M):
-    """The rows of M (a tuple of row tuples) reduced over (Z/m)^2g,
-    memoized on the value like _checked_matrix, so that the deck matrices
-    shared by the lifts of one cover are reduced once."""
-    return SympSpace(g, m).reduce_matrix(M)
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +217,7 @@ class FramedDecomposition(GraphDecomposition):
     def __init__(self, space, vertex_groups, edge_groups, edges, frames,
                  marks=None, n=0):
         super().__init__(space, vertex_groups, edge_groups, edges, marks, n)
-        fr = [_sign_normal(space, f) for f in frames]
+        fr = [space.sign_normal(f) for f in frames]
         if len(fr) != len(self.edges):
             raise InvalidInputError("frame count mismatch")
         self.frames = tuple(fr)
@@ -275,8 +244,8 @@ class EquivariantDecomposition(FramedDecomposition):
         super().__init__(space, vertex_groups, edge_groups, edges, frames,
                          marks, n)
         self.group = group
-        self.matrices = tuple(_reduced_matrix(space.g, space.m,
-                                              tuple(map(tuple, M)))
+        self.matrices = tuple(checked_matrix(space.g, space.m,
+                                             tuple(map(tuple, M))).rows
                               for M in matrices)
         self.vperms = tuple(tuple(int(x) for x in p) for p in vperms)
         self.eperms = tuple(tuple(int(x) for x in p) for p in eperms)
@@ -510,43 +479,6 @@ def validate(d, conditions=None):
     return bad
 
 
-def _maps_onto(space, A: SympSubgroup, M, Minv, B: SympSubgroup,
-               bits=None) -> bool:
-    """Whether A * M = B, decided by memberships instead of a fresh
-    Hermite form per pair.  With the packed rows bits of M (m = 2), each
-    image of A's packed echelon rows is an XOR of rows of M, and B clears
-    it by its own packed rows.  Otherwise the images are dense vec_mat
-    rows, left unreduced since contains reduces its input.  Over Z/m an
-    invertible M maps A onto a group of A's order, so A * M <= B and equal
-    orders settle it; over Z the images of B under Minv are checked too."""
-    if bits is not None:
-        return A.order == B.order and all(
-            B.contains_f2(f2_image(x, bits)) for _, x in A.f2_rows())
-    if not all(B.contains(vec_mat(x, M)) for x in A.canonical_gens()):
-        return False
-    if space.m:
-        return A.order == B.order
-    return all(A.contains(vec_mat(y, Minv)) for y in B.canonical_gens())
-
-
-@lru_cache(maxsize=16)
-def _matrices_compose(g, m, matrices, gens, products):
-    """Whether matrices[a] . matrices[s] == matrices[products[a][k]] for
-    every index a and the k-th generator index s = gens[k].  The matrices
-    are reduced and pass _checked_matrix; at m = 2 the products are taken
-    on their packed rows.  Memoized on the value like _checked_matrix, so
-    the lifts of one cover, which share its deck matrices, pay once."""
-    if m == 2:
-        bits = [_checked_matrix(g, m, M)[1] for M in matrices]
-        return all(bits[c] == tuple(f2_image(x, bits[s]) for x in bits[a])
-                   for a, row in enumerate(products)
-                   for s, c in zip(gens, row))
-    space = SympSpace(g, m)
-    return all(matrices[c] == space.mat_mul(matrices[a], matrices[s])
-               for a, row in enumerate(products)
-               for s, c in zip(gens, row))
-
-
 def _action_natural(d: EquivariantDecomposition):
     """Whether the action tables act naturally: every matrix is
     symplectic, and each checked element k maps edge e to an edge on the
@@ -570,8 +502,8 @@ def _action_natural(d: EquivariantDecomposition):
     compose as the group."""
     space = d.space
     E = len(d.edges)
-    checked = [_checked_matrix(space.g, space.m, M) for M in d.matrices]
-    if None in checked:
+    checked = [checked_matrix(space.g, space.m, M) for M in d.matrices]
+    if any(c.inverse is None for c in checked):
         return False
     elements = range(len(d.matrices))
     if d.group is not None:
@@ -587,32 +519,24 @@ def _action_natural(d: EquivariantDecomposition):
                 if (d.vperms[c] != tuple(vs[v] for v in va)
                         or d.eperms[c] != tuple(es[e] for e in ea)):
                     return False
-        if not _matrices_compose(space.g, space.m, d.matrices, gens,
-                                 products):
+        if not matrices_compose(space.g, space.m, d.matrices, gens,
+                                products):
             return False
         elements = gens
-    # at m = 2 frames are compared packed; _sign_normal is the identity
-    packed_frames = ([pack_f2(f) for f in d.frames] if space.m == 2
-                     else None)
+    # a frame key depends on the modulus alone, so any record gives it
+    keys = [checked[0].frame_key(f) for f in d.frames] if checked else []
     for k in elements:
-        M, vp, ep = d.matrices[k], d.vperms[k], d.eperms[k]
-        Minv, bits = checked[k]
+        F, vp, ep = checked[k], d.vperms[k], d.eperms[k]
         for e in range(E):
             u, v = d.edges[e]
             if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:
                 return False
-            if not _maps_onto(space, d.edge_groups[e], M, Minv,
-                              d.edge_groups[ep[e]], bits):
+            if not F.maps_onto(d.edge_groups[e], d.edge_groups[ep[e]]):
                 return False
-            if bits is not None:
-                if packed_frames[ep[e]] != f2_image(packed_frames[e], bits):
-                    return False
-            elif d.frames[ep[e]] != _sign_normal(
-                    space, space.mat_apply(d.frames[e], M)):
+            if keys[ep[e]] != F.image_key(keys[e]):
                 return False
         for v in range(d.V):
-            if not _maps_onto(space, d.vertex_groups[v], M, Minv,
-                              d.vertex_groups[vp[v]], bits):
+            if not F.maps_onto(d.vertex_groups[v], d.vertex_groups[vp[v]]):
                 return False
             if len(d.marks[vp[v]]) != len(d.marks[v]):
                 return False
@@ -652,47 +576,6 @@ def canonical_form(d) -> bytes:
            for v, inc in enumerate(d._incident)]
     best = min(_serial(d, order, vpay, epay) for order in relabelings(inv))
     return repr(best).encode()
-
-
-def equivalent(d1, d2) -> bool:
-    """Attribute-preserving graph isomorphism, decided by direct search.
-
-    Kinds must agree; equivariant values are compared through their framed
-    parts (the action is transported by sp_action but is not part of the
-    equivalence relation)."""
-    if d1.kind != d2.kind:
-        return False
-    if isinstance(d1, EquivariantDecomposition):
-        d1 = d1.framed()
-        d2 = d2.framed()
-    if (d1.space.g, d1.space.m, d1.n, d1.V) != \
-            (d2.space.g, d2.space.m, d2.n, d2.V):
-        return False
-    if sorted(d1._vertex_payload(v) for v in range(d1.V)) != \
-            sorted(d2._vertex_payload(v) for v in range(d2.V)):
-        return False
-    edges2 = sorted((u, v) + d2._edge_payload(e)
-                    for e, (u, v) in enumerate(d2.edges))
-
-    def assign(mapping, v):
-        if v == d1.V:
-            edges1 = sorted((min(mapping[u], mapping[w]),
-                             max(mapping[u], mapping[w]))
-                            + d1._edge_payload(e)
-                            for e, (u, w) in enumerate(d1.edges))
-            return edges1 == edges2
-        for target in range(d1.V):
-            if target in mapping.values():
-                continue
-            if d1._vertex_payload(v) != d2._vertex_payload(target):
-                continue
-            mapping[v] = target
-            if assign(mapping, v + 1):
-                return True
-            del mapping[v]
-        return False
-
-    return assign({}, 0)
 
 
 # --------------------------------------------------------------------------
@@ -758,22 +641,22 @@ def sp_action(F, d):
 
     The transported value keeps the graph, marks and action tables of d,
     so it is a copy of d with the image groups, frames and conjugated
-    matrices."""
+    matrices.  F is looked up once in checked_matrix; the conjugates come
+    back reduced from mat_mul and go through no memo, since checking
+    every one would cost an is_symplectic per matrix per transport."""
     space = d.space
-    F = _reduced_matrix(space.g, space.m, tuple(map(tuple, F)))
-    checked = _checked_matrix(space.g, space.m, F)
-    if checked is None:
+    checked = checked_matrix(space.g, space.m, tuple(map(tuple, F)))
+    if checked.inverse is None:
         raise InvalidInputError("matrix is not symplectic over the ambient")
+    F = checked.rows
     fields = {"vertex_groups": tuple(vg.apply(F) for vg in d.vertex_groups),
               "edge_groups": tuple(eg.apply(F) for eg in d.edge_groups)}
     if isinstance(d, FramedDecomposition):
-        fields["frames"] = tuple(_sign_normal(space, vec_mat(f, F))
+        fields["frames"] = tuple(space.sign_normal(vec_mat(f, F))
                                  for f in d.frames)
     if isinstance(d, EquivariantDecomposition):
-        inv = checked[0]
         fields["matrices"] = tuple(
-            _reduced_matrix(space.g, space.m,
-                            space.mat_mul(space.mat_mul(inv, M), F))
+            space.mat_mul(space.mat_mul(checked.inverse, M), F)
             for M in d.matrices)
     return d._copy(type(d), **fields)
 

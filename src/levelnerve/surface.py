@@ -147,7 +147,6 @@ class BranchedModel:
         _check(wmul(*[commutator(a, b) for a, b in pairs]) == wmul(P, Pp),
                "E-form splitting")
         us = {}
-        classes = {}
         down_all = tuple(range(1, B + 1)) \
             + tuple(B + l for l in range(1, k + 1))
         if self.odd:
@@ -155,26 +154,19 @@ class BranchedModel:
             _check(bd == wmul(P, Ybar, Pp, Y), "odd boundary word")
             Ubar = wmul(P, Ybar, winv(P))
             us[1] = wmul(winv(Ubar), winv(bd), Ubar)
-            classes[1] = winv(bd)
             for l in range(1, k + 1):
                 us[nprime + 1 - l] = self.y(l)
-                classes[nprime + 1 - l] = self.y(l)
                 us[k + 2 - l] = wmul(P, self.ybar(l), winv(P))
-                classes[k + 2 - l] = self.ybar(l)
         else:
             d1 = self.rewrite(down_all)
             d2 = self.rewrite((1,) + down_all + (1,))
             _check(d1 == wmul(P, Y), "even boundary word 1")
             _check(d2 == wmul(Pp, Ybar), "even boundary word 2")
             us[1] = winv(d1)
-            classes[1] = winv(d1)
             us[k + 2] = winv(d2)
-            classes[k + 2] = winv(d2)
             for l in range(1, k + 1):
                 us[nprime + 1 - l] = self.ybar(l)
-                classes[nprime + 1 - l] = self.ybar(l)
                 us[k + 2 - l] = self.y(l)
-                classes[k + 2 - l] = self.y(l)
 
         std = [a for a, _ in pairs] + [b for _, b in pairs] \
             + [us[j] for j in range(2, nprime + 1)]
@@ -188,11 +180,6 @@ class BranchedModel:
             _check(self.rewrite(self.expand((t,))) == (t,),
                    "rewrite/expand inverse")
 
-        self.commutator_pairs = pairs
-        self.P = P
-        self.Pp = Pp
-        self.us = us
-        self.u_classes = classes
         self.std = std
         self._inv_expr = invert_basis(std, self.N)
 
@@ -316,6 +303,8 @@ class SurfacePresentation:
     def homology_class(self, word, m: int = 0):
         """Class in H_1 of the closed surface (u letters killed),
         interleaved coordinates (a_1, b_1, a_2, b_2, ...)."""
+        if m < 0 or m == 1:
+            raise InvalidInputError("modulus must be 0 or at least 2")
         v = [0] * (2 * self.g)
         for x in wreduce(word):
             a = abs(x)
@@ -452,6 +441,8 @@ def homology_class(word, g: int, n: int, m: int = 0, target: str = "closed"):
     if target == "closed":
         return pres.homology_class(word, m)
     if target == "open":
+        if m < 0 or m == 1:
+            raise InvalidInputError("modulus must be 0 or at least 2")
         v = pres.open_class(word)
         if m:
             v = tuple(c % m for c in v)

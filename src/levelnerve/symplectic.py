@@ -44,17 +44,27 @@ At m = 2 a vector can also be packed into one int, bit k holding
 coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
 XOR of the packed rows of F at the set bits of x (f2_image).  A subgroup
 keeps its echelon rows packed as well (SympSubgroup.f2_rows), so that
-membership is a few XORs (SympSubgroup.contains_f2).  Only membership of
-images uses the packed rows; apply, perp, radical and vec_mat stay on
-row tuples, and odd primes stay on integer entries.
+membership is a few XORs (SympSubgroup.contains_f2).  Only images under
+checked matrices use the packed rows; apply, perp, radical and vec_mat
+stay on row tuples, and odd primes stay on integer entries.
+
+A matrix is checked once per value: checked_matrix(g, m, F) is the one
+memoized record (CheckedMatrix) of its reduced rows, its inverse when it
+is symplectic and, at m = 2, its packed rows.  The record answers the
+questions an action check asks of a matrix, whether it maps one subgroup
+onto another and the key of a frame's image, on the packed rows at
+m = 2; matrices_compose checks a table of products on the same rows.
+Other modules read the record and neither check, invert nor pack a
+matrix themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +106,13 @@ def f2_image(x, rows):
         out ^= rows[low.bit_length() - 1]
         x ^= low
     return out
+
+
+def _sign_normal(vec, m):
+    """The lesser of vec and -vec, both reduced mod m (over Z at m = 0)."""
+    if m:
+        return min(tuple(a % m for a in vec), tuple(-a % m for a in vec))
+    return min(tuple(vec), tuple(-a for a in vec))
 
 
 def hnf(rows):
@@ -336,6 +353,10 @@ class SympSpace:
     def zero(self):
         return (0,) * self.dim
 
+    def sign_normal(self, vec):
+        """vec reduced and taken modulo sign: the lesser of vec and -vec."""
+        return _sign_normal(self.reduce(vec), self.m)
+
     def basis_a(self, i):
         v = [0] * self.dim
         v[2 * (i - 1)] = 1
@@ -424,11 +445,11 @@ class SympSpace:
         desk-scale groups."""
         if self.m == 0:
             raise InvalidInputError("cannot enumerate a group over Z")
-        gens = [self.reduce_matrix(F) for F in gens]
-        for F in gens:
-            if not self.is_symplectic(F):
-                raise InvalidInputError("generator is not symplectic")
-        res = orbit_enumerate(self.identity_matrix(), gens,
+        gens = [checked_matrix(self.g, self.m, tuple(map(tuple, F)))
+                for F in gens]
+        if any(c.inverse is None for c in gens):
+            raise InvalidInputError("generator is not symplectic")
+        res = orbit_enumerate(self.identity_matrix(), [c.rows for c in gens],
                               lambda G, M: self.mat_mul(M, G), cap=cap)
         return frozenset(res.elements)
 
@@ -719,6 +740,103 @@ class SympSubgroup:
             img = self.space._images[key] = self.space.subgroup(
                 [vec_mat(v, F) for v in self.canonical_gens()])
         return img
+
+
+# ---------------------------------------------------------------------------
+# checked matrices
+
+
+@dataclass(frozen=True)
+class CheckedMatrix:
+    """A matrix over (Z/m)^2g with what checking it found: its reduced
+    rows, its inverse when it is symplectic (None when it is not) and, at
+    m = 2, its rows packed by pack_f2 (None otherwise).  checked_matrix
+    makes one per value.
+
+    It answers the two questions an action check asks of a symplectic
+    matrix F, on packed rows at m = 2 and on integer entries otherwise:
+    whether F maps one subgroup onto another (maps_onto), and the key of
+    a frame's image.  A frame is compared by its key (frame_key): the
+    packed int at m = 2, the sign normal otherwise; image_key maps the
+    key of a frame to the key of its image under F."""
+
+    m: int
+    rows: tuple
+    inverse: tuple
+    packed: tuple
+
+    def frame_key(self, vec):
+        if self.packed is not None:
+            return pack_f2(vec)
+        return _sign_normal(vec, self.m)
+
+    def image_key(self, key):
+        if self.packed is not None:
+            return f2_image(key, self.packed)
+        return _sign_normal(vec_mat(key, self.rows), self.m)
+
+    def maps_onto(self, A: SympSubgroup, B: SympSubgroup) -> bool:
+        """Whether A * F = B, decided by memberships instead of a fresh
+        Hermite form.  At m = 2 each image of A's packed echelon rows is an
+        XOR of rows of F, and B clears it by its own packed rows; otherwise
+        the images are dense vec_mat rows, left unreduced since contains
+        reduces its input.  Over Z/m an invertible F maps A onto a group of
+        A's order, so A * F <= B and equal orders settle it; over Z the
+        images of B under the inverse are checked too."""
+        if self.packed is not None:
+            return A.order == B.order and all(
+                B.contains_f2(f2_image(x, self.packed))
+                for _, x in A.f2_rows())
+        if not all(B.contains(vec_mat(x, self.rows))
+                   for x in A.canonical_gens()):
+            return False
+        if self.m:
+            return A.order == B.order
+        return all(A.contains(vec_mat(y, self.inverse))
+                   for y in B.canonical_gens())
+
+
+@lru_cache(maxsize=128)
+def checked_matrix(g, m, F):
+    """The CheckedMatrix of F, a tuple of row tuples over (Z/m)^2g; its
+    inverse passes the self-check F * F^-1 = 1.
+
+    Memoized on the value (g, m, F): a matrix is checked, reduced,
+    inverted and packed once per process, not once per cover, lift or
+    transported value.  The fixed size bounds what it holds; the 16 deck
+    matrices and 5 twist matrices of the level-2 genus-2 homology cover
+    fit many times over."""
+    space = SympSpace(g, m)
+    if len(F) != space.dim:
+        raise InvalidInputError("matrix has wrong size")
+    rows = space.reduce_matrix(F)
+    if rows == F and all(type(a) is int for row in F for a in row):
+        rows = F  # already reduced: the record shares the key's rows
+    inverse = None
+    if space.is_symplectic(rows):
+        inverse = space.symplectic_inverse(rows)
+        if space.mat_mul(rows, inverse) != space.identity_matrix():
+            raise LevelNerveError("symplectic self-check failed: inverse")
+    return CheckedMatrix(m, rows, inverse,
+                         tuple(map(pack_f2, rows)) if m == 2 else None)
+
+
+@lru_cache(maxsize=16)
+def matrices_compose(g, m, matrices, gens, products):
+    """Whether matrices[a] . matrices[s] == matrices[products[a][k]] for
+    every index a and the k-th generator index s = gens[k], for reduced
+    matrices over (Z/m)^2g; at m = 2 the products are taken on the packed
+    rows of their records.  Memoized on the value like checked_matrix, so
+    the lifts of one cover, which share its deck matrices, pay once."""
+    if m == 2:
+        bits = [checked_matrix(g, m, M).packed for M in matrices]
+        return all(bits[c] == tuple(f2_image(x, bits[s]) for x in bits[a])
+                   for a, row in enumerate(products)
+                   for s, c in zip(gens, row))
+    space = SympSpace(g, m)
+    return all(matrices[c] == space.mat_mul(matrices[a], matrices[s])
+               for a, row in enumerate(products)
+               for s, c in zip(gens, row))
 
 
 # ---------------------------------------------------------------------------

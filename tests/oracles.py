@@ -12,7 +12,9 @@ RestartFoldedGraph folds a Stallings graph by rescanning every edge after
 each single merge, quotient_profile reads a quotient of subgroups off the
 integer coordinates of one Hermite lattice in another at every modulus,
 maps_onto compares a subgroup's image with another subgroup through
-dense images and Hermite-row membership,
+dense images and Hermite-row membership, equivalent decides the
+equivalence of decompositions that canonical_form encodes by searching
+vertex bijections,
 transported_faces rebuilds a complex's face tables by transporting every
 vertex and face shadow with the simplex's stored matrix,
 checked_transport builds sp_action's value through the checking
@@ -32,15 +34,14 @@ from itertools import chain, combinations, permutations
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import _base_rotation, _chain, _table
 from levelnerve.decomp import (EquivariantDecomposition,
-                               FramedDecomposition, _checked_matrix,
-                               _maps_onto, _sign_normal, canonical_form,
+                               FramedDecomposition, canonical_form,
                                sp_action, validate)
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
-from levelnerve.symplectic import (_int_coords, f2_image, hnf,
+from levelnerve.symplectic import (_int_coords, checked_matrix, hnf,
                                    hnf_transform, mat_identity,
-                                   mod_row_kernel, pack_f2,
+                                   mod_row_kernel,
                                    orbit_enumerate, snf_diagonal, vec_mat)
 from levelnerve.words import max_letter, winv, wmul, wreduce
 
@@ -418,6 +419,48 @@ def transported_faces(X, types):
     return tuple(out)
 
 
+def equivalent(d1, d2) -> bool:
+    """Attribute-preserving graph isomorphism, decided by direct search;
+    the reference for canonical_form.
+
+    Kinds must agree; equivariant values are compared through their framed
+    parts (the action is transported by sp_action but is not part of the
+    equivalence relation)."""
+    if d1.kind != d2.kind:
+        return False
+    if isinstance(d1, EquivariantDecomposition):
+        d1 = d1.framed()
+        d2 = d2.framed()
+    if (d1.space.g, d1.space.m, d1.n, d1.V) != \
+            (d2.space.g, d2.space.m, d2.n, d2.V):
+        return False
+    if sorted(d1._vertex_payload(v) for v in range(d1.V)) != \
+            sorted(d2._vertex_payload(v) for v in range(d2.V)):
+        return False
+    edges2 = sorted((u, v) + d2._edge_payload(e)
+                    for e, (u, v) in enumerate(d2.edges))
+
+    def assign(mapping, v):
+        if v == d1.V:
+            edges1 = sorted((min(mapping[u], mapping[w]),
+                             max(mapping[u], mapping[w]))
+                            + d1._edge_payload(e)
+                            for e, (u, w) in enumerate(d1.edges))
+            return edges1 == edges2
+        for target in range(d1.V):
+            if target in mapping.values():
+                continue
+            if d1._vertex_payload(v) != d2._vertex_payload(target):
+                continue
+            mapping[v] = target
+            if assign(mapping, v + 1):
+                return True
+            del mapping[v]
+        return False
+
+    return assign({}, 0)
+
+
 def checked_transport(F, d):
     """sp_action(F, d) for a framed or equivariant d, built through the
     checking constructor from the moved groups and frames (and the
@@ -459,29 +502,21 @@ def action_natural_every_element(d):
     elements.  The matrices are not checked to compose."""
     space = d.space
     E = len(d.edges)
-    packed_frames = ([pack_f2(f) for f in d.frames] if space.m == 2
-                     else None)
     for M, vp, ep in zip(d.matrices, d.vperms, d.eperms):
-        checked = _checked_matrix(space.g, space.m, M)
-        if checked is None:
+        F = checked_matrix(space.g, space.m, M)
+        if F.inverse is None:
             return False
-        Minv, bits = checked
         for e in range(E):
             u, v = d.edges[e]
             if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:
                 return False
-            if not _maps_onto(space, d.edge_groups[e], M, Minv,
-                              d.edge_groups[ep[e]], bits):
+            if not F.maps_onto(d.edge_groups[e], d.edge_groups[ep[e]]):
                 return False
-            if bits is not None:
-                if packed_frames[ep[e]] != f2_image(packed_frames[e], bits):
-                    return False
-            elif d.frames[ep[e]] != _sign_normal(
-                    space, space.mat_apply(d.frames[e], M)):
+            if F.frame_key(d.frames[ep[e]]) != F.image_key(
+                    F.frame_key(d.frames[e])):
                 return False
         for v in range(d.V):
-            if not _maps_onto(space, d.vertex_groups[v], M, Minv,
-                              d.vertex_groups[vp[v]], bits):
+            if not F.maps_onto(d.vertex_groups[v], d.vertex_groups[vp[v]]):
                 return False
             if len(d.marks[vp[v]]) != len(d.marks[v]):
                 return False

@@ -14,8 +14,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from levelnerve.catalog import _audit, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _assemble, _boundary_matrix,
-                                  _finite_quotient, _orbit_types, _types,
-                                  build_abelian_nerve, cross_validate,
+                                  _finite_quotient, _orbit_types, _tietze,
+                                  _types, build_abelian_nerve, cross_validate,
                                   delete_curves, homology, pi1_report)
 from levelnerve.decomp import (FramedDecomposition, induced_from_multicurve,
                                validate)
@@ -149,6 +149,15 @@ def test_pi1_per_component():
     assert len(rep.components) == 2
     for sub in rep.components:
         assert sub.witness == ("abelianization", (0,))
+
+
+def test_tietze_budget_skips_untouched_relations():
+    # eliminating x1 rewrites no other relation, so the ten commutators
+    # cost nothing and the budget of 20 letters is not spent
+    alive, rels, exhausted = _tietze(3, [[1]] + [[2, 3, -2, -3]] * 10,
+                                     budget=20)
+    assert (alive, exhausted) == ([2, 3], False)
+    assert rels == [(2, 3, -2, -3)] * 10
 
 
 def test_finite_quotient():

@@ -396,6 +396,7 @@ def test_mcg_requires_invariance():
     with pytest.raises(ValidationError) as err:
         mcg_action_on_cover(spec, t2, 2)
     assert err.value.condition == "invariance"
+    assert err.value.detail == "twist does not preserve the cover subgroup"
 
 
 def test_mcg_modulus_validated():
@@ -672,3 +673,25 @@ def unimodular(draw):
 def test_unimodular_inverse_matches_sympy(P):
     want = sympy.Matrix(P).inv().tolist()
     assert _unimodular_inverse(P) == [[int(x) for x in row] for row in want]
+
+
+def test_matrix_self_checks_refuse_a_perturbed_class(monkeypatch):
+    # the deck and twist matrices are checked through the symplectic
+    # record; a class row moved by one makes them fail the check
+    spec = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
+    twist = twist_automorphisms(2, 0)[0]
+    assert invariance_check(spec, [twist])
+    cover_homology(spec, 2)
+    chain_type = type(_chain(spec))
+    real = chain_type.class_at
+
+    def moved(self, sheet, word):
+        c = real(self, sheet, word)
+        return (c[0] + 1,) + c[1:]
+
+    monkeypatch.setattr(chain_type, "class_at", moved)
+    with pytest.raises(LevelNerveError, match="induced matrix is symplectic"):
+        mcg_action_on_cover(spec, twist, 2)
+    fresh = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
+    with pytest.raises(LevelNerveError, match="deck matrix is symplectic"):
+        cover_homology(fresh, 2)

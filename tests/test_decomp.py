@@ -26,12 +26,12 @@ from levelnerve import covers, decomp, symplectic
 from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                GraphDecomposition, canonical_form,
                                decomposition_from_data, decomposition_to_data,
-                               equivalent, induced_from_lift,
+                               induced_from_lift,
                                induced_from_multicurve, leq, sp_action,
                                validate)
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
-from oracles import (action_natural_every_element, maps_onto,
+from oracles import (action_natural_every_element, equivalent, maps_onto,
                      module_map_report, quotient_profile,
                      signed_schreier_vertex_group, transport_mismatches)
 
@@ -837,7 +837,7 @@ def test_level_two_action_check_stays_packed(monkeypatch):
     def refuse(*args):
         raise AssertionError("dense image or membership called")
 
-    monkeypatch.setattr(decomp, "vec_mat", refuse)
+    monkeypatch.setattr(symplectic, "vec_mat", refuse)
     monkeypatch.setattr(SympSubgroup, "contains", refuse)
     assert validate(d2, ("action",)) == []
     # m = 3 keeps the dense route
@@ -914,13 +914,13 @@ def test_action_check_reads_generators_only(monkeypatch):
     gens = h2.group.gens
     assert len(gens) == 4 < h2.group.d
     calls = []
-    real = decomp._maps_onto
+    real = symplectic.CheckedMatrix.maps_onto
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(decomp, "_maps_onto", counting)
+    monkeypatch.setattr(symplectic.CheckedMatrix, "maps_onto", counting)
     for mc in multicurve_catalog(2, 0):
         d = induced_from_lift(h2, mc, 2)
         calls.clear()
@@ -962,7 +962,7 @@ def test_packed_maps_onto_matches_dense_oracle(case):
     M = sp.identity_matrix()
     for v in tvecs:
         M = sp.mat_mul(M, sp.transvection(v))
-    Minv, bits = decomp._checked_matrix(g, 2, M)
+    F = symplectic.checked_matrix(g, 2, M)
     A = sp.subgroup(rows)
     if how == "image":
         B = A.apply(M)
@@ -971,8 +971,8 @@ def test_packed_maps_onto_matches_dense_oracle(case):
         assert B.order == A.order
     else:
         B = sp.subgroup(extra)
-    want = maps_onto(sp, A, M, Minv, B)
-    assert decomp._maps_onto(sp, A, M, Minv, B, bits) == want
+    want = maps_onto(sp, A, M, F.inverse, B)
+    assert F.maps_onto(A, B) == want
     assert want == (A.apply(M) == B)
 
 
@@ -997,9 +997,10 @@ def test_inverse_memo_is_keyed_on_the_modulus():
     # symplectic mod 2 (det 3 = 1) but not mod 4
     F = ((1, 0), (0, 3))
     for order in ((2, 4), (4, 2)):
-        decomp._checked_matrix.cache_clear()
-        got = {m: decomp._checked_matrix(1, m, F) for m in order}
-        assert got == {2: (((1, 0), (0, 1)), (0b01, 0b10)), 4: None}
+        symplectic.checked_matrix.cache_clear()
+        got = {m: symplectic.checked_matrix(1, m, F) for m in order}
+        assert {m: (c.inverse, c.packed) for m, c in got.items()} == {
+            2: (((1, 0), (0, 1)), (0b01, 0b10)), 4: (None, None)}
 
 
 @pytest.mark.parametrize("make, key, m", [

@@ -43,7 +43,7 @@ def test_no_declared_dependencies():
 TEST_ONLY = {"FinSimpSet.from_data", "identity_cover", "cover_spec_to_data",
              "cover_spec_from_data", "decomposition_from_data",
              "build_image_complex", "derived_cover", "stabilizer_words",
-             "equivalent", "leq"}
+             "leq"}
 
 
 def definitions(path):
@@ -108,6 +108,47 @@ def test_definitions_are_referenced():
     assert not stale, f"referenced now, drop from TEST_ONLY: {stale}"
 
 
+# stored attributes that nothing reads: the twist's curve word is its
+# public record of the curve
+UNREAD_OK = {"curve_word"}
+
+
+def stored_attributes(path):
+    """(name, line) of every attribute stored on self and every field of a
+    dataclass defined in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                          ast.Store) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "self":
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id",
+                        None) == "dataclass"
+                for d in node.decorator_list):
+            for sub in node.body:
+                if isinstance(sub, ast.AnnAssign):
+                    yield sub.target.id, sub.lineno
+
+
+def test_stored_attributes_are_read():
+    """Every attribute the package stores is read somewhere in src/,
+    tests/ or perfbench/, matched by attribute name alone as
+    test_definitions_are_referenced matches methods, so that no data is
+    kept that nothing reads."""
+    read = {node.attr
+            for path in SOURCES + sorted((ROOT / "tests").glob("*.py"))
+            + sorted((ROOT / "perfbench").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{path.name}:{line} {name}" for path in SOURCES
+                    for name, line in stored_attributes(path)
+                    if name not in read and name not in UNREAD_OK)
+    assert not unread, f"attributes nothing reads: {unread}"
+    assert not UNREAD_OK & read, "read now, drop from UNREAD_OK"
+
+
 def unread_parameters(path):
     """`function.parameter` for every parameter of every def in `path`
     that its body never reads; self and cls are exempt.  A read in a
@@ -134,7 +175,10 @@ def test_decomp_asks_lattice_questions_through_symplectic():
     """decomp reads neither the prime flag nor the rows m*e_j of a space
     and imports no echelon, kernel or Smith routine: which of the F_p and
     integer routines answers a Z/m lattice question is decided in
-    symplectic alone."""
+    symplectic alone.  decomp also neither packs rows nor memoizes
+    matrices, and no module but symplectic checks that a matrix is
+    symplectic or inverts it: they read the record checked_matrix
+    returns."""
     tree = ast.parse((ROOT / "src" / "levelnerve" / "decomp.py").read_text())
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
@@ -143,3 +187,14 @@ def test_decomp_asks_lattice_questions_through_symplectic():
     assert not read & {"prime", "_m_rows"}
     assert not imported & {"_rref_mod_p", "rref_transform", "hnf",
                            "hnf_transform", "mod_row_kernel", "snf_diagonal"}
+    assert not imported & {"pack_f2", "f2_image", "lru_cache"}
+    assert not read & {"f2_rows", "contains_f2"}
+    for path in SOURCES:
+        if path.name == "symplectic.py":
+            continue
+        called = {node.func.attr if isinstance(node.func, ast.Attribute)
+                  else getattr(node.func, "id", None)
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call)}
+        assert not called & {"is_symplectic", "symplectic_inverse"}, \
+            path.name

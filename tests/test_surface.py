@@ -95,6 +95,17 @@ def test_homology_class_wrapper():
         homology_class("a1", 1, 1, target="projective")
 
 
+@pytest.mark.parametrize("m", [-2, -1, 1])
+@pytest.mark.parametrize("target", ["closed", "open"])
+def test_homology_class_refuses_bad_moduli(m, target):
+    with pytest.raises(InvalidInputError, match="modulus"):
+        homology_class("a1b1", 2, 0, m=m, target=target)
+    if target == "closed":
+        p = presentation(2, 0)
+        with pytest.raises(InvalidInputError, match="modulus"):
+            p.homology_class(p.parse("a1b1"), m)
+
+
 def test_twist_family_size():
     assert len(twist_automorphisms(1, 1)) == 3
     assert len(twist_automorphisms(2, 0)) == 5

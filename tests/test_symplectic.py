@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 from levelnerve.errors import InvalidInputError, ResourceLimitError
 from levelnerve.symplectic import (
     SympSpace,
+    checked_matrix,
     hnf,
     int_row_kernel,
     mat_identity,
@@ -920,6 +921,56 @@ def test_symplectic_inverse_is_inverse(case):
     inv = sp.symplectic_inverse(F)
     assert sp.mat_mul(F, inv) == sp.identity_matrix()
     assert sp.mat_mul(inv, F) == sp.identity_matrix()
+
+
+@given(transvection_products(), st.data())
+def test_checked_matrix_record(case, data):
+    """The record of a transvection product, perhaps with one entry
+    changed: it has an inverse exactly when is_symplectic holds, and then
+    the inverse inverts, maps_onto agrees with comparing A.apply(F) to B,
+    and the key of a frame's image is that of the moved frame."""
+    sp, F = case
+    n = sp.dim
+    vec = st.lists(st.integers(-5, 5), min_size=n, max_size=n)
+    F = [list(r) for r in F]
+    if data.draw(st.booleans()):
+        i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        F[i][j] += data.draw(st.integers(1, 5))
+    F = tuple(map(tuple, F))
+    rec = checked_matrix(sp.g, sp.m, F)
+    assert rec.rows == sp.reduce_matrix(F)
+    assert (rec.inverse is not None) == sp.is_symplectic(F)
+    if rec.inverse is None:
+        return
+    assert sp.mat_mul(F, rec.inverse) == sp.identity_matrix()
+    A = sp.subgroup(data.draw(st.lists(vec, max_size=3)))
+    how = data.draw(st.sampled_from(["image", "perturbed", "unrelated"]))
+    if how == "image":
+        B = A.apply(F)
+    elif how == "perturbed":
+        B = A.apply(F).apply(sp.transvection(data.draw(vec)))
+    else:
+        B = sp.subgroup(data.draw(st.lists(vec, max_size=3)))
+    assert rec.maps_onto(A, B) == (A.apply(F) == B)
+    f = data.draw(vec)
+    assert rec.image_key(rec.frame_key(f)) == rec.frame_key(
+        sp.mat_apply(f, F))
+
+
+def test_checked_matrix_refuses_a_wrong_size():
+    with pytest.raises(InvalidInputError, match="size"):
+        checked_matrix(1, 2, ((1, 0),))
+
+
+def test_checked_matrix_shares_only_reduced_int_rows():
+    checked_matrix.cache_clear()
+    flags = ((True, False), (False, True))
+    assert all(type(a) is int for row in checked_matrix(1, 2, flags).rows
+               for a in row)
+    checked_matrix.cache_clear()
+    F = ((1, 0), (0, 1))
+    assert checked_matrix(1, 2, F).rows is F
+    assert checked_matrix(1, 3, ((4, 0), (3, -2))).rows == ((1, 0), (0, 1))
 
 
 @given(st.integers(1, 2), moduli, st.data())
