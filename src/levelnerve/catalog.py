@@ -11,11 +11,13 @@ region's preimage is connected exactly when the region contains an odd loop
 even-parity part of the region group, computed by Reidemeister-Schreier
 rewriting of prefix-conjugated lasso loops.
 
-Realization has two stages.  The combinatorial stage runs on every laminar
-family: it reads the pieces and the dual graph off the diagram, checks that
-the piece genera are whole, that the Euler characteristics assemble to
-2-2g-n and that the dual graph has genus g, and drops the family when some
-piece is unstable.  The word stage runs only on the first family of each
+Realization has two stages.  The combinatorial stage runs on the laminar
+families whose every DFS prefix it accepted (a family below a rejected one
+is rejected too, see _families): in one sweep it reads the pieces and the
+dual graph off the diagram, checks that the piece genera are whole, drops
+the family when some piece is unstable, and checks once per distinct dual
+graph that the Euler characteristics assemble to 2-2g-n and that the graph
+has genus g.  The word stage runs only on the first family of each
 new type, in DFS order, which is the one the catalog keeps: it builds the
 piece generators and curve words, solves a conjugator for every side loop,
 and _audit checks that folded subgroup ranks match the piece genera, that
@@ -31,7 +33,6 @@ lifts).  Types the diagram search cannot reach raise UnsupportedError.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,23 +144,33 @@ def _curve_count(obj):
     return 1 if branch % 2 == 1 else 2
 
 
-def _families(B, max_curves):
-    """Laminar families with at most max_curves lifted curves, DFS order."""
-    objs = _objects(B)
+def _families(real):
+    """(family, layout) for every laminar family with at most 3g-3+n lifted
+    curves whose layout by real is a multicurve, the empty family first,
+    then DFS order; no family below a rejected one is laid out.
 
-    def extend(start, chosen, curves):
+    Rejection is monotone.  An object lifts the same way whatever else the
+    family holds, so the lifted multicurve of F + {o} contains that of F
+    and its pieces refine F's.  Euler characteristic is additive under
+    cutting, so an unstable piece of F (chi = 2-2h-b-r >= 0) has a
+    sub-piece with chi >= 0 in every extension, which is unstable too."""
+    objs = _objects(real.B)
+    max_curves = 3 * real.g - 3 + real.n
+    # (next object index, family, lifted curves), children pushed in reverse
+    stack = [(0, (), 0)]
+    while stack:
+        start, family, curves = stack.pop()
+        lay = real.layout(family)
+        if lay is None:
+            continue
+        yield family, lay
+        children = []
         for idx in range(start, len(objs)):
             o = objs[idx]
             c = curves + _curve_count(o)
-            if c > max_curves:
-                continue
-            if all(_compatible(o, p) for p in chosen):
-                chosen.append(o)
-                yield tuple(chosen)
-                yield from extend(idx + 1, chosen, c)
-                chosen.pop()
-
-    yield from extend(0, [], 0)
+            if c <= max_curves and all(_compatible(o, p) for p in family):
+                children.append((idx + 1, family + (o,), c))
+        stack.extend(reversed(children))
 
 
 # -- realization
@@ -178,15 +189,17 @@ class _Layout:
     """The combinatorial stage of a family: items per region (regions
     parents first), which regions lift connected, piece ids per (region,
     sheet), one (object, outer region, sheet, ends) entry per lifted
-    curve, filled Euler characteristics of the pieces, dual graph."""
+    curve, filled Euler characteristics of the pieces, raw dual graph
+    (vertices, edges) and its canonical key."""
 
-    def __init__(self, items, connected, piece_ids, edges, chis, graph):
+    def __init__(self, items, connected, piece_ids, edges, chis, raw, key):
         self.items = items
         self.connected = connected
         self.piece_ids = piece_ids
         self.edges = edges
         self.chis = chis
-        self.graph = graph
+        self.raw = raw
+        self.key = key
 
 
 class _Realizer:
@@ -197,6 +210,8 @@ class _Realizer:
         self.model = self.pres.model
         self.B = self.model.B
         self._public = {}
+        # raw dual graph (vertices, edges) -> canonical key, once checked
+        self._keys = {}
 
     def _std(self, down_word):
         """Downstairs word -> public letters, memoized: the families of
@@ -209,126 +224,106 @@ class _Realizer:
         return w
 
     def layout(self, family):
-        """Combinatorial stage: the _Layout of a laminar family, or None
-        when some piece is inessential or unstable (not a valid
-        multicurve).  Builds no words; checks the piece bookkeeping, the
-        assembled dual graph and the Euler characteristic assembly."""
+        """Combinatorial stage: the _Layout of a laminar family in DFS
+        order, or None when some piece is inessential or unstable (not a
+        valid multicurve).  Builds no words; checks the piece bookkeeping,
+        and once per distinct raw dual graph the assembled StableGraph and
+        the Euler characteristic assembly, which depend on nothing else."""
         B, n = self.B, self.n
-        circles = [o for o in family if o[0] == "circ"]
-        # region of an object/position: the innermost circle around it
-        def region_of(lo, hi):
-            best = None
-            for c in circles:
-                if c[1] <= lo and hi <= c[2] and (c[1], c[2]) != (lo, hi):
-                    if best is None or (best[1] <= c[1] and c[2] <= best[2]):
-                        best = c
-            return best
-
-        # parents before children: wider interval first at equal start
-        regions = [None] + sorted(circles, key=lambda c: (c[1], -c[2]))
-        items = {r: [] for r in regions}
-        consumed = set()
-        for o in family:
-            items[region_of(o[1], o[2])].append(o)
-            if o[0] == "arc":
-                consumed.update((o[1], o[2]))
-        for p in range(1, B + 1):
-            if p in consumed:
-                continue
-            if any(c[1] <= p <= c[2] for c in circles):
-                host = region_of(p, p)
-                items[host].append(("pos", p, p))
-            else:
-                items[None].append(("pos", p, p))
-        for r in regions:
-            items[r].sort(key=lambda o: o[1])
+        # one sweep, outside in: in (start, -end) order every object and
+        # free branch point lies in the innermost circle still open, and
+        # every circle opens its region after its parents' (region order)
+        consumed = {p for o in family if o[0] == "arc" for p in o[1:]}
+        free = [("pos", p, p) for p in range(1, B + 1) if p not in consumed]
+        items = {None: []}
+        region = {}
+        open_circles = [None]
+        for o in sorted([*family, *free], key=lambda o: (o[1], -o[2])):
+            while open_circles[-1] and open_circles[-1][2] < o[1]:
+                open_circles.pop()
+            region[o] = open_circles[-1]
+            items[region[o]].append(o)
+            if o[0] == "circ":
+                items[o] = []
+                open_circles.append(o)
 
         # a region's preimage is connected exactly when it has an odd item
         connected = {r: any(_odd(o) for o in its) for r, its in items.items()}
 
-        # pieces per region
-        piece_ids = {}
-        n_pieces = 0
-        for r in regions:
+        # pieces per region with their open Euler characteristics: a
+        # region is a disk less its items, and a connected one lifts as its
+        # double cover branched at its free points
+        piece_ids, chis = {}, []
+        for r, its in items.items():
+            chi_r = 1 - len(its)
             if connected[r]:
-                piece_ids[(r, 0)] = piece_ids[(r, 1)] = n_pieces
-                n_pieces += 1
+                piece_ids[(r, 0)] = piece_ids[(r, 1)] = len(chis)
+                chis.append(2 * chi_r + sum(o[0] == "pos" for o in its))
             else:
                 for eps in (0, 1):
-                    piece_ids[(r, eps)] = n_pieces
-                    n_pieces += 1
+                    piece_ids[(r, eps)] = len(chis)
+                    chis.append(chi_r)
+        n_pieces = len(chis)
 
         # lifted curves: a slit's lift joins the two sheets of its region;
         # an odd circle lifts to one curve with one collar on each side;
         # an even one to two, the eps-sheet outside facing the eps-sheet
         # inside
         edges = []
-        for o in sorted(family, key=lambda o: (o[1], o[2], o[0])):
-            r_out = region_of(o[1], o[2])
+        boundary_count = [0] * n_pieces
+        for o in family:
+            r_out = region[o]
             if o[0] == "arc":
-                ends = (piece_ids[(r_out, 0)], piece_ids[(r_out, 1)])
-                edges.append((o, r_out, None, ends))
-                continue
-            for eps in ((0,) if _odd(o) else (0, 1)):
-                ends = (piece_ids[(r_out, eps)], piece_ids[(o, eps)])
-                edges.append((o, r_out, eps, ends))
+                lifts = [(None, (piece_ids[(r_out, 0)],
+                                 piece_ids[(r_out, 1)]))]
+            else:
+                lifts = [(eps, (piece_ids[(r_out, eps)], piece_ids[(o, eps)]))
+                         for eps in ((0,) if _odd(o) else (0, 1))]
+            for eps, (u, v) in lifts:
+                edges.append((o, r_out, eps, (u, v)))
+                boundary_count[u] += 1
+                boundary_count[v] += 1
 
         # boundary marks: the two lifts of the disk boundary sit on the
-        # root pieces; u_1 is real for n >= 1, u_2 for n = 2
-        marks = [[] for _ in range(n_pieces)]
-        fills = [0] * n_pieces
+        # root pieces; u_1 is real for n >= 1, u_2 for n = 2, and a lift
+        # that is not real is filled, which makes chis the filled ones
+        marks = [() for _ in range(n_pieces)]
         for sigma in (0, 1):
             pid = piece_ids[(None, sigma)]
             if sigma < n:
-                marks[pid].append(sigma + 1)
+                marks[pid] += (sigma + 1,)
             else:
-                fills[pid] += 1
+                chis[pid] += 1
 
-        # Euler characteristics region by region
-        chi_open = [0] * n_pieces
-        for r in regions:
-            holes = sum(1 for o in items[r] if o[0] == "circ")
-            slits = sum(1 for o in items[r] if o[0] == "arc")
-            free = [o for o in items[r] if o[0] == "pos"]
-            chi_r = 1 - holes - slits - len(free)
-            if connected[r]:
-                pid = piece_ids[(r, 0)]
-                chi_open[pid] = 2 * chi_r + len(free)
-            else:
-                for eps in (0, 1):
-                    chi_open[piece_ids[(r, eps)]] = chi_r
-
-        boundary_count = [0] * n_pieces
-        for _, _, _, (u, v) in edges:
-            boundary_count[u] += 1
-            boundary_count[v] += 1
-
-        genera, chis = [], []
+        vertices = []
         for pid in range(n_pieces):
-            chi_f = chi_open[pid] + fills[pid]
-            b = boundary_count[pid]
-            r_real = len(marks[pid])
-            h2 = 2 - chi_f - b - r_real
+            b, r_real = boundary_count[pid], len(marks[pid])
+            h2 = 2 - chis[pid] - b - r_real
             if h2 < 0 or h2 % 2:
                 raise LevelNerveError("piece bookkeeping is inconsistent")
             h = h2 // 2
             if 2 * h - 2 + b + r_real <= 0:
                 return None  # inessential or parallel curve; not a multicurve
-            genera.append(h)
-            chis.append(chi_f)
+            vertices.append((h, marks[pid]))
 
-        graph = StableGraph(list(zip(genera, marks)), [e[3] for e in edges])
-        _check(graph.genus() == self.g and graph.is_stable(),
-               "assembled dual graph")
-        _check(sum(chis) == 2 - 2 * self.g - n,
-               "Euler characteristic assembly")
+        # tuples from lists: tuple() of a generator bypasses the tuple free
+        # lists and leaves them filled, which raised the peak RSS
+        raw = (tuple(vertices), tuple([e[3] for e in edges]))
+        key = self._keys.get(raw)
+        if key is None:
+            graph = StableGraph(*raw)
+            _check(graph.genus() == self.g and graph.is_stable(),
+                   "assembled dual graph")
+            _check(sum(chis) == 2 - 2 * self.g - n,
+                   "Euler characteristic assembly")
+            key = self._keys[raw] = graph.canonical_key()
         return _Layout(items, connected, piece_ids, tuple(edges),
-                       tuple(chis), graph)
+                       tuple(chis), raw, key)
 
-    def realize(self, lay, key):
-        """Word stage: the MulticurveRep of a layout whose graph has the
-        canonical key `key`, with its piece generators, curve words, mark
-        loops and side conjugators, checked by _audit."""
+    def realize(self, lay):
+        """Word stage: the MulticurveRep of a layout, keyed by its graph's
+        canonical key, with its piece generators, curve words, mark loops
+        and side conjugators, checked by _audit."""
         items, connected, piece_ids = lay.items, lay.connected, lay.piece_ids
         # access prefixes, outside in: an item is reached past the items
         # before it in its region, a region by its circle's own prefix
@@ -398,7 +393,7 @@ class _Realizer:
             loop = self._std(winv(side_loop(None, down_all, sigma)))
             marks[piece_ids[(None, sigma)]].append((sigma + 1, loop))
         pieces = [Piece(h, tuple(mk), tuple(gs), chi) for (h, _), mk, gs, chi
-                  in zip(lay.graph.vertices, marks, gens, lay.chis)]
+                  in zip(lay.raw[0], marks, gens, lay.chis)]
 
         # curve words; each side loop conjugates the curve or its inverse
         words, sides = [], []
@@ -428,8 +423,8 @@ class _Realizer:
             words.append(word)
             sides.append(tuple(pair))
 
-        rep = MulticurveRep(self.g, self.n, lay.graph, words, pieces, sides,
-                            key)
+        rep = MulticurveRep(self.g, self.n, StableGraph(*lay.raw), words,
+                            pieces, sides, lay.key)
         _audit(rep)
         return rep
 
@@ -506,20 +501,11 @@ def _catalog(g, n):
     real = _Realizer(g, n)
     want = {t.key for t in _types(g, n)}
     found = {}
-    keys = {}
-    max_curves = 3 * g - 3 + n
-    for family in itertools.chain([()], _families(real.B, max_curves)):
-        lay = real.layout(family)
-        if lay is None:
-            continue
-        raw = (tuple(lay.graph.vertices), tuple(lay.graph.edges))
-        key = keys.get(raw)
-        if key is None:
-            key = keys[raw] = lay.graph.canonical_key()
-        if key not in found:
-            found[key] = real.realize(lay, key)
-        if want <= found.keys():
-            break
+    for _, lay in _families(real):
+        if lay.key not in found:
+            found[lay.key] = real.realize(lay)
+            if want <= found.keys():
+                break
     return found
 
 

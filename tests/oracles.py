@@ -5,8 +5,9 @@ undoes a degeneration, automorphisms tries every vertex permutation of a
 stable graph, stable_graphs_by_filter enumerates stable graphs by building
 every single degeneration and keeping the stable ones, the module-map
 report reads the gluing condition off a plain Smith form, the catalog
-lookup finds a representative by its dual graph, snf computes the Smith
-form with both transforms,
+lookup finds a representative by its dual graph, laminar_families is
+the catalog's diagram search without pruning at rejected families, snf
+computes the Smith form with both transforms,
 lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
 each single merge, quotient_profile reads a quotient of subgroups off the
@@ -22,6 +23,11 @@ constructors and transport_mismatches compares the two,
 action_natural_every_element checks the deck action of an equivariant
 decomposition element by element, with the perms composed over every
 pair of elements, and
+weierstrass_pairs, delta_0_6 and nerve_split_systems model the level-2
+genus-2 nerve as the boundary complex of M_{0,6} through the six
+Weierstrass points, a model that shares none of the builder's data, and
+transposition_mismatches checks that the chain twists act on it as the
+transpositions of S_6,
 signed_schreier_vertex_group spans a sheet stabilizer's image from a
 transversal over the piece generators and their inverses, one Schreier
 generator per sheet and generator, and RecordElimination finds the
@@ -31,7 +37,8 @@ frame."""
 
 from itertools import chain, combinations, permutations
 
-from levelnerve.catalog import multicurve_catalog
+from levelnerve.catalog import (_compatible, _curve_count, _objects,
+                                multicurve_catalog)
 from levelnerve.covers import _base_rotation, _chain, _table
 from levelnerve.decomp import (EquivariantDecomposition,
                                FramedDecomposition, canonical_form,
@@ -39,6 +46,7 @@ from levelnerve.decomp import (EquivariantDecomposition,
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
 from levelnerve.stablegraph import StableGraph
+from levelnerve.surface import twist_automorphisms
 from levelnerve.symplectic import (_int_coords, checked_matrix, hnf,
                                    hnf_transform, mat_identity,
                                    mod_row_kernel,
@@ -165,6 +173,108 @@ def standard_multicurve(t):
         if rep.key == key:
             return rep
     raise UnsupportedError("type outside catalog")
+
+
+def laminar_families(B, max_curves):
+    """Every laminar family of diagram objects on B branch points with at
+    most max_curves lifted curves, the empty family first, then DFS order:
+    the catalog's search with no family left out below a rejected one."""
+    objs = _objects(B)
+
+    def extend(start, chosen, curves):
+        for idx in range(start, len(objs)):
+            o = objs[idx]
+            c = curves + _curve_count(o)
+            if c <= max_curves and all(_compatible(o, p) for p in chosen):
+                yield chosen + (o,)
+                yield from extend(idx + 1, chosen + (o,), c)
+
+    yield ()
+    yield from extend(0, (), 0)
+
+
+def weierstrass_pairs():
+    """H_1(S_2; F_2) as pairs of Weierstrass points: the mod-2 classes
+    c_1..c_5 of the chain twists twist_automorphisms(2, 0) send the pair
+    (i, j), 1 <= i < j <= 6, to c_i + ... + c_{j-1}.  Returns the dict
+    vector -> pair, and the classes."""
+    classes = [tuple(x % 2 for x in t.curve_class)
+               for t in twist_automorphisms(2, 0)]
+    pairs = {}
+    for i, j in combinations(range(1, 7), 2):
+        v = tuple(sum(col) % 2 for col in zip(*classes[i - 1:j - 1]))
+        pairs[v] = (i, j)
+    return pairs, classes
+
+
+SIX = frozenset(range(1, 7))
+
+
+def _split(side):
+    """The split side|rest of {1..6}, named by its side that holds 1."""
+    side = frozenset(side)
+    return side if 1 in side else SIX - side
+
+
+def delta_0_6():
+    """The boundary complex of M_{0,6} by rank: the k-simplices are the
+    sets of k+1 pairwise compatible splits A|A^c of {1..6} with both sides
+    of size at least 2; two splits are compatible when a side of one and a
+    side of the other are disjoint."""
+    splits = {_split(A) for r in (2, 3) for A in combinations(SIX, r)}
+
+    def compatible(a, b):
+        return any(not (x & y) for x in (a, SIX - a) for y in (b, SIX - b))
+
+    ranks = [{frozenset([s]) for s in splits}]
+    while True:
+        up = {simplex | {s} for simplex in ranks[-1] for s in splits
+              if s not in simplex
+              and all(compatible(s, t) for t in simplex)}
+        if not up:
+            return ranks
+        ranks.append(up)
+
+
+def nerve_split_systems(X):
+    """Per rank, the split system of each simplex of a (2, 0, 2) nerve: a
+    vertex with one piece is a non-separating curve and maps to the pair of
+    its edge group's class; a vertex with two pieces cuts H into P + P^perp,
+    the three nonzero vectors of P are the pairs inside a 3-set T, and it
+    maps to T|T^c.  A simplex maps to the splits of the vertices its face
+    table reaches."""
+    pairs, _ = weierstrass_pairs()
+    splits = []
+    for d in X.decomps[0]:
+        group = d.edge_groups[0] if d.V == 1 else d.vertex_groups[0]
+        inside = [p for v, p in pairs.items() if group.contains(v)]
+        splits.append(_split(chain.from_iterable(inside)))
+    verts = [[frozenset([v]) for v in range(X.size(0))]]
+    for k in range(1, X.top_rank + 1):
+        verts.append([frozenset().union(*(verts[k - 1][f] for f in row))
+                      for row in X.faces[k]])
+    return [[frozenset(splits[v] for v in vs) for vs in block]
+            for block in verts]
+
+
+def transposition_mismatches(X, k, systems):
+    """The (simplex, twist) pairs at rank k of a (2, 0, 2) nerve, with
+    systems = nerve_split_systems(X), where the transvection along c_i
+    does not carry the simplex to the one whose split system is its own
+    under the transposition (i i+1)."""
+    _, classes = weierstrass_pairs()
+    index = {enc: s for s, enc in enumerate(X.encodings[k])}
+    out = []
+    for i, c in enumerate(classes, start=1):
+        F = X.decomps[k][0].space.transvection(c)
+        swap = {i: i + 1, i + 1: i}
+        for s, d in enumerate(X.decomps[k]):
+            t = index.get(canonical_form(sp_action(F, d)))
+            want = frozenset(_split(swap.get(x, x) for x in side)
+                             for side in systems[k][s])
+            if t is None or systems[k][t] != want:
+                out.append((s, i))
+    return out
 
 
 def snf(mat):

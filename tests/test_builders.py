@@ -7,6 +7,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -17,8 +18,10 @@ from levelnerve.covers import homology_cover, identity_cover
 from levelnerve.decomp import induced_from_lift, induced_from_multicurve
 from levelnerve.errors import InvalidInputError, UnsupportedError
 from levelnerve import complexes, decomp
-from levelnerve.symplectic import SympSubgroup, sp_group
-from oracles import transport_mismatches, transported_faces
+from levelnerve.symplectic import SympSpace, SympSubgroup, sp_group
+from oracles import (delta_0_6, nerve_split_systems, transport_mismatches,
+                     transported_faces, transposition_mismatches,
+                     weierstrass_pairs)
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +76,23 @@ def test_rank0_counts_match_closed_forms(sig):
     for key, count in per_type.items():
         assert count == closed_form_count(g, m, key)
     assert X.size(0) == RANK0[sig]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_genus_one_vertices_are_the_cusps_of_gamma_m(m):
+    # the rank-0 count at (1,1,m) is the number of cusps of Gamma(m):
+    # |SL_2(Z/m)|/(2m), and 3 at m = 2, where -1 = 1
+    want = 3 if m == 2 else sp_order(1, m) // (2 * m)
+    assert nerve(1, 1, m).size(0) == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_two_marked_genus_one_nerve_is_connected(m):
+    # the virtual cohomological dimension of Mod(S_{1,2}) forces the
+    # reduced H_0 of the nerve to vanish
+    X = nerve(1, 2, m)
+    assert len(X.components()) == 1
+    assert complexes.homology(X, 0) == (0,)
 
 
 ROUND_TRIPS = [
@@ -236,3 +256,53 @@ def test_incomplete_catalog_refused_up_front():
         text = str(err.value)
         assert "misses 42 types" in text
         assert all(repr(t.canonical_key()) in text for t in missing)
+
+
+def test_weierstrass_pair_model():
+    # the chain classes mod 2 pair like a path, the pairs of {1..6} fill
+    # F_2^4 less 0 with <u, v> = |A & B| mod 2, and twist i acts on them as
+    # the transposition (i i+1)
+    pairs, classes = weierstrass_pairs()
+    space = SympSpace(2, 2)
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            assert space.pairing(ci, cj) == (abs(i - j) == 1)
+    assert sorted(pairs) == [v for v in product((0, 1), repeat=4) if any(v)]
+    for u, A in pairs.items():
+        for v, B in pairs.items():
+            assert space.pairing(u, v) == len(set(A) & set(B)) % 2
+    for i, c in enumerate(classes, start=1):
+        swap = {i: i + 1, i + 1: i}
+        for u, A in pairs.items():
+            image = space.mat_apply(u, space.transvection(c))
+            assert pairs[image] == tuple(sorted(swap.get(x, x) for x in A))
+
+
+def test_nerve_2_0_2_vertices_and_edges_are_delta_0_6():
+    ref = delta_0_6()
+    assert [len(block) for block in ref] == [25, 105, 105]
+    X = nerve(2, 0, 2)
+    images = nerve_split_systems(X)
+    for k in (0, 1):
+        assert all(len(s) == k + 1 for s in images[k])
+        assert len(set(images[k])) == len(images[k]) == len(ref[k])
+        assert set(images[k]) == ref[k]
+        assert transposition_mismatches(X, k, images) == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 17: the dumbbell orbit is halved, "
+                          "so the nerve has 60 triangles, not 105")
+def test_nerve_2_0_2_is_delta_0_6():
+    # M_2[2] is M_{0,6} through the six Weierstrass points, so the nerve
+    # must map rank by rank bijectively onto the split complex of {1..6},
+    # with twist i acting as the transposition (i i+1)
+    ref = delta_0_6()
+    X = nerve(2, 0, 2)
+    images = nerve_split_systems(X)
+    assert len(images) == len(ref)
+    for k, (block, want) in enumerate(zip(images, ref)):
+        assert all(len(s) == k + 1 for s in block)
+        assert len(set(block)) == len(block) == len(want)
+        assert set(block) == want
+        assert transposition_mismatches(X, k, images) == []

@@ -1,7 +1,6 @@
 """Catalog of multicurve representatives: coverage, words, piece data."""
 
 import hashlib
-import itertools
 
 import pytest
 
@@ -15,7 +14,7 @@ from levelnerve.errors import UnsupportedError
 from levelnerve.stablegraph import StableGraph, enumerate_stable_graphs
 from levelnerve.surface import presentation
 from levelnerve.words import FoldedGraph, conjugate_in_free, winv, wmul
-from oracles import standard_multicurve
+from oracles import laminar_families, standard_multicurve
 
 
 def test_small_signatures_fully_covered():
@@ -229,17 +228,54 @@ STABILITY_REJECTS = {
 
 @pytest.mark.parametrize("g, n", sorted(STABILITY_REJECTS))
 def test_combinatorial_stage_agrees_with_word_stage(g, n):
+    # every family of the unpruned search, so the piece bookkeeping check
+    # also runs below the rejected families that the catalog never extends
     real = catalog._Realizer(g, n)
     rejected, accepted = [], 0
-    for family in itertools.chain(
-            [()], catalog._families(real.B, 3 * g - 3 + n)):
+    for family in laminar_families(real.B, 3 * g - 3 + n):
         lay = real.layout(family)
         if lay is None:
             rejected.append(family)
             continue
         # audits the words against the graph
-        rep = real.realize(lay, lay.graph.canonical_key())
+        rep = real.realize(lay)
         assert rep.key == rep.graph.canonical_key()
         accepted += 1
     digest = hashlib.sha256(repr(rejected).encode()).hexdigest()
     assert (len(rejected), accepted, digest) == STABILITY_REJECTS[(g, n)]
+
+
+@pytest.mark.parametrize("g, n", [(1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+                                  (3, 0), (3, 1), (3, 2)])
+def test_pruned_search_matches_oracle(g, n):
+    # rejection is monotone: the pruned search keeps every accepted family
+    # in order, and no family extending a rejected one is accepted
+    oracle = catalog._Realizer(g, n)
+    accepted, rejected = [], set()
+    for family in laminar_families(oracle.B, 3 * g - 3 + n):
+        if oracle.layout(family) is None:
+            rejected.add(family)
+        else:
+            assert not any(family[:j] in rejected
+                           for j in range(len(family)))
+            accepted.append(family)
+    pruned = catalog._families(catalog._Realizer(g, n))
+    assert [family for family, _ in pruned] == accepted
+
+
+def test_search_lays_out_only_unrejected_prefixes(monkeypatch):
+    # at (3,0) the unpruned search lays out 4 832 families, 3 735 of them
+    # rejected; pruning leaves the 1 097 accepted ones and the 230 rejected
+    # families whose every proper prefix is accepted
+    calls = []
+    layout = catalog._Realizer.layout
+
+    def counting(self, family):
+        calls.append(family)
+        return layout(self, family)
+
+    monkeypatch.setattr(catalog._Realizer, "layout", counting)
+    assert len(catalog._catalog.__wrapped__(3, 0)) == 32
+    assert len(calls) == 1327
+    B = catalog._Realizer(3, 0).B
+    assert len(list(laminar_families(B, 6))) == 4832
