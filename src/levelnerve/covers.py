@@ -333,6 +333,7 @@ class _Table:
                            for j in range(1, N + 1) if (gidx, j) not in tree]
         # 1-based loop ids; tree edges have none
         self.loops = {e: i for i, e in enumerate(self.loop_edges, 1)}
+        self.verdicts = {}  # twist sequence -> whether it preserves
         self.L = len(self.loop_edges)
         _check(self.L == d * (N - 1) + 1, "Schreier rank")
         self.loop_words = []
@@ -1076,9 +1077,12 @@ def _apply_sequence(seq, word):
 
 def _preserves(table, seq):
     """Whether the twist sequence maps every Schreier generator of the
-    cover subgroup back into the subgroup."""
-    return all(table.trace(0, _apply_sequence(seq, s)) == 0
-               for s in table.loop_words)
+    cover subgroup back into the subgroup, kept on the table per sequence."""
+    key = tuple(seq)
+    if key not in table.verdicts:
+        table.verdicts[key] = all(table.trace(0, _apply_sequence(seq, s)) == 0
+                                  for s in table.loop_words)
+    return table.verdicts[key]
 
 
 def invariance_check(spec: CoverSpec, twists) -> bool:

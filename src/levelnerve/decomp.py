@@ -736,10 +736,11 @@ def _schreier_vertex_group(space, hom, table, piece, orbit):
             y = res.moves[y][j]
         _check(y == x, "tree word walks from the root to its element")
         pot.append(cls)
-    return space.subgroup([
-        tuple(map(operator.sub, map(operator.add, pot[x], edge[x][j]),
-                  pot[y]))
-        for x, j, y in schreier_edges(res)])
+    # a row that is zero mod m or repeats another adds nothing to the span
+    rows = dict.fromkeys(space.reduce(tuple(
+        map(operator.sub, map(operator.add, pot[x], edge[x][j]), pot[y])))
+        for x, j, y in schreier_edges(res))
+    return space.subgroup([r for r in rows if any(r)])
 
 
 def induced_from_lift(spec, mc, m) -> EquivariantDecomposition:

@@ -5,13 +5,15 @@ unordered vertex pair (loops allowed) and corresponds to one curve of the
 multicurve.  Stability is the usual hyperbolicity condition on every piece,
 2*g_v - 2 + deg(v) + #marks(v) > 0, with deg counting loops twice.
 
-Canonical forms are computed by minimizing the encoding over the vertex
-relabelings that respect an invariant class (see relabelings), which is
-plenty at desk scale; equality of canonical keys is graph isomorphism (mark
-labels are preserved, not permuted).  All stable graphs of a signature are
-generated from the smooth graph by single degenerations.  A degeneration
-changes only the vertex it acts on and the vertex it adds, so a candidate
-is stable exactly when those two are, and only stable candidates are built.
+Canonical keys minimize the edge encoding over the vertex relabelings that
+respect an invariant class (see relabelings), all of which order the
+vertices alike; equality of keys is graph isomorphism (mark labels are
+preserved, not permuted).  All stable graphs of a signature are generated
+from the smooth graph by single degenerations.  A degeneration changes
+only the vertex it acts on and the vertex it adds, so a candidate is stable
+exactly when those two are; only stable raw (vertices, sorted edges)
+candidates are made, each distinct one is keyed once per parent, and only
+a new type's representative is built.
 
 components(n, edges) is the package's one connectivity routine: stable
 graphs, decomposition graphs, bonds and connected subgraphs, edge orbits,
@@ -78,6 +80,20 @@ def relabelings(inv):
         yield order
 
 
+def _canonical_key(vertices, edges):
+    """Canonical key (vertices, edges): every relabeling orders vertices by
+    (genus, marks, degree), so only the sorted edge list is minimized."""
+    deg = [0] * len(vertices)
+    for (u, v) in edges:
+        deg[u] += 1
+        deg[v] += 1
+    inv = list(zip(vertices, deg))
+    return (tuple(vert for vert, _ in sorted(inv)),
+            min(tuple(sorted([(o[u], o[v]) if o[u] <= o[v] else (o[v], o[u])
+                              for (u, v) in edges]))
+                for o in relabelings(inv)))
+
+
 class StableGraph:
     def __init__(self, vertices, edges):
         """vertices: list of (genus, marks) with marks an iterable of labels;
@@ -142,19 +158,8 @@ class StableGraph:
 
     # -- canonical form
 
-    def _encode(self, perm):
-        """Encoding after renaming vertex i to perm[i]."""
-        V = len(self.vertices)
-        verts = [None] * V
-        for i, (g, mk) in enumerate(self.vertices):
-            verts[perm[i]] = (g, mk)
-        edges = sorted(tuple(sorted((perm[u], perm[v])))
-                       for (u, v) in self.edges)
-        return (tuple(verts), tuple(edges))
-
     def canonical_key(self):
-        inv = list(zip(self.vertices, self.degrees()))
-        return min(map(self._encode, relabelings(inv)))
+        return _canonical_key(self.vertices, self.edges)
 
     def is_isomorphic(self, other):
         return self.canonical_key() == other.canonical_key()
@@ -196,28 +201,28 @@ def _subsets(items):
                                for r in range(len(items) + 1))
 
 
-def _degenerations(t):
-    """Every stable graph that contracts back onto t along one new edge: a
-    loop at a vertex v of positive genus, or v split into v and a new last
-    vertex w joined by the new edge, sharing out the genus, the marks and
-    the half-edges of v (a loop at v counts as two half-edges).
+def _degenerations(vertices, edges):
+    """Every stable graph, as raw (vertices, sorted edges) tuples, that
+    contracts back onto (vertices, edges) along one new edge: a loop at a
+    vertex v of positive genus, or v split into v and a new last vertex w
+    joined by the new edge, sharing out the genus, the marks and the
+    half-edges of v (a loop at v counts as two half-edges).
 
     Every other vertex keeps its genus, marks and degree, so a candidate of
-    a stable t is stable exactly when v and w are, and only those are
-    built.  With k half-edges moved to w and d = deg(v), w needs
+    a stable graph is stable exactly when v and w are, and only those are
+    yielded.  With k half-edges moved to w and d = deg(v), w needs
     2*gw - 1 + k + #mw > 0 and v needs 2*(g - gw) - 1 + d - k + #rest > 0;
-    the loop needs 2*g - 2 + d + #marks > 0, which fails only when t
-    itself is an unstable smooth graph.  Both branches add an edge at v
-    and keep every old edge, so connectivity needs no check."""
-    V = len(t.vertices)
-    for v, (g, mk) in enumerate(t.vertices):
-        ends = [(i, j) for i, e in enumerate(t.edges) for j in (0, 1)
+    the loop needs 2*g - 2 + d + #marks > 0, which fails only for an
+    unstable smooth graph.  Both branches add an edge at v and keep every
+    old edge, so connectivity needs no check."""
+    V = len(vertices)
+    for v, (g, mk) in enumerate(vertices):
+        ends = [(i, j) for i, e in enumerate(edges) for j in (0, 1)
                 if e[j] == v]
         d = len(ends)
         if g > 0 and 2 * g - 2 + d + len(mk) > 0:
-            verts = list(t.vertices)
-            verts[v] = (g - 1, mk)
-            yield StableGraph(verts, t.edges + [(v, v)])
+            yield (vertices[:v] + ((g - 1, mk),) + vertices[v + 1:],
+                   tuple(sorted(edges + ((v, v),))))
         for gw in range(g + 1):
             for mw in _subsets(mk):
                 rest = tuple(x for x in mk if x not in mw)
@@ -226,12 +231,12 @@ def _degenerations(t):
                     if (2 * gw - 1 + k + len(mw) <= 0
                             or 2 * (g - gw) - 1 + d - k + len(rest) <= 0):
                         continue
-                    edges = [list(e) for e in t.edges]
+                    new = [list(e) for e in edges]
                     for (i, j) in moved:
-                        edges[i][j] = V
-                    verts = list(t.vertices) + [(gw, mw)]
-                    verts[v] = (g - gw, rest)
-                    yield StableGraph(verts, edges + [(v, V)])
+                        new[i][j] = V
+                    new = [(min(e), max(e)) for e in new] + [(v, V)]
+                    yield (vertices[:v] + ((g - gw, rest),) + vertices[v + 1:]
+                           + ((gw, mw),), tuple(sorted(new)))
 
 
 @lru_cache(maxsize=None)
@@ -239,22 +244,22 @@ def _all_stable_graphs(g, n):
     """Breadth-first search by single degenerations from the smooth graph.
     It is complete: contracting an edge keeps 2g-2+deg+#marks positive at
     every vertex, so each stable graph with an edge degenerates from a
-    stable graph with one edge fewer.  _degenerations builds only stable
-    candidates, so each is keyed as built, and only the representative of
-    a new type is checked for stability."""
+    stable graph with one edge fewer.  Each distinct raw candidate of a
+    parent is keyed once; a new type's representative is built and checked
+    for stability."""
     if g < 0 or n < 0:
         raise InvalidInputError("bad signature")
     found = {}
-    layer = [StableGraph([(g, range(1, n + 1))], [])]
+    layer = [(((g, tuple(range(1, n + 1))),), ())]
     while layer:
         nxt = []
         for t in layer:
-            for sg in _degenerations(t):
-                key = sg.canonical_key()
+            for raw in dict.fromkeys(_degenerations(*t)):
+                key = _canonical_key(*raw)
                 if key not in found:
                     rep = found[key] = StableGraph.from_key(key)
                     _check(rep.is_stable(), "degeneration is stable")
-                    nxt.append(sg)
+                    nxt.append(raw)
         layer = nxt
     return tuple(found[k] for k in sorted(found))
 

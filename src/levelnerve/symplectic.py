@@ -348,7 +348,7 @@ class SympSpace:
             raise InvalidInputError("vector has wrong length")
         if self.m == 0:
             return tuple(int(x) for x in vec)
-        return tuple(int(x) % self.m for x in vec)
+        return tuple(map(self.m.__rmod__, map(int, vec)))
 
     def zero(self):
         return (0,) * self.dim

@@ -2,11 +2,13 @@
 
 Each checks a package result by a separate route: contracting an edge
 undoes a degeneration, automorphisms tries every vertex permutation of a
-stable graph, stable_graphs_by_filter enumerates stable graphs by building
-every single degeneration and keeping the stable ones, the module-map
-report reads the gluing condition off a plain Smith form, the catalog
-lookup finds a representative by its dual graph, laminar_families is
-the catalog's diagram search without pruning at rejected families, snf
+stable graph, encoded_key encodes the vertices and edges of a stable graph
+under every class-respecting relabeling and keeps the least,
+stable_graphs_by_filter enumerates stable graphs by building every single
+degeneration, keeping the stable ones and keying them by encoded_key, the
+module-map report reads the gluing condition off a plain Smith form, the
+catalog lookup finds a representative by its dual graph, laminar_families
+is the catalog's diagram search without pruning at rejected families, snf
 computes the Smith form with both transforms,
 lattice_reduce tests lattice membership against Hermite rows,
 RestartFoldedGraph folds a Stallings graph by rescanning every edge after
@@ -45,7 +47,7 @@ from levelnerve.decomp import (EquivariantDecomposition,
                                sp_action, validate)
 from levelnerve.errors import (InvalidInputError, LevelNerveError,
                                UnsupportedError)
-from levelnerve.stablegraph import StableGraph
+from levelnerve.stablegraph import StableGraph, relabelings
 from levelnerve.surface import twist_automorphisms
 from levelnerve.symplectic import (_int_coords, checked_matrix, hnf,
                                    hnf_transform, mat_identity,
@@ -88,6 +90,21 @@ def automorphisms(sg):
                        for (u, v) in sg.edges) == edges]
 
 
+def encoded_key(sg):
+    """The least encoding (vertices, edges) of sg over the relabelings of
+    its (vertex, degree) classes, vertices and edges both renamed."""
+    def encode(perm):
+        verts = [None] * sg.n_vertices()
+        for i, vert in enumerate(sg.vertices):
+            verts[perm[i]] = vert
+        edges = sorted(tuple(sorted((perm[u], perm[v])))
+                       for (u, v) in sg.edges)
+        return (tuple(verts), tuple(edges))
+
+    return min(map(encode, relabelings(list(zip(sg.vertices,
+                                                sg.degrees())))))
+
+
 def _every_degeneration(t):
     """Every graph that contracts back onto t along one new edge, stable
     or not: a loop at a vertex of positive genus, or a vertex split in two
@@ -117,7 +134,8 @@ def _every_degeneration(t):
 def stable_graphs_by_filter(g, n):
     """Canonical representatives of the stable graphs of (g, n) with at
     least one edge, sorted by key: breadth-first from the smooth graph,
-    building every degeneration and keeping those that pass is_stable."""
+    building every degeneration, keeping those that pass is_stable and
+    keying them by encoded_key."""
     found = {}
     layer = [StableGraph([(g, range(1, n + 1))], [])]
     while layer:
@@ -126,7 +144,7 @@ def stable_graphs_by_filter(g, n):
             for sg in _every_degeneration(t):
                 if not sg.is_stable():
                     continue
-                key = sg.canonical_key()
+                key = encoded_key(sg)
                 if key not in found:
                     found[key] = StableGraph(*key)
                     nxt.append(sg)

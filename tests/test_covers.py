@@ -393,10 +393,36 @@ def test_mcg_composition_canonical(h2):
 def test_mcg_requires_invariance():
     spec = perm_cover(2, 0, 2, [SWAP, ID2, ID2, ID2])
     t2 = presentation(2, 0).twists()[1]
-    with pytest.raises(ValidationError) as err:
-        mcg_action_on_cover(spec, t2, 2)
-    assert err.value.condition == "invariance"
-    assert err.value.detail == "twist does not preserve the cover subgroup"
+    # traced on the first call, read from the recorded verdict on the second
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            mcg_action_on_cover(spec, t2, 2)
+        assert err.value.condition == "invariance"
+        assert err.value.detail == \
+            "twist does not preserve the cover subgroup"
+
+
+def test_each_twist_is_traced_once(monkeypatch):
+    # the seed stage of the image complex on a fresh cover: invariance_check
+    # traces each of the 5 twists over every Schreier generator, and
+    # mcg_action_on_cover reads the recorded verdicts
+    spec = homology_cover(2, 0, 2)
+    traced = []
+    table_type = type(_table(spec))
+    trace = table_type.trace
+
+    def counting(self, start, word):
+        traced.append(word)
+        return trace(self, start, word)
+
+    twists = presentation(2, 0).twists()
+    cover_homology(spec, 2)
+    monkeypatch.setattr(table_type, "trace", counting)
+    assert invariance_check(spec, twists)
+    for t in twists:
+        mcg_action_on_cover(spec, t, 2)
+    assert len(twists) == 5
+    assert len(traced) == 5 * len(_table(spec).loop_words)
 
 
 def test_mcg_modulus_validated():

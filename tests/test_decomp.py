@@ -754,20 +754,36 @@ def test_every_level_two_lift_is_valid():
     (lambda: homology_cover(1, 1, 3), 0),
     (lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]), 0),
 ], ids=["h202", "h112", "h113", "id12", "perm4", "h202z", "h113z", "perm4z"])
-def test_sheet_stabilizers_match_signed_oracle(make, m):
+def test_sheet_stabilizers_match_signed_oracle(make, m, monkeypatch):
     # every piece copy of every catalog type: the stabilizer words of the
     # orbit under the piece generators alone span the same vertex group
     # as the signed-letter transversal with one generator per edge; at
-    # m = 0 the spans are compared over Z, where a sign slip shows
+    # m = 0 the spans are compared over Z, where a sign slip shows.  The
+    # rows handed to the echelon form are reduced mod m, nonzero and
+    # pairwise distinct
     spec = make()
     hom = covers.cover_homology(spec, m)
     table = covers._table(spec)
+    space_type = type(hom.space)
+    subgroup = space_type.subgroup
+    handed = []
+
+    def recording(self, gens):
+        handed.append(list(gens))
+        return subgroup(self, handed[-1])
+
     for mc in multicurve_catalog(spec.g, spec.n):
         cg = covers.lift_cut_graph(spec, mc, m)
         for pi, orb in zip(cg.vert_piece, cg.vert_orbit):
             args = (hom.space, hom, table, mc.pieces[pi], orb)
-            got = decomp._schreier_vertex_group(*args)
+            handed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(space_type, "subgroup", recording)
+                got = decomp._schreier_vertex_group(*args)
             assert got.key() == signed_schreier_vertex_group(*args).key()
+            [rows] = handed
+            assert all(r == hom.space.reduce(r) and any(r) for r in rows)
+            assert len(set(rows)) == len(rows)
 
 
 def test_lift_punctured_cover():

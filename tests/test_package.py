@@ -198,3 +198,47 @@ def test_decomp_asks_lattice_questions_through_symplectic():
                   if isinstance(node, ast.Call)}
         assert not called & {"is_symplectic", "symplectic_inverse"}, \
             path.name
+
+
+# complexes._finite_quotient tries every tuple of permutations as images of
+# the generators; ROADMAP item 19 (decide pi_1 of every nerve) replaces it
+PERMUTATION_SEARCH_OK = {"complexes._finite_quotient"}
+
+
+def permutation_users(path):
+    """Qualified names (module.def, module.Class.method) of the defs in
+    path that use itertools.permutations, by name or through the module;
+    a use outside every def is charged to the module."""
+    tree = ast.parse(path.read_text(), str(path))
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+             for a in node.names if a.name == "permutations"}
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for a in node.names if a.name == "itertools"}
+    users = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id in names) or (
+                    isinstance(child, ast.Attribute)
+                    and child.attr == "permutations"
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id in modules):
+                users.add(owner)
+            visit(child, owner)
+
+    visit(tree, path.stem)
+    return users
+
+
+def test_one_permutation_search():
+    """stablegraph.relabelings is the package's one search over vertex
+    permutations: canonical keys and canonical forms both run it, and no
+    other def reaches itertools.permutations but the named exemption."""
+    users = {name for path in SOURCES for name in permutation_users(path)}
+    assert users == {"stablegraph.relabelings"} | PERMUTATION_SEARCH_OK

@@ -2,10 +2,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
+from levelnerve import catalog, stablegraph
 from levelnerve.errors import InvalidInputError, ResourceLimitError
 from levelnerve.stablegraph import (StableGraph, _all_stable_graphs,
-                                    enumerate_stable_graphs)
-from oracles import automorphisms, contract_edge, stable_graphs_by_filter
+                                    _degenerations, enumerate_stable_graphs,
+                                    max_rank)
+from oracles import (automorphisms, contract_edge, encoded_key,
+                     stable_graphs_by_filter)
 
 COUNTS = {(0, 4): 3, (0, 5): 25, (0, 6): 235, (1, 1): 1, (1, 2): 4,
           (1, 3): 22, (1, 4): 162, (2, 0): 6, (2, 1): 15, (2, 2): 74,
@@ -125,6 +128,8 @@ def test_canonical_key_permutation_cap():
     ring = StableGraph([(1, ())] * 10, [(i, (i + 1) % 10) for i in range(10)])
     with pytest.raises(ResourceLimitError):
         ring.canonical_key()
+    with pytest.raises(ResourceLimitError):
+        encoded_key(ring)
 
 
 # every signature of dimension 3g-3+n <= 5 but (0,8), whose 39 207 types
@@ -151,18 +156,27 @@ def test_enumerated_types_carry_their_keys(sig):
 
 
 def test_enumeration_builds_only_stable_candidates(monkeypatch):
-    built = []
-    init = StableGraph.__init__
+    # every raw candidate of every (3,1) type, the smooth one included, is
+    # a stable genus-3 graph in raw form: sorted edges of sorted pairs
+    for t in enumerate_stable_graphs(3, 1, include_empty=True):
+        for raw in _degenerations(*t.key):
+            sg = StableGraph(*raw)
+            assert raw == (tuple(sg.vertices), tuple(sorted(sg.edges)))
+            assert sg.is_stable() and sg.genus() == 3
+            assert len(sg.edges) == len(t.edges) + 1
+    keyed = []
+    key = stablegraph._canonical_key
 
-    def counted(self, vertices, edges):
-        built.append(1)
-        init(self, vertices, edges)
+    def counted(vertices, edges):
+        keyed.append(1)
+        return key(vertices, edges)
 
-    monkeypatch.setattr(StableGraph, "__init__", counted)
+    monkeypatch.setattr(stablegraph, "_canonical_key", counted)
     graphs = _all_stable_graphs.__wrapped__(3, 1)
     assert len(graphs) == 180
-    # the smooth root, 1 879 stable candidates and 180 representatives
-    assert len(built) <= 2060
+    # _degenerations yields 1 879 stable candidates; only the 1 083 that
+    # are distinct within their parent are keyed
+    assert len(keyed) <= 1083
 
 
 def test_bad_inputs():
@@ -208,11 +222,15 @@ def test_contractions_stay_in_the_list(sig):
             assert contract_edge(sg, i).canonical_key() in keys
 
 
+ORACLE_SIGS = sorted(set(COUNTS) | set(FILTER_SIGS))
+
+
 @st.composite
 def relabeled(draw):
-    """A listed graph, and the same graph with its vertices renamed and its
-    edges shuffled."""
-    sig = draw(st.sampled_from([(0, 6), (1, 3), (2, 2), (3, 0)]))
+    """A listed graph of a signature of COUNTS or FILTER_SIGS, and the same
+    graph with its vertices renamed and its edges shuffled."""
+    sig = draw(st.sampled_from([sig for sig in ORACLE_SIGS
+                                if max_rank(*sig) >= 0]))
     sg = draw(st.sampled_from(enumerate_stable_graphs(*sig)))
     perm = draw(st.permutations(range(sg.n_vertices())))
     verts = [None] * sg.n_vertices()
@@ -226,4 +244,28 @@ def relabeled(draw):
 @given(relabeled())
 def test_canonical_key_is_relabeling_invariant(pair):
     sg, other = pair
-    assert other.canonical_key() == sg.canonical_key()
+    assert other.canonical_key() == encoded_key(other) == sg.canonical_key()
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=str)
+def test_canonical_key_matches_encoded_oracle(sig):
+    for sg in enumerate_stable_graphs(*sig, include_empty=True):
+        assert sg.canonical_key() == encoded_key(sg)
+
+
+@pytest.mark.parametrize("sig", [(2, 2), (3, 0), (3, 1)], ids=str)
+def test_catalog_dual_graph_keys_match_encoded_oracle(sig, monkeypatch):
+    # the raw dual graphs the catalog assembles and keys
+    graphs = []
+    key = StableGraph.canonical_key
+
+    def recording(self):
+        graphs.append(self)
+        return key(self)
+
+    monkeypatch.setattr(StableGraph, "canonical_key", recording)
+    catalog._catalog.__wrapped__(*sig)
+    monkeypatch.undo()
+    assert len(graphs) > 1
+    for sg in graphs:
+        assert sg.canonical_key() == encoded_key(sg)
