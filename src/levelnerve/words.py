@@ -5,15 +5,15 @@ identity.  Every function returns a freely reduced word; inputs need not be
 reduced.  On top of plain word arithmetic this module provides conjugacy
 in free groups (with explicit conjugators), Stallings folding for subgroup
 rank / membership / index, substitution, and inversion of a free-group
-automorphism given by generator images.
+automorphism given by generator images, by a Stallings fold that carries
+a word on every edge.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 
-from .errors import InvalidInputError, LevelNerveError
+from .errors import InvalidInputError
 
 Word = tuple
 
@@ -228,100 +228,75 @@ class FoldedGraph:
         return self.index() == 1
 
 
-def _all_length_one(ws):
-    return all(len(w) == 1 for w in ws)
-
-
-def _neighbor_moves(W):
-    """Elementary moves as (i, new_word_fn, expr_fn); expr_fn maps the
-    parallel expression tuple to its new i-th entry."""
-    n = len(W)
-    moves = []
-    for i in range(n):
-        moves.append((i, winv(W[i]), lambda E, i=i: winv(E[i])))
-        for j in range(n):
-            if i == j:
-                continue
-            for s in (1, -1):
-                wj = W[j] if s > 0 else winv(W[j])
-                moves.append((i, wmul(W[i], wj),
-                              lambda E, i=i, j=j, s=s:
-                              wmul(E[i], E[j] if s > 0 else winv(E[j]))))
-                moves.append((i, wmul(wj, W[i]),
-                              lambda E, i=i, j=j, s=s:
-                              wmul(E[j] if s > 0 else winv(E[j]), E[i])))
-    return moves
-
-
-def _state_key(W):
-    return tuple(sorted(min(w, winv(w)) for w in W))
-
-
 def invert_basis(images, rank: int):
     """Given images[k-1] = phi(x_k) for an automorphism phi of the free
     group of the given rank, return expr with expr[k-1] a word in symbols
     1..rank such that substituting images into it yields x_k.
 
     Interpreting the output symbols as the original generators gives the
-    inverse automorphism.  Uses Nielsen reduction of the image tuple with a
-    breadth-first detour through length-preserving moves when the greedy
-    length reduction stalls.
+    inverse automorphism.  The images are folded as petals at the base, as
+    in FoldedGraph, with a word in the symbols on every edge: symbol i on
+    the first edge of petal i, the empty word elsewhere, inverses on reverse
+    edges.  Invariant: along a closed path at the base the words multiply to
+    one that substitutes to the reduced word the path reads.  An edge u -> t
+    carrying h reads G(u) h G(t)^-1, where the gauge G(v) = G(parent) pot[v]
+    is kept in the union-find (G = 1 at roots).  When two edges leave a
+    class with one letter, read h1, h2 and end in different classes, the end
+    that is not the base is regauged by g = h1^-1 h2 (g on the left of words
+    leaving it, g^-1 on the right of words entering it) and merged into the
+    other.  The images generate exactly when the fold ends in the bouquet,
+    and loop x then reads expr[x-1].  Any correct inversion returns these
+    words, as over a free basis each x_k has exactly one reduced expression.
     """
     W = [wreduce(w) for w in images]
-    if len(W) != rank:
-        raise InvalidInputError("need exactly rank images")
-    if not FoldedGraph(W, rank).generates_ambient():
-        raise InvalidInputError("images do not generate the free group")
-    E = [(i + 1,) for i in range(rank)]
-
-    def reducing_move(Wcur):
-        for (i, neww, efn) in _neighbor_moves(Wcur):
-            if len(neww) < len(Wcur[i]):
-                return (i, neww, efn)
-        return None
-
-    while not _all_length_one(W):
-        mv = reducing_move(W)
-        if mv is None:
-            # breadth-first search through length-preserving moves until a
-            # configuration with a length-reducing move appears
-            start = (tuple(W), tuple(E))
-            seen = {_state_key(W)}
-            queue = deque([start])
-            found = None
-            while queue:
-                curW, curE = queue.popleft()
-                for (i, neww, efn) in _neighbor_moves(list(curW)):
-                    if len(neww) > len(curW[i]):
-                        continue
-                    nW = list(curW)
-                    nE = list(curE)
-                    nE[i] = efn(curE)
-                    nW[i] = neww
-                    if len(neww) < len(curW[i]):
-                        found = (nW, nE)
-                        break
-                    key = _state_key(nW)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if len(seen) > 200000:
-                        raise LevelNerveError("basis inversion search blew up")
-                    queue.append((tuple(nW), tuple(nE)))
-                if found:
-                    break
-            if not found:
-                raise LevelNerveError("basis inversion stalled")
-            W, E = found
-        else:
-            i, neww, efn = mv
-            E[i] = efn(E)
-            W[i] = neww
-
-    expr = [None] * rank
+    if len(W) != rank or max(map(max_letter, W), default=0) > rank:
+        raise InvalidInputError("need rank images in the letters 1..rank")
+    # an edge is (source, target, word); adj[root] maps letter -> edge
+    parent, pot, adj, pending = [0], [()], [{}], []
     for i, w in enumerate(W):
-        k = abs(w[0])
-        if expr[k - 1] is not None:
-            raise InvalidInputError("images are not a basis")
-        expr[k - 1] = E[i] if w[0] > 0 else winv(E[i])
-    return expr
+        prev, h = 0, (i + 1,)
+        for j, x in enumerate(w):
+            nxt = 0 if j == len(w) - 1 else len(parent)
+            if nxt:
+                parent.append(nxt)
+                pot.append(())
+                adj.append({})
+            for a, y, e in ((prev, x, (prev, nxt, h)),
+                            (nxt, -x, (nxt, prev, winv(h)))):
+                s = adj[a].setdefault(y, e)
+                if s is not e:
+                    pending.append((s, e))
+            prev, h = nxt, ()
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        for u in reversed(path[:-1]):
+            pot[u], parent[u] = wmul(pot[parent[u]], pot[u]), v
+        return v
+
+    def read(u, t, h):
+        find(u)
+        find(t)
+        return wmul(pot[u], h, winv(pot[t]))
+
+    while pending:
+        e1, e2 = pending.pop()
+        r1, r2 = find(e1[1]), find(e2[1])
+        if r1 == r2:
+            continue
+        g = wmul(winv(read(*e1)), read(*e2))
+        if r2 == 0 or (r1 != 0 and len(adj[r1]) < len(adj[r2])):
+            r1, r2, g = r2, r1, winv(g)
+        parent[r2], pot[r2] = r1, g
+        for y, e in adj[r2].items():
+            s = adj[r1].setdefault(y, e)
+            if s is not e:
+                pending.append((s, e))
+        adj[r2] = None
+
+    if len(adj[0]) != 2 * rank or any(find(t) for _, t, _ in adj[0].values()):
+        raise InvalidInputError("images do not generate the free group")
+    return [read(*adj[0][x]) for x in range(1, rank + 1)]

@@ -116,7 +116,10 @@ def test_twist_family_size():
 
 
 def test_twists_are_automorphisms_with_inverses():
-    for g, n in [(1, 1), (2, 0), (2, 1), (0, 4)]:
+    # every hyperbolic signature from (1, 1) to (3, 2), and (0, 3)..(0, 6)
+    sigs = [(g, n) for g in range(1, 4) for n in range(3)
+            if 2 * g - 2 + n > 0] + [(0, n) for n in range(3, 7)]
+    for g, n in sigs:
         p = presentation(g, n)
         rank = p.cover_rank()
         for t in p.twists():
@@ -124,6 +127,13 @@ def test_twists_are_automorphisms_with_inverses():
             for letter in range(1, rank + 1):
                 assert t.apply_inv(t.apply((letter,))) == (letter,)
                 assert t.apply(t.apply_inv((letter,))) == (letter,)
+
+
+@pytest.mark.parametrize("g,n", [(3, 0), (3, 2), (4, 0), (5, 0)])
+def test_to_std_table_inverts_the_standard_basis(g, n):
+    model = presentation(g, n).model
+    for t in range(1, model.N + 1):
+        assert wsub(model._inv_expr[t - 1], model.std) == (t,)
 
 
 def test_twist_homology_is_inverse_transvection():

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from levelnerve import words
 from levelnerve.errors import InvalidInputError
+from levelnerve.surface import presentation
 from levelnerve.words import (
     FoldedGraph,
     commutator,
@@ -202,14 +204,35 @@ def rand_auto(rng, rank, nmoves):
 
 def test_invert_basis_random():
     rng = random.Random(11)
-    for _ in range(40):
-        rank = rng.randint(2, 4)
-        images = rand_auto(rng, rank, rng.randint(1, 8))
+    for _ in range(150):
+        rank = rng.randint(1, 8)
+        images = rand_auto(rng, rank, rng.randint(0, 60))
         expr = invert_basis(images, rank)
         for k in range(1, rank + 1):
             assert wsub(expr[k - 1], images) == (k,)
+            assert wsub(images[k - 1], expr) == (k,)
 
 
 def test_invert_basis_rejects_non_basis():
-    with pytest.raises(InvalidInputError):
-        invert_basis([(1, 1), (2,)], 2)
+    cases = [([(1, 1), (2,)], 2), ([(), (2,)], 2), ([(1, 2), (1, 2)], 2),
+             ([(1,), (1,)], 2), ([(1,), (3,)], 2), ([(1,)], 2)]
+    for images, rank in cases:
+        with pytest.raises(InvalidInputError):
+            invert_basis(images, rank)
+
+
+def test_invert_basis_is_linear_in_image_length(monkeypatch):
+    # the fold spends a bounded number of products per image letter; the
+    # standard bases of genus 3, 4 and 5 have total length 25, 37 and 51
+    for g in (3, 4, 5):
+        model = presentation(g, 0).model
+        calls = []
+
+        def counting(*ws):
+            calls.append(ws)
+            return wmul(*ws)
+
+        monkeypatch.setattr(words, "wmul", counting)
+        assert invert_basis(model.std, model.N) == model._inv_expr
+        monkeypatch.undo()
+        assert len(calls) <= 10 * sum(map(len, model.std))
