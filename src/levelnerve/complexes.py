@@ -282,20 +282,25 @@ class FinSimpSet:
         faces = []
         provenance = []
         has_prov = True
-        for entry in data.get("ranks", ()):
-            encodings.append(tuple(bytes.fromhex(e)
-                                   for e in entry["simplices"]))
-            faces.append(tuple(tuple(row) for row in entry["faces"]))
-            if "provenance" in entry:
-                provenance.append(tuple(
-                    (_as_key(p["type"]),
-                     tuple(tuple(r) for r in p["transport"]))
-                    for p in entry["provenance"]))
-            else:
-                has_prov = False
-        return cls(encodings, faces,
-                   provenance=tuple(provenance) if has_prov else None,
-                   meta=data.get("meta"))
+        try:
+            for entry in data.get("ranks", ()):
+                encodings.append(tuple(bytes.fromhex(e)
+                                       for e in entry["simplices"]))
+                faces.append(tuple(tuple(row) for row in entry["faces"]))
+                if "provenance" in entry:
+                    provenance.append(tuple(
+                        (_as_key(p["type"]),
+                         tuple(tuple(r) for r in p["transport"]))
+                        for p in entry["provenance"]))
+                else:
+                    has_prov = False
+            return cls(encodings, faces,
+                       provenance=tuple(provenance) if has_prov else None,
+                       meta=data.get("meta"))
+        except LevelNerveError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as ex:
+            raise InvalidInputError(f"malformed complex data: {ex}") from ex
 
 
 # --------------------------------------------------------------------------

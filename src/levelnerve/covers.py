@@ -9,7 +9,10 @@ regular).  The module computes:
   * H_1 of the filled cover surface with its deck action (cover_homology),
   * preimages of catalog multicurves with the cut stable graph and the
     separating / cut-pair flags (lift_multicurve),
-  * the mod-ell derived cover K -> [K,K]K^ell (derived_cover),
+  * the mod-ell derived cover K -> [K,K]K^ell (derived_cover), built from
+    the action of the letters on cosets (sheet, class over Z/ell): a step
+    adds the class row of the loop it crosses, and cosets are numbered in
+    the shortlex order of their breadth-first words,
   * the matrix a twist induces on cover homology (mcg_action_on_cover),
     together with invariance_check.
 
@@ -47,7 +50,8 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
 from .symplectic import (SympSpace, checked_matrix, hnf_transform,
-                         mat_identity, mat_mul, orbit_enumerate, vec_mat)
+                         mat_identity, mat_mul, orbit_enumerate,
+                         shortlex_order, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -125,11 +129,7 @@ class DeckGroup:
         self.ops = ops
         res = orbit_enumerate(ops.identity, gens,
                               lambda s, e: ops.mul(e, s), cap=max_size)
-        # breadth-first discovery order is the shortlex order of the
-        # breadth-first tree words
-        order = sorted(range(len(res.words)),
-                       key=lambda i: (len(res.words[i]), res.words[i]))
-        self.elements = [res.elements[i] for i in order]
+        self.elements = [res.elements[i] for i in shortlex_order(res)]
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.d = len(self.elements)
         self.gens = tuple(dict.fromkeys(self.index[s] for s in gens))
@@ -277,27 +277,29 @@ def cover_spec_from_data(data: dict) -> CoverSpec:
         group = data["group"]
         kind = group["kind"]
         raw = data["images"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed cover data: {exc}")
-    pres = presentation(g, n)
-    missing = [nm for nm in pres.names if nm not in raw]
-    if missing:
-        raise InvalidInputError(f"missing letter images: {missing}")
-    images = [raw[nm] for nm in pres.names]
-    if kind == "perm":
-        spec = perm_cover(g, n, int(group["degree"]), images,
-                          declared_order=group.get("order"))
-    elif kind == "abelian":
-        spec = abelian_cover(g, n, group["moduli"], images,
-                             declared_order=group.get("order"))
-    else:
-        raise InvalidInputError(f"unknown group kind {kind!r}")
-    # optional redundant u1 image doubles as a consistency check
-    if "u1" in raw:
-        claimed = spec.group.ops.validate(raw["u1"])
-        if spec.phi(pres.u1_word()) != claimed:
-            raise InvalidCoverError("declared u1 image is inconsistent")
-    return spec
+        pres = presentation(g, n)
+        missing = [nm for nm in pres.names if nm not in raw]
+        if missing:
+            raise InvalidInputError(f"missing letter images: {missing}")
+        images = [raw[nm] for nm in pres.names]
+        if kind == "perm":
+            spec = perm_cover(g, n, int(group["degree"]), images,
+                              declared_order=group.get("order"))
+        elif kind == "abelian":
+            spec = abelian_cover(g, n, group["moduli"], images,
+                                 declared_order=group.get("order"))
+        else:
+            raise InvalidInputError(f"unknown group kind {kind!r}")
+        # optional redundant u1 image doubles as a consistency check
+        if "u1" in raw:
+            claimed = spec.group.ops.validate(raw["u1"])
+            if spec.phi(pres.u1_word()) != claimed:
+                raise InvalidCoverError("declared u1 image is inconsistent")
+        return spec
+    except LevelNerveError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed cover data: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -374,16 +376,6 @@ class _Table:
                 out.append(lid)
             g = self.step(g, x)
         return g, tuple(out)
-
-    def loop_vector(self, start, word):
-        """Exponent sums of the loop ids of a word read from coset `start`
-        that closes up there, indexed by id (entry 0 unused)."""
-        end, rw = self.rewrite(start, word)
-        _check(end == start, "word must lie in the cover subgroup")
-        v = [0] * (self.L + 1)
-        for s in rw:
-            v[abs(s)] += 1 if s > 0 else -1
-        return v
 
 
 def _table(spec: CoverSpec) -> _Table:
@@ -588,22 +580,14 @@ class _ChainData:
 
     # -- coordinates
 
-    def _closed_ids(self, sheet, word):
-        end, ids = self.t.rewrite(sheet, word)
-        _check(end == sheet, "word must lie in the cover subgroup")
-        return ids
-
-    def survivor_coords(self, word):
-        """Coordinates of a subgroup word over the surviving polygon
-        letters: the signed sum of the survivor rows of its loops."""
-        return _signed_sum(self.survivor_rows, self._closed_ids(0, word))
-
     def class_at(self, sheet, word):
         """Coordinates over Z, in the symplectic frame of the closed cover
         surface, of a word read from `sheet` that closes up there: the
         signed sum of the class rows of the loops it crosses.  This is the
         class of t_h word t_h^-1 for h = sheet."""
-        return _signed_sum(self.class_rows, self._closed_ids(sheet, word))
+        end, ids = self.t.rewrite(sheet, word)
+        _check(end == sheet, "word must lie in the cover subgroup")
+        return _signed_sum(self.class_rows, ids)
 
 
 def _signed_sum(rows, ids):
@@ -733,7 +717,6 @@ class DeckHomology:
 
     def __init__(self, spec, m):
         chain = _chain(spec)
-        self.spec = spec
         self.m = m
         self.g_K = chain.g_K
         self.rank = 2 * chain.g_K
@@ -941,108 +924,44 @@ def lift_multicurve(spec: CoverSpec, mc, m: int) -> LiftResult:
 # derived covers K -> [K,K] K^ell
 
 
-class _ExtensionOps:
-    """Elements (deck index, vector over Z/ell); the vector part lives in
-    the mod-ell abelianization of the cover subgroup."""
-
-    kind = "extension"
-
-    def __init__(self, spec, ell, cls, rank):
-        self.spec = spec
-        self.ell = ell
-        self.rank = rank
-        t = _table(spec)
-        group = spec.group
-        d = group.d
-        self.mul_idx, self.inv_idx = group.tables()
-        # conjugation action of transversal lifts on the abelianization
-        self.act = []
-        for gidx in range(d):
-            tw = t.twords[gidx]
-            rows = []
-            for k in range(rank):
-                rows.append(cls(wmul(tw, self._gen_word(t, k), winv(tw))))
-            self.act.append(rows)
-        self._kappa = {}
-        self._cls = cls
-        self._t = t
-        self.identity = (0, (0,) * rank)
-
-    def _gen_word(self, t, k):
-        if self.spec.n >= 1:
-            return t.loop_words[k]
-        chain = _chain(self.spec)
-        return t.loop_words[chain.survivors[k] - 1]
-
-    def kappa(self, g1, g2):
-        key = (g1, g2)
-        if key not in self._kappa:
-            t = self._t
-            g12 = self.mul_idx[g1][g2]
-            self._kappa[key] = self._cls(
-                wmul(t.twords[g1], t.twords[g2], winv(t.twords[g12])))
-        return self._kappa[key]
-
-    def validate(self, e):
-        gidx, v = e
-        v = tuple(int(x) % self.ell for x in v)
-        if not (0 <= gidx < len(self.inv_idx)) or len(v) != self.rank:
-            raise InvalidInputError("malformed extension element")
-        return (gidx, v)
-
-    def mul(self, a, b):
-        g1, v1 = a
-        g2, v2 = b
-        av2 = vec_mat(v2, self.act[g1])
-        kap = self.kappa(g1, g2)
-        vec = tuple((x + y + z) % self.ell
-                    for x, y, z in zip(v1, av2, kap))
-        return (self.mul_idx[g1][g2], vec)
-
-    def inv(self, a):
-        g, v = a
-        gi = self.inv_idx[g]
-        kap = self.kappa(g, gi)
-        merged = [x + y for x, y in zip(v, kap)]
-        out = vec_mat(merged, self.act[gi])
-        return (gi, tuple((-x) % self.ell for x in out))
-
-
-def derived_cover(spec: CoverSpec, ell: int,
-                  max_degree=None) -> CoverSpec:
+def derived_cover(spec: CoverSpec, ell: int) -> CoverSpec:
     """Cover attached to [K,K] K^ell, returned with regular permutation
-    images.  For a closed base the abelianization of K is taken in the
-    filled cover surface, so the boundary relation stays killed."""
+    images.  A coset of [K,K] K^ell is a pair (sheet h, class v over
+    Z/ell in the mod-ell abelianization of K), and letter j moves it to
+    (h j, v + rows[i]), where i is the loop id of the step from h along j
+    and rows[i] the class of the Schreier generator t_h x_j t_{hj}^-1: the
+    unit vector of loop i over an open base, its survivor row over a
+    closed one (so the boundary relation stays killed), and 0 on a tree
+    edge.  Cosets are numbered as DeckGroup numbers deck elements, in the
+    shortlex order of their breadth-first words."""
     if ell < 2:
         raise InvalidInputError("derived modulus must be at least 2")
     t = _table(spec)
     if spec.n >= 1:
-        rank = t.L
-
-        def cls(word):
-            return tuple(x % ell for x in t.loop_vector(0, word)[1:])
+        rows = [(0,) * t.L] + [tuple(int(i == k) for k in range(t.L))
+                               for i in range(t.L)]
     else:
-        chain = _chain(spec)
-        rank = 2 * chain.g_K
+        rows = _chain(spec).survivor_rows
+    degree = spec.degree * ell ** len(rows[0])
+    if degree > DEFAULT_MAX_DEGREE:
+        raise ResourceLimitError(f"derived cover degree {degree} exceeds "
+                                 f"the bound {DEFAULT_MAX_DEGREE}")
 
-        def cls(word):
-            return tuple(x % ell for x in chain.survivor_coords(word))
+    def move(j, coset):
+        h, v = coset
+        lid = t.loop_id(h, j)
+        if lid:
+            v = tuple((a + b) % ell for a, b in zip(v, rows[lid]))
+        return t.fwd[j - 1][h], v
 
-    cap = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
-    degree = spec.degree * ell ** rank
-    if degree > cap:
-        raise ResourceLimitError(
-            f"derived cover degree {degree} exceeds the bound {cap}")
-    ops = _ExtensionOps(spec, ell, cls, rank)
-    images = []
-    for j in range(1, t.N + 1):
-        gidx = t.fwd[j - 1][0]
-        images.append((gidx, cls(wmul((j,), winv(t.twords[gidx])))))
-    ext = DeckGroup(ops, images, cap)
-    _check(ext.d == degree, "extension has the predicted order")
-    perms = []
-    for img in images:
-        perms.append(tuple(ext.index[ops.mul(e, img)] for e in ext.elements))
+    res = orbit_enumerate((0, rows[0]), range(1, t.N + 1), move, cap=degree)
+    _check(len(res.elements) == degree, "cosets reach the predicted degree")
+    order = shortlex_order(res)
+    place = [0] * degree
+    for i, x in enumerate(order):
+        place[x] = i
+    perms = [tuple(place[res.moves[x][j]] for x in order)
+             for j in range(t.N)]
     return perm_cover(spec.g, spec.n, degree, perms, declared_order=degree)
 
 

@@ -836,5 +836,8 @@ def decomposition_from_data(data) -> GraphDecomposition:
             return FramedDecomposition(space, vgroups, egroups, edges,
                                        data["frames"], marks, n)
         return GraphDecomposition(space, vgroups, egroups, edges, marks, n)
-    except (KeyError, TypeError, IndexError) as ex:
-        raise InvalidInputError(f"malformed decomposition data: {ex}")
+    except LevelNerveError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as ex:
+        raise InvalidInputError(
+            f"malformed decomposition data: {ex}") from ex

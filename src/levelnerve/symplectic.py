@@ -937,6 +937,13 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
     )
 
 
+def shortlex_order(res: OrbitResult):
+    """Indices of the orbit's elements in the shortlex order (len(w), w) of
+    their breadth-first words, which is the order of first visit."""
+    words = res.words
+    return sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+
+
 def schreier_edges(res: OrbitResult):
     """The non-tree edges (x, j, y) of the orbit's Schreier graph, y =
     moves[x][j], in first-visit order of x and then generator order; an
@@ -944,8 +951,7 @@ def schreier_edges(res: OrbitResult):
     Each gives the Schreier generator t_x * g_j * t_y^-1 of the seed's
     stabilizer (Schreier's lemma), and together they generate it."""
     words, moves = res.words, res.moves
-    for x in sorted(range(len(words)),
-                    key=lambda i: (len(words[i]), words[i])):
+    for x in shortlex_order(res):
         for j, y in enumerate(moves[x]):
             if words[y] != words[x] + (j,):
                 yield x, j, y

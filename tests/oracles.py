@@ -733,7 +733,11 @@ class RecordElimination:
         self.Uinv = _chain(spec).Uinv
 
     def survivor_coords(self, word):
-        v = self.table.loop_vector(0, word)
+        end, ids = self.table.rewrite(0, word)
+        assert end == 0, "word must lie in the cover subgroup"
+        v = [0] * (self.L + 1)
+        for s in ids:
+            v[abs(s)] += 1 if s > 0 else -1
         for x, rec in self.records:
             c = v[x]
             if c:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import pytest
 import sympy
@@ -27,6 +28,7 @@ from levelnerve.covers import (
     cover_spec_to_data,
     cover_spec_from_data,
     _chain,
+    _signed_sum,
     _table,
     _unimodular_inverse,
 )
@@ -318,11 +320,81 @@ def test_derived_iterated_characteristic():
     assert ana.chi_closed == 2 - 2 * ana.g_K
 
 
+def s3_cover():
+    return perm_cover(1, 1, 3, [(1, 2, 0), (1, 0, 2)])
+
+
+def double_cover():
+    return perm_cover(2, 0, 2, [SWAP, ID2, ID2, ID2])
+
+
 def test_derived_resource_limit(h2):
     with pytest.raises(ResourceLimitError):
         derived_cover(h2, 2)
+    with pytest.raises(ResourceLimitError, match="13122"):
+        derived_cover(s3_cover(), 3)
     with pytest.raises(InvalidInputError):
         derived_cover(h2, 1)
+
+
+# sha256 of repr(images) of the derived cover, recorded from the group
+# extension construction that the coset action replaced; the permutations
+# number the cosets in the shortlex order of their breadth-first words
+DERIVED_IMAGES = [
+    (lambda: identity_cover(1, 1), 2, 4,
+     "e97a9958fbdd92ae2a20c48d8a11f3731fe8604d954bca515b10b59522ecce0e"),
+    (lambda: identity_cover(1, 1), 3, 9,
+     "2c916a534a11ade46d6655e6f1003da5747df9af49eb93f650f2db2d2d063d05"),
+    (lambda: identity_cover(1, 2), 2, 8,
+     "5be371d48437e0cddfd739600f580cb8e754c0bbefb3de958379cc79015d8611"),
+    (lambda: homology_cover(1, 1, 2), 2, 128,
+     "5f45561076301c765d51d1545fe53431cf7e7c6e225eb257ceac1a345c8753f2"),
+    (s3_cover, 2, 768,
+     "e9f525488b9e91a4c186301528ecb5c6f7a29f9feb0e8ed5856d84c54b7bea03"),
+    (lambda: abelian_cover(1, 2, (3,), [(1,), (2,), (1,)]), 2, 384,
+     "d507fe8899d767247e5d9a89ee92f68906c91a0b285345981035cc268dcb1c35"),
+    (lambda: identity_cover(2, 0), 2, 16,
+     "d13e098081e2be75559e89c86ee449992af2841bca0674b421b96ce1564fd5f3"),
+    (double_cover, 2, 128,
+     "2867099f5b1917399bfbedbfbbfca4fd862da7db1ad2411f9849320733775d9e"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, ell, degree, digest", DERIVED_IMAGES,
+    ids=["id11-2", "id11-3", "id12-2", "h112-2", "s3-2", "ab12-2",
+         "id20-2", "double20-2"])
+def test_derived_cover_images_are_pinned(make, ell, degree, digest):
+    spec = derived_cover(make(), ell)
+    assert spec.degree == degree
+    assert hashlib.sha256(repr(spec.images).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("make", [s3_cover, double_cover],
+                         ids=["s3-11", "double-20"])
+def test_derived_kernel_over_a_nontrivial_deck_group(make):
+    """Over a base whose deck group acts nontrivially on the loops of K:
+    the derived cover has degree d * ell^rank, each of its Schreier
+    generators lies in K with class 0 mod ell, and the ell-th powers and
+    pairwise commutators of K's loop words lie in its kernel."""
+    ell = 2
+    base = make()
+    t = _table(base)
+    rank = t.L if base.n >= 1 else 2 * _chain(base).g_K
+    spec = derived_cover(base, ell)
+    assert spec.degree == base.degree * ell ** rank
+    for w in _table(spec).loop_words:
+        end, ids = t.rewrite(0, w)
+        assert end == 0
+        if base.n >= 1:
+            cls = [ids.count(i) - ids.count(-i) for i in range(1, t.L + 1)]
+        else:
+            cls = _signed_sum(_chain(base).survivor_rows, ids)
+        assert all(x % ell == 0 for x in cls)
+    loops = t.loop_words
+    assert all(in_kernel(spec, wpow(w, ell)) for w in loops)
+    assert all(in_kernel(spec, wmul(u, w, winv(u), winv(w)))
+               for u in loops for w in loops)
 
 
 # -- twist invariance and induced action
@@ -528,7 +600,10 @@ def _assert_class_table(spec, old, sheet, word):
     tw = t.twords[sheet]
     conj = wmul(tw, word, winv(tw))
     assert list(chain.class_at(sheet, word)) == old.class_int(conj)
-    assert list(chain.survivor_coords(conj)) == old.survivor_coords(conj)
+    end, ids = t.rewrite(0, conj)
+    assert end == 0
+    assert list(_signed_sum(chain.survivor_rows, ids)) == \
+        old.survivor_coords(conj)
 
 
 @SMALL_COVERS

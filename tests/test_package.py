@@ -2,13 +2,24 @@
 package names a stdlib module, and pyproject.toml declares no dependency.
 Every name the package defines, private or public, is referenced by the
 package or the benchmark, apart from a short list of entry points that
-only tests call, and every parameter of a def is read by its body."""
+only tests call, and every parameter of a def is read by its body.  The
+deserializers turn malformed data into typed errors, and every declared
+console script names an importable module."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
 import pytest
+
+from levelnerve.complexes import FinSimpSet
+from levelnerve.covers import (abelian_cover, cover_spec_from_data,
+                               cover_spec_to_data, perm_cover)
+from levelnerve.decomp import (GraphDecomposition, decomposition_from_data,
+                               decomposition_to_data)
+from levelnerve.errors import InvalidCoverError, InvalidInputError
+from levelnerve.symplectic import SympSpace
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "levelnerve").glob("*.py"))
@@ -242,3 +253,90 @@ def test_one_permutation_search():
     other def reaches itertools.permutations but the named exemption."""
     users = {name for path in SOURCES for name in permutation_users(path)}
     assert users == {"stablegraph.relabelings"} | PERMUTATION_SEARCH_OK
+
+
+def _perm_data():
+    return cover_spec_to_data(perm_cover(1, 1, 2, [(1, 0), (0, 1)]))
+
+
+def _abelian_data():
+    return cover_spec_to_data(abelian_cover(1, 1, (2,), [(1,), (0,)]))
+
+
+def _decomp_data():
+    return decomposition_to_data(GraphDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [], []))
+
+
+def _complex_data():
+    return FinSimpSet([[b"\x00", b"\x01"], [b"\x02"]],
+                      [[(), ()], [(1, 0)]]).to_data()
+
+
+def _set(path, value):
+    """Mutation setting the entry at the key path to value."""
+    def mutate(data):
+        for k in path[:-1]:
+            data = data[k]
+        data[path[-1]] = value
+    return mutate
+
+
+COVER = (cover_spec_from_data, _perm_data)
+ABELIAN = (cover_spec_from_data, _abelian_data)
+DECOMP = (decomposition_from_data, _decomp_data)
+COMPLEX = (FinSimpSet.from_data, _complex_data)
+
+# (reader and base data, mutation, error, whether the error wraps a raw
+# KeyError, TypeError or ValueError of the reader)
+MALFORMED = {
+    "cover-genus": (COVER, _set(("base", "g"), "x"), InvalidInputError, True),
+    "cover-image": (COVER, _set(("images", "a1"), "ab"),
+                    InvalidInputError, True),
+    "cover-moduli": (ABELIAN, _set(("group", "moduli"), 5),
+                     InvalidInputError, True),
+    "cover-kind": (COVER, _set(("group", "kind"), "matrix"),
+                   InvalidInputError, False),
+    "cover-u1": (COVER, _set(("images", "u1"), [1, 0]),
+                 InvalidCoverError, False),
+    "decomp-vertices": (DECOMP, _set(("vertices",), "x"),
+                        InvalidInputError, True),
+    "decomp-entry": (DECOMP, _set(("vertex_groups", 0, 0, 0), "a"),
+                     InvalidInputError, True),
+    "decomp-group-count": (DECOMP, _set(("vertices",), 2),
+                           InvalidInputError, False),
+    "complex-hex": (COMPLEX, _set(("ranks", 1, "simplices", 0), "zz"),
+                    InvalidInputError, True),
+    "complex-faces": (COMPLEX, lambda data: data["ranks"][1].pop("faces"),
+                      InvalidInputError, True),
+    "complex-ranks": (COMPLEX, _set(("ranks",), 5), InvalidInputError, True),
+    "complex-face-range": (COMPLEX, _set(("ranks", 1, "faces", 0), [2, 0]),
+                           InvalidInputError, False),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_deserializers_raise_typed_errors(case):
+    """Malformed data raises the package's own InvalidInputError from each
+    reader; an error the reader already typed passes through unchanged."""
+    (read, base), mutate, error, wrapped = case
+    data = base()
+    read(data)
+    mutate(data)
+    with pytest.raises(error) as info:
+        read(data)
+    assert type(info.value) is error
+    raw = (KeyError, TypeError, ValueError)
+    assert isinstance(info.value.__cause__, raw) is wrapped
+
+
+@pytest.mark.xfail(raises=ModuleNotFoundError, strict=True,
+                   reason="levelnerve.cli is ROADMAP item 2, not written yet")
+def test_console_scripts_import():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
