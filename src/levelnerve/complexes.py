@@ -27,7 +27,7 @@ import itertools
 from . import covers
 from .catalog import (MulticurveRep, Piece, Side, _audit, catalog_coverage,
                       multicurve_catalog)
-from .decomp import (FramedDecomposition, canonical_form,
+from .decomp import (FramedDecomposition, canonical_form, canonical_serial,
                      induced_from_lift, induced_from_multicurve, sp_action,
                      validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
@@ -319,13 +319,16 @@ class _TypeData:
 
 def _orbit_types(space, types, gens, cap):
     """Per type, its orbit under gens and the transport of each element:
-    the product of the generators along its breadth-first tree word."""
+    the product of the generators along its breadth-first tree word.  The
+    orbit is keyed by canonical_serial, so no element it reaches pays for
+    the bytes of its canonical form; _assemble makes those for the stored
+    elements alone."""
     per_type = []
     built = []
     for td in types:
         try:
             res = orbit_enumerate(td.shadow, gens, sp_action,
-                                  key=canonical_form, cap=cap)
+                                  key=canonical_serial, cap=cap)
         except ResourceLimitError as exc:
             done = ", ".join(f"{k}={c}" for k, c in built) or "none"
             raise ResourceLimitError(
@@ -344,12 +347,15 @@ def _assemble(per_type, meta, materialize):
     """The complex of the orbits in per_type.  Each simplex's vertices and
     faces are found by replaying its word, through the Schreier graph of
     rank 0 and of the rank below, from where its type's own vertex and face
-    shadows sit; the vertex order sorts the vertices by encoding."""
+    shadows sit; the vertex order sorts the vertices by encoding.  The
+    orbits are keyed by canonical_serial; the encoding of each element,
+    its canonical_form, is the repr of its key, made here once."""
     top = max(td.k for td, _, _ in per_type)
     records = [[] for _ in range(top + 1)]
     for td, res, transports in per_type:
-        for i, enc in enumerate(res.keys):
-            records[td.k].append((enc, td, res, i, transports[i]))
+        for i, key in enumerate(res.keys):
+            records[td.k].append((repr(key).encode(), td, res, i,
+                                  transports[i]))
     for k in range(top + 1):
         _check(records[k], f"no types populate rank {k}")
         records[k].sort(key=lambda r: r[0])
@@ -358,10 +364,15 @@ def _assemble(per_type, meta, materialize):
                    "distinct orbits share a canonical form")
 
     index = [{r[0]: i for i, r in enumerate(block)} for block in records]
+    # the rank-wide index of each orbit position, per type
+    rank_of = {td.key: [None] * len(res.keys) for td, res, _ in per_type}
+    for block in records:
+        for i, (_, td, _, pos, _) in enumerate(block):
+            rank_of[td.key][pos] = i
     # the Schreier graph of each rank below the top, in rank-wide indices
-    moves = [[tuple(index[k][res.keys[t]] for t in res.moves[i])
-              for (_, _, res, i, _) in block]
-             for k, block in enumerate(records[:top])]
+    moves = [[tuple(map(rank_of[td.key].__getitem__, res.moves[i]))
+              for (_, td, res, i, _) in block]
+             for block in records[:top]]
 
     def replay(s, graph, word):
         for j in word:

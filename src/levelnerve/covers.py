@@ -282,12 +282,17 @@ def cover_spec_from_data(data: dict) -> CoverSpec:
         if missing:
             raise InvalidInputError(f"missing letter images: {missing}")
         images = [raw[nm] for nm in pres.names]
+        order = group.get("order")
+        if order is not None and (not isinstance(order, int)
+                                  or isinstance(order, bool) or order < 1):
+            raise InvalidInputError(
+                f"declared order must be a positive int, not {order!r}")
         if kind == "perm":
             spec = perm_cover(g, n, int(group["degree"]), images,
-                              declared_order=group.get("order"))
+                              declared_order=order)
         elif kind == "abelian":
             spec = abelian_cover(g, n, group["moduli"], images,
-                                 declared_order=group.get("order"))
+                                 declared_order=order)
         else:
             raise InvalidInputError(f"unknown group kind {kind!r}")
         # optional redundant u1 image doubles as a consistency check

@@ -52,8 +52,8 @@ quotients, the divisor test) is asked of SympSpace and SympSubgroup, and
 the symplectic module alone chooses how to answer it.  Matrices are read
 through their symplectic.checked_matrix records: whether a matrix is
 symplectic, its inverse, its reduced rows, whether it maps a subgroup
-onto another and the key of a frame's image.  This module never packs a
-row and keeps no matrix memo of its own.
+onto another, the key of a frame's image and the image itself.  This
+module never packs a row and keeps no matrix memo of its own.
 
 Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
@@ -65,10 +65,11 @@ group does (per element when no group is recorded).
 Equivalence is attribute-preserving graph isomorphism; canonical_form
 returns a byte string that is equal exactly for equivalent plain or framed
 decompositions (equivariant values are compared through their framed
-part).  The partial order leq, the symplectic transport sp_action, and the
-two constructors induced_from_multicurve / induced_from_lift realize
-decompositions from catalog multicurves, directly on the base surface or
-through a finite cover with its deck action.
+part), the repr of the tuple canonical_serial returns.  The partial order
+leq, the symplectic transport sp_action, and the two constructors
+induced_from_multicurve / induced_from_lift realize decompositions from
+catalog multicurves, directly on the base surface or through a finite
+cover with its deck action.
 
 All outputs are deterministic: the spanning tree of the bond clause,
 subgraph enumerations and canonical forms depend only on the stored
@@ -82,8 +83,7 @@ import operator
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, checked_matrix,
-                         matrices_compose, orbit_enumerate, schreier_edges,
-                         vec_mat)
+                         matrices_compose, orbit_enumerate, schreier_edges)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -558,15 +558,21 @@ def _serial(d, order, vpay, epay):
     return (d.kind, d.space.g, d.space.m, d.n, tuple(vert), tuple(edg))
 
 
-def canonical_form(d) -> bytes:
-    """Byte string equal exactly for equivalent decompositions.
+def canonical_serial(d) -> tuple:
+    """The least serialized form of d, a nested tuple of ints and strings
+    that is equal exactly for equivalent decompositions.
 
     Minimizes the serialized form over all vertex relabelings compatible
     with the payload classes.  Equivalence compares the graph with its
     subgroup and frame data; an equivariant value is canonicalized through
     its framed part, the action itself is not part of the invariant.  The
     payloads are read once and shared by every relabeling.  Raises
-    ResourceLimitError above stablegraph.MAX_CANONICAL_PERMS relabelings."""
+    ResourceLimitError above stablegraph.MAX_CANONICAL_PERMS relabelings.
+
+    It serves as an in-memory key (an orbit's, say) where the bytes of
+    canonical_form are not needed: tuples of ints and strings have an
+    injective repr, so two serials are equal exactly when their
+    canonical forms are."""
     if isinstance(d, EquivariantDecomposition):
         d = d.framed()
     vpay = [d._vertex_payload(v) for v in range(d.V)]
@@ -574,8 +580,14 @@ def canonical_form(d) -> bytes:
     loop = [u == v for u, v in d.edges]
     inv = [(vpay[v], tuple(sorted((epay[e], loop[e]) for e in inc)))
            for v, inc in enumerate(d._incident)]
-    best = min(_serial(d, order, vpay, epay) for order in relabelings(inv))
-    return repr(best).encode()
+    return min(_serial(d, order, vpay, epay) for order in relabelings(inv))
+
+
+def canonical_form(d) -> bytes:
+    """Byte string equal exactly for equivalent decompositions: the repr
+    of canonical_serial(d), encoded.  This is the public encoding that
+    complexes store, sort and serialize."""
+    return repr(canonical_serial(d)).encode()
 
 
 # --------------------------------------------------------------------------
@@ -641,9 +653,10 @@ def sp_action(F, d):
 
     The transported value keeps the graph, marks and action tables of d,
     so it is a copy of d with the image groups, frames and conjugated
-    matrices.  F is looked up once in checked_matrix; the conjugates come
-    back reduced from mat_mul and go through no memo, since checking
-    every one would cost an is_symplectic per matrix per transport."""
+    matrices.  F is looked up once in checked_matrix, and the frames are
+    read through its frame_image memo; the conjugates come back reduced
+    from mat_mul and go through no memo, since checking every one would
+    cost an is_symplectic per matrix per transport."""
     space = d.space
     checked = checked_matrix(space.g, space.m, tuple(map(tuple, F)))
     if checked.inverse is None:
@@ -652,8 +665,7 @@ def sp_action(F, d):
     fields = {"vertex_groups": tuple(vg.apply(F) for vg in d.vertex_groups),
               "edge_groups": tuple(eg.apply(F) for eg in d.edge_groups)}
     if isinstance(d, FramedDecomposition):
-        fields["frames"] = tuple(space.sign_normal(vec_mat(f, F))
-                                 for f in d.frames)
+        fields["frames"] = tuple(map(checked.frame_image, d.frames))
     if isinstance(d, EquivariantDecomposition):
         fields["matrices"] = tuple(
             space.mat_mul(space.mat_mul(checked.inverse, M), F)

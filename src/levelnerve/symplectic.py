@@ -53,15 +53,19 @@ memoized record (CheckedMatrix) of its reduced rows, its inverse when it
 is symplectic and, at m = 2, its packed rows.  The record answers the
 questions an action check asks of a matrix, whether it maps one subgroup
 onto another and the key of a frame's image, on the packed rows at
-m = 2; matrices_compose checks a table of products on the same rows.
-Other modules read the record and neither check, invert nor pack a
-matrix themselves.
+m = 2, and keeps the sign-normal frame images that transport stores
+(frame_image); matrices_compose checks a table of products on the same
+rows.  Other modules read the record and neither check, invert nor pack
+a matrix themselves.
+
+A subgroup is built once per space and generator rows: SympSpace.subgroup
+interns its results, and SympSubgroup.apply its images, on the space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
@@ -340,6 +344,8 @@ class SympSpace:
         self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
         # SympSubgroup.apply images, by (matrix, lattice)
         self._images = {}
+        # subgroup() results, by generator rows
+        self._subgroups = {}
 
     # -- vectors
 
@@ -454,7 +460,20 @@ class SympSpace:
         return frozenset(res.elements)
 
     def subgroup(self, gens):
-        return SympSubgroup(self, gens)
+        """The SympSubgroup generated by gens, interned on the space: equal
+        generator rows, as lists or tuples, give one shared instance.  The
+        rows are read once into the key and construction gets that key, so
+        a one-shot iterable is not consumed twice.  Unhashable rows are
+        constructed directly, and a construction that raises stores
+        nothing."""
+        rows = tuple(map(tuple, gens))
+        try:
+            sub = self._subgroups.get(rows)
+        except TypeError:  # an entry that is itself a list
+            return SympSubgroup(self, rows)
+        if sub is None:
+            sub = self._subgroups[rows] = SympSubgroup(self, rows)
+        return sub
 
     def row_kernel(self, mat):
         """Generators of {x : x * mat = 0 mod m} for a matrix with r rows:
@@ -509,9 +528,10 @@ class SympSubgroup:
     (pivot bit, row mask) pairs with bit k for coordinate k: f2_rows and
     contains_f2 decide membership with one XOR per pivot.
 
-    apply returns instances shared through the space, so a subgroup is a
-    value: nothing may change it after construction except its lazy
-    caches (canonical generators, pivots, packed rows, radical, solver)."""
+    SympSpace.subgroup and apply return instances shared through the
+    space, so a subgroup is a value: nothing may change it after
+    construction except its lazy caches (canonical generators, pivots,
+    packed rows, radical, solver)."""
 
     def __init__(self, space: SympSpace, gens):
         self.space = space
@@ -758,12 +778,21 @@ class CheckedMatrix:
     whether F maps one subgroup onto another (maps_onto), and the key of
     a frame's image.  A frame is compared by its key (frame_key): the
     packed int at m = 2, the sign normal otherwise; image_key maps the
-    key of a frame to the key of its image under F."""
+    key of a frame to the key of its image under F.
+
+    frame_image gives the sign-normal image of a frame itself, as
+    transport stores it, and keeps each one in a memo on the record, so
+    a frame is moved by F once however many values carry it; away from
+    m = 2 a frame's key is its sign normal, and image_key reads the same
+    memo."""
 
     m: int
     rows: tuple
     inverse: tuple
     packed: tuple
+    # frame_image results, by frame
+    _frames: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def frame_key(self, vec):
         if self.packed is not None:
@@ -773,7 +802,15 @@ class CheckedMatrix:
     def image_key(self, key):
         if self.packed is not None:
             return f2_image(key, self.packed)
-        return _sign_normal(vec_mat(key, self.rows), self.m)
+        return self.frame_image(key)
+
+    def frame_image(self, f):
+        """The lesser of f*F and -f*F, reduced mod m, memoized by f."""
+        img = self._frames.get(f)
+        if img is None:
+            img = self._frames[f] = _sign_normal(vec_mat(f, self.rows),
+                                                 self.m)
+        return img
 
     def maps_onto(self, A: SympSubgroup, B: SympSubgroup) -> bool:
         """Whether A * F = B, decided by memberships instead of a fresh

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from levelnerve.catalog import catalog_coverage
+from levelnerve.catalog import catalog_coverage, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _types, build_abelian_nerve,
                                   build_image_complex, cross_validate)
 from levelnerve.covers import homology_cover, identity_cover
@@ -223,6 +223,41 @@ def test_nerve_constructs_a_decomposition_only_per_induction(monkeypatch):
     build_abelian_nerve(2, 0, 3)
     # 5 451 constructions when every transport ran the constructor
     assert 0 < calls["init"] <= calls["induced"]
+
+
+def test_nerve_canonical_forms_only_at_type_starts(monkeypatch):
+    calls = Counter()
+    form = decomp.canonical_form
+
+    def counted(d):
+        calls["form"] += 1
+        return form(d)
+
+    monkeypatch.setattr(complexes, "canonical_form", counted)
+    monkeypatch.setattr(decomp, "canonical_form", counted)
+    build_abelian_nerve(2, 0, 3)
+    # each type of k + 1 >= 2 curves encodes its k + 1 vertex and k + 1
+    # face shadows, and the orbits are keyed by canonical_serial; 5 451
+    # calls when every orbit step encoded its element
+    starts = sum(2 * len(mc.words) for mc in multicurve_catalog(2, 0)
+                 if len(mc.words) > 1)
+    assert calls["form"] == starts == 20
+
+
+def test_cross_validate_builds_each_subgroup_once(monkeypatch):
+    X = build_abelian_nerve(2, 0, 3)
+    calls = Counter()
+    init = SympSubgroup.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SympSubgroup, "__init__", counted_init)
+    assert cross_validate(X)["ok"]
+    # 7 062 constructions when SympSpace.subgroup built every span and
+    # frame subgroup afresh; 1 049 once equal generator rows share one
+    assert 0 < calls["init"] <= 1_100
 
 
 @pytest.mark.parametrize("sig", [(1, 2, 3), (2, 0, 3)], ids=str)

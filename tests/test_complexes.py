@@ -17,10 +17,14 @@ from levelnerve.complexes import (FinSimpSet, _assemble, _boundary_matrix,
                                   _finite_quotient, _orbit_types, _tietze,
                                   _types, build_abelian_nerve, cross_validate,
                                   delete_curves, homology, pi1_report)
-from levelnerve.decomp import (FramedDecomposition, induced_from_multicurve,
-                               validate)
+from levelnerve.covers import homology_cover, mcg_action_on_cover
+from levelnerve.decomp import (FramedDecomposition, canonical_form,
+                               canonical_serial, induced_from_lift,
+                               induced_from_multicurve, sp_action, validate)
 from levelnerve.errors import InvalidInputError, LevelNerveError
-from levelnerve.symplectic import SympSpace, snf_diagonal, sp_group
+from levelnerve.surface import twist_automorphisms
+from levelnerve.symplectic import (SympSpace, orbit_enumerate, snf_diagonal,
+                                   sp_group)
 
 
 def complex_from_facets(facets):
@@ -233,3 +237,37 @@ def test_assembly_names_a_face_missing_from_the_rank_below():
                        match=r"face of a type .* is missing from rank 1"):
         _assemble([p for p in per_type if p is not drop], {},
                   lambda td, x, F: x)
+
+
+def _type_seed(case):
+    """The seed and generators of the largest type of a (2,0,2) nerve or
+    of the homology_cover(1,1,2) image complex, as the builders orbit
+    them."""
+    if case == "nerve-2-0-2":
+        sp = SympSpace(2, 2)
+        mc = max(multicurve_catalog(2, 0), key=lambda mc: len(mc.words))
+        return induced_from_multicurve(2, 0, 2, mc, sp), sp_group(sp)
+    spec = homology_cover(1, 1, 2)
+    gens = list(dict.fromkeys(mcg_action_on_cover(spec, t, 2)
+                              for t in twist_automorphisms(1, 1)))
+    mc = max(multicurve_catalog(1, 1), key=lambda mc: len(mc.words))
+    return induced_from_lift(spec, mc, 2).framed(), gens
+
+
+@pytest.mark.parametrize("case", ["nerve-2-0-2", "image-homology-1-1-2"])
+def test_orbit_keyed_by_serial_matches_orbit_keyed_by_form(case):
+    seed, gens = _type_seed(case)
+    by_serial = orbit_enumerate(seed, gens, sp_action, key=canonical_serial)
+    by_form = orbit_enumerate(seed, gens, sp_action, key=canonical_form)
+    assert len(by_serial.keys) > 1
+    encoded = [repr(k).encode() for k in by_serial.keys]
+    assert set(encoded) == set(by_form.keys)
+    assert len(set(encoded)) == len(encoded)
+    at = {k: i for i, k in enumerate(by_form.keys)}
+    to_form = [at[e] for e in encoded]
+    # the two Schreier graphs agree under the map, and so do the words
+    for i, j in enumerate(to_form):
+        assert by_form.moves[j] == tuple(to_form[t]
+                                         for t in by_serial.moves[i])
+        assert by_form.words[j] == by_serial.words[i]
+        assert canonical_form(by_serial.elements[i]) == encoded[i]

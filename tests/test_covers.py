@@ -728,6 +728,24 @@ def test_data_u1_consistency(cover11):
         cover_spec_from_data(data)
 
 
+@pytest.mark.parametrize("order", ["abc", -3, 0, True, 2.5], ids=repr)
+def test_data_declared_order_must_be_a_positive_int(order):
+    data = cover_spec_to_data(abelian_cover(1, 1, (2, 2), [(1, 0), (1, 0)],
+                                            declared_order=4))
+    data["group"]["order"] = order
+    with pytest.raises(InvalidInputError):
+        cover_spec_from_data(data)
+
+
+def test_data_declared_order_round_trips():
+    spec = abelian_cover(1, 1, (2, 2), [(1, 0), (1, 0)], declared_order=4)
+    data = cover_spec_to_data(spec)
+    assert data["group"]["order"] == 4
+    back = cover_spec_from_data(data)
+    assert back.declared_order == 4 and back.proper_image
+    assert cover_spec_to_data(back) == data
+
+
 def test_data_missing_letters():
     data = cover_spec_to_data(identity_cover(2, 0))
     del data["images"]["b2"]

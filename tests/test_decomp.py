@@ -18,7 +18,8 @@ from hypothesis import example, given, strategies as st
 
 from levelnerve.errors import (InvalidInputError, ResourceLimitError,
                                UnsupportedError)
-from levelnerve.symplectic import SympSpace, SympSubgroup
+from levelnerve.symplectic import (SympSpace, SympSubgroup, checked_matrix,
+                                   sp_group, vec_mat)
 from levelnerve.covers import (abelian_cover, homology_cover, identity_cover,
                                perm_cover)
 from levelnerve.catalog import multicurve_catalog
@@ -659,6 +660,35 @@ def test_sp_action_functorial():
     lhs = sp_action(F, sp_action(G, d))
     rhs = sp_action(sp.mat_mul(G, F), d)
     assert canonical_form(lhs) == canonical_form(rhs)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 0])
+def test_sp_action_frames_match_a_fresh_sign_normal(m):
+    """The frames sp_action reads through the checked record's memo equal
+    sign_normal(f * F), computed here, for frames given unreduced and
+    negated, over Z/m and over Z."""
+    sp = SympSpace(2, m)
+    gens = sp_group(sp)
+    raw = [(1 + m, 0, -1, 0), (0, -1, 0, 0), (-(2 + m), 1, 0, 3 * m + 1)]
+    raw += [tuple(-a for a in f) for f in raw]
+    d = FramedDecomposition(sp, [[A1, B1, A2, B2]], [[f] for f in raw],
+                            [(0, 0)] * len(raw), raw)
+    mats = [gens[0], sp.mat_mul(gens[1], gens[2]),
+            sp.mat_mul(sp.mat_mul(gens[3], gens[4]), gens[0])]
+    for F in mats:
+        rec = checked_matrix(sp.g, m, F)
+        for f in raw:
+            want = sp.sign_normal(vec_mat(f, F))
+            assert rec.frame_image(f) == want
+            assert rec.frame_image(tuple(-a for a in f)) == want
+        for _ in range(2):  # the second transport reads the memo
+            dF = sp_action(F, d)
+            assert dF.frames == tuple(sp.sign_normal(vec_mat(f, F))
+                                      for f in d.frames)
+        # and onward from an image, as an orbit walk transports
+        for G in mats:
+            assert sp_action(G, dF).frames == tuple(
+                sp.sign_normal(vec_mat(f, G)) for f in dF.frames)
 
 
 def test_sp_action_rejects_non_symplectic():

@@ -11,6 +11,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 from levelnerve.errors import InvalidInputError, ResourceLimitError
 from levelnerve.symplectic import (
     SympSpace,
+    SympSubgroup,
     checked_matrix,
     hnf,
     int_row_kernel,
@@ -457,13 +458,77 @@ def test_apply_shares_images_equal_to_fresh_ones(g, m, data):
     F = drawn_sp_matrix(sp, data)
     for sub in [drawn_subgroup(sp, data) for _ in range(3)]:
         img = sub.apply(F)
-        fresh = sp.subgroup([vec_mat(v, F) for v in sub.canonical_gens()])
+        # built apart from the space's tables, so that it checks them
+        fresh = SympSubgroup(sp, [vec_mat(v, F) for v in sub.canonical_gens()])
         assert img.key() == fresh.key()
         assert sub.apply(F) is img
         # an equal subgroup built apart, or F with list rows, reach the
         # same instance
         assert sp.subgroup(sub.canonical_gens()).apply(F) is img
         assert sub.apply([list(row) for row in F]) is img
+
+
+@given(st.integers(1, 2), moduli, st.data())
+def test_subgroup_interns_equal_generator_rows(g, m, data):
+    sp = SympSpace(g, m)
+    vec = st.lists(st.integers(-5, 5), min_size=sp.dim, max_size=sp.dim)
+    rows = data.draw(st.lists(vec, max_size=sp.dim + 1))
+    sub = sp.subgroup(rows)
+    assert sub.key() == SympSubgroup(sp, rows).key()
+    # lists or tuples, a fresh list or a one-shot generator: one instance
+    assert sp.subgroup([list(r) for r in rows]) is sub
+    assert sp.subgroup(tuple(map(tuple, rows))) is sub
+    assert sp.subgroup(r for r in rows) is sub
+    # a generator expression met first is read once, not consumed twice
+    other = SympSpace(g, m)
+    first = other.subgroup(tuple(r) for r in rows)
+    assert first.key() == sub.key()
+    assert other.subgroup(rows) is first
+
+
+def test_subgroup_interning_is_per_space():
+    a, b = SympSpace(1, 3), SympSpace(1, 3)
+    sa, sb = a.subgroup([(1, 2)]), b.subgroup([(1, 2)])
+    assert sa is not sb and sa == sb
+    assert sa.space is a and sb.space is b
+
+
+def test_subgroup_refused_rows_leave_no_entry():
+    sp = SympSpace(2, 3)
+    sp.subgroup([(1, 0, 0, 0)])
+    before = dict(sp._subgroups)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            sp.subgroup([(1, 0, 0)])
+        with pytest.raises(InvalidInputError):
+            sp.subgroup(iter([(1, 0, 0, 0), (1, 2)]))
+    assert sp._subgroups == before
+
+
+def test_subgroup_with_unhashable_entries_is_built_directly():
+    sp = SympSpace(1, 0)
+
+    class Entry(int):
+        __hash__ = None
+
+    sub = sp.subgroup([(Entry(2), Entry(4))])
+    assert sub.key() == sp.subgroup([(2, 4)]).key()
+    assert sp.subgroup([(Entry(2), Entry(4))]) is not sub
+    assert all(type(a) is int for row in sub.lattice for a in row)
+
+
+def test_apply_images_are_still_shared_through_the_space():
+    sp = SympSpace(2, 3)
+    F = sp_group(sp)[2]
+    sub = sp.subgroup([(1, 0, 0, 0), (0, 0, 1, 2)])
+    img = sub.apply(F)
+    assert sub.apply(F) is img
+    # an equal subgroup from other rows reaches the same image
+    same = sp.subgroup([(1, 0, 0, 0), (1, 0, 1, 2)])
+    assert same is not sub and same == sub
+    assert same.apply(F) is img
+    # and the image is the instance its own rows intern to
+    assert sp.subgroup([vec_mat(v, F) for v in sub.canonical_gens()]) is img
 
 
 @given(st.integers(1, 2), moduli, st.data())
@@ -477,8 +542,8 @@ def test_cached_radical_and_solver_equal_fresh_ones(g, m, data):
         gens = s.canonical_gens()
         rad = s.radical()
         assert s.radical() is rad
-        assert rad.key() == sp.subgroup(
-            [vec_mat(k, gens) for k in sp.row_kernel(s.gram())]).key()
+        assert rad.key() == SympSubgroup(
+            sp, [vec_mat(k, gens) for k in sp.row_kernel(s.gram())]).key()
         solve = s.solver()
         assert s.solver() is solve
         fresh = sp.solver(gens, sp.dim)
