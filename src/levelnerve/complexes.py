@@ -322,13 +322,30 @@ def _orbit_types(space, types, gens, cap):
     the product of the generators along its breadth-first tree word.  The
     orbit is keyed by canonical_serial, so no element it reaches pays for
     the bytes of its canonical form; _assemble makes those for the stored
-    elements alone."""
+    elements alone.
+
+    Within a type, canonical_serial runs once per distinct payload, the
+    groups and frames an element carries: sp_action keeps the type's
+    graph, marks and kind, so elements with equal payloads are equal
+    values, and the interned groups make the payload cheap to hash."""
     per_type = []
     built = []
     for td in types:
+        # canonical_serial, by payload.  A field that sp_action changes and
+        # that enters canonical_serial must join this key.
+        serials = {}
+
+        def key(d):
+            payload = (d.vertex_groups, d.edge_groups,
+                       getattr(d, "frames", None))
+            s = serials.get(payload)
+            if s is None:
+                s = serials[payload] = canonical_serial(d)
+            return s
+
         try:
-            res = orbit_enumerate(td.shadow, gens, sp_action,
-                                  key=canonical_serial, cap=cap)
+            res = orbit_enumerate(td.shadow, gens, sp_action, key=key,
+                                  cap=cap)
         except ResourceLimitError as exc:
             done = ", ".join(f"{k}={c}" for k, c in built) or "none"
             raise ResourceLimitError(

@@ -47,13 +47,19 @@ quotient by the radical is free, and the form is then perfect on it,
 since it embeds the quotient into its own dual, which has no more
 elements; over Z they say that the form on the quotient is unimodular.
 
-Every lattice question of validate and leq (kernels, coordinates, free
-quotients, the divisor test) is asked of SympSpace and SympSubgroup, and
-the symplectic module alone chooses how to answer it.  Matrices are read
-through their symplectic.checked_matrix records: whether a matrix is
-symplectic, its inverse, its reduced rows, whether it maps a subgroup
-onto another, the key of a frame's image and the image itself.  This
-module never packs a row and keeps no matrix memo of its own.
+Condition i is decided in closed form too: the group glued from the
+vertex groups maps onto its image in H, so it embeds exactly when its
+invariant factors, read off the relations of the gluing, are those of
+the image (see _pushout_report).
+
+Every lattice question of validate and leq (coordinates, cokernel
+invariants, free quotients, the divisor test) is asked of SympSpace and
+SympSubgroup, and the symplectic module alone chooses how to answer it.
+Matrices are read through their symplectic.checked_matrix records:
+whether a matrix is symplectic, its inverse, its reduced rows, whether it
+maps a subgroup onto another, the key of a frame's image and the image
+itself.  This module never packs a row and keeps no matrix memo of its
+own.
 
 Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
@@ -287,15 +293,17 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
     the edge is skipped and the containment failure is left to the local
     conditions.  Returns (defined, injective, image subgroup).
 
-    The relations always lie in the kernel of the map to H, so the map is
-    injective exactly when every generator of that kernel lies in the
-    span of the relations."""
+    The relations lie in the kernel of the map to H, so the glued group
+    P = (Z/m)^total / <rel> (Z^total over Z) maps onto the image, and the
+    map is injective exactly when P and the image have the same invariant
+    factors: equal orders over Z/m, and over Z a torsion-free P of the
+    image's rank.  The invariants of P are SympSpace.cokernel_invariants
+    of the relations."""
     gens = [vg.canonical_gens() for vg in vgroups]
     offs = [0]
     for gg in gens:
         offs.append(offs[-1] + len(gg))
     total = offs[-1]
-    amb = [list(v) for gg in gens for v in gg]
     rel = []
     for v, vg in enumerate(vgroups):
         for t in vg.relations():
@@ -317,11 +325,8 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             r[offs[u]:offs[u + 1]] = cu
             r[offs[v]:offs[v + 1]] = [-a for a in cv]
             rel.append(r)
-    if total == 0:
-        return (True, True, space.subgroup([]))
-    image = space.subgroup([space.reduce(row) for row in amb])
-    in_rel = space.solver(rel, total)
-    injective = all(in_rel(x) is not None for x in space.row_kernel(amb))
+    image = space.subgroup([v for gg in gens for v in gg])
+    injective = space.cokernel_invariants(rel, total) == image.invariants
     return (True, injective, image)
 
 

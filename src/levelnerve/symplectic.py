@@ -26,10 +26,10 @@ free, so no Smith form is needed there.
 
 Only this module chooses between the two.  Other modules ask their
 lattice questions of SympSpace and SympSubgroup (row_kernel, solver,
-relations, quotient_rank, corank, splits_off_radical); at prime m these
-read kernels, coordinates and ranks off echelon forms over F_p and
-compute no integer Hermite or Smith form, and otherwise they run the
-integer routines.  SympSpace.solver is the one coordinate routine: it
+cokernel_invariants, relations, quotient_rank, corank,
+splits_off_radical); at prime m these read kernels, coordinates and
+ranks off echelon forms over F_p and compute no integer Hermite or Smith
+form, and otherwise they run the integer routines.  SympSpace.solver is the one coordinate routine: it
 writes x as c * rows mod m, or reports that x is outside the span of the
 rows.  At prime m the nonzero echelon rows h of rref_transform are 1 at
 their own pivot and 0 at the others, so a member x of their span is the
@@ -58,8 +58,11 @@ m = 2, and keeps the sign-normal frame images that transport stores
 rows.  Other modules read the record and neither check, invert nor pack
 a matrix themselves.
 
-A subgroup is built once per space and generator rows: SympSpace.subgroup
-interns its results, and SympSubgroup.apply its images, on the space.
+A subgroup exists once per space and lattice: SympSpace.subgroup
+echelonizes each generator row list once and returns the space's one
+instance for the lattice it spans, so its lazy caches (canonical
+generators, solver, radical) are computed once per lattice.
+SympSubgroup.apply keeps its images on that instance, by matrix.
 """
 
 from __future__ import annotations
@@ -342,10 +345,10 @@ class SympSpace:
         self.J = J
         # J[k][k ^ 1] = _sign[k]: +1 on a_i, -1 on b_i; all else is zero
         self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
-        # SympSubgroup.apply images, by (matrix, lattice)
-        self._images = {}
         # subgroup() results, by generator rows
         self._subgroups = {}
+        # the one instance of each lattice that subgroup() returns
+        self._lattices = {}
 
     # -- vectors
 
@@ -460,19 +463,24 @@ class SympSpace:
         return frozenset(res.elements)
 
     def subgroup(self, gens):
-        """The SympSubgroup generated by gens, interned on the space: equal
-        generator rows, as lists or tuples, give one shared instance.  The
-        rows are read once into the key and construction gets that key, so
-        a one-shot iterable is not consumed twice.  Unhashable rows are
-        constructed directly, and a construction that raises stores
-        nothing."""
+        """The SympSubgroup generated by gens, interned on the space: one
+        instance per lattice.  Each generator row list, as lists or tuples,
+        is echelonized once; its first construction is looked up by its
+        lattice, and the space's instance for that lattice is kept under
+        the rows too, so equal lattices reached from different rows are one
+        instance.  The rows are read once into the key and construction
+        gets that key, so a one-shot iterable is not consumed twice.
+        Unhashable rows are constructed directly, and a construction that
+        raises stores nothing."""
         rows = tuple(map(tuple, gens))
         try:
             sub = self._subgroups.get(rows)
         except TypeError:  # an entry that is itself a list
             return SympSubgroup(self, rows)
         if sub is None:
-            sub = self._subgroups[rows] = SympSubgroup(self, rows)
+            sub = SympSubgroup(self, rows)
+            sub = self._subgroups[rows] = self._lattices.setdefault(
+                sub.lattice, sub)
         return sub
 
     def row_kernel(self, mat):
@@ -482,6 +490,23 @@ class SympSpace:
         if self.prime:
             return [t for h, t in rref_transform(mat, self.m) if not any(h)]
         return mod_row_kernel(mat, self.m)
+
+    def cokernel_invariants(self, rows, width):
+        """The invariant factors of (Z/m)^width / span(rows), ascending in
+        divisibility like SympSubgroup.invariants, with one 0 per free
+        rank over Z: (m,) * (width - rank) at prime m, with the rank of the
+        echelon form over F_m; the divisors > 1 of the Smith diagonal of
+        the rows and the m*e_j at composite m; over Z, the torsion divisors
+        of the rows followed by the zeros."""
+        m = self.m
+        if self.prime:
+            return (m,) * (width - len(_rref_mod_p(rows, m, width)))
+        mat = [list(r) for r in rows]
+        if m:
+            mat += [[m if t == j else 0 for t in range(width)]
+                    for j in range(width)]
+        divs = [d for d in snf_diagonal(mat) if d]
+        return tuple(d for d in divs if d > 1) + (0,) * (width - len(divs))
 
     def solver(self, rows, width):
         """x -> a tuple c with c * rows = x mod m, or None when x is outside
@@ -528,10 +553,12 @@ class SympSubgroup:
     (pivot bit, row mask) pairs with bit k for coordinate k: f2_rows and
     contains_f2 decide membership with one XOR per pivot.
 
-    SympSpace.subgroup and apply return instances shared through the
-    space, so a subgroup is a value: nothing may change it after
-    construction except its lazy caches (canonical generators, pivots,
-    packed rows, radical, solver)."""
+    SympSpace.subgroup returns the space's one instance per lattice, and
+    apply returns such instances, so a subgroup is a value: nothing may
+    change it after construction except its lazy caches (canonical
+    generators, pivots, packed rows, radical, solver, hash, images).  The
+    lattice determines every one of them, so the instances that share a
+    lattice may share them too."""
 
     def __init__(self, space: SympSpace, gens):
         self.space = space
@@ -548,6 +575,9 @@ class SympSubgroup:
         self._f2 = None
         self._radical = None
         self._solver = None
+        self._hash = None
+        # apply() images, by matrix
+        self._images = {}
         if space.prime:
             basis = _rref_mod_p(rows, m, n)
             lattice = list(space._m_rows)
@@ -582,13 +612,17 @@ class SympSubgroup:
         return self.lattice
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, SympSubgroup)
                 and self.space.g == other.space.g
                 and self.space.m == other.space.m
                 and self.key() == other.key())
 
     def __hash__(self):
-        return hash((self.space.g, self.space.m, self.key()))
+        if self._hash is None:
+            self._hash = hash((self.space.g, self.space.m, self.lattice))
+        return self._hash
 
     def canonical_gens(self):
         """Generators read off the lattice Hermite form (lattice rows that
@@ -748,16 +782,16 @@ class SympSubgroup:
 
     def apply(self, F):
         """Image subgroup under x -> x*F; the images go in unreduced,
-        since construction reduces them.  The image is memoized on the
-        space by the values of F and the lattice, so equal subgroups moved
-        by equal matrices share one instance."""
-        key = (F, self.lattice)
+        since construction reduces them.  The image is the space's
+        instance for its lattice, memoized on this instance by the value
+        of F: the space holds one instance per lattice, so equal subgroups
+        moved by equal matrices share one image."""
         try:
-            img = self.space._images.get(key)
+            img = self._images.get(F)
         except TypeError:  # F given with list rows
             return self.apply(tuple(map(tuple, F)))
         if img is None:
-            img = self.space._images[key] = self.space.subgroup(
+            img = self._images[F] = self.space.subgroup(
                 [vec_mat(v, F) for v in self.canonical_gens()])
         return img
 

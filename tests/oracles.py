@@ -6,7 +6,10 @@ stable graph, encoded_key encodes the vertices and edges of a stable graph
 under every class-respecting relabeling and keeps the least,
 stable_graphs_by_filter enumerates stable graphs by building every single
 degeneration, keeping the stable ones and keying them by encoded_key, the
-module-map report reads the gluing condition off a plain Smith form, the
+module-map report reads the gluing condition off a plain Smith form,
+pushout_report_by_kernel decides that the glued vertex groups embed by
+solving every generator of the kernel of the map to H over the gluing
+relations, the
 catalog lookup finds a representative by its dual graph, laminar_families
 is the catalog's diagram search without pruning at rejected families, snf
 computes the Smith form with both transforms,
@@ -178,6 +181,46 @@ def module_map_report(rows, n, m):
         coker_rank = sum(1 for d in divs if d == m) if coker_free else None
     return {"injective": injective, "coker_free": coker_free,
             "coker_rank": coker_rank}
+
+
+def pushout_report_by_kernel(space, vgroups, edges, egroups, strict=False):
+    """decomp._pushout_report with injectivity read off kernels: the
+    relations of the gluing lie in the kernel of the map to H, so the map
+    is injective exactly when every generator of that kernel lies in their
+    span.  Returns (defined, injective, image subgroup)."""
+    gens = [vg.canonical_gens() for vg in vgroups]
+    offs = [0]
+    for gg in gens:
+        offs.append(offs[-1] + len(gg))
+    total = offs[-1]
+    amb = [list(v) for gg in gens for v in gg]
+    rel = []
+    for v, vg in enumerate(vgroups):
+        for t in vg.relations():
+            r = [0] * total
+            r[offs[v]:offs[v + 1]] = t
+            rel.append(r)
+    coords = [vg.solver() for vg in vgroups]
+    for e, (u, v) in enumerate(edges):
+        for x in egroups[e].canonical_gens():
+            cu = coords[u](x)
+            cv = coords[v](x)
+            if cu is None or cv is None:
+                if strict:
+                    return (False, False, None)
+                continue
+            if u == v:
+                continue
+            r = [0] * total
+            r[offs[u]:offs[u + 1]] = cu
+            r[offs[v]:offs[v + 1]] = [-a for a in cv]
+            rel.append(r)
+    if total == 0:
+        return (True, True, space.subgroup([]))
+    image = space.subgroup([space.reduce(row) for row in amb])
+    in_rel = space.solver(rel, total)
+    injective = all(in_rel(x) is not None for x in space.row_kernel(amb))
+    return (True, injective, image)
 
 
 def standard_multicurve(t):

@@ -2,6 +2,7 @@
 serialization round trip, face tables against a transport oracle with
 pinned serializations, and an early refusal of incomplete catalogs."""
 
+import gc
 import hashlib
 import json
 from collections import Counter
@@ -242,6 +243,33 @@ def test_nerve_canonical_forms_only_at_type_starts(monkeypatch):
     starts = sum(2 * len(mc.words) for mc in multicurve_catalog(2, 0)
                  if len(mc.words) > 1)
     assert calls["form"] == starts == 20
+
+
+def test_nerve_keys_each_distinct_payload_once(monkeypatch):
+    calls = Counter()
+    serial = decomp.canonical_serial
+
+    def counted(d):
+        calls["serial"] += 1
+        return serial(d)
+
+    monkeypatch.setattr(complexes, "canonical_serial", counted)
+    monkeypatch.setattr(decomp, "canonical_serial", counted)
+    build_abelian_nerve(2, 0, 3)
+    # 5 451 calls when every orbit step keyed its element; 1 682 once each
+    # type keys each distinct payload of groups and frames once
+    assert 0 < calls["serial"] <= 1_700
+
+
+def test_nerve_space_holds_one_instance_per_lattice():
+    X = build_abelian_nerve(2, 0, 3)
+    space = X.decomps[0][0].space
+    gc.collect()
+    live = [obj for obj in gc.get_objects()
+            if isinstance(obj, SympSubgroup) and obj.space is space]
+    # 991 live instances for 212 distinct lattices when the space kept one
+    # instance per generator row list
+    assert len(live) == len({sub.lattice for sub in live}) == 212
 
 
 def test_cross_validate_builds_each_subgroup_once(monkeypatch):

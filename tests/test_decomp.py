@@ -14,7 +14,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from levelnerve.errors import (InvalidInputError, ResourceLimitError,
                                UnsupportedError)
@@ -33,8 +33,9 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
 from oracles import (action_natural_every_element, equivalent, maps_onto,
-                     module_map_report, quotient_profile,
-                     signed_schreier_vertex_group, transport_mismatches)
+                     module_map_report, pushout_report_by_kernel,
+                     quotient_profile, signed_schreier_vertex_group,
+                     transport_mismatches)
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -217,6 +218,36 @@ def test_gluing_must_be_injective(m):
     for vgroups, egroups, want in cases:
         d = GraphDecomposition(sp, vgroups, egroups, [(0, 1)])
         assert validate(d, ("i",)) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([0, 2, 3, 4, 6, 8, 9, 12]), st.integers(1, 2),
+       st.booleans(), st.data())
+def test_pushout_report_matches_kernel_oracle(m, g, strict, data):
+    # condition i by invariant factors against the kernel route; an edge
+    # group lies in both ends, in one end, or in neither
+    sp = SympSpace(g, m)
+    vec = st.lists(st.integers(-6, 6), min_size=sp.dim, max_size=sp.dim)
+    V = data.draw(st.integers(1, 3))
+    vgroups = [sp.subgroup(data.draw(st.lists(vec, max_size=sp.dim)))
+               for _ in range(V)]
+    edges = data.draw(st.lists(st.tuples(st.integers(0, V - 1),
+                                         st.integers(0, V - 1)),
+                               max_size=3))
+    egroups = []
+    for u, v in edges:
+        inside = data.draw(st.sampled_from(
+            [vgroups[u].intersection(vgroups[v]), vgroups[u], None]))
+        if inside is None:
+            egroups.append(sp.subgroup([data.draw(vec)]))
+            continue
+        gens = inside.canonical_gens()
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                    max_size=len(gens)))
+        egroups.append(sp.subgroup([vec_mat(coeffs, gens)] if gens else []))
+    got = decomp._pushout_report(sp, vgroups, edges, egroups, strict)
+    assert got == pushout_report_by_kernel(sp, vgroups, edges, egroups,
+                                           strict)
 
 
 def test_vertex_groups_must_be_orthogonal():

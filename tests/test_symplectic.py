@@ -486,6 +486,35 @@ def test_subgroup_interns_equal_generator_rows(g, m, data):
     assert other.subgroup(rows) is first
 
 
+@given(st.integers(1, 2), moduli, st.data())
+def test_equal_lattices_share_one_instance(g, m, data):
+    sp = SympSpace(g, m)
+    vec = st.lists(st.integers(-5, 5), min_size=sp.dim, max_size=sp.dim)
+    rows = data.draw(st.lists(vec, max_size=sp.dim + 1))
+    sub = sp.subgroup(rows)
+    gens = sub.canonical_gens()
+    # other rows of the same span: the canonical generators, reversed,
+    # with a combination of them and a multiple of m e_1 appended
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                max_size=len(gens)))
+    other = gens[::-1] + [vec_mat(coeffs, gens) if gens else sp.zero(),
+                          (m,) + (0,) * (sp.dim - 1)]
+    same = sp.subgroup(other)
+    assert same is sub and same == sub and hash(same) == hash(sub)
+    assert sp.subgroup(other) is sub
+    # the shared lazy results are those of an instance built apart
+    fresh = SympSubgroup(sp, other)
+    assert fresh == sub and fresh is not sub and hash(fresh) == hash(sub)
+    assert same.canonical_gens() == fresh.canonical_gens()
+    assert same.radical().key() == fresh.radical().key()
+    assert same.relations() == fresh.relations()
+    assert same.invariants == fresh.invariants
+    x = tuple(data.draw(vec))
+    for y in (x, vec_mat(coeffs, gens) if gens else sp.zero()):
+        assert same.solver()(y) == fresh.solver()(y)
+        assert same.contains(y) == fresh.contains(y)
+
+
 def test_subgroup_interning_is_per_space():
     a, b = SympSpace(1, 3), SympSpace(1, 3)
     sa, sb = a.subgroup([(1, 2)]), b.subgroup([(1, 2)])
@@ -496,13 +525,13 @@ def test_subgroup_interning_is_per_space():
 def test_subgroup_refused_rows_leave_no_entry():
     sp = SympSpace(2, 3)
     sp.subgroup([(1, 0, 0, 0)])
-    before = dict(sp._subgroups)
+    before = dict(sp._subgroups), dict(sp._lattices)
     for _ in range(2):
         with pytest.raises(InvalidInputError):
             sp.subgroup([(1, 0, 0)])
         with pytest.raises(InvalidInputError):
             sp.subgroup(iter([(1, 0, 0, 0), (1, 2)]))
-    assert sp._subgroups == before
+    assert (sp._subgroups, sp._lattices) == before
 
 
 def test_subgroup_with_unhashable_entries_is_built_directly():
@@ -523,9 +552,10 @@ def test_apply_images_are_still_shared_through_the_space():
     sub = sp.subgroup([(1, 0, 0, 0), (0, 0, 1, 2)])
     img = sub.apply(F)
     assert sub.apply(F) is img
-    # an equal subgroup from other rows reaches the same image
+    # an equal subgroup from other rows is the same instance, and so
+    # reaches the same image
     same = sp.subgroup([(1, 0, 0, 0), (1, 0, 1, 2)])
-    assert same is not sub and same == sub
+    assert same is sub
     assert same.apply(F) is img
     # and the image is the instance its own rows intern to
     assert sp.subgroup([vec_mat(v, F) for v in sub.canonical_gens()]) is img
