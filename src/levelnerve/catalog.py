@@ -23,8 +23,14 @@ piece generators and curve words, solves a conjugator for every side loop,
 and _audit checks that folded subgroup ranks match the piece genera, that
 boundary and mark loops fold into their piece subgroups, and that the
 homology classes of the curve words reproduce the bridge/cut classification
-of the dual graph.  The same audit runs on every sub-multicurve that
-complexes.delete_curves synthesizes.
+of the dual graph.
+
+The catalog also owns sub-multicurves.  delete_curves synthesizes the
+representative left after removing curves directly: pieces on either side
+of a removed curve merge, the merged subgroup is generated by the
+constituent piece subgroups together with one crossing loop per removed
+curve, and the result passes the same _audit as every realized
+representative.
 
 The shipped range is 1 <= g <= 3, 0 <= n <= 2 (so the model never carries
 interior marked points; the surface's punctures are the one or two boundary
@@ -36,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LevelNerveError, UnsupportedError
+from .errors import InvalidInputError, LevelNerveError, UnsupportedError
 from .stablegraph import StableGraph, enumerate_stable_graphs
 from .surface import presentation
 from .words import FoldedGraph, solve_conjugator, winv, wmul
@@ -207,8 +213,7 @@ class _Realizer:
         self.g = g
         self.n = n
         self.pres = presentation(g, n)
-        self.model = self.pres.model
-        self.B = self.model.B
+        self.B = self.pres.model.B
         self._public = {}
         # raw dual graph (vertices, edges) -> canonical key, once checked
         self._keys = {}
@@ -218,9 +223,7 @@ class _Realizer:
         one signature meet a few hundred words over and over."""
         w = self._public.get(down_word)
         if w is None:
-            w = self.pres._kill_phantom(
-                self.model.to_std(self.model.rewrite(down_word)))
-            self._public[down_word] = w
+            w = self._public[down_word] = self.pres.from_model(down_word)
         return w
 
     def layout(self, family):
@@ -434,8 +437,7 @@ def _closed_u1_loop(g):
     """The u_1 boundary loop of the closed genus-g model, public letters."""
     pres = presentation(g, 0)
     down_all = tuple(range(1, pres.model.B + 1))
-    return pres._kill_phantom(
-        pres.model.to_std(pres.model.rewrite(winv(down_all))))
+    return pres.from_model(winv(down_all))
 
 
 def _audit(rep):
@@ -522,3 +524,113 @@ def catalog_coverage(g, n):
     for t in _types(g, n):
         (realized if t.key in cat else missing).append(t)
     return realized, missing
+
+
+# -- sub-multicurves
+
+
+def delete_curves(mc, drop):
+    """The multicurve representative left after removing a set of curves.
+
+    Pieces joined by a removed curve merge.  Each piece's stored words sit
+    in their own frame (the subgroup is listed up to one conjugation), so
+    the pieces of a merged component are first transported into the frame
+    of its lowest-numbered piece along a spanning tree of the removed
+    curves: crossing the annulus of a removed curve with side conjugators
+    w1, w2 composes the transport with w1 * w2^-1.  The honest crossing
+    differs from that word by a power of the curve inserted in the middle,
+    which is absorbed because the side boundary loop w1 * c^(+-1) * w1^-1
+    already lies in the subgroup.  The merged subgroup is then generated
+    by the transported constituent generators plus one connector per
+    non-tree removed curve; transported mark loops and side conjugators
+    keep every carried word in the merged frame.  Genus bookkeeping is
+    Euler characteristic addition.  Indices must be ints; a bool, a
+    float or a string is refused with InvalidInputError."""
+    E = len(mc.words)
+    drop = tuple(drop)
+    if not all(isinstance(e, int) and not isinstance(e, bool) for e in drop):
+        raise InvalidInputError("curve indices must be ints")
+    drop = frozenset(drop)
+    if not drop:
+        return mc
+    if not drop <= set(range(E)):
+        raise InvalidInputError("curve index out of range")
+    if len(drop) == E:
+        raise InvalidInputError("cannot delete every curve")
+    keep = [e for e in range(E) if e not in drop]
+    P = len(mc.pieces)
+
+    adj = [[] for _ in range(P)]
+    for e in sorted(drop):
+        s0, s1 = mc.sides[e]
+        adj[s0.piece].append((e, s1.piece, s0.conj, s1.conj))
+        adj[s1.piece].append((e, s0.piece, s1.conj, s0.conj))
+
+    x = [None] * P
+    of = [None] * P
+    tree = set()
+    roots = 0
+    for p in range(P):
+        if x[p] is not None:
+            continue
+        x[p] = ()
+        of[p] = roots
+        frontier = [p]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for (e, v, wu, wv) in adj[u]:
+                    if x[v] is None:
+                        x[v] = wmul(x[u], wu, winv(wv))
+                        of[v] = roots
+                        tree.add(e)
+                        nxt.append(v)
+            frontier = nxt
+        roots += 1
+
+    gens = [[] for _ in range(roots)]
+    marks = [[] for _ in range(roots)]
+    chi = [0] * roots
+    for p, piece in enumerate(mc.pieces):
+        c = of[p]
+        gens[c].extend(wmul(x[p], g, winv(x[p])) for g in piece.gens)
+        marks[c].extend((j, wmul(x[p], loop, winv(x[p])))
+                        for (j, loop) in piece.marks)
+        chi[c] += piece.chi_filled
+    for e in sorted(drop):
+        if e in tree:
+            continue
+        s0, s1 = mc.sides[e]
+        _check(of[s0.piece] == of[s1.piece], "removed curve joins its sides")
+        gens[of[s0.piece]].append(
+            wmul(x[s0.piece], s0.conj, winv(s1.conj), winv(x[s1.piece])))
+
+    ends = [0] * roots
+    words = []
+    sides = []
+    edges = []
+    for e in keep:
+        words.append(mc.words[e])
+        s0, s1 = mc.sides[e]
+        sides.append((Side(of[s0.piece], wmul(x[s0.piece], s0.conj),
+                           s0.sign),
+                      Side(of[s1.piece], wmul(x[s1.piece], s1.conj),
+                           s1.sign)))
+        edges.append((of[s0.piece], of[s1.piece]))
+        ends[of[s0.piece]] += 1
+        ends[of[s1.piece]] += 1
+
+    pieces = []
+    for c in range(roots):
+        mk = tuple(sorted(marks[c]))
+        h2 = 2 - chi[c] - ends[c] - len(mk)
+        _check(h2 >= 0 and h2 % 2 == 0, "merged genus bookkeeping")
+        pieces.append(Piece(h2 // 2, mk, tuple(gens[c]), chi[c]))
+
+    verts = [(p.genus, tuple(j for j, _ in p.marks)) for p in pieces]
+    graph = StableGraph(verts, edges)
+    _check(graph.genus() == mc.g and graph.is_stable(), "merged dual graph")
+    sub = MulticurveRep(mc.g, mc.n, graph, words, pieces, tuple(sides),
+                        graph.canonical_key())
+    _audit(sub)
+    return sub

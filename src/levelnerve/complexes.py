@@ -8,12 +8,10 @@ the same upstairs for an invariant cover: simplices are deck-equivariant
 decompositions of the cover, orbited under the lifted twist matrices, with
 one simplex dimension per base curve.
 
-Faces delete one curve surface-side.  The sub-multicurve representative is
-synthesized directly: pieces on either side of a removed curve merge, the
-merged subgroup is generated by the constituent piece subgroups together
-with one crossing loop per removed curve, the result passes the catalog's
-own audit, and it is pushed through the same induction that built the
-seeds, so every face is validated by the same battery as every simplex.
+Faces delete one curve surface-side: the catalog's sub-multicurve
+(catalog.delete_curves) is pushed through the same induction that built
+the seeds, so every face is validated by the same battery as every
+simplex.
 
 pi1_report and homology read the edge-path group and the integral homology
 off the face tables alone; cross_validate re-derives the complex by
@@ -25,130 +23,22 @@ from __future__ import annotations
 import itertools
 
 from . import covers
-from .catalog import (MulticurveRep, Piece, Side, _audit, catalog_coverage,
-                      multicurve_catalog)
+from .catalog import catalog_coverage, delete_curves, multicurve_catalog
 from .decomp import (FramedDecomposition, canonical_form, canonical_serial,
                      induced_from_lift, induced_from_multicurve, sp_action,
                      validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .stablegraph import StableGraph, components
+from .stablegraph import components
 from .surface import twist_automorphisms
 from .symplectic import (SympSpace, orbit_enumerate, smith_normal_form,
                          snf_diagonal, sp_group)
-from .words import cyclic_reduce, winv, wmul
+from .words import cyclic_reduce
 
 
 def _check(cond, msg):
     if not cond:
         raise LevelNerveError(f"complex assembly failed: {msg}")
-
-
-# --------------------------------------------------------------------------
-# curve deletion on multicurve representatives
-
-
-def delete_curves(mc, drop):
-    """The multicurve representative left after removing a set of curves.
-
-    Pieces joined by a removed curve merge.  Each piece's stored words sit
-    in their own frame (the subgroup is listed up to one conjugation), so
-    the pieces of a merged component are first transported into the frame
-    of its lowest-numbered piece along a spanning tree of the removed
-    curves: crossing the annulus of a removed curve with side conjugators
-    w1, w2 composes the transport with w1 * w2^-1.  The honest crossing
-    differs from that word by a power of the curve inserted in the middle,
-    which is absorbed because the side boundary loop w1 * c^(+-1) * w1^-1
-    already lies in the subgroup.  The merged subgroup is then generated
-    by the transported constituent generators plus one connector per
-    non-tree removed curve; transported mark loops and side conjugators
-    keep every carried word in the merged frame.  Genus bookkeeping is
-    Euler characteristic addition."""
-    E = len(mc.words)
-    drop = frozenset(int(e) for e in drop)
-    if not drop:
-        return mc
-    if not drop <= set(range(E)):
-        raise InvalidInputError("curve index out of range")
-    if len(drop) == E:
-        raise InvalidInputError("cannot delete every curve")
-    keep = [e for e in range(E) if e not in drop]
-    P = len(mc.pieces)
-
-    adj = [[] for _ in range(P)]
-    for e in sorted(drop):
-        s0, s1 = mc.sides[e]
-        adj[s0.piece].append((e, s1.piece, s0.conj, s1.conj))
-        adj[s1.piece].append((e, s0.piece, s1.conj, s0.conj))
-
-    x = [None] * P
-    of = [None] * P
-    tree = set()
-    roots = 0
-    for p in range(P):
-        if x[p] is not None:
-            continue
-        x[p] = ()
-        of[p] = roots
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for (e, v, wu, wv) in adj[u]:
-                    if x[v] is None:
-                        x[v] = wmul(x[u], wu, winv(wv))
-                        of[v] = roots
-                        tree.add(e)
-                        nxt.append(v)
-            frontier = nxt
-        roots += 1
-
-    gens = [[] for _ in range(roots)]
-    marks = [[] for _ in range(roots)]
-    chi = [0] * roots
-    for p, piece in enumerate(mc.pieces):
-        c = of[p]
-        gens[c].extend(wmul(x[p], g, winv(x[p])) for g in piece.gens)
-        marks[c].extend((j, wmul(x[p], loop, winv(x[p])))
-                        for (j, loop) in piece.marks)
-        chi[c] += piece.chi_filled
-    for e in sorted(drop):
-        if e in tree:
-            continue
-        s0, s1 = mc.sides[e]
-        _check(of[s0.piece] == of[s1.piece], "removed curve joins its sides")
-        gens[of[s0.piece]].append(
-            wmul(x[s0.piece], s0.conj, winv(s1.conj), winv(x[s1.piece])))
-
-    ends = [0] * roots
-    words = []
-    sides = []
-    edges = []
-    for e in keep:
-        words.append(mc.words[e])
-        s0, s1 = mc.sides[e]
-        sides.append((Side(of[s0.piece], wmul(x[s0.piece], s0.conj),
-                           s0.sign),
-                      Side(of[s1.piece], wmul(x[s1.piece], s1.conj),
-                           s1.sign)))
-        edges.append((of[s0.piece], of[s1.piece]))
-        ends[of[s0.piece]] += 1
-        ends[of[s1.piece]] += 1
-
-    pieces = []
-    for c in range(roots):
-        mk = tuple(sorted(marks[c]))
-        h2 = 2 - chi[c] - ends[c] - len(mk)
-        _check(h2 >= 0 and h2 % 2 == 0, "merged genus bookkeeping")
-        pieces.append(Piece(h2 // 2, mk, tuple(gens[c]), chi[c]))
-
-    verts = [(p.genus, tuple(j for j, _ in p.marks)) for p in pieces]
-    graph = StableGraph(verts, edges)
-    _check(graph.genus() == mc.g and graph.is_stable(), "merged dual graph")
-    sub = MulticurveRep(mc.g, mc.n, graph, words, pieces, tuple(sides),
-                        graph.canonical_key())
-    _audit(sub)
-    return sub
 
 
 # --------------------------------------------------------------------------
@@ -324,20 +214,16 @@ def _orbit_types(space, types, gens, cap):
     the bytes of its canonical form; _assemble makes those for the stored
     elements alone.
 
-    Within a type, canonical_serial runs once per distinct payload, the
-    groups and frames an element carries: sp_action keeps the type's
-    graph, marks and kind, so elements with equal payloads are equal
+    Within a type, canonical_serial runs once per distinct payload
+    (GraphDecomposition.payload): elements with equal payloads are equal
     values, and the interned groups make the payload cheap to hash."""
     per_type = []
     built = []
     for td in types:
-        # canonical_serial, by payload.  A field that sp_action changes and
-        # that enters canonical_serial must join this key.
-        serials = {}
+        serials = {}  # canonical_serial, by payload
 
         def key(d):
-            payload = (d.vertex_groups, d.edge_groups,
-                       getattr(d, "frames", None))
+            payload = d.payload()
             s = serials.get(payload)
             if s is None:
                 s = serials[payload] = canonical_serial(d)

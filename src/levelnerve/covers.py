@@ -7,8 +7,10 @@ regular).  The module computes:
 
   * Euler characteristic / puncture bookkeeping of the cover (analyze_cover),
   * H_1 of the filled cover surface with its deck action (cover_homology),
-  * preimages of catalog multicurves with the cut stable graph and the
-    separating / cut-pair flags (lift_multicurve),
+  * preimages of catalog multicurves with the cut stable graph, the
+    separating / cut-pair flags (lift_multicurve), and the deck
+    permutations and piece-copy classes of a lift (lift_cut_graph), which
+    decomp.induced_from_lift turns into groups,
   * the mod-ell derived cover K -> [K,K]K^ell (derived_cover), built from
     the action of the letters on cosets (sheet, class over Z/ell): a step
     adds the class row of the loop it crosses, and cosets are numbered in
@@ -51,7 +53,7 @@ from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
 from .symplectic import (SympSpace, checked_matrix, hnf_transform,
                          mat_identity, mat_mul, orbit_enumerate,
-                         shortlex_order, vec_mat)
+                         schreier_edges, shortlex_order, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -783,10 +785,12 @@ class CutGraph:
     """Full record of the cut graph of a lifted multicurve.
 
     Vertices are copies of the complementary pieces (piece index plus the
-    sheet orbit of its subgroup), edges are the curve components (curve
-    index plus the smallest sheet of the cycle), and every edge carries its
-    homology class in the filled cover.  `edge_copy_of[e][sheet]` is the
-    orbit representative of the component of curve e through that sheet."""
+    sheet orbit of its subgroup), edges are the curve components, and every
+    edge carries its homology class in the filled cover.  vert_classes[v]
+    holds the class rows of the homology of piece copy v, reduced mod m,
+    nonzero and pairwise distinct (see _piece_copy_classes).  vperms[h] and
+    eperms[h] are the deck action on vertices and edges: the element with
+    index h sends the copy through sheet s to the copy through h^-1 s."""
 
     degree: int
     g_K: int
@@ -794,11 +798,11 @@ class CutGraph:
     vert_piece: tuple
     vert_orbit: tuple
     vert_marks: tuple
-    edge_curve: tuple
-    edge_rep: tuple
+    vert_classes: tuple
     edge_ends: tuple
     edge_class: tuple
-    edge_copy_of: tuple
+    vperms: tuple
+    eperms: tuple
     curves: tuple
     sigma: StableGraph
 
@@ -808,6 +812,49 @@ def _subgroup_orbits(table, words):
     sorted tuples of sheet indices ordered by least sheet."""
     return components(table.d, [(g, table.trace(g, w))
                                 for w in words for g in range(table.d)])
+
+
+def _piece_copy_classes(space, chain, table, piece, orbit):
+    """Class rows spanning the image of the homology of one piece copy:
+    classes of the Schreier generators of the stabilizer of its least
+    sheet, read from that sheet, reduced mod m, nonzero and pairwise
+    distinct.  The piece generators permute finitely many sheets, so they
+    reach the whole orbit without their inverses.
+
+    Classes are signed sums of class rows over loop ids.  Each orbit edge
+    (x, j) rewrites piece.gens[j] from sheet x once; its class, the sum
+    over those ids, is that of piece.gens[j] closed up by the transversal
+    words t_y^-1 t_x back to x, where y is the sheet it reaches, since
+    those run on tree edges only, and free cancellation removes +-id
+    pairs.  The potential of an orbit element is the sum of edge classes
+    along its breadth-first tree word, and the non-tree edge (x, j, y)
+    gives the Schreier generator of class pot[x] + edge(x, j) - pot[y]."""
+    root = orbit[0]
+    ids = {}
+
+    def act(j, h):
+        end, ids[h, j] = table.rewrite(h, piece.gens[j])
+        return end
+
+    res = orbit_enumerate(root, range(len(piece.gens)), act, cap=table.d)
+    _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
+    rows = chain.class_rows
+    edge = [[_signed_sum(rows, ids[h, j]) for j in range(len(piece.gens))]
+            for h in res.elements]
+    start = res.elements.index(root)
+    pot = []
+    for x, word in enumerate(res.words):
+        y, cls = start, rows[0]
+        for j in word:
+            cls = tuple(map(add, cls, edge[y][j]))
+            y = res.moves[y][j]
+        _check(y == x, "tree word walks from the root to its element")
+        pot.append(cls)
+    # a row that is zero mod m or repeats another adds nothing to the span
+    rows = dict.fromkeys(space.reduce(tuple(
+        map(sub, map(add, pot[x], edge[x][j]), pot[y])))
+        for x, j, y in schreier_edges(res))
+    return tuple(r for r in rows if any(r))
 
 
 def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
@@ -824,45 +871,34 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     d = spec.degree
 
     curves = []
-    edge_copy_index = {}   # (edge, min sheet of orbit) -> global edge id
-    edge_copy_of = []      # per edge: sheet -> orbit min
+    edge_of = {}       # (curve, sheet) -> id of the component through it
+    edge_copies = []   # per component: (curve, least sheet of its cycle)
     edge_ends = []
-    edge_curve = []
-    edge_rep = []
     edge_class = []
     for e, w in enumerate(mc.words):
         c = spec.order_of(w)
         cycles = _subgroup_orbits(t, [w])
         _check(all(len(cy) == c for cy in cycles), "free orbits of a lift")
         _check(len(cycles) * c == d, "component count times length is degree")
-        of = [0] * d
         classes = []
         for cy in cycles:
-            rep = cy[0]
             for g in cy:
-                of[g] = rep
-            edge_copy_index[(e, rep)] = len(edge_ends)
+                edge_of[(e, g)] = len(edge_ends)
+            edge_copies.append((e, cy[0]))
             edge_ends.append([])
-            edge_curve.append(e)
-            edge_rep.append(rep)
-            cls = hom.space.reduce(chain.class_at(rep, wpow(w, c)))
+            cls = hom.space.reduce(chain.class_at(cy[0], wpow(w, c)))
             classes.append(cls)
             edge_class.append(cls)
-        edge_copy_of.append(tuple(of))
         curves.append(LiftedCurve(e, len(cycles), c, tuple(classes)))
 
     # vertices of the cut graph: orbits of the complementary piece subgroups
-    vert_index = {}
     vert_order = []
+    vert_of = {}       # (piece, sheet) -> id of the copy through it
     for pi, piece in enumerate(mc.pieces):
         for orb in _subgroup_orbits(t, piece.gens):
-            vert_index[(pi, orb[0])] = len(vert_order)
+            for g in orb:
+                vert_of[(pi, g)] = len(vert_order)
             vert_order.append((pi, orb))
-
-    vert_of = {}
-    for (pi, orb) in vert_order:
-        for g in orb:
-            vert_of[(pi, g)] = vert_index[(pi, orb[0])]
 
     # boundary circles attach piece copies to curve copies
     for e, w in enumerate(mc.words):
@@ -871,8 +907,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
             for cy in _subgroup_orbits(t, [loop]):
                 g = cy[0]
                 v = vert_of[(side.piece, g)]
-                ec = edge_copy_index[(e, edge_copy_of[e][t.trace(g, side.conj)])]
-                edge_ends[ec].append(v)
+                edge_ends[edge_of[(e, t.trace(g, side.conj))]].append(v)
     _check(all(len(ends) == 2 for ends in edge_ends),
            "every lifted curve bounds exactly two circles")
 
@@ -908,13 +943,25 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     _check(sigma.is_stable(), "cut graph is stable")
     _check(sigma.marks() == tuple(range(1, ana.n_K + 1)),
            "cut graph marks enumerate the cover punctures")
+
+    vert_classes = tuple(
+        _piece_copy_classes(hom.space, chain, t, mc.pieces[pi], orb)
+        for pi, orb in vert_order)
+    # the deck element h moves the copy through sheet s to the one through
+    # h^-1 s, so every copy is looked up by the image of its least sheet
+    mul, inv = spec.group.tables()
+    vperms, eperms = [], []
+    for h in range(d):
+        sheet = mul[inv[h]]
+        vperms.append(tuple(vert_of[(pi, sheet[orb[0]])]
+                            for pi, orb in vert_order))
+        eperms.append(tuple(edge_of[(e, sheet[g])] for e, g in edge_copies))
     return CutGraph(d, ana.g_K, ana.n_K,
                     tuple(pi for pi, _ in vert_order),
                     tuple(orb for _, orb in vert_order),
-                    tuple(mk for _, mk in vertices),
-                    tuple(edge_curve), tuple(edge_rep),
-                    tuple(edges), tuple(edge_class),
-                    tuple(edge_copy_of), tuple(curves), sigma)
+                    tuple(mk for _, mk in vertices), vert_classes,
+                    tuple(edges), tuple(edge_class), tuple(vperms),
+                    tuple(eperms), tuple(curves), sigma)
 
 
 def lift_multicurve(spec: CoverSpec, mc, m: int) -> LiftResult:

@@ -84,12 +84,11 @@ vertex and edge order.
 
 import itertools
 import math
-import operator
 
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, checked_matrix,
-                         matrices_compose, orbit_enumerate, schreier_edges)
+                         matrices_compose)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -126,6 +125,15 @@ class GraphDecomposition:
     # the attributes a value is made of; _copy carries them over
     _fields = ("space", "n", "V", "edges", "marks", "_incident",
                "vertex_groups", "edge_groups")
+
+    # kept beside _fields: a field that sp_action changes and that enters
+    # canonical_serial must join the payload
+    def payload(self):
+        """What a value carries on its graph: the vertex and edge groups,
+        and on framed values the frames.  sp_action keeps the graph, marks
+        and kind, so the values of one orbit with equal payloads are equal,
+        and complexes._orbit_types keys canonical_serial by payload."""
+        return (self.vertex_groups, self.edge_groups)
 
     def __init__(self, space, vertex_groups, edge_groups, edges, marks=None,
                  n=0):
@@ -219,6 +227,9 @@ class FramedDecomposition(GraphDecomposition):
 
     kind = "framed"
     _fields = GraphDecomposition._fields + ("frames",)
+
+    def payload(self):
+        return (self.vertex_groups, self.edge_groups, self.frames)
 
     def __init__(self, space, vertex_groups, edge_groups, edges, frames,
                  marks=None, n=0):
@@ -718,85 +729,21 @@ def induced_from_multicurve(g, n, m, mc, space=None) -> FramedDecomposition:
     return d
 
 
-def _schreier_vertex_group(space, hom, table, piece, orbit):
-    """Image of the homology of one piece copy: classes of the Schreier
-    generators of the stabilizer of its least sheet, read from that sheet.
-    The piece generators permute finitely many sheets, so they reach the
-    whole orbit without their inverses.
-
-    Classes are signed sums of class rows over loop ids.  Each orbit edge
-    (x, j) rewrites piece.gens[j] from sheet x once; its class, the sum
-    over those ids, is that of piece.gens[j] closed up by the transversal
-    words t_y^-1 t_x back to x, where y is the sheet it reaches, since
-    those run on tree edges only, and free cancellation removes +-id
-    pairs.  The potential of an orbit element is the sum of edge classes
-    along its breadth-first tree word, and the non-tree edge (x, j, y)
-    gives the Schreier generator of class pot[x] + edge(x, j) - pot[y]."""
-    root = orbit[0]
-    ids = {}
-
-    def act(j, h):
-        end, ids[h, j] = table.rewrite(h, piece.gens[j])
-        return end
-
-    res = orbit_enumerate(root, range(len(piece.gens)), act, cap=table.d)
-    _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
-    rows = hom._chain.class_rows
-    edge = [[covers._signed_sum(rows, ids[h, j])
-             for j in range(len(piece.gens))] for h in res.elements]
-    start = res.elements.index(root)
-    pot = []
-    for x, word in enumerate(res.words):
-        y, cls = start, rows[0]
-        for j in word:
-            cls = tuple(map(operator.add, cls, edge[y][j]))
-            y = res.moves[y][j]
-        _check(y == x, "tree word walks from the root to its element")
-        pot.append(cls)
-    # a row that is zero mod m or repeats another adds nothing to the span
-    rows = dict.fromkeys(space.reduce(tuple(
-        map(operator.sub, map(operator.add, pot[x], edge[x][j]), pot[y])))
-        for x, j, y in schreier_edges(res))
-    return space.subgroup([r for r in rows if any(r)])
-
-
 def induced_from_lift(spec, mc, m) -> EquivariantDecomposition:
     """The equivariant decomposition of the cover homology cut out by the
-    preimage of a catalog multicurve, deck action included."""
+    preimage of a catalog multicurve, deck action included: the groups
+    spanned by the lifted cut graph's piece-copy classes and curve
+    classes, acted on by its deck permutations and the deck matrices."""
     _require_catalog(spec.g, spec.n, mc)
     cg = covers.lift_cut_graph(spec, mc, m)
     hom = covers.cover_homology(spec, m)
-    table = covers._table(spec)
-    group = spec.group
     space = hom.space
-
-    vert_index = {}
-    for v, (pi, orb) in enumerate(zip(cg.vert_piece, cg.vert_orbit)):
-        for h in orb:
-            vert_index[(pi, h)] = v
-    vgroups = [_schreier_vertex_group(space, hom, table, mc.pieces[pi], orb)
-               for pi, orb in zip(cg.vert_piece, cg.vert_orbit)]
+    vgroups = [space.subgroup(rows) for rows in cg.vert_classes]
     egroups = [space.subgroup([c]) for c in cg.edge_class]
-    edge_index = {(cg.edge_curve[e], cg.edge_rep[e]): e
-                  for e in range(len(cg.edge_ends))}
-
-    mul, inv = group.tables()
-    vperms = []
-    eperms = []
-    for h in range(group.d):
-        sheet = mul[inv[h]]
-        vp = [vert_index[(cg.vert_piece[v], sheet[cg.vert_orbit[v][0]])]
-              for v in range(len(vgroups))]
-        ep = [edge_index[(cg.edge_curve[e],
-                          cg.edge_copy_of[cg.edge_curve[e]]
-                          [sheet[cg.edge_rep[e]]])]
-              for e in range(len(cg.edge_ends))]
-        vperms.append(tuple(vp))
-        eperms.append(tuple(ep))
-
     d = EquivariantDecomposition(space, vgroups, egroups, cg.edge_ends,
                                  cg.edge_class, cg.vert_marks, cg.n_K,
-                                 group, hom.matrices, vperms, eperms)
+                                 spec.group, hom.matrices, cg.vperms,
+                                 cg.eperms)
     viol = validate(d, conditions=("ii", "frame", "action"))
     if viol:
         raise ValidationError("decomposition",

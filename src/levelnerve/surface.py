@@ -257,6 +257,13 @@ class SurfacePresentation:
         t = self.model_rank
         return wreduce([x for x in word if abs(x) != t])
 
+    def from_model(self, down_word):
+        """The public word of a word in the branched model's downstairs
+        letters: rewritten upstairs, changed to the standard basis, and
+        with the phantom marked point erased."""
+        return self._kill_phantom(
+            self.model.to_std(self.model.rewrite(down_word)))
+
     def check_word(self, word):
         w = wreduce(word)
         for x in w:

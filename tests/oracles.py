@@ -708,7 +708,7 @@ def action_natural_every_element(d):
 
 
 def signed_schreier_vertex_group(space, hom, table, piece, orbit):
-    """Image of the homology of one piece copy, as decomp computes it, by
+    """Image of the homology of one piece copy, as the lift computes it, by
     another route: the transversal runs over the signed letters (each
     piece generator and its inverse), and every (sheet, generator) pair
     gives a Schreier generator, tree edges included."""

@@ -199,6 +199,17 @@ def test_every_proper_deletion_passes_the_catalog_audit():
     assert count == 102
 
 
+@pytest.mark.parametrize("drop", [{"a"}, {1.5}, {True}, {"1"}, {2}, {0, 1}],
+                         ids=["str", "float", "bool", "digit", "range",
+                              "every"])
+def test_deletion_refuses_bad_indices(drop):
+    # a str used to raise a bare ValueError, and a float, a bool or a
+    # digit string silently deleted curve 1
+    mc = next(mc for mc in multicurve_catalog(2, 0) if len(mc.words) == 2)
+    with pytest.raises(InvalidInputError):
+        delete_curves(mc, drop)
+
+
 def test_validate_decides_a_bond_with_many_generator_choices():
     # three parallel edges <a1>, <a2>, <a1 + a2> over Z/47 form one bond
     # with 46**3 generator choices; validate decides it without a cap and

@@ -8,7 +8,9 @@ the vertex splitting (a free nondegenerate complement found by search
 among subgroups).  Expected values frozen below
 were produced by those oracles."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -784,12 +786,20 @@ def test_lift_homology_cover_pants():
     assert validate(d) == []
 
 
+# sha256 of json.dumps(decomposition_to_data(d), sort_keys=True) over the
+# 26 lifts below, in their order
+LEVEL_TWO_LIFTS_SHA256 = \
+    "bedfc62b79aeacd1f70125a87cd337d87cd22783ca27c6b0a40e32e93f88dd67"
+
+
 def test_every_level_two_lift_is_valid():
     # the lifts of the level-2 genus-2 image complex's seed stage: each
     # catalog type of (2, 0) with curves, its one-curve deletions and its
-    # all-but-one deletions, the largest with 16 vertices and 32 edges
+    # all-but-one deletions, the largest with 16 vertices and 32 edges;
+    # their serializations are pinned
     h2 = homology_cover(2, 0, 2)
     count = 0
+    digest = hashlib.sha256()
     for mc in multicurve_catalog(2, 0):
         E = len(mc.words)
         if E == 0:
@@ -800,9 +810,13 @@ def test_every_level_two_lift_is_valid():
             subs += [delete_curves(mc, set(range(E)) - {j})
                      for j in range(E)]
         for sub in subs:
-            assert validate(induced_from_lift(h2, sub, 2)) == []
+            d = induced_from_lift(h2, sub, 2)
+            assert validate(d) == []
+            digest.update(json.dumps(decomposition_to_data(d),
+                                     sort_keys=True).encode())
             count += 1
     assert count == 26
+    assert digest.hexdigest() == LEVEL_TWO_LIFTS_SHA256
 
 
 @pytest.mark.parametrize("make, m", [
@@ -815,35 +829,25 @@ def test_every_level_two_lift_is_valid():
     (lambda: homology_cover(1, 1, 3), 0),
     (lambda: perm_cover(1, 1, 4, [(1, 2, 3, 0), (1, 0, 2, 3)]), 0),
 ], ids=["h202", "h112", "h113", "id12", "perm4", "h202z", "h113z", "perm4z"])
-def test_sheet_stabilizers_match_signed_oracle(make, m, monkeypatch):
+def test_sheet_stabilizers_match_signed_oracle(make, m):
     # every piece copy of every catalog type: the stabilizer words of the
     # orbit under the piece generators alone span the same vertex group
     # as the signed-letter transversal with one generator per edge; at
     # m = 0 the spans are compared over Z, where a sign slip shows.  The
-    # rows handed to the echelon form are reduced mod m, nonzero and
-    # pairwise distinct
+    # class rows the lift records are reduced mod m, nonzero and pairwise
+    # distinct
     spec = make()
     hom = covers.cover_homology(spec, m)
     table = covers._table(spec)
-    space_type = type(hom.space)
-    subgroup = space_type.subgroup
-    handed = []
-
-    def recording(self, gens):
-        handed.append(list(gens))
-        return subgroup(self, handed[-1])
-
+    space = hom.space
     for mc in multicurve_catalog(spec.g, spec.n):
         cg = covers.lift_cut_graph(spec, mc, m)
-        for pi, orb in zip(cg.vert_piece, cg.vert_orbit):
-            args = (hom.space, hom, table, mc.pieces[pi], orb)
-            handed.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(space_type, "subgroup", recording)
-                got = decomp._schreier_vertex_group(*args)
-            assert got.key() == signed_schreier_vertex_group(*args).key()
-            [rows] = handed
-            assert all(r == hom.space.reduce(r) and any(r) for r in rows)
+        for pi, orb, rows in zip(cg.vert_piece, cg.vert_orbit,
+                                 cg.vert_classes):
+            want = signed_schreier_vertex_group(space, hom, table,
+                                                mc.pieces[pi], orb)
+            assert space.subgroup(rows).key() == want.key()
+            assert all(r == space.reduce(r) and any(r) for r in rows)
             assert len(set(rows)) == len(rows)
 
 

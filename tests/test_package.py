@@ -211,6 +211,47 @@ def test_decomp_asks_lattice_questions_through_symplectic():
             path.name
 
 
+def private_reads(path):
+    """(line, name) of every private name `path` takes from another module:
+    each `from .x import _name`, and each attribute read `obj._name` of a
+    name the module neither defines (as a def, class or assignment
+    target) nor stores as an attribute.  Dunders are not private."""
+    tree = ast.parse(path.read_text(), str(path))
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            own.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if private(alias.name):
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            if private(node.attr) and node.attr not in own:
+                yield node.lineno, node.attr
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A private name is read only in the module that owns it, so each
+    decision (how sub-multicurves are synthesized, how a lift's piece
+    copies get their classes, how model words become public words) has
+    one module to change."""
+    reads = sorted(f"{path.stem}:{line} {name}" for path in SOURCES
+                   for line, name in private_reads(path))
+    assert not reads, f"private names read across modules: {reads}"
+
+
 # complexes._finite_quotient tries every tuple of permutations as images of
 # the generators; ROADMAP item 19 (decide pi_1 of every nerve) replaces it
 PERMUTATION_SEARCH_OK = {"complexes._finite_quotient"}
