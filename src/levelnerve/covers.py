@@ -40,6 +40,16 @@ t_h runs on tree edges only, which the rewrite leaves silent, and free
 cancellation removes backtracks, whose ids cancel in the signed sum.  So
 the class of t_h w t_h^-1 is that of w read from sheet h, over Z.
 
+A cover keeps what its lifts share, for as long as the CoverSpec lives:
+the coset table keeps the sheet orbits of each tuple of subgroup words
+(next to its twist verdicts), the chain data keeps the end sheet and
+class over Z of each word read from each sheet (its walks), and the
+homology at each modulus keeps the class rows of each piece copy, by
+piece generators and orbit.  Entries are exact functions of their keys
+on the one cover, a call that raises keeps nothing, and every self-check
+still runs on each distinct input.  class_at keeps nothing, since the
+deck matrices read each basis word from each sheet once.
+
 Transversals, element orderings, merge order and basis extraction are all
 deterministic, so every output is reproducible.
 """
@@ -343,6 +353,7 @@ class _Table:
         # 1-based loop ids; tree edges have none
         self.loops = {e: i for i, e in enumerate(self.loop_edges, 1)}
         self.verdicts = {}  # twist sequence -> whether it preserves
+        self.orbits = {}    # subgroup words -> their sheet orbits
         self.L = len(self.loop_edges)
         _check(self.L == d * (N - 1) + 1, "Schreier rank")
         self.loop_words = []
@@ -576,6 +587,7 @@ class _ChainData:
             rows[x] = vec_mat(rec, rows)
         self.survivor_rows = rows
         self.class_rows = [vec_mat(row, V) if S else () for row in rows]
+        self.walks = {}  # (sheet, word) -> (end sheet, class over Z)
         # word representatives of the symplectic basis classes
         self.basis_words = []
         for row in U:
@@ -587,14 +599,37 @@ class _ChainData:
 
     # -- coordinates
 
+    def _read(self, sheet, word):
+        """(end sheet, class over Z) of `word` read from `sheet`: the
+        signed sum of the class rows of the loops it crosses."""
+        end, ids = self.t.rewrite(sheet, word)
+        return end, _signed_sum(self.class_rows, ids)
+
+    def walk(self, sheet, word):
+        """_read, kept in `walks` for the life of the cover; a word the
+        rewrite refuses raises on every call and is not kept."""
+        key = (sheet, word)
+        out = self.walks.get(key)
+        if out is None:
+            out = self.walks[key] = self._read(sheet, word)
+        return out
+
     def class_at(self, sheet, word):
         """Coordinates over Z, in the symplectic frame of the closed cover
         surface, of a word read from `sheet` that closes up there: the
         signed sum of the class rows of the loops it crosses.  This is the
-        class of t_h word t_h^-1 for h = sheet."""
-        end, ids = self.t.rewrite(sheet, word)
+        class of t_h word t_h^-1 for h = sheet.  Not kept: the deck
+        matrices read each basis word from each sheet once."""
+        end, cls = self._read(sheet, word)
         _check(end == sheet, "word must lie in the cover subgroup")
-        return _signed_sum(self.class_rows, ids)
+        return cls
+
+    def closed_class(self, sheet, word):
+        """class_at through the walk memo; the closing check runs on every
+        call, hits included."""
+        end, cls = self.walk(sheet, word)
+        _check(end == sheet, "word must lie in the cover subgroup")
+        return cls
 
 
 def _signed_sum(rows, ids):
@@ -730,6 +765,7 @@ class DeckHomology:
         self.space = SympSpace(chain.g_K, m)
         self.peripheral = tuple(chain.peripheral)
         self._chain = chain
+        self._copies = {}  # (piece generators, orbit) -> copy class rows
         group = spec.group
         mats = []
         for h in group.elements:
@@ -751,6 +787,9 @@ class DeckHomology:
 
 
 def cover_homology(spec: CoverSpec, m: int) -> DeckHomology:
+    # before the lookup: 2.0 == 2 would find the homology kept for m = 2
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InvalidInputError(f"modulus must be an int, not {m!r}")
     if m != 0 and m < 2:
         raise InvalidInputError("modulus must be 0 or at least 2")
     if m not in spec._homs:
@@ -809,42 +848,47 @@ class CutGraph:
 
 def _subgroup_orbits(table, words):
     """Orbits of right translation by the subgroup the words generate, as
-    sorted tuples of sheet indices ordered by least sheet."""
-    return components(table.d, [(g, table.trace(g, w))
-                                for w in words for g in range(table.d)])
+    sorted tuples of sheet indices ordered by least sheet, kept on the
+    table per tuple of words."""
+    key = tuple(map(tuple, words))
+    if key not in table.orbits:
+        table.orbits[key] = components(
+            table.d, [(g, table.trace(g, w)) for w in key
+                      for g in range(table.d)])
+    return table.orbits[key]
 
 
-def _piece_copy_classes(space, chain, table, piece, orbit):
-    """Class rows spanning the image of the homology of one piece copy:
-    classes of the Schreier generators of the stabilizer of its least
-    sheet, read from that sheet, reduced mod m, nonzero and pairwise
+def _piece_copy_classes(space, chain, gens, orbit):
+    """Class rows spanning the image of the homology of one piece copy,
+    the copy of the piece with generator words `gens` through the sheets
+    of `orbit`: classes of the Schreier generators of the stabilizer of its
+    least sheet, read from that sheet, reduced mod m, nonzero and pairwise
     distinct.  The piece generators permute finitely many sheets, so they
     reach the whole orbit without their inverses.
 
-    Classes are signed sums of class rows over loop ids.  Each orbit edge
-    (x, j) rewrites piece.gens[j] from sheet x once; its class, the sum
-    over those ids, is that of piece.gens[j] closed up by the transversal
-    words t_y^-1 t_x back to x, where y is the sheet it reaches, since
-    those run on tree edges only, and free cancellation removes +-id
-    pairs.  The potential of an orbit element is the sum of edge classes
-    along its breadth-first tree word, and the non-tree edge (x, j, y)
-    gives the Schreier generator of class pot[x] + edge(x, j) - pot[y]."""
+    Each orbit edge (x, j) walks gens[j] from sheet x (chain.walk, kept per
+    cover, so pieces that share a generator share its walks); its class,
+    the signed sum of class rows over the loop ids it crosses, is that of
+    gens[j] closed up by the transversal words t_y^-1 t_x back to x, where
+    y is the sheet it reaches, since those run on tree edges only, and
+    free cancellation removes +-id pairs.  The potential of an orbit
+    element is the sum of edge classes along its breadth-first tree word,
+    and the non-tree edge (x, j, y) gives the Schreier generator of class
+    pot[x] + edge(x, j) - pot[y]."""
     root = orbit[0]
-    ids = {}
+    walked = {}
 
     def act(j, h):
-        end, ids[h, j] = table.rewrite(h, piece.gens[j])
+        end, walked[h, j] = chain.walk(h, gens[j])
         return end
 
-    res = orbit_enumerate(root, range(len(piece.gens)), act, cap=table.d)
+    res = orbit_enumerate(root, range(len(gens)), act, cap=chain.t.d)
     _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
-    rows = chain.class_rows
-    edge = [[_signed_sum(rows, ids[h, j]) for j in range(len(piece.gens))]
-            for h in res.elements]
+    edge = [[walked[h, j] for j in range(len(gens))] for h in res.elements]
     start = res.elements.index(root)
     pot = []
     for x, word in enumerate(res.words):
-        y, cls = start, rows[0]
+        y, cls = start, chain.class_rows[0]
         for j in word:
             cls = tuple(map(add, cls, edge[y][j]))
             y = res.moves[y][j]
@@ -858,6 +902,12 @@ def _piece_copy_classes(space, chain, table, piece, orbit):
 
 
 def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
+    """The cut graph of the preimage of `mc` in the cover, with the class
+    of each curve component and of each piece copy mod m and the deck
+    permutations of both.  Curve classes go through the cover's walk memo
+    (chain.closed_class, whose closing check runs on hits too), sheet
+    orbits through the table's and piece-copy classes through the
+    homology's, so the lifts of one cover read each shared word once."""
     if (mc.g, mc.n) != (spec.g, spec.n):
         raise InvalidInputError("multicurve signature does not match cover")
     t = _table(spec)
@@ -886,7 +936,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
                 edge_of[(e, g)] = len(edge_ends)
             edge_copies.append((e, cy[0]))
             edge_ends.append([])
-            cls = hom.space.reduce(chain.class_at(cy[0], wpow(w, c)))
+            cls = hom.space.reduce(chain.closed_class(cy[0], wpow(w, c)))
             classes.append(cls)
             edge_class.append(cls)
         curves.append(LiftedCurve(e, len(cycles), c, tuple(classes)))
@@ -944,9 +994,14 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     _check(sigma.marks() == tuple(range(1, ana.n_K + 1)),
            "cut graph marks enumerate the cover punctures")
 
-    vert_classes = tuple(
-        _piece_copy_classes(hom.space, chain, t, mc.pieces[pi], orb)
-        for pi, orb in vert_order)
+    # kept on the homology per (piece generators, orbit): the lifts of one
+    # cover share most of their pieces
+    keys = [(tuple(map(tuple, mc.pieces[pi].gens)), orb)
+            for pi, orb in vert_order]
+    for key in keys:
+        if key not in hom._copies:
+            hom._copies[key] = _piece_copy_classes(hom.space, chain, *key)
+    vert_classes = tuple(hom._copies[key] for key in keys)
     # the deck element h moves the copy through sheet s to the one through
     # h^-1 s, so every copy is looked up by the image of its least sheet
     mul, inv = spec.group.tables()

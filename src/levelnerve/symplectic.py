@@ -326,6 +326,10 @@ class SympSpace:
     """H = (Z/m)^(2g) with the standard symplectic pairing; m = 0 means Z."""
 
     def __init__(self, g: int, m: int):
+        # a bool is an int to Python, but neither a genus nor a modulus
+        for name, x in (("genus", g), ("modulus", m)):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InvalidInputError(f"{name} must be an int, not {x!r}")
         if g < 0:
             raise InvalidInputError("genus must be nonnegative")
         if m < 0 or m == 1:

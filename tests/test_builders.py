@@ -321,6 +321,11 @@ def test_incomplete_catalog_refused_up_front():
         assert all(repr(t.canonical_key()) in text for t in missing)
 
 
+def test_nerve_modulus_must_be_an_int():
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        build_abelian_nerve(1, 1, 2.0)
+
+
 def test_weierstrass_pair_model():
     # the chain classes mod 2 pair like a path, the pairs of {1..6} fill
     # F_2^4 less 0 with <u, v> = |A & B| mod 2, and twist i acts on them as

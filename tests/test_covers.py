@@ -9,14 +9,16 @@ from levelnerve.errors import (InvalidInputError, InvalidCoverError,
                                LevelNerveError, ResourceLimitError,
                                ValidationError)
 from levelnerve.surface import presentation, twist_automorphisms
-from levelnerve.catalog import multicurve_catalog
+from levelnerve.catalog import delete_curves, multicurve_catalog
 from levelnerve.words import winv, wmul, wpow
+from levelnerve import covers
 from levelnerve.covers import (
     AbelianOps,
     CoverSpec,
     analyze_cover,
     cover_homology,
     lift_multicurve,
+    lift_cut_graph,
     derived_cover,
     invariance_check,
     mcg_action_on_cover,
@@ -29,6 +31,7 @@ from levelnerve.covers import (
     cover_spec_from_data,
     _chain,
     _signed_sum,
+    _subgroup_orbits,
     _table,
     _unimodular_inverse,
 )
@@ -216,6 +219,20 @@ def test_homology_modulus_validated(h2):
         cover_homology(h2, 1)
 
 
+@pytest.mark.parametrize("m", [2.0, "2", True, None], ids=repr)
+def test_homology_modulus_must_be_an_int(m):
+    # checked before the lookup: 2.0 == 2 would find the m = 2 homology
+    spec = homology_cover(1, 1, 2)
+    cover_homology(spec, 2)
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        cover_homology(spec, m)
+    assert set(spec._homs) == {2}
+    fresh = homology_cover(1, 1, 2)
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        cover_homology(fresh, m)
+    assert fresh._homs == {}
+
+
 def test_homology_resource_limit():
     spec = homology_cover(2, 0, 5)
     assert spec.degree == 625
@@ -278,6 +295,129 @@ def test_lift_signature_mismatch(h2):
     rep = multicurve_catalog(1, 1)[0]
     with pytest.raises(InvalidInputError):
         lift_multicurve(h2, rep, 2)
+
+
+# -- what a cover keeps between lifts
+
+
+def _seed_stage(g, n):
+    """The multicurves the seed stage of the image complex lifts: each
+    catalog type with curves, its one-curve deletions and its all-but-one
+    deletions; 26 of them at (2, 0)."""
+    out = []
+    for mc in multicurve_catalog(g, n):
+        E = len(mc.words)
+        if E == 0:
+            continue
+        out.append(mc)
+        if E > 1:
+            out += [delete_curves(mc, {j}) for j in range(E)]
+            out += [delete_curves(mc, set(range(E)) - {j}) for j in range(E)]
+    return out
+
+
+def _cut_graph_fields(cg):
+    return (cg.vert_classes, cg.edge_class, cg.vperms, cg.eperms,
+            cg.sigma.vertices, cg.sigma.edges)
+
+
+@pytest.mark.parametrize("make, g, n, m", [
+    (lambda: homology_cover(2, 0, 2), 2, 0, 2),
+    (lambda: homology_cover(1, 1, 3), 1, 1, 3),
+], ids=["h202", "h113"])
+def test_kept_lifts_equal_fresh_ones(make, g, n, m):
+    # every multicurve lifted twice through one warm cover and once
+    # through a cover of its own that has kept nothing
+    spec = make()
+    mcs = _seed_stage(g, n)
+    if (g, n) == (2, 0):
+        assert len(mcs) == 26
+    warm = [lift_cut_graph(spec, mc, m) for mc in mcs]
+    for mc, first in zip(mcs, warm):
+        again = _cut_graph_fields(lift_cut_graph(spec, mc, m))
+        fresh = _cut_graph_fields(lift_cut_graph(make(), mc, m))
+        assert _cut_graph_fields(first) == again == fresh
+
+
+@pytest.mark.parametrize("word", [(5,), (1, -5)])
+def test_walk_refuses_letters_outside_the_alphabet(word):
+    spec = homology_cover(2, 0, 2)
+    chain = _chain(spec)
+    t = _table(spec)
+    for _ in range(2):
+        with pytest.raises(InvalidInputError, match="outside cover alphabet"):
+            chain.walk(0, word)
+        with pytest.raises(InvalidInputError, match="outside cover alphabet"):
+            _subgroup_orbits(t, [word])
+    assert chain.walks == {}
+    assert t.orbits == {}
+
+
+def test_kept_walk_that_does_not_close_is_refused_every_time(h2):
+    chain = _chain(h2)
+    end, _ = chain.walk(0, (1,))
+    assert end != 0
+    for _ in range(2):
+        with pytest.raises(LevelNerveError, match="cover subgroup"):
+            chain.closed_class(0, (1,))
+    assert (0, (1,)) in chain.walks
+
+
+def test_covers_with_other_images_keep_their_own_entries(cat20):
+    # one base, two Z/2 covers: what each keeps is what it reads itself
+    a = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
+    b = abelian_cover(2, 0, (2,), [(0,), (1,), (0,), (0,)])
+    for mc in cat20:
+        lift_cut_graph(a, mc, 2)
+        lift_cut_graph(b, mc, 2)
+    for spec, other in ((a, b), (b, a)):
+        chain, t = _chain(spec), _table(spec)
+        hom = cover_homology(spec, 2)
+        assert chain.walks and t.orbits and hom._copies
+        assert all(chain._read(*key) == out
+                   for key, out in chain.walks.items())
+        assert all(covers.components(t.d, [(g, t.trace(g, w)) for w in key
+                                           for g in range(t.d)]) == out
+                   for key, out in t.orbits.items())
+        assert all(covers._piece_copy_classes(hom.space, chain, *key) == out
+                   for key, out in hom._copies.items())
+        assert chain.walks is not _chain(other).walks
+        assert t.orbits is not _table(other).orbits
+        assert hom._copies is not cover_homology(other, 2)._copies
+    # the same keys read differently on the two covers
+    assert any(_chain(b)._read(*key) != out
+               for key, out in _chain(a).walks.items())
+    assert any(_table(b).orbits.get(key, out) != out
+               for key, out in _table(a).orbits.items())
+
+
+def test_seed_stage_walks_each_word_once(monkeypatch):
+    # the 26 seed-stage lifts through one fresh cover, deck homology
+    # included: 1 120 rewrites, 78 copy class computations and 41 sheet
+    # orbit computations, where reading every word afresh made 4 416, 136
+    # and 149
+    spec = homology_cover(2, 0, 2)
+    counts = {"rewrite": 0, "copies": 0, "orbits": 0}
+    table_type = type(_table(spec))
+    rewrite = table_type.rewrite
+    copies = covers._piece_copy_classes
+    components = covers.components
+
+    def counted(name, fn):
+        def run(*args):
+            counts[name] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(table_type, "rewrite", counted("rewrite", rewrite))
+    monkeypatch.setattr(covers, "_piece_copy_classes",
+                        counted("copies", copies))
+    monkeypatch.setattr(covers, "components", counted("orbits", components))
+    for mc in _seed_stage(2, 0):
+        lift_cut_graph(spec, mc, 2)
+    assert counts["rewrite"] <= 1300
+    assert counts["copies"] <= 78
+    assert counts["orbits"] <= 41
 
 
 # -- derived covers

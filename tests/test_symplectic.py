@@ -150,6 +150,15 @@ def test_space_validation():
         SympSpace(-1, 2)
 
 
+@pytest.mark.parametrize("g, m", [(True, 2), (1, True), (1, False),
+                                  (1.0, 2), (1, 2.0), ("1", 2), (1, "2")],
+                         ids=repr)
+def test_space_wants_int_genus_and_modulus(g, m):
+    # a bool is an int to Python, but neither a genus nor a modulus
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        SympSpace(g, m)
+
+
 def test_pairing_basics():
     sp = SympSpace(2, 5)
     assert sp.pairing(sp.basis_a(1), sp.basis_b(1)) == 1
