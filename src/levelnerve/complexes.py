@@ -31,8 +31,8 @@ from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .stablegraph import components
 from .surface import twist_automorphisms
-from .symplectic import (SympSpace, orbit_enumerate, smith_normal_form,
-                         snf_diagonal, sp_group)
+from .symplectic import (SympSpace, check_modulus, orbit_enumerate,
+                         smith_normal_form, snf_diagonal, sp_group)
 from .words import cyclic_reduce
 
 
@@ -388,8 +388,7 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
     one-curve-deleted seeds are located once in the rank below, and each
     simplex finds its faces by replaying its orbit word from them through
     that rank's Schreier graph."""
-    if m < 2:
-        raise InvalidInputError("modulus must be at least 2")
+    check_modulus(m, over_z=False)
     _require_full_catalog(g, n)
     space = SympSpace(g, m)
     types = _types(g, n,
@@ -413,8 +412,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
     generate the relevant matrix group when the twists generate the whole
     mapping class group; the generated order is recorded in meta when it
     is small enough to enumerate."""
-    if m < 2:
-        raise InvalidInputError("modulus must be at least 2")
+    check_modulus(m, over_z=False)
     _require_full_catalog(spec.g, spec.n)
     twists = twist_automorphisms(spec.g, spec.n)
     if not covers.invariance_check(spec, twists):

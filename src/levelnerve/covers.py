@@ -2,8 +2,11 @@
 
 A cover of S_{g,n} is specified by images of the public letters in a finite
 deck group G; the subgroup K is the kernel, presented through its coset
-table (= the right translation action of G on itself, since the cover is
-regular).  The module computes:
+table, which is the Cayley graph of G since the cover is regular.  G is
+enumerated once (DeckGroup), keeping that graph, the breadth-first word of
+each element and the index of its inverse; every later reader, decomp's
+action check included, walks those records, and no element is multiplied
+again.  The module computes:
 
   * Euler characteristic / puncture bookkeeping of the cover (analyze_cover),
   * H_1 of the filled cover surface with its deck action (cover_homology),
@@ -61,9 +64,10 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import (SympSpace, checked_matrix, hnf_transform,
-                         mat_identity, mat_mul, orbit_enumerate,
-                         schreier_edges, shortlex_order, vec_mat)
+from .symplectic import (SympSpace, check_modulus, checked_matrix,
+                         hnf_transform, mat_identity, mat_mul,
+                         orbit_enumerate, schreier_edges, shortlex_order,
+                         vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -78,6 +82,13 @@ def _check(cond, msg):
 
 # --------------------------------------------------------------------------
 # group backends
+
+
+def _inverse_perm(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
 
 
 class PermOps:
@@ -100,11 +111,7 @@ class PermOps:
     def mul(self, p, q):
         return tuple(q[p[i]] for i in range(self.degree))
 
-    def inv(self, p):
-        out = [0] * self.degree
-        for i, x in enumerate(p):
-            out[x] = i
-        return tuple(out)
+    inv = staticmethod(_inverse_perm)
 
 
 class AbelianOps:
@@ -132,42 +139,65 @@ class AbelianOps:
 
 
 class DeckGroup:
-    """Closure of the generator images, elements ordered by discovery.
+    """Closure of the generator images, kept as the Cayley graph that its
+    one enumeration walks; no element is multiplied once it is built.
 
+    Elements are numbered in the shortlex order (len(w), w) of their
+    breadth-first words, which is the order of discovery, and the graph
+    is renumbered the same way (_shortlex_graph):
+
+      * act[j][a] is the index of elements[a] * images[j], the right
+        action of image j, and back[j] is its inverse permutation;
+      * words[a] is the breadth-first word of elements[a] in the letters
+        1..N of the images, so trace(0, words[a]) == a;
+      * inverse[a] is the index of the inverse of elements[a], reached by
+        walking the reversed word back through the inverse permutations.
+
+    step and trace read signed letters off act and back, so a word's
+    image is trace(0, word) and h^-1 s is trace(inverse[h], words[s]).
     gens holds the distinct indices of the generator images, in the order
     given; every element is a product of them, inverses not needed."""
 
-    def __init__(self, ops, gens, max_size):
+    def __init__(self, ops, images, max_size):
         self.ops = ops
-        res = orbit_enumerate(ops.identity, gens,
+        self.N = len(images)
+        res = orbit_enumerate(ops.identity, images,
                               lambda s, e: ops.mul(e, s), cap=max_size)
-        self.elements = [res.elements[i] for i in shortlex_order(res)]
+        order, self.act = _shortlex_graph(res, self.N)
+        self.elements = [res.elements[i] for i in order]
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.d = len(self.elements)
-        self.gens = tuple(dict.fromkeys(self.index[s] for s in gens))
-        self._tables = None
-
-    def mul(self, a, b):
-        return self.ops.mul(a, b)
-
-    def inv(self, a):
-        return self.ops.inv(a)
-
-    def tables(self):
-        """(mul, inv) by index: mul[a][b] is the index of elements[a] *
-        elements[b] and inv[a] that of the inverse of elements[a].  Built
-        on first use, since a group may have DEFAULT_MAX_DEGREE elements
-        and most are never multiplied by index."""
-        if self._tables is None:
-            idx, elems, mul = self.index, self.elements, self.ops.mul
-            self._tables = (
-                tuple(tuple(idx[mul(a, b)] for b in elems) for a in elems),
-                tuple(idx[self.ops.inv(a)] for a in elems))
-        return self._tables
+        self.back = tuple(map(_inverse_perm, self.act))
+        self.words = tuple(tuple(j + 1 for j in res.words[i]) for i in order)
+        self.inverse = tuple(self.trace(0, winv(w)) for w in self.words)
+        self.gens = tuple(dict.fromkeys(p[0] for p in self.act))
 
     @property
     def identity(self):
         return self.ops.identity
+
+    def step(self, a, s):
+        """Index of elements[a] times the image of the signed letter s."""
+        return self.act[s - 1][a] if s > 0 else self.back[-s - 1][a]
+
+    def trace(self, start, word):
+        """Index reached from `start` along the signed letters of `word`."""
+        g = start
+        for x in wreduce(word):
+            if not (1 <= abs(x) <= self.N):
+                raise InvalidInputError(f"letter {x} outside cover alphabet")
+            g = self.step(g, x)
+        return g
+
+
+def _shortlex_graph(res, n):
+    """The orbit of res renumbered in the shortlex order of its
+    breadth-first words: that order, as indices into res, and the action
+    of each of the n generators as a permutation of the new numbers."""
+    order = shortlex_order(res)
+    place = _inverse_perm(order)
+    return order, tuple(tuple(place[res.moves[x][j]] for x in order)
+                        for j in range(n))
 
 
 # --------------------------------------------------------------------------
@@ -184,8 +214,7 @@ class CoverSpec:
     declared.
     """
 
-    def __init__(self, g: int, n: int, images, ops,
-                 declared_order=None, max_degree=None):
+    def __init__(self, g: int, n: int, images, ops, declared_order=None):
         self.pres = presentation(g, n)
         self.g = g
         self.n = n
@@ -195,10 +224,8 @@ class CoverSpec:
             raise InvalidInputError(
                 f"need {N} letter images for signature ({g},{n})")
         images = [ops.validate(x) for x in images]
-        cap = max_degree if max_degree is not None else DEFAULT_MAX_DEGREE
-        self.group = DeckGroup(ops, images, cap)
+        self.group = DeckGroup(ops, images, DEFAULT_MAX_DEGREE)
         self.images = tuple(images)
-        self.inv_images = tuple(ops.inv(x) for x in images)
         self.declared_order = declared_order
         self.proper_image = (declared_order is not None
                              and declared_order != self.group.d)
@@ -219,21 +246,14 @@ class CoverSpec:
         return self.group.ops.kind
 
     def phi(self, word):
-        e = self.group.ops.identity
-        for x in wreduce(word):
-            a = abs(x)
-            if not (1 <= a <= len(self.images)):
-                raise InvalidInputError(f"letter {x} outside cover alphabet")
-            e = self.group.mul(e, self.images[a - 1] if x > 0
-                               else self.inv_images[a - 1])
-        return e
+        return self.group.elements[self.group.trace(0, word)]
 
     def order_of(self, word):
         """Order of the image of `word` in the deck group."""
-        t = _table(self)
-        k, cur = 1, t.trace(0, word)
+        trace = self.group.trace
+        k, cur = 1, trace(0, word)
         while cur != 0:
-            cur = t.trace(cur, word)
+            cur = trace(cur, word)
             k += 1
         return k
 
@@ -252,8 +272,7 @@ def abelian_cover(g: int, n: int, moduli, vectors,
 
 def homology_cover(g: int, n: int, ell: int) -> CoverSpec:
     """Cover defined by killing mod-ell homology of the closed surface."""
-    if ell < 2:
-        raise InvalidInputError("homology modulus must be at least 2")
+    check_modulus(ell, "homology modulus", over_z=False)
     pres = presentation(g, n)
     vectors = []
     for j in range(1, pres.cover_rank() + 1):
@@ -324,22 +343,17 @@ def cover_spec_from_data(data: dict) -> CoverSpec:
 
 
 class _Table:
+    """Shortlex Schreier transversal of the cover subgroup over the deck
+    group's Cayley graph, its loop edges and their words, and what the
+    lifts of the cover keep per word (twist verdicts, sheet orbits)."""
+
     def __init__(self, spec: CoverSpec):
-        group = spec.group
-        d, N = group.d, spec.pres.cover_rank()
+        group = self.group = spec.group
+        d, N = group.d, group.N
         self.d, self.N = d, N
-        idx = group.index
-        self.fwd = [[idx[group.mul(e, spec.images[j])] for e in group.elements]
-                    for j in range(N)]
-        self.bwd = []
-        for j in range(N):
-            back = [0] * d
-            for i, t in enumerate(self.fwd[j]):
-                back[t] = i
-            self.bwd.append(back)
         # shortlex BFS over the signed alphabet x1 < x1^-1 < x2 < ...
         letters = [s for j in range(1, N + 1) for s in (j, -j)]
-        res = orbit_enumerate(0, letters, lambda s, g: self.step(g, s),
+        res = orbit_enumerate(0, letters, lambda s, g: group.step(g, s),
                               cap=d)
         _check(len(res.elements) == d, "coset graph is connected")
         # the orbit is range(d) in order, so words are indexed by coset
@@ -347,7 +361,7 @@ class _Table:
         tree = set()
         for t, w in enumerate(self.twords[1:], 1):
             s = w[-1]
-            tree.add((self.step(t, -s), s) if s > 0 else (t, -s))
+            tree.add((group.step(t, -s), s) if s > 0 else (t, -s))
         self.loop_edges = [(gidx, j) for gidx in range(d)
                            for j in range(1, N + 1) if (gidx, j) not in tree]
         # 1-based loop ids; tree edges have none
@@ -356,35 +370,22 @@ class _Table:
         self.orbits = {}    # subgroup words -> their sheet orbits
         self.L = len(self.loop_edges)
         _check(self.L == d * (N - 1) + 1, "Schreier rank")
-        self.loop_words = []
-        for gidx, j in self.loop_edges:
-            t = self.fwd[j - 1][gidx]
-            self.loop_words.append(wmul(self.twords[gidx], (j,),
-                                        winv(self.twords[t])))
-
-    def step(self, gidx, s):
-        return (self.fwd[s - 1][gidx] if s > 0 else self.bwd[-s - 1][gidx])
-
-    def trace(self, start, word):
-        g = start
-        for x in wreduce(word):
-            a = abs(x)
-            if not (1 <= a <= self.N):
-                raise InvalidInputError(f"letter {x} outside cover alphabet")
-            g = self.step(g, x)
-        return g
+        self.loop_words = [wmul(self.twords[gidx], (j,),
+                                winv(self.twords[group.act[j - 1][gidx]]))
+                           for gidx, j in self.loop_edges]
 
     def loop_id(self, g, s):
         """Signed 1-based id of the loop edge that the step from coset g
         along the signed letter s crosses, or 0 on a tree edge."""
         if s > 0:
             return self.loops.get((g, s), 0)
-        return -self.loops.get((self.step(g, s), -s), 0)
+        return -self.loops.get((self.group.step(g, s), -s), 0)
 
     def rewrite(self, start, word):
         """Trace `word`, emitting signed loop-edge ids; tree edges are
         silent.  Returns (end coset, tuple of signed ids, 1-based)."""
         g = start
+        step = self.group.step
         out = []
         for x in wreduce(word):
             if not (1 <= abs(x) <= self.N):
@@ -392,7 +393,7 @@ class _Table:
             lid = self.loop_id(g, x)
             if lid:
                 out.append(lid)
-            g = self.step(g, x)
+            g = step(g, x)
         return g, tuple(out)
 
 
@@ -471,6 +472,7 @@ class _ChainData:
         pres = spec.pres
         t = _table(spec)
         d, N, L = t.d, t.N, t.L
+        step = spec.group.step
         rho, owner, base_words = _base_rotation(pres)
 
         # faces of the cover = orbits of the lifted successor map on darts
@@ -488,7 +490,7 @@ class _ChainData:
                 while not seen[g * 2 * N + pos[s]]:
                     seen[g * 2 * N + pos[s]] = True
                     darts.append((g, s))
-                    g, s = t.step(g, s), rho[s]
+                    g, s = step(g, s), rho[s]
                 _check((g, s) == (g0, s0), "dart successor closes up")
                 faces.append([lid for lid in (t.loop_id(gg, ss)
                                               for gg, ss in darts) if lid])
@@ -766,11 +768,9 @@ class DeckHomology:
         self.peripheral = tuple(chain.peripheral)
         self._chain = chain
         self._copies = {}  # (piece generators, orbit) -> copy class rows
-        group = spec.group
         mats = []
-        for h in group.elements:
-            hidx = group.index[group.inv(h)]
-            M = tuple(self.space.reduce(chain.class_at(hidx, rep))
+        for hinv in spec.group.inverse:
+            M = tuple(self.space.reduce(chain.class_at(hinv, rep))
                       for rep in chain.basis_words)
             _check(checked_matrix(chain.g_K, m, M).inverse is not None,
                    "deck matrix is symplectic")
@@ -788,10 +788,7 @@ class DeckHomology:
 
 def cover_homology(spec: CoverSpec, m: int) -> DeckHomology:
     # before the lookup: 2.0 == 2 would find the homology kept for m = 2
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InvalidInputError(f"modulus must be an int, not {m!r}")
-    if m != 0 and m < 2:
-        raise InvalidInputError("modulus must be 0 or at least 2")
+    check_modulus(m)
     if m not in spec._homs:
         spec._homs[m] = DeckHomology(spec, m)
     return spec._homs[m]
@@ -852,9 +849,9 @@ def _subgroup_orbits(table, words):
     table per tuple of words."""
     key = tuple(map(tuple, words))
     if key not in table.orbits:
+        trace = table.group.trace
         table.orbits[key] = components(
-            table.d, [(g, table.trace(g, w)) for w in key
-                      for g in range(table.d)])
+            table.d, [(g, trace(g, w)) for w in key for g in range(table.d)])
     return table.orbits[key]
 
 
@@ -911,6 +908,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     if (mc.g, mc.n) != (spec.g, spec.n):
         raise InvalidInputError("multicurve signature does not match cover")
     t = _table(spec)
+    group = spec.group
     for w in mc.words:
         for x in wreduce(w):
             if not (1 <= abs(x) <= t.N):
@@ -957,7 +955,7 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
             for cy in _subgroup_orbits(t, [loop]):
                 g = cy[0]
                 v = vert_of[(side.piece, g)]
-                edge_ends[edge_of[(e, t.trace(g, side.conj))]].append(v)
+                edge_ends[edge_of[(e, group.trace(g, side.conj))]].append(v)
     _check(all(len(ends) == 2 for ends in edge_ends),
            "every lifted curve bounds exactly two circles")
 
@@ -1003,11 +1001,12 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
             hom._copies[key] = _piece_copy_classes(hom.space, chain, *key)
     vert_classes = tuple(hom._copies[key] for key in keys)
     # the deck element h moves the copy through sheet s to the one through
-    # h^-1 s, so every copy is looked up by the image of its least sheet
-    mul, inv = spec.group.tables()
+    # h^-1 s, so every copy is looked up by the image of its least sheet,
+    # traced along the word of that sheet from the inverse of h
+    firsts = {orb[0] for _, orb in vert_order} | {g for _, g in edge_copies}
     vperms, eperms = [], []
-    for h in range(d):
-        sheet = mul[inv[h]]
+    for hinv in group.inverse:
+        sheet = {s: group.trace(hinv, group.words[s]) for s in firsts}
         vperms.append(tuple(vert_of[(pi, sheet[orb[0]])]
                             for pi, orb in vert_order))
         eperms.append(tuple(edge_of[(e, sheet[g])] for e, g in edge_copies))
@@ -1041,8 +1040,7 @@ def derived_cover(spec: CoverSpec, ell: int) -> CoverSpec:
     closed one (so the boundary relation stays killed), and 0 on a tree
     edge.  Cosets are numbered as DeckGroup numbers deck elements, in the
     shortlex order of their breadth-first words."""
-    if ell < 2:
-        raise InvalidInputError("derived modulus must be at least 2")
+    check_modulus(ell, "derived modulus", over_z=False)
     t = _table(spec)
     if spec.n >= 1:
         rows = [(0,) * t.L] + [tuple(int(i == k) for k in range(t.L))
@@ -1059,16 +1057,11 @@ def derived_cover(spec: CoverSpec, ell: int) -> CoverSpec:
         lid = t.loop_id(h, j)
         if lid:
             v = tuple((a + b) % ell for a, b in zip(v, rows[lid]))
-        return t.fwd[j - 1][h], v
+        return spec.group.act[j - 1][h], v
 
     res = orbit_enumerate((0, rows[0]), range(1, t.N + 1), move, cap=degree)
     _check(len(res.elements) == degree, "cosets reach the predicted degree")
-    order = shortlex_order(res)
-    place = [0] * degree
-    for i, x in enumerate(order):
-        place[x] = i
-    perms = [tuple(place[res.moves[x][j]] for x in order)
-             for j in range(t.N)]
+    perms = _shortlex_graph(res, t.N)[1]
     return perm_cover(spec.g, spec.n, degree, perms, declared_order=degree)
 
 
@@ -1106,7 +1099,8 @@ def _preserves(table, seq):
     cover subgroup back into the subgroup, kept on the table per sequence."""
     key = tuple(seq)
     if key not in table.verdicts:
-        table.verdicts[key] = all(table.trace(0, _apply_sequence(seq, s)) == 0
+        trace = table.group.trace
+        table.verdicts[key] = all(trace(0, _apply_sequence(seq, s)) == 0
                                   for s in table.loop_words)
     return table.verdicts[key]
 
@@ -1136,8 +1130,7 @@ def mcg_action_on_cover(spec: CoverSpec, t, m: int):
     """Matrix induced on H_1 of the filled cover by a twist or a twist
     sequence preserving the cover subgroup; deck-coset ambiguity is fixed
     by returning the lexicographically least representative."""
-    if m < 2:
-        raise InvalidInputError("modulus must be at least 2")
+    check_modulus(m, over_z=False)
     seq = _twist_sequence(t)
     if not _preserves(_table(spec), seq):
         raise ValidationError("invariance",

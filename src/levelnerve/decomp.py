@@ -57,9 +57,8 @@ invariants, free quotients, the divisor test) is asked of SympSpace and
 SympSubgroup, and the symplectic module alone chooses how to answer it.
 Matrices are read through their symplectic.checked_matrix records:
 whether a matrix is symplectic, its inverse, its reduced rows, whether it
-maps a subgroup onto another, the key of a frame's image and the image
-itself.  This module never packs a row and keeps no matrix memo of its
-own.
+maps a subgroup onto another and the sign-normal image of a frame.  This
+module never packs a row and keeps no matrix memo of its own.
 
 Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
@@ -525,9 +524,9 @@ def _action_natural(d: EquivariantDecomposition):
     if d.group is not None:
         if len(d.matrices) != d.group.d:
             return False
-        gens = d.group.gens
-        mul = d.group.tables()[0]
-        products = tuple(tuple(row[s] for s in gens) for row in mul)
+        gens, trace, words = d.group.gens, d.group.trace, d.group.words
+        products = tuple(tuple(trace(a, words[s]) for s in gens)
+                         for a in elements)
         for a, row in enumerate(products):
             va, ea = d.vperms[a], d.eperms[a]
             for s, c in zip(gens, row):
@@ -539,8 +538,6 @@ def _action_natural(d: EquivariantDecomposition):
                                 products):
             return False
         elements = gens
-    # a frame key depends on the modulus alone, so any record gives it
-    keys = [checked[0].frame_key(f) for f in d.frames] if checked else []
     for k in elements:
         F, vp, ep = checked[k], d.vperms[k], d.eperms[k]
         for e in range(E):
@@ -549,7 +546,7 @@ def _action_natural(d: EquivariantDecomposition):
                 return False
             if not F.maps_onto(d.edge_groups[e], d.edge_groups[ep[e]]):
                 return False
-            if keys[ep[e]] != F.image_key(keys[e]):
+            if d.frames[ep[e]] != F.frame_image(d.frames[e]):
                 return False
         for v in range(d.V):
             if not F.maps_onto(d.vertex_groups[v], d.vertex_groups[vp[v]]):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvalidInputError, LevelNerveError
-from .symplectic import SympSpace
+from .symplectic import SympSpace, check_modulus
 from .words import (
     FoldedGraph,
     commutator,
@@ -310,8 +310,7 @@ class SurfacePresentation:
     def homology_class(self, word, m: int = 0):
         """Class in H_1 of the closed surface (u letters killed),
         interleaved coordinates (a_1, b_1, a_2, b_2, ...)."""
-        if m < 0 or m == 1:
-            raise InvalidInputError("modulus must be 0 or at least 2")
+        check_modulus(m)
         v = [0] * (2 * self.g)
         for x in wreduce(word):
             a = abs(x)
@@ -448,8 +447,7 @@ def homology_class(word, g: int, n: int, m: int = 0, target: str = "closed"):
     if target == "closed":
         return pres.homology_class(word, m)
     if target == "open":
-        if m < 0 or m == 1:
-            raise InvalidInputError("modulus must be 0 or at least 2")
+        check_modulus(m)
         v = pres.open_class(word)
         if m:
             v = tuple(c % m for c in v)

@@ -51,9 +51,9 @@ stay on row tuples, and odd primes stay on integer entries.
 A matrix is checked once per value: checked_matrix(g, m, F) is the one
 memoized record (CheckedMatrix) of its reduced rows, its inverse when it
 is symplectic and, at m = 2, its packed rows.  The record answers the
-questions an action check asks of a matrix, whether it maps one subgroup
-onto another and the key of a frame's image, on the packed rows at
-m = 2, and keeps the sign-normal frame images that transport stores
+questions an action check asks of a matrix: whether it maps one
+subgroup onto another, on the packed rows at m = 2, and the sign-normal
+image of a frame, which it keeps for the checks and for transport alike
 (frame_image); matrices_compose checks a table of products on the same
 rows.  Other modules read the record and neither check, invert nor pack
 a matrix themselves.
@@ -322,18 +322,30 @@ def rref_transform(rows, p):
 # symplectic spaces
 
 
+def check_int(x, name):
+    """Refuse anything but an int; a bool is an int to Python, but neither
+    a genus nor a modulus."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInputError(f"{name} must be an int, not {x!r}")
+
+
+def check_modulus(m, name="modulus", over_z=True):
+    """The one check of a modulus at a public entry point: an int that is
+    at least 2, or 0 (working over Z) where over_z allows it."""
+    check_int(m, name)
+    if m < 2 and not (over_z and m == 0):
+        raise InvalidInputError(
+            f"{name} must be {'0 or ' if over_z else ''}at least 2")
+
+
 class SympSpace:
     """H = (Z/m)^(2g) with the standard symplectic pairing; m = 0 means Z."""
 
     def __init__(self, g: int, m: int):
-        # a bool is an int to Python, but neither a genus nor a modulus
-        for name, x in (("genus", g), ("modulus", m)):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidInputError(f"{name} must be an int, not {x!r}")
+        check_int(g, "genus")
+        check_modulus(m)
         if g < 0:
             raise InvalidInputError("genus must be nonnegative")
-        if m < 0 or m == 1:
-            raise InvalidInputError("modulus must be 0 or at least 2")
         self.g = g
         self.m = m
         self.dim = 2 * g
@@ -812,17 +824,12 @@ class CheckedMatrix:
     makes one per value.
 
     It answers the two questions an action check asks of a symplectic
-    matrix F, on packed rows at m = 2 and on integer entries otherwise:
-    whether F maps one subgroup onto another (maps_onto), and the key of
-    a frame's image.  A frame is compared by its key (frame_key): the
-    packed int at m = 2, the sign normal otherwise; image_key maps the
-    key of a frame to the key of its image under F.
-
-    frame_image gives the sign-normal image of a frame itself, as
-    transport stores it, and keeps each one in a memo on the record, so
-    a frame is moved by F once however many values carry it; away from
-    m = 2 a frame's key is its sign normal, and image_key reads the same
-    memo."""
+    matrix F: whether F maps one subgroup onto another (maps_onto, on
+    packed rows at m = 2 and on integer entries otherwise), and the
+    sign-normal image of a frame (frame_image), which transport stores
+    too.  frame_image keeps each image in a memo on the record, which
+    lives as long as checked_matrix keeps the record, so a frame is moved
+    by F once however many values and checks carry it."""
 
     m: int
     rows: tuple
@@ -831,16 +838,6 @@ class CheckedMatrix:
     # frame_image results, by frame
     _frames: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
-
-    def frame_key(self, vec):
-        if self.packed is not None:
-            return pack_f2(vec)
-        return _sign_normal(vec, self.m)
-
-    def image_key(self, key):
-        if self.packed is not None:
-            return f2_image(key, self.packed)
-        return self.frame_image(key)
 
     def frame_image(self, f):
         """The lesser of f*F and -f*F, reduced mod m, memoized by f."""

@@ -683,8 +683,8 @@ def action_natural_every_element(d):
                 return False
             if not F.maps_onto(d.edge_groups[e], d.edge_groups[ep[e]]):
                 return False
-            if F.frame_key(d.frames[ep[e]]) != F.image_key(
-                    F.frame_key(d.frames[e])):
+            if d.frames[ep[e]] != space.sign_normal(
+                    space.mat_apply(d.frames[e], M)):
                 return False
         for v in range(d.V):
             if not F.maps_onto(d.vertex_groups[v], d.vertex_groups[vp[v]]):
@@ -696,7 +696,7 @@ def action_natural_every_element(d):
         idx = d.group.index
         for a in range(len(elems)):
             for b in range(len(elems)):
-                c = idx[d.group.mul(elems[a], elems[b])]
+                c = idx[d.group.ops.mul(elems[a], elems[b])]
                 vab = tuple(d.vperms[b][d.vperms[a][v]]
                             for v in range(d.V))
                 if vab != d.vperms[c]:
@@ -707,6 +707,51 @@ def action_natural_every_element(d):
     return True
 
 
+def product_table(group):
+    """(mul, inv) by index, brute force from the ops of a deck group:
+    mul[a][b] is the index of elements[a] * elements[b] and inv[a] that of
+    the inverse of elements[a].  This is the d x d table that a deck group
+    built before it kept its Cayley graph."""
+    idx, elems, ops = group.index, group.elements, group.ops
+    return (tuple(tuple(idx[ops.mul(a, b)] for b in elems) for a in elems),
+            tuple(idx[ops.inv(a)] for a in elems))
+
+
+def deck_perms_by_products(spec, mc, cg, tables):
+    """(vperms, eperms) of the cut graph cg of mc, as lift_cut_graph built
+    them from the product table `tables` of spec.group: the element h
+    moves the copy through sheet s to the copy through h^-1 s.  The
+    components of curve e are the cycles of right multiplication by the
+    image of its word, multiplied out from the letter images and ordered by
+    least sheet, which is the edge order of cg."""
+    group, ops = spec.group, spec.group.ops
+    mul, inv = tables
+    pieces = list(zip(cg.vert_piece, cg.vert_orbit))
+    vert_of = {(pi, s): v for v, (pi, orb) in enumerate(pieces)
+               for s in orb}
+    edge_of, firsts = {}, []
+    for e, w in enumerate(mc.words):
+        x = ops.identity
+        for a in wreduce(w):
+            y = spec.images[abs(a) - 1]
+            x = ops.mul(x, y if a > 0 else ops.inv(y))
+        right = group.index[x]
+        for s in range(group.d):
+            if (e, s) in edge_of:
+                continue
+            t = s
+            while (e, t) not in edge_of:
+                edge_of[e, t] = len(firsts)
+                t = mul[t][right]
+            firsts.append((e, s))
+    assert len(firsts) == len(cg.edge_ends)
+    vperms = tuple(tuple(vert_of[pi, mul[inv[h]][orb[0]]]
+                         for pi, orb in pieces) for h in range(group.d))
+    eperms = tuple(tuple(edge_of[e, mul[inv[h]][s]] for e, s in firsts)
+                   for h in range(group.d))
+    return vperms, eperms
+
+
 def signed_schreier_vertex_group(space, hom, table, piece, orbit):
     """Image of the homology of one piece copy, as the lift computes it, by
     another route: the transversal runs over the signed letters (each
@@ -714,7 +759,8 @@ def signed_schreier_vertex_group(space, hom, table, piece, orbit):
     gives a Schreier generator, tree edges included."""
     root = orbit[0]
     letters = [w for gw in piece.gens for w in (gw, winv(gw))]
-    res = orbit_enumerate(root, letters, lambda w, h: table.trace(h, w),
+    trace = table.group.trace
+    res = orbit_enumerate(root, letters, lambda w, h: trace(h, w),
                           cap=table.d)
     trans = {h: wmul(*(letters[i] for i in word))
              for h, word in zip(res.elements, res.words)}
@@ -723,7 +769,7 @@ def signed_schreier_vertex_group(space, hom, table, piece, orbit):
     gens = []
     for h in orbit:
         for gw in piece.gens:
-            u = wmul(trans[h], gw, winv(trans[table.trace(h, gw)]))
+            u = wmul(trans[h], gw, winv(trans[trace(h, gw)]))
             gens.append(hom.class_of(wmul(tw, u, winv(tw))))
     return space.subgroup(gens)
 
@@ -748,7 +794,7 @@ class RecordElimination:
                 while (g, s) not in seen:
                     seen.add((g, s))
                     darts.append((g, s))
-                    g, s = t.step(g, s), rho[s]
+                    g, s = spec.group.step(g, s), rho[s]
                 if darts:
                     faces.append([lid for lid in (t.loop_id(gg, ss)
                                                   for gg, ss in darts)

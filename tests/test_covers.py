@@ -8,7 +8,10 @@ from hypothesis import given, strategies as st
 from levelnerve.errors import (InvalidInputError, InvalidCoverError,
                                LevelNerveError, ResourceLimitError,
                                ValidationError)
-from levelnerve.surface import presentation, twist_automorphisms
+from levelnerve.surface import (homology_class, presentation,
+                                twist_automorphisms)
+from levelnerve.complexes import build_abelian_nerve, build_image_complex
+from levelnerve.decomp import induced_from_lift, validate
 from levelnerve.catalog import delete_curves, multicurve_catalog
 from levelnerve.words import winv, wmul, wpow
 from levelnerve import covers
@@ -35,7 +38,8 @@ from levelnerve.covers import (
     _table,
     _unimodular_inverse,
 )
-from oracles import RecordElimination
+from oracles import (RecordElimination, deck_perms_by_products,
+                     product_table)
 
 SWAP = (1, 0)
 ID2 = (0, 1)
@@ -194,7 +198,7 @@ def test_deck_action_is_symplectic_homomorphism(h2):
     assert all(hom.space.is_symplectic(M) for M in hom.matrices)
     for a in els[:4] + els[7:9]:
         for b in els[5:11]:
-            ab = h2.group.mul(a, b)
+            ab = h2.group.ops.mul(a, b)
             M = {x: hom.matrices[h2.group.index[x]] for x in (a, b, ab)}
             assert hom.space.mat_mul(M[a], M[b]) == M[ab]
 
@@ -376,7 +380,8 @@ def test_covers_with_other_images_keep_their_own_entries(cat20):
         assert chain.walks and t.orbits and hom._copies
         assert all(chain._read(*key) == out
                    for key, out in chain.walks.items())
-        assert all(covers.components(t.d, [(g, t.trace(g, w)) for w in key
+        trace = spec.group.trace
+        assert all(covers.components(t.d, [(g, trace(g, w)) for w in key
                                            for g in range(t.d)]) == out
                    for key, out in t.orbits.items())
         assert all(covers._piece_copy_classes(hom.space, chain, *key) == out
@@ -418,6 +423,23 @@ def test_seed_stage_walks_each_word_once(monkeypatch):
     assert counts["rewrite"] <= 1300
     assert counts["copies"] <= 78
     assert counts["orbits"] <= 41
+
+
+@pytest.mark.parametrize("make, g, n, count", [
+    (lambda: homology_cover(2, 0, 2), 2, 0, 26),
+    (lambda: derived_cover(homology_cover(1, 1, 2), 2), 1, 1, 1),
+], ids=["h202", "derived112"])
+def test_deck_perms_match_the_product_table(make, g, n, count):
+    # each lift's deck permutations, traced along the words of the least
+    # sheets, against the construction from the d x d product table
+    spec = make()
+    tables = product_table(spec.group)
+    mcs = _seed_stage(g, n)
+    assert len(mcs) == count
+    for mc in mcs:
+        cg = lift_cut_graph(spec, mc, 2)
+        assert (cg.vperms, cg.eperms) == \
+            deck_perms_by_products(spec, mc, cg, tables)
 
 
 # -- derived covers
@@ -614,14 +636,41 @@ def test_mcg_requires_invariance():
             "twist does not preserve the cover subgroup"
 
 
+def test_no_element_is_multiplied_after_the_group_is_built(monkeypatch):
+    # the deck homology, the five twist matrices and the 26 seed-stage
+    # lifts with their validation read the Cayley graph of the deck group
+    # and never call its group operations; a cover built under the same
+    # patch shows that the count sees them
+    spec = homology_cover(2, 0, 2)
+    calls = []
+    ops_type = type(spec.group.ops)
+    for name in ("mul", "inv"):
+        def counting(self, *args, real=getattr(ops_type, name), name=name):
+            calls.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(ops_type, name, counting)
+    cover_homology(spec, 2)
+    twists = presentation(2, 0).twists()
+    assert len(twists) == 5
+    for t in twists:
+        mcg_action_on_cover(spec, t, 2)
+    mcs = _seed_stage(2, 0)
+    assert len(mcs) == 26
+    for mc in mcs:
+        assert validate(induced_from_lift(spec, mc, 2)) == []
+    assert calls == []
+    homology_cover(2, 0, 2)
+    assert "mul" in calls
+
+
 def test_each_twist_is_traced_once(monkeypatch):
     # the seed stage of the image complex on a fresh cover: invariance_check
     # traces each of the 5 twists over every Schreier generator, and
     # mcg_action_on_cover reads the recorded verdicts
     spec = homology_cover(2, 0, 2)
     traced = []
-    table_type = type(_table(spec))
-    trace = table_type.trace
+    group_type = type(spec.group)
+    trace = group_type.trace
 
     def counting(self, start, word):
         traced.append(word)
@@ -629,7 +678,7 @@ def test_each_twist_is_traced_once(monkeypatch):
 
     twists = presentation(2, 0).twists()
     cover_homology(spec, 2)
-    monkeypatch.setattr(table_type, "trace", counting)
+    monkeypatch.setattr(group_type, "trace", counting)
     assert invariance_check(spec, twists)
     for t in twists:
         mcg_action_on_cover(spec, t, 2)
@@ -641,6 +690,34 @@ def test_mcg_modulus_validated():
     spec = identity_cover(2, 0)
     with pytest.raises(InvalidInputError):
         mcg_action_on_cover(spec, [], 0)
+
+
+MODULUS_ENTRIES = {
+    "mcg_action": lambda spec, m: mcg_action_on_cover(spec, [], m),
+    "nerve": lambda spec, m: build_abelian_nerve(1, 1, m),
+    "image_complex": lambda spec, m: build_image_complex(spec, m),
+    "derived": lambda spec, m: derived_cover(spec, m),
+    "homology_cover": lambda spec, m: homology_cover(1, 1, m),
+    "cover_homology": lambda spec, m: cover_homology(spec, m),
+    "pres_class": lambda spec, m: spec.pres.homology_class((1,), m),
+    "closed_class": lambda spec, m: homology_class((1,), 1, 1, m),
+    "open_class": lambda spec, m: homology_class((1,), 1, 1, m, "open"),
+}
+
+
+@pytest.mark.parametrize("m", [2.0, "2", True], ids=repr)
+@pytest.mark.parametrize("entry", list(MODULUS_ENTRIES))
+def test_every_modulus_entry_point_wants_an_int(entry, m, monkeypatch):
+    # one shared check, before any work: no entry point enumerates an
+    # orbit first (a derived cover used to enumerate every coset of 2.0)
+    spec = identity_cover(1, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated before the modulus check")
+
+    monkeypatch.setattr(covers, "orbit_enumerate", refuse)
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        MODULUS_ENTRIES[entry](spec, m)
 
 
 # -- transversals and serialization
@@ -692,18 +769,37 @@ def test_deck_group_in_discovery_order(make):
     assert group.d == len(want)
 
 
-@SMALL_COVERS
-def test_deck_group_tables_agree_with_mul_and_inv(make):
-    group = make().group
-    assert group._tables is None  # built on first use only
-    mul, inv = group.tables()
-    assert group.tables() is group.tables()
+CAYLEY = dict(SMALL, **{
+    "derived112": lambda: derived_cover(homology_cover(1, 1, 2), 2),
+    "derived-s3": lambda: derived_cover(s3_cover(), 2),
+})
+
+
+@pytest.mark.parametrize("name", list(CAYLEY))
+def test_deck_group_cayley_graph(name):
+    """The records of the one enumeration against the group operations:
+    the right action of each image, the inverse permutations, the index of
+    each inverse, the breadth-first words in shortlex order; a derived
+    cover's permutations are its group's right action."""
+    spec = CAYLEY[name]()
+    assert spec._table is None  # the closed-base check reads the graph
+    group, ops = spec.group, spec.group.ops
     els, idx = group.elements, group.index
+    assert len(group.act) == len(group.back) == group.N == len(spec.images)
+    for j, img in enumerate(spec.images):
+        assert group.act[j] == tuple(idx[ops.mul(x, img)] for x in els)
+        assert all(group.back[j][b] == a
+                   for a, b in enumerate(group.act[j]))
     for a, x in enumerate(els):
-        assert els[inv[a]] == group.inv(x)
-        assert [els[c] for c in mul[a]] == [group.mul(x, y) for y in els]
-    assert set(group.gens) == {idx[s] for s in make().images}
+        assert els[group.inverse[a]] == ops.inv(x)
+        assert group.trace(0, group.words[a]) == a
+    keys = [(len(w), w) for w in group.words]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(x > 0 for w in group.words for x in w)
+    assert set(group.gens) == {idx[s] for s in spec.images}
     assert len(set(group.gens)) == len(group.gens)
+    if name.startswith("derived"):
+        assert spec.images == group.act
 
 
 @SMALL_COVERS
@@ -718,8 +814,7 @@ def test_schreier_generators_rewrite_to_their_own_loop(make):
 
 @pytest.mark.parametrize("word", [(5,), (1, -5)])
 def test_rewrite_refuses_letters_outside_the_alphabet(h2, word):
-    t = _table(h2)
-    for read in (t.trace, t.rewrite):
+    for read in (h2.group.trace, _table(h2).rewrite):
         with pytest.raises(InvalidInputError, match="outside cover alphabet"):
             read(0, word)
 
@@ -727,7 +822,7 @@ def test_rewrite_refuses_letters_outside_the_alphabet(h2, word):
 def _closed_at(t, sheet, word):
     """`word` read from `sheet`, closed up by the transversal words back to
     `sheet`; the appended letters cross tree edges only."""
-    end = t.trace(sheet, word)
+    end = t.group.trace(sheet, word)
     return wmul(word, winv(t.twords[end]), t.twords[sheet])
 
 
@@ -783,7 +878,7 @@ def test_class_table_on_drawn_words(name, sheet, letters):
     sheet %= t.d
     word = tuple(x for x in letters if abs(x) <= t.N)
     _assert_class_table(spec, old, sheet, _closed_at(t, sheet, word))
-    if t.trace(sheet, word) != sheet:
+    if spec.group.trace(sheet, word) != sheet:
         with pytest.raises(LevelNerveError, match="cover subgroup"):
             _chain(spec).class_at(sheet, word)
 
@@ -828,9 +923,9 @@ def test_shortlex_transversal_against_bfs(h2):
     while frontier:
         nxt = []
         for e in frontier:
-            for j, (x, xi) in enumerate(zip(h2.images, h2.inv_images), 1):
-                for s, y in ((j, x), (-j, xi)):
-                    f = group.mul(e, y)
+            for j, x in enumerate(h2.images, 1):
+                for s, y in ((j, x), (-j, group.ops.inv(x))):
+                    f = group.ops.mul(e, y)
                     if f not in words:
                         words[f] = words[e] + (s,)
                         nxt.append(f)
@@ -839,13 +934,15 @@ def test_shortlex_transversal_against_bfs(h2):
                                             for e in group.elements)
 
 
-def test_deck_group_cap():
+def test_deck_group_cap(monkeypatch):
     pres = presentation(2, 0)
     images = [pres.homology_class((j,), 2)
               for j in range(1, pres.cover_rank() + 1)]
+    monkeypatch.setattr(covers, "DEFAULT_MAX_DEGREE", 15)
     with pytest.raises(ResourceLimitError):
-        CoverSpec(2, 0, images, AbelianOps((2,) * 4), max_degree=15)
-    spec = CoverSpec(2, 0, images, AbelianOps((2,) * 4), max_degree=16)
+        CoverSpec(2, 0, images, AbelianOps((2,) * 4))
+    monkeypatch.setattr(covers, "DEFAULT_MAX_DEGREE", 16)
+    spec = CoverSpec(2, 0, images, AbelianOps((2,) * 4))
     assert spec.group.d == 16
 
 

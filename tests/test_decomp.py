@@ -35,9 +35,9 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
 from oracles import (action_natural_every_element, equivalent, maps_onto,
-                     module_map_report, pushout_report_by_kernel,
-                     quotient_profile, signed_schreier_vertex_group,
-                     transport_mismatches)
+                     module_map_report, product_table,
+                     pushout_report_by_kernel, quotient_profile,
+                     signed_schreier_vertex_group, transport_mismatches)
 
 A1, B1, A2, B2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -931,7 +931,7 @@ def test_level_two_action_check_stays_packed(monkeypatch):
 def _compose(d):
     """Whether the matrices of d compose as its group: M_a . M_b = M_ab
     for every pair of elements."""
-    mul = d.group.tables()[0]
+    mul = product_table(d.group)[0]
     sp = d.space
     return all(sp.mat_mul(d.matrices[a], d.matrices[b]) == d.matrices[c]
                for a, row in enumerate(mul) for b, c in enumerate(row))
