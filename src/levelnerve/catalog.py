@@ -92,10 +92,6 @@ class MulticurveRep:
         self.sides = tuple(sides)
         self.key = key
 
-    @property
-    def type(self):
-        return self.graph
-
     def rank(self):
         return len(self.words) - 1
 

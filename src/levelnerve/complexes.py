@@ -238,7 +238,7 @@ def _orbit_types(space, types, gens, cap):
                 f"orbit cap while generating type {td.key}: {exc}; "
                 f"completed orbits: {done}")
         transport = {(): space.identity_matrix()}
-        for w in sorted(res.words, key=len):
+        for w in res.words:
             if w:
                 transport[w] = space.mat_mul(transport[w[:-1]], gens[w[-1]])
         per_type.append((td, res, [transport[w] for w in res.words]))

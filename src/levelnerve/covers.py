@@ -64,10 +64,9 @@ from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
                      ResourceLimitError, ValidationError)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
-from .symplectic import (SympSpace, check_modulus, checked_matrix,
-                         hnf_transform, mat_identity, mat_mul,
-                         orbit_enumerate, schreier_edges, shortlex_order,
-                         vec_mat)
+from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
+                         checked_matrix, hnf_transform, mat_identity,
+                         mat_mul, orbit_enumerate, schreier_edges, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -97,13 +96,14 @@ class PermOps:
     kind = "perm"
 
     def __init__(self, degree: int):
+        check_int(degree, "permutation degree")
         if degree < 1:
             raise InvalidInputError("permutation degree must be positive")
         self.degree = degree
         self.identity = tuple(range(degree))
 
     def validate(self, p):
-        t = tuple(int(x) for x in p)
+        t = check_ints(p, "permutation entry")
         if sorted(t) != list(range(self.degree)):
             raise InvalidInputError("not a permutation of the stated degree")
         return t
@@ -120,13 +120,13 @@ class AbelianOps:
     kind = "abelian"
 
     def __init__(self, moduli):
-        self.moduli = tuple(int(m) for m in moduli)
+        self.moduli = check_ints(moduli, "abelian modulus")
         if any(m < 2 for m in self.moduli):
             raise InvalidInputError("abelian moduli must be at least 2")
         self.identity = (0,) * len(self.moduli)
 
     def validate(self, v):
-        v = tuple(int(x) for x in v)
+        v = check_ints(v, "abelian entry")
         if len(v) != len(self.moduli):
             raise InvalidInputError("vector length does not match moduli")
         return tuple(x % m for x, m in zip(v, self.moduli))
@@ -142,9 +142,8 @@ class DeckGroup:
     """Closure of the generator images, kept as the Cayley graph that its
     one enumeration walks; no element is multiplied once it is built.
 
-    Elements are numbered in the shortlex order (len(w), w) of their
-    breadth-first words, which is the order of discovery, and the graph
-    is renumbered the same way (_shortlex_graph):
+    Elements and the graph are numbered as orbit_enumerate discovers them,
+    in the shortlex order (len(w), w) of their breadth-first words:
 
       * act[j][a] is the index of elements[a] * images[j], the right
         action of image j, and back[j] is its inverse permutation;
@@ -163,12 +162,11 @@ class DeckGroup:
         self.N = len(images)
         res = orbit_enumerate(ops.identity, images,
                               lambda s, e: ops.mul(e, s), cap=max_size)
-        order, self.act = _shortlex_graph(res, self.N)
-        self.elements = [res.elements[i] for i in order]
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.act = tuple(zip(*res.moves))
+        self.elements = list(res.elements)
         self.d = len(self.elements)
         self.back = tuple(map(_inverse_perm, self.act))
-        self.words = tuple(tuple(j + 1 for j in res.words[i]) for i in order)
+        self.words = tuple(tuple(j + 1 for j in w) for w in res.words)
         self.inverse = tuple(self.trace(0, winv(w)) for w in self.words)
         self.gens = tuple(dict.fromkeys(p[0] for p in self.act))
 
@@ -188,16 +186,6 @@ class DeckGroup:
                 raise InvalidInputError(f"letter {x} outside cover alphabet")
             g = self.step(g, x)
         return g
-
-
-def _shortlex_graph(res, n):
-    """The orbit of res renumbered in the shortlex order of its
-    breadth-first words: that order, as indices into res, and the action
-    of each of the n generators as a permutation of the new numbers."""
-    order = shortlex_order(res)
-    place = _inverse_perm(order)
-    return order, tuple(tuple(place[res.moves[x][j]] for x in order)
-                        for j in range(n))
 
 
 # --------------------------------------------------------------------------
@@ -303,8 +291,8 @@ def cover_spec_to_data(spec: CoverSpec) -> dict:
 
 def cover_spec_from_data(data: dict) -> CoverSpec:
     try:
-        g = int(data["base"]["g"])
-        n = int(data["base"]["n"])
+        g = data["base"]["g"]
+        n = data["base"]["n"]
         group = data["group"]
         kind = group["kind"]
         raw = data["images"]
@@ -319,7 +307,7 @@ def cover_spec_from_data(data: dict) -> CoverSpec:
             raise InvalidInputError(
                 f"declared order must be a positive int, not {order!r}")
         if kind == "perm":
-            spec = perm_cover(g, n, int(group["degree"]), images,
+            spec = perm_cover(g, n, group["degree"], images,
                               declared_order=order)
         elif kind == "abelian":
             spec = abelian_cover(g, n, group["moduli"], images,
@@ -356,8 +344,10 @@ class _Table:
         res = orbit_enumerate(0, letters, lambda s, g: group.step(g, s),
                               cap=d)
         _check(len(res.elements) == d, "coset graph is connected")
-        # the orbit is range(d) in order, so words are indexed by coset
-        self.twords = [tuple(letters[i] for i in w) for w in res.words]
+        # res numbers the cosets by discovery, so index the words by coset
+        self.twords = [None] * d
+        for c, w in zip(res.elements, res.words):
+            self.twords[c] = tuple(letters[i] for i in w)
         tree = set()
         for t, w in enumerate(self.twords[1:], 1):
             s = w[-1]
@@ -882,10 +872,9 @@ def _piece_copy_classes(space, chain, gens, orbit):
     res = orbit_enumerate(root, range(len(gens)), act, cap=chain.t.d)
     _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
     edge = [[walked[h, j] for j in range(len(gens))] for h in res.elements]
-    start = res.elements.index(root)
     pot = []
     for x, word in enumerate(res.words):
-        y, cls = start, chain.class_rows[0]
+        y, cls = 0, chain.class_rows[0]
         for j in word:
             cls = tuple(map(add, cls, edge[y][j]))
             y = res.moves[y][j]
@@ -1061,8 +1050,8 @@ def derived_cover(spec: CoverSpec, ell: int) -> CoverSpec:
 
     res = orbit_enumerate((0, rows[0]), range(1, t.N + 1), move, cap=degree)
     _check(len(res.elements) == degree, "cosets reach the predicted degree")
-    perms = _shortlex_graph(res, t.N)[1]
-    return perm_cover(spec.g, spec.n, degree, perms, declared_order=degree)
+    return perm_cover(spec.g, spec.n, degree, tuple(zip(*res.moves)),
+                      declared_order=degree)
 
 
 # --------------------------------------------------------------------------

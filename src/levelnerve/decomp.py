@@ -86,8 +86,8 @@ import math
 
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, checked_matrix,
-                         matrices_compose)
+from .symplectic import (SympSpace, SympSubgroup, check_int, check_ints,
+                         checked_matrix, matrices_compose)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -137,7 +137,8 @@ class GraphDecomposition:
     def __init__(self, space, vertex_groups, edge_groups, edges, marks=None,
                  n=0):
         self.space = space
-        self.n = int(n)
+        check_int(n, "number of marks")
+        self.n = n
         if self.n < 0:
             raise InvalidInputError("negative number of marks")
         self.vertex_groups = tuple(self._coerce(g) for g in vertex_groups)
@@ -158,7 +159,7 @@ class GraphDecomposition:
             marks = [()] * self.V
         mk = []
         for s in marks:
-            t = tuple(sorted(set(int(x) for x in s)))
+            t = tuple(sorted(set(check_ints(s, "mark label"))))
             if any(not (1 <= x <= self.n) for x in t):
                 raise InvalidInputError("mark label outside 1..n")
             mk.append(t)
@@ -777,10 +778,10 @@ def decomposition_to_data(d) -> dict:
 
 def decomposition_from_data(data) -> GraphDecomposition:
     try:
-        space = SympSpace(int(data["space"]["genus"]),
-                          int(data["space"]["modulus"]))
-        n = int(data.get("n", 0))
-        V = int(data["vertices"])
+        space = SympSpace(data["space"]["genus"], data["space"]["modulus"])
+        n = data.get("n", 0)
+        V = data["vertices"]
+        check_int(V, "vertex count")
         marks = data.get("marks") or [()] * V
         edges = [tuple(e) for e in data["edges"]]
         vgroups = [list(map(tuple, vg)) for vg in data["vertex_groups"]]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InvalidInputError, LevelNerveError
-from .symplectic import SympSpace, check_modulus
+from .symplectic import SympSpace, check_int, check_modulus
 from .words import (
     FoldedGraph,
     commutator,
@@ -228,6 +228,8 @@ class SurfacePresentation:
     (2g - 2 + n > 0)."""
 
     def __init__(self, g: int, n: int):
+        check_int(g, "genus")
+        check_int(n, "number of marked points")
         if g < 0 or n < 0 or 2 * g - 2 + n <= 0:
             raise InvalidInputError(f"signature ({g}, {n}) not hyperbolic")
         self.g = g
@@ -333,9 +335,6 @@ class SurfacePresentation:
             v[abs(x) - 1] += 1 if x > 0 else -1
         return tuple(v)
 
-    def space(self, m):
-        return SympSpace(self.g, m)
-
     # -- data for covering-space constructions
 
     def cover_rank(self):
@@ -428,7 +427,8 @@ class SurfacePresentation:
         return out
 
 
-@lru_cache(maxsize=None)
+# typed, so that True and 1.0 reach the checks instead of the entry for 1
+@lru_cache(maxsize=None, typed=True)
 def presentation(g: int, n: int) -> SurfacePresentation:
     return SurfacePresentation(g, n)
 

@@ -329,6 +329,14 @@ def check_int(x, name):
         raise InvalidInputError(f"{name} must be an int, not {x!r}")
 
 
+def check_ints(xs, name):
+    """The entries of xs as a tuple, each refused unless an int."""
+    xs = tuple(xs)
+    for x in xs:
+        check_int(x, name)
+    return xs
+
+
 def check_modulus(m, name="modulus", over_z=True):
     """The one check of a modulus at a public entry point: an int that is
     at least 2, or 0 (working over Z) where over_z allows it."""
@@ -938,9 +946,10 @@ def sp_group(space: SympSpace) -> tuple:
 
 @dataclass(frozen=True)
 class OrbitResult:
-    """Orbit sorted by canonical key, the sorted keys, the transversal word
-    that reaches each element from the seed, and the Schreier graph of the
-    orbit.
+    """Orbit in breadth-first discovery order, the key of each element, the
+    transversal word that reaches it from the seed, and the Schreier graph
+    of the orbit, all numbered alike: elements[0] is the seed, and the
+    words come in shortlex order (len(w), w).
 
     A word is a tuple of generator indices.  moves[i][j] is the index of
     generators[j] applied to elements[i], so a word is replayed from any
@@ -956,75 +965,46 @@ class OrbitResult:
 def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
     """Breadth-first orbit of `seed` under `action(gen, x)`.
 
-    `key` maps an element to its hashable, orderable canonical encoding
-    (default: the element itself).  Output is independent of traversal
-    schedule: elements are sorted by key and transversal words come from
-    the deterministic breadth-first tree, which reaches the elements in
-    the shortlex order (len(w), w) of their words.  Every edge is recorded
-    in moves as the int target of x under each generator, numbered in
-    first-visit order while walking and by sorted position on return.
+    `key` maps an element to its hashable canonical encoding (default: the
+    element itself).  Elements are numbered in the order the search first
+    reaches them, expanding each in turn and trying the generators in
+    order, so the seed is 0 and the transversal words increase in shortlex
+    order.  Every edge is recorded in moves as the number of its target.
     Exceeding `cap` raises ResourceLimitError with the partial count."""
     generators = list(generators)
-    k0 = seed if key is None else key(seed)
-    # element and transversal word, by key
-    reached = {k0: (seed, ())}
-    # first-visit number, by key
-    num = {k0: 0}
-    # targets of every edge, row by row in first-visit order: elements are
-    # expanded in the order they are first visited
-    targets = []
-    frontier = [k0]
-    while frontier:
-        nxt = []
-        for kx in frontier:
-            x, wx = reached[kx]
-            for i, g in enumerate(generators):
-                y = action(g, x)
-                ky = y if key is None else key(y)
-                hit = num.get(ky)
-                if hit is None:
-                    if len(reached) >= cap:
-                        raise ResourceLimitError(
-                            f"orbit exceeded cap {cap} "
-                            f"(partial count {len(reached)})")
-                    targets.append(len(num))
-                    num[ky] = len(num)
-                    reached[ky] = (y, wx + (i,))
-                    nxt.append(ky)
-                else:
-                    targets.append(hit)
-        frontier = nxt
-    order = sorted(reached)
-    first = [num[k] for k in order]
-    place = [0] * len(order)
-    for i, f in enumerate(first):
-        place[f] = i
-    n = len(generators)
-    return OrbitResult(
-        elements=tuple(reached[k][0] for k in order),
-        keys=tuple(order),
-        words=tuple(reached[k][1] for k in order),
-        moves=tuple(tuple(place[t] for t in targets[f * n:(f + 1) * n])
-                    for f in first),
-    )
-
-
-def shortlex_order(res: OrbitResult):
-    """Indices of the orbit's elements in the shortlex order (len(w), w) of
-    their breadth-first words, which is the order of first visit."""
-    words = res.words
-    return sorted(range(len(words)), key=lambda i: (len(words[i]), words[i]))
+    elements, words = [seed], [()]
+    # number of each key; its insertion order is the order of discovery
+    num = {seed if key is None else key(seed): 0}
+    moves = []
+    for x, wx in zip(elements, words):  # both grow while the loop runs
+        row = []
+        for i, g in enumerate(generators):
+            y = action(g, x)
+            ky = y if key is None else key(y)
+            t = num.get(ky)
+            if t is None:
+                if len(elements) >= cap:
+                    raise ResourceLimitError(
+                        f"orbit exceeded cap {cap} "
+                        f"(partial count {len(elements)})")
+                t = num[ky] = len(elements)
+                elements.append(y)
+                words.append(wx + (i,))
+            row.append(t)
+        moves.append(tuple(row))
+    return OrbitResult(tuple(elements), tuple(num), tuple(words),
+                       tuple(moves))
 
 
 def schreier_edges(res: OrbitResult):
     """The non-tree edges (x, j, y) of the orbit's Schreier graph, y =
-    moves[x][j], in first-visit order of x and then generator order; an
-    edge is a tree edge when the word of y is the word of x followed by j.
-    Each gives the Schreier generator t_x * g_j * t_y^-1 of the seed's
-    stabilizer (Schreier's lemma), and together they generate it."""
-    words, moves = res.words, res.moves
-    for x in shortlex_order(res):
-        for j, y in enumerate(moves[x]):
+    moves[x][j], in the order of x and then of j; an edge is a tree edge
+    when the word of y is the word of x followed by j.  Each gives the
+    Schreier generator t_x * g_j * t_y^-1 of the seed's stabilizer
+    (Schreier's lemma), and together they generate it."""
+    words = res.words
+    for x, row in enumerate(res.moves):
+        for j, y in enumerate(row):
             if words[y] != words[x] + (j,):
                 yield x, j, y
 

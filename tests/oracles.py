@@ -693,7 +693,7 @@ def action_natural_every_element(d):
                 return False
     if d.group is not None:
         elems = d.group.elements
-        idx = d.group.index
+        idx = {e: i for i, e in enumerate(elems)}
         for a in range(len(elems)):
             for b in range(len(elems)):
                 c = idx[d.group.ops.mul(elems[a], elems[b])]
@@ -712,7 +712,8 @@ def product_table(group):
     mul[a][b] is the index of elements[a] * elements[b] and inv[a] that of
     the inverse of elements[a].  This is the d x d table that a deck group
     built before it kept its Cayley graph."""
-    idx, elems, ops = group.index, group.elements, group.ops
+    elems, ops = group.elements, group.ops
+    idx = {e: i for i, e in enumerate(elems)}
     return (tuple(tuple(idx[ops.mul(a, b)] for b in elems) for a in elems),
             tuple(idx[ops.inv(a)] for a in elems))
 
@@ -729,13 +730,14 @@ def deck_perms_by_products(spec, mc, cg, tables):
     pieces = list(zip(cg.vert_piece, cg.vert_orbit))
     vert_of = {(pi, s): v for v, (pi, orb) in enumerate(pieces)
                for s in orb}
+    idx = {e: i for i, e in enumerate(group.elements)}
     edge_of, firsts = {}, []
     for e, w in enumerate(mc.words):
         x = ops.identity
         for a in wreduce(w):
             y = spec.images[abs(a) - 1]
             x = ops.mul(x, y if a > 0 else ops.inv(y))
-        right = group.index[x]
+        right = idx[x]
         for s in range(group.d):
             if (e, s) in edge_of:
                 continue

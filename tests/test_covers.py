@@ -195,11 +195,12 @@ def test_homology_cover_rank_and_faithful(h2):
 def test_deck_action_is_symplectic_homomorphism(h2):
     hom = cover_homology(h2, 2)
     els = h2.group.elements
+    idx = {e: i for i, e in enumerate(els)}
     assert all(hom.space.is_symplectic(M) for M in hom.matrices)
     for a in els[:4] + els[7:9]:
         for b in els[5:11]:
             ab = h2.group.ops.mul(a, b)
-            M = {x: hom.matrices[h2.group.index[x]] for x in (a, b, ab)}
+            M = {x: hom.matrices[idx[x]] for x in (a, b, ab)}
             assert hom.space.mat_mul(M[a], M[b]) == M[ab]
 
 
@@ -765,7 +766,6 @@ def test_deck_group_in_discovery_order(make):
     group = spec.group
     want = naive_closure(group.ops, spec.images)
     assert list(group.elements) == want
-    assert group.index == {e: i for i, e in enumerate(want)}
     assert group.d == len(want)
 
 
@@ -784,7 +784,8 @@ def test_deck_group_cayley_graph(name):
     spec = CAYLEY[name]()
     assert spec._table is None  # the closed-base check reads the graph
     group, ops = spec.group, spec.group.ops
-    els, idx = group.elements, group.index
+    els = group.elements
+    idx = {e: i for i, e in enumerate(els)}
     assert len(group.act) == len(group.back) == group.N == len(spec.images)
     for j, img in enumerate(spec.images):
         assert group.act[j] == tuple(idx[ops.mul(x, img)] for x in els)

@@ -331,17 +331,34 @@ COMPLEX = (FinSimpSet.from_data, _complex_data)
 # (reader and base data, mutation, error, whether the error wraps a raw
 # KeyError, TypeError or ValueError of the reader)
 MALFORMED = {
-    "cover-genus": (COVER, _set(("base", "g"), "x"), InvalidInputError, True),
+    "cover-genus": (COVER, _set(("base", "g"), "x"), InvalidInputError, False),
+    "cover-genus-float": (COVER, _set(("base", "g"), 1.5),
+                          InvalidInputError, False),
+    "cover-genus-bool": (COVER, _set(("base", "g"), True),
+                         InvalidInputError, False),
+    "cover-degree-float": (COVER, _set(("group", "degree"), 2.9),
+                           InvalidInputError, False),
     "cover-image": (COVER, _set(("images", "a1"), "ab"),
-                    InvalidInputError, True),
+                    InvalidInputError, False),
     "cover-moduli": (ABELIAN, _set(("group", "moduli"), 5),
                      InvalidInputError, True),
+    "cover-modulus-float": (ABELIAN, _set(("group", "moduli"), [2.5]),
+                            InvalidInputError, False),
+    "cover-entry-float": (ABELIAN, _set(("images", "a1"), [1.7]),
+                          InvalidInputError, False),
     "cover-kind": (COVER, _set(("group", "kind"), "matrix"),
                    InvalidInputError, False),
     "cover-u1": (COVER, _set(("images", "u1"), [1, 0]),
                  InvalidCoverError, False),
     "decomp-vertices": (DECOMP, _set(("vertices",), "x"),
-                        InvalidInputError, True),
+                        InvalidInputError, False),
+    "decomp-vertices-float": (DECOMP, _set(("vertices",), 1.5),
+                              InvalidInputError, False),
+    "decomp-modulus-float": (DECOMP, _set(("space", "modulus"), 3.7),
+                             InvalidInputError, False),
+    "decomp-genus-bool": (DECOMP, _set(("space", "genus"), True),
+                          InvalidInputError, False),
+    "decomp-n-float": (DECOMP, _set(("n",), 3.5), InvalidInputError, False),
     "decomp-entry": (DECOMP, _set(("vertex_groups", 0, 0, 0), "a"),
                      InvalidInputError, True),
     "decomp-group-count": (DECOMP, _set(("vertices",), 2),
@@ -370,6 +387,28 @@ def test_deserializers_raise_typed_errors(case):
     assert type(info.value) is error
     raw = (KeyError, TypeError, ValueError)
     assert isinstance(info.value.__cause__, raw) is wrapped
+
+
+NON_INT = {
+    "abelian-modulus": lambda: abelian_cover(1, 1, (2.5,), [(1,), (0,)]),
+    "abelian-entry": lambda: abelian_cover(1, 1, (2,), [(1.7,), (0,)]),
+    "abelian-genus": lambda: abelian_cover(True, 1, (2,), [(1,), (0,)]),
+    "perm-degree": lambda: perm_cover(1, 1, 2.9, [(1, 0), (0, 1)]),
+    "perm-entry": lambda: perm_cover(1, 1, 2, [(1.0, 0), (0, 1)]),
+    "perm-punctures": lambda: perm_cover(1, 1.0, 2, [(1, 0), (0, 1)]),
+    "decomp-n": lambda: GraphDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [], [], n=3.5),
+    "decomp-mark": lambda: GraphDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [], [], [(1.0,)], n=1),
+}
+
+
+@pytest.mark.parametrize("make", list(NON_INT.values()), ids=list(NON_INT))
+def test_constructors_refuse_non_int_scalars(make):
+    """A float or bool where a cover or decomposition wants an int is
+    refused, not truncated."""
+    with pytest.raises(InvalidInputError):
+        make()
 
 
 @pytest.mark.xfail(raises=ModuleNotFoundError, strict=True,

@@ -732,6 +732,17 @@ def test_sp_group_closure_720_and_brute_force():
         assert sp.is_symplectic(mat_inverse_mod(F, 2))
 
 
+def assert_discovery_order(res, seed):
+    """The orbit in breadth-first discovery order: the seed first, the
+    words strictly increasing in shortlex order, and each element reached
+    along the last letter of its word from the element of its prefix."""
+    assert res.elements[0] == seed and res.words[0] == ()
+    keys = [(len(w), w) for w in res.words]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for i, w in enumerate(res.words[1:], 1):
+        assert res.moves[res.words.index(w[:-1])][w[-1]] == i
+
+
 def test_orbit_enumerate_vectors_all_nonzero():
     for g, m, size in ((2, 2, 15), (1, 3, 8)):
         sp = SympSpace(g, m)
@@ -741,7 +752,7 @@ def test_orbit_enumerate_vectors_all_nonzero():
         assert len(res.elements) == size
         assert set(res.elements) == {v for v in product(range(m), repeat=2 * g)
                                      if any(v)}
-        assert list(res.elements) == sorted(res.elements)
+        assert_discovery_order(res, sp.basis_a(1))
         assert res.keys == res.elements
         # action-closed
         members = set(res.elements)
@@ -766,7 +777,7 @@ def test_orbit_enumerate_identity_generator():
 
 
 def assert_moves_follow_edges(res, gens, action, key=lambda x: x):
-    """moves[i][j] is the sorted index of gens[j] applied to elements[i]."""
+    """moves[i][j] is the index of gens[j] applied to elements[i]."""
     assert len(res.moves) == len(res.elements)
     for i, x in enumerate(res.elements):
         assert len(res.moves[i]) == len(gens)
@@ -868,7 +879,36 @@ def test_orbit_enumerate_hyperbolic_planes():
                           key=lambda s: s.key())
     assert len(res.elements) == 20
     assert res.keys == tuple(s.key() for s in res.elements)
-    assert list(res.keys) == sorted(res.keys)
+    assert_discovery_order(res, seed)
+
+
+class _Unordered:
+    """A key that hashes and compares equal, with no order."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __eq__(self, other):
+        return self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+
+def test_orbit_enumerate_unorderable_keys():
+    sp = SympSpace(1, 3)
+    gens = sp_group(sp)
+
+    def act(F, v):
+        return sp.mat_apply(v, F)
+
+    res = orbit_enumerate(sp.basis_a(1), gens, act, key=_Unordered)
+    assert res.keys == tuple(map(_Unordered, res.elements))
+    assert_discovery_order(res, sp.basis_a(1))
+    assert_moves_follow_edges(res, gens, act, key=_Unordered)
+    plain = orbit_enumerate(sp.basis_a(1), gens, act)
+    assert (res.elements, res.words, res.moves) == (
+        plain.elements, plain.words, plain.moves)
 
 
 def test_orbit_enumerate_stabilizer_order():
