@@ -43,8 +43,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError, LevelNerveError, UnsupportedError
-from .stablegraph import StableGraph, enumerate_stable_graphs
+from .stablegraph import StableGraph, enumerate_stable_graphs, max_rank
 from .surface import presentation
+from .symplectic import check_ints
 from .words import FoldedGraph, solve_conjugator, winv, wmul
 
 
@@ -147,9 +148,10 @@ def _curve_count(obj):
 
 
 def _families(real):
-    """(family, layout) for every laminar family with at most 3g-3+n lifted
-    curves whose layout by real is a multicurve, the empty family first,
-    then DFS order; no family below a rejected one is laid out.
+    """(family, layout) for every laminar family with at most
+    max_rank(g, n) + 1 = 3g-3+n lifted curves whose layout by real is a
+    multicurve, the empty family first, then DFS order; no family below a
+    rejected one is laid out.
 
     Rejection is monotone.  An object lifts the same way whatever else the
     family holds, so the lifted multicurve of F + {o} contains that of F
@@ -157,7 +159,7 @@ def _families(real):
     cutting, so an unstable piece of F (chi = 2-2h-b-r >= 0) has a
     sub-piece with chi >= 0 in every extension, which is unstable too."""
     objs = _objects(real.B)
-    max_curves = 3 * real.g - 3 + real.n
+    max_curves = max_rank(real.g, real.n) + 1
     # (next object index, family, lifted curves), children pushed in reverse
     stack = [(0, (), 0)]
     while stack:
@@ -451,10 +453,7 @@ def _audit(rep):
         u1_holder = 0
         _check(folded[0].contains(_closed_u1_loop(rep.g)),
                "u_1 slot on the root piece")
-    ends = [0] * len(rep.pieces)
-    for u, v in rep.graph.edges:
-        ends[u] += 1
-        ends[v] += 1
+    ends = rep.graph.degrees()
     for pid, piece in enumerate(rep.pieces):
         r_pub = len(piece.marks) + (1 if pid == u1_holder else 0)
         want = 2 * piece.genus + ends[pid] + r_pub - 1
@@ -509,12 +508,14 @@ def _catalog(g, n):
 
 def multicurve_catalog(g, n):
     """All realized representatives for (g, n), canonical order by type."""
+    check_ints((g, n), "signature entry")
     cat = _catalog(g, n)
     return tuple(cat[k] for k in sorted(cat))
 
 
 def catalog_coverage(g, n):
     """(realized, missing) stable-graph types for the signature."""
+    check_ints((g, n), "signature entry")
     cat = _catalog(g, n)
     realized, missing = [], []
     for t in _types(g, n):

@@ -29,10 +29,11 @@ from .decomp import (FramedDecomposition, canonical_form, canonical_serial,
                      validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
                      UnsupportedError, ValidationError)
-from .stablegraph import components
+from .stablegraph import components, max_rank
 from .surface import twist_automorphisms
-from .symplectic import (SympSpace, check_modulus, orbit_enumerate,
-                         smith_normal_form, snf_diagonal, sp_group)
+from .symplectic import (SympSpace, check_ints, check_modulus,
+                         orbit_enumerate, smith_normal_form, snf_diagonal,
+                         sp_group)
 from .words import cyclic_reduce
 
 
@@ -77,7 +78,7 @@ class FinSimpSet:
     def __init__(self, encodings, faces, provenance=None, meta=None,
                  decomps=None):
         encodings = tuple(tuple(block) for block in encodings)
-        faces = tuple(tuple(tuple(int(x) for x in row) for row in block)
+        faces = tuple(tuple(check_ints(row, "face index") for row in block)
                       for block in faces)
         if not encodings:
             raise InvalidInputError("a complex needs at least one rank")
@@ -396,7 +397,7 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
                    lambda d: d)
     gens = sp_group(space)
     meta = {"builder": "abelian_nerve", "g": g, "n": n, "m": m,
-            "dim_bound": 3 * g - 3 + n - 1}
+            "dim_bound": max_rank(g, n)}
     per_type = _orbit_types(space, types, gens, cap)
     return _assemble(per_type, meta, lambda td, x, F: x)
 
@@ -438,7 +439,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
     meta = {"builder": "image_complex", "g": spec.g, "n": spec.n, "m": m,
             "degree": spec.degree, "deck_order": len(spec.group.elements),
             "generators": len(gens), "matrix_group_order": order,
-            "dim_bound": 3 * spec.g - 3 + spec.n - 1}
+            "dim_bound": max_rank(spec.g, spec.n)}
     per_type = _orbit_types(space, types, gens, cap)
     return _assemble(per_type, meta,
                      lambda td, x, F: sp_action(F, td.seed))

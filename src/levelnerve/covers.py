@@ -152,10 +152,10 @@ class DeckGroup:
       * inverse[a] is the index of the inverse of elements[a], reached by
         walking the reversed word back through the inverse permutations.
 
-    step and trace read signed letters off act and back, so a word's
-    image is trace(0, word) and h^-1 s is trace(inverse[h], words[s]).
-    gens holds the distinct indices of the generator images, in the order
-    given; every element is a product of them, inverses not needed."""
+    act[j][0] is the index of image j, so column act[j] lists the product
+    of every element with it.  step and trace read signed letters off act
+    and back; trace serves the words of callers (curves, conjugators,
+    twist images), whose letters it reduces and checks."""
 
     def __init__(self, ops, images, max_size):
         self.ops = ops
@@ -168,7 +168,6 @@ class DeckGroup:
         self.back = tuple(map(_inverse_perm, self.act))
         self.words = tuple(tuple(j + 1 for j in w) for w in res.words)
         self.inverse = tuple(self.trace(0, winv(w)) for w in self.words)
-        self.gens = tuple(dict.fromkeys(p[0] for p in self.act))
 
     @property
     def identity(self):
@@ -302,10 +301,10 @@ def cover_spec_from_data(data: dict) -> CoverSpec:
             raise InvalidInputError(f"missing letter images: {missing}")
         images = [raw[nm] for nm in pres.names]
         order = group.get("order")
-        if order is not None and (not isinstance(order, int)
-                                  or isinstance(order, bool) or order < 1):
-            raise InvalidInputError(
-                f"declared order must be a positive int, not {order!r}")
+        if order is not None:
+            check_int(order, "declared order")
+            if order < 1:
+                raise InvalidInputError("declared order must be positive")
         if kind == "perm":
             spec = perm_cover(g, n, group["degree"], images,
                               declared_order=order)
@@ -990,21 +989,23 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
             hom._copies[key] = _piece_copy_classes(hom.space, chain, *key)
     vert_classes = tuple(hom._copies[key] for key in keys)
     # the deck element h moves the copy through sheet s to the one through
-    # h^-1 s, so every copy is looked up by the image of its least sheet,
-    # traced along the word of that sheet from the inverse of h
-    firsts = {orb[0] for _, orb in vert_order} | {g for _, g in edge_copies}
-    vperms, eperms = [], []
-    for hinv in group.inverse:
-        sheet = {s: group.trace(hinv, group.words[s]) for s in firsts}
-        vperms.append(tuple(vert_of[(pi, sheet[orb[0]])]
-                            for pi, orb in vert_order))
-        eperms.append(tuple(edge_of[(e, sheet[g])] for e, g in edge_copies))
+    # h^-1 s, so every copy is looked up by the image of its least sheet:
+    # column[s][h] = h^-1 s, the inverses moved along the word of s by act
+    column = {}
+    for s in {orb[0] for _, orb in vert_order} | {g for _, g in edge_copies}:
+        column[s] = group.inverse
+        for j in group.words[s]:
+            column[s] = tuple(map(group.act[j - 1].__getitem__, column[s]))
+    vperms = tuple(tuple(vert_of[(pi, column[orb[0]][h])]
+                         for pi, orb in vert_order) for h in range(d))
+    eperms = tuple(tuple(edge_of[(e, column[g][h])] for e, g in edge_copies)
+                   for h in range(d))
     return CutGraph(d, ana.g_K, ana.n_K,
                     tuple(pi for pi, _ in vert_order),
                     tuple(orb for _, orb in vert_order),
                     tuple(mk for _, mk in vertices), vert_classes,
-                    tuple(edges), tuple(edge_class), tuple(vperms),
-                    tuple(eperms), tuple(curves), sigma)
+                    tuple(edges), tuple(edge_class), vperms, eperms,
+                    tuple(curves), sigma)
 
 
 def lift_multicurve(spec: CoverSpec, mc, m: int) -> LiftResult:

@@ -148,7 +148,7 @@ class GraphDecomposition:
         self.edge_groups = tuple(self._coerce(g) for g in edge_groups)
         es = []
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = check_ints(e, "edge endpoint")
             if not (0 <= u < self.V and 0 <= v < self.V):
                 raise InvalidInputError("edge endpoint out of range")
             es.append((min(u, v), max(u, v)))
@@ -188,7 +188,8 @@ class GraphDecomposition:
         if isinstance(g, SympSubgroup):
             sub = g
         else:
-            sub = self.space.subgroup(list(g))
+            sub = self.space.subgroup([check_ints(r, "subgroup entry")
+                                       for r in g])
         if (sub.space.g, sub.space.m) != (self.space.g, self.space.m):
             raise InvalidInputError("subgroup from a different ambient space")
         return sub
@@ -234,7 +235,7 @@ class FramedDecomposition(GraphDecomposition):
     def __init__(self, space, vertex_groups, edge_groups, edges, frames,
                  marks=None, n=0):
         super().__init__(space, vertex_groups, edge_groups, edges, marks, n)
-        fr = [space.sign_normal(f) for f in frames]
+        fr = [space.sign_normal(check_ints(f, "frame entry")) for f in frames]
         if len(fr) != len(self.edges):
             raise InvalidInputError("frame count mismatch")
         self.frames = tuple(fr)
@@ -264,8 +265,10 @@ class EquivariantDecomposition(FramedDecomposition):
         self.matrices = tuple(checked_matrix(space.g, space.m,
                                              tuple(map(tuple, M))).rows
                               for M in matrices)
-        self.vperms = tuple(tuple(int(x) for x in p) for p in vperms)
-        self.eperms = tuple(tuple(int(x) for x in p) for p in eperms)
+        self.vperms = tuple(check_ints(p, "vertex action entry")
+                            for p in vperms)
+        self.eperms = tuple(check_ints(p, "edge action entry")
+                            for p in eperms)
         if not (len(self.matrices) == len(self.vperms) == len(self.eperms)):
             raise InvalidInputError("action tables have unequal lengths")
         for p in self.vperms:
@@ -503,19 +506,20 @@ def _action_natural(d: EquivariantDecomposition):
     frames, and marks onto as many marks.
 
     Without a group every element is checked.  With a group, only its
-    generators are, together with composition: for every element a and
-    generator s, vperms[a*s] = vperms[s] o vperms[a], the same for eperms,
-    and M_a . M_s = M_{a*s}.  That implies the check of every element, by
-    induction on the length of a word in the generators.  The identity is
-    natural: taking a to be the identity forces its perms and its matrix
-    to be the identity, since each vperms[s], eperms[s] and M_s is
-    invertible.  If a and s are natural, so is a*s: D[v] * M_{a*s} =
-    D[vperms[a][v]] * M_s = D[vperms[a*s][v]], and the edges, frames (the
-    sign normal commutes with linear maps) and marks follow the same way.
-    Every element is such a word, since the generators of a finite group
-    reach it without inverses.  The check is therefore never weaker than
-    checking every element, and it is stricter where the matrices fail to
-    compose as the group."""
+    generators, the letter images, are, together with composition: the
+    column col = group.act[j] holds a*s for every element a and the image
+    s = col[0] of letter j, and vperms[a*s] = vperms[s] o vperms[a], the
+    same for eperms, and M_a . M_s = M_{a*s}.  That implies the check of
+    every element, by induction on the length of a word in the generators.
+    The identity is natural: taking a to be the identity forces its perms
+    and its matrix to be the identity, since each vperms[s], eperms[s] and
+    M_s is invertible.  If a and s are natural, so is a*s: D[v] * M_{a*s}
+    = D[vperms[a][v]] * M_s = D[vperms[a*s][v]], and the edges, frames
+    (the sign normal commutes with linear maps) and marks follow the same
+    way.  Every element is such a word, since the generators of a finite
+    group reach it without inverses.  The check is therefore never weaker
+    than checking every element, and it is stricter where the matrices
+    fail to compose as the group."""
     space = d.space
     E = len(d.edges)
     checked = [checked_matrix(space.g, space.m, M) for M in d.matrices]
@@ -525,20 +529,16 @@ def _action_natural(d: EquivariantDecomposition):
     if d.group is not None:
         if len(d.matrices) != d.group.d:
             return False
-        gens, trace, words = d.group.gens, d.group.trace, d.group.words
-        products = tuple(tuple(trace(a, words[s]) for s in gens)
-                         for a in elements)
-        for a, row in enumerate(products):
-            va, ea = d.vperms[a], d.eperms[a]
-            for s, c in zip(gens, row):
-                vs, es = d.vperms[s], d.eperms[s]
-                if (d.vperms[c] != tuple(vs[v] for v in va)
-                        or d.eperms[c] != tuple(es[e] for e in ea)):
+        cols = {col[0]: col for col in d.group.act}  # one per image
+        for s, col in cols.items():
+            vs, es = d.vperms[s], d.eperms[s]
+            for a, c in enumerate(col):
+                if (d.vperms[c] != tuple(vs[v] for v in d.vperms[a])
+                        or d.eperms[c] != tuple(es[e] for e in d.eperms[a])):
                     return False
-        if not matrices_compose(space.g, space.m, d.matrices, gens,
-                                products):
+        if not matrices_compose(space.g, space.m, d.matrices, d.group.act):
             return False
-        elements = gens
+        elements = cols
     for k in elements:
         F, vp, ep = checked[k], d.vperms[k], d.eperms[k]
         for e in range(E):
@@ -561,17 +561,6 @@ def _action_natural(d: EquivariantDecomposition):
 # equivalence and canonical forms
 
 
-def _serial(d, order, vpay, epay):
-    """Serialized form under the vertex relabeling order[v] = new label,
-    with the vertex and edge payloads vpay and epay of d."""
-    vert = [None] * d.V
-    for v, p in enumerate(vpay):
-        vert[order[v]] = (order[v],) + p
-    edg = sorted((min(order[u], order[v]), max(order[u], order[v])) + p
-                 for (u, v), p in zip(d.edges, epay))
-    return (d.kind, d.space.g, d.space.m, d.n, tuple(vert), tuple(edg))
-
-
 def canonical_serial(d) -> tuple:
     """The least serialized form of d, a nested tuple of ints and strings
     that is equal exactly for equivalent decompositions.
@@ -579,8 +568,10 @@ def canonical_serial(d) -> tuple:
     Minimizes the serialized form over all vertex relabelings compatible
     with the payload classes.  Equivalence compares the graph with its
     subgroup and frame data; an equivariant value is canonicalized through
-    its framed part, the action itself is not part of the invariant.  The
-    payloads are read once and shared by every relabeling.  Raises
+    its framed part, the action itself is not part of the invariant.  Every
+    relabeling gives label l to a vertex with the l-th least invariant,
+    whose first part is the vertex payload, so the vertex tuple is the same
+    under all of them and only the sorted edge list is minimized.  Raises
     ResourceLimitError above stablegraph.MAX_CANONICAL_PERMS relabelings.
 
     It serves as an in-memory key (an orbit's, say) where the bytes of
@@ -594,7 +585,11 @@ def canonical_serial(d) -> tuple:
     loop = [u == v for u, v in d.edges]
     inv = [(vpay[v], tuple(sorted((epay[e], loop[e]) for e in inc)))
            for v, inc in enumerate(d._incident)]
-    return min(_serial(d, order, vpay, epay) for order in relabelings(inv))
+    vert = tuple((label,) + p for label, (p, _) in enumerate(sorted(inv)))
+    edges = min(tuple(sorted((min(o[u], o[v]), max(o[u], o[v])) + p
+                             for (u, v), p in zip(d.edges, epay)))
+                for o in relabelings(inv))
+    return (d.kind, d.space.g, d.space.m, d.n, vert, edges)
 
 
 def canonical_form(d) -> bytes:
@@ -792,7 +787,8 @@ def decomposition_from_data(data) -> GraphDecomposition:
             act = data["action"]
             return EquivariantDecomposition(
                 space, vgroups, egroups, edges, data["frames"], marks, n,
-                None, [tuple(map(tuple, M)) for M in act["matrices"]],
+                None, [tuple(check_ints(r, "matrix entry") for r in M)
+                       for M in act["matrices"]],
                 act["vertex"], act["edge"])
         if "frames" in data:
             return FramedDecomposition(space, vgroups, egroups, edges,

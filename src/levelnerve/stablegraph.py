@@ -28,6 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
+from .symplectic import check_int, check_ints
 
 # cap for the exhaustive search of relabelings
 MAX_CANONICAL_PERMS = 362880
@@ -96,12 +97,16 @@ def _canonical_key(vertices, edges):
 
 class StableGraph:
     def __init__(self, vertices, edges):
-        """vertices: list of (genus, marks) with marks an iterable of labels;
-        edges: list of (u, v) vertex indices, u == v for a loop."""
-        self.vertices = [(int(g), tuple(sorted(mk))) for (g, mk) in vertices]
-        self.edges = [tuple(sorted((int(u), int(v)))) for (u, v) in edges]
+        """vertices: list of (genus, marks) with marks an iterable of
+        labels; edges: list of (u, v) vertex indices, u == v for a loop.
+        Genera, labels and indices must be ints."""
+        self.vertices = [(g, tuple(sorted(check_ints(mk, "mark label"))))
+                         for (g, mk) in vertices]
+        self.edges = [tuple(sorted(check_ints((u, v), "edge endpoint")))
+                      for (u, v) in edges]
         V = len(self.vertices)
         for (g, mk) in self.vertices:
+            check_int(g, "vertex genus")
             if g < 0:
                 raise InvalidInputError("vertex genus must be nonnegative")
         for (u, v) in self.edges:
@@ -265,26 +270,19 @@ def _all_stable_graphs(g, n):
 
 
 def max_rank(g, n):
-    """Largest k for which graphs with k+1 edges exist (nerve dimension)."""
-    return 3 * g - 4 + n if g >= 1 else n - 4
+    """Top rank of the nerve, 3g-4+n: a stable graph has at most 3g-3+n
+    edges."""
+    return 3 * g - 4 + n
 
 
-def enumerate_stable_graphs(g, n, k=None, include_empty=False):
+def enumerate_stable_graphs(g, n, include_empty=False):
     """Isomorphism classes of stable graphs of signature (g, n), one
     canonical representative each, in deterministic order; each carries
     its canonical key as `key` (StableGraph.from_key).
 
-    With k given, only the types with exactly k+1 edges (empty above the
-    dimension bound 3g-4+n, resp. n-4 for g = 0).  With k = None, all types
-    with at least one edge; include_empty prepends the edgeless smooth type
-    when it is stable."""
-    if k is not None:
-        if k < 0:
-            raise InvalidInputError("negative rank")
-        if k > max_rank(g, n):
-            return ()
-        return tuple(t for t in _all_stable_graphs(g, n)
-                     if len(t.edges) == k + 1)
+    All types with at least one edge; include_empty prepends the edgeless
+    smooth type when it is stable."""
+    check_ints((g, n), "signature entry")
     out = _all_stable_graphs(g, n)
     if include_empty:
         sg = StableGraph.from_key((((g, tuple(range(1, n + 1))),), ()))

@@ -54,15 +54,17 @@ is symplectic and, at m = 2, its packed rows.  The record answers the
 questions an action check asks of a matrix: whether it maps one
 subgroup onto another, on the packed rows at m = 2, and the sign-normal
 image of a frame, which it keeps for the checks and for transport alike
-(frame_image); matrices_compose checks a table of products on the same
-rows.  Other modules read the record and neither check, invert nor pack
-a matrix themselves.
+(frame_image); matrices_compose checks the products in a deck group's
+act table on the same rows.  Other modules read the record and neither
+check, invert nor pack a matrix themselves.
 
 A subgroup exists once per space and lattice: SympSpace.subgroup
-echelonizes each generator row list once and returns the space's one
-instance for the lattice it spans, so its lazy caches (canonical
-generators, solver, radical) are computed once per lattice.
-SympSubgroup.apply keeps its images on that instance, by matrix.
+echelonizes each generator row list once, and one table on the space
+keeps the instance under its lattice and under every row list that
+reached it (the rows of a lattice generate the subgroup it describes),
+so its lazy caches (canonical generators, solver, radical) are computed
+once per lattice.  SympSubgroup.apply keeps its images on that
+instance, by matrix.
 """
 
 from __future__ import annotations
@@ -369,10 +371,9 @@ class SympSpace:
         self.J = J
         # J[k][k ^ 1] = _sign[k]: +1 on a_i, -1 on b_i; all else is zero
         self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
-        # subgroup() results, by generator rows
+        # the one instance of each lattice that subgroup() returns, by
+        # lattice and by the generator rows that reached it
         self._subgroups = {}
-        # the one instance of each lattice that subgroup() returns
-        self._lattices = {}
 
     # -- vectors
 
@@ -490,12 +491,12 @@ class SympSpace:
         """The SympSubgroup generated by gens, interned on the space: one
         instance per lattice.  Each generator row list, as lists or tuples,
         is echelonized once; its first construction is looked up by its
-        lattice, and the space's instance for that lattice is kept under
-        the rows too, so equal lattices reached from different rows are one
-        instance.  The rows are read once into the key and construction
-        gets that key, so a one-shot iterable is not consumed twice.
-        Unhashable rows are constructed directly, and a construction that
-        raises stores nothing."""
+        lattice in the same table, and the space's instance for that
+        lattice is kept under the rows too, so equal lattices reached from
+        different rows are one instance.  The rows are read once into the
+        key and construction gets that key, so a one-shot iterable is not
+        consumed twice.  Unhashable rows are constructed directly, and a
+        construction that raises stores nothing."""
         rows = tuple(map(tuple, gens))
         try:
             sub = self._subgroups.get(rows)
@@ -503,7 +504,7 @@ class SympSpace:
             return SympSubgroup(self, rows)
         if sub is None:
             sub = SympSubgroup(self, rows)
-            sub = self._subgroups[rows] = self._lattices.setdefault(
+            sub = self._subgroups[rows] = self._subgroups.setdefault(
                 sub.lattice, sub)
         return sub
 
@@ -902,21 +903,21 @@ def checked_matrix(g, m, F):
 
 
 @lru_cache(maxsize=16)
-def matrices_compose(g, m, matrices, gens, products):
-    """Whether matrices[a] . matrices[s] == matrices[products[a][k]] for
-    every index a and the k-th generator index s = gens[k], for reduced
-    matrices over (Z/m)^2g; at m = 2 the products are taken on the packed
-    rows of their records.  Memoized on the value like checked_matrix, so
-    the lifts of one cover, which share its deck matrices, pay once."""
+def matrices_compose(g, m, matrices, act):
+    """Whether matrices[a] . matrices[s] == matrices[col[a]] for every
+    distinct column col of a deck group's act table, s = col[0] the index
+    of its generator image, and every index a, for reduced matrices over
+    (Z/m)^2g; at m = 2 the products are taken on the packed rows of their
+    records.  Memoized on the value like checked_matrix, so the lifts of
+    one cover, which share its deck matrices, pay once."""
+    cols = {col[0]: col for col in act}
     if m == 2:
         bits = [checked_matrix(g, m, M).packed for M in matrices]
         return all(bits[c] == tuple(f2_image(x, bits[s]) for x in bits[a])
-                   for a, row in enumerate(products)
-                   for s, c in zip(gens, row))
+                   for s, col in cols.items() for a, c in enumerate(col))
     space = SympSpace(g, m)
     return all(matrices[c] == space.mat_mul(matrices[a], matrices[s])
-               for a, row in enumerate(products)
-               for s, c in zip(gens, row))
+               for s, col in cols.items() for a, c in enumerate(col))
 
 
 # ---------------------------------------------------------------------------

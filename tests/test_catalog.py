@@ -10,7 +10,7 @@ from levelnerve.catalog import (
     catalog_coverage,
     multicurve_catalog,
 )
-from levelnerve.errors import UnsupportedError
+from levelnerve.errors import InvalidInputError, UnsupportedError
 from levelnerve.stablegraph import StableGraph, enumerate_stable_graphs
 from levelnerve.surface import presentation
 from levelnerve.words import FoldedGraph, conjugate_in_free, winv, wmul
@@ -23,6 +23,21 @@ def test_small_signatures_fully_covered():
         assert missing == []
         assert len(realized) == count
         assert len(multicurve_catalog(g, n)) == count
+
+
+@pytest.mark.parametrize("call, g, n", [
+    (multicurve_catalog, True, 1), (multicurve_catalog, 1.0, 1),
+    (multicurve_catalog, 1, True), (catalog_coverage, True, 1),
+    (enumerate_stable_graphs, 1.0, 1), (enumerate_stable_graphs, True, 1),
+    (enumerate_stable_graphs, 1, True),
+], ids=["catalog-bool", "catalog-float", "catalog-n-bool", "coverage-bool",
+        "graphs-float", "graphs-bool", "graphs-n-bool"])
+def test_signature_checked_before_the_cache(call, g, n):
+    """With (1,1) cached, a bool or float signature entry is refused, not
+    answered from the entry of 1."""
+    call(1, 1)
+    with pytest.raises(InvalidInputError):
+        call(g, n)
 
 
 def test_lookup_matches_type():

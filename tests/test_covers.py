@@ -797,8 +797,7 @@ def test_deck_group_cayley_graph(name):
     keys = [(len(w), w) for w in group.words]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(x > 0 for w in group.words for x in w)
-    assert set(group.gens) == {idx[s] for s in spec.images}
-    assert len(set(group.gens)) == len(group.gens)
+    assert {col[0] for col in group.act} == {idx[s] for s in spec.images}
     if name.startswith("derived"):
         assert spec.images == group.act
 

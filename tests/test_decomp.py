@@ -952,7 +952,13 @@ def _tampered(d, field, c, x):
     (lambda: homology_cover(2, 0, 2), 2, True),
     (lambda: homology_cover(1, 1, 2), 2, False),
     (lambda: homology_cover(1, 1, 3), 3, False),
-], ids=["h202", "h112", "h113"])
+    # two letters on one image, and one letter on the identity
+    (lambda: abelian_cover(1, 1, (4,), [(1,), (1,)]), 2, False),
+    (lambda: abelian_cover(1, 1, (4,), [(1,), (1,)]), 3, False),
+    (lambda: abelian_cover(1, 1, (4,), [(1,), (0,)]), 2, False),
+    (lambda: abelian_cover(1, 1, (4,), [(1,), (0,)]), 3, False),
+], ids=["h202", "h112", "h113", "a4-same-2", "a4-same-3", "a4-id-2",
+        "a4-id-3"])
 def test_generator_check_matches_every_element_oracle(make, m, stricter):
     # on every catalog lift both checks accept.  On a copy with the table
     # entry of one non-generator element c replaced by another element's:
@@ -962,7 +968,7 @@ def test_generator_check_matches_every_element_oracle(make, m, stricter):
     # element-by-element check, which reads no matrix product.  (The deck
     # matrices of the genus-1 covers are all the identity.)
     spec = make()
-    gens = spec.group.gens
+    gens = dict.fromkeys(col[0] for col in spec.group.act)
     others = [c for c in range(spec.group.d) if c not in gens]
     assert others
     only_new_refuses = 0
@@ -992,7 +998,7 @@ def test_generator_check_matches_every_element_oracle(make, m, stricter):
 def test_action_check_reads_generators_only(monkeypatch):
     # the groups are mapped by the generators of the deck group alone
     h2 = homology_cover(2, 0, 2)
-    gens = h2.group.gens
+    gens = dict.fromkeys(col[0] for col in h2.group.act)
     assert len(gens) == 4 < h2.group.d
     calls = []
     real = symplectic.CheckedMatrix.maps_onto

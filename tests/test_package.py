@@ -16,9 +16,11 @@ import pytest
 from levelnerve.complexes import FinSimpSet
 from levelnerve.covers import (abelian_cover, cover_spec_from_data,
                                cover_spec_to_data, perm_cover)
-from levelnerve.decomp import (GraphDecomposition, decomposition_from_data,
+from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
+                               GraphDecomposition, decomposition_from_data,
                                decomposition_to_data)
 from levelnerve.errors import InvalidCoverError, InvalidInputError
+from levelnerve.stablegraph import StableGraph
 from levelnerve.symplectic import SympSpace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,6 +311,17 @@ def _decomp_data():
         SympSpace(1, 2), [[(1, 0), (0, 1)]], [], []))
 
 
+def _framed_data():
+    return decomposition_to_data(FramedDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [[(1, 0)]], [(0, 0)], [(1, 0)]))
+
+
+def _equivariant_data():
+    return decomposition_to_data(EquivariantDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [], [], [],
+        matrices=[((1, 0), (0, 1))], vperms=[(0,)], eperms=[()]))
+
+
 def _complex_data():
     return FinSimpSet([[b"\x00", b"\x01"], [b"\x02"]],
                       [[(), ()], [(1, 0)]]).to_data()
@@ -326,6 +339,8 @@ def _set(path, value):
 COVER = (cover_spec_from_data, _perm_data)
 ABELIAN = (cover_spec_from_data, _abelian_data)
 DECOMP = (decomposition_from_data, _decomp_data)
+FRAMED = (decomposition_from_data, _framed_data)
+EQUIVARIANT = (decomposition_from_data, _equivariant_data)
 COMPLEX = (FinSimpSet.from_data, _complex_data)
 
 # (reader and base data, mutation, error, whether the error wraps a raw
@@ -360,7 +375,18 @@ MALFORMED = {
                           InvalidInputError, False),
     "decomp-n-float": (DECOMP, _set(("n",), 3.5), InvalidInputError, False),
     "decomp-entry": (DECOMP, _set(("vertex_groups", 0, 0, 0), "a"),
-                     InvalidInputError, True),
+                     InvalidInputError, False),
+    "decomp-entry-float": (DECOMP, _set(("vertex_groups", 0, 0, 0), 1.7),
+                           InvalidInputError, False),
+    "decomp-edge-float": (FRAMED, _set(("edges", 0), [0, 0.5]),
+                          InvalidInputError, False),
+    "decomp-frame-float": (FRAMED, _set(("frames", 0), [1.5, 0]),
+                           InvalidInputError, False),
+    "decomp-matrix-float": (EQUIVARIANT,
+                            _set(("action", "matrices", 0, 0, 0), 1.5),
+                            InvalidInputError, False),
+    "decomp-vperm-float": (EQUIVARIANT, _set(("action", "vertex", 0), [0.0]),
+                           InvalidInputError, False),
     "decomp-group-count": (DECOMP, _set(("vertices",), 2),
                            InvalidInputError, False),
     "complex-hex": (COMPLEX, _set(("ranks", 1, "simplices", 0), "zz"),
@@ -369,6 +395,9 @@ MALFORMED = {
                       InvalidInputError, True),
     "complex-ranks": (COMPLEX, _set(("ranks",), 5), InvalidInputError, True),
     "complex-face-range": (COMPLEX, _set(("ranks", 1, "faces", 0), [2, 0]),
+                           InvalidInputError, False),
+    "complex-face-float": (COMPLEX,
+                           _set(("ranks", 1, "faces", 0), [1.5, 0.5]),
                            InvalidInputError, False),
 }
 
@@ -400,6 +429,20 @@ NON_INT = {
         SympSpace(1, 2), [[(1, 0), (0, 1)]], [], [], n=3.5),
     "decomp-mark": lambda: GraphDecomposition(
         SympSpace(1, 2), [[(1, 0), (0, 1)]], [], [], [(1.0,)], n=1),
+    "decomp-edge": lambda: GraphDecomposition(
+        SympSpace(1, 2), [[(1, 0)], [(0, 1)]], [[]], [(0, 1.9)]),
+    "decomp-row": lambda: GraphDecomposition(
+        SympSpace(1, 2), [[(1.2, 0)]], [], []),
+    "framed-frame": lambda: FramedDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [[(1, 0)]], [(0, 0)],
+        [(1.9, 0.0)]),
+    "equivariant-perm": lambda: EquivariantDecomposition(
+        SympSpace(1, 2), [[(1, 0)], [(0, 1)]], [[]], [(0, 1)], [(0, 0)],
+        matrices=[((1, 0), (0, 1))] * 2, vperms=[(0, 1), (0.0, 1.0)],
+        eperms=[(0,)] * 2),
+    "stable-genus": lambda: StableGraph([(1.5, ())], []),
+    "stable-mark": lambda: StableGraph([(1, (1.0,))], []),
+    "stable-endpoint": lambda: StableGraph([(1, ()), (1, ())], [(0, 1.0)]),
 }
 
 

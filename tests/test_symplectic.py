@@ -533,14 +533,16 @@ def test_subgroup_interning_is_per_space():
 
 def test_subgroup_refused_rows_leave_no_entry():
     sp = SympSpace(2, 3)
-    sp.subgroup([(1, 0, 0, 0)])
-    before = dict(sp._subgroups), dict(sp._lattices)
+    sub = sp.subgroup([(1, 0, 0, 0)])
+    # one table keeps the instance under its rows and its lattice
+    assert sp._subgroups[sub.lattice] is sub
+    before = dict(sp._subgroups)
     for _ in range(2):
         with pytest.raises(InvalidInputError):
             sp.subgroup([(1, 0, 0)])
         with pytest.raises(InvalidInputError):
             sp.subgroup(iter([(1, 0, 0, 0), (1, 2)]))
-    assert (sp._subgroups, sp._lattices) == before
+    assert sp._subgroups == before
 
 
 def test_subgroup_with_unhashable_entries_is_built_directly():
