@@ -31,7 +31,7 @@ from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
                      UnsupportedError, ValidationError)
 from .stablegraph import components, max_rank
 from .surface import twist_automorphisms
-from .symplectic import (SympSpace, check_ints, check_modulus,
+from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
                          orbit_enumerate, smith_normal_form, snf_diagonal,
                          sp_group)
 from .words import cyclic_reduce
@@ -677,6 +677,7 @@ def homology(X, q):
     Torsion divisors come first in ascending order, then one 0 per free
     factor; () is the zero group.  The chain complex is spanned by the
     stored simplices with the alternating face boundary."""
+    check_int(q, "degree")
     if not (0 <= q <= X.top_rank):
         raise InvalidInputError("degree outside the stored ranks")
     n_q = X.size(q)

@@ -10,6 +10,7 @@ again.  The module computes:
 
   * Euler characteristic / puncture bookkeeping of the cover (analyze_cover),
   * H_1 of the filled cover surface with its deck action (cover_homology),
+    read for the generator images and composed along the Cayley graph,
   * preimages of catalog multicurves with the cut stable graph, the
     separating / cut-pair flags (lift_multicurve), and the deck
     permutations and piece-copy classes of a lift (lift_cut_graph), which
@@ -50,8 +51,7 @@ class over Z of each word read from each sheet (its walks), and the
 homology at each modulus keeps the class rows of each piece copy, by
 piece generators and orbit.  Entries are exact functions of their keys
 on the one cover, a call that raises keeps nothing, and every self-check
-still runs on each distinct input.  class_at keeps nothing, since the
-deck matrices read each basis word from each sheet once.
+still runs on each distinct input.
 
 Transversals, element orderings, merge order and basis extraction are all
 deterministic, so every output is reproducible.
@@ -66,7 +66,8 @@ from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
                          checked_matrix, hnf_transform, mat_identity,
-                         mat_mul, orbit_enumerate, schreier_edges, vec_mat)
+                         mat_mul, matrices_compose, orbit_enumerate,
+                         schreier_edges, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -590,34 +591,21 @@ class _ChainData:
 
     # -- coordinates
 
-    def _read(self, sheet, word):
-        """(end sheet, class over Z) of `word` read from `sheet`: the
-        signed sum of the class rows of the loops it crosses."""
-        end, ids = self.t.rewrite(sheet, word)
-        return end, _signed_sum(self.class_rows, ids)
-
     def walk(self, sheet, word):
-        """_read, kept in `walks` for the life of the cover; a word the
-        rewrite refuses raises on every call and is not kept."""
+        """(end sheet, class over Z) of `word` read from `sheet`, the signed
+        sum of the class rows of the loops it crosses, kept in `walks` for
+        the life of the cover; a word the rewrite refuses is not kept."""
         key = (sheet, word)
         out = self.walks.get(key)
         if out is None:
-            out = self.walks[key] = self._read(sheet, word)
+            end, ids = self.t.rewrite(sheet, word)
+            out = self.walks[key] = (end, _signed_sum(self.class_rows, ids))
         return out
 
-    def class_at(self, sheet, word):
-        """Coordinates over Z, in the symplectic frame of the closed cover
-        surface, of a word read from `sheet` that closes up there: the
-        signed sum of the class rows of the loops it crosses.  This is the
-        class of t_h word t_h^-1 for h = sheet.  Not kept: the deck
-        matrices read each basis word from each sheet once."""
-        end, cls = self._read(sheet, word)
-        _check(end == sheet, "word must lie in the cover subgroup")
-        return cls
-
     def closed_class(self, sheet, word):
-        """class_at through the walk memo; the closing check runs on every
-        call, hits included."""
+        """Class over Z, in the symplectic frame of the closed cover, of
+        t_h word t_h^-1 for h = sheet, through walk; that `word` closes up
+        at `sheet` is checked on every call, hits included."""
         end, cls = self.walk(sheet, word)
         _check(end == sheet, "word must lie in the cover subgroup")
         return cls
@@ -743,36 +731,47 @@ class DeckHomology:
 
     matrices[k] is the matrix of the deck element with index k.  They act
     on row vectors and compose covariantly: matrices[a] . matrices[b] is
-    the matrix of elements[a] * elements[b].  validate checks this on every
-    lift, through the action condition (decomp._action_natural), for each
-    element a and each generator b.
-    """
+    the matrix of elements[a] * elements[b].  So only each generator image
+    s = act[j][0] is read, from the sheet of s^-1, and checked symplectic;
+    the others are products along the Cayley graph, matrices[act[j][a]] =
+    matrices[a] . M_j, which matrices_compose checks on every edge."""
 
     def __init__(self, spec, m):
         chain = _chain(spec)
+        group = spec.group
         self.m = m
         self.g_K = chain.g_K
         self.rank = 2 * chain.g_K
-        self.space = SympSpace(chain.g_K, m)
+        self.space = space = SympSpace(chain.g_K, m)
         self.peripheral = tuple(chain.peripheral)
         self._chain = chain
         self._copies = {}  # (piece generators, orbit) -> copy class rows
-        mats = []
-        for hinv in spec.group.inverse:
-            M = tuple(self.space.reduce(chain.class_at(hinv, rep))
-                      for rep in chain.basis_words)
-            _check(checked_matrix(chain.g_K, m, M).inverse is not None,
-                   "deck matrix is symplectic")
-            mats.append(M)
+
+        def read(sheet):
+            return tuple(space.reduce(chain.closed_class(sheet, rep))
+                         for rep in chain.basis_words)
+
+        gens = {}  # generator image -> its matrix, read from the cover
+        for col in group.act:
+            if col[0] not in gens:
+                M = gens[col[0]] = read(group.inverse[col[0]])
+                _check(checked_matrix(chain.g_K, m, M).inverse is not None,
+                       "deck matrix is symplectic")
+        iden = space.identity_matrix()
+        _check(read(0) == iden, "identity element acts trivially")
+        mats = [iden] + [None] * (group.d - 1)
+        for a in range(group.d):
+            for col in group.act:
+                if mats[col[a]] is None:
+                    mats[col[a]] = space.mat_mul(mats[a], gens[col[0]])
         self.matrices = tuple(mats)
-        _check(self.matrices[0] == self.space.identity_matrix(),
-               "identity element acts trivially")
-        iden = self.space.identity_matrix()
+        _check(matrices_compose(chain.g_K, m, self.matrices, group.act),
+               "deck matrices compose as the group")
         self.faithful = all(M != iden for M in self.matrices[1:])
 
     def class_of(self, word):
         """Class of a subgroup word in H_1 of the filled cover."""
-        return self.space.reduce(self._chain.class_at(0, word))
+        return self.space.reduce(self._chain.closed_class(0, tuple(word)))
 
 
 def cover_homology(spec: CoverSpec, m: int) -> DeckHomology:

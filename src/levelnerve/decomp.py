@@ -148,7 +148,7 @@ class GraphDecomposition:
         self.edge_groups = tuple(self._coerce(g) for g in edge_groups)
         es = []
         for e in edges:
-            u, v = check_ints(e, "edge endpoint")
+            u, v = check_ints(e, "edge endpoint", 2)
             if not (0 <= u < self.V and 0 <= v < self.V):
                 raise InvalidInputError("edge endpoint out of range")
             es.append((min(u, v), max(u, v)))
@@ -417,10 +417,12 @@ def _bond_clause(d):
 def validate(d, conditions=None):
     """Violated condition labels, in the fixed order i..vi, frame, action.
 
-    `conditions` restricts the checked labels; the default checks all
-    that the kind of decomposition carries."""
+    `conditions`, a collection but not a string of labels, restricts the
+    checked labels; the default checks all the kind of value carries."""
     if not isinstance(d, GraphDecomposition):
         raise InvalidInputError("not a decomposition")
+    if isinstance(conditions, str):
+        raise InvalidInputError("conditions must be a collection of labels")
     space = d.space
     wanted = list(_CONDITIONS[:6])
     if isinstance(d, FramedDecomposition):
@@ -499,32 +501,26 @@ def validate(d, conditions=None):
 
 
 def _action_natural(d: EquivariantDecomposition):
-    """Whether the action tables act naturally: every matrix is
-    symplectic, and each checked element k maps edge e to an edge on the
+    """Whether the action tables act naturally: the matrix M_k of each
+    checked element k is symplectic, and k maps edge e to an edge on the
     image ends, edge and vertex groups onto the groups of their images
     (D[vperms[k][v]] = D[v] * M_k), frames to the sign-normal images of
     frames, and marks onto as many marks.
 
-    Without a group every element is checked.  With a group, only its
-    generators, the letter images, are, together with composition: the
-    column col = group.act[j] holds a*s for every element a and the image
-    s = col[0] of letter j, and vperms[a*s] = vperms[s] o vperms[a], the
-    same for eperms, and M_a . M_s = M_{a*s}.  That implies the check of
-    every element, by induction on the length of a word in the generators.
-    The identity is natural: taking a to be the identity forces its perms
-    and its matrix to be the identity, since each vperms[s], eperms[s] and
-    M_s is invertible.  If a and s are natural, so is a*s: D[v] * M_{a*s}
-    = D[vperms[a][v]] * M_s = D[vperms[a*s][v]], and the edges, frames
-    (the sign normal commutes with linear maps) and marks follow the same
-    way.  Every element is such a word, since the generators of a finite
-    group reach it without inverses.  The check is therefore never weaker
-    than checking every element, and it is stricter where the matrices
-    fail to compose as the group."""
+    Without a group every element is checked.  With a group, only the
+    letter images s = col[0] of the columns col = group.act[j] are, and
+    with them composition: vperms[col[a]] = vperms[s] o vperms[a] for
+    every element a, the same for eperms, and M_a . M_s = M_{col[a]}.
+    Taking a to be the identity forces its perms and matrix to be the
+    identity, since those of s are invertible; and if a and s are natural,
+    so is a*s: M_a . M_s is symplectic, D[v] * M_{a*s} = D[vperms[a][v]] *
+    M_s = D[vperms[a*s][v]], and edges, frames (the sign normal commutes
+    with linear maps) and marks follow alike.  The generators of a finite
+    group reach every element without inverses, so by induction the check
+    is never weaker than checking every element, and only the generator
+    images get checked_matrix records."""
     space = d.space
     E = len(d.edges)
-    checked = [checked_matrix(space.g, space.m, M) for M in d.matrices]
-    if any(c.inverse is None for c in checked):
-        return False
     elements = range(len(d.matrices))
     if d.group is not None:
         if len(d.matrices) != d.group.d:
@@ -540,7 +536,10 @@ def _action_natural(d: EquivariantDecomposition):
             return False
         elements = cols
     for k in elements:
-        F, vp, ep = checked[k], d.vperms[k], d.eperms[k]
+        F = checked_matrix(space.g, space.m, d.matrices[k])
+        if F.inverse is None:
+            return False
+        vp, ep = d.vperms[k], d.eperms[k]
         for e in range(E):
             u, v = d.edges[e]
             if tuple(sorted((vp[u], vp[v]))) != d.edges[ep[e]]:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
-from .symplectic import check_int, check_ints
+from .symplectic import check_int, check_ints, check_shape
 
 # cap for the exhaustive search of relabelings
 MAX_CANONICAL_PERMS = 362880
@@ -101,9 +101,10 @@ class StableGraph:
         labels; edges: list of (u, v) vertex indices, u == v for a loop.
         Genera, labels and indices must be ints."""
         self.vertices = [(g, tuple(sorted(check_ints(mk, "mark label"))))
-                         for (g, mk) in vertices]
-        self.edges = [tuple(sorted(check_ints((u, v), "edge endpoint")))
-                      for (u, v) in edges]
+                         for g, mk in (check_shape(x, "vertex", 2)
+                                       for x in vertices)]
+        self.edges = [tuple(sorted(check_ints(e, "edge endpoint", 2)))
+                      for e in edges]
         V = len(self.vertices)
         for (g, mk) in self.vertices:
             check_int(g, "vertex genus")

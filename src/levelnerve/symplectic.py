@@ -27,26 +27,23 @@ free, so no Smith form is needed there.
 Only this module chooses between the two.  Other modules ask their
 lattice questions of SympSpace and SympSubgroup (row_kernel, solver,
 cokernel_invariants, relations, quotient_rank, corank,
-splits_off_radical); at prime m these read kernels, coordinates and
-ranks off echelon forms over F_p and compute no integer Hermite or Smith
-form, and otherwise they run the integer routines.  SympSpace.solver is the one coordinate routine: it
-writes x as c * rows mod m, or reports that x is outside the span of the
-rows.  At prime m the nonzero echelon rows h of rref_transform are 1 at
-their own pivot and 0 at the others, so a member x of their span is the
-sum of x[j] h over the pivots j, with coordinates the sum of x[j] t.  The
-canonical generators of a subgroup are such rows, so they have no
-relations and a member's coordinates are its entries at the pivots.
-Otherwise x is reduced greedily over Z against hnf_transform of the rows
-and the m*e_j (_int_coords), never mod m on the way: with dependent rows
-the coordinates are not unique, and callers may read them.
+splits_off_radical), which at prime m read them off echelon forms over
+F_p.  SympSpace.solver, the one coordinate routine, writes x as c * rows
+mod m, or reports that x is outside their span.  At prime m the nonzero
+echelon rows h of rref_transform are 1 at their own pivot and 0 at the
+others, so a member x of their span is the sum of x[j] h over the pivots j,
+with coordinates the sum of x[j] t; a subgroup's canonical generators are
+such rows.  Otherwise x is reduced greedily over Z against hnf_transform of
+the rows and the m*e_j (_int_coords), never mod m on the way: with
+dependent rows the coordinates are not unique, and callers may read them.
 
 At m = 2 a vector can also be packed into one int, bit k holding
 coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
 XOR of the packed rows of F at the set bits of x (f2_image).  A subgroup
 keeps its echelon rows packed as well (SympSubgroup.f2_rows), so that
 membership is a few XORs (SympSubgroup.contains_f2).  Only images under
-checked matrices use the packed rows; apply, perp, radical and vec_mat
-stay on row tuples, and odd primes stay on integer entries.
+checked matrices and matrices_compose use packed rows; apply, perp,
+radical and vec_mat stay on row tuples, odd primes on integer entries.
 
 A matrix is checked once per value: checked_matrix(g, m, F) is the one
 memoized record (CheckedMatrix) of its reduced rows, its inverse when it
@@ -55,8 +52,8 @@ questions an action check asks of a matrix: whether it maps one
 subgroup onto another, on the packed rows at m = 2, and the sign-normal
 image of a frame, which it keeps for the checks and for transport alike
 (frame_image); matrices_compose checks the products in a deck group's
-act table on the same rows.  Other modules read the record and neither
-check, invert nor pack a matrix themselves.
+act table and builds no record.  Other modules read the record and
+neither check, invert nor pack a matrix themselves.
 
 A subgroup exists once per space and lattice: SympSpace.subgroup
 echelonizes each generator row list once, and one table on the space
@@ -331,9 +328,20 @@ def check_int(x, name):
         raise InvalidInputError(f"{name} must be an int, not {x!r}")
 
 
-def check_ints(xs, name):
-    """The entries of xs as a tuple, each refused unless an int."""
-    xs = tuple(xs)
+def check_shape(xs, name, size=None):
+    """xs as a tuple, refused unless a sequence (of `size` entries)."""
+    try:
+        xs = tuple(xs)
+    except TypeError as exc:
+        raise InvalidInputError(f"{name} must be a sequence") from exc
+    if size is not None and len(xs) != size:
+        raise InvalidInputError(f"{name} wants {size} entries, not {xs!r}")
+    return xs
+
+
+def check_ints(xs, name, size=None):
+    """check_shape(xs), each entry refused unless an int."""
+    xs = check_shape(xs, name, size)
     for x in xs:
         check_int(x, name)
     return xs
@@ -581,18 +589,14 @@ class SympSubgroup:
     SympSpace.subgroup returns the space's one instance per lattice, and
     apply returns such instances, so a subgroup is a value: nothing may
     change it after construction except its lazy caches (canonical
-    generators, pivots, packed rows, radical, solver, hash, images).  The
-    lattice determines every one of them, so the instances that share a
-    lattice may share them too."""
+    generators, pivots, packed rows, radical, solver, hash, images), which
+    the lattice determines, so the instances of a lattice may share them."""
 
     def __init__(self, space: SympSpace, gens):
         self.space = space
         n = space.dim
         m = space.m
-        rows = [list(map(int, g)) for g in gens]
-        for r in rows:
-            if len(r) != n:
-                raise InvalidInputError("generator has wrong length")
+        rows = [list(check_ints(g, "subgroup entry", n)) for g in gens]
         # filled on first use by canonical_gens(), contains(), f2_rows(),
         # radical() and solver(); the prime path knows the generators at once
         self._gens = None
@@ -836,9 +840,8 @@ class CheckedMatrix:
     matrix F: whether F maps one subgroup onto another (maps_onto, on
     packed rows at m = 2 and on integer entries otherwise), and the
     sign-normal image of a frame (frame_image), which transport stores
-    too.  frame_image keeps each image in a memo on the record, which
-    lives as long as checked_matrix keeps the record, so a frame is moved
-    by F once however many values and checks carry it."""
+    too, memoized on the record: a frame is moved by F once however many
+    values and checks carry it."""
 
     m: int
     rows: tuple
@@ -884,9 +887,7 @@ def checked_matrix(g, m, F):
 
     Memoized on the value (g, m, F): a matrix is checked, reduced,
     inverted and packed once per process, not once per cover, lift or
-    transported value.  The fixed size bounds what it holds; the 16 deck
-    matrices and 5 twist matrices of the level-2 genus-2 homology cover
-    fit many times over."""
+    transported value, and at most 128 values are kept."""
     space = SympSpace(g, m)
     if len(F) != space.dim:
         raise InvalidInputError("matrix has wrong size")
@@ -905,14 +906,13 @@ def checked_matrix(g, m, F):
 @lru_cache(maxsize=16)
 def matrices_compose(g, m, matrices, act):
     """Whether matrices[a] . matrices[s] == matrices[col[a]] for every
-    distinct column col of a deck group's act table, s = col[0] the index
-    of its generator image, and every index a, for reduced matrices over
-    (Z/m)^2g; at m = 2 the products are taken on the packed rows of their
-    records.  Memoized on the value like checked_matrix, so the lifts of
-    one cover, which share its deck matrices, pay once."""
+    distinct column col of a deck group's act table, s = col[0], and every
+    index a, for reduced matrices over (Z/m)^2g, on rows packed by pack_f2
+    at m = 2.  Memoized on the value like checked_matrix, so a cover's
+    DeckHomology and its lifts, which share its deck matrices, pay once."""
     cols = {col[0]: col for col in act}
     if m == 2:
-        bits = [checked_matrix(g, m, M).packed for M in matrices]
+        bits = [tuple(map(pack_f2, M)) for M in matrices]
         return all(bits[c] == tuple(f2_image(x, bits[s]) for x in bits[a])
                    for s, col in cols.items() for a, c in enumerate(col))
     space = SympSpace(g, m)

@@ -38,7 +38,8 @@ transversal over the piece generators and their inverses, one Schreier
 generator per sheet and generator, and RecordElimination finds the
 coordinates of a subgroup word by eliminating the merged letters of its
 loop vector one record at a time, then changing to the symplectic
-frame."""
+frame, and deck_matrices_by_sheets reads the matrix of every deck element
+from the cover, as the package did before it composed the generators'."""
 
 from itertools import chain, combinations, permutations
 
@@ -841,3 +842,26 @@ class RecordElimination:
     def class_int(self, word):
         sv = self.survivor_coords(word)
         return list(vec_mat(sv, self.Uinv)) if sv else []
+
+
+def deck_matrices_by_sheets(spec, m):
+    """The deck matrices of cover_homology(spec, m), each read from the
+    cover: the matrix of the element h holds the classes of the basis
+    words read from the sheet of h^-1, each the signed sum of the class
+    rows of the loops its rewrite crosses, reduced mod m (over Z at 0)."""
+    t, chain = _table(spec), _chain(spec)
+    width = len(chain.class_rows[0])
+    mats = []
+    for sheet in spec.group.inverse:
+        rows = []
+        for word in chain.basis_words:
+            end, ids = t.rewrite(sheet, word)
+            assert end == sheet, "basis word closes up on every sheet"
+            cls = [0] * width
+            for i in ids:
+                sign = 1 if i > 0 else -1
+                for k, x in enumerate(chain.class_rows[abs(i)]):
+                    cls[k] += sign * x
+            rows.append(tuple(x % m if m else x for x in cls))
+        mats.append(tuple(rows))
+    return tuple(mats)

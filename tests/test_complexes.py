@@ -132,6 +132,14 @@ def test_homology_degree_out_of_range():
             homology(X, q)
 
 
+@pytest.mark.parametrize("q", [0.0, True, "1"], ids=repr)
+def test_homology_degree_must_be_an_int(q):
+    # True would read as degree 1: on this nerve that is H_1
+    X = build_abelian_nerve(1, 2, 2)
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        homology(X, q)
+
+
 @pytest.mark.parametrize("facets", [SOLID_TETRAHEDRON, TETRAHEDRON_BOUNDARY],
                          ids=["simplex", "sphere"])
 def test_pi1_simply_connected(facets):

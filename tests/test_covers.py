@@ -38,8 +38,8 @@ from levelnerve.covers import (
     _table,
     _unimodular_inverse,
 )
-from oracles import (RecordElimination, deck_perms_by_products,
-                     product_table)
+from oracles import (RecordElimination, deck_matrices_by_sheets,
+                     deck_perms_by_products, product_table)
 
 SWAP = (1, 0)
 ID2 = (0, 1)
@@ -369,17 +369,19 @@ def test_kept_walk_that_does_not_close_is_refused_every_time(h2):
 
 
 def test_covers_with_other_images_keep_their_own_entries(cat20):
-    # one base, two Z/2 covers: what each keeps is what it reads itself
-    a = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
-    b = abelian_cover(2, 0, (2,), [(0,), (1,), (0,), (0,)])
+    # one base, two Z/2 covers: what each keeps is what it reads itself,
+    # and a twin of it that has kept nothing walks each key alike
+    images = {"a": [(1,), (0,), (0,), (0,)], "b": [(0,), (1,), (0,), (0,)]}
+    a, b = (abelian_cover(2, 0, (2,), images[k]) for k in "ab")
     for mc in cat20:
         lift_cut_graph(a, mc, 2)
         lift_cut_graph(b, mc, 2)
-    for spec, other in ((a, b), (b, a)):
+    for spec, other, k in ((a, b, "a"), (b, a, "b")):
         chain, t = _chain(spec), _table(spec)
         hom = cover_homology(spec, 2)
         assert chain.walks and t.orbits and hom._copies
-        assert all(chain._read(*key) == out
+        twin = _chain(abelian_cover(2, 0, (2,), images[k]))
+        assert all(twin.walk(*key) == out
                    for key, out in chain.walks.items())
         trace = spec.group.trace
         assert all(covers.components(t.d, [(g, trace(g, w)) for w in key
@@ -391,7 +393,7 @@ def test_covers_with_other_images_keep_their_own_entries(cat20):
         assert t.orbits is not _table(other).orbits
         assert hom._copies is not cover_homology(other, 2)._copies
     # the same keys read differently on the two covers
-    assert any(_chain(b)._read(*key) != out
+    assert any(_chain(b).walk(*key) != out
                for key, out in _chain(a).walks.items())
     assert any(_table(b).orbits.get(key, out) != out
                for key, out in _table(a).orbits.items())
@@ -399,9 +401,9 @@ def test_covers_with_other_images_keep_their_own_entries(cat20):
 
 def test_seed_stage_walks_each_word_once(monkeypatch):
     # the 26 seed-stage lifts through one fresh cover, deck homology
-    # included: 1 120 rewrites, 78 copy class computations and 41 sheet
+    # included: 746 rewrites, 78 copy class computations and 41 sheet
     # orbit computations, where reading every word afresh made 4 416, 136
-    # and 149
+    # and 149, and reading the deck matrices at every sheet 1 120 rewrites
     spec = homology_cover(2, 0, 2)
     counts = {"rewrite": 0, "copies": 0, "orbits": 0}
     table_type = type(_table(spec))
@@ -421,7 +423,7 @@ def test_seed_stage_walks_each_word_once(monkeypatch):
     monkeypatch.setattr(covers, "components", counted("orbits", components))
     for mc in _seed_stage(2, 0):
         lift_cut_graph(spec, mc, 2)
-    assert counts["rewrite"] <= 1300
+    assert counts["rewrite"] <= 800
     assert counts["copies"] <= 78
     assert counts["orbits"] <= 41
 
@@ -834,7 +836,7 @@ def _assert_class_table(spec, old, sheet, word):
     chain = _chain(spec)
     tw = t.twords[sheet]
     conj = wmul(tw, word, winv(tw))
-    assert list(chain.class_at(sheet, word)) == old.class_int(conj)
+    assert list(chain.closed_class(sheet, word)) == old.class_int(conj)
     end, ids = t.rewrite(0, conj)
     assert end == 0
     assert list(_signed_sum(chain.survivor_rows, ids)) == \
@@ -872,7 +874,7 @@ def _class_cover(name):
            lambda a: st.sampled_from([a, -a])), max_size=14))
 def test_class_table_on_drawn_words(name, sheet, letters):
     """A drawn word read from a drawn sheet: closed up, its class matches
-    the record elimination; left open, class_at refuses it."""
+    the record elimination; left open, closed_class refuses it."""
     spec, old = _class_cover(name)
     t = _table(spec)
     sheet %= t.d
@@ -880,14 +882,14 @@ def test_class_table_on_drawn_words(name, sheet, letters):
     _assert_class_table(spec, old, sheet, _closed_at(t, sheet, word))
     if spec.group.trace(sheet, word) != sheet:
         with pytest.raises(LevelNerveError, match="cover subgroup"):
-            _chain(spec).class_at(sheet, word)
+            _chain(spec).closed_class(sheet, word)
 
 
 def test_class_at_refuses_a_word_that_does_not_close(h2):
     chain = _chain(h2)
     for sheet in range(h2.degree):
         with pytest.raises(LevelNerveError, match="cover subgroup"):
-            chain.class_at(sheet, (1,))
+            chain.closed_class(sheet, (1,))
 
 
 @pytest.mark.parametrize("make, m", [
@@ -1039,15 +1041,87 @@ def test_matrix_self_checks_refuse_a_perturbed_class(monkeypatch):
     assert invariance_check(spec, [twist])
     cover_homology(spec, 2)
     chain_type = type(_chain(spec))
-    real = chain_type.class_at
+    real = chain_type.closed_class
 
     def moved(self, sheet, word):
         c = real(self, sheet, word)
         return (c[0] + 1,) + c[1:]
 
-    monkeypatch.setattr(chain_type, "class_at", moved)
+    monkeypatch.setattr(chain_type, "closed_class", moved)
     with pytest.raises(LevelNerveError, match="induced matrix is symplectic"):
         mcg_action_on_cover(spec, twist, 2)
     fresh = abelian_cover(2, 0, (2,), [(1,), (0,), (0,), (0,)])
     with pytest.raises(LevelNerveError, match="deck matrix is symplectic"):
         cover_homology(fresh, 2)
+
+
+DECK = {
+    "h112": (lambda: homology_cover(1, 1, 2), 2),
+    "h113": (lambda: homology_cover(1, 1, 3), 3),
+    "h113-z": (lambda: homology_cover(1, 1, 3), 0),
+    "h202": (lambda: homology_cover(2, 0, 2), 2),
+    "abelian20": (lambda: abelian_cover(2, 0, (3, 2),
+                                        [(1, 0), (0, 1), (2, 1), (0, 0)]), 3),
+    "s3": (s3_cover, 2),
+    "derived11": (lambda: derived_cover(identity_cover(1, 1), 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(DECK))
+def test_deck_matrices_match_the_sheet_by_sheet_reading(name):
+    # composed from the generator images along the Cayley graph, every
+    # deck matrix equals the one read from the cover at its own sheet
+    make, m = DECK[name]
+    spec = make()
+    assert cover_homology(spec, m).matrices == \
+        deck_matrices_by_sheets(make(), m)
+
+
+def test_class_of_reads_a_word_given_as_a_list(h2):
+    # the walk memo keys words as tuples; a list reads the same class
+    hom = cover_homology(h2, 2)
+    for w in _table(h2).loop_words[:5]:
+        assert hom.class_of(list(w)) == hom.class_of(w)
+
+
+def test_deck_matrices_read_the_generator_sheets_only(monkeypatch):
+    # a fresh level-2 genus-2 homology cover has 4 generator images and 16
+    # sheets: its deck homology rewrites from their 4 sheets and sheet 0
+    spec = homology_cover(2, 0, 2)
+    table_type = type(_table(spec))
+    rewrite = table_type.rewrite
+    sheets = set()
+
+    def counting(self, start, word):
+        sheets.add(start)
+        return rewrite(self, start, word)
+
+    monkeypatch.setattr(table_type, "rewrite", counting)
+    cover_homology(spec, 2)
+    group = spec.group
+    assert group.d == 16
+    assert sheets == {0} | {group.inverse[col[0]] for col in group.act}
+    assert len(sheets) <= 5
+
+
+def test_deck_matrices_refuse_a_generator_that_breaks_a_relation(
+        monkeypatch):
+    # the classes read from the sheet of one generator image are moved by
+    # an integer symplectic matrix: that image's matrix stays symplectic,
+    # but the products no longer respect the group
+    spec = homology_cover(2, 0, 2)
+    group = spec.group
+    target = group.inverse[group.act[0][0]]
+    chain_type = type(_chain(spec))
+    real = chain_type.closed_class
+
+    def moved(self, sheet, word):
+        c = real(self, sheet, word)
+        if sheet != target:
+            return c
+        return (c[1], -c[0]) + c[2:]
+
+    monkeypatch.setattr(chain_type, "closed_class", moved)
+    with pytest.raises(LevelNerveError,
+                       match="deck matrices compose as the group"):
+        cover_homology(spec, 2)

@@ -177,6 +177,16 @@ def test_validate_input_checks():
     assert validate(d, conditions=("ii",)) == []
 
 
+def test_validate_refuses_a_string_of_conditions():
+    # "iv" as a string would check the labels i and v instead of iv
+    d = GraphDecomposition(SympSpace(1, 2), [[(1, 0), (0, 1)]], [[]],
+                           [(0, 0)])
+    assert validate(d, ["iv"]) == ["iv"]
+    for conditions in ("iv", "i"):
+        with pytest.raises(InvalidInputError, match="collection of labels"):
+            validate(d, conditions)
+
+
 def test_loop_decomposition_valid():
     for m in (0, 2, 3):
         sp = SympSpace(2, m)

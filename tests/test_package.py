@@ -443,13 +443,23 @@ NON_INT = {
     "stable-genus": lambda: StableGraph([(1.5, ())], []),
     "stable-mark": lambda: StableGraph([(1, (1.0,))], []),
     "stable-endpoint": lambda: StableGraph([(1, ()), (1, ())], [(0, 1.0)]),
+    "stable-edge-length": lambda: StableGraph([(1, ())], [(0, 0, 0)]),
+    "stable-vertex-length": lambda: StableGraph([(1, (), 5)], []),
+    "stable-edge-int": lambda: StableGraph([(1, ())], [0]),
+    "decomp-edge-length": lambda: GraphDecomposition(
+        SympSpace(1, 2), [[(1, 0), (0, 1)]], [[]], [(0,)]),
+    "subgroup-str": lambda: SympSpace(1, 2).subgroup([["1", 0]]),
+    "subgroup-float": lambda: SympSpace(1, 2).subgroup([[1.5, 0]]),
+    "subgroup-bool": lambda: SympSpace(1, 2).subgroup([[True, 0]]),
+    "subgroup-list": lambda: SympSpace(1, 2).subgroup([[[1], 0]]),
 }
 
 
 @pytest.mark.parametrize("make", list(NON_INT.values()), ids=list(NON_INT))
 def test_constructors_refuse_non_int_scalars(make):
-    """A float or bool where a cover or decomposition wants an int is
-    refused, not truncated."""
+    """A float or bool where a cover, decomposition or subgroup wants an
+    int is refused, not truncated, and so is a vertex or an edge of the
+    wrong shape."""
     with pytest.raises(InvalidInputError):
         make()
 
