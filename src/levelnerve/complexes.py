@@ -32,7 +32,7 @@ from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
 from .stablegraph import components, max_rank
 from .surface import twist_automorphisms
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
-                         orbit_enumerate, smith_normal_form, snf_diagonal,
+                         orbit_enumerate, smith_normal_form, snf_sparse,
                          sp_group)
 from .words import cyclic_reduce
 
@@ -454,59 +454,77 @@ def _tietze(ngen, rels, budget=200_000):
 
     Letters are nonzero signed integers; generator i appears as +-(i+1).
     A generator occurring exactly once in some relation is solved for and
-    substituted everywhere, smallest relation first, until nothing fires
-    or the substitution budget is spent; the budget is charged the length
-    of every rewritten relation, and nothing for a relation the
-    substitution leaves alone.  Returns (alive generators, reduced
-    relations, exhausted flag)."""
-    rels = [cyclic_reduce(r)[0] for r in rels]
-    rels = [r for r in rels if r]
+    substituted everywhere: the least such generator of the least such
+    relation in (len, r) order, until nothing fires or the substitution
+    budget is spent; the budget is charged the length of every rewritten
+    relation, and nothing for a relation the substitution leaves alone.
+    Returns (alive generators, reduced relations, exhausted flag).  The
+    relations come sorted by (len, r); once the budget is spent they come
+    in the (len, r) order they had before the last elimination, less the
+    relation solved, with the rewritten ones in their places and those
+    that reduced to nothing dropped.
+
+    An index from each generator to the relations holding it names the
+    relations a substitution rewrites, and a heap of (len, r, id, lone
+    generator) over the relations with a lone generator gives the next
+    one; entries of relations rewritten or removed since are skipped."""
+    import heapq  # here, so that importing the package does not load it
+
+    rels = dict(enumerate(w for w in (cyclic_reduce(r)[0] for r in rels)
+                          if w))
+    holds = {}
+    heap = []
+
+    def enter(i, w):
+        counts = {}
+        for x in w:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+        for x in counts:
+            holds.setdefault(x, set()).add(i)
+        lone = [x for x, c in counts.items() if c == 1]
+        if lone:
+            heapq.heappush(heap, (len(w), w, i, min(lone)))
+
+    for i, w in rels.items():
+        enter(i, w)
     alive = set(range(1, ngen + 1))
     spent = 0
-    while True:
-        rels.sort(key=lambda r: (len(r), r))
-        pick = None
-        for ri, r in enumerate(rels):
-            counts = {}
-            for x in r:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            for x in sorted(counts):
-                if counts[x] == 1:
-                    pick = (ri, x)
-                    break
-            if pick:
-                break
-        if not pick:
-            break
-        ri, gen = pick
-        r = rels.pop(ri)
+    while heap:
+        _, r, ri, gen = heapq.heappop(heap)
+        if rels.get(ri) is not r:
+            continue
         pos = next(i for i, x in enumerate(r) if abs(x) == gen)
         rest = r[pos + 1:] + r[:pos]
         if r[pos] > 0:
             repl = [-x for x in reversed(rest)]
         else:
             repl = list(rest)
+        inv = [-y for y in reversed(repl)]
         alive.discard(gen)
-        new = []
-        for s in rels:
-            if gen not in s and -gen not in s:
-                # nothing to substitute; s is already cyclically reduced
-                new.append(s)
+        old = {}
+        for k in holds.pop(gen):
+            s = old[k] = rels.pop(k)
+            for x in set(map(abs, s)):
+                if x != gen:
+                    holds[x].discard(k)
+            if k == ri:
                 continue
             out = []
             for x in s:
                 if abs(x) == gen:
-                    out.extend(repl if x > 0 else [-y for y in
-                                                   reversed(repl)])
+                    out.extend(repl if x > 0 else inv)
                 else:
                     out.append(x)
             spent += len(out)
             out = cyclic_reduce(out)[0]
             if out:
-                new.append(out)
-        rels = new
+                rels[k] = out
+                enter(k, out)
         if spent > budget:
-            return sorted(alive), rels, True
+            before = {**rels, **old}
+            ids = sorted(before, key=lambda k: (len(before[k]), before[k]))
+            return sorted(alive), [rels[k] for k in ids if k in rels], True
+    rels = sorted(rels.values(), key=lambda w: (len(w), w))
     return sorted(alive), rels, False
 
 
@@ -651,12 +669,15 @@ def pi1_report(X) -> Pi1Report:
 # homology
 
 
-def _boundary_matrix(X, k):
+def _boundary_rows(X, k):
+    """The boundary from rank k of X as sparse rows, one per k-simplex:
+    face index -> signed count, so a face repeated with opposite signs
+    counts 0, which snf_sparse drops."""
     rows = []
     for row in X.faces[k]:
-        out = [0] * X.size(k - 1)
+        out = {}
         for l, f in enumerate(row):
-            out[f] += (-1) ** l
+            out[f] = out.get(f, 0) + (-1) ** l
         rows.append(out)
     return rows
 
@@ -666,8 +687,8 @@ def _nonzero_divisors(X, k):
     computed once per complex: homology in degrees k - 1 and k both read
     them."""
     if k not in X._divisors:
-        X._divisors[k] = tuple(d for d in snf_diagonal(_boundary_matrix(X, k))
-                               if d)
+        X._divisors[k] = tuple(d for d in snf_sparse(_boundary_rows(X, k),
+                                                     X.size(k - 1)) if d)
     return X._divisors[k]
 
 
@@ -676,7 +697,9 @@ def homology(X, q):
 
     Torsion divisors come first in ascending order, then one 0 per free
     factor; () is the zero group.  The chain complex is spanned by the
-    stored simplices with the alternating face boundary."""
+    stored simplices with the alternating face boundary.  Each boundary
+    is read off the face table as sparse rows and handed to snf_sparse,
+    so no boundary matrix is built dense."""
     check_int(q, "degree")
     if not (0 <= q <= X.top_rank):
         raise InvalidInputError("degree outside the stored ranks")

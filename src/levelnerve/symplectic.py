@@ -16,13 +16,17 @@ into the subgroup.
 
 There is one integer echelon and one Smith routine.  hnf is the echelon;
 hnf_transform runs it with the transform, and kernels, coordinates and
-inverses are read off its (h, t) pairs.  snf_diagonal gives the Smith
-divisors without transforms, and smith_normal_form is its checked entry
-point.  For prime m the echelon over F_p takes their place: _rref_mod_p
-gives the canonical form, and rref_transform, its run with the transform,
-gives kernels (SympSpace.row_kernel, for perp and radical) and
-coordinates in the same (h, t) pairs.  Over a field every quotient is
-free, so no Smith form is needed there.
+inverses are read off its (h, t) pairs.  snf_sparse gives the Smith
+divisors without transforms: it eliminates on {column: entry} rows with
+an index from each column to its rows, and takes first the unit pivots
+that make no fill, so a large sparse boundary matrix is never made
+dense.  snf_diagonal is its entry for a dense matrix, and
+smith_normal_form the checked one.  For prime m the echelon over F_p
+takes their place: _rref_mod_p gives the canonical form, and
+rref_transform, its run with the transform, gives kernels
+(SympSpace.row_kernel, for perp and radical) and coordinates in the same
+(h, t) pairs.  Over a field every quotient is free, so no Smith form is
+needed there.
 
 Only this module chooses between the two.  Other modules ask their
 lattice questions of SympSpace and SympSubgroup (row_kernel, solver,
@@ -197,56 +201,122 @@ def _free_rank(divisors, m, n):
 
 
 def snf_diagonal(mat):
-    """The Smith diagonal of mat: min(r, c) nonnegative entries, each
-    dividing the next.
+    """The Smith diagonal of a dense integer matrix: snf_sparse on its
+    nonzero entries."""
+    return snf_sparse([{j: a for j, a in enumerate(r) if a} for r in mat],
+                      len(mat[0]) if mat else 0)
 
-    Rows are eliminated on a copy.  The pivot is the first unit entry in
-    row order, else the smallest nonzero entry.  Once row operations have
-    cleared its column, column operations touch only the pivot row: they
-    reduce it modulo the pivot, which splits the pivot off as a divisor
-    when nothing remains.  The split divisors are brought into chain form
-    by diag(a, b) ~ diag(gcd, lcm) and padded with zeros to min(r, c)."""
-    size = min(len(mat), len(mat[0]) if mat else 0)
-    rows = [list(r) for r in mat if any(r)]
+
+def snf_sparse(rows, width):
+    """The Smith diagonal of the matrix whose rows are {column: entry}
+    dicts over width columns: min(len(rows), width) nonnegative entries,
+    each dividing the next.  Zero entries may be left out or given.
+
+    Rows are eliminated on copies, with an index from each column to the
+    rows that hold it.  The pivot is, first, a unit alone in its column,
+    which makes no fill (a worklist keeps the columns left with one row);
+    else a unit of the shortest row holding one, in the column with the
+    fewest rows (a heap keeps the rows by length, so a row holding only a
+    unit comes first and makes no fill either); else the least entry in
+    absolute value.  Row operations clear the pivot's column as far as
+    they can.  Once it is clear, column operations touch only the pivot
+    row: they reduce it modulo the pivot, which splits the pivot off as a
+    divisor when nothing remains, as it always does for a unit.  The
+    split divisors are brought into chain form by diag(a, b) ~
+    diag(gcd, lcm) and padded with zeros to min(r, c)."""
+    import heapq  # here, so that importing the package does not load it
+
+    size = min(len(rows), width)
+    rows = {i: {j: a for j, a in r.items() if a} for i, r in enumerate(rows)}
+    rows = {i: r for i, r in rows.items() if r}
+    cols = {}
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    lone = [j for j, c in cols.items() if len(c) == 1]
+    # rows by length: an entry for a row that grew since is put back at
+    # its new length, and a row taken off for holding no unit (spare)
+    # goes back when it next changes
+    short = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(short)
+    spare = set()
+
+    def unlink(t, i):
+        c = cols[t]
+        c.discard(i)
+        if len(c) == 1:
+            lone.append(t)
+        elif not c:
+            del cols[t]
+
     divs = []
     while rows:
-        least = None
-        for i, prow in enumerate(rows):
-            if 1 in prow or -1 in prow:
-                p = 1
-                break
-            a = min(map(abs, filter(None, prow)))
-            if least is None or a < least:
-                least, k = a, i
-        else:
-            p, i = least, k
-            prow = rows[i]
-        support = [t for t, a in enumerate(prow) if a]
-        j = next(t for t in support if abs(prow[t]) == p)
+        i = None
+        while lone and i is None:
+            j = lone.pop()
+            c = cols.get(j)
+            if c is not None and len(c) == 1:
+                k, = c
+                if rows[k][j] in (1, -1):
+                    i = k
+        while short and i is None:
+            n, k = heapq.heappop(short)
+            r = rows.get(k)
+            if r is not None and len(r) > n:
+                heapq.heappush(short, (len(r), k))
+            elif r is not None and len(r) == n:
+                units = [t for t, a in r.items() if a in (1, -1)]
+                if units:
+                    i = k
+                    j = min(units, key=lambda t: len(cols[t]))
+                else:
+                    spare.add(k)
+        if i is None:
+            least, i = min((min(map(abs, r.values())), k)
+                           for k, r in rows.items())
+            j = min(t for t, a in rows[i].items() if abs(a) == least)
+        prow = rows[i]
         p = prow[j]
         clear = True
-        zero = []
-        for k, r in enumerate(rows):
-            if r[j] and k != i:
-                q = r[j] // p
-                for t in support:
-                    r[t] -= q * prow[t]
-                if r[j]:
-                    clear = False
-                elif not any(r):
-                    zero.append(k)
+        for k in [k for k in cols[j] if k != i]:
+            r = rows[k]
+            n = len(r)
+            q = r[j] // p
+            for t, a in prow.items():
+                v = r.get(t, 0) - q * a
+                if v:
+                    if t not in r:
+                        cols[t].add(k)
+                    r[t] = v
+                else:
+                    del r[t]
+                    unlink(t, k)
+            if not r:
+                del rows[k]
+                continue
+            if j in r:
+                clear = False
+            if len(r) < n or k in spare:
+                spare.discard(k)
+                heapq.heappush(short, (len(r), k))
         if clear:
             # column operations now change only the pivot row; remainders
             # smaller than the pivot keep the loop going
             p = abs(p)
-            prow[:] = [a % p for a in prow]
-            if any(prow):
+            for t, a in list(prow.items()):
+                if a % p:
+                    prow[t] = a % p
+                elif t != j:
+                    del prow[t]
+                    unlink(t, i)
+            if len(prow) > 1:
                 prow[j] = p
+                spare.discard(i)
+                heapq.heappush(short, (len(prow), i))
             else:
                 divs.append(p)
-                zero.append(i)
-        for k in sorted(zero, reverse=True):
-            del rows[k]
+                del rows[i]
+                unlink(j, i)
     chain = [d for d in divs if d > 1]
     for a in range(len(chain)):
         for b in range(a + 1, len(chain)):
@@ -504,8 +574,13 @@ class SympSpace:
         different rows are one instance.  The rows are read once into the
         key and construction gets that key, so a one-shot iterable is not
         consumed twice.  Unhashable rows are constructed directly, and a
-        construction that raises stores nothing."""
-        rows = tuple(map(tuple, gens))
+        construction that raises stores nothing.  Generators that are not
+        a sequence of rows raise InvalidInputError."""
+        try:
+            rows = tuple(map(tuple, gens))
+        except TypeError as exc:
+            raise InvalidInputError(
+                "subgroup generators must be a sequence of rows") from exc
         try:
             sub = self._subgroups.get(rows)
         except TypeError:  # an entry that is itself a list

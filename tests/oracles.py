@@ -39,8 +39,13 @@ generator per sheet and generator, and RecordElimination finds the
 coordinates of a subgroup word by eliminating the merged letters of its
 loop vector one record at a time, then changing to the symplectic
 frame, and deck_matrices_by_sheets reads the matrix of every deck element
-from the cover, as the package did before it composed the generators'."""
+from the cover, as the package did before it composed the generators'.
+snf_diagonal_dense is the dense Smith elimination that scans every row for
+its pivot, and tietze_resorting the generator elimination that re-sorts
+every relation before each step, as the package ran them before they
+worked on sparse rows and on an occurrence index."""
 
+import math
 from itertools import chain, combinations, permutations
 
 from levelnerve.catalog import (_compatible, _curve_count, _objects,
@@ -57,7 +62,8 @@ from levelnerve.symplectic import (_int_coords, checked_matrix, hnf,
                                    hnf_transform, mat_identity,
                                    mod_row_kernel,
                                    orbit_enumerate, snf_diagonal, vec_mat)
-from levelnerve.words import max_letter, winv, wmul, wreduce
+from levelnerve.words import (cyclic_reduce, max_letter, winv, wmul,
+                              wreduce)
 
 
 def contract_edge(sg, idx):
@@ -431,6 +437,117 @@ def snf(mat):
     else:
         raise LevelNerveError("Smith form divisibility pass did not settle")
     return A, U, V
+
+
+def snf_diagonal_dense(mat):
+    """The Smith diagonal of a dense matrix by the first-unit elimination:
+    the pivot is the first unit entry in row order, else the smallest
+    nonzero entry; once row operations have cleared its column, the pivot
+    row is reduced modulo the pivot, which splits the pivot off when
+    nothing remains, and the split divisors are brought into chain form
+    by diag(a, b) ~ diag(gcd, lcm)."""
+    size = min(len(mat), len(mat[0]) if mat else 0)
+    rows = [list(r) for r in mat if any(r)]
+    divs = []
+    while rows:
+        least = None
+        for i, prow in enumerate(rows):
+            if 1 in prow or -1 in prow:
+                p = 1
+                break
+            a = min(map(abs, filter(None, prow)))
+            if least is None or a < least:
+                least, k = a, i
+        else:
+            p, i = least, k
+            prow = rows[i]
+        support = [t for t, a in enumerate(prow) if a]
+        j = next(t for t in support if abs(prow[t]) == p)
+        p = prow[j]
+        clear = True
+        zero = []
+        for k, r in enumerate(rows):
+            if r[j] and k != i:
+                q = r[j] // p
+                for t in support:
+                    r[t] -= q * prow[t]
+                if r[j]:
+                    clear = False
+                elif not any(r):
+                    zero.append(k)
+        if clear:
+            p = abs(p)
+            prow[:] = [a % p for a in prow]
+            if any(prow):
+                prow[j] = p
+            else:
+                divs.append(p)
+                zero.append(i)
+        for k in sorted(zero, reverse=True):
+            del rows[k]
+    chain = [d for d in divs if d > 1]
+    for a in range(len(chain)):
+        for b in range(a + 1, len(chain)):
+            g = math.gcd(chain[a], chain[b])
+            chain[a], chain[b] = g, chain[a] // g * chain[b]
+    return ((1,) * (len(divs) - len(chain)) + tuple(chain)
+            + (0,) * (size - len(divs)))
+
+
+def tietze_resorting(ngen, rels, budget=200_000):
+    """Generator elimination that sorts the relations by (len, r) before
+    every step and takes the first one with a generator occurring once,
+    at its least such generator; the budget is charged the length of
+    every rewritten relation.  Returns (alive generators, relations,
+    exhausted flag) as complexes._tietze does."""
+    rels = [cyclic_reduce(r)[0] for r in rels]
+    rels = [r for r in rels if r]
+    alive = set(range(1, ngen + 1))
+    spent = 0
+    while True:
+        rels.sort(key=lambda r: (len(r), r))
+        pick = None
+        for ri, r in enumerate(rels):
+            counts = {}
+            for x in r:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            for x in sorted(counts):
+                if counts[x] == 1:
+                    pick = (ri, x)
+                    break
+            if pick:
+                break
+        if not pick:
+            break
+        ri, gen = pick
+        r = rels.pop(ri)
+        pos = next(i for i, x in enumerate(r) if abs(x) == gen)
+        rest = r[pos + 1:] + r[:pos]
+        if r[pos] > 0:
+            repl = [-x for x in reversed(rest)]
+        else:
+            repl = list(rest)
+        alive.discard(gen)
+        new = []
+        for s in rels:
+            if gen not in s and -gen not in s:
+                new.append(s)
+                continue
+            out = []
+            for x in s:
+                if abs(x) == gen:
+                    out.extend(repl if x > 0 else [-y for y in
+                                                   reversed(repl)])
+                else:
+                    out.append(x)
+            spent += len(out)
+            out = cyclic_reduce(out)[0]
+            if out:
+                new.append(out)
+        rels = new
+        if spent > budget:
+            return sorted(alive), rels, True
+    return sorted(alive), rels, False
 
 
 def lattice_reduce(lattice_hnf, vec):

@@ -1,6 +1,8 @@
 """Integral homology and the edge-path group of small simplicial sets:
 spheres, a torus and the projective plane, with every boundary matrix
-checked against sympy and its Smith divisors computed once per complex.
+checked against sympy and its Smith divisors computed once per complex,
+and of 24 x 24 torus and Klein-bottle grids; generator elimination against
+the re-sorting reference on drawn relator lists.
 Also curve deletion on catalog representatives, a bond that validate
 decides without enumerating generator choices, the offender labels
 cross_validate reports, and the error assembly raises for a face missing
@@ -9,11 +11,12 @@ from the rank below."""
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from levelnerve.catalog import _audit, multicurve_catalog
-from levelnerve.complexes import (FinSimpSet, _assemble, _boundary_matrix,
+from levelnerve.complexes import (FinSimpSet, _assemble, _boundary_rows,
                                   _finite_quotient, _orbit_types, _tietze,
                                   _types, build_abelian_nerve, cross_validate,
                                   delete_curves, homology, pi1_report)
@@ -23,14 +26,17 @@ from levelnerve.decomp import (FramedDecomposition, canonical_form,
                                induced_from_multicurve, sp_action, validate)
 from levelnerve.errors import InvalidInputError, LevelNerveError
 from levelnerve.surface import twist_automorphisms
-from levelnerve.symplectic import (SympSpace, orbit_enumerate, snf_diagonal,
+from levelnerve.symplectic import (SympSpace, orbit_enumerate, snf_sparse,
                                    sp_group)
+from oracles import tietze_resorting
 
 
 def complex_from_facets(facets):
     """The simplicial closure of `facets` (vertex tuples) as a FinSimpSet:
-    a simplex is encoded by its sorted vertices as bytes, each rank is
-    ordered by encoding, and the l-th face omits the l-th vertex."""
+    a simplex is encoded by its sorted vertices as bytes, one byte per
+    vertex while every label is below 256 and two big-endian bytes
+    otherwise, each rank is ordered by encoding, and the l-th face omits
+    the l-th vertex."""
     top = max(len(f) for f in facets) - 1
     simplices = [set() for _ in range(top + 1)]
     for f in facets:
@@ -43,7 +49,26 @@ def complex_from_facets(facets):
     for k in range(1, top + 1):
         faces.append([tuple(index[k - 1][s[:l] + s[l + 1:]]
                             for l in range(k + 1)) for s in blocks[k]])
-    return FinSimpSet([[bytes(s) for s in b] for b in blocks], faces)
+    width = 1 if max(blocks[0])[0] < 256 else 2
+
+    def encode(s):
+        return b"".join(v.to_bytes(width, "big") for v in s)
+
+    return FinSimpSet([[encode(s) for s in b] for b in blocks], faces)
+
+
+def grid(n, flip):
+    """An n x n grid of squares, each cut into two triangles, with its
+    sides glued into a torus, or into a Klein bottle when flip reverses
+    the rows across the seam j = n ~ j = 0."""
+    def v(i, j):
+        if j == n:
+            i, j = (-i if flip else i), 0
+        return i % n * n + j
+
+    return [f for i in range(n) for j in range(n)
+            for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                      (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
 
 
 TETRAHEDRON_BOUNDARY = list(combinations(range(4), 3))
@@ -82,8 +107,9 @@ def test_homology_of_known_complexes(facets, want):
 def test_boundary_divisors_match_sympy(facets):
     X = complex_from_facets(facets)
     for k in range(1, X.top_rank + 1):
-        M = _boundary_matrix(X, k)
-        assert snf_diagonal(M) == sympy_diagonal(M)
+        rows, width = _boundary_rows(X, k), X.size(k - 1)
+        M = [[r.get(j, 0) for j in range(width)] for r in rows]
+        assert snf_sparse(rows, width) == sympy_diagonal(M)
 
 
 @pytest.mark.parametrize("facets", [f for f, _ in CASES], ids=NAMES)
@@ -98,11 +124,11 @@ def test_boundary_divisors_computed_once_per_complex(monkeypatch):
     import levelnerve.complexes as complexes
     calls = []
 
-    def counted(M):
-        calls.append(len(M))
-        return snf_diagonal(M)
+    def counted(rows, width):
+        calls.append(len(rows))
+        return snf_sparse(rows, width)
 
-    monkeypatch.setattr(complexes, "snf_diagonal", counted)
+    monkeypatch.setattr(complexes, "snf_sparse", counted)
     want = CASES[NAMES.index("torus")][1]
     for _ in range(2):
         # an equal complex built afresh shares nothing with the last one
@@ -170,6 +196,42 @@ def test_tietze_budget_skips_untouched_relations():
                                      budget=20)
     assert (alive, exhausted) == ([2, 3], False)
     assert rels == [(2, 3, -2, -3)] * 10
+
+
+@st.composite
+def relator_lists(draw):
+    """Up to 12 words of length at most 10 over up to 6 generators, many
+    of them repeated or sharing generators."""
+    ngen = draw(st.integers(0, 6))
+    if not ngen:
+        return 0, draw(st.lists(st.just([]), max_size=3))
+    letter = st.integers(1, ngen).flatmap(
+        lambda x: st.sampled_from([x, -x]))
+    words = draw(st.lists(st.lists(letter, max_size=10), max_size=12))
+    return ngen, words + draw(st.lists(st.sampled_from(words or [[]]),
+                                       max_size=4))
+
+
+@pytest.mark.parametrize("budget", [200_000, 20, 5])
+@given(data=relator_lists())
+@example(data=(3, [[1]] + [[2, 3, -2, -3]] * 10))
+@example(data=(3, [[1, 2], [1, 2], [1, 3, -1, 2], [2, 2, 3], [1, -3]]))
+def test_tietze_matches_the_resorting_reference(budget, data):
+    ngen, rels = data
+    assert _tietze(ngen, rels, budget) == tietze_resorting(ngen, rels,
+                                                           budget)
+
+
+@pytest.mark.parametrize("flip, want, ab", [
+    (False, [(0,), (0, 0), (0,)], (0, 0)),
+    (True, [(0,), (2, 0), ()], (2, 0)),
+], ids=["torus", "klein"])
+def test_invariants_of_a_24_by_24_grid(flip, want, ab):
+    X = complex_from_facets(grid(24, flip))
+    assert [X.size(k) for k in range(3)] == [576, 1728, 1152]
+    assert [homology(X, q) for q in range(3)] == want
+    rep = pi1_report(X)
+    assert (rep.verdict, rep.witness) == ("nontrivial", ("abelianization", ab))
 
 
 def test_finite_quotient():

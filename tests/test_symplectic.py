@@ -20,10 +20,11 @@ from levelnerve.symplectic import (
     mod_row_kernel,
     pack_f2,
     snf_diagonal,
+    snf_sparse,
     sp_group,
     vec_mat,
 )
-from oracles import lattice_reduce, module_map_report, snf
+from oracles import lattice_reduce, module_map_report, snf, snf_diagonal_dense
 
 moduli = st.sampled_from([0, 2, 3, 4, 6])
 
@@ -542,6 +543,16 @@ def test_subgroup_refused_rows_leave_no_entry():
             sp.subgroup([(1, 0, 0)])
         with pytest.raises(InvalidInputError):
             sp.subgroup(iter([(1, 0, 0, 0), (1, 2)]))
+    assert sp._subgroups == before
+
+
+@pytest.mark.parametrize("gens", [[5], 5, [(1, 0), 7]], ids=repr)
+def test_subgroup_refuses_generators_that_are_not_rows(gens):
+    sp = SympSpace(1, 2)
+    before = dict(sp._subgroups)
+    with pytest.raises(InvalidInputError, match="sequence of rows") as info:
+        sp.subgroup(gens)
+    assert isinstance(info.value.__cause__, TypeError)
     assert sp._subgroups == before
 
 
@@ -1357,6 +1368,36 @@ def smith_inputs(draw):
 @example([[4, 6], [6, 9], [10, 14]])
 def test_snf_diagonal_matches_snf_and_sympy(M):
     assert snf_diagonal(M) == snf_reference(M) == sympy_smith_diagonal(M)
+    assert snf_diagonal(M) == snf_diagonal_dense(M)
+
+
+@st.composite
+def sparse_unit_inputs(draw):
+    """r x c matrices with 0 <= r, c <= 14 and at most 40 entries, each
+    +-1, as sparse rows that sometimes also list a zero entry; a cell
+    drawn twice keeps its last sign."""
+    r, c = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    rows = [{} for _ in range(r)]
+    if r and c:
+        for i, j, a in draw(st.lists(
+                st.tuples(st.integers(0, r - 1), st.integers(0, c - 1),
+                          st.sampled_from([1, -1, 0])), max_size=40)):
+            if a or draw(st.booleans()):
+                rows[i][j] = a
+    return rows, c
+
+
+@given(sparse_unit_inputs())
+@example(([], 0))
+@example(([{}, {}], 3))
+@example(([{0: 1, 1: 0}, {0: -1}], 2))
+def test_snf_sparse_matches_the_dense_loop_and_sympy(data):
+    rows, width = data
+    M = [[r.get(j, 0) for j in range(width)] for r in rows]
+    copies = [dict(r) for r in rows]
+    assert snf_sparse(rows, width) == snf_diagonal_dense(M) \
+        == sympy_smith_diagonal(M)
+    assert rows == copies
 
 
 def test_snf_diagonal_pinned():
