@@ -42,16 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInputError, LevelNerveError, UnsupportedError
+from .errors import (InvalidInputError, LevelNerveError, UnsupportedError,
+                     self_check)
 from .stablegraph import StableGraph, enumerate_stable_graphs, max_rank
 from .surface import presentation
 from .symplectic import check_ints
 from .words import FoldedGraph, solve_conjugator, winv, wmul
-
-
-def _check(cond, msg):
-    if not cond:
-        raise LevelNerveError(f"catalog self-check failed: {msg}")
 
 
 @dataclass(frozen=True)
@@ -313,10 +309,10 @@ class _Realizer:
         key = self._keys.get(raw)
         if key is None:
             graph = StableGraph(*raw)
-            _check(graph.genus() == self.g and graph.is_stable(),
-                   "assembled dual graph")
-            _check(sum(chis) == 2 - 2 * self.g - n,
-                   "Euler characteristic assembly")
+            self_check(graph.genus() == self.g and graph.is_stable(),
+                       "assembled dual graph")
+            self_check(sum(chis) == 2 - 2 * self.g - n,
+                       "Euler characteristic assembly")
             key = self._keys[raw] = graph.canonical_key()
         return _Layout(items, connected, piece_ids, tuple(edges),
                        tuple(chis), raw, key)
@@ -419,7 +415,7 @@ class _Realizer:
                 if c is None:
                     c = solve_conjugator(winv(word), loop)
                     sign = -1
-                _check(c is not None, "side loop is a curve conjugate")
+                self_check(c is not None, "side loop is a curve conjugate")
                 pair.append(Side(pid, c, sign))
             words.append(word)
             sides.append(tuple(pair))
@@ -451,31 +447,32 @@ def _audit(rep):
     u1_holder = None
     if rep.n == 0:
         u1_holder = 0
-        _check(folded[0].contains(_closed_u1_loop(rep.g)),
-               "u_1 slot on the root piece")
+        self_check(folded[0].contains(_closed_u1_loop(rep.g)),
+                   "u_1 slot on the root piece")
     ends = rep.graph.degrees()
     for pid, piece in enumerate(rep.pieces):
         r_pub = len(piece.marks) + (1 if pid == u1_holder else 0)
         want = 2 * piece.genus + ends[pid] + r_pub - 1
-        _check(folded[pid].rank() == want, "piece subgroup rank")
+        self_check(folded[pid].rank() == want, "piece subgroup rank")
         for _, loop in piece.marks:
-            _check(folded[pid].contains(loop), "mark loop in piece")
+            self_check(folded[pid].contains(loop), "mark loop in piece")
     for word, sds in zip(rep.words, rep.sides):
         for s in sds:
             loop = wmul(s.conj, word if s.sign > 0 else winv(word),
                         winv(s.conj))
-            _check(folded[s.piece].contains(loop), "boundary loop in piece")
+            self_check(folded[s.piece].contains(loop),
+                       "boundary loop in piece")
     # homology classification must reproduce the graph classification
     bridges = set(rep.graph.bridges())
     classes = [pres.homology_class(w) for w in rep.words]
     for i, cls in enumerate(classes):
         zero = all(c == 0 for c in cls)
-        _check(zero == (i in bridges), "bridge homology classification")
+        self_check(zero == (i in bridges), "bridge homology classification")
     for i, j in rep.graph.minimal_two_cuts():
         plus = tuple(a + b for a, b in zip(classes[i], classes[j]))
         minus = tuple(a - b for a, b in zip(classes[i], classes[j]))
-        _check(all(c == 0 for c in plus) or all(c == 0 for c in minus),
-               "cut pair homology relation")
+        self_check(all(c == 0 for c in plus) or all(c == 0 for c in minus),
+                   "cut pair homology relation")
 
 
 def _types(g, n):
@@ -484,7 +481,7 @@ def _types(g, n):
     read instead of computed again; one is checked against canonical_key
     per call."""
     types = enumerate_stable_graphs(g, n, include_empty=True)
-    _check(types[0].key == types[0].canonical_key(), "stored type key")
+    self_check(types[0].key == types[0].canonical_key(), "stored type key")
     return types
 
 
@@ -544,10 +541,7 @@ def delete_curves(mc, drop):
     Euler characteristic addition.  Indices must be ints; a bool, a
     float or a string is refused with InvalidInputError."""
     E = len(mc.words)
-    drop = tuple(drop)
-    if not all(isinstance(e, int) and not isinstance(e, bool) for e in drop):
-        raise InvalidInputError("curve indices must be ints")
-    drop = frozenset(drop)
+    drop = frozenset(check_ints(drop, "curve index"))
     if not drop:
         return mc
     if not drop <= set(range(E)):
@@ -598,7 +592,8 @@ def delete_curves(mc, drop):
         if e in tree:
             continue
         s0, s1 = mc.sides[e]
-        _check(of[s0.piece] == of[s1.piece], "removed curve joins its sides")
+        self_check(of[s0.piece] == of[s1.piece],
+                   "removed curve joins its sides")
         gens[of[s0.piece]].append(
             wmul(x[s0.piece], s0.conj, winv(s1.conj), winv(x[s1.piece])))
 
@@ -621,12 +616,13 @@ def delete_curves(mc, drop):
     for c in range(roots):
         mk = tuple(sorted(marks[c]))
         h2 = 2 - chi[c] - ends[c] - len(mk)
-        _check(h2 >= 0 and h2 % 2 == 0, "merged genus bookkeeping")
+        self_check(h2 >= 0 and h2 % 2 == 0, "merged genus bookkeeping")
         pieces.append(Piece(h2 // 2, mk, tuple(gens[c]), chi[c]))
 
     verts = [(p.genus, tuple(j for j, _ in p.marks)) for p in pieces]
     graph = StableGraph(verts, edges)
-    _check(graph.genus() == mc.g and graph.is_stable(), "merged dual graph")
+    self_check(graph.genus() == mc.g and graph.is_stable(),
+               "merged dual graph")
     sub = MulticurveRep(mc.g, mc.n, graph, words, pieces, tuple(sides),
                         graph.canonical_key())
     _audit(sub)

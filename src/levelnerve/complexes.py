@@ -28,18 +28,13 @@ from .decomp import (FramedDecomposition, canonical_form, canonical_serial,
                      induced_from_lift, induced_from_multicurve, sp_action,
                      validate)
 from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
-                     UnsupportedError, ValidationError)
+                     UnsupportedError, ValidationError, self_check)
 from .stablegraph import components, max_rank
 from .surface import twist_automorphisms
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
                          orbit_enumerate, smith_normal_form, snf_sparse,
                          sp_group)
 from .words import cyclic_reduce
-
-
-def _check(cond, msg):
-    if not cond:
-        raise LevelNerveError(f"complex assembly failed: {msg}")
 
 
 # --------------------------------------------------------------------------
@@ -261,11 +256,11 @@ def _assemble(per_type, meta, materialize):
             records[td.k].append((repr(key).encode(), td, res, i,
                                   transports[i]))
     for k in range(top + 1):
-        _check(records[k], f"no types populate rank {k}")
+        self_check(records[k], f"no types populate rank {k}")
         records[k].sort(key=lambda r: r[0])
         for i in range(len(records[k]) - 1):
-            _check(records[k][i][0] != records[k][i + 1][0],
-                   "distinct orbits share a canonical form")
+            self_check(records[k][i][0] != records[k][i + 1][0],
+                       "distinct orbits share a canonical form")
 
     index = [{r[0]: i for i, r in enumerate(block)} for block in records]
     # the rank-wide index of each orbit position, per type
@@ -308,9 +303,9 @@ def _assemble(per_type, meta, materialize):
                 face_rows.append(())
                 continue
             vert_starts, face_starts = starts[td.key]
-            _check(None not in vert_starts,
-                   f"vertex of a type {td.key} simplex is missing "
-                   "from rank 0")
+            self_check(None not in vert_starts,
+                       f"vertex of a type {td.key} simplex is missing "
+                       "from rank 0")
             word = res.words[i]
             verts = [replay(s, moves[0], word) for s in vert_starts]
             face_ids = [s if isinstance(s, bytes)
@@ -324,9 +319,9 @@ def _assemble(per_type, meta, materialize):
                         f"unequal opposite faces in type {td.key}")
             row = []
             for j in order:
-                _check(not isinstance(face_ids[j], bytes),
-                       f"face of a type {td.key} simplex is missing "
-                       f"from rank {k - 1}")
+                self_check(not isinstance(face_ids[j], bytes),
+                           f"face of a type {td.key} simplex is missing "
+                           f"from rank {k - 1}")
                 row.append(face_ids[j])
             face_rows.append(tuple(row))
         encodings.append(tuple(enc_row))
@@ -600,7 +595,7 @@ def _component_pi1(X, verts):
                     tree.add(e)
                     nxt.append(w)
         frontier = nxt
-    _check(seen == vset, "component traversal")
+    self_check(seen == vset, "component traversal")
     gen_of = {}
     for (e, _, _) in edges:
         if e not in tree:
@@ -718,14 +713,14 @@ def homology(X, q):
                 for l, f in enumerate(row):
                     for t, ff in enumerate(down[f]):
                         img[ff] = img.get(ff, 0) + (-1) ** (l + t)
-                _check(not any(img.values()), "boundary squares to zero")
+                self_check(not any(img.values()), "boundary squares to zero")
         divisors = _nonzero_divisors(X, q + 1)
     else:
         divisors = []
     cycles = n_q - rank_down
     torsion = sorted(d for d in divisors if d != 1)
     free = cycles - len(divisors)
-    _check(free >= 0, "homology rank bookkeeping")
+    self_check(free >= 0, "homology rank bookkeeping")
     return tuple(torsion) + (0,) * free
 
 

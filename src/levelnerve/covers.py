@@ -61,23 +61,18 @@ from dataclasses import dataclass
 from operator import add, sub
 
 from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
-                     ResourceLimitError, ValidationError)
+                     ResourceLimitError, ValidationError, self_check)
 from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
-                         checked_matrix, hnf_transform, mat_identity,
-                         mat_mul, matrices_compose, orbit_enumerate,
-                         schreier_edges, vec_mat)
+                         check_perm, checked_matrix, deck_matrices,
+                         hnf_transform, mat_identity, mat_mul,
+                         orbit_enumerate, schreier_edges, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
 # cap on degree * letters for the homology cell complex
 DEFAULT_MAX_CHAIN = 1024
-
-
-def _check(cond, msg):
-    if not cond:
-        raise LevelNerveError(f"cover self-check failed: {msg}")
 
 
 # --------------------------------------------------------------------------
@@ -104,13 +99,11 @@ class PermOps:
         self.identity = tuple(range(degree))
 
     def validate(self, p):
-        t = check_ints(p, "permutation entry")
-        if sorted(t) != list(range(self.degree)):
-            raise InvalidInputError("not a permutation of the stated degree")
-        return t
+        return check_perm(p, self.degree, "permutation")
 
-    def mul(self, p, q):
-        return tuple(q[p[i]] for i in range(self.degree))
+    @staticmethod
+    def mul(p, q):
+        return tuple(map(q.__getitem__, p))
 
     inv = staticmethod(_inverse_perm)
 
@@ -343,7 +336,7 @@ class _Table:
         letters = [s for j in range(1, N + 1) for s in (j, -j)]
         res = orbit_enumerate(0, letters, lambda s, g: group.step(g, s),
                               cap=d)
-        _check(len(res.elements) == d, "coset graph is connected")
+        self_check(len(res.elements) == d, "coset graph is connected")
         # res numbers the cosets by discovery, so index the words by coset
         self.twords = [None] * d
         for c, w in zip(res.elements, res.words):
@@ -359,7 +352,7 @@ class _Table:
         self.verdicts = {}  # twist sequence -> whether it preserves
         self.orbits = {}    # subgroup words -> their sheet orbits
         self.L = len(self.loop_edges)
-        _check(self.L == d * (N - 1) + 1, "Schreier rank")
+        self_check(self.L == d * (N - 1) + 1, "Schreier rank")
         self.loop_words = [wmul(self.twords[gidx], (j,),
                                 winv(self.twords[group.act[j - 1][gidx]]))
                            for gidx, j in self.loop_edges]
@@ -415,7 +408,7 @@ def analyze_cover(spec: CoverSpec) -> CoverAnalysis:
     punctures = []
     for j in range(1, n + 1):
         r = spec.order_of(spec.pres.puncture_word(j))
-        _check(d % r == 0, "ramification divides the degree")
+        self_check(d % r == 0, "ramification divides the degree")
         punctures.append((d // r, r))
     n_K = sum(c for c, _ in punctures)
     if n >= 1:
@@ -424,9 +417,9 @@ def analyze_cover(spec: CoverSpec) -> CoverAnalysis:
     else:
         chi_closed = d * (2 - 2 * g)
         chi_open = chi_closed
-    _check((2 - chi_closed) % 2 == 0, "closed cover characteristic is even")
+    self_check(chi_closed % 2 == 0, "closed cover characteristic is even")
     g_K = (2 - chi_closed) // 2
-    _check(g_K >= 0, "cover genus nonnegative")
+    self_check(g_K >= 0, "cover genus nonnegative")
     spec._analysis = CoverAnalysis(d, n_K, g_K, chi_open, chi_closed,
                                    tuple(punctures))
     return spec._analysis
@@ -444,13 +437,13 @@ def _base_rotation(pres):
     rho = {}
     owner = {}
     for fidx, w in enumerate(words):
-        _check(len(w) > 0, "empty boundary word")
+        self_check(len(w) > 0, "empty boundary word")
         for k, s in enumerate(w):
-            _check(s not in rho, "each edge side on exactly one boundary")
+            self_check(s not in rho, "each edge side on exactly one boundary")
             rho[s] = w[(k + 1) % len(w)]
             owner[s] = fidx
     N = pres.cover_rank()
-    _check(len(rho) == 2 * N, "boundary words cover every edge side")
+    self_check(len(rho) == 2 * N, "boundary words cover every edge side")
     return rho, owner, words
 
 
@@ -481,12 +474,12 @@ class _ChainData:
                     seen[g * 2 * N + pos[s]] = True
                     darts.append((g, s))
                     g, s = step(g, s), rho[s]
-                _check((g, s) == (g0, s0), "dart successor closes up")
+                self_check((g, s) == (g0, s0), "dart successor closes up")
                 faces.append([lid for lid in (t.loop_id(gg, ss)
                                               for gg, ss in darts) if lid])
                 fidx = owner[s0]
                 blen = len(base_words[fidx])
-                _check(len(darts) % blen == 0, "face length is a multiple")
+                self_check(len(darts) % blen == 0, "face length is a multiple")
                 base_pk = fidx + 1 if pres.n >= 1 else 0
                 rep = min(gg for gg, _ in darts)
                 self.peripheral.append((base_pk, rep, len(darts) // blen))
@@ -495,7 +488,7 @@ class _ChainData:
         for w in faces:
             for s in w:
                 counts[s] = counts.get(s, 0) + 1
-        _check(all(counts.get(i + 1, 0) == 1 and counts.get(-i - 1, 0) == 1
+        self_check(all(counts.get(i + 1, 0) == 1 and counts.get(-i - 1, 0) == 1
                    for i in range(L)), "each loop letter once with each sign")
 
         # merge all faces into a single polygon, recording how each
@@ -511,7 +504,7 @@ class _ChainData:
                 if where[i][1] != where[i][-1]:
                     x = i
                     break
-            _check(x is not None, "face complex is connected")
+            self_check(x is not None, "face complex is connected")
             fa, fb = where[x][1], where[x][-1]
             A, B = faces[fa], faces[fb]
             A = A[A.index(x):] + A[:A.index(x)]
@@ -529,19 +522,19 @@ class _ChainData:
         for p, s in enumerate(self.polygon):
             occ.setdefault(abs(s), [None, None])[0 if s > 0 else 1] = p
         self.survivors = sorted(occ)
-        _check(all(a is not None and b is not None
+        self_check(all(a is not None and b is not None
                    for a, b in occ.values()), "polygon letters are paired")
         S = len(self.survivors)
         self.g_K = S // 2
-        _check(S == 2 * self.g_K, "even rank")
+        self_check(S == 2 * self.g_K, "even rank")
         ana = analyze_cover(spec)
-        _check(self.g_K == ana.g_K, "polygon rank matches Hurwitz count")
+        self_check(self.g_K == ana.g_K, "polygon rank matches Hurwitz count")
         if pres.n >= 1:
-            _check(len(self.peripheral) == ana.n_K,
-                   "face count matches puncture count")
+            self_check(len(self.peripheral) == ana.n_K,
+                       "face count matches puncture count")
         else:
-            _check(len(self.peripheral) == d,
-                   "closed base: one filled disk per sheet")
+            self_check(len(self.peripheral) == d,
+                       "closed base: one filled disk per sheet")
 
         # intersection numbers from interleaving of occurrence pairs
         Lp = len(self.polygon)
@@ -558,10 +551,10 @@ class _ChainData:
 
         chord = [[pairing(self.survivors[i], self.survivors[j])
                   for j in range(S)] for i in range(S)]
-        _check(all(chord[i][i] == 0 for i in range(S)) and
-               all(chord[i][j] == -chord[j][i]
+        self_check(all(chord[i][i] == 0 for i in range(S)) and
+                   all(chord[i][j] == -chord[j][i]
                    for i in range(S) for j in range(S)),
-               "chord form is alternating")
+                   "chord form is alternating")
         # the chord through the two occurrences of letter x is the loop
         # dual to x, so the edge-class form is minus the inverse
         P = [[-x for x in row] for row in _unimodular_inverse(chord)]
@@ -607,7 +600,7 @@ class _ChainData:
         t_h word t_h^-1 for h = sheet, through walk; that `word` closes up
         at `sheet` is checked on every call, hits included."""
         end, cls = self.walk(sheet, word)
-        _check(end == sheet, "word must lie in the cover subgroup")
+        self_check(end == sheet, "word must lie in the cover subgroup")
         return cls
 
 
@@ -625,8 +618,8 @@ def _unimodular_inverse(P):
     """Exact inverse of a unimodular integer matrix: the Hermite form of P
     is the identity, and its transform is P^-1."""
     pairs = hnf_transform(P)
-    _check([h for h, _ in pairs] == mat_identity(len(P)),
-           "chord form is unimodular")
+    self_check([h for h, _ in pairs] == mat_identity(len(P)),
+               "chord form is unimodular")
     return [t for _, t in pairs]
 
 
@@ -659,14 +652,14 @@ def _symplectic_rows(P):
         guard = 0
         while True:
             guard += 1
-            _check(guard < 10000, "symplectic reduction terminates")
+            self_check(guard < 10000, "symplectic reduction terminates")
             best = None
             for i in range(block, S):
                 for j in range(i + 1, S):
                     if Q[i][j] and (best is None
                                     or abs(Q[i][j]) < abs(Q[best[0]][best[1]])):
                         best = (i, j)
-            _check(best is not None, "form stays nondegenerate")
+            self_check(best is not None, "form stays nondegenerate")
             bi, bj = best
             p = Q[bi][bj]
             if abs(p) == 1:
@@ -696,7 +689,7 @@ def _symplectic_rows(P):
                         break
                 if mixed:
                     break
-            _check(mixed, "gcd step makes progress")
+            self_check(mixed, "gcd step makes progress")
         if bi != block:
             rowswap(block, bi)
         if bj != block + 1:
@@ -711,8 +704,8 @@ def _symplectic_rows(P):
             if beta:
                 rowadd(r, block + 1, beta)
     J = SympSpace(S // 2, 0).J if S else []
-    _check(Q == [list(r) for r in J], "reduced form is standard")
-    _check(mat_mul(U, V) == mat_identity(S), "tracked inverse is exact")
+    self_check(Q == [list(r) for r in J], "reduced form is standard")
+    self_check(mat_mul(U, V) == mat_identity(S), "tracked inverse is exact")
     return U, V
 
 
@@ -733,8 +726,8 @@ class DeckHomology:
     on row vectors and compose covariantly: matrices[a] . matrices[b] is
     the matrix of elements[a] * elements[b].  So only each generator image
     s = act[j][0] is read, from the sheet of s^-1, and checked symplectic;
-    the others are products along the Cayley graph, matrices[act[j][a]] =
-    matrices[a] . M_j, which matrices_compose checks on every edge."""
+    deck_matrices forms the others along the Cayley graph, and a None
+    from it means that they do not compose as the group."""
 
     def __init__(self, spec, m):
         chain = _chain(spec)
@@ -751,22 +744,15 @@ class DeckHomology:
             return tuple(space.reduce(chain.closed_class(sheet, rep))
                          for rep in chain.basis_words)
 
-        gens = {}  # generator image -> its matrix, read from the cover
-        for col in group.act:
-            if col[0] not in gens:
-                M = gens[col[0]] = read(group.inverse[col[0]])
-                _check(checked_matrix(chain.g_K, m, M).inverse is not None,
-                       "deck matrix is symplectic")
+        cols = {col[0]: col for col in group.act}  # one per image
+        gens = tuple(read(group.inverse[s]) for s in cols)
+        self_check(all(checked_matrix(chain.g_K, m, M).inverse is not None
+                       for M in gens), "deck matrix is symplectic")
         iden = space.identity_matrix()
-        _check(read(0) == iden, "identity element acts trivially")
-        mats = [iden] + [None] * (group.d - 1)
-        for a in range(group.d):
-            for col in group.act:
-                if mats[col[a]] is None:
-                    mats[col[a]] = space.mat_mul(mats[a], gens[col[0]])
-        self.matrices = tuple(mats)
-        _check(matrices_compose(chain.g_K, m, self.matrices, group.act),
-               "deck matrices compose as the group")
+        self_check(read(0) == iden, "identity element acts trivially")
+        self.matrices = deck_matrices(chain.g_K, m, gens, tuple(cols.values()))
+        self_check(self.matrices is not None,
+                   "deck matrices compose as the group")
         self.faithful = all(M != iden for M in self.matrices[1:])
 
     def class_of(self, word):
@@ -868,7 +854,7 @@ def _piece_copy_classes(space, chain, gens, orbit):
         return end
 
     res = orbit_enumerate(root, range(len(gens)), act, cap=chain.t.d)
-    _check(set(res.elements) == set(orbit), "piece copy orbit transversal")
+    self_check(set(res.elements) == set(orbit), "piece copy orbit transversal")
     edge = [[walked[h, j] for j in range(len(gens))] for h in res.elements]
     pot = []
     for x, word in enumerate(res.words):
@@ -876,7 +862,7 @@ def _piece_copy_classes(space, chain, gens, orbit):
         for j in word:
             cls = tuple(map(add, cls, edge[y][j]))
             y = res.moves[y][j]
-        _check(y == x, "tree word walks from the root to its element")
+        self_check(y == x, "tree word walks from the root to its element")
         pot.append(cls)
     # a row that is zero mod m or repeats another adds nothing to the span
     rows = dict.fromkeys(space.reduce(tuple(
@@ -913,8 +899,9 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
     for e, w in enumerate(mc.words):
         c = spec.order_of(w)
         cycles = _subgroup_orbits(t, [w])
-        _check(all(len(cy) == c for cy in cycles), "free orbits of a lift")
-        _check(len(cycles) * c == d, "component count times length is degree")
+        self_check(all(len(cy) == c for cy in cycles), "free orbits of a lift")
+        self_check(len(cycles) * c == d,
+                   "component count times length is degree")
         classes = []
         for cy in cycles:
             for g in cy:
@@ -943,8 +930,8 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
                 g = cy[0]
                 v = vert_of[(side.piece, g)]
                 edge_ends[edge_of[(e, group.trace(g, side.conj))]].append(v)
-    _check(all(len(ends) == 2 for ends in edge_ends),
-           "every lifted curve bounds exactly two circles")
+    self_check(all(len(ends) == 2 for ends in edge_ends),
+               "every lifted curve bounds exactly two circles")
 
     # punctures of the cover, labelled by (base puncture, smallest sheet)
     mark_records = []
@@ -953,7 +940,8 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
             for cy in _subgroup_orbits(t, [loop]):
                 mark_records.append((j, cy[0], vert_of[(pi, cy[0])]))
     mark_records.sort()
-    _check(len(mark_records) == ana.n_K, "lift accounts for every puncture")
+    self_check(len(mark_records) == ana.n_K,
+               "lift accounts for every puncture")
     vert_marks = [[] for _ in vert_order]
     for label, (_, _, v) in enumerate(mark_records, start=1):
         vert_marks[v].append(label)
@@ -968,16 +956,16 @@ def lift_cut_graph(spec: CoverSpec, mc, m: int) -> CutGraph:
         piece = mc.pieces[pi]
         chi_open = len(orb) * piece.chi_filled
         total = vert_degree[vi] + len(vert_marks[vi])
-        _check((2 - chi_open - total) % 2 == 0, "copy genus is integral")
+        self_check((2 - chi_open - total) % 2 == 0, "copy genus is integral")
         h = (2 - chi_open - total) // 2
-        _check(h >= 0, "copy genus is nonnegative")
+        self_check(h >= 0, "copy genus is nonnegative")
         vertices.append((h, tuple(vert_marks[vi])))
     edges = [tuple(ends) for ends in edge_ends]
     sigma = StableGraph(vertices, edges)
-    _check(sigma.genus() == ana.g_K, "cut graph genus matches the cover")
-    _check(sigma.is_stable(), "cut graph is stable")
-    _check(sigma.marks() == tuple(range(1, ana.n_K + 1)),
-           "cut graph marks enumerate the cover punctures")
+    self_check(sigma.genus() == ana.g_K, "cut graph genus matches the cover")
+    self_check(sigma.is_stable(), "cut graph is stable")
+    self_check(sigma.marks() == tuple(range(1, ana.n_K + 1)),
+               "cut graph marks enumerate the cover punctures")
 
     # kept on the homology per (piece generators, orbit): the lifts of one
     # cover share most of their pieces
@@ -1049,7 +1037,8 @@ def derived_cover(spec: CoverSpec, ell: int) -> CoverSpec:
         return spec.group.act[j - 1][h], v
 
     res = orbit_enumerate((0, rows[0]), range(1, t.N + 1), move, cap=degree)
-    _check(len(res.elements) == degree, "cosets reach the predicted degree")
+    self_check(len(res.elements) == degree,
+               "cosets reach the predicted degree")
     return perm_cover(spec.g, spec.n, degree, tuple(zip(*res.moves)),
                       declared_order=degree)
 
@@ -1127,6 +1116,6 @@ def mcg_action_on_cover(spec: CoverSpec, t, m: int):
     hom = cover_homology(spec, m)
     M = tuple(hom.class_of(_apply_sequence(seq, rep))
               for rep in hom._chain.basis_words)
-    _check(checked_matrix(hom.space.g, m, M).inverse is not None,
-           "induced matrix is symplectic")
+    self_check(checked_matrix(hom.space.g, m, M).inverse is not None,
+               "induced matrix is symplectic")
     return deck_coset_representative(hom, M)

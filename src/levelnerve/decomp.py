@@ -64,8 +64,8 @@ Framed decompositions add a generator per edge group, stored modulo sign
 (lexicographically smallest of the pair).  Equivariant decompositions add
 a finite group acting on the graph together with its matrices on H;
 naturality of groups, marks and frames is checked on the group's
-generators, and the tables and matrices are checked to compose as the
-group does (per element when no group is recorded).
+generators, and the tables and matrices must be those that cayley_fill
+forms from the generators' (per element when no group is recorded).
 
 Equivalence is attribute-preserving graph isomorphism; canonical_form
 returns a byte string that is equal exactly for equivalent plain or framed
@@ -86,19 +86,15 @@ import math
 
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
-from .symplectic import (SympSpace, SympSubgroup, check_int, check_ints,
-                         checked_matrix, matrices_compose)
+from .symplectic import (SympSpace, SympSubgroup, cayley_fill, check_int,
+                         check_ints, check_perm, checked_matrix,
+                         deck_matrices)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
 from . import covers
 
 _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
-
-
-def _check(cond, msg):
-    if not cond:
-        raise LevelNerveError(f"decomposition self-check failed: {msg}")
 
 
 # --------------------------------------------------------------------------
@@ -265,18 +261,12 @@ class EquivariantDecomposition(FramedDecomposition):
         self.matrices = tuple(checked_matrix(space.g, space.m,
                                              tuple(map(tuple, M))).rows
                               for M in matrices)
-        self.vperms = tuple(check_ints(p, "vertex action entry")
+        self.vperms = tuple(check_perm(p, self.V, "vertex action")
                             for p in vperms)
-        self.eperms = tuple(check_ints(p, "edge action entry")
+        self.eperms = tuple(check_perm(p, len(self.edges), "edge action")
                             for p in eperms)
         if not (len(self.matrices) == len(self.vperms) == len(self.eperms)):
             raise InvalidInputError("action tables have unequal lengths")
-        for p in self.vperms:
-            if sorted(p) != list(range(self.V)):
-                raise InvalidInputError("vertex action is not a permutation")
-        for p in self.eperms:
-            if sorted(p) != list(range(len(self.edges))):
-                raise InvalidInputError("edge action is not a permutation")
 
     def framed(self):
         """The underlying framed decomposition, action forgotten."""
@@ -509,16 +499,15 @@ def _action_natural(d: EquivariantDecomposition):
 
     Without a group every element is checked.  With a group, only the
     letter images s = col[0] of the columns col = group.act[j] are, and
-    with them composition: vperms[col[a]] = vperms[s] o vperms[a] for
-    every element a, the same for eperms, and M_a . M_s = M_{col[a]}.
-    Taking a to be the identity forces its perms and matrix to be the
-    identity, since those of s are invertible; and if a and s are natural,
-    so is a*s: M_a . M_s is symplectic, D[v] * M_{a*s} = D[vperms[a][v]] *
-    M_s = D[vperms[a*s][v]], and edges, frames (the sign normal commutes
-    with linear maps) and marks follow alike.  The generators of a finite
-    group reach every element without inverses, so by induction the check
-    is never weaker than checking every element, and only the generator
-    images get checked_matrix records."""
+    cayley_fill must rebuild vperms, eperms and matrices (deck_matrices)
+    from theirs: vperms[col[a]] = vperms[s] o vperms[a] and M_{col[a]} =
+    M_a . M_s for every element a, and the identity acts trivially.  If a
+    and s are natural, so is a*s: M_a . M_s is symplectic, D[v] * M_{a*s}
+    = D[vperms[a][v]] * M_s = D[vperms[a*s][v]], and edges, frames (the
+    sign normal commutes with linear maps) and marks follow alike.  The
+    generators of a finite group reach every element without inverses, so
+    by induction the check is never weaker than checking every element,
+    and only the generator images get checked_matrix records."""
     space = d.space
     E = len(d.edges)
     elements = range(len(d.matrices))
@@ -526,13 +515,13 @@ def _action_natural(d: EquivariantDecomposition):
         if len(d.matrices) != d.group.d:
             return False
         cols = {col[0]: col for col in d.group.act}  # one per image
-        for s, col in cols.items():
-            vs, es = d.vperms[s], d.eperms[s]
-            for a, c in enumerate(col):
-                if (d.vperms[c] != tuple(vs[v] for v in d.vperms[a])
-                        or d.eperms[c] != tuple(es[e] for e in d.eperms[a])):
-                    return False
-        if not matrices_compose(space.g, space.m, d.matrices, d.group.act):
+        act = tuple(cols.values())
+        for perms, n in ((d.vperms, d.V), (d.eperms, E)):
+            if cayley_fill(tuple(range(n)), [perms[s] for s in cols], act,
+                           covers.PermOps.mul) != perms:
+                return False
+        if deck_matrices(space.g, space.m, tuple(d.matrices[s] for s in cols),
+                         act) != d.matrices:
             return False
         elements = cols
     for k in elements:

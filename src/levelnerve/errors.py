@@ -2,7 +2,8 @@
 
 Every error raised on purpose by the library derives from LevelNerveError,
 so callers (and the CLI) can distinguish "the input is bad" from "the input
-is fine but outside the implemented range" from genuine bugs.
+is fine but outside the implemented range" from genuine bugs, which the
+internal self-checks (self_check) raise as a bare LevelNerveError.
 """
 
 
@@ -42,3 +43,9 @@ class ValidationError(LevelNerveError):
 
 class ResourceLimitError(LevelNerveError):
     """An enumeration exceeded the configured memory or size bound."""
+
+
+def self_check(cond, msg):
+    """The internal consistency check, which no valid input can fail."""
+    if not cond:
+        raise LevelNerveError(f"self-check failed: {msg}")

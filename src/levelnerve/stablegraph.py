@@ -27,16 +27,11 @@ import math
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
-from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, self_check
 from .symplectic import check_int, check_ints, check_shape
 
 # cap for the exhaustive search of relabelings
 MAX_CANONICAL_PERMS = 362880
-
-
-def _check(cond, msg):
-    if not cond:
-        raise LevelNerveError(f"stable graph self-check failed: {msg}")
 
 
 def components(n, edges):
@@ -264,7 +259,7 @@ def _all_stable_graphs(g, n):
                 key = _canonical_key(*raw)
                 if key not in found:
                     rep = found[key] = StableGraph.from_key(key)
-                    _check(rep.is_stable(), "degeneration is stable")
+                    self_check(rep.is_stable(), "degeneration is stable")
                     nxt.append(raw)
         layer = nxt
     return tuple(found[k] for k in sorted(found))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvalidInputError, LevelNerveError
+from .errors import InvalidInputError, self_check
 from .symplectic import SympSpace, check_int, check_modulus
 from .words import (
     FoldedGraph,
@@ -40,11 +40,6 @@ from .words import (
     wreduce,
     wsub,
 )
-
-
-def _check(cond, msg):
-    if not cond:
-        raise LevelNerveError(f"construction self-check failed: {msg}")
 
 
 def _esplit(zs):
@@ -73,7 +68,7 @@ class BranchedModel:
         self.B = 2 * g + 1 if odd else 2 * g + 2
         self.odd = odd
         self.N = 2 * g + nprime - 1
-        _check(self.B - 1 + 2 * self.k == self.N, "rank bookkeeping")
+        self_check(self.B - 1 + 2 * self.k == self.N, "rank bookkeeping")
         self._build_base_change()
 
     # -- letters
@@ -143,15 +138,15 @@ class BranchedModel:
         Y = wmul(*[self.y(l) for l in range(1, k + 1)])
         Ybar = wmul(*[self.ybar(l) for l in range(1, k + 1)])
         pairs = _esplit(zs)
-        _check(len(pairs) == g, "commutator pair count")
-        _check(wmul(*[commutator(a, b) for a, b in pairs]) == wmul(P, Pp),
-               "E-form splitting")
+        self_check(len(pairs) == g, "commutator pair count")
+        self_check(wmul(*[commutator(a, b) for a, b in pairs]) == wmul(P, Pp),
+                   "E-form splitting")
         us = {}
         down_all = tuple(range(1, B + 1)) \
             + tuple(B + l for l in range(1, k + 1))
         if self.odd:
             bd = self.rewrite(down_all + down_all)
-            _check(bd == wmul(P, Ybar, Pp, Y), "odd boundary word")
+            self_check(bd == wmul(P, Ybar, Pp, Y), "odd boundary word")
             Ubar = wmul(P, Ybar, winv(P))
             us[1] = wmul(winv(Ubar), winv(bd), Ubar)
             for l in range(1, k + 1):
@@ -160,8 +155,8 @@ class BranchedModel:
         else:
             d1 = self.rewrite(down_all)
             d2 = self.rewrite((1,) + down_all + (1,))
-            _check(d1 == wmul(P, Y), "even boundary word 1")
-            _check(d2 == wmul(Pp, Ybar), "even boundary word 2")
+            self_check(d1 == wmul(P, Y), "even boundary word 1")
+            self_check(d2 == wmul(Pp, Ybar), "even boundary word 2")
             us[1] = winv(d1)
             us[k + 2] = winv(d2)
             for l in range(1, k + 1):
@@ -170,15 +165,15 @@ class BranchedModel:
 
         std = [a for a, _ in pairs] + [b for _, b in pairs] \
             + [us[j] for j in range(2, nprime + 1)]
-        _check(len(std) == self.N, "standard basis size")
+        self_check(len(std) == self.N, "standard basis size")
         prod = wmul(*[commutator(a, b) for a, b in pairs])
         tail = wmul(*[us[j] for j in range(nprime, 0, -1)])
-        _check(wmul(prod, tail) == (), "surface relation")
-        _check(FoldedGraph(std, self.N).generates_ambient(),
-               "standard basis generates")
+        self_check(wmul(prod, tail) == (), "surface relation")
+        self_check(FoldedGraph(std, self.N).generates_ambient(),
+                   "standard basis generates")
         for t in range(1, self.N + 1):
-            _check(self.rewrite(self.expand((t,))) == (t,),
-                   "rewrite/expand inverse")
+            self_check(self.rewrite(self.expand((t,))) == (t,),
+                       "rewrite/expand inverse")
 
         self.std = std
         self._inv_expr = invert_basis(std, self.N)
@@ -248,7 +243,7 @@ class SurfacePresentation:
             self.model_rank = self.N
         # the padded marked point, when present, is always the last letter
         self.phantom = self.model_rank - self.N
-        _check(self.phantom in (0, 1), "phantom bookkeeping")
+        self_check(self.phantom in (0, 1), "phantom bookkeeping")
         self._twists = None
 
     # -- words
@@ -368,18 +363,18 @@ class SurfacePresentation:
         out = []
         for i in range(1, self.model.B):
             model_images = self.model.twist_images(i)
-            _check(FoldedGraph(model_images,
+            self_check(FoldedGraph(model_images,
                                self.model_rank).generates_ambient(),
-                   "model twist is an automorphism")
+                       "model twist is an automorphism")
             if self.phantom:
                 # the padded point class must be honestly conjugated, which
                 # is what makes erasing its letter an automorphism below
                 t = self.model_rank
-                _check(conjugate_in_free(model_images[t - 1], (t,)),
-                       "twist fixes the padded point class")
+                self_check(conjugate_in_free(model_images[t - 1], (t,)),
+                           "twist fixes the padded point class")
             images = [self._kill_phantom(w) for w in model_images[:self.N]]
-            _check(FoldedGraph(images, self.N).generates_ambient(),
-                   "twist is an automorphism")
+            self_check(FoldedGraph(images, self.N).generates_ambient(),
+                       "twist is an automorphism")
             inv_images = invert_basis(images, self.N)
             curve = self._kill_phantom(self.model.chain_curve_word(i))
             v = self.homology_class(curve)
@@ -388,17 +383,17 @@ class SurfacePresentation:
                 rows[2 * t] = self.homology_class(images[t])
                 rows[2 * t + 1] = self.homology_class(images[self.g + t])
             M = tuple(rows)
-            _check(M == spz.inverse_transvection(v),
-                   "twist homology is the inverse transvection")
+            self_check(M == spz.inverse_transvection(v),
+                       "twist homology is the inverse transvection")
             for j in range(1, self.n + 1):
                 uj = self.puncture_word(j)
-                _check(conjugate_in_free(wsub(uj, images), uj),
-                       "twist fixes puncture classes")
+                self_check(conjugate_in_free(wsub(uj, images), uj),
+                           "twist fixes puncture classes")
             if self.n == 0:
                 rel = wmul(*[commutator((i2,), (self.g + i2,))
                              for i2 in range(1, self.g + 1)])
-                _check(conjugate_in_free(wsub(rel, images), rel),
-                       "twist conjugates the relator")
+                self_check(conjugate_in_free(wsub(rel, images), rel),
+                           "twist conjugates the relator")
             out.append(Twist(f"t{i}", images, inv_images, curve, v, M))
         return out
 
@@ -415,14 +410,14 @@ class SurfacePresentation:
             im[i] = wmul(c, (i + 1,), winv(c))
             images = [wsub(wsub((t,), im), temp_to_public)
                       for t in range(2, n + 1)]
-            _check(FoldedGraph(images, self.N).generates_ambient(),
-                   "twist is an automorphism")
+            self_check(FoldedGraph(images, self.N).generates_ambient(),
+                       "twist is an automorphism")
             inv_images = invert_basis(images, self.N)
             curve = wsub(c, temp_to_public)
             for j in range(1, n + 1):
                 uj = self.puncture_word(j)
-                _check(conjugate_in_free(wsub(uj, images), uj),
-                       "twist fixes puncture classes")
+                self_check(conjugate_in_free(wsub(uj, images), uj),
+                           "twist fixes puncture classes")
             out.append(Twist(f"t{i}", images, inv_images, curve, (), ()))
         return out
 

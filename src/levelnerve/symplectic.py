@@ -45,9 +45,9 @@ At m = 2 a vector can also be packed into one int, bit k holding
 coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
 XOR of the packed rows of F at the set bits of x (f2_image).  A subgroup
 keeps its echelon rows packed as well (SympSubgroup.f2_rows), so that
-membership is a few XORs (SympSubgroup.contains_f2).  Only images under
-checked matrices and matrices_compose use packed rows; apply, perp,
-radical and vec_mat stay on row tuples, odd primes on integer entries.
+membership is a few XORs (SympSubgroup.contains_f2).  Only checked
+matrices and deck_matrices use packed rows; apply, perp, radical and
+vec_mat stay on row tuples, odd primes on integer entries.
 
 A matrix is checked once per value: checked_matrix(g, m, F) is the one
 memoized record (CheckedMatrix) of its reduced rows, its inverse when it
@@ -55,9 +55,9 @@ is symplectic and, at m = 2, its packed rows.  The record answers the
 questions an action check asks of a matrix: whether it maps one
 subgroup onto another, on the packed rows at m = 2, and the sign-normal
 image of a frame, which it keeps for the checks and for transport alike
-(frame_image); matrices_compose checks the products in a deck group's
-act table and builds no record.  Other modules read the record and
-neither check, invert nor pack a matrix themselves.
+(frame_image).  Other modules read the record and neither check, invert
+nor pack a matrix themselves.  cayley_fill, the one walk of a group's
+Cayley graph, forms deck products (deck_matrices) and permutations.
 
 A subgroup exists once per space and lattice: SympSpace.subgroup
 echelonizes each generator row list once, and one table on the space
@@ -415,6 +415,14 @@ def check_ints(xs, name, size=None):
     for x in xs:
         check_int(x, name)
     return xs
+
+
+def check_perm(p, n, name):
+    """check_ints(p), refused unless a permutation of range(n)."""
+    p = check_ints(p, f"{name} entry")
+    if sorted(p) != list(range(n)):
+        raise InvalidInputError(f"{name} must permute range({n})")
+    return p
 
 
 def check_modulus(m, name="modulus", over_z=True):
@@ -978,21 +986,38 @@ def checked_matrix(g, m, F):
                          tuple(map(pack_f2, rows)) if m == 2 else None)
 
 
+def cayley_fill(identity, images, act, mul):
+    """The value of each element of a group whose Cayley graph, numbered
+    in discovery order from the identity 0, has act[j][a] = a * image j:
+    value[act[j][a]] = mul(value[a], images[j]), each edge formed once in
+    order of a.  The first edge into an element sets its value; None when
+    a later one disagrees (the images break a relation of the group)."""
+    values = {0: identity}
+    for a in range(len(act[0])):
+        for img, col in zip(images, act):
+            y = mul(values[a], img)
+            if values.setdefault(col[a], y) != y:
+                return None
+    return tuple(values[a] for a in range(len(values)))
+
+
 @lru_cache(maxsize=16)
-def matrices_compose(g, m, matrices, act):
-    """Whether matrices[a] . matrices[s] == matrices[col[a]] for every
-    distinct column col of a deck group's act table, s = col[0], and every
-    index a, for reduced matrices over (Z/m)^2g, on rows packed by pack_f2
-    at m = 2.  Memoized on the value like checked_matrix, so a cover's
-    DeckHomology and its lifts, which share its deck matrices, pay once."""
-    cols = {col[0]: col for col in act}
-    if m == 2:
-        bits = [tuple(map(pack_f2, M)) for M in matrices]
-        return all(bits[c] == tuple(f2_image(x, bits[s]) for x in bits[a])
-                   for s, col in cols.items() for a, c in enumerate(col))
-    space = SympSpace(g, m)
-    return all(matrices[c] == space.mat_mul(matrices[a], matrices[s])
-               for s, col in cols.items() for a, c in enumerate(col))
+def deck_matrices(g, m, images, act):
+    """The reduced matrices over (Z/m)^2g of a deck group, cayley_fill
+    from those of its generator images (on rows packed by pack_f2 at
+    m = 2), or None.  Memoized on the value like checked_matrix, so a
+    cover's DeckHomology and its lifts, which share them, pay once."""
+    if m != 2:
+        space = SympSpace(g, m)
+        return cayley_fill(space.identity_matrix(), images, act, space.mat_mul)
+    bits = range(2 * g)
+    packed = cayley_fill(tuple(1 << k for k in bits),
+                         [tuple(map(pack_f2, M)) for M in images], act,
+                         lambda A, B: tuple(f2_image(x, B) for x in A))
+    if packed is None:
+        return None
+    return tuple(tuple(tuple(x >> k & 1 for k in bits) for x in A)
+                 for A in packed)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,18 +1025,22 @@ def matrices_compose(g, m, matrices, act):
 
 
 def smith_normal_form(M):
-    """The Smith divisors of an integer matrix, as snf_diagonal gives
-    them, after checking that M is a rectangular matrix of ints.  An empty
-    matrix yields ()."""
-    rows = [list(r) for r in M]
-    width = len(rows[0]) if rows else 0
-    for r in rows:
-        if len(r) != width:
+    """The Smith divisors of a rectangular matrix M of ints: snf_sparse on
+    its rows, each checked and read sparse in one pass, so that M is never
+    copied dense.  An empty matrix yields ()."""
+    rows, width = [], None
+    for r in M:
+        row, n = {}, 0
+        for n, x in enumerate(r, 1):
+            if type(x) is not int:
+                check_int(x, "matrix entry")
+            if x:
+                row[n - 1] = x
+        width = n if width is None else width
+        if n != width:
             raise InvalidInputError("ragged matrix")
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InvalidInputError("matrix entries must be integers")
-    return snf_diagonal(rows)
+        rows.append(row)
+    return snf_sparse(rows, width or 0)
 
 
 def sp_group(space: SympSpace) -> tuple:

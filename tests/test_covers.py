@@ -13,6 +13,7 @@ from levelnerve.surface import (homology_class, presentation,
 from levelnerve.complexes import build_abelian_nerve, build_image_complex
 from levelnerve.decomp import induced_from_lift, validate
 from levelnerve.catalog import delete_curves, multicurve_catalog
+from levelnerve.symplectic import SympSpace, checked_matrix
 from levelnerve.words import winv, wmul, wpow
 from levelnerve import covers
 from levelnerve.covers import (
@@ -1102,6 +1103,40 @@ def test_deck_matrices_read_the_generator_sheets_only(monkeypatch):
     assert group.d == 16
     assert sheets == {0} | {group.inverse[col[0]] for col in group.act}
     assert len(sheets) <= 5
+
+
+# sha256 of repr(matrices) of the deck action on H_1 over Z/2 of the
+# 128-sheet derived cover of homology_cover(1, 1, 2), filled genus 33,
+# recorded when every deck matrix was a dense product of row tuples
+DERIVED112_MATRICES = (
+    "d482b831d35aac56fb11993753530a8d06ccf0f4fa3dfd44b4366e8fce3d1251")
+
+
+def test_deck_matrices_of_the_128_sheet_cover_are_pinned():
+    hom = cover_homology(derived_cover(homology_cover(1, 1, 2), 2), 2)
+    assert (len(hom.matrices), hom.g_K) == (128, 33)
+    digest = hashlib.sha256(repr(hom.matrices).encode()).hexdigest()
+    assert digest == DERIVED112_MATRICES
+
+
+def test_deck_products_form_no_dense_matrix_product(monkeypatch):
+    # at m = 2 the 11 deck matrices of a fresh level-2 genus-2 homology
+    # cover that are not generator images or the identity are products on
+    # packed rows: SympSpace.mat_mul runs only in checked_matrix's inverse
+    # self-check, once for each record it makes
+    spec = homology_cover(2, 0, 2)
+    calls = []
+    real = SympSpace.mat_mul
+
+    def counting(self, F, G):
+        calls.append(1)
+        return real(self, F, G)
+
+    monkeypatch.setattr(SympSpace, "mat_mul", counting)
+    misses = checked_matrix.cache_info().misses
+    cover_homology(spec, 2)
+    made = checked_matrix.cache_info().misses - misses
+    assert len(calls) == made <= 4
 
 
 def test_deck_matrices_refuse_a_generator_that_breaks_a_relation(

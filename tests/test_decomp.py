@@ -888,6 +888,12 @@ def test_tampered_action_is_reported():
         d.space, d.vertex_groups, d.edge_groups, d.edges, d.frames,
         d.marks, d.n, d.group, d.matrices, [(0, 1), (0, 1)], d.eperms)
     assert validate(wrong_vperm) == ["action"]
+    # the edge swap moved from the generator onto the identity
+    wrong_eperm = EquivariantDecomposition(
+        d.space, d.vertex_groups, d.edge_groups, d.edges, d.frames,
+        d.marks, d.n, d.group, d.matrices, d.vperms, d.eperms[::-1])
+    assert wrong_eperm.eperms != d.eperms
+    assert validate(wrong_eperm) == ["action"]
 
 
 def test_tampered_vertex_group_alone_is_reported():

@@ -103,16 +103,20 @@ def test_definitions_are_referenced():
     method is matched by its attribute name alone, whatever the receiver,
     so a method sharing its name with any other used attribute passes.
     Private names count too, so a dead helper or a leftover constant
-    fails."""
+    fails.  A module-level private name counts only where its own module
+    uses it, so a dead helper does not pass because another module defines
+    and uses a helper of the same name."""
     refs = {path: list(references(path))
             for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))}
     unreferenced = []
     for path in SOURCES:
         for name, first, last in definitions(path):
             short = name.rsplit(".", 1)[-1]
+            scope = ({path: refs[path]} if name.startswith("_")
+                     and "." not in name else refs)
             if not any(ref == short
                        and (other != path or not first <= line <= last)
-                       for other, found in refs.items()
+                       for other, found in scope.items()
                        for line, ref in found):
                 unreferenced.append(name)
     extra = sorted(set(unreferenced) - TEST_ONLY)
