@@ -622,11 +622,15 @@ def _component_pi1(X, verts):
     relations = tuple(render(r) for r in rels)
     if not alive:
         return Pi1Report((), (), "trivial", None, ())
-    rows = [[0] * len(alive) for _ in rels]
-    for i, r in enumerate(rels):
+    # the abelianized relations as {generator: exponent sum} rows
+    rows = []
+    for r in rels:
+        row = {}
         for x in r:
-            rows[i][abs(x) - 1] += 1 if x > 0 else -1
-    divisors = [d for d in smith_normal_form(rows) if d]
+            j = abs(x) - 1
+            row[j] = row.get(j, 0) + (1 if x > 0 else -1)
+        rows.append(row)
+    divisors = [d for d in smith_normal_form(rows, len(alive)) if d]
     free = len(alive) - len(divisors)
     ab = tuple(sorted(d for d in divisors if d != 1)) + (0,) * free
     if ab:

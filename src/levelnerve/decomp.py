@@ -55,6 +55,17 @@ the image (see _pushout_report).
 Every lattice question of validate and leq (coordinates, cokernel
 invariants, free quotients, the divisor test) is asked of SympSpace and
 SympSubgroup, and the symplectic module alone chooses how to answer it.
+The answers about one lattice are kept on its interned subgroup and
+computed once per value: the coordinates of a vector over a vertex group
+(_pushout_report), orthogonality of two groups and isotropy (iii), the
+cyclic generator of an edge group (_bond_clause), the radical and
+whether a vertex group splits off its radical (vi).  The space keeps the
+span of a tuple of groups: E, the pushout image and each vertex's
+incident span.  The answers about one graph (the spanning tree, cotree
+and fundamental-cut signs of the bond clause, _tree_cuts) are computed
+when a decomposition is constructed and shared by the copies sp_action
+makes.  So every simplex is still checked in full, on answers its
+values already hold.
 Matrices are read through their symplectic.checked_matrix records:
 whether a matrix is symplectic, its inverse, its reduced rows, whether it
 maps a subgroup onto another and the sign-normal image of a frame.  This
@@ -109,7 +120,8 @@ class GraphDecomposition:
     well-formedness (shared ambient space, endpoints in range, marks within
     {1..n}, connectivity); the six validity conditions are the job of
     validate().  It also stores, per vertex, its incident edges in stored
-    order, a loop once (incident).
+    order, a loop once (incident), and the graph's part of the bond clause
+    of iv (_bonds, see _tree_cuts), which the copies below share.
 
     sp_action and EquivariantDecomposition.framed() keep the graph of a
     value that was already checked, so they copy it (_copy) with new
@@ -118,7 +130,7 @@ class GraphDecomposition:
 
     kind = "plain"
     # the attributes a value is made of; _copy carries them over
-    _fields = ("space", "n", "V", "edges", "marks", "_incident",
+    _fields = ("space", "n", "V", "edges", "marks", "_incident", "_bonds",
                "vertex_groups", "edge_groups")
 
     # kept beside _fields: a field that sp_action changes and that enters
@@ -170,6 +182,7 @@ class GraphDecomposition:
             if v != u:
                 inc[v].append(e)
         self._incident = tuple(map(tuple, inc))
+        self._bonds = _tree_cuts(self.V, self.edges)
 
     def _copy(self, cls, **fields):
         """A cls value on this value's graph: the attributes cls._fields
@@ -314,11 +327,10 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             r = [0] * total
             r[offs[v]:offs[v + 1]] = t
             rel.append(r)
-    coords = [vg.solver() for vg in vgroups]
     for e, (u, v) in enumerate(edges):
         for x in egroups[e].canonical_gens():
-            cu = coords[u](x)
-            cv = coords[v](x)
+            cu = vgroups[u].coords(x)
+            cv = vgroups[v].coords(x)
             if cu is None or cv is None:
                 if strict:
                     return (False, False, None)
@@ -329,40 +341,62 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
             r[offs[u]:offs[u + 1]] = cu
             r[offs[v]:offs[v + 1]] = [-a for a in cv]
             rel.append(r)
-    image = space.subgroup([v for gg in gens for v in gg])
+    image = space.span(vgroups)
     injective = space.cokernel_invariants(rel, total) == image.invariants
     return (True, injective, image)
 
 
-def _generator(sub: SympSubgroup):
-    """An element generating the cyclic group sub (zero if trivial).  The
-    canonical generators of <(3, 2)> mod 6 are (3, 0) and (0, 2), so they
-    are merged: x + j*g generates <x, g> for some j."""
-    space = sub.space
-    x, *rest = sub.canonical_gens() or [space.zero()]
-    for g in rest:
-        want = space.subgroup([x, g])
-        x = next(y for y in (space.reduce([a + j * b for a, b in zip(x, g)])
-                             for j in range(space.m))
-                 if space.subgroup([y]) == want)
-    return x
+def _tree_cuts(V, edges):
+    """The graph's part of the bond clause: (cotree, cuts) for the spanning
+    tree of the edges that join two components of the forest before them,
+    where cuts holds, per tree edge t in stored order, t and the signs
+    (a in X) - (b in X) of the cotree edges (a, b), X the side of the
+    fundamental cut of t that holds the first end of t."""
+    tree = []
+    comp = list(range(V))  # a component label per vertex
+    nbrs = [[] for _ in range(V)]
+    for e, (u, v) in enumerate(edges):
+        if comp[u] != comp[v]:
+            old = comp[v]
+            comp = [comp[u] if c == old else c for c in comp]
+            tree.append(e)
+            nbrs[u].append((e, v))
+            nbrs[v].append((e, u))
+    cotree = tuple(e for e in range(len(edges)) if e not in tree)
+    # the tree rooted at vertex 0: up[x] is (tree edge, parent) and order
+    # lists parents first, so under[x], the vertices of the subtree at x,
+    # fills from the leaves
+    up, order = {0: None}, [0]
+    for x in order:
+        for t, y in nbrs[x]:
+            if y not in up:
+                up[y] = (t, x)
+                order.append(y)
+    under = {x: {x} for x in order}
+    for x in reversed(order[1:]):
+        under[up[x][1]] |= under[x]
+    ends = [edges[f] for f in cotree]
+    cuts = []
+    for t in tree:
+        # X is the subtree below t when it holds the first end, else the rest
+        a, b = edges[t]
+        s, below = (1, under[a]) if up[a] and up[a][0] == t else (-1, under[b])
+        cuts.append((t, tuple([s * ((x in below) - (y in below))
+                               for x, y in ends])))
+    return cotree, tuple(cuts)
 
 
 def _bond_clause(d):
-    """The bond clause of iv, for cyclic edge groups, on the spanning tree
-    of the edges that join two components in stored order."""
-    tree = []
-    for e in range(len(d.edges)):
-        if len(components(d.V, [d.edges[x] for x in tree + [e]])) \
-                < d.V - len(tree):
-            tree.append(e)
-    if not tree:
+    """The bond clause of iv, for cyclic edge groups, on the cotree and the
+    cut signs of the spanning tree that construction stored (d._bonds),
+    and the cyclic generator each edge group keeps."""
+    cotree, cuts = d._bonds
+    if not cuts:
         # one vertex: no bonds, and no coordinates to read
         return True
     space = d.space
     m = space.m
-    gens = [_generator(eg) for eg in d.edge_groups]
-    cotree = [e for e in range(len(d.edges)) if e not in tree]
+    gens = [eg.generator() for eg in d.edge_groups]
     # when the cotree generators are dependent, S (of rank b_1) holds a
     # tree generator outside their span, whose coordinates are then None
     coords = space.solver([gens[f] for f in cotree], space.dim)
@@ -370,22 +404,17 @@ def _bond_clause(d):
     # Over Z every gain is +-1, and these stay apart modulo q = 3.
     q = m or 3
     links = {e: [] for e in range(len(d.edges))}
-    for t in tree:
-        # the side of the fundamental cut of t that holds its first end
-        side = next(p for p in components(d.V, [d.edges[x] for x in tree
-                                                if x != t])
-                    if d.edges[t][0] in p)
-        sign = [(a in side) - (b in side) for a, b in d.edges]
+    for t, signs in cuts:
         ct = coords(gens[t])
         if ct is None:
             return False
-        for f, c in zip(cotree, ct):
+        for f, s, c in zip(cotree, signs, ct):
             c = c % m if m else c
             # a unit on the cut of t, zero off it
-            if (math.gcd(c, m) != 1) if sign[f] else c:
+            if (math.gcd(c, m) != 1) if s else c:
                 return False
-            if sign[f]:
-                g = -c * sign[f] % q
+            if s:
+                g = -c * s % q
                 links[t].append((f, g))
                 links[f].append((t, pow(g, -1, q)))
     pot = {}
@@ -440,18 +469,13 @@ def validate(d, conditions=None):
 
     if "iii" in wanted or "iv" in wanted:
         # the span of all edge groups: E for iii, S for iv
-        E = space.subgroup([v for eg in d.edge_groups
-                            for v in eg.canonical_gens()])
+        E = space.span(d.edge_groups)
 
     if "iii" in wanted:
-        ok = E.is_isotropic()
-        egens = E.canonical_gens()
-        vgens = [vg.canonical_gens() for vg in d.vertex_groups]
-        for v, gens in enumerate(vgens):
-            if not ok:
-                break
-            others = egens + [y for later in vgens[v + 1:] for y in later]
-            ok = all(space.pairing(x, y) == 0 for x in gens for y in others)
+        vgroups = d.vertex_groups
+        ok = E.is_isotropic() and all(
+            vg.orthogonal(E) and all(map(vg.orthogonal, vgroups[v + 1:]))
+            for v, vg in enumerate(vgroups))
         if not ok:
             bad.append("iii")
 
@@ -470,9 +494,8 @@ def validate(d, conditions=None):
             bad.append("v")
 
     if "vi" in wanted:
-        if not all(vg.radical() == space.subgroup(
-                [x for e in d.incident(v)
-                 for x in d.edge_groups[e].canonical_gens()])
+        if not all(vg.radical() == space.span(
+                d.edge_groups[e] for e in d.incident(v))
                 and vg.splits_off_radical()
                 for v, vg in enumerate(d.vertex_groups)):
             bad.append("vi")

@@ -21,12 +21,12 @@ divisors without transforms: it eliminates on {column: entry} rows with
 an index from each column to its rows, and takes first the unit pivots
 that make no fill, so a large sparse boundary matrix is never made
 dense.  snf_diagonal is its entry for a dense matrix, and
-smith_normal_form the checked one.  For prime m the echelon over F_p
-takes their place: _rref_mod_p gives the canonical form, and
-rref_transform, its run with the transform, gives kernels
-(SympSpace.row_kernel, for perp and radical) and coordinates in the same
-(h, t) pairs.  Over a field every quotient is free, so no Smith form is
-needed there.
+smith_normal_form the checked one, on dense or {column: entry} rows.
+For prime m the echelon over F_p takes their place: _rref_mod_p gives
+the canonical form, and rref_transform, its run with the transform,
+gives kernels (SympSpace.row_kernel, for perp and radical) and
+coordinates in the same (h, t) pairs.  Over a field every quotient is
+free, so no Smith form is needed there.
 
 Only this module chooses between the two.  Other modules ask their
 lattice questions of SympSpace and SympSubgroup (row_kernel, solver,
@@ -60,12 +60,20 @@ nor pack a matrix themselves.  cayley_fill, the one walk of a group's
 Cayley graph, forms deck products (deck_matrices) and permutations.
 
 A subgroup exists once per space and lattice: SympSpace.subgroup
-echelonizes each generator row list once, and one table on the space
-keeps the instance under its lattice and under every row list that
-reached it (the rows of a lattice generate the subgroup it describes),
-so its lazy caches (canonical generators, solver, radical) are computed
-once per lattice.  SympSubgroup.apply keeps its images on that
-instance, by matrix.
+computes the lattice of each generator row list once (SympSpace.lattice:
+the echelon form over F_m at prime m, hnf otherwise) and constructs a
+SympSubgroup only for a lattice the space has not seen, so the Smith
+form of composite m runs once per lattice.  One table on the space keeps
+the instance under its lattice and under every row list that reached it
+(the rows of a lattice generate the subgroup it describes).  So every
+answer a subgroup keeps is computed once per lattice: its canonical
+generators, solver, relations, radical, cyclic generator and whether it
+splits off its radical, and, by argument, the coordinates of a vector
+(coords), orthogonality to another subgroup (orthogonal, which gives
+is_isotropic) and its images under matrices (apply).  The space keeps
+the span of each tuple of its subgroups (SympSpace.span).  The memos
+live on the space and its subgroups only, so they last as long as the
+values of one build.
 """
 
 from __future__ import annotations
@@ -458,8 +466,10 @@ class SympSpace:
         # J[k][k ^ 1] = _sign[k]: +1 on a_i, -1 on b_i; all else is zero
         self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
         # the one instance of each lattice that subgroup() returns, by
-        # lattice and by the generator rows that reached it
+        # lattice and by the generator rows that reached it; span() results
+        # by the tuple of subgroups
         self._subgroups = {}
+        self._spans = {}
 
     # -- vectors
 
@@ -573,30 +583,60 @@ class SympSpace:
                               lambda G, M: self.mat_mul(M, G), cap=cap)
         return frozenset(res.elements)
 
+    def lattice(self, rows):
+        """The Hermite form of the preimage lattice span(rows) + m*Z^n of
+        the subgroup the rows generate, as a tuple of row tuples: the key
+        of that subgroup.  At prime m row j is the echelon row over F_m
+        with pivot j or m*e_j (see SympSubgroup), otherwise hnf of the rows
+        and the m*e_j.  Rows that are not vectors of ints raise
+        InvalidInputError."""
+        n = self.dim
+        rows = [check_ints(r, "subgroup entry", n) for r in rows]
+        if self.prime:
+            lattice = list(self._m_rows)
+            for j, v in _rref_mod_p(rows, self.m, n).items():
+                lattice[j] = tuple(v)
+            return tuple(lattice)
+        return tuple(map(tuple, hnf(rows + list(self._m_rows))))
+
     def subgroup(self, gens):
         """The SympSubgroup generated by gens, interned on the space: one
-        instance per lattice.  Each generator row list, as lists or tuples,
-        is echelonized once; its first construction is looked up by its
-        lattice in the same table, and the space's instance for that
-        lattice is kept under the rows too, so equal lattices reached from
-        different rows are one instance.  The rows are read once into the
-        key and construction gets that key, so a one-shot iterable is not
-        consumed twice.  Unhashable rows are constructed directly, and a
-        construction that raises stores nothing.  Generators that are not
-        a sequence of rows raise InvalidInputError."""
+        instance per lattice.  The lattice of a generator row list, as
+        lists or tuples, is computed once; a SympSubgroup is constructed
+        only for a lattice the space has not seen, and one table keeps the
+        instance under its lattice and under every row list that reached
+        it.  So the Smith form at composite m, and every answer a subgroup
+        keeps (see SympSubgroup), is computed once per lattice.  The rows
+        are read once into the key, so a one-shot iterable is not consumed
+        twice.  Unhashable rows are constructed directly, and rows that
+        raise store nothing.  Generators that are not a sequence of rows
+        raise InvalidInputError."""
         try:
             rows = tuple(map(tuple, gens))
         except TypeError as exc:
             raise InvalidInputError(
                 "subgroup generators must be a sequence of rows") from exc
+        table = self._subgroups
         try:
-            sub = self._subgroups.get(rows)
-        except TypeError:  # an entry that is itself a list
+            sub = table.get(rows)
+        except TypeError:  # an entry that is itself unhashable
             return SympSubgroup(self, rows)
         if sub is None:
-            sub = SympSubgroup(self, rows)
-            sub = self._subgroups[rows] = self._subgroups.setdefault(
-                sub.lattice, sub)
+            lattice = self.lattice(rows)
+            sub = table.get(lattice)
+            if sub is None:
+                sub = table[lattice] = SympSubgroup(self, rows, lattice)
+            table[rows] = sub
+        return sub
+
+    def span(self, subs):
+        """The subgroup that the subgroups subs generate together, kept on
+        the space by the tuple of subs."""
+        subs = tuple(subs)
+        sub = self._spans.get(subs)
+        if sub is None:
+            sub = self._spans[subs] = self.subgroup(
+                [x for s in subs for x in s.canonical_gens()])
         return sub
 
     def row_kernel(self, mat):
@@ -672,38 +712,46 @@ class SympSubgroup:
     SympSpace.subgroup returns the space's one instance per lattice, and
     apply returns such instances, so a subgroup is a value: nothing may
     change it after construction except its lazy caches (canonical
-    generators, pivots, packed rows, radical, solver, hash, images), which
-    the lattice determines, so the instances of a lattice may share them."""
+    generators, pivots, packed rows, radical, solver, relations, cyclic
+    generator, the splitting test, hash, and images, coordinates and
+    orthogonality by argument), which the lattice determines, so the
+    instances of a lattice may share them."""
 
-    def __init__(self, space: SympSpace, gens):
+    def __init__(self, space: SympSpace, gens, lattice=None):
+        """The subgroup gens generate; lattice, when given, is
+        space.lattice(gens), which SympSpace.subgroup has computed to look
+        the subgroup up."""
         self.space = space
         n = space.dim
         m = space.m
-        rows = [list(check_ints(g, "subgroup entry", n)) for g in gens]
+        self.lattice = space.lattice(gens) if lattice is None else lattice
         # filled on first use by canonical_gens(), contains(), f2_rows(),
-        # radical() and solver(); the prime path knows the generators at once
+        # radical(), solver(), relations(), generator() and
+        # splits_off_radical(); the prime path knows the generators at once
         self._gens = None
         self._pivots = None
         self._f2 = None
         self._radical = None
         self._solver = None
+        self._relations = None
+        self._generator = None
+        self._splits = None
         self._hash = None
-        # apply() images, by matrix
+        # apply() images by matrix, coords() by vector, orthogonal() by
+        # subgroup
         self._images = {}
+        self._coords = {}
+        self._orthogonal = {}
         if space.prime:
-            basis = _rref_mod_p(rows, m, n)
-            lattice = list(space._m_rows)
-            for j, v in basis.items():
-                lattice[j] = tuple(v)
-            self.lattice = tuple(lattice)
-            rank = len(basis)
+            # row j is the echelon row with pivot j, 1 there, or m*e_j
+            self._gens = tuple(r for j, r in enumerate(self.lattice)
+                               if r[j] == 1)
+            rank = len(self._gens)
             self.lattice_divisors = (1,) * rank + (m,) * (n - rank)
             self.invariants = (m,) * rank
             self.rank = rank
             self.order = m ** rank
-            self._gens = tuple(lattice[j] for j in sorted(basis))
             return
-        self.lattice = tuple(map(tuple, hnf(rows + list(space._m_rows))))
         if m:
             divs = snf_diagonal(self.lattice)
             self.lattice_divisors = tuple(divs)
@@ -818,8 +866,21 @@ class SympSubgroup:
         pairing = self.space.pairing
         return [[pairing(x, y) for y in gens] for x in gens]
 
+    def orthogonal(self, other: "SympSubgroup") -> bool:
+        """Whether every element of self pairs to zero with every element
+        of other, memoized on both by the other: the pairing is
+        antisymmetric, so the answer is the same both ways."""
+        ok = self._orthogonal.get(other)
+        if ok is None:
+            pairing = self.space.pairing
+            theirs = other.canonical_gens()
+            ok = all(pairing(x, y) == 0 for x in self.canonical_gens()
+                     for y in theirs)
+            self._orthogonal[other] = other._orthogonal[self] = ok
+        return ok
+
     def is_isotropic(self) -> bool:
-        return not any(map(any, self.gram()))
+        return self.orthogonal(self)
 
     def perp(self):
         """{x : <x, s> = 0 for all s in the subgroup}."""
@@ -874,13 +935,36 @@ class SympSubgroup:
                                              self.space.dim)
         return self._solver
 
+    def coords(self, x):
+        """solver()(x), memoized by the vector x."""
+        if x not in self._coords:
+            self._coords[x] = self.solver()(x)
+        return self._coords[x]
+
     def relations(self):
         """Generators of {c : c * canonical_gens() = 0 mod m}, the
-        row_kernel of the generators: none at prime m, where they are
-        echelon rows."""
-        if self.space.prime:
-            return []
-        return self.space.row_kernel(self.canonical_gens())
+        row_kernel of the generators, as a tuple: none at prime m, where
+        they are echelon rows."""
+        if self._relations is None:
+            self._relations = () if self.space.prime else tuple(
+                map(tuple, self.space.row_kernel(self.canonical_gens())))
+        return self._relations
+
+    def generator(self):
+        """An element generating self when it is cyclic (zero if trivial).
+        The canonical generators of <(3, 2)> mod 6 are (3, 0) and (0, 2),
+        so they are merged: x + j*g generates <x, g> for some j."""
+        if self._generator is None:
+            space = self.space
+            x, *rest = self.canonical_gens() or [space.zero()]
+            for g in rest:
+                want = space.subgroup([x, g])
+                x = next(y for y in (space.reduce([a + j * b
+                                                   for a, b in zip(x, g)])
+                                     for j in range(space.m))
+                         if space.subgroup([y]) == want)
+            self._generator = x
+        return self._generator
 
     def splits_off_radical(self) -> bool:
         """Whether the pairing is perfect on self / radical, so that self is
@@ -888,9 +972,11 @@ class SympSubgroup:
         of the Gram matrix has gcd(d, m) in {1, m} (over Z, gcd(d, 0) = d,
         so the form on the quotient is unimodular).  At prime m the test
         always holds, since gcd(d, p) is 1 or p for every d."""
-        m = self.space.m
-        return self.space.prime or all(
-            math.gcd(d, m) in (1, m) for d in snf_diagonal(self.gram()))
+        if self._splits is None:
+            m = self.space.m
+            self._splits = self.space.prime or all(
+                math.gcd(d, m) in (1, m) for d in snf_diagonal(self.gram()))
+        return self._splits
 
     def apply(self, F):
         """Image subgroup under x -> x*F; the images go in unreduced,
@@ -1024,21 +1110,30 @@ def deck_matrices(g, m, images, act):
 # Smith form, Sp generators and orbit enumeration
 
 
-def smith_normal_form(M):
-    """The Smith divisors of a rectangular matrix M of ints: snf_sparse on
-    its rows, each checked and read sparse in one pass, so that M is never
-    copied dense.  An empty matrix yields ()."""
-    rows, width = [], None
+def smith_normal_form(M, width=None):
+    """The Smith divisors of a matrix of ints: M is a rectangular list of
+    rows, or, with width given, a list of {column: entry} rows over that
+    many columns.  snf_sparse runs on the rows, each checked and read
+    sparse in one pass, so that M is never copied dense.  An empty matrix
+    yields ()."""
+    sparse = width is not None
+    if sparse:
+        check_int(width, "matrix width")
+    rows = []
     for r in M:
         row, n = {}, 0
-        for n, x in enumerate(r, 1):
+        for j, x in (r.items() if sparse else enumerate(r)):
             if type(x) is not int:
                 check_int(x, "matrix entry")
             if x:
-                row[n - 1] = x
-        width = n if width is None else width
-        if n != width:
-            raise InvalidInputError("ragged matrix")
+                row[j] = x
+            n += 1
+        if not sparse:
+            width = n if width is None else width
+            if n != width:
+                raise InvalidInputError("ragged matrix")
+        elif any(type(j) is not int or not 0 <= j < width for j in row):
+            raise InvalidInputError(f"a column of {r!r} is outside the matrix")
         rows.append(row)
     return snf_sparse(rows, width or 0)
 

@@ -16,9 +16,11 @@ from levelnerve.catalog import catalog_coverage, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _types, build_abelian_nerve,
                                   build_image_complex, cross_validate)
 from levelnerve.covers import homology_cover, identity_cover
-from levelnerve.decomp import induced_from_lift, induced_from_multicurve
+from levelnerve.decomp import (FramedDecomposition, decomposition_from_data,
+                               decomposition_to_data, induced_from_lift,
+                               induced_from_multicurve, validate)
 from levelnerve.errors import InvalidInputError, UnsupportedError
-from levelnerve import complexes, decomp
+from levelnerve import complexes, decomp, symplectic
 from levelnerve.symplectic import SympSpace, SympSubgroup, sp_group
 from oracles import (delta_0_6, nerve_split_systems, transport_mismatches,
                      transported_faces, transposition_mismatches,
@@ -184,8 +186,12 @@ def test_nerve_transports_each_subgroup_value_once(monkeypatch):
 
     monkeypatch.setattr(SympSubgroup, "__init__", counted)
     X = build_abelian_nerve(2, 0, 3)
-    # 22 108 when every apply built its image afresh
-    assert made["subgroups"] <= 4000
+    # 22 108 when every apply built its image afresh, 2 040 when the space
+    # constructed a subgroup for every new generator row list; now one per
+    # lattice
+    space = X.decomps[0][0].space
+    lattices = {sub.lattice for sub in space._subgroups.values()}
+    assert made["subgroups"] == len(lattices) == 212
     monkeypatch.undo()
     assert cross_validate(X)["ok"]
     # the shared subgroups are still the values their generators give
@@ -281,11 +287,110 @@ def test_cross_validate_builds_each_subgroup_once(monkeypatch):
         calls["init"] += 1
         init(self, *args, **kwargs)
 
+    def counted_cuts(V, edges):
+        calls["cuts"] += 1
+        return tree_cuts(V, edges)
+
+    tree_cuts = decomp._tree_cuts
     monkeypatch.setattr(SympSubgroup, "__init__", counted_init)
+    monkeypatch.setattr(decomp, "_tree_cuts", counted_cuts)
     assert cross_validate(X)["ok"]
     # 7 062 constructions when SympSpace.subgroup built every span and
-    # frame subgroup afresh; 1 049 once equal generator rows share one
-    assert 0 < calls["init"] <= 1_100
+    # frame subgroup afresh; 1 049 once equal generator rows share one;
+    # none now that a lattice is looked up before constructing, since the
+    # build has met every lattice the battery asks about
+    assert calls["init"] == 0
+    # each stored simplex is a copy of a seed whose validation computed
+    # the tree and cuts of its bond clause, so none is computed again
+    assert calls["cuts"] == 0
+
+
+def test_composite_nerve_runs_smith_forms_once_per_lattice(monkeypatch):
+    # at composite m every new lattice runs snf_diagonal for its divisors
+    made = Counter()
+    init = SympSubgroup.__init__
+    snf = symplectic.snf_diagonal
+
+    def counted_init(self, *args):
+        made["subgroups"] += 1
+        init(self, *args)
+
+    def counted_snf(mat):
+        made["snf"] += 1
+        return snf(mat)
+
+    monkeypatch.setattr(SympSubgroup, "__init__", counted_init)
+    monkeypatch.setattr(symplectic, "snf_diagonal", counted_snf)
+    X = build_abelian_nerve(2, 0, 4)
+    space = X.decomps[0][0].space
+    lattices = {sub.lattice for sub in space._subgroups.values()}
+    # 3 250 constructions when the space constructed a subgroup for every
+    # new generator row list; the 36 further Smith forms are the seeds'
+    # validations
+    assert made["subgroups"] == len(lattices) == 682
+    assert made["snf"] == 682 + 36
+    made.clear()
+    assert cross_validate(X)["ok"]
+    simplices = sum(X.size(k) for k in range(X.top_rank + 1))
+    # 6 398 constructions and 22 958 Smith forms before lattices were
+    # looked up before constructing and the battery's answers kept: now
+    # one Smith form per simplex, for the invariants of its gluing, and
+    # one per vertex group lattice, for splits_off_radical
+    assert made["subgroups"] == 0
+    assert simplices == 6040
+    assert made["snf"] == simplices + 670
+
+
+ORACLE_SIGNATURES = [(1, 1, m) for m in range(2, 6)] + [
+    (1, 2, 2), (1, 2, 3), (2, 0, 2), (2, 0, 3), (2, 0, 4)]
+
+
+def fresh_violations(d):
+    """validate of a copy of d in a space of its own, so that no answer is
+    read from a memo that another value filled."""
+    return validate(decomposition_from_data(decomposition_to_data(d)))
+
+
+def mutants(d):
+    """(mutant, a label it must violate or None) for a framed d, built in
+    d's own space: its first two vertex groups swapped, a non-isotropic
+    first edge group, a first frame outside the first edge group, and the
+    whole module as the group of the first vertex with a nonzero edge
+    group, whose radical 0 is then not the span of its edge groups."""
+    sp = d.space
+    vg, eg, fr = list(d.vertex_groups), list(d.edge_groups), list(d.frames)
+    out = []
+    if d.V > 1 and vg[0] != vg[1]:
+        out.append(([vg[1], vg[0]] + vg[2:], eg, fr, None))
+    hyperbolic = sp.subgroup([sp.basis_a(1), sp.basis_b(1)])
+    out.append((vg, [hyperbolic] + eg[1:], fr, "iii"))
+    outside = next(v for v in (sp.basis_a(1), sp.basis_b(1))
+                   if not eg[0].contains(v))
+    out.append((vg, eg, [outside] + fr[1:], "frame"))
+    for v in range(d.V):
+        if any(eg[e].rank for e in d.incident(v)):
+            whole = vg[:v] + [sp.subgroup(sp.identity_matrix())] + vg[v + 1:]
+            out.append((whole, eg, fr, "vi"))
+            break
+    return [(FramedDecomposition(sp, v, e, d.edges, f, d.marks, d.n), label)
+            for v, e, f, label in out]
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGNATURES, ids=str)
+def test_battery_memos_answer_as_a_fresh_space(sig):
+    X = nerve(*sig)
+    for block in X.decomps:
+        for d in block:
+            assert validate(d) == fresh_violations(d) == []
+    # the failing branches, on memos the stored simplices warmed: one
+    # simplex of each type and rank
+    firsts = {(k, key): X.decomps[k][i] for k in range(X.top_rank + 1)
+              for i, (key, _) in reversed(list(enumerate(X.provenance[k])))}
+    for d in firsts.values():
+        for mutant, label in mutants(d):
+            bad = validate(mutant)
+            assert bad == fresh_violations(mutant)
+            assert label is None or label in bad
 
 
 @pytest.mark.parametrize("sig", [(1, 2, 3), (2, 0, 3)], ids=str)

@@ -605,6 +605,33 @@ def test_cached_radical_and_solver_equal_fresh_ones(g, m, data):
         assert solve(member) is not None
 
 
+@given(st.integers(1, 2), moduli, st.data())
+def test_kept_answers_equal_fresh_ones(g, m, data):
+    sp = SympSpace(g, m)
+    subs = [drawn_subgroup(sp, data) for _ in range(3)]
+    x = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=sp.dim,
+                                 max_size=sp.dim)))
+    for a in subs:
+        gens = a.canonical_gens()
+        # built apart from the space's tables, so that its answers are new
+        fresh = SympSubgroup(sp, gens)
+        member = vec_mat(x[:len(gens)], gens) if gens else sp.zero()
+        for y in (x, member, x):
+            assert a.coords(y) == fresh.solver()(y)
+        assert a.relations() == fresh.relations()
+        assert a.splits_off_radical() == fresh.splits_off_radical()
+        assert a.is_isotropic() == (not any(map(any, a.gram())))
+        for b in subs:
+            want = all(sp.pairing(u, v) == 0 for u in gens
+                       for v in b.canonical_gens())
+            assert a.orthogonal(b) == b.orthogonal(a) == want
+        if a.is_cyclic():
+            assert sp.subgroup([a.generator()]) is a
+    span = sp.span(subs)
+    assert span is sp.subgroup([v for s in subs for v in s.canonical_gens()])
+    assert sp.span(iter(subs)) is span
+
+
 # ---------------------------------------------------------------------------
 # reporting and enumeration front ends
 
@@ -660,6 +687,20 @@ def test_smith_normal_form_rejects_bad_entries():
         smith_normal_form([[1.5, 0], [0, 1]])
     with pytest.raises(InvalidInputError):
         smith_normal_form([[1, 0], [0]])
+
+
+def test_smith_normal_form_takes_sparse_rows():
+    M = [[6, 10, 15], [4, 8, 2], [0, 9, 27]]
+    rows = [{j: a for j, a in enumerate(r) if a} for r in M]
+    assert smith_normal_form(rows, 3) == smith_normal_form(M)
+    # zero entries may be given, and a missing row entry is zero
+    assert smith_normal_form([{0: 0, 2: 5}, {}], 3) == (5, 0)
+    assert smith_normal_form([], 4) == ()
+    for bad in ([{0: 1.5}], [{3: 1}], [{-1: 1}], [{"0": 1}]):
+        with pytest.raises(InvalidInputError):
+            smith_normal_form(bad, 3)
+    with pytest.raises(InvalidInputError):
+        smith_normal_form(rows, 3.0)
 
 
 def test_subgroup_report_over_Z():
