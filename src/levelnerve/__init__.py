@@ -2,8 +2,8 @@
 
 Exact, deterministic combinatorics: symplectic modules over Z/m, surface
 group presentations and twist actions, finite covers and their homology,
-stable-graph decompositions with frames, nerve complexes, and local
-monodromy kernel lattices.  Pure standard library; no floating point.
+stable-graph decompositions with frames, and nerve complexes.  Pure
+standard library; no floating point.
 """
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from .stablegraph import components, max_rank
 from .surface import twist_automorphisms
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
                          orbit_enumerate, smith_normal_form, snf_sparse,
-                         sp_group)
+                         sp_group, tree_walk)
 from .words import cyclic_reduce
 
 
@@ -196,7 +196,7 @@ class FinSimpSet:
 class _TypeData:
     def __init__(self, mc, seed, shadow, face_shadows, vert_shadows):
         self.key = mc.key
-        self.k = len(mc.words) - 1
+        self.k = mc.rank()
         self.seed = seed
         self.shadow = shadow
         self.face_shadows = face_shadows
@@ -205,10 +205,10 @@ class _TypeData:
 
 def _orbit_types(space, types, gens, cap):
     """Per type, its orbit under gens and the transport of each element:
-    the product of the generators along its breadth-first tree word.  The
-    orbit is keyed by canonical_serial, so no element it reaches pays for
-    the bytes of its canonical form; _assemble makes those for the stored
-    elements alone.
+    the product of the generators along its breadth-first tree
+    (tree_walk).  The orbit is keyed by canonical_serial, so no element it
+    reaches pays for the bytes of its canonical form; _assemble makes
+    those for the stored elements alone.
 
     Within a type, canonical_serial runs once per distinct payload
     (GraphDecomposition.payload): elements with equal payloads are equal
@@ -233,22 +233,21 @@ def _orbit_types(space, types, gens, cap):
             raise ResourceLimitError(
                 f"orbit cap while generating type {td.key}: {exc}; "
                 f"completed orbits: {done}")
-        transport = {(): space.identity_matrix()}
-        for w in res.words:
-            if w:
-                transport[w] = space.mat_mul(transport[w[:-1]], gens[w[-1]])
-        per_type.append((td, res, [transport[w] for w in res.words]))
+        transports, _ = tree_walk(res.moves, space.identity_matrix(),
+                                  lambda F, x, j: space.mat_mul(F, gens[j]))
+        per_type.append((td, res, transports))
         built.append((td.key, len(res.elements)))
     return per_type
 
 
 def _assemble(per_type, meta, materialize):
-    """The complex of the orbits in per_type.  Each simplex's vertices and
-    faces are found by replaying its word, through the Schreier graph of
-    rank 0 and of the rank below, from where its type's own vertex and face
-    shadows sit; the vertex order sorts the vertices by encoding.  The
-    orbits are keyed by canonical_serial; the encoding of each element,
-    its canonical_form, is the repr of its key, made here once."""
+    """The complex of the orbits in per_type.  The vertices and faces of
+    each simplex are read off one tree_walk of its type's orbit, which
+    moves the (vertex, face) pairs of the type's own shadows along each
+    tree edge through the Schreier graphs of rank 0 and of the rank below;
+    the vertex order sorts the vertices by encoding.  The orbits are keyed
+    by canonical_serial; the encoding of each element, its
+    canonical_form, is the repr of its key, made here once."""
     top = max(td.k for td, _, _ in per_type)
     records = [[] for _ in range(top + 1)]
     for td, res, transports in per_type:
@@ -272,29 +271,27 @@ def _assemble(per_type, meta, materialize):
     moves = [[tuple(map(rank_of[td.key].__getitem__, res.moves[i]))
               for (_, td, res, i, _) in block]
              for block in records[:top]]
-
-    def replay(s, graph, word):
-        for j in word:
-            s = graph[s][j]
-        return s
-
-    # where each type's vertex and face shadows sit; a face missing from
-    # the rank below keeps its key as its name, since the action permutes
-    # classes and so keeps it apart from every other face
-    starts = {td.key: ([index[0].get(canonical_form(v))
-                        for v in td.vert_shadows],
-                       [index[td.k - 1].get(f, f) for f in
-                        map(canonical_form, td.face_shadows)])
-              for td, _, _ in per_type if td.k}
-    encodings = []
-    faces = []
-    provenance = []
-    decomps = []
+    # per type and simplex, the (vertex, face) pair of each curve: vertex
+    # and face shadows moved along the tree of the type's orbit
+    pairs = {}
+    for td, res, _ in per_type:
+        if not td.k:
+            continue
+        verts = [index[0].get(canonical_form(v)) for v in td.vert_shadows]
+        face_ids = [index[td.k - 1].get(canonical_form(f))
+                    for f in td.face_shadows]
+        self_check(None not in verts, f"vertex of a type {td.key} simplex "
+                   "is missing from rank 0")
+        self_check(None not in face_ids, f"face of a type {td.key} simplex "
+                   f"is missing from rank {td.k - 1}")
+        below = moves[td.k - 1]
+        pairs[td.key], _ = tree_walk(
+            res.moves, tuple(zip(verts, face_ids)),
+            lambda vf, x, j: tuple((moves[0][v][j], below[f][j])
+                                   for v, f in vf))
+    encodings, faces, provenance, decomps = [], [], [], []
     for k in range(top + 1):
-        enc_row = []
-        face_rows = []
-        prov_row = []
-        dec_row = []
+        enc_row, face_rows, prov_row, dec_row = [], [], [], []
         for (enc, td, res, i, F) in records[k]:
             enc_row.append(enc)
             prov_row.append((td.key, F))
@@ -302,28 +299,13 @@ def _assemble(per_type, meta, materialize):
             if k == 0:
                 face_rows.append(())
                 continue
-            vert_starts, face_starts = starts[td.key]
-            self_check(None not in vert_starts,
-                       f"vertex of a type {td.key} simplex is missing "
-                       "from rank 0")
-            word = res.words[i]
-            verts = [replay(s, moves[0], word) for s in vert_starts]
-            face_ids = [s if isinstance(s, bytes)
-                        else replay(s, moves[k - 1], word)
-                        for s in face_starts]
-            order = sorted(range(k + 1), key=lambda j: verts[j])
-            for a, b in zip(order, order[1:]):
-                if verts[a] == verts[b] and face_ids[a] != face_ids[b]:
+            vf = sorted(pairs[td.key][i])
+            for (u, f), (v, h) in zip(vf, vf[1:]):
+                if u == v and f != h:
                     raise LevelNerveError(
                         "ambiguous vertex order: equal vertices with "
                         f"unequal opposite faces in type {td.key}")
-            row = []
-            for j in order:
-                self_check(not isinstance(face_ids[j], bytes),
-                           f"face of a type {td.key} simplex is missing "
-                           f"from rank {k - 1}")
-                row.append(face_ids[j])
-            face_rows.append(tuple(row))
+            face_rows.append(tuple(f for _, f in vf))
         encodings.append(tuple(enc_row))
         faces.append(tuple(face_rows))
         provenance.append(tuple(prov_row))
@@ -358,7 +340,7 @@ def _types(g, n, induce, shadow):
     deletes curve j; vertex j keeps curve j alone."""
     types = []
     for mc in multicurve_catalog(g, n):
-        E = len(mc.words)
+        E = mc.graph.n_edges()
         if E == 0:
             continue
         seed = induce(mc)
@@ -381,10 +363,11 @@ def build_abelian_nerve(g, n, m, cap=200_000) -> FinSimpSet:
 
     Every catalog multicurve induces a seed decomposition; its transvection
     orbit fills the rank equal to the number of curves minus one.  The
-    one-curve-deleted seeds are located once in the rank below, and each
-    simplex finds its faces by replaying its orbit word from them through
-    that rank's Schreier graph."""
+    one-curve-deleted seeds are located once in the rank below, and one
+    tree_walk of the orbit moves them along its tree through that rank's
+    Schreier graph to every simplex (_assemble)."""
     check_modulus(m, over_z=False)
+    check_int(cap, "cap")
     _require_full_catalog(g, n)
     space = SympSpace(g, m)
     types = _types(g, n,
@@ -409,6 +392,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
     mapping class group; the generated order is recorded in meta when it
     is small enough to enumerate."""
     check_modulus(m, over_z=False)
+    check_int(cap, "cap")
     _require_full_catalog(spec.g, spec.n)
     twists = twist_automorphisms(spec.g, spec.n)
     if not covers.invariance_check(spec, twists):
@@ -759,7 +743,7 @@ def _brute_type_sets(g, n, m):
                itertools.product(range(m), repeat=2 * g)]
     out = {}
     for mc in multicurve_catalog(g, n):
-        E = len(mc.words)
+        E = mc.graph.n_edges()
         if E == 0:
             continue
         seed = induced_from_multicurve(g, n, m, mc, space)

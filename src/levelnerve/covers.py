@@ -67,7 +67,7 @@ from .surface import presentation
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
                          check_perm, checked_matrix, deck_matrices,
                          hnf_transform, mat_identity, mat_mul,
-                         orbit_enumerate, schreier_edges, vec_mat)
+                         orbit_enumerate, tree_walk, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -843,9 +843,9 @@ def _piece_copy_classes(space, chain, gens, orbit):
     gens[j] closed up by the transversal words t_y^-1 t_x back to x, where
     y is the sheet it reaches, since those run on tree edges only, and
     free cancellation removes +-id pairs.  The potential of an orbit
-    element is the sum of edge classes along its breadth-first tree word,
-    and the non-tree edge (x, j, y) gives the Schreier generator of class
-    pot[x] + edge(x, j) - pot[y]."""
+    element is the sum of edge classes along its breadth-first tree
+    (tree_walk), and each other edge (x, j, y) gives the Schreier
+    generator of class pot[x] + edge(x, j) - pot[y]."""
     root = orbit[0]
     walked = {}
 
@@ -856,18 +856,12 @@ def _piece_copy_classes(space, chain, gens, orbit):
     res = orbit_enumerate(root, range(len(gens)), act, cap=chain.t.d)
     self_check(set(res.elements) == set(orbit), "piece copy orbit transversal")
     edge = [[walked[h, j] for j in range(len(gens))] for h in res.elements]
-    pot = []
-    for x, word in enumerate(res.words):
-        y, cls = 0, chain.class_rows[0]
-        for j in word:
-            cls = tuple(map(add, cls, edge[y][j]))
-            y = res.moves[y][j]
-        self_check(y == x, "tree word walks from the root to its element")
-        pot.append(cls)
+    pot, other = tree_walk(res.moves, chain.class_rows[0],
+                           lambda cls, x, j: tuple(map(add, cls, edge[x][j])))
     # a row that is zero mod m or repeats another adds nothing to the span
     rows = dict.fromkeys(space.reduce(tuple(
         map(sub, map(add, pot[x], edge[x][j]), pot[y])))
-        for x, j, y in schreier_edges(res))
+        for x, j, y in other)
     return tuple(r for r in rows if any(r))
 
 

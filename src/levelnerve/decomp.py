@@ -98,7 +98,7 @@ import math
 from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, cayley_fill, check_int,
-                         check_ints, check_perm, checked_matrix,
+                         check_ints, check_perm, check_shape, checked_matrix,
                          deck_matrices)
 from .surface import presentation
 from .catalog import multicurve_catalog
@@ -449,7 +449,7 @@ def validate(d, conditions=None):
     if isinstance(d, EquivariantDecomposition):
         wanted.append("action")
     if conditions is not None:
-        conditions = set(conditions)
+        conditions = set(check_shape(conditions, "conditions"))
         unknown = conditions - set(_CONDITIONS)
         if unknown:
             raise InvalidInputError(f"unknown conditions {sorted(unknown)}")

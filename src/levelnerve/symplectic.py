@@ -56,8 +56,13 @@ questions an action check asks of a matrix: whether it maps one
 subgroup onto another, on the packed rows at m = 2, and the sign-normal
 image of a frame, which it keeps for the checks and for transport alike
 (frame_image).  Other modules read the record and neither check, invert
-nor pack a matrix themselves.  cayley_fill, the one walk of a group's
-Cayley graph, forms deck products (deck_matrices) and permutations.
+nor pack a matrix themselves.  tree_walk is the one walk of a graph
+numbered in breadth-first discovery order (a Schreier or Cayley graph):
+it computes values along the tree edges and returns the other edges.
+On it cayley_fill forms deck products (deck_matrices) and permutations,
+schreier_edges reads off a stabilizer's generators, and complexes and
+covers read transports, simplex faces and piece potentials, none of
+them by replaying a word.
 
 A subgroup exists once per space and lattice: SympSpace.subgroup
 computes the lattice of each generator row list once (SympSpace.lattice:
@@ -82,7 +87,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
+from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
+                     self_check)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +581,7 @@ class SympSpace:
         desk-scale groups."""
         if self.m == 0:
             raise InvalidInputError("cannot enumerate a group over Z")
+        check_int(cap, "cap")
         gens = [checked_matrix(self.g, self.m, tuple(map(tuple, F)))
                 for F in gens]
         if any(c.inverse is None for c in gens):
@@ -1072,19 +1079,37 @@ def checked_matrix(g, m, F):
                          tuple(map(pack_f2, rows)) if m == 2 else None)
 
 
+def tree_walk(moves, root, step):
+    """Values along the breadth-first tree of a graph numbered in discovery
+    order from 0, moves[x][j] being the end of edge (x, j): an
+    OrbitResult.moves or a transposed DeckGroup.act.  The first edge
+    (x, j, y) into each y, in the order of x and then of j, is its tree
+    edge and sets values[y] = step(values[x], x, j); values[0] is root.
+    Returns the values and the other edges, in that order.  A graph not in
+    that order, or not reached from 0, raises LevelNerveError."""
+    values, other = [root], []
+    for x, row in enumerate(moves):
+        for j, y in enumerate(row):
+            if y == len(values) > x:
+                values.append(step(values[x], x, j))
+            else:
+                self_check(x < len(values) > y, "breadth-first tree order")
+                other.append((x, j, y))
+    self_check(len(values) == len(moves), "breadth-first tree order")
+    return values, other
+
+
 def cayley_fill(identity, images, act, mul):
     """The value of each element of a group whose Cayley graph, numbered
     in discovery order from the identity 0, has act[j][a] = a * image j:
-    value[act[j][a]] = mul(value[a], images[j]), each edge formed once in
-    order of a.  The first edge into an element sets its value; None when
-    a later one disagrees (the images break a relation of the group)."""
-    values = {0: identity}
-    for a in range(len(act[0])):
-        for img, col in zip(images, act):
-            y = mul(values[a], img)
-            if values.setdefault(col[a], y) != y:
-                return None
-    return tuple(values[a] for a in range(len(values)))
+    value[act[j][a]] = mul(value[a], images[j]) along the tree_walk of
+    the graph, then formed once on every other edge as well, where it must
+    agree; None when it does not (the images break a relation of the
+    group)."""
+    values, other = tree_walk(tuple(zip(*act)), identity,
+                              lambda v, a, j: mul(v, images[j]))
+    agree = all(mul(values[a], images[j]) == values[y] for a, j, y in other)
+    return tuple(values) if agree else None
 
 
 @lru_cache(maxsize=16)
@@ -1152,9 +1177,9 @@ class OrbitResult:
     words come in shortlex order (len(w), w).
 
     A word is a tuple of generator indices.  moves[i][j] is the index of
-    generators[j] applied to elements[i], so a word is replayed from any
-    element by following moves, with no further action or key; the
-    stabilizer generators are read off the same graph (schreier_edges)."""
+    generators[j] applied to elements[i], so values along the tree are
+    read off moves (tree_walk), with no further action or key, and so are
+    the stabilizer generators (schreier_edges)."""
 
     elements: tuple
     keys: tuple
@@ -1198,15 +1223,10 @@ def orbit_enumerate(seed, generators, action, key=None, cap=200_000):
 
 def schreier_edges(res: OrbitResult):
     """The non-tree edges (x, j, y) of the orbit's Schreier graph, y =
-    moves[x][j], in the order of x and then of j; an edge is a tree edge
-    when the word of y is the word of x followed by j.  Each gives the
-    Schreier generator t_x * g_j * t_y^-1 of the seed's stabilizer
+    moves[x][j], in the order of x and then of j (tree_walk).  Each gives
+    the Schreier generator t_x * g_j * t_y^-1 of the seed's stabilizer
     (Schreier's lemma), and together they generate it."""
-    words = res.words
-    for x, row in enumerate(res.moves):
-        for j, y in enumerate(row):
-            if words[y] != words[x] + (j,):
-                yield x, j, y
+    return tree_walk(res.moves, None, lambda v, x, j: None)[1]
 
 
 def stabilizer_words(res: OrbitResult):

@@ -40,6 +40,10 @@ coordinates of a subgroup word by eliminating the merged letters of its
 loop vector one record at a time, then changing to the symplectic
 frame, and deck_matrices_by_sheets reads the matrix of every deck element
 from the cover, as the package did before it composed the generators'.
+values_by_words replays each breadth-first word of an orbit from the seed
+to find the value tree_walk hands its element, and schreier_edges_by_words
+names the edges off the tree by comparing words, as the package did before
+it walked the tree once.
 snf_diagonal_dense is the dense Smith elimination that scans every row for
 its pivot, and tietze_resorting the generator elimination that re-sorts
 every relation before each step, as the package ran them before they
@@ -982,3 +986,24 @@ def deck_matrices_by_sheets(spec, m):
             rows.append(tuple(x % m if m else x for x in cls))
         mats.append(tuple(rows))
     return tuple(mats)
+
+
+def values_by_words(res, root, step):
+    """The value of each element of an OrbitResult, its breadth-first word
+    replayed from the seed through moves: step(value, x, j) along every
+    letter j, x the element the letter leaves."""
+    values = []
+    for word in res.words:
+        x, value = 0, root
+        for j in word:
+            x, value = res.moves[x][j], step(value, x, j)
+        values.append(value)
+    return values
+
+
+def schreier_edges_by_words(res):
+    """The edges (x, j, y) of an orbit's Schreier graph off its
+    breadth-first tree: those where the word of y is not the word of x
+    followed by j, in the order of x and then of j."""
+    return [(x, j, y) for x, row in enumerate(res.moves)
+            for j, y in enumerate(row) if res.words[y] != res.words[x] + (j,)]

@@ -13,15 +13,18 @@ from itertools import product
 import pytest
 
 from levelnerve.catalog import catalog_coverage, multicurve_catalog
-from levelnerve.complexes import (FinSimpSet, _types, build_abelian_nerve,
-                                  build_image_complex, cross_validate)
+from levelnerve.complexes import (FinSimpSet, _orbit_types, _types,
+                                  build_abelian_nerve, build_image_complex,
+                                  cross_validate)
 from levelnerve.covers import homology_cover, identity_cover
-from levelnerve.decomp import (FramedDecomposition, decomposition_from_data,
-                               decomposition_to_data, induced_from_lift,
-                               induced_from_multicurve, validate)
+from levelnerve.decomp import (FramedDecomposition, canonical_form,
+                               decomposition_from_data, decomposition_to_data,
+                               induced_from_lift, induced_from_multicurve,
+                               validate)
 from levelnerve.errors import InvalidInputError, UnsupportedError
 from levelnerve import complexes, decomp, symplectic
-from levelnerve.symplectic import SympSpace, SympSubgroup, sp_group
+from levelnerve.symplectic import (SympSpace, SympSubgroup, sp_group,
+                                   tree_walk)
 from oracles import (delta_0_6, nerve_split_systems, transport_mismatches,
                      transported_faces, transposition_mismatches,
                      weierstrass_pairs)
@@ -393,6 +396,69 @@ def test_battery_memos_answer_as_a_fresh_space(sig):
             assert label is None or label in bad
 
 
+def position_walk_mismatches(g, n, m, pick):
+    """The self-check of a type's stabilizer, read off its position walk,
+    over the types of rank k >= 1 of the (g, n, m) nerve that pick(key)
+    selects.  The (vertex, face) pair of each curve of the seed is found
+    by canonical form in the built nerve, then moved along the orbit's
+    tree through the rank-wide Schreier graphs of rank 0 and k - 1, as
+    _assemble moves it.  Each other edge (x, j, y) closes a stabilizer
+    word, which fixes the seed's pairs exactly when j moves x's pairs onto
+    y's as multisets.  Returns the mismatched and all other edges."""
+    X = nerve(g, n, m)
+    index = [{e: i for i, e in enumerate(b)} for b in X.encodings]
+    space = SympSpace(g, m)
+    per_type = _orbit_types(space, nerve_types(g, n, m), sp_group(space),
+                            200_000)
+    graph = [[None] * len(b) for b in X.encodings]
+    for td, res, _ in per_type:
+        at = [index[td.k][repr(key).encode()] for key in res.keys]
+        for x, row in enumerate(res.moves):
+            graph[td.k][at[x]] = tuple(at[y] for y in row)
+    bad = total = 0
+    for td, res, _ in per_type:
+        if not td.k or not pick(td.key):
+            continue
+        below = graph[td.k - 1]
+
+        def moved(pairs, j):
+            return tuple((graph[0][v][j], below[f][j]) for v, f in pairs)
+
+        starts = tuple((index[0][canonical_form(v)],
+                        index[td.k - 1][canonical_form(f)])
+                       for v, f in zip(td.vert_shadows, td.face_shadows))
+        pairs, other = tree_walk(res.moves, starts,
+                                 lambda p, x, j: moved(p, j))
+        bad += sum(sorted(moved(pairs[x], j)) != sorted(pairs[y])
+                   for x, j, y in other)
+        total += len(other)
+    return bad, total
+
+
+# the genus-2 dumbbell: two loops joined by a bridge
+DUMBBELL = (((0, ()), (0, ())), ((0, 0), (0, 1), (1, 1)))
+DUMBBELL_XFAIL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 17: a dumbbell simplex's separating vertex "
+           "depends on the tree, not on the simplex: 43/181 non-tree "
+           "edges mismatch at (2,0,2) and 383/961 at (2,0,3)")
+
+
+@pytest.mark.parametrize("sig, which", [
+    ((1, 2, 2), "all"), ((1, 2, 3), "all"),
+    ((2, 0, 2), "not dumbbell"), ((2, 0, 3), "not dumbbell"),
+    pytest.param((2, 0, 2), "dumbbell", marks=DUMBBELL_XFAIL),
+    pytest.param((2, 0, 3), "dumbbell", marks=DUMBBELL_XFAIL),
+], ids=str)
+def test_position_walk_closes_on_every_other_edge(sig, which):
+    pick = {"all": lambda key: True,
+            "not dumbbell": lambda key: key != DUMBBELL,
+            "dumbbell": lambda key: key == DUMBBELL}[which]
+    bad, total = position_walk_mismatches(*sig, pick)
+    assert total > 0
+    assert bad == 0, f"{bad} of {total} non-tree edges"
+
+
 @pytest.mark.parametrize("sig", [(1, 2, 3), (2, 0, 3)], ids=str)
 def test_nerve_decompositions_share_one_space(sig):
     X = nerve(*sig)
@@ -429,6 +495,19 @@ def test_incomplete_catalog_refused_up_front():
 def test_nerve_modulus_must_be_an_int():
     with pytest.raises(InvalidInputError, match="must be an int"):
         build_abelian_nerve(1, 1, 2.0)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, None, "x"], ids=repr)
+def test_builders_refuse_a_cap_that_is_not_an_int(cap):
+    # a float or bool cap used to run until an orbit outgrew it, None or a
+    # string to fail on a comparison inside orbit_enumerate
+    sp = SympSpace(1, 3)
+    for build in (lambda: build_abelian_nerve(1, 1, 3, cap=cap),
+                  lambda: build_image_complex(homology_cover(1, 1, 2), 2,
+                                              cap=cap),
+                  lambda: sp.sp_closure(sp_group(sp), cap=cap)):
+        with pytest.raises(InvalidInputError, match="cap must be an int"):
+            build()
 
 
 def test_weierstrass_pair_model():

@@ -15,7 +15,7 @@ from levelnerve.decomp import induced_from_lift, validate
 from levelnerve.catalog import delete_curves, multicurve_catalog
 from levelnerve.symplectic import SympSpace, checked_matrix
 from levelnerve.words import winv, wmul, wpow
-from levelnerve import covers
+from levelnerve import covers, symplectic
 from levelnerve.covers import (
     AbelianOps,
     CoverSpec,
@@ -1137,6 +1137,33 @@ def test_deck_products_form_no_dense_matrix_product(monkeypatch):
     cover_homology(spec, 2)
     made = checked_matrix.cache_info().misses - misses
     assert len(calls) == made <= 4
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_deck_matrices_form_each_edge_product_once(monkeypatch, m):
+    # the Cayley graph of a level-2 genus-2 homology cover has 16 elements
+    # and 4 distinct images: 15 tree edges give the elements past the
+    # identity, and each of the 49 other edges is formed once to check it;
+    # at m = 2 a product runs f2_image once per row of the 34-row matrix
+    spec = homology_cover(2, 0, 2)
+    hom = cover_homology(spec, m)
+    cols = {col[0]: col for col in spec.group.act}
+    images = tuple(hom.matrices[s] for s in cols)
+    calls = []
+    if m == 2:
+        real = symplectic.f2_image
+        monkeypatch.setattr(symplectic, "f2_image",
+                            lambda x, rows: calls.append(1) or real(x, rows))
+    else:
+        real = SympSpace.mat_mul
+        monkeypatch.setattr(SympSpace, "mat_mul",
+                            lambda self, F, G: calls.append(1)
+                            or real(self, F, G))
+    made = symplectic.deck_matrices.__wrapped__(
+        hom.g_K, m, images, tuple(cols.values()))
+    assert made == hom.matrices
+    assert (spec.group.d, len(images), hom.rank) == (16, 4, 34)
+    assert len(calls) == 64 * (34 if m == 2 else 1)
 
 
 def test_deck_matrices_refuse_a_generator_that_breaks_a_relation(

@@ -187,6 +187,15 @@ def test_validate_refuses_a_string_of_conditions():
             validate(d, conditions)
 
 
+def test_validate_refuses_conditions_that_are_no_collection():
+    d = GraphDecomposition(SympSpace(1, 2), [[(1, 0), (0, 1)]], [[]],
+                           [(0, 0)])
+    for conditions in (5, 2.5, True):
+        with pytest.raises(InvalidInputError, match="conditions"):
+            validate(d, conditions)
+    assert validate(d, {"iv"}) == validate(d, iter(["iv"])) == ["iv"]
+
+
 def test_loop_decomposition_valid():
     for m in (0, 2, 3):
         sp = SympSpace(2, m)

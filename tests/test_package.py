@@ -217,6 +217,36 @@ def test_decomp_asks_lattice_questions_through_symplectic():
             path.name
 
 
+def test_one_tree_walk_reads_values_along_orbits():
+    """Transports, simplex faces, piece potentials, deck products and
+    Schreier generators are all read along symplectic.tree_walk, whose
+    only parameters are the graph, the root value and the step: complexes
+    reads no words attribute (it counts a multicurve's curves on its
+    graph) and defines no word replay."""
+    def functions(name):
+        tree = ast.parse((ROOT / "src" / "levelnerve" / name).read_text())
+        return tree, {node.name: node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)}
+
+    complexes_tree, complexes_defs = functions("complexes.py")
+    assert "words" not in {node.attr for node in ast.walk(complexes_tree)
+                           if isinstance(node, ast.Attribute)}
+    assert not [name for name in complexes_defs if "replay" in name]
+    _, symplectic_defs = functions("symplectic.py")
+    _, covers_defs = functions("covers.py")
+    walk = symplectic_defs["tree_walk"]
+    assert [a.arg for a in walk.args.args] == ["moves", "root", "step"]
+    for defs, name in ((symplectic_defs, "cayley_fill"),
+                       (symplectic_defs, "schreier_edges"),
+                       (complexes_defs, "_orbit_types"),
+                       (complexes_defs, "_assemble"),
+                       (covers_defs, "_piece_copy_classes")):
+        called = {getattr(node.func, "id", None)
+                  for node in ast.walk(defs[name])
+                  if isinstance(node, ast.Call)}
+        assert "tree_walk" in called, name
+
+
 def private_reads(path):
     """(line, name) of every private name `path` takes from another module:
     each `from .x import _name`, and each attribute read `obj._name` of a

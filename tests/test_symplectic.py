@@ -636,14 +636,20 @@ def test_kept_answers_equal_fresh_ones(g, m, data):
 # reporting and enumeration front ends
 
 
+from levelnerve.covers import PermOps
+from levelnerve.errors import LevelNerveError
 from levelnerve.symplectic import (
     OrbitResult,
+    cayley_fill,
     orbit_enumerate,
+    schreier_edges,
     smith_normal_form,
     sp_group,
     stabilizer_words,
+    tree_walk,
     vec_mat,
 )
+from oracles import schreier_edges_by_words, values_by_words
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.decomp import (canonical_form, induced_from_multicurve,
                                sp_action)
@@ -879,6 +885,53 @@ def test_orbit_moves_are_the_schreier_graph(g, m, data):
         for j in w:
             s = res.moves[s][j]
         assert s == i
+
+
+def assert_tree_walk_replays_words(res, root, step):
+    """tree_walk gives each element the value its word replays to, and
+    its other edges are those whose words do not extend along them."""
+    values, other = tree_walk(res.moves, root, step)
+    assert values == values_by_words(res, root, step)
+    assert other == schreier_edges_by_words(res) == list(schreier_edges(res))
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([1, 2]), st.sampled_from([2, 3, 4]), st.data())
+def test_tree_walk_matches_word_replays_on_sp_orbits(g, m, data):
+    # each element's tree path, and its transport as a matrix product
+    sp = SympSpace(g, m)
+    gens = sp_group(sp)
+    seed = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=2 * g,
+                                    max_size=2 * g)))
+    res = orbit_enumerate(seed, gens, lambda F, v: sp.mat_apply(v, F))
+    assert_tree_walk_replays_words(res, (),
+                                   lambda path, x, j: path + ((x, j),))
+    assert_tree_walk_replays_words(res, sp.identity_matrix(),
+                                   lambda F, x, j: sp.mat_mul(F, gens[j]))
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.permutations(range(n)).map(tuple), min_size=1, max_size=3)))
+def test_tree_walk_matches_word_replays_on_permutation_groups(perms):
+    # the Cayley graph of the group the permutations generate, as
+    # DeckGroup enumerates it: cayley_fill gives back every element
+    ops = PermOps(len(perms[0]))
+    res = orbit_enumerate(ops.identity, perms, lambda p, a: ops.mul(a, p))
+    assert_tree_walk_replays_words(res, ops.identity,
+                                   lambda a, x, j: ops.mul(a, perms[j]))
+    assert cayley_fill(ops.identity, perms, tuple(zip(*res.moves)),
+                       ops.mul) == res.elements
+
+
+@pytest.mark.parametrize("moves", [
+    ((2, 1), (0, 0), (0, 0)),  # 2 is reached before 1
+    ((0,), (1,)),              # 1 is never reached
+    ((1,), (0,), (2,)),        # 2 is expanded before it is reached
+    ((1,), (5,)),              # an edge leaves the graph
+])
+def test_tree_walk_refuses_a_graph_out_of_discovery_order(moves):
+    with pytest.raises(LevelNerveError, match="breadth-first tree order"):
+        tree_walk(moves, 0, lambda v, x, j: v + 1)
 
 
 # fewer examples than the profile: every word is multiplied out as a
