@@ -44,9 +44,10 @@ from functools import lru_cache
 
 from .errors import (InvalidInputError, LevelNerveError, UnsupportedError,
                      self_check)
-from .stablegraph import StableGraph, enumerate_stable_graphs, max_rank
+from .stablegraph import (StableGraph, components, enumerate_stable_graphs,
+                          max_rank)
 from .surface import presentation
-from .symplectic import check_ints
+from .symplectic import check_ints, tree_walk
 from .words import FoldedGraph, solve_conjugator, winv, wmul
 
 
@@ -529,17 +530,17 @@ def delete_curves(mc, drop):
     Pieces joined by a removed curve merge.  Each piece's stored words sit
     in their own frame (the subgroup is listed up to one conjugation), so
     the pieces of a merged component are first transported into the frame
-    of its lowest-numbered piece along a spanning tree of the removed
-    curves: crossing the annulus of a removed curve with side conjugators
-    w1, w2 composes the transport with w1 * w2^-1.  The honest crossing
-    differs from that word by a power of the curve inserted in the middle,
-    which is absorbed because the side boundary loop w1 * c^(+-1) * w1^-1
-    already lies in the subgroup.  The merged subgroup is then generated
-    by the transported constituent generators plus one connector per
-    non-tree removed curve; transported mark loops and side conjugators
-    keep every carried word in the merged frame.  Genus bookkeeping is
-    Euler characteristic addition.  Indices must be ints; a bool, a
-    float or a string is refused with InvalidInputError."""
+    of its lowest-numbered piece along the breadth-first tree (tree_walk)
+    of the removed curves: crossing the annulus of a removed curve with
+    side conjugators w1, w2 composes the transport with w1 * w2^-1.  The
+    honest crossing differs from that word by a power of the curve
+    inserted in the middle, which is absorbed because the side boundary
+    loop w1 * c^(+-1) * w1^-1 already lies in the subgroup.  The merged
+    subgroup is then generated by the transported constituent generators
+    plus one connector per non-tree removed curve; transported mark loops
+    and side conjugators keep every carried word in the merged frame.
+    Genus bookkeeping is Euler characteristic addition.  Indices must be
+    ints; a bool, a float or a string is refused with InvalidInputError."""
     E = len(mc.words)
     drop = frozenset(check_ints(drop, "curve index"))
     if not drop:
@@ -551,33 +552,21 @@ def delete_curves(mc, drop):
     keep = [e for e in range(E) if e not in drop]
     P = len(mc.pieces)
 
-    adj = [[] for _ in range(P)]
+    # a removed curve joins its pieces both ways; crossing it from side s
+    # to side t transports by s.conj * t.conj^-1
+    ends, cross = [[] for _ in range(P)], [[] for _ in range(P)]
     for e in sorted(drop):
-        s0, s1 = mc.sides[e]
-        adj[s0.piece].append((e, s1.piece, s0.conj, s1.conj))
-        adj[s1.piece].append((e, s0.piece, s1.conj, s0.conj))
-
-    x = [None] * P
-    of = [None] * P
-    tree = set()
-    roots = 0
-    for p in range(P):
-        if x[p] is not None:
-            continue
-        x[p] = ()
-        of[p] = roots
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for (e, v, wu, wv) in adj[u]:
-                    if x[v] is None:
-                        x[v] = wmul(x[u], wu, winv(wv))
-                        of[v] = roots
-                        tree.add(e)
-                        nxt.append(v)
-            frontier = nxt
-        roots += 1
+        for s, t in (mc.sides[e], mc.sides[e][::-1]):
+            ends[s.piece].append(t.piece)
+            cross[s.piece].append((wmul(s.conj, winv(t.conj)), e))
+    # each piece's transport and the tree curve that reached it
+    walk, _ = tree_walk(ends, ((), None), lambda xe, u, j: (
+        wmul(xe[0], cross[u][j][0]), cross[u][j][1]))
+    x, tree = zip(*walk)
+    comps = components(P, [(mc.sides[e][0].piece, mc.sides[e][1].piece)
+                           for e in drop])
+    roots = len(comps)
+    of = {p: c for c, comp in enumerate(comps) for p in comp}
 
     gens = [[] for _ in range(roots)]
     marks = [[] for _ in range(roots)]

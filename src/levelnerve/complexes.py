@@ -556,38 +556,29 @@ class Pi1Report:
 
 
 def _component_pi1(X, verts):
-    vset = set(verts)
-    root = verts[0]
-    adj = {v: [] for v in verts}
+    local = {v: k for k, v in enumerate(verts)}
+    adj = [[] for _ in verts]
     edges = []
     if X.top_rank >= 1:
         for i, row in enumerate(X.faces[1]):
             head, tail = row[0], row[1]
-            if tail in vset:
-                edges.append((i, tail, head))
-                adj[tail].append((i, head))
-                adj[head].append((i, tail))
-    tree = set()
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for (e, w) in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(e)
-                    nxt.append(w)
-        frontier = nxt
-    self_check(seen == vset, "component traversal")
+            if tail in local:
+                edges.append(i)
+                adj[local[tail]].append((i, local[head]))
+                adj[local[head]].append((i, local[tail]))
+    # each vertex's value is the tree edge that reached it from verts[0]
+    reached, _ = tree_walk([[w for _, w in row] for row in adj], None,
+                           lambda e, v, j: adj[v][j][0])
+    self_check(None not in reached[1:], "component traversal")
+    tree = set(reached)
     gen_of = {}
-    for (e, _, _) in edges:
+    for e in edges:
         if e not in tree:
             gen_of[e] = len(gen_of) + 1
     rels = []
     if X.top_rank >= 2:
         for row in X.faces[2]:
-            if X.faces[1][row[2]][1] not in vset:
+            if X.faces[1][row[2]][1] not in local:
                 continue
             word = []
             for e, sign in ((row[2], 1), (row[0], 1), (row[1], -1)):

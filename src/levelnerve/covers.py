@@ -332,21 +332,17 @@ class _Table:
         group = self.group = spec.group
         d, N = group.d, group.N
         self.d, self.N = d, N
-        # shortlex BFS over the signed alphabet x1 < x1^-1 < x2 < ...
+        # the breadth-first tree of the Cayley graph over the signed
+        # alphabet x1 < x1^-1 < x2 < ... gives shortlex words
         letters = [s for j in range(1, N + 1) for s in (j, -j)]
-        res = orbit_enumerate(0, letters, lambda s, g: group.step(g, s),
-                              cap=d)
-        self_check(len(res.elements) == d, "coset graph is connected")
-        # res numbers the cosets by discovery, so index the words by coset
-        self.twords = [None] * d
-        for c, w in zip(res.elements, res.words):
-            self.twords[c] = tuple(letters[i] for i in w)
-        tree = set()
-        for t, w in enumerate(self.twords[1:], 1):
-            s = w[-1]
-            tree.add((group.step(t, -s), s) if s > 0 else (t, -s))
-        self.loop_edges = [(gidx, j) for gidx in range(d)
-                           for j in range(1, N + 1) if (gidx, j) not in tree]
+        self.twords = tw = tree_walk(
+            [[group.step(g, s) for s in letters] for g in range(d)], (),
+            lambda w, g, i: w + (letters[i],))[0]
+        self_check(all(tw[1:]), "coset graph is connected")
+        # (g, j) is on the tree when one end's word extends the other's by it
+        self.loop_edges = [(g, j) for g in range(d) for j in range(1, N + 1)
+                           if tw[group.step(g, j)] != tw[g] + (j,)
+                           and tw[g] != tw[group.step(g, j)] + (-j,)]
         # 1-based loop ids; tree edges have none
         self.loops = {e: i for i, e in enumerate(self.loop_edges, 1)}
         self.verdicts = {}  # twist sequence -> whether it preserves

@@ -28,7 +28,9 @@ generators on its fundamental cut.  So iv holds exactly when the edge
 groups are cyclic, S is primitive and free of rank b_1(Y), and the bond
 clause holds.  ("Free" matters only when m has two or more prime factors:
 <(3, 0)> in (Z/6)^2 is primitive but is Z/2.)  The bond clause is decided
-on one spanning tree T.  Write each tree generator as c_t = sum a_{t,f} c_f
+on one spanning tree T, the breadth-first tree from vertex 0 (tree_walk);
+the argument below holds for every spanning tree, so the verdict does not
+depend on which.  Write each tree generator as c_t = sum a_{t,f} c_f
 over the cotree generators; the clause holds exactly when a_{t,f} is a
 unit for f on the fundamental cut of t and 0 off it, and the gains
 -a_{t,f} s_t(f), with s_t the +-1 sign across that cut and s_t(t) = 1,
@@ -60,12 +62,12 @@ computed once per value: the coordinates of a vector over a vertex group
 (_pushout_report), orthogonality of two groups and isotropy (iii), the
 cyclic generator of an edge group (_bond_clause), the radical and
 whether a vertex group splits off its radical (vi).  The space keeps the
-span of a tuple of groups: E, the pushout image and each vertex's
-incident span.  The answers about one graph (the spanning tree, cotree
-and fundamental-cut signs of the bond clause, _tree_cuts) are computed
-when a decomposition is constructed and shared by the copies sp_action
-makes.  So every simplex is still checked in full, on answers its
-values already hold.
+span of a tuple of groups (E, the pushout image, each incident span) and
+by value the gluing's cokernel invariants and the cotree solver.  The
+answers about one graph (the tree, cotree and cut signs, _tree_cuts) are
+computed when a decomposition is constructed and shared by the copies
+sp_action makes.  So every simplex is still checked in full, on answers
+its values already hold.
 Matrices are read through their symplectic.checked_matrix records:
 whether a matrix is symplectic, its inverse, its reduced rows, whether it
 maps a subgroup onto another and the sign-normal image of a frame.  This
@@ -99,7 +101,7 @@ from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, cayley_fill, check_int,
                          check_ints, check_perm, check_shape, checked_matrix,
-                         deck_matrices)
+                         deck_matrices, tree_walk)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -347,49 +349,38 @@ def _pushout_report(space, vgroups, edges, egroups, strict=False):
 
 
 def _tree_cuts(V, edges):
-    """The graph's part of the bond clause: (cotree, cuts) for the spanning
-    tree of the edges that join two components of the forest before them,
-    where cuts holds, per tree edge t in stored order, t and the signs
-    (a in X) - (b in X) of the cotree edges (a, b), X the side of the
-    fundamental cut of t that holds the first end of t."""
-    tree = []
-    comp = list(range(V))  # a component label per vertex
+    """The graph's part of the bond clause: (cotree, cuts) for the
+    breadth-first tree from vertex 0 (tree_walk), where cuts holds, per tree
+    edge t in stored order, t and the signs (a in X) - (b in X) of the
+    cotree edges (a, b), X the side of the fundamental cut of t that holds
+    its first end.  A vertex lies below t when its tree path, the tree
+    edges from 0 to it as the bits of an int, holds t."""
     nbrs = [[] for _ in range(V)]
     for e, (u, v) in enumerate(edges):
-        if comp[u] != comp[v]:
-            old = comp[v]
-            comp = [comp[u] if c == old else c for c in comp]
-            tree.append(e)
-            nbrs[u].append((e, v))
-            nbrs[v].append((e, u))
-    cotree = tuple(e for e in range(len(edges)) if e not in tree)
-    # the tree rooted at vertex 0: up[x] is (tree edge, parent) and order
-    # lists parents first, so under[x], the vertices of the subtree at x,
-    # fills from the leaves
-    up, order = {0: None}, [0]
-    for x in order:
-        for t, y in nbrs[x]:
-            if y not in up:
-                up[y] = (t, x)
-                order.append(y)
-    under = {x: {x} for x in order}
-    for x in reversed(order[1:]):
-        under[up[x][1]] |= under[x]
+        nbrs[u].append((e, v))
+        nbrs[v].append((e, u))
+    path, _ = tree_walk([[y for _, y in row] for row in nbrs], 0,
+                        lambda p, x, j: p | 1 << nbrs[x][j][0])
+    # the paths to the ends of a tree edge differ by that edge alone
+    cotree = tuple(f for f, (a, b) in enumerate(edges)
+                   if path[a] ^ path[b] != 1 << f)
     ends = [edges[f] for f in cotree]
     cuts = []
-    for t in tree:
-        # X is the subtree below t when it holds the first end, else the rest
-        a, b = edges[t]
-        s, below = (1, under[a]) if up[a] and up[a][0] == t else (-1, under[b])
-        cuts.append((t, tuple([s * ((x in below) - (y in below))
-                               for x, y in ends])))
+    for t, (a, b) in enumerate(edges):
+        if path[a] ^ path[b] == 1 << t:
+            # X is the subtree below t when it holds a, else the rest
+            below = [p >> t & 1 for p in path]
+            s = 1 if below[a] else -1
+            cuts.append((t, tuple([s * (below[x] - below[y])
+                                   for x, y in ends])))
     return cotree, tuple(cuts)
 
 
 def _bond_clause(d):
     """The bond clause of iv, for cyclic edge groups, on the cotree and the
     cut signs of the spanning tree that construction stored (d._bonds),
-    and the cyclic generator each edge group keeps."""
+    and the cyclic generator each edge group keeps.  The potentials are
+    read along the tree_walk of the links and must agree on the others."""
     cotree, cuts = d._bonds
     if not cuts:
         # one vertex: no bonds, and no coordinates to read
@@ -403,7 +394,7 @@ def _bond_clause(d):
     # links[e] holds (e2, g): the potential of e2 is g times that of e.
     # Over Z every gain is +-1, and these stay apart modulo q = 3.
     q = m or 3
-    links = {e: [] for e in range(len(d.edges))}
+    links = [[] for _ in d.edges]
     for t, signs in cuts:
         ct = coords(gens[t])
         if ct is None:
@@ -417,20 +408,9 @@ def _bond_clause(d):
                 g = -c * s % q
                 links[t].append((f, g))
                 links[f].append((t, pow(g, -1, q)))
-    pot = {}
-    for root in links:
-        if root in pot:
-            continue
-        pot[root] = 1
-        queue = [root]
-        for x in queue:
-            for y, g in links[x]:
-                if y not in pot:
-                    pot[y] = pot[x] * g % q
-                    queue.append(y)
-                elif pot[y] != pot[x] * g % q:
-                    return False
-    return True
+    pot, other = tree_walk([[f for f, _ in row] for row in links], 1,
+                           lambda p, x, j: p * links[x][j][1] % q)
+    return all(pot[y] == pot[x] * links[x][j][1] % q for x, j, y in other)
 
 
 def validate(d, conditions=None):

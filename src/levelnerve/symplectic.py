@@ -56,12 +56,12 @@ questions an action check asks of a matrix: whether it maps one
 subgroup onto another, on the packed rows at m = 2, and the sign-normal
 image of a frame, which it keeps for the checks and for transport alike
 (frame_image).  Other modules read the record and neither check, invert
-nor pack a matrix themselves.  tree_walk is the one walk of a graph
-numbered in breadth-first discovery order (a Schreier or Cayley graph):
-it computes values along the tree edges and returns the other edges.
-On it cayley_fill forms deck products (deck_matrices) and permutations,
-schreier_edges reads off a stabilizer's generators, and complexes and
-covers read transports, simplex faces and piece potentials, none of
+nor pack a matrix themselves.  tree_walk is the one breadth-first
+search: it computes values along a spanning forest of any graph and
+returns the other edges.  On it cayley_fill forms deck products
+(deck_matrices) and permutations, schreier_edges reads off a
+stabilizer's generators, and the other modules read transports, faces,
+potentials, transversals, fundamental cuts and merged pieces, none of
 them by replaying a word.
 
 A subgroup exists once per space and lattice: SympSpace.subgroup
@@ -72,11 +72,12 @@ form of composite m runs once per lattice.  One table on the space keeps
 the instance under its lattice and under every row list that reached it
 (the rows of a lattice generate the subgroup it describes).  So every
 answer a subgroup keeps is computed once per lattice: its canonical
-generators, solver, relations, radical, cyclic generator and whether it
-splits off its radical, and, by argument, the coordinates of a vector
-(coords), orthogonality to another subgroup (orthogonal, which gives
-is_isotropic) and its images under matrices (apply).  The space keeps
-the span of each tuple of its subgroups (SympSpace.span).  The memos
+generators, relations, radical, cyclic generator and whether it splits
+off its radical, and, by argument, the coordinates of a vector (coords),
+orthogonality to another subgroup (orthogonal, which gives is_isotropic)
+and its images under matrices (apply).  The space keeps the span of each
+tuple of its subgroups (SympSpace.span), and the solver (the subgroups'
+too) and cokernel invariants of each value of rows and width.  The memos
 live on the space and its subgroups only, so they last as long as the
 values of one build.
 """
@@ -87,8 +88,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
-                     self_check)
+from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +424,11 @@ def check_shape(xs, name, size=None):
 
 
 def check_ints(xs, name, size=None):
-    """check_shape(xs), each entry refused unless an int."""
+    """check_shape(xs), each entry refused unless an int (check_int)."""
     xs = check_shape(xs, name, size)
     for x in xs:
-        check_int(x, name)
+        if type(x) is not int:
+            check_int(x, name)
     return xs
 
 
@@ -473,9 +474,12 @@ class SympSpace:
         self._sign = tuple(1 - 2 * (k & 1) for k in range(self.dim))
         # the one instance of each lattice that subgroup() returns, by
         # lattice and by the generator rows that reached it; span() results
-        # by the tuple of subgroups
+        # by the tuple of subgroups, cokernel_invariants() and solver()
+        # results by the value of their arguments
         self._subgroups = {}
         self._spans = {}
+        self._cokernels = {}
+        self._solvers = {}
 
     # -- vectors
 
@@ -660,21 +664,35 @@ class SympSpace:
         rank over Z: (m,) * (width - rank) at prime m, with the rank of the
         echelon form over F_m; the divisors > 1 of the Smith diagonal of
         the rows and the m*e_j at composite m; over Z, the torsion divisors
-        of the rows followed by the zeros."""
+        of the rows followed by the zeros.  Kept on the space by the value
+        of (rows, width)."""
+        key = (tuple(map(tuple, rows)), width)
+        if key in self._cokernels:
+            return self._cokernels[key]
         m = self.m
         if self.prime:
-            return (m,) * (width - len(_rref_mod_p(rows, m, width)))
-        mat = [list(r) for r in rows]
-        if m:
-            mat += [[m if t == j else 0 for t in range(width)]
-                    for j in range(width)]
-        divs = [d for d in snf_diagonal(mat) if d]
-        return tuple(d for d in divs if d > 1) + (0,) * (width - len(divs))
+            invs = (m,) * (width - len(_rref_mod_p(rows, m, width)))
+        else:
+            mat = [list(r) for r in rows]
+            if m:
+                mat += [[m if t == j else 0 for t in range(width)]
+                        for j in range(width)]
+            divs = [d for d in snf_diagonal(mat) if d]
+            invs = tuple(d for d in divs if d > 1) + (0,) * (width - len(divs))
+        self._cokernels[key] = invs
+        return invs
 
     def solver(self, rows, width):
         """x -> a tuple c with c * rows = x mod m, or None when x is outside
         the span, for vectors of length width and rows that may be none or
-        dependent; the module docstring gives the two paths."""
+        dependent; the module docstring gives the two paths.  Kept on the
+        space by the value of (rows, width)."""
+        key = (tuple(map(tuple, rows)), width)
+        if key not in self._solvers:
+            self._solvers[key] = self._solver(rows, width)
+        return self._solvers[key]
+
+    def _solver(self, rows, width):
         m, k = self.m, len(rows)
         if self.prime:
             basis = [(next(j for j, a in enumerate(h) if a), h, t)
@@ -719,10 +737,10 @@ class SympSubgroup:
     SympSpace.subgroup returns the space's one instance per lattice, and
     apply returns such instances, so a subgroup is a value: nothing may
     change it after construction except its lazy caches (canonical
-    generators, pivots, packed rows, radical, solver, relations, cyclic
-    generator, the splitting test, hash, and images, coordinates and
-    orthogonality by argument), which the lattice determines, so the
-    instances of a lattice may share them."""
+    generators, pivots, packed rows, radical, relations, cyclic generator,
+    the splitting test, hash, and images, coordinates and orthogonality by
+    argument), which the lattice determines, so the instances of a lattice
+    may share them.  The space keeps the solver of the generators."""
 
     def __init__(self, space: SympSpace, gens, lattice=None):
         """The subgroup gens generate; lattice, when given, is
@@ -733,13 +751,12 @@ class SympSubgroup:
         m = space.m
         self.lattice = space.lattice(gens) if lattice is None else lattice
         # filled on first use by canonical_gens(), contains(), f2_rows(),
-        # radical(), solver(), relations(), generator() and
-        # splits_off_radical(); the prime path knows the generators at once
+        # radical(), relations(), generator() and splits_off_radical(); the
+        # prime path knows the generators at once
         self._gens = None
         self._pivots = None
         self._f2 = None
         self._radical = None
-        self._solver = None
         self._relations = None
         self._generator = None
         self._splits = None
@@ -937,10 +954,7 @@ class SympSubgroup:
     def solver(self):
         """space.solver of the canonical generators: coordinates of a
         member over them."""
-        if self._solver is None:
-            self._solver = self.space.solver(self.canonical_gens(),
-                                             self.space.dim)
-        return self._solver
+        return self.space.solver(self.canonical_gens(), self.space.dim)
 
     def coords(self, x):
         """solver()(x), memoized by the vector x."""
@@ -1080,22 +1094,31 @@ def checked_matrix(g, m, F):
 
 
 def tree_walk(moves, root, step):
-    """Values along the breadth-first tree of a graph numbered in discovery
-    order from 0, moves[x][j] being the end of edge (x, j): an
-    OrbitResult.moves or a transposed DeckGroup.act.  The first edge
-    (x, j, y) into each y, in the order of x and then of j, is its tree
-    edge and sets values[y] = step(values[x], x, j); values[0] is root.
-    Returns the values and the other edges, in that order.  A graph not in
-    that order, or not reached from 0, raises LevelNerveError."""
-    values, other = [root], []
-    for x, row in enumerate(moves):
-        for j, y in enumerate(row):
-            if y == len(values) > x:
-                values.append(step(values[x], x, j))
-            else:
-                self_check(x < len(values) > y, "breadth-first tree order")
-                other.append((x, j, y))
-    self_check(len(values) == len(moves), "breadth-first tree order")
+    """Values along the breadth-first spanning forest of a graph on
+    range(len(moves)), moves[x][j] the end of edge (x, j): vertex 0, then
+    each vertex not yet reached, roots a tree with value root, and the
+    edge (x, j, y) that first reaches y sets values[y] = step(values[x], x,
+    j).  Returns the values and the other edges in the order the search
+    meets them, that of x and then j on a graph numbered in discovery
+    order (an OrbitResult.moves, a transposed DeckGroup.act).  An edge
+    that leaves the graph raises LevelNerveError."""
+    n = len(moves)
+    values, other, reached = [root] * n, [], [False] * n
+    for r in range(n):
+        if reached[r]:
+            continue
+        reached[r] = True
+        queue = [r]
+        for x in queue:  # grows while the loop runs
+            for j, y in enumerate(moves[x]):
+                if not 0 <= y < n:
+                    raise LevelNerveError(f"edge ({x}, {j}) leaves the graph")
+                if reached[y]:
+                    other.append((x, j, y))
+                else:
+                    reached[y] = True
+                    values[y] = step(values[x], x, j)
+                    queue.append(y)
     return values, other
 
 

@@ -43,13 +43,15 @@ from the cover, as the package did before it composed the generators'.
 values_by_words replays each breadth-first word of an orbit from the seed
 to find the value tree_walk hands its element, and schreier_edges_by_words
 names the edges off the tree by comparing words, as the package did before
-it walked the tree once.
+it walked the tree once; forest_by_queue searches any graph breadth-first
+with a deque of its own and replays each vertex's tree path.
 snf_diagonal_dense is the dense Smith elimination that scans every row for
 its pivot, and tietze_resorting the generator elimination that re-sorts
 every relation before each step, as the package ran them before they
 worked on sparse rows and on an occurrence index."""
 
 import math
+from collections import deque
 from itertools import chain, combinations, permutations
 
 from levelnerve.catalog import (_compatible, _curve_count, _objects,
@@ -1007,3 +1009,33 @@ def schreier_edges_by_words(res):
     followed by j, in the order of x and then of j."""
     return [(x, j, y) for x, row in enumerate(res.moves)
             for j, y in enumerate(row) if res.words[y] != res.words[x] + (j,)]
+
+
+def forest_by_queue(moves, root, step):
+    """A breadth-first spanning forest of the graph on range(len(moves)),
+    moves[x][j] the end of edge (x, j), rooted at 0 and then at each least
+    vertex not yet reached, searched with a deque: the tree path of each
+    vertex, as its list of edges (x, j) from its root, replayed through
+    step from root, and the edges off the forest in the order the deque
+    expands their first ends."""
+    paths, other, order = {}, [], deque()
+    for r in range(len(moves)):
+        if r in paths:
+            continue
+        paths[r] = []
+        order.append(r)
+        while order:
+            x = order.popleft()
+            for j, y in enumerate(moves[x]):
+                if y in paths:
+                    other.append((x, j, y))
+                else:
+                    paths[y] = paths[x] + [(x, j)]
+                    order.append(y)
+    values = []
+    for y in range(len(moves)):
+        value = root
+        for x, j in paths[y]:
+            value = step(value, x, j)
+        values.append(value)
+    return values, other

@@ -308,6 +308,40 @@ def test_cross_validate_builds_each_subgroup_once(monkeypatch):
     assert calls["cuts"] == 0
 
 
+def test_cross_validate_solves_each_lattice_question_once(monkeypatch):
+    X = build_abelian_nerve(2, 0, 3)
+    space = X.decomps[0][0].space
+    asked = {"cokernel_invariants": [], "solver": []}
+
+    def counted(name):
+        method = getattr(SympSpace, name)
+
+        def ask(self, rows, width):
+            asked[name].append((tuple(map(tuple, rows)), width))
+            return method(self, rows, width)
+        return ask
+
+    class Kept(dict):
+        """A memo that counts the answers stored in it."""
+        stored = 0
+
+        def __setitem__(self, key, value):
+            self.stored += 1
+            super().__setitem__(key, value)
+
+    for name in asked:
+        monkeypatch.setattr(SympSpace, name, counted(name))
+    # from empty memos, the space computes one answer per distinct question
+    space._cokernels, space._solvers = Kept(), Kept()
+    assert cross_validate(X)["ok"]
+    # 1 085 cokernel and 917 solver computations when each call computed
+    # afresh
+    cokernels, solvers = asked["cokernel_invariants"], asked["solver"]
+    assert len(cokernels) == 1_085
+    assert space._cokernels.stored == len(set(cokernels)) == 26
+    assert space._solvers.stored == len(set(solvers)) == 386
+
+
 def test_composite_nerve_runs_smith_forms_once_per_lattice(monkeypatch):
     # at composite m every new lattice runs snf_diagonal for its divisors
     made = Counter()
@@ -328,20 +362,22 @@ def test_composite_nerve_runs_smith_forms_once_per_lattice(monkeypatch):
     space = X.decomps[0][0].space
     lattices = {sub.lattice for sub in space._subgroups.values()}
     # 3 250 constructions when the space constructed a subgroup for every
-    # new generator row list; the 36 further Smith forms are the seeds'
-    # validations
+    # new generator row list; the 14 further Smith forms are the seeds'
+    # validations (36 before the space kept cokernel invariants)
     assert made["subgroups"] == len(lattices) == 682
-    assert made["snf"] == 682 + 36
+    assert made["snf"] == 682 + 14
     made.clear()
     assert cross_validate(X)["ok"]
     simplices = sum(X.size(k) for k in range(X.top_rank + 1))
     # 6 398 constructions and 22 958 Smith forms before lattices were
-    # looked up before constructing and the battery's answers kept: now
-    # one Smith form per simplex, for the invariants of its gluing, and
-    # one per vertex group lattice, for splits_off_radical
+    # looked up before constructing and the battery's answers kept, and
+    # 6 040 + 670 while each simplex ran one for the invariants of its
+    # gluing: now one per gluing relation matrix the build has not met
+    # (191 of the 195 distinct), and one per vertex group lattice, for
+    # splits_off_radical
     assert made["subgroups"] == 0
     assert simplices == 6040
-    assert made["snf"] == simplices + 670
+    assert made["snf"] == 191 + 670
 
 
 ORACLE_SIGNATURES = [(1, 1, m) for m in range(2, 6)] + [

@@ -34,6 +34,7 @@ from levelnerve.decomp import (EquivariantDecomposition, FramedDecomposition,
                                validate)
 from levelnerve.complexes import (_subgroup_elements, _subgroups_between,
                                   build_abelian_nerve, delete_curves)
+from levelnerve.stablegraph import components
 from oracles import (action_natural_every_element, equivalent, maps_onto,
                      module_map_report, product_table,
                      pushout_report_by_kernel, quotient_profile,
@@ -379,9 +380,10 @@ def edge_condition_cases(draw):
     m = draw(st.sampled_from((0, 2, 3, 4, 5, 6, 8)))
     sp = SympSpace(draw(st.integers(1, 2)), m)
     mode = draw(st.sampled_from(("random", "balanced", "units")))
-    # validate takes the drawn tree, which comes first; units can fail to
-    # balance only where cotree edges link tree edges in a cycle, so the
-    # tree is then the star at vertex 0 and cotree edges join two leaves
+    # units can fail to balance only where cotree edges link tree edges in
+    # a cycle, so the tree is then the star at vertex 0 and cotree edges
+    # join two leaves: validate's breadth-first tree from vertex 0 is then
+    # the drawn tree (in the other modes it may be another spanning tree)
     units = mode == "units"
     V = draw(st.integers(3 if units else 1, 4))
     tree = [(0 if units else draw(st.integers(0, v - 1)), v)
@@ -436,6 +438,28 @@ def edge_condition_cases(draw):
                             [(0, 1), (0, 2), (0, 2), (2, 2)]))
 def test_edge_condition_against_bruteforce(d):
     assert brute_edge_condition(d) == ("iv" not in validate(d, ("iv",)))
+
+
+@given(st.integers(1, 6), st.data())
+def test_tree_cuts_are_the_fundamental_cuts(V, data):
+    # a connected multigraph with loops and parallel edges: a path through
+    # the vertices in a drawn order and further edges, in a drawn order
+    vertex = st.integers(0, V - 1)
+    order = data.draw(st.permutations(range(V)))
+    extra = data.draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    edges = data.draw(st.permutations(
+        [tuple(sorted(e)) for e in list(zip(order, order[1:])) + extra]))
+    cotree, cuts = decomp._tree_cuts(V, edges)
+    tree = [t for t, _ in cuts]
+    assert sorted(tree + list(cotree)) == list(range(len(edges)))
+    assert tree == sorted(tree) and list(cotree) == sorted(cotree)
+    assert len(components(V, [edges[t] for t in tree])) == 1 == V - len(tree)
+    for t, signs in cuts:
+        # X: the part of the tree less t that holds the first end of t
+        X = next(c for c in components(V, [edges[e] for e in tree if e != t])
+                 if edges[t][0] in c)
+        assert signs == tuple((a in X) - (b in X)
+                              for a, b in map(edges.__getitem__, cotree))
 
 
 def test_degrees_count_loops_twice():
@@ -1238,14 +1262,19 @@ def test_prime_validate_skips_integer_hnf_and_snf(monkeypatch):
              for mc in multicurve_catalog(2, 0)]
     loop = by_key(1, 1, (((0, (1,)),), ((0, 0),)))
     # the loop decomposition over Z/4 and Z/6, intact and with one group
-    # changed: the vertex group at m = 4, the edge group at m = 6
+    # changed: the vertex group at m = 4, the edge group at m = 6; in a
+    # space of their own, since induced_from_multicurve validates d and
+    # d.space keeps the answers
     composite = []
     for m, vgroup, egroup in ((4, [(2, 0), (0, 1)], None),
                               (6, None, [(2, 0)])):
         d = induced_from_multicurve(1, 1, m, loop)
-        composite += [d, GraphDecomposition(
-            d.space, [vgroup or d.vertex_groups[0]],
-            [egroup or d.edge_groups[0]], d.edges, d.marks, d.n)]
+        space = SympSpace(1, m)
+        vg = d.vertex_groups[0].canonical_gens()
+        eg = d.edge_groups[0].canonical_gens()
+        composite += [GraphDecomposition(space, [v], [e], d.edges, d.marks,
+                                         d.n)
+                      for v, e in ((vg, eg), (vgroup or vg, egroup or eg))]
 
     def refuse(*args):
         raise AssertionError("integer Hermite or Smith form called")

@@ -218,15 +218,25 @@ def test_decomp_asks_lattice_questions_through_symplectic():
 
 
 def test_one_tree_walk_reads_values_along_orbits():
-    """Transports, simplex faces, piece potentials, deck products and
-    Schreier generators are all read along symplectic.tree_walk, whose
-    only parameters are the graph, the root value and the step: complexes
-    reads no words attribute (it counts a multicurve's curves on its
-    graph) and defines no word replay."""
+    """Transports, simplex faces, piece potentials, deck products,
+    Schreier generators and every other spanning tree (merged pieces,
+    fundamental cuts, bond potentials, the 1-skeleton of pi_1, cover
+    transversals) are all read along symplectic.tree_walk, whose only
+    parameters are the graph, the root value and the step: no other
+    module keeps a breadth-first frontier or queue of its own (the
+    catalog's depth-first stack is no tree walk).  complexes reads no
+    words attribute (it counts a multicurve's curves on its graph) and
+    defines no word replay."""
     def functions(name):
         tree = ast.parse((ROOT / "src" / "levelnerve" / name).read_text())
-        return tree, {node.name: node for node in ast.walk(tree)
-                      if isinstance(node, ast.FunctionDef)}
+        defs = {node.name: node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)}
+        # methods also under their class: _Table.__init__
+        defs.update({f"{cls.name}.{node.name}": node
+                     for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for node in cls.body
+                     if isinstance(node, ast.FunctionDef)})
+        return tree, defs
 
     complexes_tree, complexes_defs = functions("complexes.py")
     assert "words" not in {node.attr for node in ast.walk(complexes_tree)
@@ -234,17 +244,31 @@ def test_one_tree_walk_reads_values_along_orbits():
     assert not [name for name in complexes_defs if "replay" in name]
     _, symplectic_defs = functions("symplectic.py")
     _, covers_defs = functions("covers.py")
+    _, decomp_defs = functions("decomp.py")
+    _, catalog_defs = functions("catalog.py")
     walk = symplectic_defs["tree_walk"]
     assert [a.arg for a in walk.args.args] == ["moves", "root", "step"]
     for defs, name in ((symplectic_defs, "cayley_fill"),
                        (symplectic_defs, "schreier_edges"),
                        (complexes_defs, "_orbit_types"),
                        (complexes_defs, "_assemble"),
-                       (covers_defs, "_piece_copy_classes")):
+                       (complexes_defs, "_component_pi1"),
+                       (covers_defs, "_piece_copy_classes"),
+                       (covers_defs, "_Table.__init__"),
+                       (decomp_defs, "_tree_cuts"),
+                       (decomp_defs, "_bond_clause"),
+                       (catalog_defs, "delete_curves")):
         called = {getattr(node.func, "id", None)
                   for node in ast.walk(defs[name])
                   if isinstance(node, ast.Call)}
         assert "tree_walk" in called, name
+    for path in SOURCES:
+        if path.name == "symplectic.py":
+            continue
+        stored = {node.id for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        assert not stored & {"frontier", "queue"}, path.name
 
 
 def private_reads(path):

@@ -12,6 +12,7 @@ from levelnerve.errors import InvalidInputError, ResourceLimitError
 from levelnerve.symplectic import (
     SympSpace,
     SympSubgroup,
+    check_ints,
     checked_matrix,
     hnf,
     int_row_kernel,
@@ -24,7 +25,8 @@ from levelnerve.symplectic import (
     sp_group,
     vec_mat,
 )
-from oracles import lattice_reduce, module_map_report, snf, snf_diagonal_dense
+from oracles import (forest_by_queue, lattice_reduce, module_map_report, snf,
+                     snf_diagonal_dense)
 
 moduli = st.sampled_from([0, 2, 3, 4, 6])
 
@@ -556,6 +558,21 @@ def test_subgroup_refuses_generators_that_are_not_rows(gens):
     assert sp._subgroups == before
 
 
+@pytest.mark.parametrize("x", [True, 2.5, "3"], ids=repr)
+def test_check_ints_refuses_what_is_not_an_int(x):
+    with pytest.raises(InvalidInputError, match="must be an int"):
+        check_ints([1, x], "entry")
+
+
+def test_check_ints_accepts_an_int_subclass():
+    class Entry(int):
+        pass
+
+    xs = [Entry(3), 4]
+    assert check_ints(xs, "entry") == (3, 4)
+    assert type(check_ints(xs, "entry")[0]) is Entry
+
+
 def test_subgroup_with_unhashable_entries_is_built_directly():
     sp = SympSpace(1, 0)
 
@@ -925,13 +942,45 @@ def test_tree_walk_matches_word_replays_on_permutation_groups(perms):
 
 @pytest.mark.parametrize("moves", [
     ((2, 1), (0, 0), (0, 0)),  # 2 is reached before 1
-    ((0,), (1,)),              # 1 is never reached
-    ((1,), (0,), (2,)),        # 2 is expanded before it is reached
-    ((1,), (5,)),              # an edge leaves the graph
+    ((0,), (1,)),              # 1 is not reached from 0: two trees
+    ((1,), (0,), (2,)),        # 2, a loop, roots a tree of its own
 ])
-def test_tree_walk_refuses_a_graph_out_of_discovery_order(moves):
-    with pytest.raises(LevelNerveError, match="breadth-first tree order"):
+def test_tree_walk_is_a_breadth_first_forest(moves):
+    def step(path, x, j):
+        return path + ((x, j),)
+
+    assert tree_walk(moves, (), step) == forest_by_queue(moves, (), step)
+
+
+@pytest.mark.parametrize("moves", [((1,), (5,)), ((0, -1),)])
+def test_tree_walk_refuses_an_edge_that_leaves_the_graph(moves):
+    with pytest.raises(LevelNerveError, match="leaves the graph"):
         tree_walk(moves, 0, lambda v, x, j: v + 1)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=4).map(tuple),
+    min_size=n, max_size=n)), st.booleans())
+def test_tree_walk_matches_a_forest_search_on_any_multigraph(moves, both):
+    # any numbering, loops, parallel edges and several components; with
+    # both, every edge also runs back, as in an undirected graph
+    if both:
+        back = [list(row) for row in moves]
+        for x, row in enumerate(moves):
+            for y in row:
+                back[y].append(x)
+        moves = tuple(map(tuple, back))
+
+    def step(path, x, j):
+        return path + ((x, j),)
+
+    values, other = tree_walk(moves, (), step)
+    assert (values, other) == forest_by_queue(moves, (), step)
+    # every edge is on the forest or off it, and the tree paths follow it
+    assert len(other) + sum(map(bool, values)) == sum(map(len, moves))
+    assert all(moves[x][j] == y for x, j, y in other)
+    for y, path in enumerate(values):
+        assert not path or moves[path[-1][0]][path[-1][1]] == y
 
 
 # fewer examples than the profile: every word is multiplied out as a
