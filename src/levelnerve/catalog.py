@@ -39,7 +39,7 @@ lifts).  Types the diagram search cannot reach raise UnsupportedError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (InvalidInputError, LevelNerveError, UnsupportedError,
@@ -51,8 +51,7 @@ from .symplectic import check_ints, tree_walk
 from .words import FoldedGraph, solve_conjugator, winv, wmul
 
 
-@dataclass(frozen=True)
-class Piece:
+class Piece(namedtuple("Piece", "genus marks gens chi_filled")):
     """A complementary piece of the multicurve.
 
     genus/marks describe the closed-up piece; gens generate the image of its
@@ -60,20 +59,14 @@ class Piece:
     marks pair each puncture index living on the piece with a based loop
     word around it."""
 
-    genus: int
-    marks: tuple
-    gens: tuple
-    chi_filled: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(namedtuple("Side", "piece conj sign")):
     """One side of a curve: the piece it bounds, a conjugator w with
     w * curve^sign * w^-1 equal to the based boundary loop of the piece."""
 
-    piece: int
-    conj: tuple
-    sign: int
+    __slots__ = ()
 
 
 class MulticurveRep:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 
-from . import covers
 from .catalog import catalog_coverage, delete_curves, multicurve_catalog
 from .decomp import (FramedDecomposition, canonical_form, canonical_serial,
                      induced_from_lift, induced_from_multicurve, sp_action,
@@ -137,6 +136,7 @@ class FinSimpSet:
         return len(self.encodings) - 1
 
     def size(self, k):
+        check_int(k, "rank")
         if not (0 <= k <= self.top_rank):
             return 0
         return len(self.encodings[k])
@@ -187,6 +187,12 @@ class FinSimpSet:
             raise
         except (KeyError, TypeError, ValueError, IndexError) as ex:
             raise InvalidInputError(f"malformed complex data: {ex}") from ex
+
+
+def _check_complex(X):
+    """The one check of a complex at a public invariant."""
+    if not isinstance(X, FinSimpSet):
+        raise InvalidInputError("not a complex")
 
 
 # --------------------------------------------------------------------------
@@ -391,6 +397,7 @@ def build_image_complex(spec, m, cap=50_000) -> FinSimpSet:
     generate the relevant matrix group when the twists generate the whole
     mapping class group; the generated order is recorded in meta when it
     is small enough to enumerate."""
+    from . import covers  # here, so that the nerve path does not load it
     check_modulus(m, over_z=False)
     check_int(cap, "cap")
     _require_full_catalog(spec.g, spec.n)
@@ -509,6 +516,7 @@ def _tietze(ngen, rels, budget=200_000):
 
 def _finite_quotient(gens, rels, degree):
     """Exhaustive search for a nontrivial permutation quotient."""
+    from . import covers  # here, so that the nerve path does not load it
     ops = covers.PermOps(degree)
     iden = ops.identity
     for images in itertools.product(itertools.permutations(range(degree)),
@@ -626,6 +634,7 @@ def _component_pi1(X, verts):
 def pi1_report(X) -> Pi1Report:
     """Edge-path group of the 2-skeleton, with per component reports when
     the complex is disconnected."""
+    _check_complex(X)
     comps = X.components()
     if len(comps) == 1:
         return _component_pi1(X, comps[0])
@@ -674,6 +683,7 @@ def homology(X, q):
     stored simplices with the alternating face boundary.  Each boundary
     is read off the face table as sparse rows and handed to snf_sparse,
     so no boundary matrix is built dense."""
+    _check_complex(X)
     check_int(q, "degree")
     if not (0 <= q <= X.top_rank):
         raise InvalidInputError("degree outside the stored ranks")
@@ -778,6 +788,7 @@ def cross_validate(X) -> dict:
     the base complex of the closed genus 2 surface at modulus 2, an
     exhaustive enumeration of valid framed decompositions per type must
     reproduce each orbit exactly.  Mismatches are reported, not raised."""
+    _check_complex(X)
     if X.decomps is None or X.provenance is None:
         raise InvalidInputError(
             "cross validation needs the built decompositions")

@@ -57,7 +57,7 @@ Transversals, element orderings, merge order and basis extraction are all
 deterministic, so every output is reproducible.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
 
 from .errors import (LevelNerveError, InvalidInputError, InvalidCoverError,
@@ -386,14 +386,10 @@ def _table(spec: CoverSpec) -> _Table:
 # Euler characteristic bookkeeping
 
 
-@dataclass(frozen=True)
-class CoverAnalysis:
-    degree: int
-    n_K: int
-    g_K: int
-    chi_open: int
-    chi_closed: int
-    punctures: tuple  # per base puncture: (component count, ramification)
+class CoverAnalysis(namedtuple(
+        "CoverAnalysis", "degree n_K g_K chi_open chi_closed punctures")):
+    # punctures: per base puncture, (component count, ramification)
+    __slots__ = ()
 
 
 def analyze_cover(spec: CoverSpec) -> CoverAnalysis:
@@ -768,26 +764,21 @@ def cover_homology(spec: CoverSpec, m: int) -> DeckHomology:
 # lifting multicurves
 
 
-@dataclass(frozen=True)
-class LiftedCurve:
-    index: int
-    component_count: int
-    cycle_length: int
-    classes: tuple  # one homology class per component, by smallest sheet
+class LiftedCurve(namedtuple(
+        "LiftedCurve", "index component_count cycle_length classes")):
+    # classes: one homology class per component, by smallest sheet
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LiftResult:
-    curves: tuple
-    sigma: StableGraph
-    has_separating_component: bool
-    has_cut_pair: bool
-    degree: int
-    g_K: int
+class LiftResult(namedtuple(
+        "LiftResult", "curves sigma has_separating_component has_cut_pair "
+        "degree g_K")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CutGraph:
+class CutGraph(namedtuple(
+        "CutGraph", "degree g_K n_K vert_piece vert_orbit vert_marks "
+        "vert_classes edge_ends edge_class vperms eperms curves sigma")):
     """Full record of the cut graph of a lifted multicurve.
 
     Vertices are copies of the complementary pieces (piece index plus the
@@ -798,19 +789,7 @@ class CutGraph:
     eperms[h] are the deck action on vertices and edges: the element with
     index h sends the copy through sheet s to the copy through h^-1 s."""
 
-    degree: int
-    g_K: int
-    n_K: int
-    vert_piece: tuple
-    vert_orbit: tuple
-    vert_marks: tuple
-    vert_classes: tuple
-    edge_ends: tuple
-    edge_class: tuple
-    vperms: tuple
-    eperms: tuple
-    curves: tuple
-    sigma: StableGraph
+    __slots__ = ()
 
 
 def _subgroup_orbits(table, words):

@@ -105,7 +105,6 @@ from .symplectic import (SympSpace, SympSubgroup, cayley_fill, check_int,
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
-from . import covers
 
 _CONDITIONS = ("i", "ii", "iii", "iv", "v", "vi", "frame", "action")
 
@@ -511,6 +510,7 @@ def _action_natural(d: EquivariantDecomposition):
     generators of a finite group reach every element without inverses, so
     by induction the check is never weaker than checking every element,
     and only the generator images get checked_matrix records."""
+    from . import covers  # here, so that the nerve path does not load it
     space = d.space
     E = len(d.edges)
     elements = range(len(d.matrices))
@@ -718,6 +718,7 @@ def induced_from_lift(spec, mc, m) -> EquivariantDecomposition:
     preimage of a catalog multicurve, deck action included: the groups
     spanned by the lifted cut graph's piece-copy classes and curve
     classes, acted on by its deck permutations and the deck matrices."""
+    from . import covers  # here, so that the nerve path does not load it
     _require_catalog(spec.g, spec.n, mc)
     cg = covers.lift_cut_graph(spec, mc, m)
     hom = covers.cover_homology(spec, m)

@@ -268,6 +268,7 @@ def _all_stable_graphs(g, n):
 def max_rank(g, n):
     """Top rank of the nerve, 3g-4+n: a stable graph has at most 3g-3+n
     edges."""
+    check_ints((g, n), "signature entry")
     return 3 * g - 4 + n
 
 

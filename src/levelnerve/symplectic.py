@@ -85,7 +85,7 @@ values of one build.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import InvalidInputError, LevelNerveError, ResourceLimitError
@@ -1019,7 +1019,6 @@ class SympSubgroup:
 # checked matrices
 
 
-@dataclass(frozen=True)
 class CheckedMatrix:
     """A matrix over (Z/m)^2g with what checking it found: its reduced
     rows, its inverse when it is symplectic (None when it is not) and, at
@@ -1033,13 +1032,14 @@ class CheckedMatrix:
     too, memoized on the record: a frame is moved by F once however many
     values and checks carry it."""
 
-    m: int
-    rows: tuple
-    inverse: tuple
-    packed: tuple
-    # frame_image results, by frame
-    _frames: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    __slots__ = ("m", "rows", "inverse", "packed", "_frames")
+
+    def __init__(self, m, rows, inverse, packed):
+        self.m = m
+        self.rows = rows
+        self.inverse = inverse
+        self.packed = packed
+        self._frames = {}  # frame_image results, by frame
 
     def frame_image(self, f):
         """The lesser of f*F and -f*F, reduced mod m, memoized by f."""
@@ -1192,8 +1192,7 @@ def sp_group(space: SympSpace) -> tuple:
     return tuple(space.transvection(v) for v in space.chain_vectors())
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(namedtuple("OrbitResult", "elements keys words moves")):
     """Orbit in breadth-first discovery order, the key of each element, the
     transversal word that reaches it from the seed, and the Schreier graph
     of the orbit, all numbered alike: elements[0] is the seed, and the
@@ -1204,10 +1203,7 @@ class OrbitResult:
     read off moves (tree_walk), with no further action or key, and so are
     the stabilizer generators (schreier_edges)."""
 
-    elements: tuple
-    keys: tuple
-    words: tuple
-    moves: tuple
+    __slots__ = ()
 
 
 def orbit_enumerate(seed, generators, action, key=None, cap=200_000):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidInputError
+from .symplectic import check_int
 
 Word = tuple
 
@@ -44,6 +45,7 @@ def winv(word) -> Word:
 
 
 def wpow(word, k: int) -> Word:
+    check_int(k, "exponent")
     if k < 0:
         return wpow(winv(word), -k)
     return wmul(*([wreduce(word)] * k)) if k else ()
@@ -113,6 +115,8 @@ _TOKEN = re.compile(r"\s*([A-Za-z])(\d+)")
 def parse_word(text: str, names) -> Word:
     """Parse e.g. "a1B1u2" over names like ["a1","b1","u1","u2"]; an upper
     case first letter means inverse; "1" or "" is the identity."""
+    if not isinstance(text, str):
+        raise InvalidInputError(f"a word to parse must be a str, not {text!r}")
     stripped = text.replace("*", " ").strip()
     if stripped in ("", "1"):
         return ()
@@ -140,6 +144,8 @@ def format_word(word, names) -> str:
         return "1"
     parts = []
     for x in word:
+        if not isinstance(x, int) or not 0 < abs(x) <= len(names):
+            raise InvalidInputError(f"letter {x!r} outside 1..{len(names)}")
         nm = names[abs(x) - 1]
         parts.append(nm if x > 0 else nm[0].upper() + nm[1:])
     return "".join(parts)
@@ -156,6 +162,7 @@ class FoldedGraph:
     generator length L costs O(L * rank).  Vertex ids are internal."""
 
     def __init__(self, gens, rank: int):
+        check_int(rank, "rank")
         self.ambient_rank = rank
         parent = [0]
         adj = [{}]
@@ -248,6 +255,7 @@ def invert_basis(images, rank: int):
     and loop x then reads expr[x-1].  Any correct inversion returns these
     words, as over a free basis each x_k has exactly one reduced expression.
     """
+    check_int(rank, "rank")
     W = [wreduce(w) for w in images]
     if len(W) != rank or max(map(max_letter, W), default=0) > rank:
         raise InvalidInputError("need rank images in the letters 1..rank")

@@ -280,6 +280,27 @@ def test_deletion_refuses_bad_indices(drop):
         delete_curves(mc, drop)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: homology(None, 0),
+    lambda: pi1_report(None),
+    lambda: cross_validate(None),
+], ids=["homology", "pi1", "cross-validate"])
+def test_invariants_refuse_what_is_not_a_complex(call):
+    # each raised AttributeError
+    with pytest.raises(InvalidInputError, match="not a complex"):
+        call()
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, "0", True])
+def test_size_refuses_a_rank_that_is_not_an_int(k):
+    # size(0.0) raised TypeError and size(1.0) answered 0 on this rank-0
+    # complex
+    X = build_abelian_nerve(1, 1, 2)
+    assert X.top_rank == 0 and X.size(1) == 0
+    with pytest.raises(InvalidInputError):
+        X.size(k)
+
+
 def test_validate_decides_a_bond_with_many_generator_choices():
     # three parallel edges <a1>, <a2>, <a1 + a2> over Z/47 form one bond
     # with 46**3 generator choices; validate decides it without a cap and

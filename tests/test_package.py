@@ -8,6 +8,7 @@ console script names an importable module."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +42,53 @@ def test_imports_are_stdlib(path):
     outside = {name for name in absolute_imports(path)
                if name not in sys.stdlib_module_names}
     assert not outside
+
+
+# The nerve path in a fresh interpreter: it loads neither the cover layer
+# nor dataclasses, whose imports would double the package's start-up.
+_NERVE_PATH = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import levelnerve.complexes as C
+X = C.build_abelian_nerve(1, 2, 2)
+assert C.cross_validate(X)["ok"]
+C.pi1_report(X)
+print(sorted({"levelnerve.covers", "dataclasses"} & set(sys.modules)))
+"""
+
+# The cover side after the nerve modules: each call-time import of covers
+# resolves, the first of them with covers not loaded yet, and loading the
+# whole package still brings in no dataclasses.
+_COVER_PATH = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import levelnerve.complexes as C
+import levelnerve.decomp as D
+assert "levelnerve.covers" not in sys.modules
+assert C._finite_quotient([1], [[1] * 5], 5) == ((1, 2, 3, 4, 0),)
+assert "levelnerve.covers" in sys.modules
+from levelnerve.catalog import multicurve_catalog
+from levelnerve.covers import identity_cover
+assert C.build_image_complex(identity_cover(1, 1), 2).meta["counts"] == [3]
+mc = next(mc for mc in multicurve_catalog(1, 1) if mc.graph.n_edges())
+assert not D.validate(D.induced_from_lift(identity_cover(1, 1), mc, 2))
+print("dataclasses" in sys.modules)
+"""
+
+
+def _fresh_interpreter(code):
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_nerve_path_loads_no_cover_layer():
+    assert _fresh_interpreter(_NERVE_PATH) == "[]"
+
+
+def test_cover_layer_loads_on_first_use():
+    assert _fresh_interpreter(_COVER_PATH) == "False"
 
 
 def test_no_declared_dependencies():
@@ -131,21 +179,23 @@ UNREAD_OK = {"curve_word"}
 
 
 def stored_attributes(path):
-    """(name, line) of every attribute stored on self and every field of a
-    dataclass defined in `path`."""
+    """(name, line) of every attribute stored on self, every field of a
+    namedtuple("Name", "a b ...") and every name in a __slots__ tuple in
+    `path`."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx,
                                                           ast.Store) \
                 and isinstance(node.value, ast.Name) \
                 and node.value.id == "self":
             yield node.attr, node.lineno
-        elif isinstance(node, ast.ClassDef) and any(
-                getattr(d.func if isinstance(d, ast.Call) else d, "id",
-                        None) == "dataclass"
-                for d in node.decorator_list):
-            for sub in node.body:
-                if isinstance(sub, ast.AnnAssign):
-                    yield sub.target.id, sub.lineno
+        elif isinstance(node, ast.Call) \
+                and getattr(node.func, "id", None) == "namedtuple":
+            for name in ast.literal_eval(node.args[1]).split():
+                yield name, node.lineno
+        elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__slots__" for t in node.targets):
+            for name in ast.literal_eval(node.value):
+                yield name, node.lineno
 
 
 def test_stored_attributes_are_read():

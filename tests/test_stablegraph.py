@@ -179,6 +179,13 @@ def test_enumeration_builds_only_stable_candidates(monkeypatch):
     assert len(keyed) <= 1083
 
 
+@pytest.mark.parametrize("g, n", [(2.5, 0), (2, 1.0), (True, 0)])
+def test_max_rank_refuses_a_signature_that_is_not_ints(g, n):
+    # max_rank(2.5, 0) answered 3.5
+    with pytest.raises(InvalidInputError):
+        stablegraph.max_rank(g, n)
+
+
 def test_bad_inputs():
     with pytest.raises(InvalidInputError):
         StableGraph([(0, ())], [(0, 1)])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from itertools import combinations, product
@@ -1095,8 +1094,7 @@ def test_stabilizer_words_pinned():
 
 
 def test_orbit_result_fields():
-    assert [f.name for f in dataclasses.fields(OrbitResult)] == [
-        "elements", "keys", "words", "moves"]
+    assert OrbitResult._fields == ("elements", "keys", "words", "moves")
 
 
 def test_orbit_enumerate_cap():

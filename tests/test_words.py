@@ -93,6 +93,22 @@ def test_parse_format():
         parse_word("a", names)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: parse_word(5, ["a1"]),
+    lambda: format_word((3,), ["a1"]),
+    lambda: format_word((0,), ["a1"]),
+    lambda: wpow((1,), 1.5),
+    lambda: invert_basis([(1,)], 1.0),
+    lambda: FoldedGraph([(1,)], 1.5),
+], ids=["parse-int", "format-range", "format-zero", "wpow-float",
+        "invert-float", "folded-float"])
+def test_words_refuse_bad_arguments(call):
+    # these raised AttributeError, IndexError or TypeError, formatted
+    # letter 0 as the last name, and folded over a float rank
+    with pytest.raises(InvalidInputError):
+        call()
+
+
 def test_folding_index_two_subgroup():
     # <a^2, b, a b a^-1> inside F(a, b): index 2, rank 3
     fg = FoldedGraph([(1, 1), (2,), (1, 2, -1)], 2)
