@@ -31,8 +31,8 @@ from .errors import (InvalidInputError, LevelNerveError, ResourceLimitError,
 from .stablegraph import components, max_rank
 from .surface import twist_automorphisms
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
-                         orbit_enumerate, smith_normal_form, snf_sparse,
-                         sp_group, tree_walk)
+                         orbit_enumerate, perm_inv, perm_mul,
+                         smith_normal_form, snf_sparse, sp_group, tree_walk)
 from .words import cyclic_reduce
 
 
@@ -516,9 +516,7 @@ def _tietze(ngen, rels, budget=200_000):
 
 def _finite_quotient(gens, rels, degree):
     """Exhaustive search for a nontrivial permutation quotient."""
-    from . import covers  # here, so that the nerve path does not load it
-    ops = covers.PermOps(degree)
-    iden = ops.identity
+    iden = tuple(range(degree))
     for images in itertools.product(itertools.permutations(range(degree)),
                                     repeat=len(gens)):
         if all(p == iden for p in images):
@@ -526,12 +524,12 @@ def _finite_quotient(gens, rels, degree):
         table = {}
         for g, p in zip(gens, images):
             table[g] = p
-            table[-g] = ops.inv(p)
+            table[-g] = perm_inv(p)
         ok = True
         for r in rels:
             acc = iden
             for x in r:
-                acc = ops.mul(acc, table[x])
+                acc = perm_mul(acc, table[x])
             if acc != iden:
                 ok = False
                 break

@@ -32,7 +32,7 @@ a free basis of H_1 of the closed cover surface.  The chord joining the
 two occurrences of a letter is the loop dual to it, its crossing form is
 read off from how occurrence pairs interleave, and the intersection form
 of the letters themselves is minus the inverse of that crossing form.  An
-integer change of basis then produces the standard symplectic frame.
+integer basis change, inverted by its Hermite form, gives the symplectic frame.
 
 A class is a linear function of the loop edges a word crosses: the
 Reidemeister-Schreier rewrite of a word read from a sheet lists the signed
@@ -55,6 +55,10 @@ still runs on each distinct input.
 
 Transversals, element orderings, merge order and basis extraction are all
 deterministic, so every output is reproducible.
+
+Permutations multiply by symplectic.perm_mul and perm_inv.  decomp and
+complexes import this module only in induced_from_lift and
+build_image_complex, so nerves, validation and pi_1 run without it.
 """
 
 from collections import namedtuple
@@ -66,8 +70,8 @@ from .words import wreduce, wmul, winv, wpow
 from .surface import presentation
 from .symplectic import (SympSpace, check_int, check_ints, check_modulus,
                          check_perm, checked_matrix, deck_matrices,
-                         hnf_transform, mat_identity, mat_mul,
-                         orbit_enumerate, tree_walk, vec_mat)
+                         hnf_transform, mat_identity, orbit_enumerate,
+                         perm_inv, perm_mul, tree_walk, vec_mat)
 from .stablegraph import StableGraph, components
 
 DEFAULT_MAX_DEGREE = 4096
@@ -77,13 +81,6 @@ DEFAULT_MAX_CHAIN = 1024
 
 # --------------------------------------------------------------------------
 # group backends
-
-
-def _inverse_perm(p):
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 class PermOps:
@@ -101,11 +98,8 @@ class PermOps:
     def validate(self, p):
         return check_perm(p, self.degree, "permutation")
 
-    @staticmethod
-    def mul(p, q):
-        return tuple(map(q.__getitem__, p))
-
-    inv = staticmethod(_inverse_perm)
+    mul = staticmethod(perm_mul)
+    inv = staticmethod(perm_inv)
 
 
 class AbelianOps:
@@ -159,7 +153,7 @@ class DeckGroup:
         self.act = tuple(zip(*res.moves))
         self.elements = list(res.elements)
         self.d = len(self.elements)
-        self.back = tuple(map(_inverse_perm, self.act))
+        self.back = tuple(map(perm_inv, self.act))
         self.words = tuple(tuple(j + 1 for j in w) for w in res.words)
         self.inverse = tuple(self.trace(0, winv(w)) for w in self.words)
 
@@ -611,31 +605,26 @@ def _unimodular_inverse(P):
     is the identity, and its transform is P^-1."""
     pairs = hnf_transform(P)
     self_check([h for h, _ in pairs] == mat_identity(len(P)),
-               "chord form is unimodular")
+               "matrix is unimodular")
     return [t for _, t in pairs]
 
 
 def _symplectic_rows(P):
-    """Integer basis change U (with inverse) taking the alternating
-    unimodular Gram matrix P to the interleaved standard form."""
+    """Integer basis change U taking the alternating unimodular Gram matrix
+    P to the interleaved standard form, with its inverse."""
     S = len(P)
     U = mat_identity(S)
-    V = mat_identity(S)
     Q = [row[:] for row in P]
 
     def rowadd(i, j, q):
         # v_i += q * v_j
         U[i] = [a + q * b for a, b in zip(U[i], U[j])]
-        for r in range(S):
-            V[r][j] -= q * V[r][i]
         Q[i] = [a + q * b for a, b in zip(Q[i], Q[j])]
         for r in range(S):
             Q[r][i] += q * Q[r][j]
 
     def rowswap(i, j):
         U[i], U[j] = U[j], U[i]
-        for r in range(S):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
         Q[i], Q[j] = Q[j], Q[i]
         for r in range(S):
             Q[r][i], Q[r][j] = Q[r][j], Q[r][i]
@@ -656,32 +645,17 @@ def _symplectic_rows(P):
             p = Q[bi][bj]
             if abs(p) == 1:
                 break
-            moved = False
             for r in range(block, S):
                 if r != bi and r != bj and Q[r][bj] % p:
                     rowadd(r, bi, -(Q[r][bj] // p))
-                    moved = True
                     break
                 if r != bi and r != bj and Q[r][bi] % p:
                     rowadd(r, bj, -(Q[r][bi] // Q[bj][bi]))
-                    moved = True
                     break
-            if moved:
-                continue
-            mixed = False
-            for r in range(block, S):
-                if r in (bi, bj):
-                    continue
-                for c in range(r + 1, S):
-                    if c in (bi, bj):
-                        continue
-                    if Q[r][c] % p:
-                        rowadd(bi, r, 1)
-                        mixed = True
-                        break
-                if mixed:
-                    break
-            self_check(mixed, "gcd step makes progress")
+            else:
+                # p would divide all of row bi of the unimodular form left,
+                # hence its Pfaffian (each term has one entry of row bi)
+                self_check(False, "gcd step makes progress")
         if bi != block:
             rowswap(block, bi)
         if bj != block + 1:
@@ -697,8 +671,7 @@ def _symplectic_rows(P):
                 rowadd(r, block + 1, beta)
     J = SympSpace(S // 2, 0).J if S else []
     self_check(Q == [list(r) for r in J], "reduced form is standard")
-    self_check(mat_mul(U, V) == mat_identity(S), "tracked inverse is exact")
-    return U, V
+    return U, _unimodular_inverse(U)
 
 
 def _chain(spec: CoverSpec) -> _ChainData:

@@ -101,7 +101,7 @@ from .errors import (LevelNerveError, InvalidInputError, UnsupportedError,
                      ValidationError)
 from .symplectic import (SympSpace, SympSubgroup, cayley_fill, check_int,
                          check_ints, check_perm, check_shape, checked_matrix,
-                         deck_matrices, tree_walk)
+                         deck_matrices, perm_mul, tree_walk)
 from .surface import presentation
 from .catalog import multicurve_catalog
 from .stablegraph import components, relabelings
@@ -510,7 +510,6 @@ def _action_natural(d: EquivariantDecomposition):
     generators of a finite group reach every element without inverses, so
     by induction the check is never weaker than checking every element,
     and only the generator images get checked_matrix records."""
-    from . import covers  # here, so that the nerve path does not load it
     space = d.space
     E = len(d.edges)
     elements = range(len(d.matrices))
@@ -521,7 +520,7 @@ def _action_natural(d: EquivariantDecomposition):
         act = tuple(cols.values())
         for perms, n in ((d.vperms, d.V), (d.eperms, E)):
             if cayley_fill(tuple(range(n)), [perms[s] for s in cols], act,
-                           covers.PermOps.mul) != perms:
+                           perm_mul) != perms:
                 return False
         if deck_matrices(space.g, space.m, tuple(d.matrices[s] for s in cols),
                          act) != d.matrices:

@@ -43,30 +43,29 @@ from .words import (
 
 
 def _esplit(zs):
-    """Commutator pairs with product equal to the E-form word on zs."""
+    """Commutator pairs whose product is the E-form word on odd-length zs."""
     if len(zs) <= 1:
         return []
-    if len(zs) == 2:
-        return [(zs[0], zs[1])]
     W = wmul(*zs[2:])
     return [(wmul(zs[0], zs[1]), wmul(W, zs[1]))] + _esplit(zs[2:])
 
 
 class BranchedModel:
-    """Double cover of a disk branched over B collinear points with k marked
-    points to their right.  Translates between the free group downstairs
-    (letters x_1..x_B, then y_1..y_k) and the surface side (letters p_2..p_B
-    as 1..B-1, then y_1..y_k, then their x_1-conjugates)."""
+    """Double cover of a disk branched over B = 2g + 2 collinear points with
+    k marked points to their right, for an even nprime = 2k + 2.  Translates
+    between the free group downstairs (letters x_1..x_B, then y_1..y_k) and
+    the surface side (letters p_2..p_B as 1..B-1, then y_1..y_k, then their
+    x_1-conjugates)."""
 
     def __init__(self, g: int, nprime: int):
         if g < 1:
             raise InvalidInputError("branched model needs genus >= 1")
-        odd = (nprime % 2 == 1)
+        if nprime % 2:
+            raise InvalidInputError("branched model needs an even nprime")
         self.g = g
         self.nprime = nprime
-        self.k = (nprime - 1) // 2 if odd else (nprime - 2) // 2
-        self.B = 2 * g + 1 if odd else 2 * g + 2
-        self.odd = odd
+        self.k = (nprime - 2) // 2
+        self.B = 2 * g + 2
         self.N = 2 * g + nprime - 1
         self_check(self.B - 1 + 2 * self.k == self.N, "rank bookkeeping")
         self._build_base_change()
@@ -144,24 +143,15 @@ class BranchedModel:
         us = {}
         down_all = tuple(range(1, B + 1)) \
             + tuple(B + l for l in range(1, k + 1))
-        if self.odd:
-            bd = self.rewrite(down_all + down_all)
-            self_check(bd == wmul(P, Ybar, Pp, Y), "odd boundary word")
-            Ubar = wmul(P, Ybar, winv(P))
-            us[1] = wmul(winv(Ubar), winv(bd), Ubar)
-            for l in range(1, k + 1):
-                us[nprime + 1 - l] = self.y(l)
-                us[k + 2 - l] = wmul(P, self.ybar(l), winv(P))
-        else:
-            d1 = self.rewrite(down_all)
-            d2 = self.rewrite((1,) + down_all + (1,))
-            self_check(d1 == wmul(P, Y), "even boundary word 1")
-            self_check(d2 == wmul(Pp, Ybar), "even boundary word 2")
-            us[1] = winv(d1)
-            us[k + 2] = winv(d2)
-            for l in range(1, k + 1):
-                us[nprime + 1 - l] = self.ybar(l)
-                us[k + 2 - l] = self.y(l)
+        d1 = self.rewrite(down_all)
+        d2 = self.rewrite((1,) + down_all + (1,))
+        self_check(d1 == wmul(P, Y), "even boundary word 1")
+        self_check(d2 == wmul(Pp, Ybar), "even boundary word 2")
+        us[1] = winv(d1)
+        us[k + 2] = winv(d2)
+        for l in range(1, k + 1):
+            us[nprime + 1 - l] = self.ybar(l)
+            us[k + 2 - l] = self.y(l)
 
         std = [a for a, _ in pairs] + [b for _, b in pairs] \
             + [us[j] for j in range(2, nprime + 1)]

@@ -440,6 +440,19 @@ def check_perm(p, n, name):
     return p
 
 
+def perm_mul(p, q):
+    """The product of permutation tuples p and q that applies p first."""
+    return tuple(map(q.__getitem__, p))
+
+
+def perm_inv(p):
+    """The inverse of the permutation tuple p."""
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
 def check_modulus(m, name="modulus", over_z=True):
     """The one check of a modulus at a public entry point: an int that is
     at least 2, or 0 (working over Z) where over_z allows it."""
@@ -737,10 +750,10 @@ class SympSubgroup:
     SympSpace.subgroup returns the space's one instance per lattice, and
     apply returns such instances, so a subgroup is a value: nothing may
     change it after construction except its lazy caches (canonical
-    generators, pivots, packed rows, radical, relations, cyclic generator,
+    generators, packed rows, radical, relations, cyclic generator,
     the splitting test, hash, and images, coordinates and orthogonality by
     argument), which the lattice determines, so the instances of a lattice
-    may share them.  The space keeps the solver of the generators."""
+    may share them.  contains and coords ask the space's solver."""
 
     def __init__(self, space: SympSpace, gens, lattice=None):
         """The subgroup gens generate; lattice, when given, is
@@ -750,11 +763,10 @@ class SympSubgroup:
         n = space.dim
         m = space.m
         self.lattice = space.lattice(gens) if lattice is None else lattice
-        # filled on first use by canonical_gens(), contains(), f2_rows(),
-        # radical(), relations(), generator() and splits_off_radical(); the
-        # prime path knows the generators at once
+        # filled on first use by canonical_gens(), f2_rows(), radical(),
+        # relations(), generator() and splits_off_radical(); the prime path
+        # knows the generators at once
         self._gens = None
-        self._pivots = None
         self._f2 = None
         self._radical = None
         self._relations = None
@@ -817,20 +829,8 @@ class SympSubgroup:
         return list(self._gens)
 
     def contains(self, vec) -> bool:
-        """Reduction against the Hermite rows, pivot by pivot.  A pivot
-        entry that its row cannot clear stays nonzero, because later rows
-        vanish in that column, so the answer is known at once."""
-        if self._pivots is None:
-            self._pivots = tuple(next(j for j, a in enumerate(row) if a)
-                                 for row in self.lattice)
-        v = list(self.space.reduce(vec))
-        for col, row in zip(self._pivots, self.lattice):
-            q, r = divmod(v[col], row[col])
-            if r:
-                return False
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        """Whether vec mod m lies in the subgroup, read off solver()."""
+        return self.solver()(self.space.reduce(vec)) is not None
 
     def f2_rows(self):
         """The echelon rows packed by pack_f2, as (pivot bit, row mask)

@@ -20,10 +20,12 @@ Word = tuple
 
 
 def wreduce(seq) -> Word:
-    """Freely reduce a letter sequence."""
+    """Freely reduce a sequence of letters, nonzero ints (no bools)."""
     out = []
     for x in seq:
-        if not isinstance(x, int) or x == 0:
+        if type(x) is not int:
+            check_int(x, "letter")
+        if x == 0:
             raise InvalidInputError(f"bad letter {x!r}")
         if out and out[-1] == -x:
             out.pop()
@@ -55,6 +57,8 @@ def wsub(word, images) -> Word:
     """Evaluate word by substituting images[k-1] for generator k."""
     parts = []
     for x in word:
+        if type(x) is not int:
+            check_int(x, "letter")
         if not 0 < abs(x) <= len(images):
             raise InvalidInputError(f"letter {x!r} outside 1..{len(images)}")
         im = images[abs(x) - 1]
@@ -144,7 +148,9 @@ def format_word(word, names) -> str:
         return "1"
     parts = []
     for x in word:
-        if not isinstance(x, int) or not 0 < abs(x) <= len(names):
+        if type(x) is not int:
+            check_int(x, "letter")
+        if not 0 < abs(x) <= len(names):
             raise InvalidInputError(f"letter {x!r} outside 1..{len(names)}")
         nm = names[abs(x) - 1]
         parts.append(nm if x > 0 else nm[0].upper() + nm[1:])

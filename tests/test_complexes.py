@@ -5,9 +5,11 @@ and of 24 x 24 torus and Klein-bottle grids; generator elimination against
 the re-sorting reference on drawn relator lists.
 Also curve deletion on catalog representatives, a bond that validate
 decides without enumerating generator choices, the offender labels
-cross_validate reports, and the error assembly raises for a face missing
+cross_validate reports and its exhaustive oracle at (2,0,2), the refusals
+of malformed face tables, and the error assembly raises for a face missing
 from the rank below."""
 
+import functools
 from itertools import combinations
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import example, given, strategies as st
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from levelnerve import complexes
 from levelnerve.catalog import _audit, multicurve_catalog
 from levelnerve.complexes import (FinSimpSet, _assemble, _boundary_rows,
                                   _finite_quotient, _orbit_types, _tietze,
@@ -325,6 +328,67 @@ def test_cross_validate_names_violated_conditions():
     assert not report["ok"]
     assert [o["detail"] for o in report["offenders"]
             if o["check"] == "validity"] == [["iii", "vi"]]
+
+
+def test_cross_validate_runs_the_exhaustive_oracle(monkeypatch):
+    # at (2,0,2) every orbit matches the exhaustive enumeration of its
+    # type; with one vertex decomposition replaced by another of its type,
+    # the orbit misses a form and the type is named.  The enumeration is
+    # kept for the second call.
+    monkeypatch.setattr(complexes, "_brute_type_sets",
+                        functools.cache(complexes._brute_type_sets))
+    X = build_abelian_nerve(2, 0, 2)
+    report = cross_validate(X)
+    assert report["ok"]
+    brute = [c for c in report["checks"]
+             if c["name"] == "exhaustive enumeration matches orbits"]
+    assert len(brute) == 1 and brute[0]["ok"]
+    key = X.provenance[0][0][0]
+    j = next(j for j, (k, _) in enumerate(X.provenance[0]) if j and k == key)
+    X.decomps = ((X.decomps[0][j],) + X.decomps[0][1:],) + X.decomps[1:]
+    report = cross_validate(X)
+    assert not report["ok"]
+    assert [o["type"] for o in report["offenders"]
+            if o["check"] == "brute"] == [repr(key)]
+
+
+_TRIANGLE = ([[b"\x00", b"\x01", b"\x02"],
+              [b"\x00\x01", b"\x00\x02", b"\x01\x02"],
+              [b"\x00\x01\x02"]],
+             [[(), (), ()], [(1, 0), (2, 0), (2, 1)], [(2, 1, 0)]])
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    (([], []), {}, "at least one rank"),
+    ((_TRIANGLE[0], _TRIANGLE[1][:2]), {}, "rank count mismatch"),
+    (([[]], [[]]), {}, "empty rank block"),
+    (([["0"]], [[()]]), {}, "must be bytes"),
+    (([[b"\x01", b"\x00"]], [[(), ()]]), {}, "strictly increasing"),
+    (([[b"\x00"]], [[(), ()]]), {}, "face row count mismatch"),
+    (([[b"\x00"]], [[(0,)]]), {}, "faceless"),
+    ((_TRIANGLE[0][:2], [[(), (), ()], [(1,), (2, 0), (2, 1)]]), {},
+     "wrong arity"),
+    ((_TRIANGLE[0][:2], [[(), (), ()], [(3, 0), (2, 0), (2, 1)]]), {},
+     "out of range"),
+    ((_TRIANGLE[0], _TRIANGLE[1][:2] + [[(1, 2, 0)]]), {},
+     "simplicial identity"),
+    (_TRIANGLE, {"provenance": [[None] * 3]}, "provenance shape"),
+    (_TRIANGLE, {"decomps": [[None] * 3]}, "decomposition shape"),
+    (_TRIANGLE, {"meta": {"dim_bound": 1}}, "dimension bound"),
+], ids=["no-rank", "rank-count", "empty-block", "not-bytes", "order",
+        "row-count", "vertex-face", "arity", "face-range", "identity",
+        "provenance", "decomps", "dim-bound"])
+def test_complex_refuses_malformed_tables(args, kwargs, message):
+    full = [[None] * 3, [None] * 3, [None]]
+    FinSimpSet(*_TRIANGLE, full, {"dim_bound": 2}, full)
+    with pytest.raises(InvalidInputError, match=message):
+        FinSimpSet(*args, **kwargs)
+
+
+@pytest.mark.parametrize("data", [None, [], {"format": "finsimpset/2"}])
+def test_complex_from_data_refuses_what_is_not_a_serialized_complex(data):
+    with pytest.raises(InvalidInputError, match="not a serialized complex"):
+        FinSimpSet.from_data(data)
 
 
 def test_assembly_names_a_face_missing_from_the_rank_below():

@@ -13,7 +13,8 @@ from levelnerve.surface import (homology_class, presentation,
 from levelnerve.complexes import build_abelian_nerve, build_image_complex
 from levelnerve.decomp import induced_from_lift, validate
 from levelnerve.catalog import delete_curves, multicurve_catalog
-from levelnerve.symplectic import SympSpace, checked_matrix
+from levelnerve.symplectic import (SympSpace, checked_matrix, mat_identity,
+                                   mat_mul)
 from levelnerve.words import winv, wmul, wpow
 from levelnerve import covers, symplectic
 from levelnerve.covers import (
@@ -36,6 +37,7 @@ from levelnerve.covers import (
     _chain,
     _signed_sum,
     _subgroup_orbits,
+    _symplectic_rows,
     _table,
     _unimodular_inverse,
 )
@@ -1032,6 +1034,30 @@ def unimodular(draw):
 def test_unimodular_inverse_matches_sympy(P):
     want = sympy.Matrix(P).inv().tolist()
     assert _unimodular_inverse(P) == [[int(x) for x in row] for row in want]
+
+
+def _assert_standard_frame(P):
+    U, V = _symplectic_rows(P)
+    J = [list(row) for row in SympSpace(len(P) // 2, 0).J]
+    assert mat_mul(mat_mul(U, P), [list(col) for col in zip(*U)]) == J
+    assert mat_mul(U, V) == mat_identity(len(P))
+
+
+@pytest.mark.parametrize("P", [
+    # Pfaffians 2*5 - 3*3 = 1 and 5*19 - 2*48 = -1, with no entry +-1, so
+    # the first pivot is 2 and a gcd step runs on each side of it
+    [[0, 2, 3, 0], [-2, 0, 0, 3], [-3, 0, 0, 5], [0, -3, -5, 0]],
+    [[0, 5, 2, 0], [-5, 0, -3, 48], [-2, 3, 0, 19], [0, -48, -19, 0]],
+])
+def test_symplectic_rows_reduce_a_form_with_no_unit_entry(P):
+    _assert_standard_frame(P)
+
+
+@given(unimodular().filter(lambda A: len(A) % 2 == 0))
+def test_symplectic_rows_reduce_every_unimodular_form(A):
+    # A J A^T is every alternating unimodular form of its size
+    J = [list(row) for row in SympSpace(len(A) // 2, 0).J]
+    _assert_standard_frame(mat_mul(mat_mul(A, J), [list(c) for c in zip(*A)]))
 
 
 def test_matrix_self_checks_refuse_a_perturbed_class(monkeypatch):

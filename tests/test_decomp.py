@@ -958,6 +958,42 @@ def test_tampered_frame_is_reported_by_the_action():
     assert validate(tampered, ("action",)) == ["action"]
 
 
+def _with_fields(d, group=None, **fields):
+    """d's tables under the given group (None: every element is checked),
+    with the named fields replaced."""
+    tables = {f: getattr(d, f) for f in ("vertex_groups", "edge_groups",
+                                         "edges", "frames", "marks", "n",
+                                         "matrices", "vperms", "eperms")}
+    return EquivariantDecomposition(d.space, group=group,
+                                    **{**tables, **fields})
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d, h: _with_fields(d, d.group, matrices=d.matrices[:1],
+                              vperms=d.vperms[:1], eperms=d.eperms[:1]),
+    lambda d, h: _with_fields(d, matrices=d.matrices[:1] + (
+        ((0,) * d.space.dim,) * d.space.dim,)),
+    # the identity on the vertices of a graph with four of them
+    lambda d, h: _with_fields(h, vperms=h.vperms[:1] * 2 + h.vperms[2:]),
+    lambda d, h: _with_fields(d, edge_groups=(d.space.subgroup([]),)
+                              + d.edge_groups[1:]),
+    lambda d, h: _with_fields(d, marks=((1, 2), ())),
+], ids=["group-order", "not-symplectic", "edge-ends", "edge-group",
+        "mark-count"])
+def test_each_action_failure_is_reported(mutate):
+    # one mutant per failure return of the action check: fewer tables than
+    # group elements, then, with no group so that every element is
+    # checked, a singular matrix, an edge sent off its image's ends, an
+    # edge group not mapped onto its image's and a moved mark
+    loop = by_key(1, 1, (((0, (1,)),), ((0, 0),)))
+    d = induced_from_lift(abelian_cover(1, 1, (2,), [(1,), (0,)]), loop, 2)
+    h = induced_from_lift(homology_cover(2, 0, 2), by_key(2, 0, LOOPS2_KEY),
+                          2)
+    for good in (d, h):
+        assert validate(_with_fields(good), ("action",)) == []
+    assert validate(mutate(d, h), ("action",)) == ["action"]
+
+
 def test_level_two_action_check_stays_packed(monkeypatch):
     h2 = homology_cover(2, 0, 2)
     d2 = induced_from_lift(h2, by_key(2, 0, NONSEP_KEY), 2)

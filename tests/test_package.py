@@ -56,17 +56,17 @@ C.pi1_report(X)
 print(sorted({"levelnerve.covers", "dataclasses"} & set(sys.modules)))
 """
 
-# The cover side after the nerve modules: each call-time import of covers
-# resolves, the first of them with covers not loaded yet, and loading the
-# whole package still brings in no dataclasses.
+# The cover side after the nerve modules: the permutation search of pi_1
+# leaves covers unloaded, each call-time import of covers resolves, the
+# first of them with covers not loaded yet, and loading the whole package
+# still brings in no dataclasses.
 _COVER_PATH = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 import levelnerve.complexes as C
 import levelnerve.decomp as D
-assert "levelnerve.covers" not in sys.modules
 assert C._finite_quotient([1], [[1] * 5], 5) == ((1, 2, 3, 4, 0),)
-assert "levelnerve.covers" in sys.modules
+assert "levelnerve.covers" not in sys.modules
 from levelnerve.catalog import multicurve_catalog
 from levelnerve.covers import identity_cover
 assert C.build_image_complex(identity_cover(1, 1), 2).meta["counts"] == [3]
@@ -89,6 +89,22 @@ def test_nerve_path_loads_no_cover_layer():
 
 def test_cover_layer_loads_on_first_use():
     assert _fresh_interpreter(_COVER_PATH) == "False"
+
+
+def test_covers_imported_only_where_a_cover_is_an_argument():
+    """decomp and complexes import covers inside induced_from_lift and
+    build_image_complex alone, the two functions that take a cover."""
+    for name, owner in (("decomp.py", "induced_from_lift"),
+                        ("complexes.py", "build_image_complex")):
+        tree = ast.parse((ROOT / "src" / "levelnerve" / name).read_text())
+        importers = set()
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.module == "covers" or (node.module is None and
+                        "covers" in {alias.name for alias in node.names})):
+                    importers.add(getattr(top, "name", "<module>"))
+        assert importers == {owner}, name
 
 
 def test_no_declared_dependencies():

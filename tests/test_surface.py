@@ -4,6 +4,7 @@ import pytest
 
 from levelnerve.errors import InvalidInputError
 from levelnerve.surface import (
+    BranchedModel,
     homology_class,
     presentation,
     twist_automorphisms,
@@ -116,9 +117,11 @@ def test_twist_family_size():
 
 
 def test_twists_are_automorphisms_with_inverses():
-    # every hyperbolic signature from (1, 1) to (3, 2), and (0, 3)..(0, 6)
+    # every hyperbolic signature from (1, 1) to (3, 2), (0, 3)..(0, 6), and
+    # three whose branched model has a marked point y_1 (k = 1)
     sigs = [(g, n) for g in range(1, 4) for n in range(3)
-            if 2 * g - 2 + n > 0] + [(0, n) for n in range(3, 7)]
+            if 2 * g - 2 + n > 0] + [(0, n) for n in range(3, 7)] \
+        + [(1, 3), (2, 3), (1, 4)]
     for g, n in sigs:
         p = presentation(g, n)
         rank = p.cover_rank()
@@ -151,8 +154,15 @@ def test_twist_homology_is_inverse_transvection():
                     p.homology_class(t.images[g + k])
 
 
+def test_branched_model_refuses_an_odd_nprime():
+    # a presentation pads an odd number of marked points to an even one
+    assert presentation(1, 3).model.nprime == 4
+    with pytest.raises(InvalidInputError):
+        BranchedModel(1, 3)
+
+
 def test_twist_fixes_puncture_classes():
-    for g, n in [(1, 2), (2, 1), (0, 4)]:
+    for g, n in [(1, 2), (2, 1), (0, 4), (1, 3), (2, 3), (1, 4)]:
         p = presentation(g, n)
         for t in p.twists():
             for j in range(1, n + 1):

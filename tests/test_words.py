@@ -100,11 +100,18 @@ def test_parse_format():
     lambda: wpow((1,), 1.5),
     lambda: invert_basis([(1,)], 1.0),
     lambda: FoldedGraph([(1,)], 1.5),
+    lambda: wreduce([True, 2]),
+    lambda: wmul((True,), (-1,)),
+    lambda: wsub((True,), [(1,)]),
+    lambda: wsub((1.0,), [(1,)]),
+    lambda: format_word((True,), ["a1"]),
 ], ids=["parse-int", "format-range", "format-zero", "wpow-float",
-        "invert-float", "folded-float"])
+        "invert-float", "folded-float", "reduce-bool", "mul-bool",
+        "sub-bool", "sub-float", "format-bool"])
 def test_words_refuse_bad_arguments(call):
     # these raised AttributeError, IndexError or TypeError, formatted
-    # letter 0 as the last name, and folded over a float rank
+    # letter 0 as the last name, folded over a float rank, and took True
+    # as letter 1 (check_int refuses a bool)
     with pytest.raises(InvalidInputError):
         call()
 
