@@ -143,7 +143,7 @@ class DeckGroup:
     act[j][0] is the index of image j, so column act[j] lists the product
     of every element with it.  step and trace read signed letters off act
     and back; trace serves the words of callers (curves, conjugators,
-    twist images), whose letters it reduces and checks."""
+    twist images), whose letters it checks but need not reduce."""
 
     def __init__(self, ops, images, max_size):
         self.ops = ops
@@ -166,10 +166,14 @@ class DeckGroup:
         return self.act[s - 1][a] if s > 0 else self.back[-s - 1][a]
 
     def trace(self, start, word):
-        """Index reached from `start` along the signed letters of `word`."""
+        """Index reached from `start` along the signed letters of `word`,
+        read unreduced: act[j] and back[j] are inverse permutations, so a
+        cancelling pair of letters returns to where it started."""
         g = start
-        for x in wreduce(word):
-            if not (1 <= abs(x) <= self.N):
+        for x in word:
+            if type(x) is not int:
+                check_int(x, "letter")
+            if not 0 < abs(x) <= self.N:
                 raise InvalidInputError(f"letter {x} outside cover alphabet")
             g = self.step(g, x)
         return g

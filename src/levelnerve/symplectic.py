@@ -45,9 +45,12 @@ At m = 2 a vector can also be packed into one int, bit k holding
 coordinate k (pack_f2).  A sum of vectors is then an XOR, and x*F is the
 XOR of the packed rows of F at the set bits of x (f2_image).  A subgroup
 keeps its echelon rows packed as well (SympSubgroup.f2_rows), so that
-membership is a few XORs (SympSubgroup.contains_f2).  Only checked
-matrices and deck_matrices use packed rows; apply, perp, radical and
-vec_mat stay on row tuples, odd primes on integer entries.
+membership is a few XORs (SympSubgroup.contains_f2).  Checked matrices,
+deck_matrices and the echelon over F_2 use packed rows: _rref_mod_p
+eliminates by XOR at p = 2, so lattice, rref_transform (row_kernel,
+solver) and cokernel_invariants run packed there, and it hands its rows
+back unpacked.  apply, perp, radical and vec_mat stay on row tuples, odd
+primes on integer entries.
 
 A matrix is checked once per value: checked_matrix(g, m, F) is the one
 memoized record (CheckedMatrix) of its reduced rows, its inverse when it
@@ -185,24 +188,31 @@ def hnf_transform(rows):
     return [(row[:n], row[n:]) for row in aug]
 
 
-def _int_coords(pairs, vec):
-    """Integer coordinates of vec over a row lattice, or None.
+def _int_coords(pairs):
+    """x -> integer coordinates of x over a row lattice, or None.
 
-    pairs is hnf_transform of the rows.  vec is reduced greedily against
-    the Hermite rows; the transform rows collected on the way express vec
-    as an integer combination of the original rows whenever the residual
-    vanishes."""
-    v = list(vec)
-    coeff = [0] * len(pairs)
-    for h, t in pairs:
-        piv = next((j for j, a in enumerate(h) if a), None)
-        if piv is None:
-            continue
-        q = v[piv] // h[piv]
-        if q:
-            v = [a - q * b for a, b in zip(v, h)]
-            coeff = [a + q * b for a, b in zip(coeff, t)]
-    return None if any(v) else tuple(coeff)
+    pairs is hnf_transform of the rows.  x is reduced greedily against
+    the Hermite rows, whose pivots are found once; the transform rows
+    collected on the way express x as an integer combination of the
+    original rows whenever the residual vanishes.  The rows after a
+    Hermite row are zero in its pivot column, so a remainder there leaves
+    x outside."""
+    k = len(pairs)
+    steps = [(next(j for j, a in enumerate(h) if a), h, t)
+             for h, t in pairs if any(h)]
+
+    def coords(vec):
+        v = list(vec)
+        coeff = [0] * k
+        for j, h, t in steps:
+            q, r = divmod(v[j], h[j])
+            if r:
+                return None
+            if q:
+                v = [a - q * b for a, b in zip(v, h)]
+                coeff = [a + q * b for a, b in zip(coeff, t)]
+        return None if any(v) else tuple(coeff)
+    return coords
 
 
 def _free_rank(divisors, m, n):
@@ -365,7 +375,27 @@ def _rref_mod_p(rows, p, n):
     {pivot column: row}: entries in [0, p), 1 at the row's own pivot and 0
     at every other pivot.  Each new row is cleared at the known pivots in
     one pass, since a basis row is zero at the other pivots; a surviving
-    row is scaled to a unit pivot and cleared out of the basis rows."""
+    row is scaled to a unit pivot and cleared out of the basis rows.
+
+    At p = 2 the rows are packed by pack_f2 and the basis is kept by pivot
+    bit: the lowest set bit of a row is its leftmost pivot, and clearing a
+    pivot is one XOR.  The rows are unpacked into lists at the end."""
+    if p == 2:
+        basis = {}
+        for x in map(pack_f2, rows):
+            for j, b in basis.items():
+                if x & j:
+                    x ^= b
+            if x:
+                j = x & -x
+                for i, b in basis.items():
+                    if b & j:
+                        basis[i] = b ^ x
+                basis[j] = x
+                if len(basis) == n:
+                    break
+        return {j.bit_length() - 1: [x >> k & 1 for k in range(n)]
+                for j, x in basis.items()}
     basis = {}
     for r in rows:
         v = [a % p for a in r]
@@ -499,9 +529,12 @@ class SympSpace:
     def reduce(self, vec):
         if len(vec) != self.dim:
             raise InvalidInputError("vector has wrong length")
-        if self.m == 0:
+        m = self.m
+        if m == 0:
             return tuple(int(x) for x in vec)
-        return tuple(map(self.m.__rmod__, map(int, vec)))
+        if {*map(type, vec)} == {int}:  # exact ints need no int()
+            return tuple([x % m for x in vec])
+        return tuple(map(m.__rmod__, map(int, vec)))
 
     def zero(self):
         return (0,) * self.dim
@@ -723,10 +756,10 @@ class SympSpace:
             return coords
         mod = [[m if t == j else 0 for t in range(width)]
                for j in range(width)] if m else []
-        pairs = hnf_transform([list(r) for r in rows] + mod)
+        solve = _int_coords(hnf_transform([list(r) for r in rows] + mod))
 
         def coords(x):
-            c = _int_coords(pairs, x)
+            c = solve(x)
             return None if c is None else c[:k]
         return coords
 
@@ -751,9 +784,10 @@ class SympSubgroup:
     apply returns such instances, so a subgroup is a value: nothing may
     change it after construction except its lazy caches (canonical
     generators, packed rows, radical, relations, cyclic generator,
-    the splitting test, hash, and images, coordinates and orthogonality by
-    argument), which the lattice determines, so the instances of a lattice
-    may share them.  contains and coords ask the space's solver."""
+    the splitting test, solver, hash, and images, coordinates and
+    orthogonality by argument), which the lattice determines, so the
+    instances of a lattice may share them.  contains and coords ask the
+    solver."""
 
     def __init__(self, space: SympSpace, gens, lattice=None):
         """The subgroup gens generate; lattice, when given, is
@@ -764,14 +798,15 @@ class SympSubgroup:
         m = space.m
         self.lattice = space.lattice(gens) if lattice is None else lattice
         # filled on first use by canonical_gens(), f2_rows(), radical(),
-        # relations(), generator() and splits_off_radical(); the prime path
-        # knows the generators at once
+        # relations(), generator(), splits_off_radical() and solver(); the
+        # prime path knows the generators at once
         self._gens = None
         self._f2 = None
         self._radical = None
         self._relations = None
         self._generator = None
         self._splits = None
+        self._solver = None
         self._hash = None
         # apply() images by matrix, coords() by vector, orthogonal() by
         # subgroup
@@ -874,10 +909,10 @@ class SympSubgroup:
             if not all(map(self.contains, inner.canonical_gens())):
                 return None
             return self.rank - inner.rank
-        pairs = hnf_transform(self.lattice)
+        solve = _int_coords(hnf_transform(self.lattice))
         coords = []
         for row in inner.lattice:
-            c = _int_coords(pairs, row)
+            c = solve(row)
             if c is None:
                 return None
             coords.append(c)
@@ -953,8 +988,12 @@ class SympSubgroup:
 
     def solver(self):
         """space.solver of the canonical generators: coordinates of a
-        member over them."""
-        return self.space.solver(self.canonical_gens(), self.space.dim)
+        member over them, kept on the instance like the other answers the
+        lattice fixes."""
+        if self._solver is None:
+            self._solver = self.space.solver(self.canonical_gens(),
+                                             self.space.dim)
+        return self._solver
 
     def coords(self, x):
         """solver()(x), memoized by the vector x."""

@@ -12,6 +12,7 @@ a word on every edge.
 from __future__ import annotations
 
 import re
+from operator import neg
 
 from .errors import InvalidInputError
 from .symplectic import check_int
@@ -43,7 +44,8 @@ def wmul(*words) -> Word:
 
 
 def winv(word) -> Word:
-    return wreduce(-x for x in reversed(word))
+    # reduced before negating, so that wreduce sees (and refuses) a bool
+    return tuple(map(neg, wreduce(reversed(word))))
 
 
 def wpow(word, k: int) -> Word:

@@ -48,7 +48,9 @@ with a deque of its own and replays each vertex's tree path.
 snf_diagonal_dense is the dense Smith elimination that scans every row for
 its pivot, and tietze_resorting the generator elimination that re-sorts
 every relation before each step, as the package ran them before they
-worked on sparse rows and on an occurrence index."""
+worked on sparse rows and on an occurrence index.  rref_by_lists and
+rref_transform_by_lists are the echelon over F_p on lists of entries at
+every prime, as the package ran it at p = 2 before it packed the rows."""
 
 import math
 from collections import deque
@@ -587,10 +589,10 @@ def quotient_profile(inner, outer):
     inner written over those of outer, and the Smith divisors of the
     coordinates."""
     m = outer.space.m
-    pairs = hnf_transform(outer.lattice)
+    solve = _int_coords(hnf_transform(outer.lattice))
     coords = []
     for row in inner.lattice:
-        c = _int_coords(pairs, row)
+        c = solve(row)
         if c is None:
             return (False, False, None)
         coords.append(list(c))
@@ -1039,3 +1041,42 @@ def forest_by_queue(moves, root, step):
             value = step(value, x, j)
         values.append(value)
     return values, other
+
+
+def rref_by_lists(rows, p, n):
+    """The reduced row echelon form over F_p of integer rows of length n,
+    as {pivot column: row} in the order the pivots are found, eliminated
+    on lists of entries at every prime, p = 2 included: each new row is
+    cleared at the known pivots, and a surviving row is scaled to a unit
+    pivot and cleared out of the basis rows."""
+    basis = {}
+    for r in rows:
+        v = [a % p for a in r]
+        for j, b in basis.items():
+            c = v[j]
+            if c:
+                v = [(a - c * x) % p for a, x in zip(v, b)]
+        j = next((t for t, a in enumerate(v) if a), None)
+        if j is None:
+            continue
+        if v[j] != 1:
+            s = pow(v[j], -1, p)
+            v = [a * s % p for a in v]
+        for i, b in basis.items():
+            c = b[j]
+            if c:
+                basis[i] = [(a - c * x) % p for a, x in zip(b, v)]
+        basis[j] = v
+        if len(basis) == n:
+            break
+    return basis
+
+
+def rref_transform_by_lists(rows, p):
+    """rref_by_lists of the rows with an identity block appended, as (h, t)
+    pairs in pivot order with t * rows = h mod p."""
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    basis = rref_by_lists([list(r) + [1 if j == i else 0 for j in range(k)]
+                           for i, r in enumerate(rows)], p, n + k)
+    return [(basis[j][:n], basis[j][n:]) for j in sorted(basis)]

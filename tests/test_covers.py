@@ -15,7 +15,7 @@ from levelnerve.decomp import induced_from_lift, validate
 from levelnerve.catalog import delete_curves, multicurve_catalog
 from levelnerve.symplectic import (SympSpace, checked_matrix, mat_identity,
                                    mat_mul)
-from levelnerve.words import winv, wmul, wpow
+from levelnerve.words import winv, wmul, wpow, wreduce
 from levelnerve import covers, symplectic
 from levelnerve.covers import (
     AbelianOps,
@@ -886,6 +886,34 @@ def test_class_table_on_drawn_words(name, sheet, letters):
     if spec.group.trace(sheet, word) != sheet:
         with pytest.raises(LevelNerveError, match="cover subgroup"):
             _chain(spec).closed_class(sheet, word)
+
+
+@given(st.sampled_from(sorted(SMALL)),
+       st.integers(0, 15),
+       st.lists(st.integers(1, 4).flatmap(
+           lambda a: st.sampled_from([a, -a])), max_size=10),
+       st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4),
+                          st.sampled_from([1, -1])), min_size=1, max_size=4))
+def test_trace_reads_an_unreduced_word_as_its_reduction(name, sheet, letters,
+                                                        pairs):
+    """trace steps through the letters as given: cancelling pairs x, -x
+    put anywhere into a drawn word leave its end sheet where the reduced
+    word ends."""
+    group = _class_cover(name)[0].group
+    sheet %= group.d
+    word = [x for x in letters if abs(x) <= group.N]
+    for at, a, sign in pairs:
+        x = sign * ((a - 1) % group.N + 1)
+        at %= len(word) + 1
+        word[at:at] = [x, -x]
+    assert wreduce(word) != tuple(word)
+    assert group.trace(sheet, word) == group.trace(sheet, wreduce(word))
+
+
+@pytest.mark.parametrize("letter", [True, 1.0, "1", None, 0, 5, -5])
+def test_trace_refuses_a_bad_letter(h2, letter):
+    with pytest.raises(InvalidInputError):
+        h2.group.trace(0, (1, letter, -1))
 
 
 def test_class_at_refuses_a_word_that_does_not_close(h2):

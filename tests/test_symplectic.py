@@ -11,6 +11,7 @@ from levelnerve.errors import InvalidInputError, ResourceLimitError
 from levelnerve.symplectic import (
     SympSpace,
     SympSubgroup,
+    _rref_mod_p,
     check_ints,
     checked_matrix,
     hnf,
@@ -19,12 +20,14 @@ from levelnerve.symplectic import (
     mat_mul,
     mod_row_kernel,
     pack_f2,
+    rref_transform,
     snf_diagonal,
     snf_sparse,
     sp_group,
     vec_mat,
 )
-from oracles import (forest_by_queue, lattice_reduce, module_map_report, snf,
+from oracles import (forest_by_queue, lattice_reduce, module_map_report,
+                     rref_by_lists, rref_transform_by_lists, snf,
                      snf_diagonal_dense)
 
 moduli = st.sampled_from([0, 2, 3, 4, 6])
@@ -1419,6 +1422,78 @@ def test_prime_path_matches_integer_hermite_form(case):
     got = (sub.lattice, sub.lattice_divisors, sub.invariants, sub.rank,
            sub.order, sub.canonical_gens())
     assert got == integer_reference(rows, p, 2 * g)
+
+
+@st.composite
+def f2_matrices(draw):
+    """(width, rows): rows of width 0 to 66, zero rows, negative entries
+    and entries above 1 likely, and up to width + 3 rows, so at small
+    widths more rows than columns."""
+    width = draw(st.integers(0, 66))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    row = st.one_of(st.just([0] * width),
+                    st.lists(entry, min_size=width, max_size=width))
+    return width, draw(st.lists(row, max_size=width + 3))
+
+
+@given(f2_matrices(), st.data())
+@example((0, []), None)
+@example((4, []), None)
+@example((2, [[0, 0], [0, 0], [0, 0]]), None)
+@example((3, [[1, -1, 2], [3, 0, -5], [1, 1, 1], [0, 2, 1], [-1, 0, 0]]),
+         None)
+@example((66, [[1] * 66, [-1, 3] * 33, [0] * 66, [2] * 66]), None)
+def test_f2_echelon_matches_the_list_loop(case, data):
+    """At p = 2 the packed echelon gives the list loop's rows and pivot
+    order, and so do the transform, the kernels, the solver and the
+    cokernel invariants read off it."""
+    width, rows = case
+    want = rref_by_lists(rows, 2, width)
+    got = _rref_mod_p(rows, 2, width)
+    assert got == want and list(got) == list(want)
+    pairs = rref_transform_by_lists(rows, 2)
+    assert rref_transform(rows, 2) == pairs
+    sp = SympSpace(width // 2, 2)
+    assert sp.row_kernel(rows) == [t for h, t in pairs if not any(h)]
+    assert sp.cokernel_invariants(rows, width) == (2,) * (width - len(want))
+    coef = [0] * len(rows) if data is None else data.draw(
+        st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    shift = [0] * width if data is None else data.draw(
+        st.lists(st.integers(-1, 1), min_size=width, max_size=width))
+    solve = sp.solver(rows, width)
+    for x in (combine(coef, rows, width),
+              [a + b for a, b in zip(combine(coef, rows, width), shift)]):
+        rest = [a % 2 for a in x]
+        for j, b in want.items():
+            if rest[j]:
+                rest = [a ^ c for a, c in zip(rest, b)]
+        c = solve(x)
+        assert (c is None) == any(rest)
+        if c is not None:
+            assert all((a - b) % 2 == 0
+                       for a, b in zip(combine(c, rows, width), x))
+
+
+def test_f2_lattice_never_runs_the_list_loop():
+    class NoMod(int):
+        # the list loop reduces each entry by %, the packed one reads a & 1
+        def __mod__(self, p):
+            raise AssertionError("list elimination ran")
+
+    rows = [[1, 1, 0, 1], [3, -1, 2, 0], [0, 1, 1, 1], [0, 0, 0, 0]]
+    guarded = [[NoMod(a) for a in r] for r in rows]
+    assert SympSpace(2, 2).lattice(guarded) == SympSpace(2, 2).lattice(rows)
+    with pytest.raises(AssertionError, match="list elimination"):
+        SympSpace(2, 3).lattice(guarded)
+
+
+def test_reduce_converts_only_entries_that_are_not_ints():
+    sp = SympSpace(2, 3)
+    for vec, want in [((4, -1, 3, 7), (1, 2, 0, 1)),
+                      ((True, False, 2.7, -1.5), (1, 0, 2, 2)),
+                      ([5, True, 0, -4], (2, 1, 0, 2))]:
+        got = sp.reduce(vec)
+        assert got == want and all(type(a) is int for a in got)
 
 
 def test_prime_moduli_skip_integer_hnf_and_snf(monkeypatch):

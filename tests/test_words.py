@@ -105,9 +105,10 @@ def test_parse_format():
     lambda: wsub((True,), [(1,)]),
     lambda: wsub((1.0,), [(1,)]),
     lambda: format_word((True,), ["a1"]),
+    lambda: winv((True,)),
 ], ids=["parse-int", "format-range", "format-zero", "wpow-float",
         "invert-float", "folded-float", "reduce-bool", "mul-bool",
-        "sub-bool", "sub-float", "format-bool"])
+        "sub-bool", "sub-float", "format-bool", "inv-bool"])
 def test_words_refuse_bad_arguments(call):
     # these raised AttributeError, IndexError or TypeError, formatted
     # letter 0 as the last name, folded over a float rank, and took True
